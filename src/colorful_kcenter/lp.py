@@ -6,20 +6,17 @@ region), a dual solution whose objective matches the primal exactly, and
 on infeasible programs a Farkas certificate: a signed combination of
 constraints and variable bounds that sums to "0 >= positive".
 
-Internally the tableau runs on gmpy2.mpq when available (same exact
-semantics as Fraction, several times faster); all inputs and outputs are
-fractions.Fraction.
+The tableau is fraction-free (Edmonds 1967, Bareiss 1968): Python ints
+over one positive common denominator, updated by exact integer division,
+so no pivot allocates a rational.  Basic values and the ratio test stay
+exact fractions.Fraction, as do all inputs and outputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-try:
-    from gmpy2 import mpq as _fastq
-except ImportError:  # pragma: no cover - gmpy2 present in normal installs
-    _fastq = None
 
 LE = "<="
 GE = ">="
@@ -27,6 +24,10 @@ EQ = "=="
 
 MIN = "min"
 MAX = "max"
+
+
+class InternalError(RuntimeError):
+    """A solver invariant failed; never means "instance infeasible"."""
 
 
 def _frac(v) -> Fraction:
@@ -123,8 +124,9 @@ def check_point(lp: LinearProgram, point):
             return ViolatedConstraint("lower", i, lo - point[i])
         if up is not None and point[i] > up:
             return ViolatedConstraint("upper", i, point[i] - up)
+    nonzero = [(i, v) for i, v in enumerate(point) if v]
     for j, con in enumerate(lp.constraints):
-        lhs = sum((c * v for c, v in zip(con.coeffs, point) if c), Fraction(0))
+        lhs = sum((con.coeffs[i] * v for i, v in nonzero if con.coeffs[i]), Fraction(0))
         if con.rel == LE and lhs > con.rhs:
             return ViolatedConstraint("row", j, lhs - con.rhs)
         if con.rel == GE and lhs < con.rhs:
@@ -197,10 +199,17 @@ def verify_certificate(lp: LinearProgram, cert: FarkasCertificate) -> bool:
         combo[i] += p[i] - q[i]
         if combo[i] != 0:
             return False
-    gap = sum((yj * con.rhs for yj, con in zip(y, lp.constraints) if yj), Fraction(0))
-    gap += sum(p[i] * lp.lower[i] for i in range(n) if p[i])
-    gap -= sum(q[i] * lp.upper[i] for i in range(n) if q[i])
+    gap = _combined_rhs(lp, y, p, q)
     return gap > 0 and gap == cert.gap
+
+
+def _combined_rhs(lp: LinearProgram, y, low, upp) -> Fraction:
+    """y.b + low.lower - upp.upper: the value of a dual solution, or
+    the gap of a Farkas certificate."""
+    total = sum((yj * con.rhs for yj, con in zip(y, lp.constraints) if yj), Fraction(0))
+    total += sum(low[i] * lp.lower[i] for i in range(lp.num_vars) if low[i])
+    total -= sum(upp[i] * lp.upper[i] for i in range(lp.num_vars) if upp[i])
+    return total
 
 
 @dataclass(frozen=True)
@@ -217,6 +226,9 @@ _AT_UPPER = 1
 _AT_FREE = 2
 _BASIC = 3
 
+_ZERO = Fraction(0)
+_SLACK_BOUNDS = {LE: (_ZERO, None), GE: (None, _ZERO), EQ: (_ZERO, _ZERO)}
+
 
 class _Simplex:
     """State for one solve.
@@ -226,58 +238,58 @@ class _Simplex:
     "a.x rel b" is held as "a.x + s = b" with the slack bounded by
     [0, inf) for <=, (-inf, 0] for >=, and [0, 0] for ==.
 
-    The tableau rows carry the identity on the current basis, so the
-    slack columns hold the basis inverse; in particular the row duals
-    are the negated reduced costs of the slack columns, a fact used for
-    both the dual solution and the Farkas certificate.
+    The true tableau is T / D, T int rows and D > 0.  With A' the rows
+    scaled by the lcm of their own denominators and B' its basis columns,
+    D = |det B'| (initially the product of the row scales) and
+    T = D * B'^-1 A' = +-adj(B') A' is integral.  A pivot on p = T[r][e]
+    is the Bareiss step T'[i][j] = (T[i][j]*p - T[i][e]*T[r][j]) // D,
+    exact since T' is again integral, with D' = |p| and all rows negated
+    when p < 0.  Reduced costs d are ints over lc*D (lc: lcm of the
+    phase's cost denominators) moved by the same step.  Basic values
+    beta and ratio-test steps stay exact Fractions.
+
+    T / D carries the identity on the current basis, so the slack
+    columns hold the basis inverse; in particular the row duals are the
+    negated reduced costs of the slack columns, a fact used for both
+    the dual solution and the Farkas certificate.
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
         self.n = lp.num_vars
         self.m = len(lp.constraints)
-        # Fraction fallback keeps every tableau entry exact (never int,
-        # whose division would go through floats)
-        q = _fastq if _fastq is not None else Fraction
-        self.q = q
-        self.zero = q(0)
-        self.one = q(1)
         self.minimize = lp.sense == MIN
-        self.cost = [q(c) if self.minimize else q(-c) for c in lp.objective]
+        self.cost = list(lp.objective) if self.minimize else [-c for c in lp.objective]
 
-        self.lo = [None if v is None else q(v) for v in lp.lower]
-        self.up = [None if v is None else q(v) for v in lp.upper]
-        rows = []
+        self.lo = list(lp.lower)
+        self.up = list(lp.upper)
         for con in lp.constraints:
-            rows.append([q(c) for c in con.coeffs])
-            if con.rel == LE:
-                self.lo.append(self.zero)
-                self.up.append(None)
-            elif con.rel == GE:
-                self.lo.append(None)
-                self.up.append(self.zero)
-            else:
-                self.lo.append(self.zero)
-                self.up.append(self.zero)
+            lo, up = _SLACK_BOUNDS[con.rel]
+            self.lo.append(lo)
+            self.up.append(up)
         self.ncols = self.n + self.m
-        self.state = []
-        for j in range(self.ncols):
-            if self.lo[j] is not None:
-                self.state.append(_AT_LOWER)
-            elif self.up[j] is not None:
-                self.state.append(_AT_UPPER)
-            else:
-                self.state.append(_AT_FREE)
+        # never entering: fixed variables, and artificials after phase 1
+        self.frozen = {
+            j
+            for j, (lo, up) in enumerate(zip(self.lo, self.up))
+            if lo is not None and lo == up
+        }
+        self.state = [
+            _AT_LOWER if lo is not None else _AT_UPPER if up is not None else _AT_FREE
+            for lo, up in zip(self.lo, self.up)
+        ]
+        self.D = math.prod(
+            math.lcm(*(c.denominator for c in con.coeffs)) for con in lp.constraints
+        )
         self.T = []
-        for i in range(self.m):
-            row = rows[i] + [self.zero] * self.m
-            row[self.n + i] = self.one
+        for i, con in enumerate(lp.constraints):
+            row = [c.numerator * (self.D // c.denominator) for c in con.coeffs]
+            row += [0] * self.m
+            row[self.n + i] = self.D
             self.T.append(row)
         self.basis = [None] * self.m
-        self.beta = [self.zero] * self.m
+        self.beta = [_ZERO] * self.m
         self.artificial = []
-        self.banned = set()
-        self.d = []
 
     def bound_value(self, j):
         st = self.state[j]
@@ -285,24 +297,21 @@ class _Simplex:
             return self.lo[j]
         if st == _AT_UPPER:
             return self.up[j]
-        return self.zero
+        return _ZERO
 
     def total_cols(self):
         return self.ncols + len(self.artificial)
 
     def solve(self) -> LpOutcome:
         if self._start_basis():
-            status = self._iterate()
-            assert status == "optimal", "phase 1 is bounded below by zero"
-            infeas = self.zero
-            for i in range(self.m):
-                if self.basis[i] >= self.ncols:
-                    infeas += self.beta[i]
-            if infeas > 0:
+            if self._iterate() != "optimal":
+                raise InternalError("phase 1 is bounded below by zero")
+            # artificials stay >= 0, so any positive one means infeasible
+            if any(self.basis[i] >= self.ncols and self.beta[i] for i in range(self.m)):
                 return self._infeasible_outcome()
             self._drive_out_artificials()
-            self.banned.update(self.artificial)
-        self._reduced_costs(self.cost + [self.zero] * (self.total_cols() - self.n))
+            self.frozen.update(self.artificial)
+        self._reduced_costs(self.cost + [0] * (self.total_cols() - self.n))
         status = self._iterate()
         if status == "unbounded":
             return LpOutcome(status="unbounded")
@@ -314,14 +323,14 @@ class _Simplex:
         """Slack basis where the start point allows it, artificials
         elsewhere.  Returns True if a feasibility phase is needed.
         """
+        start = [(j, v) for j in range(self.n) if (v := self.bound_value(j))]
         need = []
-        for i in range(self.m):
-            row = self.T[i]
-            rho = self.q(self.lp.constraints[i].rhs)
-            for j in range(self.n):
-                v = self.bound_value(j)
-                if v and row[j]:
-                    rho -= row[j] * v
+        for i, con in enumerate(self.lp.constraints):
+            rho = con.rhs
+            for j, v in start:
+                c = con.coeffs[j]
+                if c:
+                    rho -= c * v
             s = self.n + i
             if (self.lo[s] is None or rho >= self.lo[s]) and (
                 self.up[s] is None or rho <= self.up[s]
@@ -340,30 +349,30 @@ class _Simplex:
                 rho = -rho
             col = self.total_cols()
             for r in range(self.m):
-                self.T[r].append(self.one if r == i else self.zero)
-            self.lo.append(self.zero)
+                self.T[r].append(self.D if r == i else 0)
+            self.lo.append(_ZERO)
             self.up.append(None)
             self.state.append(_BASIC)
             self.basis[i] = col
             self.beta[i] = rho
             self.artificial.append(col)
-        phase_cost = [self.zero] * self.total_cols()
+        phase_cost = [0] * self.total_cols()
         for j in self.artificial:
-            phase_cost[j] = self.one
+            phase_cost[j] = 1
         self._reduced_costs(phase_cost)
         return True
 
     def _reduced_costs(self, cost):
-        """d_j = c_j - c_B . T[:,j], fresh at the start of a phase."""
-        d = list(cost)
-        width = len(d)
+        """d = c - c_B . T/D as the ints lc*D*d, fresh at each phase start."""
+        self.lc = math.lcm(*(c.denominator for c in cost))
+        cost = [c.numerator * (self.lc // c.denominator) for c in cost]
+        d = [c * self.D for c in cost]
         for i in range(self.m):
             cb = cost[self.basis[i]]
             if cb:
-                row = self.T[i]
-                for j in range(width):
-                    if row[j]:
-                        d[j] -= cb * row[j]
+                for j, v in enumerate(self.T[i]):
+                    if v:
+                        d[j] -= cb * v
         self.d = d
 
     # -- core loop --------------------------------------------------------
@@ -386,23 +395,12 @@ class _Simplex:
         state = self.state
         for j in range(len(d)):
             st = state[j]
-            if st == _BASIC or j in self.banned:
+            if st == _BASIC or j in self.frozen:
                 continue
-            lo, up = self.lo[j], self.up[j]
-            if lo is not None and up is not None and lo == up:
-                continue  # fixed variable can never move
-            dj = d[j]
-            if st == _AT_LOWER:
-                if dj < 0:
-                    return j, 1
-            elif st == _AT_UPPER:
-                if dj > 0:
-                    return j, -1
-            else:
-                if dj < 0:
-                    return j, 1
-                if dj > 0:
-                    return j, -1
+            if d[j] < 0 and st != _AT_UPPER:
+                return j, 1
+            if d[j] > 0 and st != _AT_LOWER:
+                return j, -1
         return None, 0
 
     def _ratio_test(self, enter, direction):
@@ -413,77 +411,91 @@ class _Simplex:
         broken on the smallest variable index (Bland), the entering
         variable counting with its own index.
         """
-        best_t = None
-        best_var = None
+        # steps are int pairs (num, den > 0), compared by cross-multiplying
+        best_num = best_var = best_state = None
+        best_den = 1
         best_row = -1
-        best_state = None
         lo_e, up_e = self.lo[enter], self.up[enter]
         if lo_e is not None and up_e is not None:
-            best_t = up_e - lo_e
+            best_num, best_den = (up_e - lo_e).as_integer_ratio()
             best_var = enter
             best_state = _AT_UPPER if direction > 0 else _AT_LOWER
-        for i in range(self.m):
-            coef = self.T[i][enter]
+        for i, row in enumerate(self.T):
+            coef = row[enter]
             if not coef:
                 continue
-            delta = coef if direction > 0 else -coef
             b = self.basis[i]
-            if delta > 0:
+            if (coef > 0) == (direction > 0):
                 bound = self.lo[b]
-                if bound is None:
-                    continue
-                t = (self.beta[i] - bound) / delta
+                sign = 1
                 new_state = _AT_LOWER
             else:
                 bound = self.up[b]
-                if bound is None:
-                    continue
-                t = (bound - self.beta[i]) / (-delta)
+                sign = -1
                 new_state = _AT_UPPER
-            if best_t is None or t < best_t or (t == best_t and b < best_var):
-                best_t = t
-                best_var = b
-                best_row = i
-                best_state = new_state
-        if best_t is None:
+            if bound is None:
+                continue
+            # the true column entry is coef / D: t = |beta - bound| * D / |coef|
+            beta = self.beta[i]
+            num = sign * self.D * (
+                beta.numerator * bound.denominator - bound.numerator * beta.denominator
+            )
+            den = beta.denominator * bound.denominator * abs(coef)
+            if best_num is not None:
+                lhs, rhs = num * best_den, best_num * den
+                if lhs > rhs or (lhs == rhs and b > best_var):
+                    continue
+            best_num, best_den = num, den
+            best_var = b
+            best_row = i
+            best_state = new_state
+        if best_num is None:
             return None, None, None
-        return best_t, best_row, best_state
+        return Fraction(best_num, best_den), best_row, best_state
 
     def _apply(self, enter, direction, step, leave_row, leave_state):
+        T = self.T
+        D = self.D
         if step:
+            # beta[i] -= move * T[i][e] / D, normalised once per entry
             move = step if direction > 0 else -step
-            for i in range(self.m):
-                coef = self.T[i][enter]
+            mn, md = move.numerator, move.denominator * D
+            for i, ti in enumerate(T):
+                coef = ti[enter]
                 if coef:
-                    self.beta[i] -= move * coef
+                    b = self.beta[i]
+                    bd = b.denominator
+                    self.beta[i] = Fraction(b.numerator * md - mn * coef * bd, bd * md)
         if leave_row < 0:
             # entering variable hit its own far bound: flip, no pivot
             self.state[enter] = leave_state
             return
         enter_val = self.bound_value(enter) + (step if direction > 0 else -step)
         leaving = self.basis[leave_row]
-        row = self.T[leave_row]
-        piv = row[enter]
-        if piv != self.one:
-            inv = self.one / piv
-            row = [v * inv if v else v for v in row]
-            self.T[leave_row] = row
-        width = len(row)
-        for i in range(self.m):
-            if i == leave_row:
-                continue
-            f = self.T[i][enter]
-            if f:
-                ti = self.T[i]
-                for j in range(width):
-                    if row[j]:
-                        ti[j] -= f * row[j]
-        f = self.d[enter]
-        if f:
-            d = self.d
-            for j in range(width):
-                if row[j]:
-                    d[j] -= f * row[j]
+        row = T[leave_row]
+        p = row[enter]
+        sign = 1 if p > 0 else -1
+        others = [ti for i, ti in enumerate(T) if i != leave_row]
+        if p * sign == D:
+            # the Bareiss step reduces to T[i][j] - sign*T[i][e]*T[r][j] // D,
+            # which changes nothing where row r is zero
+            nz = [(j, v) for j, v in enumerate(row) if v]
+            for ti in others + [self.d]:
+                g = sign * ti[enter]
+                if g:
+                    for j, v in nz:
+                        ti[j] -= g * v // D
+        else:
+            a = p * sign
+            for ti in others + [self.d]:
+                g = sign * ti[enter]
+                if g:
+                    ti[:] = [(v * a - g * w) // D for v, w in zip(ti, row)]
+                else:
+                    ti[:] = [v * a // D if v else 0 for v in ti]
+            self.D = a
+        if sign < 0:
+            T[leave_row] = [-v for v in row]
         self.basis[leave_row] = enter
         self.beta[leave_row] = enter_val
         self.state[enter] = _BASIC
@@ -491,61 +503,56 @@ class _Simplex:
 
     def _drive_out_artificials(self):
         """After a feasible phase 1, pivot basic artificials (all at
-        value 0) onto an independent real column; a row offering none is
-        redundant and keeps its artificial pinned to [0, 0].
+        value 0) onto a nonbasic real column.  One always exists: row i
+        of the invertible slack block is nonzero somewhere, and never at
+        another basic column, so a redundant row keeps a fixed slack.
         """
         for i in range(self.m):
-            b = self.basis[i]
-            if b < self.ncols:
+            if self.basis[i] < self.ncols:
                 continue
             row = self.T[i]
-            target = None
-            for j in range(self.ncols):
-                if self.state[j] != _BASIC and row[j]:
-                    target = j
-                    break
+            target = next(
+                (j for j in range(self.ncols) if self.state[j] != _BASIC and row[j]),
+                None,
+            )
             if target is None:
-                self.up[b] = self.zero
-                continue
-            self._apply(target, 1, self.zero, i, _AT_LOWER)
+                raise InternalError(f"row {i} has no column to replace its artificial")
+            self._apply(target, 1, _ZERO, i, _AT_LOWER)
 
     # -- outcomes ---------------------------------------------------------
 
-    def _to_frac(self, v):
-        if isinstance(v, Fraction):
-            return v
-        return Fraction(int(v.numerator), int(v.denominator))
+    def _reduced_cost(self, j):
+        return Fraction(self.d[j], self.lc * self.D)
 
     def _structural_values(self):
-        vals = [None] * self.n
-        for j in range(self.n):
-            if self.state[j] != _BASIC:
-                vals[j] = self._to_frac(self.bound_value(j))
+        vals = [self.bound_value(j) for j in range(self.n)]
         for i in range(self.m):
             if self.basis[i] < self.n:
-                vals[self.basis[i]] = self._to_frac(self.beta[i])
+                vals[self.basis[i]] = self.beta[i]
         return vals
 
     def _bound_multipliers(self):
         """Nonnegative multipliers on finite bounds read off the
         structural reduced costs (min convention).
         """
-        low = [Fraction(0)] * self.n
-        upp = [Fraction(0)] * self.n
+        low = [_ZERO] * self.n
+        upp = [_ZERO] * self.n
         for j in range(self.n):
             if self.state[j] == _BASIC:
                 continue
-            dj = self._to_frac(self.d[j])
+            dj = self._reduced_cost(j)
             if dj > 0:
-                assert self.lp.lower[j] is not None
+                if self.lp.lower[j] is None:
+                    raise InternalError(f"multiplier on missing lower bound {j}")
                 low[j] = dj
             elif dj < 0:
-                assert self.lp.upper[j] is not None
+                if self.lp.upper[j] is None:
+                    raise InternalError(f"multiplier on missing upper bound {j}")
                 upp[j] = -dj
         return low, upp
 
     def _row_duals(self):
-        return [self._to_frac(-self.d[self.n + i]) for i in range(self.m)]
+        return [-self._reduced_cost(self.n + i) for i in range(self.m)]
 
     def _optimal_outcome(self):
         x = self._structural_values()
@@ -558,33 +565,19 @@ class _Simplex:
             y = [-v for v in y]
             low = [-v for v in low]
             upp = [-v for v in upp]
-        dual_obj = sum(
-            (yj * con.rhs for yj, con in zip(y, self.lp.constraints) if yj),
-            Fraction(0),
-        )
-        for j in range(self.n):
-            if low[j]:
-                dual_obj += low[j] * self.lp.lower[j]
-            if upp[j]:
-                dual_obj -= upp[j] * self.lp.upper[j]
-        assert dual_obj == value, "strong duality failed, simplex bug"
+        dual_obj = _combined_rhs(self.lp, y, low, upp)
+        if dual_obj != value:
+            raise InternalError("strong duality failed, simplex bug")
         dual = DualInfo(tuple(y), tuple(low), tuple(upp), dual_obj)
         return LpOutcome(status="optimal", solution=tuple(x), value=value, dual=dual)
 
     def _infeasible_outcome(self):
         y = self._row_duals()
         low, upp = self._bound_multipliers()
-        gap = sum(
-            (yj * con.rhs for yj, con in zip(y, self.lp.constraints) if yj),
-            Fraction(0),
-        )
-        for j in range(self.n):
-            if low[j]:
-                gap += low[j] * self.lp.lower[j]
-            if upp[j]:
-                gap -= upp[j] * self.lp.upper[j]
+        gap = _combined_rhs(self.lp, y, low, upp)
         cert = FarkasCertificate(tuple(y), tuple(low), tuple(upp), gap)
-        assert verify_certificate(self.lp, cert), "phase 1 built a bad certificate"
+        if not verify_certificate(self.lp, cert):
+            raise InternalError("phase 1 built a bad certificate")
         return LpOutcome(status="infeasible", certificate=cert)
 
 

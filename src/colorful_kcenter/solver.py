@@ -32,6 +32,7 @@ from fractions import Fraction
 
 from . import lp
 from .dp import find_few_outside
+from .lp import InternalError
 from .model import (
     CenterSet,
     Instance,
@@ -41,10 +42,6 @@ from .model import (
 )
 from .partition import FractionalPoint, good_partition, opening_mass, verify_partition
 from .rounding import build_cluster_system, sparse_round
-
-
-class InternalError(RuntimeError):
-    """A solver invariant failed; never means "instance infeasible"."""
 
 
 @dataclass(frozen=True)

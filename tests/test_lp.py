@@ -1,7 +1,11 @@
 """Exact simplex engine against an independent vertex-enumeration oracle."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -332,3 +336,160 @@ def test_scipy_cross_check():
         elif ref.status == 3:
             assert out.status == "unbounded"
     assert agreed > 40
+
+
+# -- golden outcomes ---------------------------------------------------------
+#
+# Exact outcomes of small programs, recorded from a simplex that held its
+# tableau as Fractions.  Bland's rule reads only signs and exact ratios, so
+# any exact tableau must take the same pivot path and reproduce every
+# vertex, dual and certificate here byte for byte.
+
+
+def golden_program(n, objective, sense, lower, upper, rows):
+    def frac(values):
+        if values is None:
+            return None
+        return tuple(None if v is None else Fraction(v) for v in values)
+
+    return lp.LinearProgram(
+        n,
+        frac(objective),
+        sense,
+        frac(lower),
+        frac(upper),
+        [(frac(coeffs), rel, Fraction(rhs)) for coeffs, rel, rhs in rows],
+    )
+
+
+GOLDEN_PROGRAMS = {
+    # rows with denominators 6 and 5: the integer tableau starts at D = 30
+    "mixed_denominators": golden_program(
+        2, ("1", "1"), lp.MAX, None, None,
+        [(("1/2", "1/3"), lp.LE, "1"), (("2/5", "1"), lp.LE, "3/2")],
+    ),
+    # pivots on negative entries, both at |p| == D and, with D > 1, at |p| != D
+    "negative_pivots": golden_program(
+        3, ("2", "-2", "2"), lp.MAX, ("0", "-1", "-1"), ("4", None, "2"),
+        [(("-1", "-3", "2"), lp.GE, "1"), (("1", "0", "-1"), lp.EQ, "1"),
+         (("2", "2", "2"), lp.LE, "0")],
+    ),
+    # equality rows the slack start cannot meet: phase 1 with artificials
+    "equality_artificials": golden_program(
+        3, ("1", "2", "3"), lp.MIN, None, None,
+        [(("1", "1", "1"), lp.EQ, "4"), (("1", "-1", "0"), lp.EQ, "1")],
+    ),
+    # the second row is twice the first: phase 1 drives its artificial out
+    # onto a fixed slack, which stays basic at 0
+    "redundant_equality": golden_program(
+        2, ("1", "-1"), lp.MIN, None, None,
+        [(("1", "1"), lp.EQ, "2"), (("2", "2"), lp.EQ, "4")],
+    ),
+    # boxed variables reach their own far bound first: flips, no pivot
+    "bound_flips": golden_program(
+        2, ("2", "1"), lp.MAX, ("0", "0"), ("1", "3"),
+        [(("1", "1"), lp.LE, "10")],
+    ),
+    "unbounded": golden_program(
+        2, ("1", "1"), lp.MAX, None, None,
+        [(("1", "-1"), lp.LE, "1")],
+    ),
+    "infeasible_rational_rows": golden_program(
+        2, ("0", "0"), lp.MIN, ("0", "0"), ("1", "1"),
+        [(("1/2", "1/3"), lp.GE, "2"), (("1", "-1"), lp.LE, "1/2")],
+    ),
+    "infeasible_equalities": golden_program(
+        2, ("1", "0"), lp.MAX, None, ("3", None),
+        [(("1", "1"), lp.EQ, "1"), (("2", "2"), lp.EQ, "3")],
+    ),
+    # solve_restricted: min mu, p.alpha - mu == 1, each column's cover <= mu
+    "restricted_optimal": golden_program(
+        4, ("0", "0", "0", "1"), lp.MIN, ("0", "0", "0", None), None,
+        [(("1/2", "2/3", "1/3", "-1"), lp.EQ, "1"),
+         (("1", "1", "0", "-1"), lp.LE, "0"),
+         (("0", "1", "0", "-1"), lp.LE, "0")],
+    ),
+    "restricted_infeasible": golden_program(
+        4, ("0", "0", "0", "1"), lp.MIN, ("0", "0", "0", None), None,
+        [(("1/2", "2/3", "1/3", "-1"), lp.EQ, "1"),
+         (("1", "1", "1", "-1"), lp.LE, "0")],
+    ),
+}
+
+
+def golden_line(out):
+    """One line with every exact number of an outcome."""
+    parts = [out.status]
+
+    def vec(tag, values):
+        assert all(isinstance(v, Fraction) for v in values)
+        parts.append(tag + " " + " ".join(str(v) for v in values))
+
+    if out.status == "optimal":
+        vec("x", out.solution)
+        vec("v", (out.value,))
+        vec("y", out.dual.row_duals)
+        vec("lo", out.dual.lower_duals)
+        vec("up", out.dual.upper_duals)
+    elif out.status == "infeasible":
+        c = out.certificate
+        vec("y", c.row_mults)
+        vec("lo", c.lower_mults)
+        vec("up", c.upper_mults)
+        vec("gap", (c.gap,))
+    return " | ".join(parts)
+
+
+GOLDEN_LINES = {
+    "mixed_denominators": "optimal | x 15/11 21/22 | v 51/22 | y 18/11 5/11 | lo 0 0 | up 0 0",
+    "negative_pivots": "optimal | x 1 -1 0 | v 4 | y 0 0 1 | lo 0 -4 0 | up 0 0 0",
+    "equality_artificials": "optimal | x 5/2 3/2 0 | v 11/2 | y 3/2 -1/2 | lo 0 0 3/2 | up 0 0 0",
+    "redundant_equality": "optimal | x 0 2 | v -2 | y 0 -1/2 | lo 2 0 | up 0 0",
+    "bound_flips": "optimal | x 1 3 | v 5 | y 0 | lo 0 0 | up -2 -1",
+    "unbounded": "unbounded",
+    "infeasible_rational_rows": "infeasible | y 1 0 | lo 0 0 | up 1/2 1/3 | gap 7/6",
+    "infeasible_equalities": "infeasible | y -2 1 | lo 0 0 | up 0 0 | gap 1",
+    "restricted_optimal": "optimal | x 0 0 3 0 | v 0 | y 0 -1 0 | lo 1 1 0 0 | up 0 0 0 0",
+    "restricted_infeasible": "infeasible | y 1 -1 | lo 1/2 1/3 2/3 0 | up 0 0 0 0 | gap 1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PROGRAMS))
+def test_golden_outcomes(name):
+    assert golden_line(lp.solve(GOLDEN_PROGRAMS[name])) == GOLDEN_LINES[name]
+
+
+def test_invariant_checks_survive_optimize_flag():
+    # under python -O a failed certificate check must still raise
+    script = textwrap.dedent(
+        """
+        import sys
+        from fractions import Fraction
+        from colorful_kcenter import lp
+        assert False, "python -O must strip this"
+        lp.verify_certificate = lambda program, cert: False
+        program = lp.LinearProgram(
+            1, (Fraction(0),), lp.MIN, (Fraction(0),), (Fraction(1),),
+            [((Fraction(1),), lp.GE, Fraction(2))],
+        )
+        try:
+            lp.solve(program)
+        except lp.InternalError:
+            sys.exit(0)
+        sys.exit(5)
+        """
+    )
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr.decode()
+
+
+def test_internal_error_is_one_class():
+    from colorful_kcenter import InternalError, solver
+
+    assert InternalError is solver.InternalError is lp.InternalError
