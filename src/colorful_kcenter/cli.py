@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import fair as fair_mod
@@ -31,6 +29,7 @@ from .model import (
     FairInstance,
     Instance,
     InstanceFormatError,
+    InstanceSchemaError,
     rational_from,
     rational_str,
 )
@@ -364,14 +363,6 @@ def _parse_seeds(text: str) -> list:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("COLORFUL_KCENTER_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise CliError(USAGE, f"COLORFUL_KCENTER_THREADS={raw!r} is not an integer")
-
-
 def _bench_row(args, seed: int) -> dict:
     inst = gen_random(
         seed,
@@ -436,12 +427,7 @@ def cmd_bench(args):
     seeds = _parse_seeds(args.seeds)
     if not seeds:
         raise CliError(USAGE, "no seeds given")
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda s: _bench_row(args, s), seeds))
-    else:
-        rows = [_bench_row(args, s) for s in seeds]
+    rows = [_bench_row(args, s) for s in seeds]
     payload = {
         "kind": "bench-report",
         "suite": args.suite,
@@ -562,18 +548,13 @@ def main(argv=None) -> int:
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.code
+    except (InstanceSchemaError, OracleCapExceeded, FileNotFoundError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return USAGE
     except InstanceFormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        if isinstance(exc.__cause__, json.JSONDecodeError):
-            return USAGE
         return INFEASIBLE
-    except OracleCapExceeded as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return USAGE
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return USAGE
-    except (InternalError, SparseRoundError, AssertionError) as exc:
+    except (InternalError, SparseRoundError) as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return INTERNAL
     _write_output(payload, args.out)

@@ -8,11 +8,11 @@ of the initial demands plus one in each coordinate.
 find_few_outside searches for a small center set of the form
 "guessed points outside S, completed by centers inside S": it guesses
 every small subset Q outside S, discounts what Q already covers, and
-runs the dynamic program over S to cover the rest.  With a weighted
-target it instead maximizes covered weight and checks it against the
-threshold.  Used with radius r2 = 2r for cluster centers S that are
-pairwise > 4r apart, so the r2-balls around S never overlap and
-contributions are additive.
+runs the dynamic program over S to cover the rest, maximizing covered
+weight and checking it against a threshold (both zero without a
+weighted target).  Used with radius r2 = 2r for cluster centers S
+that are pairwise > 4r apart, so the r2-balls around S never overlap
+and contributions are additive.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .lp import InternalError
 from .model import CenterSet, Instance, ball, union_ball
 
 
@@ -116,7 +117,8 @@ def dp_solve(prog: DpProgram):
         if skip is not None and skip == value:
             i += 1
             continue
-        assert i < q, "replay ran off the table"
+        if i == q:
+            raise InternalError("replay ran off the table")
         picks.append(i)
         need = tuple(
             v - rows[l][i] if v > rows[l][i] else 0 for l, v in enumerate(need)
@@ -138,12 +140,7 @@ class WeightedTarget:
 
 
 def find_few_outside(
-    inst: Instance,
-    r2,
-    centers_s,
-    beta: int,
-    colors=None,
-    target: WeightedTarget = None,
+    inst: Instance, r2, centers_s, beta: int, target: WeightedTarget = None
 ):
     """Search for a feasible center set with at most beta centers
     outside centers_s (and at most inst.k centers in total) at radius
@@ -152,28 +149,27 @@ def find_few_outside(
     Guesses Q run over subsets of the complement in (size, lex) order;
     for each Q the dynamic program packs centers from centers_s to
     cover the demands left after discounting Q's coverage.  With a
-    target, the covered weight including Q's share must reach the
-    threshold instead of merely meeting the color demands.
+    target, the covered weight including Q's share must also reach the
+    threshold; without one, every weight is zero and so is the
+    threshold.
     """
     r2 = Fraction(r2)
-    if colors is None:
-        colors = inst.colors
+    if target is None:
+        target = WeightedTarget(weights=(0,) * inst.n, threshold=0)
     s_list = sorted(set(centers_s))
     for a in range(len(s_list)):
         for b in range(a + 1, len(s_list)):
             if inst.dist[s_list[a]][s_list[b]] <= 2 * r2:
                 raise ValueError("inside-centers too close: r2-balls must be disjoint")
     outside = [u for u in range(inst.n) if u not in set(s_list)]
-    q = len(s_list)
 
     for size in range(0, min(beta, inst.k, len(outside)) + 1):
         for guess in itertools.combinations(outside, size):
-            kappa = inst.k - size
             covered_q = union_ball(inst, guess, r2)
             residual_rows = []
             residual_demands = []
             item_balls = [ball(inst, s, r2) - covered_q for s in s_list]
-            for c in colors:
+            for c in inst.colors:
                 left = c.demand - len(c.members & covered_q)
                 if left <= 0:
                     continue
@@ -181,32 +177,19 @@ def find_few_outside(
                     tuple(len(c.members & ib) for ib in item_balls)
                 )
                 residual_demands.append(left)
-            if target is None:
-                prog = DpProgram(
-                    weights=tuple(Fraction(0) for _ in range(q)),
-                    rows=tuple(residual_rows),
-                    demands=tuple(residual_demands),
-                    capacity=kappa,
-                )
-                res = dp_solve(prog)
-                if res is None:
-                    continue
-                chosen = frozenset(guess) | frozenset(s_list[i] for i in res.picks)
-                return CenterSet(frozenset(chosen), r2)
-            base = sum((target.weights[u] for u in covered_q), Fraction(0))
             prog = DpProgram(
                 weights=tuple(
-                    sum((target.weights[u] for u in ib), Fraction(0))
-                    for ib in item_balls
+                    sum(target.weights[u] for u in ib) for ib in item_balls
                 ),
                 rows=tuple(residual_rows),
                 demands=tuple(residual_demands),
-                capacity=kappa,
+                capacity=inst.k - size,
             )
             res = dp_solve(prog)
             if res is None:
                 continue
+            base = sum(target.weights[u] for u in covered_q)
             if base + res.value >= target.threshold:
                 chosen = frozenset(guess) | frozenset(s_list[i] for i in res.picks)
-                return CenterSet(frozenset(chosen), r2)
+                return CenterSet(chosen, r2)
     return None

@@ -6,37 +6,36 @@ every point u at the returned radius is at least p(u).  The search
 runs in the dual: a candidate (alpha, mu) claiming no such
 distribution exists is either refuted by a new center set whose
 alpha-weighted coverage beats mu (a new column for the distribution),
-or confirmed through the fixed-radius round-or-cut machinery, proving
-the probe radius too small.
+or confirmed by the solver's round-or-cut engine run with t = gamma + 1
+rows, the extra one asking for that weighted coverage, proving the
+probe radius too small.  The radius search is the solver's too.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import lp
-from .dp import WeightedTarget, find_few_outside
 from .model import (
-    CenterSet,
     FairInstance,
     Instance,
-    candidate_radii,
-    check_feasible,
+    feasible_sets,
     rational_from,
     union_ball,
+    weighted_coverage,  # noqa: F401  (part of this module's interface)
 )
-from .partition import (
-    FractionalPoint,
-    good_partition,
-    opening_mass,
-    verify_partition,
-)
-from .rounding import build_cluster_system, sparse_round
-from .solver import Cut, InternalError, build_relaxation
+from .solver import InternalError, radius_search, round_or_cut
+
+# Not called in this module, but benchmarks/tracing.py patches each of
+# these names here, so they stay importable from it.
+from .dp import find_few_outside  # noqa: F401
+from .model import candidate_radii, check_feasible  # noqa: F401
+from .partition import good_partition, opening_mass, verify_partition  # noqa: F401
+from .rounding import build_cluster_system, sparse_round  # noqa: F401
+from .solver import build_relaxation  # noqa: F401
 
 
 def epsilon_gap(alpha, mu) -> Fraction:
@@ -114,11 +113,6 @@ def coverage_probability(inst: Instance, dist: Distribution, u: int) -> Fraction
     return total
 
 
-def weighted_coverage(inst: Instance, alpha, centers, r) -> Fraction:
-    """Total alpha-mass of the points within distance r of centers."""
-    return sum((alpha[u] for u in union_ball(inst, centers, r)), Fraction(0))
-
-
 @dataclass
 class SeparationRecord:
     """What happened while answering one dual point."""
@@ -168,74 +162,24 @@ def separate_or_certify(
     whose alpha-weighted coverage strictly exceeds mu, or certify that
     none exists even at radius r.
 
-    Mirrors the fixed-radius round-or-cut loop with one extra covering
-    row for the weights; the row count grows by one, so the rounding
-    threshold and cut bound drop to k - gamma while the outside-guess
-    budget of the packing search rises to gamma - 1.
+    This is the round-or-cut engine with the extra row (alpha, goal),
+    goal = mu + eps clamped at zero, which changes no answer since
+    covered weight is never negative.  One more row drops the rounding
+    threshold and cut bound to k - gamma and raises the outside-guess
+    budget to gamma - 1.
     """
-    inst = finst.base
     r = Fraction(r)
-    gamma = inst.num_colors
-    threshold = inst.k - gamma
     eps = epsilon_gap(dual.alpha, dual.mu)
-    goal = dual.mu + eps
     if record is None:
         record = SeparationRecord(radius=r)
-    record.alpha = dual.alpha
-    record.mu = dual.mu
-    record.eps = eps
-    extra = (dual.alpha, max(Fraction(0), goal))
-    cuts = []
-    seen = set()
-    while True:
-        program = build_relaxation(inst, r, cuts, extra_row=extra)
-        out = lp.solve(program)
-        record.lp_solves += 1
-        if out.status == "infeasible":
-            record.outcome = "certified"
-            return InQ(radius=r, dual=dual)
-        if out.status != "optimal":
-            raise InternalError("relaxation LP cannot be unbounded")
-        if lp.check_point(program, out.solution) is not None:
-            raise InternalError("LP returned a point outside its own polytope")
-        pt = FractionalPoint(out.solution[: inst.n], out.solution[inst.n :])
-        part = good_partition(inst, r, pt)
-        bad = verify_partition(inst, r, pt, part)
-        if bad is not None:
-            raise InternalError(f"clustering violated {bad}")
-        mass = opening_mass(inst, r, pt, part.centers)
-        if mass <= threshold:
-            system = build_cluster_system(inst, part, extra_rows=(extra,))
-            chosen = sparse_round(inst, r, part, system, inst.k, pt)
-            four_r = 4 * r
-            got = weighted_coverage(inst, dual.alpha, chosen, four_r)
-            if not check_feasible(inst, chosen, four_r).feasible or got < goal:
-                raise InternalError("rounded column fails its own guarantees")
-            record.outcome = "column-4r"
-            return CenterSet(frozenset(chosen), four_r)
-        record.dp_calls += 1
-        found = find_few_outside(
-            inst,
-            2 * r,
-            part.centers,
-            gamma - 1,
-            target=WeightedTarget(weights=dual.alpha, threshold=goal),
-        )
-        if found is not None:
-            got = weighted_coverage(inst, dual.alpha, found.centers, found.radius)
-            if not check_feasible(inst, found.centers, found.radius).feasible:
-                raise InternalError("packing column fails raw-ball coverage")
-            if got < goal:
-                raise InternalError("packing column misses the weight goal")
-            record.outcome = "column-2r"
-            return found
-        s = frozenset(part.centers)
-        if s in seen:
-            raise InternalError("cut centers repeated; loop would not progress")
-        seen.add(s)
-        cut = Cut(s, threshold)
-        cuts.append(cut)
-        record.cuts.append(cut)
+    record.alpha, record.mu, record.eps = dual.alpha, dual.mu, eps
+    extra = (dual.alpha, max(Fraction(0), dual.mu + eps))
+    tag, got = round_or_cut(finst.base, r, record, extra)
+    if tag == "infeasible":
+        record.outcome = "certified"
+        return InQ(radius=r, dual=dual)
+    record.outcome = f"column-{tag}"
+    return got
 
 
 def solve_restricted(finst: FairInstance, r, columns):
@@ -336,93 +280,28 @@ def _probe(finst: FairInstance, r, rec: FairRadiusRecord):
         columns.append(col)
 
 
-def _exact_at(finst: FairInstance, r):
-    """Distribution over all feasible center sets at radius r itself,
-    or None.  Only used at enumeration scale."""
-    inst = finst.base
-    columns = []
-    for size in range(inst.k + 1):
-        for combo in itertools.combinations(range(inst.n), size):
-            if check_feasible(inst, combo, r).feasible:
-                columns.append(frozenset(combo))
-    return _distribution_over(finst, columns, Fraction(r))
-
-
-def solve_fair(
-    finst: FairInstance, linear_scan: bool = False, enum_cap: int = 10**7
-) -> FairSolution:
+def solve_fair(finst: FairInstance) -> FairSolution:
     """Minimize the radius at which some distribution over feasible
-    center sets meets every coverage target.
-
-    With fewer centers than colors the cut machinery is not needed:
-    when the subset count fits under enum_cap, exact feasibility per
-    radius is monotone and plain binary search finds the optimum.
-    Otherwise binary search (or a linear scan from below) probes radii
-    with column generation; probes at or above the optimum always end
-    in a distribution, so the search never settles above the optimum
-    and the returned radius is at most four times it.
+    center sets meets every coverage target (see solver.radius_search):
+    exact when enumeration is affordable, a distribution over every
+    feasible set deciding each radius; otherwise column generation
+    decides it and the radius is at most four times the optimum.
     """
-    inst = finst.base
-    radii = candidate_radii(inst)
     trace = FairTrace()
-    subsets = sum(math.comb(inst.n, j) for j in range(inst.k + 1))
-    if inst.num_colors >= inst.k and subsets <= enum_cap:
-        lo, hi = 0, len(radii) - 1
-        best = None
-        best_idx = None
-        while lo < hi:
-            mid = (lo + hi) // 2
-            rec = FairRadiusRecord(radius=radii[mid])
-            found = _exact_at(finst, radii[mid])
-            rec.outcome = "exact" if found is not None else "infeasible"
-            trace.records.append(rec)
-            if found is not None:
-                best, best_idx = found, mid
-                hi = mid
-            else:
-                lo = mid + 1
-        if best_idx != lo:
-            rec = FairRadiusRecord(radius=radii[lo], outcome="exact")
-            trace.records.append(rec)
-            best = _exact_at(finst, radii[lo])
-        if best is None:
-            raise InternalError("full-radius enumeration found nothing")
-        return FairSolution(best, radii[lo], True, trace)
 
-    best = None
-    best_idx = None
-    if linear_scan:
-        for idx, r in enumerate(radii):
-            rec = FairRadiusRecord(radius=r)
-            trace.records.append(rec)
-            dist = _probe(finst, r, rec)
-            if dist is not None:
-                best, best_idx = dist, idx
-                break
-    else:
-        # probes at or above the optimum always succeed, and failures
-        # only happen strictly below it, so lo never passes the
-        # optimum's index and the final radius is at most the optimum
-        lo, hi = 0, len(radii) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            rec = FairRadiusRecord(radius=radii[mid])
-            trace.records.append(rec)
-            dist = _probe(finst, radii[mid], rec)
-            if dist is not None:
-                best, best_idx = dist, mid
-                hi = mid
-            else:
-                lo = mid + 1
-        if best_idx != lo:
-            rec = FairRadiusRecord(radius=radii[lo])
-            trace.records.append(rec)
-            dist = _probe(finst, radii[lo], rec)
-            if dist is not None:
-                best, best_idx = dist, lo
-    if best is None:
-        raise InternalError("largest candidate radius must admit a distribution")
-    return FairSolution(best, radii[best_idx], False, trace)
+    def exact(r):
+        found = _distribution_over(finst, list(feasible_sets(finst.base, r)), r)
+        outcome = "infeasible" if found is None else "exact"
+        trace.records.append(FairRadiusRecord(radius=r, outcome=outcome))
+        return found
+
+    def probe(r):
+        rec = FairRadiusRecord(radius=r)
+        trace.records.append(rec)
+        return _probe(finst, r, rec)
+
+    dist, radius, optimal = radius_search(finst.base, exact, probe)
+    return FairSolution(dist, radius, optimal, trace)
 
 
 def sample(dist: Distribution, seed: int) -> frozenset:

@@ -8,7 +8,9 @@ the distance matrix, both in memory and in files.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,6 +19,12 @@ Rational = Fraction
 
 class InstanceFormatError(ValueError):
     """An instance file or dict violates the schema or its invariants."""
+
+
+class InstanceSchemaError(InstanceFormatError):
+    """An instance document is not JSON of the documented shape and
+    types, as opposed to a well-formed document whose values break an
+    instance invariant."""
 
 
 def rational_from(value) -> Fraction:
@@ -212,6 +220,11 @@ def candidate_radii(inst: Instance):
     return sorted(vals)
 
 
+def weighted_coverage(inst: Instance, weights, centers, r) -> Fraction:
+    """Total weight of the points within distance r of centers."""
+    return sum((weights[u] for u in union_ball(inst, centers, r)), Fraction(0))
+
+
 def check_feasible(inst: Instance, centers, r) -> CoverageReport:
     """Count how many members of each color class lie within distance r
     of the center set, and compare against demands and the budget k.
@@ -221,6 +234,20 @@ def check_feasible(inst: Instance, centers, r) -> CoverageReport:
     budget_ok = len(set(centers)) <= inst.k
     met = all(cnt >= c.demand for cnt, c in zip(counts, inst.colors))
     return CoverageReport(feasible=budget_ok and met, budget_ok=budget_ok, counts=counts)
+
+
+def subset_count(n: int, k: int) -> int:
+    """Number of center sets of size at most k over n points."""
+    return sum(math.comb(n, j) for j in range(k + 1))
+
+
+def feasible_sets(inst: Instance, r):
+    """Every center set meeting the budget and all demands at radius r,
+    in (size, lex) order.  Exhaustive; meant for enumeration scale."""
+    for size in range(inst.k + 1):
+        for combo in itertools.combinations(range(inst.n), size):
+            if check_feasible(inst, combo, r).feasible:
+                yield frozenset(combo)
 
 
 # ---------------------------------------------------------------------------
@@ -250,26 +277,54 @@ def instance_to_dict(inst) -> dict:
     }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _rationals(values, what: str, length: int) -> tuple:
+    if not isinstance(values, list) or len(values) != length:
+        raise InstanceSchemaError(f"{what} must be a list of {length} rationals")
+    try:
+        return tuple(rational_from(v) for v in values)
+    except InstanceFormatError as exc:
+        raise InstanceSchemaError(f"{what}: {exc}") from exc
+
+
 def instance_from_dict(d: dict):
+    """Instance (or FairInstance when "p" is present) from a parsed
+    document.  Wrong JSON types and shapes raise InstanceSchemaError;
+    values that break an instance invariant raise InstanceFormatError.
+    """
     if not isinstance(d, dict):
-        raise InstanceFormatError("instance document must be a JSON object")
+        raise InstanceSchemaError("instance document must be a JSON object")
     for key in ("n", "k", "dist", "colors"):
         if key not in d:
-            raise InstanceFormatError(f"missing field {key!r}")
-    dist = d["dist"]
-    if len(dist) != d["n"]:
-        raise InstanceFormatError("field n disagrees with distance matrix size")
+            raise InstanceSchemaError(f"missing field {key!r}")
+    n = d["n"]
+    if not (_is_int(n) and _is_int(d["k"]) and isinstance(d["colors"], list)):
+        raise InstanceSchemaError("n and k must be integers and colors a list")
+    if not isinstance(d["dist"], list) or len(d["dist"]) != n:
+        raise InstanceSchemaError("field dist must be a list of n rows")
+    dist = tuple(_rationals(row, "each dist row", n) for row in d["dist"])
     colors = []
     for c in d["colors"]:
-        if not isinstance(c, dict) or "members" not in c or "demand" not in c:
-            raise InstanceFormatError("color entries need members and demand")
+        if not (
+            isinstance(c, dict)
+            and isinstance(c.get("members"), list)
+            and all(map(_is_int, c["members"]))
+            and _is_int(c.get("demand"))
+        ):
+            raise InstanceSchemaError(
+                "color entries need a members list of point indices and an "
+                "integer demand"
+            )
         colors.append((c["members"], c["demand"]))
-    inst = Instance(dist=tuple(tuple(row) for row in dist), k=d["k"], colors=tuple(colors))
+    inst = Instance(dist=dist, k=d["k"], colors=tuple(colors))
     bad = validate_metric(inst.dist)
     if bad is not None:
         raise InstanceFormatError(f"distance matrix is not a metric: {bad}")
     if "p" in d:
-        return FairInstance(base=inst, p=tuple(d["p"]))
+        return FairInstance(base=inst, p=_rationals(d["p"], "field p", n))
     return inst
 
 
@@ -282,7 +337,7 @@ def loads_instance(text: str):
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InstanceFormatError(f"invalid JSON: {exc}") from exc
+        raise InstanceSchemaError(f"invalid JSON: {exc}") from exc
     return instance_from_dict(doc)
 
 

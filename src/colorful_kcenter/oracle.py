@@ -16,20 +16,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
-from .model import CenterSet, FairInstance, Instance, candidate_radii
+from .model import CenterSet, FairInstance, Instance, candidate_radii, subset_count
 
 
 class OracleCapExceeded(RuntimeError):
     """The subset space is too large for exhaustive search."""
 
 
-def _subset_space(n: int, k: int) -> int:
-    total = 0
-    term = 1
-    for j in range(k + 1):
-        total += term
-        term = term * (n - j) // (j + 1)
-    return total
+def _check_cap(inst: Instance, cap: int):
+    count = subset_count(inst.n, inst.k)
+    if count > cap:
+        raise OracleCapExceeded(f"{count} subsets exceed cap {cap}")
 
 
 def _min_radius_of(inst: Instance, centers) -> Fraction:
@@ -61,10 +58,7 @@ def brute_force_colorful(inst: Instance, cap: int = 10**7) -> ColorfulOptimum:
     """Exact optimum radius and a witness, by exhausting center sets in
     (size, lex) order.  Raises OracleCapExceeded past cap subsets.
     """
-    if _subset_space(inst.n, inst.k) > cap:
-        raise OracleCapExceeded(
-            f"{_subset_space(inst.n, inst.k)} subsets exceed cap {cap}"
-        )
+    _check_cap(inst, cap)
     best = None
     best_set = None
     for size in range(inst.k + 1):
@@ -129,10 +123,7 @@ def brute_force_fair(finst: FairInstance, cap: int = 10**7) -> FairOptimum:
     basic (small-support) distribution as witness.
     """
     inst = finst.base
-    if _subset_space(inst.n, inst.k) > cap:
-        raise OracleCapExceeded(
-            f"{_subset_space(inst.n, inst.k)} subsets exceed cap {cap}"
-        )
+    _check_cap(inst, cap)
     pairs = []
     for size in range(inst.k + 1):
         for combo in itertools.combinations(range(inst.n), size):

@@ -53,16 +53,14 @@ class CoveringSystem:
 
 
 def build_cluster_system(
-    inst: Instance, part: GoodPartition, colors=None, extra_rows=()
+    inst: Instance, part: GoodPartition, extra_rows=()
 ) -> CoveringSystem:
     """One row per color class counting members inside each cluster,
     plus optional weighted rows given as (per-point-weights, rhs).
     """
-    if colors is None:
-        colors = inst.colors
     rows = []
     rhs = []
-    for c in colors:
+    for c in inst.colors:
         rows.append(tuple(len(c.members & cluster) for cluster in part.clusters))
         rhs.append(Fraction(c.demand))
     for weights, bound in extra_rows:

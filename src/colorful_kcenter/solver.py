@@ -1,37 +1,38 @@
 """Colorful k-center solver with a factor-4 radius guarantee.
 
-For a fixed radius r the solver works against the relaxation
-polytope: open-mass variables y and coverage variables x in [0,1],
-at most k total opening, ball-mass at least x(u) around every point,
-and per-color coverage sums meeting the demands.  A vertex of that
-polytope (intersected with the cuts found so far) is clustered; then
+One round-or-cut engine runs over a covering system of t rows: t =
+gamma for colorful k-center, t = gamma + 1 when the coverage-probability
+variant adds a weighted coverage row.  For a fixed radius r it works
+against the relaxation polytope: open-mass variables y and coverage
+variables x in [0,1], at most k total opening, ball-mass at least x(u)
+around every point, per-color coverage sums meeting the demands, and
+the optional weighted row.  A vertex of that polytope (intersected
+with the cuts found so far) is clustered; then
 
-  * if the y-mass near the cluster centers is at most k - gamma + 1,
-    a small covering LP rounds the point to at most k centers serving
-    everything within 4r;
+  * if the y-mass near the cluster centers is at most k - t + 1, a
+    covering LP with t rows rounds the point to at most k centers
+    serving everything within 4r;
   * otherwise a dynamic program hunts for an integral solution with at
-    most gamma - 2 centers outside the cluster centers at radius 2r;
+    most t - 2 centers outside the cluster centers at radius 2r;
   * if both fail, no integral radius-r solution can open more than
-    k - gamma + 1 mass near the centers, which is exactly the
-    inequality the current vertex violates: it is added as a cut and
-    the LP is re-solved.
+    k - t + 1 mass near the centers, which is exactly the inequality
+    the current vertex violates: it is added as a cut and the LP is
+    re-solved.
 
 Each round either finishes or strictly shrinks the polytope with a cut
 no integral solution can violate, so a radius that admits any integral
-solution is never declared infeasible.  Binary search over candidate
-radii then lands at a radius at most the integral optimum, giving the
-factor of 4.
+solution is never declared infeasible.  One radius search then lands
+at a radius at most the integral optimum, giving the factor of 4 (or,
+with no more centers than colors, enumerates the exact optimum).
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import lp
-from .dp import find_few_outside
+from .dp import WeightedTarget, find_few_outside
 from .lp import InternalError
 from .model import (
     CenterSet,
@@ -39,9 +40,15 @@ from .model import (
     ball,
     candidate_radii,
     check_feasible,
+    feasible_sets,
+    subset_count,
+    weighted_coverage,
 )
 from .partition import FractionalPoint, good_partition, opening_mass, verify_partition
 from .rounding import build_cluster_system, sparse_round
+
+# largest subset count the exact enumeration branch will scan
+ENUM_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -127,29 +134,29 @@ def build_relaxation(inst: Instance, r, cuts=(), extra_row=None) -> lp.LinearPro
     return program
 
 
-def solve_fixed_radius(
-    inst: Instance, r, record: RadiusRecord = None
-) -> FixedRadiusResult:
-    """Round-or-cut loop at radius r.
+def round_or_cut(inst: Instance, r, record, extra=None):
+    """Round-or-cut loop at radius r over t covering rows.
 
-    Returns a center set feasible at radius 4r (sometimes 2r), or an
-    infeasibility certificate proving no integral radius-r solution
-    exists.  Never reports infeasible when one does exist.
+    t = gamma, plus one when extra = (weights, goal) asks for covered
+    weight at least goal as well.  Returns ("4r", centers) or
+    ("2r", centers) with a center set meeting every demand (and the
+    goal) at that multiple of r, or ("infeasible", certificate) proving
+    that no integral radius-r solution exists.  Never reports infeasible
+    when one does exist.  Counts LP solves, DP calls and cuts on record.
     """
     r = Fraction(r)
-    gamma = inst.num_colors
-    threshold = inst.k - gamma + 1
-    if record is None:
-        record = RadiusRecord(radius=r)
+    t = inst.num_colors + (extra is not None)
+    threshold = inst.k - t + 1
+    extra_rows = () if extra is None else (extra,)
+    target = None if extra is None else WeightedTarget(*extra)
     cuts = []
     seen = set()
     while True:
-        program = build_relaxation(inst, r, cuts)
+        program = build_relaxation(inst, r, cuts, extra_row=extra)
         out = lp.solve(program)
         record.lp_solves += 1
         if out.status == "infeasible":
-            record.outcome = "infeasible"
-            return FixedRadiusResult("infeasible", certificate=out.certificate)
+            return "infeasible", out.certificate
         if out.status != "optimal":
             raise InternalError("relaxation LP cannot be unbounded")
         if lp.check_point(program, out.solution) is not None:
@@ -159,24 +166,22 @@ def solve_fixed_radius(
         bad = verify_partition(inst, r, pt, part)
         if bad is not None:
             raise InternalError(f"clustering violated {bad}")
-        mass = opening_mass(inst, r, pt, part.centers)
-        if mass <= threshold:
-            system = build_cluster_system(inst, part)
+        if opening_mass(inst, r, pt, part.centers) <= threshold:
+            system = build_cluster_system(inst, part, extra_rows=extra_rows)
             chosen = sparse_round(inst, r, part, system, inst.k, pt)
-            four_r = 4 * r
-            report = check_feasible(inst, chosen, four_r)
-            if not report.feasible:
-                raise InternalError("rounded support fails raw-ball coverage")
-            record.outcome = "rounded-4r"
-            return FixedRadiusResult("solved", CenterSet(frozenset(chosen), four_r))
-        record.dp_calls += 1
-        found = find_few_outside(inst, 2 * r, part.centers, gamma - 2)
+            tag, found = "4r", CenterSet(frozenset(chosen), 4 * r)
+        else:
+            record.dp_calls += 1
+            tag = "2r"
+            found = find_few_outside(inst, 2 * r, part.centers, t - 2, target=target)
         if found is not None:
-            report = check_feasible(inst, found.centers, found.radius)
-            if not report.feasible:
-                raise InternalError("dp result fails raw-ball coverage")
-            record.outcome = "solved-2r"
-            return FixedRadiusResult("solved", found)
+            if not check_feasible(inst, found.centers, found.radius).feasible:
+                raise InternalError(f"{tag} result fails raw-ball coverage")
+            if extra is not None and weighted_coverage(
+                inst, extra[0], found.centers, found.radius
+            ) < extra[1]:
+                raise InternalError(f"{tag} result misses the weight goal")
+            return tag, found
         s = frozenset(part.centers)
         if s in seen:
             raise InternalError("cut centers repeated; loop would not progress")
@@ -184,6 +189,55 @@ def solve_fixed_radius(
         cut = Cut(s, threshold)
         cuts.append(cut)
         record.cuts.append(cut)
+
+
+def solve_fixed_radius(
+    inst: Instance, r, record: RadiusRecord = None
+) -> FixedRadiusResult:
+    """Center set feasible at radius 4r (sometimes 2r), or an
+    infeasibility certificate proving no integral radius-r solution
+    exists; see round_or_cut.
+    """
+    if record is None:
+        record = RadiusRecord(radius=Fraction(r))
+    tag, got = round_or_cut(inst, r, record)
+    if tag == "infeasible":
+        record.outcome = "infeasible"
+        return FixedRadiusResult("infeasible", certificate=got)
+    record.outcome = "rounded-4r" if tag == "4r" else "solved-2r"
+    return FixedRadiusResult("solved", got)
+
+
+def radius_search(inst: Instance, exact, probe, linear_scan: bool = False):
+    """Smallest candidate radius a test accepts, as (result, radius,
+    optimal); a test returns None to reject a radius.
+
+    With at least as many colors as centers and at most ENUM_CAP center
+    sets, exact(r) decides each radius by enumeration, which is
+    monotone in r, so binary search finds the optimum.  Otherwise
+    probe(r) accepts every radius at or above the integral optimum and
+    rejects only radii below it, so binary search (or, with
+    linear_scan, a scan from below) never settles above the optimum.
+    The largest radius is probed only if nothing below it passed.
+    """
+    radii = candidate_radii(inst)
+    optimal = inst.num_colors >= inst.k and subset_count(inst.n, inst.k) <= ENUM_CAP
+    test = exact if optimal else probe
+    scan = linear_scan and not optimal
+    best = None
+    lo, hi = 0, len(radii) - 1
+    while lo < hi:  # best, once found, is the result at radii[hi]
+        mid = lo if scan else (lo + hi) // 2
+        got = test(radii[mid])
+        if got is None:
+            lo = mid + 1
+        else:
+            best, hi = got, mid
+    if best is None:
+        best = test(radii[lo])
+    if best is None:
+        raise InternalError("the largest candidate radius must be accepted")
+    return best, radii[lo], optimal
 
 
 @dataclass(frozen=True)
@@ -194,98 +248,26 @@ class ColorfulSolution:
     trace: SolveTrace
 
 
-def _subset_count(n: int, k: int) -> int:
-    return sum(math.comb(n, j) for j in range(k + 1))
-
-
-def _any_feasible_at(inst: Instance, r) -> frozenset:
-    """First feasible center set at radius r in (size, lex) order, or
-    None.  Only used at enumeration scale.
-    """
-    points = range(inst.n)
-    for size in range(inst.k + 1):
-        for combo in itertools.combinations(points, size):
-            if check_feasible(inst, combo, r).feasible:
-                return frozenset(combo)
-    return None
-
-
-def solve_colorful(
-    inst: Instance, linear_scan: bool = False, enum_cap: int = 10**7
-) -> ColorfulSolution:
-    """Minimize the radius guarantee over candidate radii.
-
-    With fewer centers than colors the cut machinery is not needed:
-    when the subset count fits under enum_cap the exact optimum is
-    found by scanning center sets directly.  Otherwise binary search
-    (or a linear scan from below) probes radii with the round-or-cut
-    solver; every probe at or above the integral optimum succeeds, so
-    the search never settles above it and the returned guarantee is at
+def solve_colorful(inst: Instance, linear_scan: bool = False) -> ColorfulSolution:
+    """Minimize the radius guarantee over candidate radii (see
+    radius_search): exact when enumeration is affordable, otherwise at
     most four times the optimum.
     """
-    radii = candidate_radii(inst)
     trace = SolveTrace()
-    if inst.num_colors >= inst.k and _subset_count(inst.n, inst.k) <= enum_cap:
-        # subset feasibility is exactly monotone in r, so plain binary
-        # search finds the true optimum
-        lo, hi = 0, len(radii) - 1
-        witness = None
-        witness_idx = None
-        while lo < hi:
-            mid = (lo + hi) // 2
-            rec = RadiusRecord(radius=radii[mid])
-            found = _any_feasible_at(inst, radii[mid])
-            rec.outcome = "enumerated" if found is not None else "infeasible"
-            trace.records.append(rec)
-            if found is not None:
-                witness, witness_idx = found, mid
-                hi = mid
-            else:
-                lo = mid + 1
-        if witness_idx != lo:
-            rec = RadiusRecord(radius=radii[lo], outcome="enumerated")
-            trace.records.append(rec)
-            witness = _any_feasible_at(inst, radii[lo])
-        if witness is None:
-            raise InternalError("full-radius enumeration found nothing")
-        return ColorfulSolution(
-            CenterSet(witness, radii[lo]), radii[lo], True, trace
-        )
 
-    best = None
-    best_idx = None
-    if linear_scan:
-        for idx, r in enumerate(radii):
-            rec = RadiusRecord(radius=r)
-            trace.records.append(rec)
-            res = solve_fixed_radius(inst, r, rec)
-            if res.status == "solved":
-                best, best_idx = res, idx
-                break
-    else:
-        # probes at or above the integral optimum always succeed, and
-        # failures only happen strictly below it, so lo never passes the
-        # optimum's index and the final radius is at most the optimum
-        lo, hi = 0, len(radii) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            rec = RadiusRecord(radius=radii[mid])
-            trace.records.append(rec)
-            res = solve_fixed_radius(inst, radii[mid], rec)
-            if res.status == "solved":
-                best, best_idx = res, mid
-                hi = mid
-            else:
-                lo = mid + 1
-        if best_idx != lo:
-            rec = RadiusRecord(radius=radii[lo])
-            trace.records.append(rec)
-            res = solve_fixed_radius(inst, radii[lo], rec)
-            if res.status == "solved":
-                best, best_idx = res, lo
-    if best is None:
-        raise InternalError("largest candidate radius must be solvable")
-    return ColorfulSolution(best.centers, radii[best_idx], False, trace)
+    def exact(r):
+        found = next(feasible_sets(inst, r), None)
+        outcome = "infeasible" if found is None else "enumerated"
+        trace.records.append(RadiusRecord(radius=r, outcome=outcome))
+        return None if found is None else CenterSet(found, r)
+
+    def probe(r):
+        rec = RadiusRecord(radius=r)
+        trace.records.append(rec)
+        return solve_fixed_radius(inst, r, rec).centers
+
+    centers, radius, optimal = radius_search(inst, exact, probe, linear_scan)
+    return ColorfulSolution(centers, radius, optimal, trace)
 
 
 def pseudo_approx_baseline(inst: Instance, r) -> CenterSet:

@@ -100,7 +100,7 @@ def test_brute_fair_kind(tmp_path, capsys):
     ) == 1
 
 
-def test_exit_codes_for_bad_inputs(tmp_path):
+def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert main(["solve", "--instance", str(missing)]) == 2
 
@@ -121,6 +121,38 @@ def test_exit_codes_for_bad_inputs(tmp_path):
     assert main(["brute", "--instance", str(missing)]) == 2
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
+
+    # wrong JSON types: one error line and exit 2, never a traceback
+    good = {
+        "n": 2,
+        "k": 1,
+        "dist": [["0", "1"], ["1", "0"]],
+        "colors": [{"members": [0, 1], "demand": 1}],
+        "p": ["1/2", "1"],
+    }
+    bad.write_text(json.dumps(good))
+    assert main(["solve-fair", "--instance", str(bad)]) == 0
+    capsys.readouterr()
+    for field, value in [
+        ("n", "2"), ("n", True), ("k", "1"), ("k", True), ("k", 1.0),
+        ("dist", 5), ("dist", [["0", "1"], 5]), ("dist", [["0", "1"], ["1"]]),
+        ("dist", [["0", 1.5], ["1", "0"]]), ("dist", [["0", "x"], ["1", "0"]]),
+        ("colors", 5), ("colors", [5]),
+        ("colors", [{"members": "01", "demand": 1}]),
+        ("colors", [{"members": [0, True], "demand": 1}]),
+        ("colors", [{"members": [0], "demand": "1"}]),
+        ("colors", [{"members": [0], "demand": False}]),
+        ("p", 5), ("p", ["1/2"]), ("p", ["1/2", None]),
+    ]:
+        bad.write_text(json.dumps({**good, field: value}))
+        command = "solve-fair" if field == "p" else "solve"
+        assert main([command, "--instance", str(bad)]) == 2, (field, value)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    bad.write_text(json.dumps({k: v for k, v in good.items() if k != "k"}))
+    assert main(["solve", "--instance", str(bad)]) == 2
+    bad.write_text(json.dumps([good]))
+    assert main(["solve", "--instance", str(bad)]) == 2
 
 
 def test_oracle_cap_exit_code(tmp_path):
@@ -328,11 +360,10 @@ def strip_wall(doc):
     return doc
 
 
-def test_bench_rows_and_threads(tmp_path, monkeypatch):
+def test_bench_rows_rerun_identically(tmp_path):
     argv = ["bench", "--seeds", "1..4", "--n", "6", "--k", "2", "--gamma", "1"]
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(argv + ["--out", str(a)]) == 0
-    monkeypatch.setenv("COLORFUL_KCENTER_THREADS", "3")
     assert main(argv + ["--out", str(b)]) == 0
     da, db = read_json(a), read_json(b)
     for row in da["rows"]:
@@ -343,10 +374,6 @@ def test_bench_rows_and_threads(tmp_path, monkeypatch):
         if row["ratio"] != "n/a":
             assert model.rational_from(row["ratio"]) <= 4
 
-    monkeypatch.setenv("COLORFUL_KCENTER_THREADS", "zebra")
-    assert main(argv) == 2
-
-    monkeypatch.delenv("COLORFUL_KCENTER_THREADS")
     assert main(["bench", "--seeds", "", "--n", "5", "--k", "1", "--gamma", "1"]) == 2
 
 

@@ -1,5 +1,6 @@
 """Exact simplex engine against an independent vertex-enumeration oracle."""
 
+import ast
 import itertools
 import os
 import random
@@ -487,6 +488,25 @@ def test_invariant_checks_survive_optimize_flag():
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, timeout=60
     )
     assert done.returncode == 0, done.stderr.decode()
+
+
+def test_package_has_no_assert_statements():
+    # invariant checks must raise; python -O strips every assert
+    package = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "src", "colorful_kcenter",
+    )
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=name)
+            found += [
+                f"{name}:{node.lineno}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Assert)
+            ]
+    assert found == []
 
 
 def test_internal_error_is_one_class():
