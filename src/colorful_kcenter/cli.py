@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 infeasible instance or failed verification,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -286,9 +287,32 @@ def cmd_fixture(args):
     return model.instance_to_dict(fx.instance), OK
 
 
+def _solution_rational(value, what: str) -> Fraction:
+    try:
+        return rational_from(value)
+    except InstanceFormatError as exc:
+        raise CliError(USAGE, f"solution {what}: {exc}") from exc
+
+
+def _solution_points(value, n: int, what: str) -> list:
+    """A list of point indices of an n-point instance; anything else,
+    including bools and negative indices, is a malformed solution."""
+    if not (
+        isinstance(value, list)
+        and all(
+            isinstance(u, int) and not isinstance(u, bool) and 0 <= u < n
+            for u in value
+        )
+    ):
+        raise CliError(
+            USAGE, f"solution {what} must be a list of point indices in 0..{n - 1}"
+        )
+    return value
+
+
 def _verify_colorful(inst: Instance, doc: dict, violations: list):
-    radius = rational_from(doc["radius"])
-    centers = doc["centers"]
+    radius = _solution_rational(doc.get("radius"), "radius")
+    centers = _solution_points(doc["centers"], inst.n, "centers")
     if len(set(centers)) > inst.k:
         violations.append(f"{len(set(centers))} centers exceed budget {inst.k}")
     report = model.check_feasible(inst, centers, radius)
@@ -301,12 +325,19 @@ def _verify_colorful(inst: Instance, doc: dict, violations: list):
 
 
 def _verify_fair(finst: FairInstance, doc: dict, violations: list):
-    radius = rational_from(doc["radius"])
+    n = finst.base.n
+    radius = _solution_rational(doc.get("radius"), "radius")
+    rows = doc["distribution"]
+    if not isinstance(rows, list):
+        raise CliError(USAGE, "solution distribution must be a list")
     support = []
     total = Fraction(0)
-    for row in doc["distribution"]:
-        weight = rational_from(row["prob"])
-        support.append((frozenset(row["centers"]), weight))
+    for row in rows:
+        if not (isinstance(row, dict) and "centers" in row and "prob" in row):
+            raise CliError(USAGE, "distribution rows must be {centers, prob} objects")
+        weight = _solution_rational(row["prob"], "prob")
+        centers = _solution_points(row["centers"], n, "distribution centers")
+        support.append((frozenset(centers), weight))
         total += weight
         if weight <= 0:
             violations.append(f"probability {row['prob']} is not positive")
@@ -319,7 +350,7 @@ def _verify_fair(finst: FairInstance, doc: dict, violations: list):
                 f"support set {sorted(centers)} infeasible at radius "
                 f"{rational_str(radius)}"
             )
-    for u in range(finst.base.n):
+    for u in range(n):
         got = Fraction(0)
         for centers, weight in support:
             if any(finst.base.dist[u][c] <= radius for c in centers):
@@ -330,9 +361,11 @@ def _verify_fair(finst: FairInstance, doc: dict, violations: list):
                 f"{rational_str(finst.p[u])} at point {u}"
             )
     if "samples" in doc:
+        if not isinstance(doc["samples"], list):
+            raise CliError(USAGE, "solution samples must be a list of center lists")
         sets = {centers for centers, _ in support}
         for draw in doc["samples"]:
-            if frozenset(draw) not in sets:
+            if frozenset(_solution_points(draw, n, "samples")) not in sets:
                 violations.append(f"sample {draw} is not a support set")
 
 
@@ -442,7 +475,10 @@ def cmd_bench(args):
 # parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared for the life
+    of the process: main may be called many times in one process."""
     parser = argparse.ArgumentParser(
         prog="colorful-kcenter",
         description="Colorful k-center solver with coverage-probability variant",

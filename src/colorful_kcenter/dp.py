@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lp import InternalError
-from .model import CenterSet, Instance, ball, union_ball
+from .model import CenterSet, Instance, ball_masks, color_masks
 
 
 @dataclass(frozen=True)
@@ -163,24 +163,26 @@ def find_few_outside(
                 raise ValueError("inside-centers too close: r2-balls must be disjoint")
     outside = [u for u in range(inst.n) if u not in set(s_list)]
 
+    masks = ball_masks(inst, r2)
+    needs = color_masks(inst)
     for size in range(0, min(beta, inst.k, len(outside)) + 1):
         for guess in itertools.combinations(outside, size):
-            covered_q = union_ball(inst, guess, r2)
+            covered_q = 0
+            for g in guess:
+                covered_q |= masks[g]
+            item_masks = [masks[s] & ~covered_q for s in s_list]
             residual_rows = []
             residual_demands = []
-            item_balls = [ball(inst, s, r2) - covered_q for s in s_list]
-            for c in inst.colors:
-                left = c.demand - len(c.members & covered_q)
+            for members, demand in needs:
+                left = demand - (members & covered_q).bit_count()
                 if left <= 0:
                     continue
                 residual_rows.append(
-                    tuple(len(c.members & ib) for ib in item_balls)
+                    tuple((members & m).bit_count() for m in item_masks)
                 )
                 residual_demands.append(left)
             prog = DpProgram(
-                weights=tuple(
-                    sum(target.weights[u] for u in ib) for ib in item_balls
-                ),
+                weights=tuple(_weight_of(target.weights, m) for m in item_masks),
                 rows=tuple(residual_rows),
                 demands=tuple(residual_demands),
                 capacity=inst.k - size,
@@ -188,8 +190,18 @@ def find_few_outside(
             res = dp_solve(prog)
             if res is None:
                 continue
-            base = sum(target.weights[u] for u in covered_q)
+            base = _weight_of(target.weights, covered_q)
             if base + res.value >= target.threshold:
                 chosen = frozenset(guess) | frozenset(s_list[i] for i in res.picks)
                 return CenterSet(chosen, r2)
     return None
+
+
+def _weight_of(weights, mask):
+    """Exact total of weights[u] over the set bits u of mask."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += weights[low.bit_length() - 1]
+        mask ^= low
+    return total

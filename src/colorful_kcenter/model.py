@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,17 +92,22 @@ def validate_metric(dist):
                 return MetricViolation("negative", (i, j))
             if dist[i][j] != dist[j][i]:
                 return MetricViolation("asymmetric", (i, j))
+    # d(i,l) <= d(i,j) + d(j,l) must hold for every triple.  Scaled by
+    # the lcm of all denominators the entries are ints, and pair (i, j)
+    # has a violating l iff max_l d(i,l) - d(j,l) exceeds d(i,j).
+    scale = math.lcm(*(v.denominator for row in dist for v in row))
+    rows = [[v.numerator * (scale // v.denominator) for v in row] for row in dist]
     for i in range(n):
-        di = dist[i]
+        di = rows[i]
         for j in range(n):
             if j == i:
                 continue
-            dj = dist[j]
+            dj = rows[j]
             dij = di[j]
-            for l in range(n):
-                # d(i,l) <= d(i,j) + d(j,l) must hold for every triple
-                if di[l] > dij + dj[l]:
-                    return MetricViolation("triangle", (i, j, l))
+            if max(map(operator.sub, di, dj)) > dij:
+                for l in range(n):
+                    if di[l] > dij + dj[l]:
+                        return MetricViolation("triangle", (i, j, l))
     return None
 
 
@@ -225,13 +231,36 @@ def weighted_coverage(inst: Instance, weights, centers, r) -> Fraction:
     return sum((weights[u] for u in union_ball(inst, centers, r)), Fraction(0))
 
 
+def ball_masks(inst: Instance, r, centers=None) -> list:
+    """Closed balls of radius r as int bitmasks, one per center in the
+    given order (every point when centers is None): bit u of the entry
+    for c is set iff dist[c][u] <= r.
+    """
+    # d <= r as cross-multiplied ints (denominators are positive), which
+    # skips Fraction's comparison overhead on every entry
+    rn, rd = r.numerator, r.denominator
+    rows = inst.dist if centers is None else (inst.dist[c] for c in centers)
+    return [
+        sum(1 << u for u, d in enumerate(row) if d.numerator * rd <= rn * d.denominator)
+        for row in rows
+    ]
+
+
+def color_masks(inst: Instance) -> tuple:
+    """(members as an int bitmask, demand) for each color class."""
+    return tuple((sum(1 << u for u in c.members), c.demand) for c in inst.colors)
+
+
 def check_feasible(inst: Instance, centers, r) -> CoverageReport:
     """Count how many members of each color class lie within distance r
     of the center set, and compare against demands and the budget k.
     """
-    covered = union_ball(inst, centers, r)
-    counts = tuple(len(c.members & covered) for c in inst.colors)
-    budget_ok = len(set(centers)) <= inst.k
+    distinct = set(centers)
+    covered = 0
+    for mask in ball_masks(inst, r, distinct):
+        covered |= mask
+    counts = tuple((covered & m).bit_count() for m, _ in color_masks(inst))
+    budget_ok = len(distinct) <= inst.k
     met = all(cnt >= c.demand for cnt, c in zip(counts, inst.colors))
     return CoverageReport(feasible=budget_ok and met, budget_ok=budget_ok, counts=counts)
 
@@ -244,9 +273,14 @@ def subset_count(n: int, k: int) -> int:
 def feasible_sets(inst: Instance, r):
     """Every center set meeting the budget and all demands at radius r,
     in (size, lex) order.  Exhaustive; meant for enumeration scale."""
+    masks = ball_masks(inst, r)
+    needs = color_masks(inst)
     for size in range(inst.k + 1):
         for combo in itertools.combinations(range(inst.n), size):
-            if check_feasible(inst, combo, r).feasible:
+            covered = 0
+            for c in combo:
+                covered |= masks[c]
+            if all((covered & m).bit_count() >= d for m, d in needs):
                 yield frozenset(combo)
 
 

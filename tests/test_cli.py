@@ -1,6 +1,9 @@
 """Command line interface: subcommands, exit codes, byte stability."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -153,6 +156,82 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     assert main(["solve", "--instance", str(bad)]) == 2
     bad.write_text(json.dumps([good]))
     assert main(["solve", "--instance", str(bad)]) == 2
+
+    # malformed solution files given to verify: one error line and exit 2
+    inst = write_instance(
+        tmp_path, "inst.json",
+        ["gen", "random", "--seed", "5", "--n", "8", "--k", "2", "--gamma", "2"],
+    )
+    sol = tmp_path / "sol.json"
+    assert main(["solve", "--instance", str(inst), "--out", str(sol)]) == 0
+    fair = write_instance(
+        tmp_path, "fair.json",
+        ["gen", "random", "--seed", "13", "--n", "6", "--k", "2", "--gamma", "1",
+         "--p-density", "2/3"],
+    )
+    dist = tmp_path / "dist.json"
+    assert main(["solve-fair", "--instance", str(fair), "--out", str(dist)]) == 0
+    capsys.readouterr()
+    row = read_json(dist)["distribution"][0]
+    tampered = tmp_path / "tampered.json"
+    for base, field, value in [
+        (sol, "centers", "01"), (sol, "centers", 5), (sol, "centers", [0.0]),
+        (sol, "centers", None), (sol, "centers", [13]), (sol, "centers", [8]),
+        (sol, "centers", [-1]), (sol, "centers", [True]),
+        (sol, "radius", 1.5), (sol, "radius", None), (sol, "radius", [1]),
+        (dist, "radius", "x"), (dist, "distribution", 5),
+        (dist, "distribution", [5]), (dist, "distribution", [{"centers": [0]}]),
+        (dist, "distribution", [{**row, "prob": 0.5}]),
+        (dist, "distribution", [{**row, "centers": [-1]}]),
+        (dist, "distribution", [{**row, "centers": "0"}]),
+        (dist, "samples", 5), (dist, "samples", [[False]]), (dist, "samples", [0]),
+        (dist, "samples", [[6]]),
+    ]:
+        tampered.write_text(json.dumps({**read_json(base), field: value}))
+        instance = inst if base == sol else fair
+        code = main(["verify", "--instance", str(instance), "--solution", str(tampered)])
+        err = capsys.readouterr().err
+        assert code == 2, (field, value)
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    doc = read_json(sol)
+    del doc["radius"]
+    tampered.write_text(json.dumps(doc))
+    assert main(["verify", "--instance", str(inst), "--solution", str(tampered)]) == 2
+
+
+def test_one_process_matches_fresh_processes(tmp_path, capsys, monkeypatch):
+    # main keeps one parser for the process; earlier calls, a usage
+    # error among them, must not change what later calls write
+    monkeypatch.setenv("COLUMNS", "80")  # usage text wraps to the terminal
+    inst = write_instance(
+        tmp_path, "inst.json",
+        ["gen", "random", "--seed", "5", "--n", "8", "--k", "2", "--gamma", "2"],
+    )
+    capsys.readouterr()
+    sol = str(tmp_path / "sol.json")
+    runs = [
+        ["solve", "--instance", str(inst), "--bogus"],
+        ["solve", "--instance", str(inst)],
+        ["verify", "--instance", str(inst), "--solution", sol],
+    ]
+    assert main(["solve", "--instance", str(inst), "--out", sol]) == 0
+    in_process = []
+    for argv in runs:
+        code = main(argv)
+        out = capsys.readouterr()
+        in_process.append((code, out.out, out.err))
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    fresh = []
+    for argv in runs:
+        done = subprocess.run(
+            [sys.executable, "-m", "colorful_kcenter.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        fresh.append((done.returncode, done.stdout, done.stderr))
+    assert in_process == fresh
+    assert [code for code, _, _ in fresh] == [2, 0, 0]
 
 
 def test_oracle_cap_exit_code(tmp_path):

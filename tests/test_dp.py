@@ -5,9 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colorful_kcenter.dp import DpProgram, DpResult, WeightedTarget, dp_solve, find_few_outside
-from colorful_kcenter.model import Instance, ball, union_ball
+from colorful_kcenter.model import CenterSet, Instance, ball, union_ball
 
 
 def brute_best(prog):
@@ -224,3 +225,57 @@ def test_find_few_outside_rejects_close_centers():
     inst = line_instance([0, 1, 50], 2, [((0, 1, 2), 1)])
     with pytest.raises(ValueError):
         find_few_outside(inst, Fraction(3), (0, 1), 0)
+
+
+def reference_find_few_outside(inst, r2, centers_s, beta, target=None):
+    """find_few_outside over point sets, one ball union per guess: the
+    implementation of record for the bitmask version."""
+    r2 = Fraction(r2)
+    if target is None:
+        target = WeightedTarget(weights=(0,) * inst.n, threshold=0)
+    s_list = sorted(set(centers_s))
+    outside = [u for u in range(inst.n) if u not in set(s_list)]
+    for size in range(0, min(beta, inst.k, len(outside)) + 1):
+        for guess in itertools.combinations(outside, size):
+            covered_q = union_ball(inst, guess, r2)
+            residual_rows = []
+            residual_demands = []
+            item_balls = [ball(inst, s, r2) - covered_q for s in s_list]
+            for c in inst.colors:
+                left = c.demand - len(c.members & covered_q)
+                if left <= 0:
+                    continue
+                residual_rows.append(tuple(len(c.members & ib) for ib in item_balls))
+                residual_demands.append(left)
+            prog = DpProgram(
+                weights=tuple(sum(target.weights[u] for u in ib) for ib in item_balls),
+                rows=tuple(residual_rows),
+                demands=tuple(residual_demands),
+                capacity=inst.k - size,
+            )
+            res = dp_solve(prog)
+            if res is None:
+                continue
+            base = sum(target.weights[u] for u in covered_q)
+            if base + res.value >= target.threshold:
+                chosen = frozenset(guess) | frozenset(s_list[i] for i in res.picks)
+                return CenterSet(chosen, r2)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), st.booleans())
+def test_find_few_outside_matches_the_set_reference(seed, weighted):
+    rng = random.Random(seed)
+    inst, centers = spread_instance(rng)
+    r2 = Fraction(rng.randint(1, 20), rng.choice([1, 2, 3]))
+    beta = rng.randint(0, 2)
+    target = None
+    if weighted:
+        target = WeightedTarget(
+            weights=tuple(Fraction(rng.randint(0, 4), rng.choice([1, 3, 4]))
+                          for _ in range(inst.n)),
+            threshold=Fraction(rng.randint(0, 3 * inst.n), 4),
+        )
+    got = find_few_outside(inst, r2, centers, beta, target=target)
+    assert got == reference_find_few_outside(inst, r2, centers, beta, target=target)

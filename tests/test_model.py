@@ -1,10 +1,12 @@
 """Core model: rationals, metrics, instances, balls, serialization."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colorful_kcenter.model import (
     CenterSet,
@@ -12,10 +14,12 @@ from colorful_kcenter.model import (
     FairInstance,
     Instance,
     InstanceFormatError,
+    MetricViolation,
     ball,
     candidate_radii,
     check_feasible,
     dumps_instance,
+    feasible_sets,
     instance_from_dict,
     instance_to_dict,
     loads_instance,
@@ -24,6 +28,7 @@ from colorful_kcenter.model import (
     union_ball,
     validate_metric,
 )
+from colorful_kcenter.oracle import enumerate_feasible
 
 
 def line_instance(coords, k, colors):
@@ -178,3 +183,120 @@ def test_center_set_and_color_class_are_value_types():
     assert a == b
     c = ColorClass(members=frozenset({0}), demand=1)
     assert c.members == {0}
+
+
+# ---------------------------------------------------------------------------
+# the integer and bitmask fast paths against the plain Fraction scans
+
+
+def reference_validate_metric(dist):
+    """Per-triple Fraction scan, the validate_metric of record."""
+    n = len(dist)
+    for i in range(n):
+        if len(dist[i]) != n:
+            return MetricViolation("shape", (i,))
+    for i in range(n):
+        if dist[i][i] != 0:
+            return MetricViolation("diagonal", (i,))
+        for j in range(n):
+            if dist[i][j] < 0:
+                return MetricViolation("negative", (i, j))
+            if dist[i][j] != dist[j][i]:
+                return MetricViolation("asymmetric", (i, j))
+    for i in range(n):
+        for j in range(n):
+            if j == i:
+                continue
+            for l in range(n):
+                if dist[i][l] > dist[i][j] + dist[j][l]:
+                    return MetricViolation("triangle", (i, j, l))
+    return None
+
+
+mixed = st.builds(Fraction, st.integers(0, 30), st.sampled_from([1, 2, 3, 4, 5, 6, 7, 12]))
+deltas = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 5, 8]))
+
+
+@st.composite
+def perturbed_metrics(draw):
+    """An L1 metric over rational points in the plane, sometimes with
+    one off-diagonal entry (or symmetric pair) moved by a rational
+    amount."""
+    n = draw(st.integers(1, 7))
+    pts = [(draw(mixed), draw(mixed)) for _ in range(n)]
+    dist = [[abs(a[0] - b[0]) + abs(a[1] - b[1]) for b in pts] for a in pts]
+    if n > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        j = (i + draw(st.integers(1, n - 1))) % n
+        dist[i][j] += draw(deltas)
+        if draw(st.booleans()):
+            dist[j][i] = dist[i][j]
+    return tuple(tuple(row) for row in dist)
+
+
+@settings(max_examples=400, deadline=None)
+@given(perturbed_metrics())
+def test_validate_metric_matches_fraction_scan(dist):
+    assert validate_metric(dist) == reference_validate_metric(dist)
+
+
+def test_validate_metric_names_the_first_triangle_in_scan_order():
+    f = Fraction
+    # pair (0, 1) fails at l = 2 and, by more, at l = 3: name l = 2
+    dist = (
+        (f(0), f(1, 2), f(3, 2), f(5, 2)),
+        (f(1, 2), f(0), f(1, 2), f(1)),
+        (f(3, 2), f(1, 2), f(0), f(2, 3)),
+        (f(5, 2), f(1), f(2, 3), f(0)),
+    )
+    assert validate_metric(dist) == MetricViolation("triangle", (0, 1, 2))
+    assert reference_validate_metric(dist) == validate_metric(dist)
+    # d(0,2) at d(0,1) + d(1,2) is a metric; one sixth more, the least
+    # step over the common denominator 6, is not
+    for d02, want in [(f(5, 6), None), (f(1), MetricViolation("triangle", (0, 1, 2)))]:
+        dist = (
+            (f(0), f(1, 2), d02),
+            (f(1, 2), f(0), f(1, 3)),
+            (d02, f(1, 3), f(0)),
+        )
+        assert validate_metric(dist) == want
+
+
+@st.composite
+def small_instances(draw):
+    dist = draw(perturbed_metrics().filter(lambda d: validate_metric(d) is None))
+    n = len(dist)
+    colors = []
+    for _ in range(draw(st.integers(1, 3))):
+        members = draw(st.frozensets(st.integers(0, n - 1)))
+        colors.append((members, draw(st.integers(0, len(members)))))
+    inst = Instance(dist=dist, k=draw(st.integers(1, min(n, 3))), colors=tuple(colors))
+    radii = candidate_radii(inst)
+    r = draw(st.sampled_from(radii)) + draw(st.sampled_from([0, 0, Fraction(1, 7)]))
+    return inst, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_instances())
+def test_feasible_sets_match_check_feasible_and_the_oracle(case):
+    inst, r = case
+    got = list(feasible_sets(inst, r))
+    accepted = [
+        frozenset(combo)
+        for size in range(inst.k + 1)
+        for combo in itertools.combinations(range(inst.n), size)
+        if check_feasible(inst, combo, r).feasible
+    ]
+    assert got == accepted
+    assert got == [frozenset(s) for s in enumerate_feasible(inst, r)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_instances(), st.data())
+def test_check_feasible_counts_match_ball_union(case, data):
+    inst, r = case
+    centers = data.draw(st.lists(st.integers(0, inst.n - 1), max_size=inst.n + 1))
+    report = check_feasible(inst, centers, r)
+    covered = union_ball(inst, centers, r)
+    assert report.counts == tuple(len(c.members & covered) for c in inst.colors)
+    assert report.budget_ok == (len(set(centers)) <= inst.k)
