@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 infeasible instance or failed verification,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -237,53 +238,79 @@ def _parse_graph_text(text: str) -> Graph:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        toks = line.split()
-        if len(toks) == 1 and declared is None and not edges:
-            declared = int(toks[0])
+        try:
+            nums = [int(tok) for tok in line.split()]
+        except ValueError:
+            raise CliError(USAGE, f"bad graph line {raw!r}: not an integer") from None
+        if len(nums) == 1 and declared is None and not edges:
+            declared = nums[0]
             continue
-        if len(toks) != 2:
+        if len(nums) != 2:
             raise CliError(USAGE, f"bad edge line {raw!r}")
-        u, v = int(toks[0]), int(toks[1])
-        edges.append((u, v))
-        top = max(top, u, v)
+        edges.append(tuple(nums))
+        top = max(top, *nums)
     n = declared if declared is not None else top + 1
     if n <= 0:
         raise CliError(USAGE, "graph has no vertices")
     return Graph(n=n, edges=tuple(edges))
 
 
+@contextlib.contextmanager
+def _parameter_checks():
+    """Report a ValueError from the generators' checks of their
+    parameters and input files as a usage error.  A generated instance
+    that breaks an instance rule (InstanceFormatError) is not one.
+    """
+    try:
+        yield
+    except InstanceFormatError:
+        raise
+    except ValueError as exc:
+        raise CliError(USAGE, str(exc)) from exc
+
+
+def _flag_rational(text, flag: str) -> Fraction:
+    try:
+        return rational_from(text)
+    except InstanceFormatError as exc:
+        raise CliError(USAGE, f"{flag}: {exc}") from exc
+
+
 def cmd_gen(args):
-    if args.family == "vc3":
-        with open(args.graph, "r", encoding="utf-8") as fh:
-            g = _parse_graph_text(fh.read())
-        inst = gen_from_vc3(g, args.t)
-    elif args.family == "setcover":
-        doc = _load_json(args.instance)
-        try:
-            sc = SetCoverInstance(
-                universe=doc["universe"],
-                sets=tuple(frozenset(s) for s in doc["sets"]),
+    with _parameter_checks():
+        if args.family == "vc3":
+            with open(args.graph, "r", encoding="utf-8") as fh:
+                g = _parse_graph_text(fh.read())
+            inst = gen_from_vc3(g, args.t)
+        elif args.family == "setcover":
+            doc = _load_json(args.instance)
+            try:
+                sc = SetCoverInstance(
+                    universe=doc["universe"],
+                    sets=tuple(frozenset(s) for s in doc["sets"]),
+                )
+            except (KeyError, TypeError) as exc:
+                raise CliError(USAGE, f"set cover file needs universe and sets: {exc}")
+            inst = gen_from_setcover(sc, args.t)
+        elif args.family == "clumps":
+            inst = gen_clumps(args.k, args.gamma, spread=args.spread)
+        else:  # random
+            inst = gen_random(
+                args.seed,
+                args.n,
+                args.k,
+                args.gamma,
+                metric=args.metric,
+                demand_density=_flag_rational(args.demand_density, "--demand-density"),
+                p_density=None if args.p_density is None
+                else _flag_rational(args.p_density, "--p-density"),
             )
-        except (KeyError, TypeError) as exc:
-            raise CliError(USAGE, f"set cover file needs universe and sets: {exc}")
-        inst = gen_from_setcover(sc, args.t)
-    elif args.family == "clumps":
-        inst = gen_clumps(args.k, args.gamma, spread=args.spread)
-    else:  # random
-        inst = gen_random(
-            args.seed,
-            args.n,
-            args.k,
-            args.gamma,
-            metric=args.metric,
-            demand_density=rational_from(args.demand_density),
-            p_density=None if args.p_density is None else rational_from(args.p_density),
-        )
     return model.instance_to_dict(inst), OK
 
 
 def cmd_fixture(args):
-    fx = fixture_adversarial(args.m)
+    with _parameter_checks():
+        fx = fixture_adversarial(args.m)
     return model.instance_to_dict(fx.instance), OK
 
 

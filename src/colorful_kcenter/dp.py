@@ -3,7 +3,22 @@
 dp_solve maximizes total item weight subject to picking at most kappa
 items whose color contributions reach every demand; demands are clamped
 at zero as they shrink, which keeps the state space at most the product
-of the initial demands plus one in each coordinate.
+of the initial demands plus one in each coordinate.  It is an exact
+branch and bound over that memoised recursion, and drops only states
+that provably have no feasible completion:
+
+  * the pooled bound, once per program: an item earns min(c, m) / m
+    for each row with contribution c and demand m > 0, and if the
+    best kappa items earn less than one per such row in total, no
+    selection meets every demand;
+  * the reach bound, at every state (i, need, budget): if some row
+    needs more than the min(budget, q - i) largest contributions of
+    items i..q-1 in that row add up to, the state is infeasible.
+
+Both are necessary conditions for feasibility, so every value the
+recursion keeps, and every pick the replay makes, is the same as
+without them.  Weights are scaled to ints by the lcm of their
+denominators, and the result is scaled back to an exact Fraction.
 
 find_few_outside searches for a small center set of the form
 "guessed points outside S, completed by centers inside S": it guesses
@@ -17,7 +32,10 @@ and contributions are additive.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,12 +55,10 @@ class DpProgram:
     capacity: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "weights", tuple(Fraction(w) for w in self.weights)
-        )
-        rows = tuple(tuple(int(v) for v in row) for row in self.rows)
+        object.__setattr__(self, "weights", tuple(map(Fraction, self.weights)))
+        rows = tuple(tuple(map(int, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "demands", tuple(int(m) for m in self.demands))
+        object.__setattr__(self, "demands", tuple(map(int, self.demands)))
         if len(rows) != len(self.demands):
             raise ValueError("row/demand count mismatch")
         q = len(self.weights)
@@ -74,41 +90,55 @@ def dp_solve(prog: DpProgram):
     set (scanning items in order, preferring "skip") is returned.
     """
     q = prog.num_items
-    rows = prog.rows
-    clamp = tuple(prog.demands)
+    if _beyond_pooled_reach(prog.rows, prog.demands, prog.capacity):
+        return None
+    cols = tuple(zip(*prog.rows)) if prog.rows else ((),) * q
+    scale = math.lcm(*(w.denominator for w in prog.weights))
+    weights = [w.numerator * (scale // w.denominator) for w in prog.weights]
+    # reach[i][b]: per row, the sum of the b largest contributions among
+    # items i..q-1, for b = 0..q-i
+    reach = [None] * q
+    suffix = [[] for _ in prog.rows]  # each row's items i..q-1, descending
+    for i in range(q - 1, -1, -1):
+        for row, c in zip(suffix, cols[i]):
+            bisect.insort(row, c, key=operator.neg)
+        tops = [itertools.accumulate(row, initial=0) for row in suffix]
+        reach[i] = list(zip(*tops)) if tops else [()] * (q - i + 1)
 
     memo = {}
-    zero = Fraction(0)
 
     def best(i, need, budget):
-        # best weight from items i..q-1 covering `need` with <= budget
-        # picks; weights are nonnegative, so exhausted demands still
-        # allow further picks for their weight
+        # best scaled weight from items i..q-1 covering `need` with <=
+        # budget picks; exhausted demands still allow further picks for
+        # their weight
         if i == q or budget == 0:
-            return zero if not any(need) else None
+            return 0 if not any(need) else None
         key = (i, need, budget)
         hit = memo.get(key, memo)
         if hit is not memo:
             return hit
+        # a demand above what the best `budget` items left can add is out
+        # of reach: the recursion below would also end in None
+        if any(map(operator.gt, need, reach[i][min(budget, q - i)])):
+            memo[key] = None
+            return None
         res = best(i + 1, need, budget)
-        nxt = tuple(
-            v - rows[l][i] if v > rows[l][i] else 0 for l, v in enumerate(need)
-        )
+        nxt = tuple(v - c if v > c else 0 for v, c in zip(need, cols[i]))
         with_i = best(i + 1, nxt, budget - 1)
         if with_i is not None:
-            with_i = with_i + prog.weights[i]
+            with_i += weights[i]
             if res is None or with_i > res:
                 res = with_i
         memo[key] = res
         return res
 
-    top = best(0, clamp, prog.capacity)
+    top = best(0, prog.demands, prog.capacity)
     if top is None:
         return None
 
     # replay the table, preferring "skip" so ties pick lexicographically
     picks = []
-    need = clamp
+    need = prog.demands
     budget = prog.capacity
     value = top
     i = 0
@@ -120,13 +150,28 @@ def dp_solve(prog: DpProgram):
         if i == q:
             raise InternalError("replay ran off the table")
         picks.append(i)
-        need = tuple(
-            v - rows[l][i] if v > rows[l][i] else 0 for l, v in enumerate(need)
-        )
-        value = value - prog.weights[i]
+        need = tuple(v - c if v > c else 0 for v, c in zip(need, cols[i]))
+        value -= weights[i]
         budget -= 1
         i += 1
-    return DpResult(top, tuple(picks))
+    return DpResult(Fraction(top, scale), tuple(picks))
+
+
+def _beyond_pooled_reach(rows, demands, capacity) -> bool:
+    """True when the demands, pooled into one row, exceed what any
+    capacity items can add, which proves that no selection meets them.
+
+    An item counts min(c, m) / m towards each row with demand m > 0; a
+    selection meeting every demand collects at least 1 per such row, so
+    at least their number in total, and no more than its best items
+    collect.  Scaled by the lcm of the demands to stay in integers.
+    """
+    unit = math.lcm(*(m for m in demands if m))
+    pooled = [[min(c, m) * (unit // m) for c in row] for row, m in zip(rows, demands) if m]
+    if not pooled:
+        return False
+    scores = sorted(map(sum, zip(*pooled)), reverse=True)
+    return sum(scores[:capacity]) < len(pooled) * unit
 
 
 @dataclass(frozen=True)
@@ -151,11 +196,18 @@ def find_few_outside(
     cover the demands left after discounting Q's coverage.  With a
     target, the covered weight including Q's share must also reach the
     threshold; without one, every weight is zero and so is the
-    threshold.
+    threshold.  The program's weights are the target's, scaled to ints
+    by one common factor, which changes neither its picks nor the
+    outcome of the exact threshold test.
     """
     r2 = Fraction(r2)
-    if target is None:
-        target = WeightedTarget(weights=(0,) * inst.n, threshold=0)
+    # the target's weights as ints over their common denominator, once
+    # per call; only points of nonzero weight are ever summed
+    weights = () if target is None else tuple(map(Fraction, target.weights))
+    scale = math.lcm(*(w.denominator for w in weights))
+    weights = [w.numerator * (scale // w.denominator) for w in weights]
+    heavy = sum(1 << u for u, w in enumerate(weights) if w)
+    goal = 0 if target is None else Fraction(target.threshold) * scale
     s_list = sorted(set(centers_s))
     for a in range(len(s_list)):
         for b in range(a + 1, len(s_list)):
@@ -182,7 +234,7 @@ def find_few_outside(
                 )
                 residual_demands.append(left)
             prog = DpProgram(
-                weights=tuple(_weight_of(target.weights, m) for m in item_masks),
+                weights=tuple(_weight_of(weights, m & heavy) for m in item_masks),
                 rows=tuple(residual_rows),
                 demands=tuple(residual_demands),
                 capacity=inst.k - size,
@@ -190,8 +242,7 @@ def find_few_outside(
             res = dp_solve(prog)
             if res is None:
                 continue
-            base = _weight_of(target.weights, covered_q)
-            if base + res.value >= target.threshold:
+            if _weight_of(weights, covered_q & heavy) + res.value >= goal:
                 chosen = frozenset(guess) | frozenset(s_list[i] for i in res.picks)
                 return CenterSet(chosen, r2)
     return None

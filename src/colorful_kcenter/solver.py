@@ -37,7 +37,7 @@ from .lp import InternalError
 from .model import (
     CenterSet,
     Instance,
-    ball,
+    ball_masks,
     candidate_radii,
     check_feasible,
     feasible_sets,
@@ -109,12 +109,17 @@ def build_relaxation(inst: Instance, r, cuts=(), extra_row=None) -> lp.LinearPro
         tuple(Fraction(1) for _ in range(2 * n)),
     )
     program.add(tuple([0] * n + [1] * n), lp.LE, inst.k)
-    for u in range(n):
-        row = [Fraction(0)] * (2 * n)
-        row[u] = Fraction(-1)
-        for v in ball(inst, u, r):
-            row[n + v] = Fraction(1)
-        program.add(tuple(row), lp.GE, 0)
+    masks = ball_masks(inst, r)
+    zero, one = Fraction(0), Fraction(1)
+
+    def y_row(mask):
+        # ones on the y variables of the points in mask
+        return [zero] * n + [one if mask >> v & 1 else zero for v in range(n)]
+
+    for u, mask in enumerate(masks):
+        row = y_row(mask)
+        row[u] = -one
+        program.add(row, lp.GE, 0)
     for c in inst.colors:
         row = [Fraction(0)] * (2 * n)
         for u in c.members:
@@ -127,10 +132,10 @@ def build_relaxation(inst: Instance, r, cuts=(), extra_row=None) -> lp.LinearPro
             row[u] = Fraction(weights[u])
         program.add(tuple(row), lp.GE, rhs)
     for cut in cuts:
-        row = [Fraction(0)] * (2 * n)
-        for v in sorted(set().union(*(ball(inst, s, r) for s in cut.centers))):
-            row[n + v] = Fraction(1)
-        program.add(tuple(row), lp.LE, cut.bound)
+        union = 0
+        for s in cut.centers:
+            union |= masks[s]
+        program.add(y_row(union), lp.LE, cut.bound)
     return program
 
 

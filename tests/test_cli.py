@@ -198,6 +198,36 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     tampered.write_text(json.dumps(doc))
     assert main(["verify", "--instance", str(inst), "--solution", str(tampered)]) == 2
 
+    # generator parameters and input files: one error line and exit 2
+    capsys.readouterr()
+    graph = tmp_path / "graph.txt"
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"universe": 2, "sets": [[0], [1, 2]]}))
+    random_args = ["gen", "random", "--seed", "1", "--n", "4", "--k", "2", "--gamma", "1"]
+    cases = [
+        ("a b\n", ["gen", "vc3", "--graph", str(graph), "--t", "1"]),
+        ("3\n0 5\n", ["gen", "vc3", "--graph", str(graph), "--t", "1"]),
+        ("0 -1\n", ["gen", "vc3", "--graph", str(graph), "--t", "1"]),
+        ("x\n0 1\n", ["gen", "vc3", "--graph", str(graph), "--t", "1"]),
+        ("0 1\n", ["gen", "vc3", "--graph", str(graph), "--t", "-1"]),
+        (None, ["gen", "setcover", "--instance", str(cover), "--t", "1"]),
+        (None, ["gen", "random", "--seed", "1", "--n", "0", "--k", "1", "--gamma", "1"]),
+        (None, ["gen", "random", "--seed", "1", "--n", "3", "--k", "0", "--gamma", "1"]),
+        (None, ["gen", "clumps", "--k", "1", "--gamma", "5"]),
+        (None, random_args + ["--demand-density", "abc"]),
+        (None, random_args + ["--p-density", "1/0"]),
+        (None, ["fixture", "adversarial", "--m", "3"]),
+    ]
+    for text, argv in cases:
+        if text is not None:
+            graph.write_text(text)
+        assert main(argv) == 2, (text, argv)
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    graph.write_text("3\n0 1\n1 2\n")
+    assert main(["gen", "vc3", "--graph", str(graph), "--t", "1"]) == 0
+    assert main(random_args + ["--demand-density", "1/3", "--p-density", "1/2"]) == 0
+
 
 def test_one_process_matches_fresh_processes(tmp_path, capsys, monkeypatch):
     # main keeps one parser for the process; earlier calls, a usage

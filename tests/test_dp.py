@@ -118,6 +118,126 @@ def test_demand_above_reach_is_infeasible():
     assert dp_solve(prog) is None
 
 
+def reference_dp_solve(prog):
+    """The plain memoised recursion over Fraction weights, without
+    pruning: the implementation of record for dp_solve."""
+    q = prog.num_items
+    rows = prog.rows
+    memo = {}
+    zero = Fraction(0)
+
+    def best(i, need, budget):
+        if i == q or budget == 0:
+            return zero if not any(need) else None
+        key = (i, need, budget)
+        hit = memo.get(key, memo)
+        if hit is not memo:
+            return hit
+        res = best(i + 1, need, budget)
+        nxt = tuple(
+            v - rows[l][i] if v > rows[l][i] else 0 for l, v in enumerate(need)
+        )
+        with_i = best(i + 1, nxt, budget - 1)
+        if with_i is not None:
+            with_i = with_i + prog.weights[i]
+            if res is None or with_i > res:
+                res = with_i
+        memo[key] = res
+        return res
+
+    top = best(0, prog.demands, prog.capacity)
+    if top is None:
+        return None
+    picks = []
+    need = prog.demands
+    budget = prog.capacity
+    value = top
+    i = 0
+    while any(need) or value > 0:
+        skip = best(i + 1, need, budget) if i < q else None
+        if skip is not None and skip == value:
+            i += 1
+            continue
+        picks.append(i)
+        need = tuple(
+            v - rows[l][i] if v > rows[l][i] else 0 for l, v in enumerate(need)
+        )
+        value = value - prog.weights[i]
+        budget -= 1
+        i += 1
+    return DpResult(top, tuple(picks))
+
+
+@st.composite
+def packing_programs(draw, weighted):
+    """Programs shaped like the guess search's: up to 7 rows of sparse
+    contributions 0-3, demands up to 8, up to 10 items; most of them
+    infeasible."""
+    q = draw(st.integers(0, 10))
+    t = draw(st.integers(0, 7))
+    contribution = st.integers(0, 3) | st.just(0)
+    rows = tuple(
+        tuple(draw(st.lists(contribution, min_size=q, max_size=q))) for _ in range(t)
+    )
+    demands = tuple(draw(st.lists(st.integers(0, 8), min_size=t, max_size=t)))
+    if weighted:
+        # negative weights too: DpProgram allows them
+        weight = st.fractions(-1, 3, max_denominator=6) | st.just(Fraction(0))
+        weights = tuple(draw(st.lists(weight, min_size=q, max_size=q)))
+    else:
+        weights = (Fraction(0),) * q
+    capacity = draw(st.integers(0, q + 1))
+    return DpProgram(weights=weights, rows=rows, demands=demands, capacity=capacity)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.booleans().flatmap(packing_programs))
+def test_dp_solve_matches_the_reference(prog):
+    assert dp_solve(prog) == reference_dp_solve(prog)
+
+
+@pytest.mark.parametrize(
+    "rows, demands, capacity, picks",
+    [
+        # one row: the demand equals the best two contributions, then one more
+        (((3, 1, 2),), (5,), 2, (0, 2)),
+        (((3, 1, 2),), (6,), 2, None),
+        # capacity above the item count: every item, then one unit short
+        (((1, 1, 1),), (3,), 5, (0, 1, 2)),
+        (((1, 1, 1),), (4,), 5, None),
+        # the same contributions deeper in: the last two items must be
+        # picked, and a state that skipped one of them cannot recover
+        (((0, 2, 2),), (4,), 2, (1, 2)),
+        (((0, 2, 2),), (5,), 3, None),
+        # two rows that each fit alone but not within one capacity
+        (((2, 2, 0), (0, 0, 2)), (4, 2), 3, (0, 1, 2)),
+        (((2, 2, 0), (0, 0, 2)), (4, 1), 2, None),
+        (((2, 2, 0), (0, 0, 2)), (4, 3), 3, None),
+        # a demand of zero pools nothing
+        (((2, 2, 0), (0, 0, 2)), (4, 0), 2, (0, 1)),
+    ],
+)
+def test_demand_at_and_past_its_reach(rows, demands, capacity, picks):
+    prog = DpProgram(
+        weights=(Fraction(0),) * len(rows[0]), rows=rows, demands=demands, capacity=capacity
+    )
+    want = None if picks is None else DpResult(Fraction(0), picks)
+    assert reference_dp_solve(prog) == want
+    assert dp_solve(prog) == want
+
+
+def test_weights_are_summed_exactly():
+    # denominators 2, 3 and 7: the result is the exact sum, not a rounding
+    prog = DpProgram(
+        weights=(Fraction(1, 2), Fraction(2, 3), Fraction(1, 7)),
+        rows=((1, 1, 1),),
+        demands=(2,),
+        capacity=2,
+    )
+    assert dp_solve(prog) == DpResult(Fraction(7, 6), (0, 1))
+    assert reference_dp_solve(prog) == DpResult(Fraction(7, 6), (0, 1))
+
+
 def line_instance(coords, k, colors):
     dist = tuple(
         tuple(Fraction(abs(a - b)) for b in coords) for a in coords
