@@ -1,4 +1,4 @@
-"""Command line interface: solve, generate, verify, benchmark.
+"""Command line interface: solve, generate, verify.
 
 All output is machine-readable JSON with rationals as "p/q" strings,
 written to stdout or --out FILE, byte-stable for identical inputs.
@@ -13,7 +13,6 @@ import contextlib
 import functools
 import json
 import sys
-import time
 from fractions import Fraction
 
 from . import fair as fair_mod
@@ -70,7 +69,7 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CliError(USAGE, f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -269,11 +268,11 @@ def _parameter_checks():
         raise CliError(USAGE, str(exc)) from exc
 
 
-def _flag_rational(text, flag: str) -> Fraction:
+def _rational(value, what: str) -> Fraction:
     try:
-        return rational_from(text)
+        return rational_from(value)
     except InstanceFormatError as exc:
-        raise CliError(USAGE, f"{flag}: {exc}") from exc
+        raise CliError(USAGE, f"{what}: {exc}") from exc
 
 
 def cmd_gen(args):
@@ -301,9 +300,9 @@ def cmd_gen(args):
                 args.k,
                 args.gamma,
                 metric=args.metric,
-                demand_density=_flag_rational(args.demand_density, "--demand-density"),
+                demand_density=_rational(args.demand_density, "--demand-density"),
                 p_density=None if args.p_density is None
-                else _flag_rational(args.p_density, "--p-density"),
+                else _rational(args.p_density, "--p-density"),
             )
     return model.instance_to_dict(inst), OK
 
@@ -312,13 +311,6 @@ def cmd_fixture(args):
     with _parameter_checks():
         fx = fixture_adversarial(args.m)
     return model.instance_to_dict(fx.instance), OK
-
-
-def _solution_rational(value, what: str) -> Fraction:
-    try:
-        return rational_from(value)
-    except InstanceFormatError as exc:
-        raise CliError(USAGE, f"solution {what}: {exc}") from exc
 
 
 def _solution_points(value, n: int, what: str) -> list:
@@ -338,7 +330,7 @@ def _solution_points(value, n: int, what: str) -> list:
 
 
 def _verify_colorful(inst: Instance, doc: dict, violations: list):
-    radius = _solution_rational(doc.get("radius"), "radius")
+    radius = _rational(doc.get("radius"), "solution radius")
     centers = _solution_points(doc["centers"], inst.n, "centers")
     if len(set(centers)) > inst.k:
         violations.append(f"{len(set(centers))} centers exceed budget {inst.k}")
@@ -353,7 +345,7 @@ def _verify_colorful(inst: Instance, doc: dict, violations: list):
 
 def _verify_fair(finst: FairInstance, doc: dict, violations: list):
     n = finst.base.n
-    radius = _solution_rational(doc.get("radius"), "radius")
+    radius = _rational(doc.get("radius"), "solution radius")
     rows = doc["distribution"]
     if not isinstance(rows, list):
         raise CliError(USAGE, "solution distribution must be a list")
@@ -362,7 +354,7 @@ def _verify_fair(finst: FairInstance, doc: dict, violations: list):
     for row in rows:
         if not (isinstance(row, dict) and "centers" in row and "prob" in row):
             raise CliError(USAGE, "distribution rows must be {centers, prob} objects")
-        weight = _solution_rational(row["prob"], "prob")
+        weight = _rational(row["prob"], "solution prob")
         centers = _solution_points(row["centers"], n, "distribution centers")
         support.append((frozenset(centers), weight))
         total += weight
@@ -370,6 +362,7 @@ def _verify_fair(finst: FairInstance, doc: dict, violations: list):
             violations.append(f"probability {row['prob']} is not positive")
     if total != 1:
         violations.append(f"probabilities sum to {rational_str(total)}, not 1")
+    weights_ok = not violations
     for centers, _ in support:
         report = model.check_feasible(finst.base, centers, radius)
         if not report.feasible:
@@ -377,16 +370,16 @@ def _verify_fair(finst: FairInstance, doc: dict, violations: list):
                 f"support set {sorted(centers)} infeasible at radius "
                 f"{rational_str(radius)}"
             )
-    for u in range(n):
-        got = Fraction(0)
-        for centers, weight in support:
-            if any(finst.base.dist[u][c] <= radius for c in centers):
-                got += weight
-        if got < finst.p[u]:
-            violations.append(
-                f"coverage {rational_str(got)} below target "
-                f"{rational_str(finst.p[u])} at point {u}"
-            )
+    # coverage is a probability only under weights that form a distribution
+    if weights_ok:
+        dist = fair_mod.Distribution(tuple(support), radius)
+        for u in range(n):
+            got = fair_mod.coverage_probability(finst.base, dist, u)
+            if got < finst.p[u]:
+                violations.append(
+                    f"coverage {rational_str(got)} below target "
+                    f"{rational_str(finst.p[u])} at point {u}"
+                )
     if "samples" in doc:
         if not isinstance(doc["samples"], list):
             raise CliError(USAGE, "solution samples must be a list of center lists")
@@ -414,88 +407,6 @@ def cmd_verify(args):
         violations.append("solution has neither centers nor distribution")
     payload = {"ok": not violations, "violations": violations}
     return payload, OK if not violations else INFEASIBLE
-
-
-def _parse_seeds(text: str) -> list:
-    if ".." in text:
-        a, b = text.split("..", 1)
-        return list(range(int(a), int(b) + 1))
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _bench_row(args, seed: int) -> dict:
-    inst = gen_random(
-        seed,
-        args.n,
-        args.k,
-        args.gamma,
-        metric=args.metric,
-        demand_density=rational_from(args.demand_density),
-        p_density=rational_from(args.p_density) if args.fair else None,
-    )
-    start = time.perf_counter()
-    if args.fair:
-        sol = fair_mod.solve_fair(inst)
-        solver_radius = sol.distribution.radius
-        cuts = sol.trace.total_cuts()
-        lp_solves = sum(
-            rec.restricted_solves + sum(s.lp_solves for s in rec.separations)
-            for rec in sol.trace.records
-        )
-        oracle = brute_force_fair
-    else:
-        sol = solve_colorful(inst)
-        solver_radius = sol.centers.radius
-        cuts = sol.trace.total_cuts()
-        lp_solves = sol.trace.total_lp_solves()
-        oracle = brute_force_colorful
-    solve_ms = int((time.perf_counter() - start) * 1000)
-    start = time.perf_counter()
-    try:
-        oracle_radius = oracle(inst, cap=args.cap).radius
-    except OracleCapExceeded:
-        oracle_radius = None
-    oracle_ms = int((time.perf_counter() - start) * 1000)
-    row = {
-        "id": f"random-{seed}",
-        "n": args.n,
-        "k": args.k,
-        "gamma": args.gamma,
-        "oracle_radius": "n/a" if oracle_radius is None else rational_str(oracle_radius),
-        "solver_radius": rational_str(solver_radius),
-        "ratio": "n/a",
-        "cuts": cuts,
-        "lp_solves": lp_solves,
-        "solve_ms": solve_ms,
-        "oracle_ms": oracle_ms,
-    }
-    if oracle_radius is not None:
-        if solver_radius < oracle_radius:
-            raise InternalError(
-                f"seed {seed}: solver radius {solver_radius} below optimum "
-                f"{oracle_radius}"
-            )
-        if oracle_radius > 0:
-            ratio = solver_radius / oracle_radius
-            if ratio > 4:
-                raise InternalError(f"seed {seed}: ratio {ratio} above 4")
-            row["ratio"] = rational_str(ratio)
-    return row
-
-
-def cmd_bench(args):
-    seeds = _parse_seeds(args.seeds)
-    if not seeds:
-        raise CliError(USAGE, "no seeds given")
-    rows = [_bench_row(args, s) for s in seeds]
-    payload = {
-        "kind": "bench-report",
-        "suite": args.suite,
-        "fair": args.fair,
-        "params": {"n": args.n, "k": args.k, "gamma": args.gamma, "metric": args.metric},
-        "rows": rows,
-    }
-    return payload, OK
 
 
 # ---------------------------------------------------------------------------
@@ -577,21 +488,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=100, help="separation between the groups")
     p.set_defaults(func=cmd_fixture)
 
-    p = sub.add_parser("bench", parents=[shared],
-                       help="solver vs oracle table over generated instances")
-    p.add_argument("--suite", choices=["random"], default="random")
-    p.add_argument("--seeds", required=True, help="e.g. 1..50 or 3,7,11")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--gamma", type=int, required=True)
-    p.add_argument("--metric", choices=["line", "grid-l1"], default="line")
-    p.add_argument("--demand-density", default="1/2")
-    p.add_argument("--fair", action="store_true", help="benchmark the fair solver")
-    p.add_argument("--p-density", default="2/3")
-    p.add_argument("--cap", type=int, default=10**7,
-                   help="skip the oracle above this many center sets")
-    p.set_defaults(func=cmd_bench)
-
     p = sub.add_parser("verify", parents=[shared],
                        help="re-check a solution file against its instance")
     p.add_argument("--instance", required=True)
@@ -608,10 +504,13 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE
     try:
         payload, code = args.func(args)
+        _write_output(payload, args.out)
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.code
-    except (InstanceSchemaError, OracleCapExceeded, FileNotFoundError) as exc:
+    except (
+        InstanceSchemaError, OracleCapExceeded, OSError, UnicodeDecodeError
+    ) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE
     except InstanceFormatError as exc:
@@ -620,7 +519,6 @@ def main(argv=None) -> int:
     except (InternalError, SparseRoundError) as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return INTERNAL
-    _write_output(payload, args.out)
     return code
 
 

@@ -202,8 +202,13 @@ def gen_random(
     """
     if n < 1 or not 1 <= k <= n or gamma < 1:
         raise ValueError("need n >= 1, 1 <= k <= n, gamma >= 1")
-    rng = random.Random(seed)
     demand_density = Fraction(demand_density)
+    if p_density is not None:
+        p_density = Fraction(p_density)
+    for name, density in (("demand", demand_density), ("p", p_density)):
+        if density is not None and not 0 <= density <= 1:
+            raise ValueError(f"{name} density {density} outside [0, 1]")
+    rng = random.Random(seed)
     if metric == "line":
         coords = [rng.randint(0, 3 * n) for _ in range(n)]
         dist = tuple(
@@ -229,7 +234,6 @@ def gen_random(
     inst = Instance(dist=dist, k=k, colors=tuple(colors))
     if p_density is None:
         return inst
-    p_density = Fraction(p_density)
     p = []
     for _ in range(n):
         if rng.random() < p_density:

@@ -370,7 +370,7 @@ def dumps_instance(inst) -> str:
 def loads_instance(text: str):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InstanceSchemaError(f"invalid JSON: {exc}") from exc
     return instance_from_dict(doc)
 

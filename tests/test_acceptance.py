@@ -86,7 +86,7 @@ def test_colorful_radius_within_four_times_optimum():
             opt = brute_force_colorful(inst)
             sol = solve_colorful(inst)
             assert check_feasible(inst, sol.centers.centers, sol.centers.radius).feasible
-            assert sol.centers.radius <= 4 * opt.radius
+            assert opt.radius <= sol.centers.radius <= 4 * opt.radius
             for rec in sol.trace.records:
                 for cut in rec.cuts:
                     COLORFUL_CUTS.append((inst, rec.radius, cut))
@@ -115,7 +115,7 @@ def test_fair_radius_and_exact_coverage():
         opt = brute_force_fair(finst)
         sol = solve_fair(finst)
         dist = sol.distribution
-        assert dist.radius <= 4 * opt.radius
+        assert opt.radius <= dist.radius <= 4 * opt.radius
         weights = [w for _, w in dist.support]
         assert sum(weights) == 1 and all(w > 0 for w in weights)
         for centers, _ in dist.support:

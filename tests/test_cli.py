@@ -1,12 +1,17 @@
 """Command line interface: subcommands, exit codes, byte stability."""
 
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colorful_kcenter import cli, model
 from colorful_kcenter.cli import main
@@ -197,6 +202,29 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     del doc["radius"]
     tampered.write_text(json.dumps(doc))
     assert main(["verify", "--instance", str(inst), "--solution", str(tampered)]) == 2
+    capsys.readouterr()
+
+    # files that cannot be read or written, or are not UTF-8 JSON text
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(json.dumps(good).replace("2", "\u00e9").encode("latin-1"))
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(good).replace('"demand": 1', '"demand": ' + "9" * 5000))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    for argv in [
+        ["solve", "--instance", str(inst), "--out", str(tmp_path / "no-dir" / "x.json")],
+        ["solve", "--instance", str(tmp_path)],
+        ["solve", "--instance", str(latin)],
+        ["solve", "--instance", str(huge)],
+        ["solve", "--instance", str(deep)],
+        ["verify", "--instance", str(inst), "--solution", str(latin)],
+        ["verify", "--instance", str(inst), "--solution", str(tmp_path)],
+        ["verify", "--instance", str(inst), "--solution", str(huge)],
+        ["verify", "--instance", str(inst), "--solution", str(deep)],
+    ]:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     # generator parameters and input files: one error line and exit 2
     capsys.readouterr()
@@ -216,6 +244,10 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
         (None, ["gen", "clumps", "--k", "1", "--gamma", "5"]),
         (None, random_args + ["--demand-density", "abc"]),
         (None, random_args + ["--p-density", "1/0"]),
+        (None, random_args + ["--demand-density", "3"]),
+        (None, random_args + ["--demand-density", "-1"]),
+        (None, random_args + ["--p-density", "3"]),
+        (None, random_args + ["--p-density", "-1"]),
         (None, ["fixture", "adversarial", "--m", "3"]),
     ]
     for text, argv in cases:
@@ -226,6 +258,7 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, err
     graph.write_text("3\n0 1\n1 2\n")
     assert main(["gen", "vc3", "--graph", str(graph), "--t", "1"]) == 0
+    assert main(random_args + ["--demand-density", "0", "--p-density", "1"]) == 0
     assert main(random_args + ["--demand-density", "1/3", "--p-density", "1/2"]) == 0
 
 
@@ -333,6 +366,16 @@ def test_verify_flags_fair_violations(tmp_path, capsys):
     assert main(["verify", "--instance", str(inst), "--solution", str(tampered)]) == 1
     out = json.loads(capsys.readouterr().out)
     assert any("sum to" in v for v in out["violations"])
+
+    # weights that form a distribution, one support set feasible at the
+    # radius, but point 1 (target 1/2) is never covered at radius 0
+    doc = read_json(sol)
+    assert doc["radius"] == "0/1" and read_json(inst)["p"][1] == "1/2"
+    doc["distribution"] = [{"centers": [3], "prob": "1/1"}]
+    tampered.write_text(json.dumps(doc))
+    assert main(["verify", "--instance", str(inst), "--solution", str(tampered)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["violations"] == ["coverage 0/1 below target 1/2 at point 1"]
 
     doc = read_json(sol)
     doc["samples"] = [[0, 1, 2, 3, 4, 5]]
@@ -462,49 +505,96 @@ def test_linear_scan_flag(tmp_path):
     assert model.rational_from(db["probe_radius"]) <= model.rational_from(da["probe_radius"])
 
 
-def strip_wall(doc):
-    for row in doc["rows"]:
-        row.pop("solve_ms")
-        row.pop("oracle_ms")
-    return doc
+# Small valid documents for the fuzz test: four points on a line, and
+# the same with coverage targets; solutions in the shape verify reads.
+LINE = (0, 1, 3, 4)
+FUZZ_INSTANCE = {
+    "n": 4,
+    "k": 2,
+    "dist": [[f"{abs(a - b)}/1" for b in LINE] for a in LINE],
+    "colors": [{"members": [0, 1, 3], "demand": 2}],
+}
+FUZZ_FAIR = {**FUZZ_INSTANCE, "p": ["1/2", "0/1", "1/1", "1/3"]}
+FUZZ_SOLUTION = {"radius": "0/1", "centers": [0, 1]}
+FUZZ_DISTRIBUTION = {
+    "radius": "4/1",
+    "distribution": [
+        {"centers": [0], "prob": "1/2"}, {"centers": [0, 3], "prob": "1/2"},
+    ],
+    "samples": [[0]],
+}
+JUNK = st.sampled_from([
+    None, True, False, 0, 1, 2, -1, 2**64, -(2**70), 0.5, 1.0,
+    "", "x", "1/0", "nan", "inf", "-1/2", "2/1", " 3 ", "0x10", "[]",
+    [], {}, [[0, 1]], [None], {"members": [0], "demand": 1},
+])
 
 
-def test_bench_rows_rerun_identically(tmp_path):
-    argv = ["bench", "--seeds", "1..4", "--n", "6", "--k", "2", "--gamma", "1"]
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(argv + ["--out", str(a)]) == 0
-    assert main(argv + ["--out", str(b)]) == 0
-    da, db = read_json(a), read_json(b)
-    for row in da["rows"]:
-        assert isinstance(row["solve_ms"], int) and isinstance(row["oracle_ms"], int)
-    assert strip_wall(da) == strip_wall(db)
-    assert [row["id"] for row in da["rows"]] == [f"random-{s}" for s in range(1, 5)]
-    for row in da["rows"]:
-        if row["ratio"] != "n/a":
-            assert model.rational_from(row["ratio"]) <= 4
-
-    assert main(["bench", "--seeds", "", "--n", "5", "--k", "1", "--gamma", "1"]) == 2
+def _slots(node):
+    """Every (container, key) pair inside a JSON document."""
+    if isinstance(node, dict):
+        items = list(node.items())
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return []
+    out = []
+    for key, child in items:
+        out.append((node, key))
+        out.extend(_slots(child))
+    return out
 
 
-def test_bench_fair_and_capped_oracle(tmp_path):
-    out = tmp_path / "fair.json"
-    assert main([
-        "bench", "--seeds", "1,2", "--n", "5", "--k", "2", "--gamma", "1",
-        "--fair", "--out", str(out),
-    ]) == 0
-    doc = read_json(out)
-    assert doc["fair"] is True and len(doc["rows"]) == 2
+@st.composite
+def document_bytes(draw, doc):
+    """The document itself, the document with fields dropped or replaced
+    by junk, the document with one byte overwritten (often not UTF-8),
+    or arbitrary bytes."""
+    form = draw(st.sampled_from(["valid", "mutated", "mutated", "corrupt", "bytes"]))
+    if form == "bytes":
+        return draw(st.binary(max_size=40))
+    if form == "corrupt":
+        raw = bytearray(json.dumps(doc).encode())
+        raw[draw(st.integers(0, len(raw) - 1))] = draw(st.integers(0, 255))
+        return bytes(raw)
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 2)) if form == "mutated" else 0):
+        slots = _slots(doc)
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        if draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = copy.deepcopy(draw(JUNK))
+    return json.dumps(doc).encode()
 
-    capped = tmp_path / "capped.json"
-    assert main([
-        "bench", "--seeds", "1", "--n", "6", "--k", "2", "--gamma", "1",
-        "--cap", "3", "--out", str(capped),
-    ]) == 0
-    row = read_json(capped)["rows"][0]
-    assert row["oracle_radius"] == "n/a" and row["ratio"] == "n/a"
 
-
-def test_seed_list_forms():
-    assert cli._parse_seeds("1..4") == [1, 2, 3, 4]
-    assert cli._parse_seeds("3,7,11") == [3, 7, 11]
-    assert cli._parse_seeds("5") == [5]
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["solve", "solve-fair", "brute", "verify"]),
+    st.booleans().flatmap(lambda fair: st.tuples(
+        document_bytes(FUZZ_FAIR if fair else FUZZ_INSTANCE),
+        document_bytes(FUZZ_DISTRIBUTION if fair else FUZZ_SOLUTION),
+    )),
+)
+def test_malformed_documents_never_raise(command, files):
+    with tempfile.TemporaryDirectory() as tmp:
+        inst, sol = os.path.join(tmp, "inst.json"), os.path.join(tmp, "sol.json")
+        for path, data in zip((inst, sol), files):
+            with open(path, "wb") as fh:
+                fh.write(data)
+        argv = [command, "--instance", inst]
+        if command == "verify":
+            argv += ["--solution", sol]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3)
+    if code == 0 or (command == "verify" and code == 1 and not err):
+        assert err == ""
+        json.loads(out.getvalue())  # the result, or the verification report
+    else:
+        assert err.startswith(("error: ", "internal error: ")), err
+        assert err.count("\n") == 1 and err.endswith("\n"), err
