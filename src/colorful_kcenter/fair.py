@@ -195,19 +195,14 @@ def solve_restricted(finst: FairInstance, r, columns):
     n = inst.n
     r4 = 4 * Fraction(r)
     covers = [union_ball(inst, c, r4) for c in columns]
-    program = lp.LinearProgram(
-        n + 1,
-        tuple([Fraction(0)] * n + [Fraction(1)]),
-        lp.MIN,
-        tuple([Fraction(0)] * n + [None]),
-    )
-    program.add(tuple(list(finst.p) + [Fraction(-1)]), lp.EQ, 1)
+    program = lp.LinearProgram(n + 1, (0,) * n + (1,), lp.MIN, (0,) * n + (None,))
+    program.add(list(finst.p) + [-1], lp.EQ, 1)
     for cov in covers:
-        row = [Fraction(0)] * (n + 1)
+        row = [0] * (n + 1)
         for u in cov:
-            row[u] = Fraction(1)
-        row[n] = Fraction(-1)
-        program.add(tuple(row), lp.LE, 0)
+            row[u] = 1
+        row[n] = -1
+        program.add(row, lp.LE, 0)
     out = lp.solve(program)
     if out.status == "optimal":
         if lp.check_point(program, out.solution) is not None:
@@ -228,16 +223,12 @@ def _distribution_over(finst: FairInstance, columns, radius):
     if not columns:
         return None
     covers = [union_ball(finst.base, c, radius) for c in columns]
-    program = lp.LinearProgram(
-        len(columns), tuple(Fraction(0) for _ in columns)
-    )
-    program.add(tuple(Fraction(1) for _ in columns), lp.EQ, 1)
+    program = lp.LinearProgram(len(columns), (0,) * len(columns))
+    program.add([1] * len(columns), lp.EQ, 1)
     for u in range(finst.base.n):
         if finst.p[u] <= 0:
             continue
-        program.add(
-            tuple(Fraction(int(u in cov)) for cov in covers), lp.GE, finst.p[u]
-        )
+        program.add([int(u in cov) for cov in covers], lp.GE, finst.p[u])
     out = lp.solve(program)
     if out.status != "optimal":
         return None

@@ -6,10 +6,11 @@ region), a dual solution whose objective matches the primal exactly, and
 on infeasible programs a Farkas certificate: a signed combination of
 constraints and variable bounds that sums to "0 >= positive".
 
-The tableau is fraction-free (Edmonds 1967, Bareiss 1968): Python ints
-over one positive common denominator, updated by exact integer division,
-so no pivot allocates a rational.  Basic values and the ratio test stay
-exact fractions.Fraction, as do all inputs and outputs.
+Inputs are ints or fractions.Fraction; ints stay ints.  Inside a solve
+everything is a Python int over a common denominator: the tableau is
+fraction-free (Edmonds 1967, Bareiss 1968) and updated by exact integer
+division, and the basic values, ratio-test steps, duals and every check
+share its denominator.  Outputs are Fractions, built once per solve.
 """
 
 from __future__ import annotations
@@ -30,19 +31,40 @@ class InternalError(RuntimeError):
     """A solver invariant failed; never means "instance infeasible"."""
 
 
-def _frac(v) -> Fraction:
-    if isinstance(v, Fraction):
+def _exact(v):
+    """v as an int or a Fraction; bools and inexact numbers are refused."""
+    if type(v) is int or isinstance(v, Fraction):
         return v
     if isinstance(v, int) and not isinstance(v, bool):
-        return Fraction(v)
+        return int(v)
     raise TypeError(f"expected int or Fraction, got {type(v).__name__}")
+
+
+def _over_lcm(values):
+    """(ints, M) with values[i] == ints[i] / M, M the lcm of the
+    denominators of the ints and Fractions in values."""
+    m = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (m // v.denominator) for v in values], m
+
+
+def _scaled(v, scale):
+    """v * scale as an int, None for None; scale is a multiple of v's
+    denominator."""
+    if v is None:
+        return None
+    return v.numerator * (scale // v.denominator)
 
 
 @dataclass
 class Constraint:
+    """coeffs . x rel rhs, with coeffs also held as the ints
+    coeffs * scale, scale the lcm of their denominators."""
+
     coeffs: tuple
     rel: str
     rhs: Fraction
+    ints: tuple = field(repr=False, compare=False)
+    scale: int = field(repr=False, compare=False)
 
 
 @dataclass
@@ -62,40 +84,61 @@ class LinearProgram:
 
     def __post_init__(self):
         n = self.num_vars
-        self.objective = tuple(_frac(c) for c in self.objective)
+        self.objective = tuple(map(_exact, self.objective))
         if len(self.objective) != n:
             raise ValueError("objective length != num_vars")
         if self.sense not in (MIN, MAX):
             raise ValueError(f"sense must be {MIN!r} or {MAX!r}")
         if self.lower is None:
-            self.lower = tuple(Fraction(0) for _ in range(n))
+            self.lower = (0,) * n
         else:
-            self.lower = tuple(None if v is None else _frac(v) for v in self.lower)
+            self.lower = tuple(None if v is None else _exact(v) for v in self.lower)
         if self.upper is None:
-            self.upper = tuple(None for _ in range(n))
+            self.upper = (None,) * n
         else:
-            self.upper = tuple(None if v is None else _frac(v) for v in self.upper)
+            self.upper = tuple(None if v is None else _exact(v) for v in self.upper)
         if len(self.lower) != n or len(self.upper) != n:
             raise ValueError("bound vector length != num_vars")
         for lo, up in zip(self.lower, self.upper):
             if lo is not None and up is not None and lo > up:
                 raise ValueError(f"empty bound interval [{lo}, {up}]")
-        norm = []
-        for con in self.constraints:
-            if not isinstance(con, Constraint):
-                con = Constraint(tuple(con[0]), con[1], con[2])
-            norm.append(con)
+        given = self.constraints
         self.constraints = []
-        for con in norm:
-            self.add(con.coeffs, con.rel, con.rhs)
+        for con in given:
+            if isinstance(con, Constraint):
+                con = (con.coeffs, con.rel, con.rhs)
+            self.add(con[0], con[1], con[2])
 
     def add(self, coeffs, rel, rhs):
-        coeffs = tuple(_frac(c) for c in coeffs)
+        coeffs = tuple(coeffs)
         if len(coeffs) != self.num_vars:
             raise ValueError("constraint length != num_vars")
         if rel not in (LE, GE, EQ):
             raise ValueError(f"bad relation {rel!r}")
-        self.constraints.append(Constraint(coeffs, rel, _frac(rhs)))
+        if set(map(type, coeffs)) <= {int}:
+            # the rows the solvers build: plain ints, scale 1
+            ints, scale = coeffs, 1
+        else:
+            coeffs = tuple(map(_exact, coeffs))
+            ints, scale = _over_lcm(coeffs)
+        self.constraints.append(Constraint(coeffs, rel, _exact(rhs), tuple(ints), scale))
+
+
+def _scaled_rhs_and_bounds(lp: LinearProgram):
+    """(L, rhs, lower, upper): L the lcm of the denominators of every rhs
+    and finite bound of lp, and those values times L as ints."""
+    rhs = [con.rhs for con in lp.constraints]
+    scale = math.lcm(
+        *(v.denominator for v in rhs),
+        *(v.denominator for v in lp.lower if v is not None),
+        *(v.denominator for v in lp.upper if v is not None),
+    )
+    return (
+        scale,
+        [_scaled(v, scale) for v in rhs],
+        [_scaled(v, scale) for v in lp.lower],
+        [_scaled(v, scale) for v in lp.upper],
+    )
 
 
 @dataclass(frozen=True)
@@ -116,23 +159,28 @@ def check_point(lp: LinearProgram, point):
     bound and constraint of lp, else the first violation in order
     (bounds by variable index, then rows in constraint order).
     """
-    point = [_frac(v) for v in point]
+    point = tuple(map(_exact, point))
     if len(point) != lp.num_vars:
         raise ValueError("point length != num_vars")
+    # the point is P / m, so each comparison is one of ints
+    P, m = _over_lcm(point)
     for i, (lo, up) in enumerate(zip(lp.lower, lp.upper)):
-        if lo is not None and point[i] < lo:
-            return ViolatedConstraint("lower", i, lo - point[i])
-        if up is not None and point[i] > up:
-            return ViolatedConstraint("upper", i, point[i] - up)
-    nonzero = [(i, v) for i, v in enumerate(point) if v]
+        if lo is not None and P[i] * lo.denominator < lo.numerator * m:
+            return ViolatedConstraint("lower", i, Fraction(lo - point[i]))
+        if up is not None and P[i] * up.denominator > up.numerator * m:
+            return ViolatedConstraint("upper", i, Fraction(point[i] - up))
+    nonzero = [(i, v) for i, v in enumerate(P) if v]
     for j, con in enumerate(lp.constraints):
-        lhs = sum((con.coeffs[i] * v for i, v in nonzero if con.coeffs[i]), Fraction(0))
-        if con.rel == LE and lhs > con.rhs:
-            return ViolatedConstraint("row", j, lhs - con.rhs)
-        if con.rel == GE and lhs < con.rhs:
-            return ViolatedConstraint("row", j, con.rhs - lhs)
-        if con.rel == EQ and lhs != con.rhs:
-            return ViolatedConstraint("row", j, abs(lhs - con.rhs))
+        row = con.ints
+        # (lhs - rhs) * m * scale * rhs.denominator
+        rhs = con.rhs
+        diff = sum(row[i] * v for i, v in nonzero) * rhs.denominator - (
+            rhs.numerator * m * con.scale
+        )
+        if diff > 0 and con.rel != GE or diff < 0 and con.rel != LE:
+            return ViolatedConstraint(
+                "row", j, Fraction(abs(diff), m * con.scale * rhs.denominator)
+            )
     return None
 
 
@@ -172,44 +220,39 @@ class FarkasCertificate:
 def verify_certificate(lp: LinearProgram, cert: FarkasCertificate) -> bool:
     """Exact validity check of a Farkas certificate against lp."""
     n = lp.num_vars
-    y = cert.row_mults
-    p = cert.lower_mults
-    q = cert.upper_mults
+    y, p, q = cert.row_mults, cert.lower_mults, cert.upper_mults
     if len(y) != len(lp.constraints) or len(p) != n or len(q) != n:
         return False
-    for yj, con in zip(y, lp.constraints):
+    # every multiplier as an int over m; each row's ints are over its scale
+    mults, m = _over_lcm((*y, *p, *q))
+    Y, P, Q = mults[: len(y)], mults[len(y) : len(y) + n], mults[len(y) + n :]
+    for yj, con in zip(Y, lp.constraints):
         if con.rel == GE and yj < 0:
             return False
         if con.rel == LE and yj > 0:
             return False
     for i in range(n):
-        if p[i] < 0 or q[i] < 0:
+        if P[i] < 0 or Q[i] < 0:
             return False
-        if p[i] > 0 and lp.lower[i] is None:
+        if P[i] and lp.lower[i] is None:
             return False
-        if q[i] > 0 and lp.upper[i] is None:
+        if Q[i] and lp.upper[i] is None:
             return False
-    combo = [Fraction(0)] * n
-    for yj, con in zip(y, lp.constraints):
+    scale = math.lcm(*(con.scale for con in lp.constraints))
+    combo = [(P[i] - Q[i]) * scale for i in range(n)]
+    for yj, con in zip(Y, lp.constraints):
         if yj:
-            for i, c in enumerate(con.coeffs):
+            f = yj * (scale // con.scale)
+            for i, c in enumerate(con.ints):
                 if c:
-                    combo[i] += yj * c
-    for i in range(n):
-        combo[i] += p[i] - q[i]
-        if combo[i] != 0:
-            return False
-    gap = _combined_rhs(lp, y, p, q)
-    return gap > 0 and gap == cert.gap
-
-
-def _combined_rhs(lp: LinearProgram, y, low, upp) -> Fraction:
-    """y.b + low.lower - upp.upper: the value of a dual solution, or
-    the gap of a Farkas certificate."""
-    total = sum((yj * con.rhs for yj, con in zip(y, lp.constraints) if yj), Fraction(0))
-    total += sum(low[i] * lp.lower[i] for i in range(lp.num_vars) if low[i])
-    total -= sum(upp[i] * lp.upper[i] for i in range(lp.num_vars) if upp[i])
-    return total
+                    combo[i] += f * c
+    if any(combo):
+        return False
+    L, rhs, lower, upper = _scaled_rhs_and_bounds(lp)
+    gap = sum(yj * b for yj, b in zip(Y, rhs) if yj)
+    gap += sum(P[i] * lower[i] for i in range(n) if P[i])
+    gap -= sum(Q[i] * upper[i] for i in range(n) if Q[i])
+    return gap > 0 and Fraction(gap, m * L) == cert.gap
 
 
 @dataclass(frozen=True)
@@ -227,7 +270,7 @@ _AT_FREE = 2
 _BASIC = 3
 
 _ZERO = Fraction(0)
-_SLACK_BOUNDS = {LE: (_ZERO, None), GE: (None, _ZERO), EQ: (_ZERO, _ZERO)}
+_SLACK_BOUNDS = {LE: (0, None), GE: (None, 0), EQ: (0, 0)}
 
 
 class _Simplex:
@@ -245,8 +288,13 @@ class _Simplex:
     is the Bareiss step T'[i][j] = (T[i][j]*p - T[i][e]*T[r][j]) // D,
     exact since T' is again integral, with D' = |p| and all rows negated
     when p < 0.  Reduced costs d are ints over lc*D (lc: lcm of the
-    phase's cost denominators) moved by the same step.  Basic values
-    beta and ratio-test steps stay exact Fractions.
+    phase's cost denominators) moved by the same step.
+
+    Bounds, rhs and bound values are ints times L, the lcm of the rhs
+    and finite bound denominators.  The basic values are the ints
+    B[i] = beta_i * D * L, integral because D * beta = +-adj(B') times
+    an integral vector over L; a pivot moves them by the same Bareiss
+    step, and every division is checked exact.
 
     T / D carries the identity on the current basis, so the slack
     columns hold the basis inverse; in particular the row duals are the
@@ -261,8 +309,7 @@ class _Simplex:
         self.minimize = lp.sense == MIN
         self.cost = list(lp.objective) if self.minimize else [-c for c in lp.objective]
 
-        self.lo = list(lp.lower)
-        self.up = list(lp.upper)
+        self.L, self.rhs, self.lo, self.up = _scaled_rhs_and_bounds(lp)
         for con in lp.constraints:
             lo, up = _SLACK_BOUNDS[con.rel]
             self.lo.append(lo)
@@ -278,26 +325,26 @@ class _Simplex:
             _AT_LOWER if lo is not None else _AT_UPPER if up is not None else _AT_FREE
             for lo, up in zip(self.lo, self.up)
         ]
-        self.D = math.prod(
-            math.lcm(*(c.denominator for c in con.coeffs)) for con in lp.constraints
-        )
+        self.D = math.prod(con.scale for con in lp.constraints)
         self.T = []
         for i, con in enumerate(lp.constraints):
-            row = [c.numerator * (self.D // c.denominator) for c in con.coeffs]
+            f = self.D // con.scale
+            row = list(con.ints) if f == 1 else [c * f for c in con.ints]
             row += [0] * self.m
             row[self.n + i] = self.D
             self.T.append(row)
         self.basis = [None] * self.m
-        self.beta = [_ZERO] * self.m
+        self.B = [0] * self.m
         self.artificial = []
 
     def bound_value(self, j):
+        """The value of nonbasic column j, times L."""
         st = self.state[j]
         if st == _AT_LOWER:
             return self.lo[j]
         if st == _AT_UPPER:
             return self.up[j]
-        return _ZERO
+        return 0
 
     def total_cols(self):
         return self.ncols + len(self.artificial)
@@ -307,7 +354,7 @@ class _Simplex:
             if self._iterate() != "optimal":
                 raise InternalError("phase 1 is bounded below by zero")
             # artificials stay >= 0, so any positive one means infeasible
-            if any(self.basis[i] >= self.ncols and self.beta[i] for i in range(self.m)):
+            if any(self.basis[i] >= self.ncols and self.B[i] for i in range(self.m)):
                 return self._infeasible_outcome()
             self._drive_out_artificials()
             self.frozen.update(self.artificial)
@@ -324,20 +371,19 @@ class _Simplex:
         elsewhere.  Returns True if a feasibility phase is needed.
         """
         start = [(j, v) for j in range(self.n) if (v := self.bound_value(j))]
+        D = self.D
         need = []
-        for i, con in enumerate(self.lp.constraints):
-            rho = con.rhs
-            for j, v in start:
-                c = con.coeffs[j]
-                if c:
-                    rho -= c * v
+        for i in range(self.m):
+            # rho = b - a.x_start, times D * L: T[i][j] = a_j * D here
+            row = self.T[i]
+            rho = self.rhs[i] * D - sum(row[j] * v for j, v in start if row[j])
             s = self.n + i
-            if (self.lo[s] is None or rho >= self.lo[s]) and (
-                self.up[s] is None or rho <= self.up[s]
+            if (self.lo[s] is None or rho >= self.lo[s] * D) and (
+                self.up[s] is None or rho <= self.up[s] * D
             ):
                 self.basis[i] = s
                 self.state[s] = _BASIC
-                self.beta[i] = rho
+                self.B[i] = rho
             else:
                 need.append((i, rho))
         if not need:
@@ -350,11 +396,11 @@ class _Simplex:
             col = self.total_cols()
             for r in range(self.m):
                 self.T[r].append(self.D if r == i else 0)
-            self.lo.append(_ZERO)
+            self.lo.append(0)
             self.up.append(None)
             self.state.append(_BASIC)
             self.basis[i] = col
-            self.beta[i] = rho
+            self.B[i] = rho
             self.artificial.append(col)
         phase_cost = [0] * self.total_cols()
         for j in self.artificial:
@@ -363,9 +409,9 @@ class _Simplex:
         return True
 
     def _reduced_costs(self, cost):
-        """d = c - c_B . T/D as the ints lc*D*d, fresh at each phase start."""
-        self.lc = math.lcm(*(c.denominator for c in cost))
-        cost = [c.numerator * (self.lc // c.denominator) for c in cost]
+        """d = c - c_B . T/D as the ints lc*D*d, fresh at each phase start;
+        the phase's costs are kept as the ints lc*c."""
+        cost, self.lc = _over_lcm(cost)
         d = [c * self.D for c in cost]
         for i in range(self.m):
             cb = cost[self.basis[i]]
@@ -374,6 +420,7 @@ class _Simplex:
                     if v:
                         d[j] -= cb * v
         self.d = d
+        self.phase_cost = cost
 
     # -- core loop --------------------------------------------------------
 
@@ -382,10 +429,10 @@ class _Simplex:
             enter, direction = self._pick_entering()
             if enter is None:
                 return "optimal"
-            step, leave_row, leave_state = self._ratio_test(enter, direction)
-            if step is None:
+            num, leave_row, leave_state = self._ratio_test(enter, direction)
+            if num is None:
                 return "unbounded"
-            self._apply(enter, direction, step, leave_row, leave_state)
+            self._apply(enter, direction, num, leave_row, leave_state)
 
     def _pick_entering(self):
         """Bland: lowest-index nonbasic column whose reduced cost can
@@ -410,37 +457,41 @@ class _Simplex:
         the entering variable hitting its own opposite bound.  Ties are
         broken on the smallest variable index (Bland), the entering
         variable counting with its own index.
+
+        Each candidate is t * L = num / den with ints num >= 0 and
+        den > 0, compared by cross-multiplying.  den is |T[i][e]| for
+        row i, and 1 for the entering variable's own bound, which needs
+        no pivot.  Returns (num, leaving row or -1, leaving state), or
+        Nones when no candidate exists.
         """
-        # steps are int pairs (num, den > 0), compared by cross-multiplying
         best_num = best_var = best_state = None
         best_den = 1
         best_row = -1
         lo_e, up_e = self.lo[enter], self.up[enter]
         if lo_e is not None and up_e is not None:
-            best_num, best_den = (up_e - lo_e).as_integer_ratio()
+            best_num = up_e - lo_e
             best_var = enter
             best_state = _AT_UPPER if direction > 0 else _AT_LOWER
+        D = self.D
         for i, row in enumerate(self.T):
             coef = row[enter]
             if not coef:
                 continue
             b = self.basis[i]
+            # the true column entry is coef / D: t = |beta - bound| * D / |coef|
             if (coef > 0) == (direction > 0):
                 bound = self.lo[b]
-                sign = 1
+                if bound is None:
+                    continue
+                num = self.B[i] - D * bound
                 new_state = _AT_LOWER
             else:
                 bound = self.up[b]
-                sign = -1
+                if bound is None:
+                    continue
+                num = D * bound - self.B[i]
                 new_state = _AT_UPPER
-            if bound is None:
-                continue
-            # the true column entry is coef / D: t = |beta - bound| * D / |coef|
-            beta = self.beta[i]
-            num = sign * self.D * (
-                beta.numerator * bound.denominator - bound.numerator * beta.denominator
-            )
-            den = beta.denominator * bound.denominator * abs(coef)
+            den = coef if coef > 0 else -coef
             if best_num is not None:
                 lhs, rhs = num * best_den, best_num * den
                 if lhs > rhs or (lhs == rhs and b > best_var):
@@ -449,47 +500,63 @@ class _Simplex:
             best_var = b
             best_row = i
             best_state = new_state
-        if best_num is None:
-            return None, None, None
-        return Fraction(best_num, best_den), best_row, best_state
+        return best_num, best_row, best_state
 
-    def _apply(self, enter, direction, step, leave_row, leave_state):
+    def _apply(self, enter, direction, num, leave_row, leave_state):
+        """Move column `enter` by the step num / den / L of the ratio
+        test (den = 1 on a bound flip, |p| on a pivot), then pivot."""
         T = self.T
         D = self.D
-        if step:
-            # beta[i] -= move * T[i][e] / D, normalised once per entry
-            move = step if direction > 0 else -step
-            mn, md = move.numerator, move.denominator * D
-            for i, ti in enumerate(T):
-                coef = ti[enter]
-                if coef:
-                    b = self.beta[i]
-                    bd = b.denominator
-                    self.beta[i] = Fraction(b.numerator * md - mn * coef * bd, bd * md)
+        B = self.B
+        move = num if direction > 0 else -num
         if leave_row < 0:
-            # entering variable hit its own far bound: flip, no pivot
+            # entering variable hit its own far bound: flip, no pivot;
+            # B[i] -= t * L * D * T[i][e] / D with t * L = num
+            if move:
+                for i, ti in enumerate(T):
+                    coef = ti[enter]
+                    if coef:
+                        B[i] -= move * coef
             self.state[enter] = leave_state
             return
-        enter_val = self.bound_value(enter) + (step if direction > 0 else -step)
         leaving = self.basis[leave_row]
         row = T[leave_row]
         p = row[enter]
         sign = 1 if p > 0 else -1
-        others = [ti for i, ti in enumerate(T) if i != leave_row]
-        if p * sign == D:
+        a = p * sign
+        col = [ti[enter] for ti in T]
+        col[leave_row] = 0
+        # B[i] = beta_i*D*L moves to (beta_i - move_t*T[i][e]/D)*|p|*L,
+        # which is (B[i]*|p| - move*T[i][e]) / D since t*L*|p| = num
+        for i, coef in enumerate(col):
+            if a != D and i != leave_row:
+                q, rem = divmod(B[i] * a - move * coef, D)
+            elif coef and move:
+                q, rem = divmod(move * coef, D)
+                q = B[i] - q
+            else:
+                continue
+            if rem:
+                raise InternalError("basic value update is not exact")
+            B[i] = q
+        B[leave_row] = self.bound_value(enter) * a + move
+        rows = T + [self.d]
+        col.append(self.d[enter])
+        if a == D:
             # the Bareiss step reduces to T[i][j] - sign*T[i][e]*T[r][j] // D,
             # which changes nothing where row r is zero
             nz = [(j, v) for j, v in enumerate(row) if v]
-            for ti in others + [self.d]:
-                g = sign * ti[enter]
+            for ti, g in zip(rows, col):
                 if g:
+                    g *= sign
                     for j, v in nz:
                         ti[j] -= g * v // D
         else:
-            a = p * sign
-            for ti in others + [self.d]:
-                g = sign * ti[enter]
+            for i, (ti, g) in enumerate(zip(rows, col)):
+                if i == leave_row:
+                    continue
                 if g:
+                    g *= sign
                     ti[:] = [(v * a - g * w) // D for v, w in zip(ti, row)]
                 else:
                     ti[:] = [v * a // D if v else 0 for v in ti]
@@ -497,7 +564,6 @@ class _Simplex:
         if sign < 0:
             T[leave_row] = [-v for v in row]
         self.basis[leave_row] = enter
-        self.beta[leave_row] = enter_val
         self.state[enter] = _BASIC
         self.state[leaving] = leave_state
 
@@ -517,64 +583,68 @@ class _Simplex:
             )
             if target is None:
                 raise InternalError(f"row {i} has no column to replace its artificial")
-            self._apply(target, 1, _ZERO, i, _AT_LOWER)
+            self._apply(target, 1, 0, i, _AT_LOWER)
 
     # -- outcomes ---------------------------------------------------------
 
-    def _reduced_cost(self, j):
-        return Fraction(self.d[j], self.lc * self.D)
+    def _duals(self):
+        """Row duals and bound multipliers (min convention) as Fractions,
+        and y.b + low.lower - upp.upper as an int over lc*D*L.
 
-    def _structural_values(self):
-        vals = [self.bound_value(j) for j in range(self.n)]
-        for i in range(self.m):
-            if self.basis[i] < self.n:
-                vals[self.basis[i]] = self.beta[i]
-        return vals
-
-    def _bound_multipliers(self):
-        """Nonnegative multipliers on finite bounds read off the
-        structural reduced costs (min convention).
+        The row duals are the negated slack reduced costs; the bound
+        multipliers are the nonnegative parts of the structural ones.
         """
-        low = [_ZERO] * self.n
-        upp = [_ZERO] * self.n
-        for j in range(self.n):
-            if self.state[j] == _BASIC:
+        n, d = self.n, self.d
+        den = self.lc * self.D
+        total = 0
+        y = []
+        for i, b in enumerate(self.rhs):
+            v = -d[n + i]
+            y.append(Fraction(v, den) if v else _ZERO)
+            total += v * b
+        low = [_ZERO] * n
+        upp = [_ZERO] * n
+        for j in range(n):
+            dj = d[j]
+            if not dj or self.state[j] == _BASIC:
                 continue
-            dj = self._reduced_cost(j)
             if dj > 0:
-                if self.lp.lower[j] is None:
+                if self.lo[j] is None:
                     raise InternalError(f"multiplier on missing lower bound {j}")
-                low[j] = dj
-            elif dj < 0:
-                if self.lp.upper[j] is None:
+                low[j] = Fraction(dj, den)
+                total += dj * self.lo[j]
+            else:
+                if self.up[j] is None:
                     raise InternalError(f"multiplier on missing upper bound {j}")
-                upp[j] = -dj
-        return low, upp
-
-    def _row_duals(self):
-        return [-self._reduced_cost(self.n + i) for i in range(self.m)]
+                upp[j] = Fraction(-dj, den)
+                total += dj * self.up[j]
+        return y, low, upp, total
 
     def _optimal_outcome(self):
-        x = self._structural_values()
-        value = sum(
-            (c * v for c, v in zip(self.lp.objective, x) if c), Fraction(0)
-        )
-        y = self._row_duals()
-        low, upp = self._bound_multipliers()
+        # structural values as ints over D*L
+        x = [self.bound_value(j) * self.D for j in range(self.n)]
+        for i in range(self.m):
+            if self.basis[i] < self.n:
+                x[self.basis[i]] = self.B[i]
+        cost = self.phase_cost
+        primal = sum(cost[j] * v for j, v in enumerate(x) if cost[j] and v)
+        y, low, upp, dual = self._duals()
+        if dual != primal:
+            raise InternalError("strong duality failed, simplex bug")
+        dl = self.D * self.L
+        value = Fraction(primal, self.lc * dl)
         if not self.minimize:
+            value = -value
             y = [-v for v in y]
             low = [-v for v in low]
             upp = [-v for v in upp]
-        dual_obj = _combined_rhs(self.lp, y, low, upp)
-        if dual_obj != value:
-            raise InternalError("strong duality failed, simplex bug")
-        dual = DualInfo(tuple(y), tuple(low), tuple(upp), dual_obj)
-        return LpOutcome(status="optimal", solution=tuple(x), value=value, dual=dual)
+        dual = DualInfo(tuple(y), tuple(low), tuple(upp), value)
+        solution = tuple(Fraction(v, dl) if v else _ZERO for v in x)
+        return LpOutcome(status="optimal", solution=solution, value=value, dual=dual)
 
     def _infeasible_outcome(self):
-        y = self._row_duals()
-        low, upp = self._bound_multipliers()
-        gap = _combined_rhs(self.lp, y, low, upp)
+        y, low, upp, gap = self._duals()
+        gap = Fraction(gap, self.lc * self.D * self.L)
         cert = FarkasCertificate(tuple(y), tuple(low), tuple(upp), gap)
         if not verify_certificate(self.lp, cert):
             raise InternalError("phase 1 built a bad certificate")

@@ -29,9 +29,12 @@ class InstanceSchemaError(InstanceFormatError):
 
 
 def rational_from(value) -> Fraction:
-    """Parse an int, "p/q" string, or Fraction into an exact rational.
+    """Parse an int, "p/q" or decimal string, or Fraction into an exact
+    rational.
 
-    Floats are rejected: they have no place in exact instance data.
+    Floats are rejected: they have no place in exact instance data.  So
+    is exponent notation, whose value can take memory exponential in the
+    length of the string ("1e999999999" is a 3-billion-bit integer).
     """
     if isinstance(value, Fraction):
         return value
@@ -40,6 +43,8 @@ def rational_from(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise InstanceFormatError(f"bad rational string: {value!r}")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

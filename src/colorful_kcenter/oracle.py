@@ -101,20 +101,11 @@ def _coverage_lp(finst: FairInstance, sets, r):
     """
     n = finst.n
     m = len(sets)
-    program = lp.LinearProgram(
-        m,
-        tuple(Fraction(0) for _ in range(m)),
-        lp.MIN,
-        tuple(Fraction(0) for _ in range(m)),
-        tuple(None for _ in range(m)),
-    )
-    program.add(tuple([1] * m), lp.EQ, 1)
+    program = lp.LinearProgram(m, (0,) * m)
+    program.add([1] * m, lp.EQ, 1)
     for u in range(n):
-        row = [
-            Fraction(1) if any(finst.base.dist[u][s] <= r for s in cs) else Fraction(0)
-            for cs in sets
-        ]
-        program.add(tuple(row), lp.GE, finst.p[u])
+        row = [int(any(finst.base.dist[u][s] <= r for s in cs)) for cs in sets]
+        program.add(row, lp.GE, finst.p[u])
     return program
 
 

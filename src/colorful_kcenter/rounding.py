@@ -104,10 +104,10 @@ def sparse_round(
 
     program = lp.LinearProgram(
         q,
-        tuple(Fraction(1) for _ in range(q)),
+        (1,) * q,
         lp.MIN,
-        tuple(Fraction(0) for _ in range(q)),
-        tuple(Fraction(1) for _ in range(q)),
+        (0,) * q,
+        (1,) * q,
         [(row, lp.GE, b) for row, b in zip(system.rows, system.rhs)],
     )
     out = lp.solve(program)

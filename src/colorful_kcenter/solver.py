@@ -102,35 +102,27 @@ def build_relaxation(inst: Instance, r, cuts=(), extra_row=None) -> lp.LinearPro
     n = inst.n
     r = Fraction(r)
     program = lp.LinearProgram(
-        2 * n,
-        tuple([Fraction(1)] * n + [Fraction(0)] * n),
-        lp.MAX,
-        tuple(Fraction(0) for _ in range(2 * n)),
-        tuple(Fraction(1) for _ in range(2 * n)),
+        2 * n, (1,) * n + (0,) * n, lp.MAX, (0,) * (2 * n), (1,) * (2 * n)
     )
-    program.add(tuple([0] * n + [1] * n), lp.LE, inst.k)
+    program.add([0] * n + [1] * n, lp.LE, inst.k)
     masks = ball_masks(inst, r)
-    zero, one = Fraction(0), Fraction(1)
 
     def y_row(mask):
         # ones on the y variables of the points in mask
-        return [zero] * n + [one if mask >> v & 1 else zero for v in range(n)]
+        return [0] * n + [mask >> v & 1 for v in range(n)]
 
     for u, mask in enumerate(masks):
         row = y_row(mask)
-        row[u] = -one
+        row[u] = -1
         program.add(row, lp.GE, 0)
     for c in inst.colors:
-        row = [Fraction(0)] * (2 * n)
+        row = [0] * (2 * n)
         for u in c.members:
-            row[u] = Fraction(1)
-        program.add(tuple(row), lp.GE, c.demand)
+            row[u] = 1
+        program.add(row, lp.GE, c.demand)
     if extra_row is not None:
         weights, rhs = extra_row
-        row = [Fraction(0)] * (2 * n)
-        for u in range(n):
-            row[u] = Fraction(weights[u])
-        program.add(tuple(row), lp.GE, rhs)
+        program.add([weights[u] for u in range(n)] + [0] * n, lp.GE, rhs)
     for cut in cuts:
         union = 0
         for s in cut.centers:
@@ -296,10 +288,10 @@ def pseudo_approx_baseline(inst: Instance, r) -> CenterSet:
         return CenterSet(frozenset(part.centers), four_r)
     covering = lp.LinearProgram(
         part.size,
-        tuple(Fraction(1) for _ in range(part.size)),
+        (1,) * part.size,
         lp.MIN,
-        tuple(Fraction(0) for _ in range(part.size)),
-        tuple(Fraction(1) for _ in range(part.size)),
+        (0,) * part.size,
+        (1,) * part.size,
         [(row, lp.GE, b) for row, b in zip(system.rows, system.rhs)],
     )
     cov = lp.solve(covering)

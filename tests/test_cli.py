@@ -145,6 +145,7 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
         ("n", "2"), ("n", True), ("k", "1"), ("k", True), ("k", 1.0),
         ("dist", 5), ("dist", [["0", "1"], 5]), ("dist", [["0", "1"], ["1"]]),
         ("dist", [["0", 1.5], ["1", "0"]]), ("dist", [["0", "x"], ["1", "0"]]),
+        ("dist", [["0", "1e999999999"], ["1e999999999", "0"]]),
         ("colors", 5), ("colors", [5]),
         ("colors", [{"members": "01", "demand": 1}]),
         ("colors", [{"members": [0, True], "demand": 1}]),
@@ -525,7 +526,7 @@ FUZZ_DISTRIBUTION = {
 }
 JUNK = st.sampled_from([
     None, True, False, 0, 1, 2, -1, 2**64, -(2**70), 0.5, 1.0,
-    "", "x", "1/0", "nan", "inf", "-1/2", "2/1", " 3 ", "0x10", "[]",
+    "", "x", "1/0", "nan", "inf", "-1/2", "2/1", " 3 ", "0x10", "[]", "1e999999999",
     [], {}, [[0, 1]], [None], {"members": [0], "demand": 1},
 ])
 

@@ -1,6 +1,7 @@
 """Exact simplex engine against an independent vertex-enumeration oracle."""
 
 import ast
+import dataclasses
 import itertools
 import os
 import random
@@ -453,6 +454,78 @@ GOLDEN_LINES = {
     "restricted_optimal": "optimal | x 0 0 3 0 | v 0 | y 0 -1 0 | lo 1 1 0 0 | up 0 0 0 0",
     "restricted_infeasible": "infeasible | y 1 -1 | lo 1/2 1/3 2/3 0 | up 0 0 0 0 | gap 1",
 }
+
+
+def _outcome_numbers(out):
+    nums = list(out.solution or ()) + ([out.value] if out.value is not None else [])
+    for info in (out.dual, out.certificate):
+        if info is not None:
+            for part in dataclasses.astuple(info):
+                nums += part if isinstance(part, tuple) else (part,)
+    return nums
+
+
+def test_int_programs_give_fraction_outcomes():
+    # ints in, Fractions out: solution, value, duals and certificate
+    optimal = lp.LinearProgram(
+        2, (3, 2), lp.MAX, (0, -1), (4, None),
+        [((1, 1), lp.LE, 4), ((1, 3), lp.LE, 6), ((2, -1), lp.GE, -5)],
+    )
+    infeasible = lp.LinearProgram(
+        2, (1, 0), lp.MIN, None, (1, 1), [((1, 1), lp.GE, 3)]
+    )
+    outs = [lp.solve(optimal), lp.solve(infeasible)]
+    assert [out.status for out in outs] == ["optimal", "infeasible"]
+    assert outs[0].solution == (4, 0) and outs[0].value == 12
+    assert outs[1].certificate.gap == 1
+    for out in outs:
+        nums = _outcome_numbers(out)
+        assert nums and all(type(v) is Fraction for v in nums)
+
+
+def test_bools_are_refused():
+    for build in (
+        lambda: lp.LinearProgram(1, (True,)),
+        lambda: lp.LinearProgram(1, (0,), lp.MIN, (False,)),
+        lambda: lp.LinearProgram(1, (0,), lp.MIN, None, (True,)),
+        lambda: lp.LinearProgram(1, (0,), constraints=[((True,), lp.LE, 1)]),
+        lambda: lp.LinearProgram(1, (0,), constraints=[((1,), lp.LE, True)]),
+        lambda: lp.LinearProgram(1, (0,)).add([1], lp.GE, False),
+        lambda: lp.LinearProgram(2, (0, 0)).add([1, False], lp.GE, 0),
+        lambda: lp.LinearProgram(1, (0,)).add([0.5], lp.GE, 0),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    with pytest.raises(TypeError):
+        lp.check_point(lp.LinearProgram(1, (0,)), (True,))
+
+
+def test_int_and_fraction_rows_solve_alike():
+    rng = random.Random(11)
+    statuses = set()
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        sense = rng.choice([lp.MIN, lp.MAX])
+        objective = [rng.randint(-5, 5) for _ in range(n)]
+        lower = [rng.randint(-3, 0) for _ in range(n)]
+        upper = [lo + rng.randint(0, 5) if rng.random() < 0.7 else None for lo in lower]
+        rows = [
+            ([rng.randint(-4, 4) for _ in range(n)], rng.choice([lp.LE, lp.GE, lp.EQ]),
+             rng.randint(-6, 6))
+            for _ in range(rng.randint(0, 4))
+        ]
+
+        def whole(v):
+            return None if v is None else Fraction(v, 1)
+
+        out = lp.solve(lp.LinearProgram(n, objective, sense, lower, upper, rows))
+        assert out == lp.solve(lp.LinearProgram(
+            n, [whole(v) for v in objective], sense,
+            [whole(v) for v in lower], [whole(v) for v in upper],
+            [([whole(v) for v in row], rel, whole(b)) for row, rel, b in rows],
+        ))
+        statuses.add(out.status)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PROGRAMS))

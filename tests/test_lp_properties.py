@@ -9,6 +9,8 @@ presolve) or as unknown (without), so feasibility is asked of it with a
 zero objective, where neither can happen, and the optimum separately.
 """
 
+import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -114,3 +116,366 @@ def test_outcomes_are_exact_and_agree_with_highs(program):
         assert out.status == "unbounded"
     if out.status == "optimal":
         assert status == 0
+
+
+# -- the Fraction simplex of record -----------------------------------------
+#
+# lp.solve keeps its basic values, steps and checks as ints over common
+# denominators.  _ReferenceSimplex is the same bounded-variable Bland
+# simplex with Fraction basic values and Fraction ratio-test steps, over
+# the same fraction-free tableau; lp.solve must return exactly its
+# outcomes.
+
+
+def reference_verify_certificate(program, cert):
+    """Farkas certificate check in Fraction arithmetic."""
+    n = program.num_vars
+    y, p, q = cert.row_mults, cert.lower_mults, cert.upper_mults
+    if len(y) != len(program.constraints) or len(p) != n or len(q) != n:
+        return False
+    for yj, con in zip(y, program.constraints):
+        if con.rel == lp.GE and yj < 0 or con.rel == lp.LE and yj > 0:
+            return False
+    for i in range(n):
+        if p[i] < 0 or q[i] < 0:
+            return False
+        if p[i] > 0 and program.lower[i] is None:
+            return False
+        if q[i] > 0 and program.upper[i] is None:
+            return False
+    combo = [Fraction(0)] * n
+    for yj, con in zip(y, program.constraints):
+        for i, c in enumerate(con.coeffs):
+            combo[i] += yj * c
+    if any(combo[i] + p[i] - q[i] for i in range(n)):
+        return False
+    gap = _reference_combined_rhs(program, y, p, q)
+    return gap > 0 and gap == cert.gap
+
+
+def _reference_combined_rhs(program, y, low, upp):
+    total = sum((yj * con.rhs for yj, con in zip(y, program.constraints)), Fraction(0))
+    total += sum(low[i] * program.lower[i] for i in range(program.num_vars) if low[i])
+    total -= sum(upp[i] * program.upper[i] for i in range(program.num_vars) if upp[i])
+    return total
+
+
+_LOWER, _UPPER, _FREE, _BASIC = range(4)
+_SLACK = {lp.LE: (Fraction(0), None), lp.GE: (None, Fraction(0)), lp.EQ: (Fraction(0),) * 2}
+
+
+class _ReferenceSimplex:
+    def __init__(self, program):
+        self.lp = program
+        self.n = n = program.num_vars
+        self.m = m = len(program.constraints)
+        self.minimize = program.sense == lp.MIN
+        self.cost = [c if self.minimize else -c for c in program.objective]
+        self.lo = list(program.lower) + [_SLACK[con.rel][0] for con in program.constraints]
+        self.up = list(program.upper) + [_SLACK[con.rel][1] for con in program.constraints]
+        self.ncols = n + m
+        self.frozen = {
+            j for j, (lo, up) in enumerate(zip(self.lo, self.up)) if lo is not None and lo == up
+        }
+        self.state = [
+            _LOWER if lo is not None else _UPPER if up is not None else _FREE
+            for lo, up in zip(self.lo, self.up)
+        ]
+        self.D = math.prod(
+            math.lcm(*(c.denominator for c in con.coeffs)) for con in program.constraints
+        )
+        self.T = []
+        for i, con in enumerate(program.constraints):
+            row = [c.numerator * (self.D // c.denominator) for c in con.coeffs] + [0] * m
+            row[n + i] = self.D
+            self.T.append(row)
+        self.basis = [None] * m
+        self.beta = [Fraction(0)] * m
+        self.artificial = []
+
+    def bound_value(self, j):
+        st = self.state[j]
+        return self.lo[j] if st == _LOWER else self.up[j] if st == _UPPER else Fraction(0)
+
+    def total_cols(self):
+        return self.ncols + len(self.artificial)
+
+    def solve(self):
+        if self._start_basis():
+            if self._iterate() != "optimal":
+                raise lp.InternalError("phase 1 is bounded below by zero")
+            if any(self.basis[i] >= self.ncols and self.beta[i] for i in range(self.m)):
+                return self._infeasible_outcome()
+            self._drive_out_artificials()
+            self.frozen.update(self.artificial)
+        self._reduced_costs(self.cost + [0] * (self.total_cols() - self.n))
+        if self._iterate() == "unbounded":
+            return lp.LpOutcome(status="unbounded")
+        return self._optimal_outcome()
+
+    def _start_basis(self):
+        start = [(j, v) for j in range(self.n) if (v := self.bound_value(j))]
+        need = []
+        for i, con in enumerate(self.lp.constraints):
+            rho = con.rhs - sum((con.coeffs[j] * v for j, v in start), Fraction(0))
+            s = self.n + i
+            if (self.lo[s] is None or rho >= self.lo[s]) and (
+                self.up[s] is None or rho <= self.up[s]
+            ):
+                self.basis[i], self.state[s], self.beta[i] = s, _BASIC, rho
+            else:
+                need.append((i, rho))
+        if not need:
+            return False
+        for i, rho in need:
+            if rho < 0:
+                self.T[i] = [-v for v in self.T[i]]
+                rho = -rho
+            col = self.total_cols()
+            for r in range(self.m):
+                self.T[r].append(self.D if r == i else 0)
+            self.lo.append(Fraction(0))
+            self.up.append(None)
+            self.state.append(_BASIC)
+            self.basis[i], self.beta[i] = col, rho
+            self.artificial.append(col)
+        self._reduced_costs([int(j in self.artificial) for j in range(self.total_cols())])
+        return True
+
+    def _reduced_costs(self, cost):
+        self.lc = math.lcm(*(c.denominator for c in cost))
+        cost = [c.numerator * (self.lc // c.denominator) for c in cost]
+        self.d = [c * self.D for c in cost]
+        for i in range(self.m):
+            cb = cost[self.basis[i]]
+            for j, v in enumerate(self.T[i]):
+                self.d[j] -= cb * v
+
+    def _iterate(self):
+        while True:
+            enter, direction = self._pick_entering()
+            if enter is None:
+                return "optimal"
+            step, leave_row, leave_state = self._ratio_test(enter, direction)
+            if step is None:
+                return "unbounded"
+            self._apply(enter, direction, step, leave_row, leave_state)
+
+    def _pick_entering(self):
+        for j, dj in enumerate(self.d):
+            st = self.state[j]
+            if st == _BASIC or j in self.frozen:
+                continue
+            if dj < 0 and st != _UPPER:
+                return j, 1
+            if dj > 0 and st != _LOWER:
+                return j, -1
+        return None, 0
+
+    def _ratio_test(self, enter, direction):
+        best = best_var = best_state = None
+        best_row = -1
+        if self.lo[enter] is not None and self.up[enter] is not None:
+            best = self.up[enter] - self.lo[enter]
+            best_var = enter
+            best_state = _UPPER if direction > 0 else _LOWER
+        for i, row in enumerate(self.T):
+            coef = row[enter]
+            if not coef:
+                continue
+            b = self.basis[i]
+            if (coef > 0) == (direction > 0):
+                bound, sign, new_state = self.lo[b], 1, _LOWER
+            else:
+                bound, sign, new_state = self.up[b], -1, _UPPER
+            if bound is None:
+                continue
+            t = sign * (self.beta[i] - bound) * self.D / abs(coef)
+            if best is not None and (t > best or t == best and b > best_var):
+                continue
+            best, best_var, best_row, best_state = t, b, i, new_state
+        return best, best_row, best_state
+
+    def _apply(self, enter, direction, step, leave_row, leave_state):
+        T, D = self.T, self.D
+        move = step if direction > 0 else -step
+        for i, ti in enumerate(T):
+            self.beta[i] -= move * ti[enter] / D
+        if leave_row < 0:
+            self.state[enter] = leave_state
+            return
+        enter_val = self.bound_value(enter) + move
+        leaving = self.basis[leave_row]
+        row = T[leave_row]
+        p = row[enter]
+        sign = 1 if p > 0 else -1
+        for i, ti in enumerate(T + [self.d]):
+            if i != leave_row:
+                g = sign * ti[enter]
+                ti[:] = [(v * p * sign - g * w) // D for v, w in zip(ti, row)]
+        self.D = p * sign
+        if sign < 0:
+            T[leave_row] = [-v for v in row]
+        self.basis[leave_row] = enter
+        self.beta[leave_row] = enter_val
+        self.state[enter] = _BASIC
+        self.state[leaving] = leave_state
+
+    def _drive_out_artificials(self):
+        for i in range(self.m):
+            if self.basis[i] < self.ncols:
+                continue
+            target = next(
+                (j for j in range(self.ncols) if self.state[j] != _BASIC and self.T[i][j]),
+                None,
+            )
+            if target is None:
+                raise lp.InternalError(f"row {i} has no column to replace its artificial")
+            self._apply(target, 1, Fraction(0), i, _LOWER)
+
+    def _reduced_cost(self, j):
+        return Fraction(self.d[j], self.lc * self.D)
+
+    def _bound_multipliers(self):
+        low = [Fraction(0)] * self.n
+        upp = [Fraction(0)] * self.n
+        for j in range(self.n):
+            if self.state[j] == _BASIC:
+                continue
+            dj = self._reduced_cost(j)
+            if dj > 0:
+                if self.lp.lower[j] is None:
+                    raise lp.InternalError(f"multiplier on missing lower bound {j}")
+                low[j] = dj
+            elif dj < 0:
+                if self.lp.upper[j] is None:
+                    raise lp.InternalError(f"multiplier on missing upper bound {j}")
+                upp[j] = -dj
+        return low, upp
+
+    def _row_duals(self):
+        return [-self._reduced_cost(self.n + i) for i in range(self.m)]
+
+    def _optimal_outcome(self):
+        x = [self.bound_value(j) for j in range(self.n)]
+        for i in range(self.m):
+            if self.basis[i] < self.n:
+                x[self.basis[i]] = self.beta[i]
+        value = sum((c * v for c, v in zip(self.lp.objective, x)), Fraction(0))
+        y = self._row_duals()
+        low, upp = self._bound_multipliers()
+        if not self.minimize:
+            y, low, upp = [-v for v in y], [-v for v in low], [-v for v in upp]
+        dual_obj = _reference_combined_rhs(self.lp, y, low, upp)
+        if dual_obj != value:
+            raise lp.InternalError("strong duality failed, simplex bug")
+        dual = lp.DualInfo(tuple(y), tuple(low), tuple(upp), dual_obj)
+        return lp.LpOutcome(status="optimal", solution=tuple(x), value=value, dual=dual)
+
+    def _infeasible_outcome(self):
+        y = self._row_duals()
+        low, upp = self._bound_multipliers()
+        gap = _reference_combined_rhs(self.lp, y, low, upp)
+        cert = lp.FarkasCertificate(tuple(y), tuple(low), tuple(upp), gap)
+        if not reference_verify_certificate(self.lp, cert):
+            raise lp.InternalError("phase 1 built a bad certificate")
+        return lp.LpOutcome(status="infeasible", certificate=cert)
+
+
+def as_fractions(program):
+    """The same program with every number a Fraction."""
+
+    def frac(v):
+        return None if v is None else Fraction(v)
+
+    return lp.LinearProgram(
+        program.num_vars,
+        tuple(map(frac, program.objective)),
+        program.sense,
+        tuple(map(frac, program.lower)),
+        tuple(map(frac, program.upper)),
+        [(tuple(map(frac, con.coeffs)), con.rel, frac(con.rhs))
+         for con in program.constraints],
+    )
+
+
+def reference_solve(program):
+    """The Fraction simplex of record for lp.solve."""
+    return _ReferenceSimplex(as_fractions(program)).solve()
+
+
+def numbers(outcome):
+    """Every exact number an outcome carries."""
+    out = list(outcome.solution or ())
+    if outcome.value is not None:
+        out.append(outcome.value)
+    for info in (outcome.dual, outcome.certificate):
+        if info is not None:
+            for part in dataclasses.astuple(info):
+                out.extend(part if isinstance(part, tuple) else (part,))
+    return out
+
+
+small_ints = st.integers(-6, 6)
+# ints, and Fractions with denominators 1 to 7
+mixed = small_ints | st.builds(Fraction, small_ints, st.integers(1, 7))
+
+
+@st.composite
+def mixed_bounds(draw):
+    kind = draw(st.sampled_from(["free", "lower", "upper", "boxed", "boxed", "fixed"]))
+    lo = draw(mixed)
+    if kind == "free":
+        return None, None
+    if kind == "lower":
+        return lo, None
+    if kind == "upper":
+        return None, lo
+    if kind == "fixed":
+        return lo, lo
+    return lo, lo + draw(st.integers(1, 8)) / Fraction(draw(st.integers(1, 3)))
+
+
+@st.composite
+def mixed_programs(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 5))
+    lower, upper = zip(*(draw(mixed_bounds()) for _ in range(n)))
+    program = lp.LinearProgram(
+        n,
+        tuple(draw(mixed) for _ in range(n)),
+        draw(st.sampled_from([lp.MIN, lp.MAX])),
+        lower,
+        upper,
+    )
+    for _ in range(m):
+        program.add(
+            [draw(mixed) for _ in range(n)],
+            draw(st.sampled_from([lp.LE, lp.GE, lp.EQ])),
+            draw(mixed),
+        )
+    return program
+
+
+@settings(max_examples=400, deadline=None)
+@given(mixed_programs())
+def test_solve_equals_the_fraction_reference(program):
+    out = lp.solve(program)
+    assert out == reference_solve(program)
+    assert all(type(v) is Fraction for v in numbers(out))
+    if out.status == "infeasible":
+        cert = out.certificate
+        assert reference_verify_certificate(program, cert)
+        # a wrong gap, or lower multipliers moved with the gap to match,
+        # is judged alike by both checks
+        moved = tuple(
+            v if lo is None else v + 1 for v, lo in zip(cert.lower_mults, program.lower)
+        )
+        moved_gap = _reference_combined_rhs(program, cert.row_mults, moved, cert.upper_mults)
+        for bad in (
+            dataclasses.replace(cert, gap=cert.gap + 1),
+            dataclasses.replace(cert, lower_mults=moved, gap=moved_gap),
+        ):
+            assert lp.verify_certificate(program, bad) == reference_verify_certificate(
+                program, bad
+            )

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,16 @@ def test_rational_from_accepts_exact_forms():
     assert rational_from("3/4") == Fraction(3, 4)
     assert rational_from(" -2/6 ") == Fraction(-1, 3)
     assert rational_from(Fraction(5, 7)) == Fraction(5, 7)
+    assert rational_from("-1.25") == Fraction(-5, 4)
+
+
+def test_rational_from_rejects_exponents_at_once():
+    # Fraction("1e999999999") would build a 3-billion-bit integer first
+    for bad in ("1e999999999", "1E5", " 2.5e-3 ", "1/2e1"):
+        start = time.perf_counter()
+        with pytest.raises(InstanceFormatError, match="bad rational string"):
+            rational_from(bad)
+        assert time.perf_counter() - start < 0.1
 
 
 def test_rational_from_rejects_inexact():
