@@ -233,6 +233,9 @@ def find_few_outside(
                     tuple((members & m).bit_count() for m in item_masks)
                 )
                 residual_demands.append(left)
+            # dp_solve's first test, run before the program is built
+            if _beyond_pooled_reach(residual_rows, residual_demands, inst.k - size):
+                continue
             prog = DpProgram(
                 weights=tuple(_weight_of(weights, m & heavy) for m in item_masks),
                 rows=tuple(residual_rows),

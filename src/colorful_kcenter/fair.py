@@ -22,9 +22,10 @@ from . import lp
 from .model import (
     FairInstance,
     Instance,
+    ball_masks,
     feasible_sets,
     rational_from,
-    union_ball,
+    union_mask,
     weighted_coverage,  # noqa: F401  (part of this module's interface)
 )
 from .solver import InternalError, radius_search, round_or_cut
@@ -106,9 +107,10 @@ class Distribution:
 def coverage_probability(inst: Instance, dist: Distribution, u: int) -> Fraction:
     """Probability that point u lies within the distribution's radius
     of a drawn center set."""
+    near = ball_masks(inst, dist.radius, (u,))[0]  # bit c: dist[u][c] <= radius
     total = Fraction(0)
     for centers, weight in dist.support:
-        if any(inst.dist[u][c] <= dist.radius for c in centers):
+        if any(near >> c & 1 for c in centers):
             total += weight
     return total
 
@@ -194,15 +196,11 @@ def solve_restricted(finst: FairInstance, r, columns):
     inst = finst.base
     n = inst.n
     r4 = 4 * Fraction(r)
-    covers = [union_ball(inst, c, r4) for c in columns]
     program = lp.LinearProgram(n + 1, (0,) * n + (1,), lp.MIN, (0,) * n + (None,))
     program.add(list(finst.p) + [-1], lp.EQ, 1)
-    for cov in covers:
-        row = [0] * (n + 1)
-        for u in cov:
-            row[u] = 1
-        row[n] = -1
-        program.add(row, lp.LE, 0)
+    for c in columns:
+        cov = union_mask(inst, c, r4)
+        program.add([cov >> u & 1 for u in range(n)] + [-1], lp.LE, 0)
     out = lp.solve(program)
     if out.status == "optimal":
         if lp.check_point(program, out.solution) is not None:
@@ -222,13 +220,13 @@ def _distribution_over(finst: FairInstance, columns, radius):
     coverage target at the given radius, or None."""
     if not columns:
         return None
-    covers = [union_ball(finst.base, c, radius) for c in columns]
+    covers = [union_mask(finst.base, c, radius) for c in columns]
     program = lp.LinearProgram(len(columns), (0,) * len(columns))
     program.add([1] * len(columns), lp.EQ, 1)
     for u in range(finst.base.n):
         if finst.p[u] <= 0:
             continue
-        program.add([int(u in cov) for cov in covers], lp.GE, finst.p[u])
+        program.add([cov >> u & 1 for cov in covers], lp.GE, finst.p[u])
     out = lp.solve(program)
     if out.status != "optimal":
         return None

@@ -587,9 +587,10 @@ class _Simplex:
 
     # -- outcomes ---------------------------------------------------------
 
-    def _duals(self):
+    def _duals(self, sign=1):
         """Row duals and bound multipliers (min convention) as Fractions,
-        and y.b + low.lower - upp.upper as an int over lc*D*L.
+        each times sign, and y.b + low.lower - upp.upper (min
+        convention) as an int over lc*D*L.
 
         The row duals are the negated slack reduced costs; the bound
         multipliers are the nonnegative parts of the structural ones.
@@ -600,7 +601,7 @@ class _Simplex:
         y = []
         for i, b in enumerate(self.rhs):
             v = -d[n + i]
-            y.append(Fraction(v, den) if v else _ZERO)
+            y.append(Fraction(sign * v, den) if v else _ZERO)
             total += v * b
         low = [_ZERO] * n
         upp = [_ZERO] * n
@@ -611,12 +612,12 @@ class _Simplex:
             if dj > 0:
                 if self.lo[j] is None:
                     raise InternalError(f"multiplier on missing lower bound {j}")
-                low[j] = Fraction(dj, den)
+                low[j] = Fraction(sign * dj, den)
                 total += dj * self.lo[j]
             else:
                 if self.up[j] is None:
                     raise InternalError(f"multiplier on missing upper bound {j}")
-                upp[j] = Fraction(-dj, den)
+                upp[j] = Fraction(-sign * dj, den)
                 total += dj * self.up[j]
         return y, low, upp, total
 
@@ -628,16 +629,13 @@ class _Simplex:
                 x[self.basis[i]] = self.B[i]
         cost = self.phase_cost
         primal = sum(cost[j] * v for j, v in enumerate(x) if cost[j] and v)
-        y, low, upp, dual = self._duals()
+        # a max program was solved as the min of its negation
+        sign = 1 if self.minimize else -1
+        y, low, upp, dual = self._duals(sign)
         if dual != primal:
             raise InternalError("strong duality failed, simplex bug")
         dl = self.D * self.L
-        value = Fraction(primal, self.lc * dl)
-        if not self.minimize:
-            value = -value
-            y = [-v for v in y]
-            low = [-v for v in low]
-            upp = [-v for v in upp]
+        value = Fraction(sign * primal, self.lc * dl)
         dual = DualInfo(tuple(y), tuple(low), tuple(upp), value)
         solution = tuple(Fraction(v, dl) if v else _ZERO for v in x)
         return LpOutcome(status="optimal", solution=solution, value=value, dual=dual)

@@ -1,17 +1,22 @@
 """Instance model: finite metrics over exact rationals, color classes,
 balls, candidate radii, and coverage checks.
 
-Every number that touches a distance, radius, or probability is a
-`fractions.Fraction`.  Points are identified by their 0-based index into
-the distance matrix, both in memory and in files.
+Every distance, radius and probability is an exact rational: instance
+fields hold `fractions.Fraction`s, and files hold "p/q", integer or
+decimal strings (see rational_from).  Ball tests read an int view of
+the metric that each instance builds on first use: the distances times
+the lcm of their denominators, so "dist[c][u] <= r" is an int
+comparison with floor(r * scale), and the balls of every point at one
+radius are cached as bitmasks.  Points are identified by their 0-based
+index into the distance matrix, both in memory and in files.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,9 +33,17 @@ class InstanceSchemaError(InstanceFormatError):
     instance invariant."""
 
 
+# The number grammar of instance and solution files: optional
+# surrounding ASCII whitespace, an optional sign, ASCII digits, then
+# optionally "/" and digits of nonzero value, or "." and digits.
+# Fraction() also takes underscores, non-ASCII digits and inner spaces,
+# and which of them depends on the Python version.
+_RATIONAL = re.compile(r"[ \t\n\r\v\f]*([+-]?[0-9]+)(?:/([0-9]+)|\.([0-9]+))?[ \t\n\r\v\f]*")
+
+
 def rational_from(value) -> Fraction:
-    """Parse an int, "p/q" or decimal string, or Fraction into an exact
-    rational.
+    """Parse an int, a "p/q", integer or decimal string (see _RATIONAL),
+    or a Fraction into an exact rational.
 
     Floats are rejected: they have no place in exact instance data.  So
     is exponent notation, whose value can take memory exponential in the
@@ -43,12 +56,17 @@ def rational_from(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        if "e" in value or "E" in value:
-            raise InstanceFormatError(f"bad rational string: {value!r}")
+        match = _RATIONAL.fullmatch(value)
         try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InstanceFormatError(f"bad rational string: {value!r}") from exc
+            if match is not None:
+                num, den, decimals = match.groups()
+                if decimals is not None:
+                    return Fraction(int(num + decimals), 10 ** len(decimals))
+                if den is None or int(den):
+                    return Fraction(int(num), int(den or 1))
+        except ValueError:  # more digits than int() converts
+            pass
+        raise InstanceFormatError(f"bad rational string: {value!r}")
     raise InstanceFormatError(f"not an exact rational: {value!r}")
 
 
@@ -77,6 +95,13 @@ class MetricViolation:
     indices: tuple
 
 
+def _scaled_rows(dist):
+    """(scale, rows): the lcm of all denominators, and every entry
+    times it as an int."""
+    scale = math.lcm(*(v.denominator for row in dist for v in row))
+    return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in dist]
+
+
 def validate_metric(dist):
     """Check symmetry, zero diagonal, nonnegativity and the triangle
     inequality exactly.  Returns None if the matrix is a metric,
@@ -89,19 +114,30 @@ def validate_metric(dist):
     for i in range(n):
         if len(dist[i]) != n:
             return MetricViolation("shape", (i,))
-    for i in range(n):
-        if dist[i][i] != 0:
-            return MetricViolation("diagonal", (i,))
-        for j in range(n):
-            if dist[i][j] < 0:
-                return MetricViolation("negative", (i, j))
-            if dist[i][j] != dist[j][i]:
-                return MetricViolation("asymmetric", (i, j))
-    # d(i,l) <= d(i,j) + d(j,l) must hold for every triple.  Scaled by
-    # the lcm of all denominators the entries are ints, and pair (i, j)
-    # has a violating l iff max_l d(i,l) - d(j,l) exceeds d(i,j).
-    scale = math.lcm(*(v.denominator for row in dist for v in row))
-    rows = [[v.numerator * (scale // v.denominator) for v in row] for row in dist]
+    return _metric_violation(dist, _scaled_rows(dist)[1])
+
+
+def _metric_violation(dist, rows):
+    """validate_metric on a square matrix, given its entries scaled to
+    ints by one common factor."""
+    n = len(rows)
+    # diagonal, sign and symmetry at once on the ints; the ordered scan
+    # over the Fractions runs only to name the first failure
+    if (
+        any(rows[i][i] for i in range(n))
+        or min(map(min, rows), default=0) < 0
+        or rows != list(map(list, zip(*rows)))
+    ):
+        for i in range(n):
+            if dist[i][i] != 0:
+                return MetricViolation("diagonal", (i,))
+            for j in range(n):
+                if dist[i][j] < 0:
+                    return MetricViolation("negative", (i, j))
+                if dist[i][j] != dist[j][i]:
+                    return MetricViolation("asymmetric", (i, j))
+    # d(i,l) <= d(i,j) + d(j,l) must hold for every triple, and pair
+    # (i, j) has a violating l iff max_l d(i,l) - d(j,l) exceeds d(i,j)
     for i in range(n):
         di = rows[i]
         for j in range(n):
@@ -116,6 +152,29 @@ def validate_metric(dist):
     return None
 
 
+class _BallTable:
+    """The int view of one metric and its balls.
+
+    rows[c][u] is dist[c][u] times scale, the lcm of all denominators,
+    so dist[c][u] <= r iff rows[c][u] <= floor(r * scale).  The balls
+    of every point are cached per radius level.
+    """
+
+    def __init__(self, dist):
+        self.scale, self.rows = _scaled_rows(dist)
+        self._masks = {}
+
+    def masks(self, r) -> list:
+        """Bit u of entry c is set iff dist[c][u] <= r (an int or a
+        Fraction).  Shared: callers must not change it."""
+        level = r.numerator * self.scale // r.denominator
+        got = self._masks.get(level)
+        if got is None:
+            got = [sum(1 << u for u, d in enumerate(row) if d <= level) for row in self.rows]
+            self._masks[level] = got
+        return got
+
+
 @dataclass(frozen=True)
 class Instance:
     """Colorful k-center instance: metric, center budget, color demands."""
@@ -125,7 +184,7 @@ class Instance:
     colors: tuple
 
     def __post_init__(self):
-        dist = tuple(tuple(rational_from(v) for v in row) for row in self.dist)
+        dist = tuple(tuple(map(rational_from, row)) for row in self.dist)
         object.__setattr__(self, "dist", dist)
         colors = tuple(
             ColorClass(frozenset(c.members), int(c.demand)) if isinstance(c, ColorClass)
@@ -158,6 +217,16 @@ class Instance:
     @property
     def num_colors(self) -> int:
         return len(self.colors)
+
+
+def _table(inst: Instance) -> _BallTable:
+    """The instance's ball table, built on first use.  It is not a
+    field, so equality, hashing and repr ignore it."""
+    table = inst.__dict__.get("_balls")
+    if table is None:
+        table = _BallTable(inst.dist)
+        object.__setattr__(inst, "_balls", table)
+    return table
 
 
 @dataclass(frozen=True)
@@ -202,19 +271,28 @@ class CoverageReport:
     counts: tuple
 
 
+def _points(mask) -> frozenset:
+    """The set bits of mask as point indices."""
+    return frozenset(u for u in range(mask.bit_length()) if mask >> u & 1)
+
+
 def ball(inst: Instance, c: int, r) -> frozenset:
     """All points within distance r of point c (closed ball)."""
-    row = inst.dist[c]
-    return frozenset(u for u in range(inst.n) if row[u] <= r)
+    return _points(_table(inst).masks(r)[c])
+
+
+def union_mask(inst: Instance, centers, r) -> int:
+    """Bitmask of the points within distance r of some center."""
+    masks = _table(inst).masks(r)
+    covered = 0
+    for c in centers:
+        covered |= masks[c]
+    return covered
 
 
 def union_ball(inst: Instance, centers, r) -> frozenset:
     """Union of closed balls of radius r around each center."""
-    covered = set()
-    for c in centers:
-        row = inst.dist[c]
-        covered.update(u for u in range(inst.n) if row[u] <= r)
-    return frozenset(covered)
+    return _points(union_mask(inst, centers, r))
 
 
 def candidate_radii(inst: Instance):
@@ -223,12 +301,11 @@ def candidate_radii(inst: Instance):
     The optimal radius of any instance is one of these values, since
     feasibility only changes when a ball gains or loses a point.
     """
-    vals = {Fraction(0)}
-    for i in range(inst.n):
-        row = inst.dist[i]
-        for j in range(i + 1, inst.n):
-            vals.add(row[j])
-    return sorted(vals)
+    # keyed and sorted by the scaled ints, which order like the Fractions
+    vals = {0: Fraction(0)}
+    for i, (row, ints) in enumerate(zip(inst.dist, _table(inst).rows)):
+        vals.update(zip(ints[i + 1 :], row[i + 1 :]))
+    return [vals[v] for v in sorted(vals)]
 
 
 def weighted_coverage(inst: Instance, weights, centers, r) -> Fraction:
@@ -241,14 +318,8 @@ def ball_masks(inst: Instance, r, centers=None) -> list:
     given order (every point when centers is None): bit u of the entry
     for c is set iff dist[c][u] <= r.
     """
-    # d <= r as cross-multiplied ints (denominators are positive), which
-    # skips Fraction's comparison overhead on every entry
-    rn, rd = r.numerator, r.denominator
-    rows = inst.dist if centers is None else (inst.dist[c] for c in centers)
-    return [
-        sum(1 << u for u, d in enumerate(row) if d.numerator * rd <= rn * d.denominator)
-        for row in rows
-    ]
+    masks = _table(inst).masks(r)
+    return list(masks) if centers is None else [masks[c] for c in centers]
 
 
 def color_masks(inst: Instance) -> tuple:
@@ -261,9 +332,7 @@ def check_feasible(inst: Instance, centers, r) -> CoverageReport:
     of the center set, and compare against demands and the budget k.
     """
     distinct = set(centers)
-    covered = 0
-    for mask in ball_masks(inst, r, distinct):
-        covered |= mask
+    covered = union_mask(inst, distinct, r)
     counts = tuple((covered & m).bit_count() for m, _ in color_masks(inst))
     budget_ok = len(distinct) <= inst.k
     met = all(cnt >= c.demand for cnt, c in zip(counts, inst.colors))
@@ -277,16 +346,54 @@ def subset_count(n: int, k: int) -> int:
 
 def feasible_sets(inst: Instance, r):
     """Every center set meeting the budget and all demands at radius r,
-    in (size, lex) order.  Exhaustive; meant for enumeration scale."""
-    masks = ball_masks(inst, r)
+    in (size, lex) order.  Exhaustive; meant for enumeration scale.
+
+    The combinations of each size are walked depth first, carrying the
+    OR of the balls picked so far.  A prefix whose OR, together with
+    every ball from its next index on, still misses a demand has no
+    feasible completion and is skipped whole, so the sets that come
+    out, and their order, are those of the plain scan.
+    """
+    masks = _table(inst).masks(r)
     needs = color_masks(inst)
-    for size in range(inst.k + 1):
-        for combo in itertools.combinations(range(inst.n), size):
-            covered = 0
-            for c in combo:
-                covered |= masks[c]
-            if all((covered & m).bit_count() >= d for m, d in needs):
-                yield frozenset(combo)
+    reach = masks + [0]  # reach[i]: OR of the balls of points i..n-1
+    for i in range(inst.n - 1, -1, -1):
+        reach[i] |= reach[i + 1]
+    if _meets(0, needs):
+        yield frozenset()
+    for size in range(1, inst.k + 1):
+        for combo in _completions((), 0, 0, size, masks, reach, needs):
+            yield frozenset(combo)
+
+
+def _meets(covered, needs) -> bool:
+    for members, demand in needs:
+        if (covered & members).bit_count() < demand:
+            return False
+    return True
+
+
+def _completions(head, start, covered, left, masks, reach, needs):
+    """head plus `left` more points from start on that meet every
+    demand, in lex order; covered is the OR of head's balls."""
+    if not _meets(covered | reach[start], needs):
+        return
+    n = len(masks)
+    if left == 1:
+        # only the demands the head leaves open can fail
+        pending = [(m, d) for m, d in needs if (covered & m).bit_count() < d]
+        for c in range(start, n):
+            last = covered | masks[c]
+            for members, demand in pending:
+                if (last & members).bit_count() < demand:
+                    break
+            else:
+                yield head + (c,)
+        return
+    for c in range(start, n - left + 1):
+        yield from _completions(
+            head + (c,), c + 1, covered | masks[c], left - 1, masks, reach, needs
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +427,20 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _rationals(values, what: str, length: int) -> tuple:
+class _Parsed(dict):
+    """Each distinct string of one document, parsed once: a distance
+    matrix repeats most of its entries."""
+
+    def __missing__(self, text):
+        value = self[text] = rational_from(text)
+        return value
+
+
+def _rationals(values, what: str, length: int, parsed: _Parsed) -> tuple:
     if not isinstance(values, list) or len(values) != length:
         raise InstanceSchemaError(f"{what} must be a list of {length} rationals")
     try:
-        return tuple(rational_from(v) for v in values)
+        return tuple(parsed[v] if type(v) is str else rational_from(v) for v in values)
     except InstanceFormatError as exc:
         raise InstanceSchemaError(f"{what}: {exc}") from exc
 
@@ -344,7 +460,8 @@ def instance_from_dict(d: dict):
         raise InstanceSchemaError("n and k must be integers and colors a list")
     if not isinstance(d["dist"], list) or len(d["dist"]) != n:
         raise InstanceSchemaError("field dist must be a list of n rows")
-    dist = tuple(_rationals(row, "each dist row", n) for row in d["dist"])
+    parsed = _Parsed()
+    dist = tuple(_rationals(row, "each dist row", n, parsed) for row in d["dist"])
     colors = []
     for c in d["colors"]:
         if not (
@@ -359,11 +476,12 @@ def instance_from_dict(d: dict):
             )
         colors.append((c["members"], c["demand"]))
     inst = Instance(dist=dist, k=d["k"], colors=tuple(colors))
-    bad = validate_metric(inst.dist)
+    # the ball table's int rows, which every solve reads afterwards
+    bad = _metric_violation(inst.dist, _table(inst).rows)
     if bad is not None:
         raise InstanceFormatError(f"distance matrix is not a metric: {bad}")
     if "p" in d:
-        return FairInstance(base=inst, p=_rationals(d["p"], "field p", n))
+        return FairInstance(base=inst, p=_rationals(d["p"], "field p", n, parsed))
     return inst
 
 

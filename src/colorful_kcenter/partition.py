@@ -13,7 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Instance, ball, union_ball
+from .model import Instance, ball, ball_masks, union_mask
+
+
+def _fractions(values) -> tuple:
+    # LP solutions already hold Fractions; only other numbers are wrapped
+    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -24,8 +29,8 @@ class FractionalPoint:
     y: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(Fraction(v) for v in self.x))
-        object.__setattr__(self, "y", tuple(Fraction(v) for v in self.y))
+        object.__setattr__(self, "x", _fractions(self.x))
+        object.__setattr__(self, "y", _fractions(self.y))
         if len(self.x) != len(self.y):
             raise ValueError("x and y must have equal length")
 
@@ -68,17 +73,18 @@ def good_partition(inst: Instance, r, pt: FractionalPoint) -> GoodPartition:
     """
     if len(pt.x) != inst.n:
         raise ValueError("point size != instance size")
-    four_r = 4 * Fraction(r)
-    unassigned = set(range(inst.n))
+    n = inst.n
+    masks = ball_masks(inst, 4 * Fraction(r))
+    unassigned = (1 << n) - 1
     centers = []
     clusters = []
     while unassigned:
-        s = max(sorted(unassigned), key=lambda u: pt.x[u])
-        row = inst.dist[s]
-        cluster = frozenset(u for u in unassigned if row[u] <= four_r)
+        left = [u for u in range(n) if unassigned >> u & 1]
+        s = max(left, key=pt.x.__getitem__)
+        cluster = masks[s] & unassigned
         centers.append(s)
-        clusters.append(cluster)
-        unassigned -= cluster
+        clusters.append(frozenset(u for u in left if cluster >> u & 1))
+        unassigned &= ~cluster
     return GoodPartition(tuple(centers), tuple(clusters))
 
 
@@ -118,5 +124,5 @@ def verify_partition(inst: Instance, r, pt: FractionalPoint, part: GoodPartition
 
 def opening_mass(inst: Instance, r, pt: FractionalPoint, centers) -> Fraction:
     """Total y-mass inside the union of radius-r balls around centers."""
-    covered = union_ball(inst, centers, r)
-    return sum((pt.y[v] for v in covered), Fraction(0))
+    covered = union_mask(inst, centers, r)
+    return sum((y for v, y in enumerate(pt.y) if covered >> v & 1), Fraction(0))

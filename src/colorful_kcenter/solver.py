@@ -42,6 +42,7 @@ from .model import (
     check_feasible,
     feasible_sets,
     subset_count,
+    union_mask,
     weighted_coverage,
 )
 from .partition import FractionalPoint, good_partition, opening_mass, verify_partition
@@ -124,10 +125,7 @@ def build_relaxation(inst: Instance, r, cuts=(), extra_row=None) -> lp.LinearPro
         weights, rhs = extra_row
         program.add([weights[u] for u in range(n)] + [0] * n, lp.GE, rhs)
     for cut in cuts:
-        union = 0
-        for s in cut.centers:
-            union |= masks[s]
-        program.add(y_row(union), lp.LE, cut.bound)
+        program.add(y_row(union_mask(inst, cut.centers, r)), lp.LE, cut.bound)
     return program
 
 

@@ -146,6 +146,11 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
         ("dist", 5), ("dist", [["0", "1"], 5]), ("dist", [["0", "1"], ["1"]]),
         ("dist", [["0", 1.5], ["1", "0"]]), ("dist", [["0", "x"], ["1", "0"]]),
         ("dist", [["0", "1e999999999"], ["1e999999999", "0"]]),
+        # accepted by Fraction() on some Python versions only
+        ("dist", [["0", "1_0/3"], ["1_0/3", "0"]]),
+        ("dist", [["0", "3 / 4"], ["3 / 4", "0"]]),
+        ("dist", [["0", "٣/4"], ["٣/4", "0"]]),
+        ("p", ["1/2", ".5"]),
         ("colors", 5), ("colors", [5]),
         ("colors", [{"members": "01", "demand": 1}]),
         ("colors", [{"members": [0, True], "demand": 1}]),

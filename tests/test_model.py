@@ -17,6 +17,7 @@ from colorful_kcenter.model import (
     InstanceFormatError,
     MetricViolation,
     ball,
+    ball_masks,
     candidate_radii,
     check_feasible,
     dumps_instance,
@@ -45,6 +46,43 @@ def test_rational_from_accepts_exact_forms():
     assert rational_from(" -2/6 ") == Fraction(-1, 3)
     assert rational_from(Fraction(5, 7)) == Fraction(5, 7)
     assert rational_from("-1.25") == Fraction(-5, 4)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("3", Fraction(3)),
+        ("+3", Fraction(3)),
+        ("-0", Fraction(0)),
+        ("3/4", Fraction(3, 4)),
+        ("007/010", Fraction(7, 10)),
+        ("-2/6", Fraction(-1, 3)),
+        (" \t7/2\n", Fraction(7, 2)),
+        ("\r\v\f1\f", Fraction(1)),
+        ("-1.25", Fraction(-5, 4)),
+        ("0.50", Fraction(1, 2)),
+        ("+12.0", Fraction(12)),
+    ],
+)
+def test_rational_grammar_accepts(text, want):
+    got = rational_from(text)
+    assert type(got) is Fraction and got == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "", " ", "+", "-", "/", ".", "+-1", "--1", "1/", "/2", ".5", "1.",
+        "1/0", "-1/00", "1/-2", "1/+2", "1/2/3", "1.5/2", "1/2.5", "1.2.3",
+        "1_000/3", "1_0", "3 / 4", "3/ 4", "- 3", "0x10", "1e5", "inf", "nan",
+        "\u0663/4", "\uff11/2", "\u00b2", "\u00a01/2", "1/2\u2003", "1\x00",
+    ],
+)
+def test_rational_grammar_rejects(text):
+    # Fraction() accepts some of these, and which depends on the Python
+    # version; the instance format takes none of them
+    with pytest.raises(InstanceFormatError, match="bad rational string"):
+        rational_from(text)
 
 
 def test_rational_from_rejects_exponents_at_once():
@@ -281,7 +319,7 @@ def small_instances(draw):
     for _ in range(draw(st.integers(1, 3))):
         members = draw(st.frozensets(st.integers(0, n - 1)))
         colors.append((members, draw(st.integers(0, len(members)))))
-    inst = Instance(dist=dist, k=draw(st.integers(1, min(n, 3))), colors=tuple(colors))
+    inst = Instance(dist=dist, k=draw(st.integers(1, min(n, 4))), colors=tuple(colors))
     radii = candidate_radii(inst)
     r = draw(st.sampled_from(radii)) + draw(st.sampled_from([0, 0, Fraction(1, 7)]))
     return inst, r
@@ -302,12 +340,38 @@ def test_feasible_sets_match_check_feasible_and_the_oracle(case):
     assert got == [frozenset(s) for s in enumerate_feasible(inst, r)]
 
 
+def scanned_ball(inst, c, r):
+    """Ball of radius r around c by comparing Fractions, entry by entry."""
+    return frozenset(u for u in range(inst.n) if inst.dist[c][u] <= Fraction(r))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_instances(), st.data())
+def test_ball_tests_match_a_fraction_scan(case, data):
+    inst, _ = case
+    base = data.draw(st.sampled_from(candidate_radii(inst)))
+    r = base * data.draw(st.sampled_from([1, 2, 4])) + data.draw(
+        st.sampled_from([0, Fraction(1, 7), Fraction(-1, 11)])
+    )
+    if r.denominator == 1 and data.draw(st.booleans()):
+        r = int(r)
+    balls = [scanned_ball(inst, c, r) for c in range(inst.n)]
+    assert [ball(inst, c, r) for c in range(inst.n)] == balls
+    assert ball_masks(inst, r) == [sum(1 << u for u in b) for b in balls]
+    centers = data.draw(st.lists(st.integers(0, inst.n - 1), max_size=inst.n))
+    assert ball_masks(inst, r, centers) == [sum(1 << u for u in balls[c]) for c in centers]
+    assert union_ball(inst, centers, r) == frozenset().union(*(balls[c] for c in centers))
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_instances(), st.data())
 def test_check_feasible_counts_match_ball_union(case, data):
     inst, r = case
     centers = data.draw(st.lists(st.integers(0, inst.n - 1), max_size=inst.n + 1))
     report = check_feasible(inst, centers, r)
-    covered = union_ball(inst, centers, r)
+    covered = frozenset().union(*(scanned_ball(inst, c, r) for c in centers))
     assert report.counts == tuple(len(c.members & covered) for c in inst.colors)
     assert report.budget_ok == (len(set(centers)) <= inst.k)
+    assert report.feasible == (
+        report.budget_ok and all(len(c.members & covered) >= c.demand for c in inst.colors)
+    )
