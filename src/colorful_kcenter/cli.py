@@ -35,7 +35,6 @@ from .model import (
     rational_str,
 )
 from .oracle import OracleCapExceeded, brute_force_colorful, brute_force_fair
-from .rounding import SparseRoundError
 from .solver import InternalError, solve_colorful
 
 OK = 0
@@ -154,7 +153,7 @@ def cmd_solve(args):
     inst = model.load_instance(args.instance)
     if isinstance(inst, FairInstance):
         raise CliError(USAGE, "instance has coverage targets; use solve-fair")
-    sol = solve_colorful(inst, linear_scan=args.linear_scan)
+    sol = solve_colorful(inst)
     report = model.check_feasible(inst, sol.centers.centers, sol.centers.radius)
     if not report.feasible:
         raise InternalError("solver output fails re-validation")
@@ -175,6 +174,8 @@ def cmd_solve(args):
 
 
 def cmd_solve_fair(args):
+    if args.samples < 0:
+        raise CliError(USAGE, f"--samples must be nonnegative, not {args.samples}")
     finst = model.load_instance(args.instance)
     if not isinstance(finst, FairInstance):
         raise CliError(USAGE, "instance has no coverage targets; use solve")
@@ -427,8 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", parents=[shared], help="approximate a colorful instance")
     p.add_argument("--instance", required=True)
-    p.add_argument("--linear-scan", action="store_true",
-                   help="probe candidate radii from below instead of binary search")
     p.add_argument("--trace", help="write the full probe trace to this file")
     p.add_argument("--json-logs", action="store_true",
                    help="write one JSON line per probe to stderr")
@@ -516,7 +515,7 @@ def main(argv=None) -> int:
     except InstanceFormatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return INFEASIBLE
-    except (InternalError, SparseRoundError) as exc:
+    except InternalError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return INTERNAL
     return code

@@ -203,17 +203,18 @@ def find_few_outside(
     r2 = Fraction(r2)
     # the target's weights as ints over their common denominator, once
     # per call; only points of nonzero weight are ever summed
-    weights = () if target is None else tuple(map(Fraction, target.weights))
+    weights = () if target is None else target.weights
     scale = math.lcm(*(w.denominator for w in weights))
     weights = [w.numerator * (scale // w.denominator) for w in weights]
     heavy = sum(1 << u for u, w in enumerate(weights) if w)
     goal = 0 if target is None else Fraction(target.threshold) * scale
     s_list = sorted(set(centers_s))
-    for a in range(len(s_list)):
-        for b in range(a + 1, len(s_list)):
-            if inst.dist[s_list[a]][s_list[b]] <= 2 * r2:
-                raise ValueError("inside-centers too close: r2-balls must be disjoint")
-    outside = [u for u in range(inst.n) if u not in set(s_list)]
+    inside = sum(1 << s for s in s_list)
+    # each inside center's 2*r2-ball may hold no other inside center
+    for s, reach in zip(s_list, ball_masks(inst, 2 * r2, s_list)):
+        if reach & inside != 1 << s:
+            raise ValueError("inside-centers too close: r2-balls must be disjoint")
+    outside = [u for u in range(inst.n) if not inside >> u & 1]
 
     masks = ball_masks(inst, r2)
     needs = color_masks(inst)

@@ -18,9 +18,9 @@ from .model import Instance
 from .partition import FractionalPoint, GoodPartition, opening_mass
 
 
-class SparseRoundError(RuntimeError):
-    """An invariant of the rounding step failed; callers treat this as
-    an internal error, never as "instance infeasible".
+class SparseRoundError(lp.InternalError):
+    """An invariant of the rounding step failed: an internal error,
+    never "instance infeasible".
     """
 
 
@@ -79,10 +79,9 @@ def sparse_round(
     r,
     part: GoodPartition,
     system: CoveringSystem,
-    k: int,
-    pt: FractionalPoint = None,
+    pt: FractionalPoint,
 ) -> frozenset:
-    """Open at most k cluster centers meeting every aggregated demand.
+    """Open at most inst.k cluster centers meeting every aggregated demand.
 
     Correct only under the caller-checked hypothesis that the point's
     opening mass around the centers is at most k - t + 1 (t = number of
@@ -96,7 +95,7 @@ def sparse_round(
         raise SparseRoundError("covering system width != cluster count")
     if all(b <= 0 for b in system.rhs):
         return frozenset()
-    if q <= k:
+    if q <= inst.k:
         for row, b in zip(system.rows, system.rhs):
             if sum(row) < b:
                 raise SparseRoundError("demand above the whole ground set")
@@ -113,17 +112,16 @@ def sparse_round(
     out = lp.solve(program)
     if out.status != "optimal":
         raise SparseRoundError(f"covering LP is {out.status}")
-    threshold = Fraction(k - t + 1)
-    if pt is not None:
-        # the point itself yields a feasible z with objective <= its
-        # opening mass, so the optimum can't exceed the checked mass
-        z_feas = tuple(
-            min(Fraction(1), opening_mass(inst, r, pt, [s])) for s in part.centers
-        )
-        if lp.check_point(program, z_feas) is not None:
-            raise SparseRoundError("relaxation point does not embed into covering LP")
-        if out.value > opening_mass(inst, r, pt, part.centers):
-            raise SparseRoundError("covering LP optimum above embedded objective")
+    threshold = Fraction(inst.k - t + 1)
+    # the point itself yields a feasible z with objective <= its opening
+    # mass, so the optimum can't exceed the checked mass
+    z_feas = tuple(
+        min(Fraction(1), opening_mass(inst, r, pt, [s])) for s in part.centers
+    )
+    if lp.check_point(program, z_feas) is not None:
+        raise SparseRoundError("relaxation point does not embed into covering LP")
+    if out.value > opening_mass(inst, r, pt, part.centers):
+        raise SparseRoundError("covering LP optimum above embedded objective")
     if out.value > threshold:
         raise SparseRoundError(
             f"covering optimum {out.value} exceeds threshold {threshold}"
@@ -132,8 +130,8 @@ def sparse_round(
     if fractional > t:
         raise SparseRoundError("vertex has more fractional entries than rows")
     chosen = frozenset(s for s, z in zip(part.centers, out.solution) if z > 0)
-    if len(chosen) > k:
-        raise SparseRoundError(f"support {len(chosen)} exceeds budget {k}")
+    if len(chosen) > inst.k:
+        raise SparseRoundError(f"support {len(chosen)} exceeds budget {inst.k}")
     for row, b in zip(system.rows, system.rhs):
         got = sum(
             (a for a, s, z in zip(row, part.centers, out.solution) if z > 0),

@@ -21,8 +21,8 @@ with the cuts found so far) is clustered; then
 
 Each round either finishes or strictly shrinks the polytope with a cut
 no integral solution can violate, so a radius that admits any integral
-solution is never declared infeasible.  One radius search then lands
-at a radius at most the integral optimum, giving the factor of 4 (or,
+solution is never declared infeasible.  Probing radii from below then
+stops at one at most the integral optimum, giving the factor of 4 (or,
 with no more centers than colors, enumerates the exact optimum).
 """
 
@@ -163,7 +163,7 @@ def round_or_cut(inst: Instance, r, record, extra=None):
             raise InternalError(f"clustering violated {bad}")
         if opening_mass(inst, r, pt, part.centers) <= threshold:
             system = build_cluster_system(inst, part, extra_rows=extra_rows)
-            chosen = sparse_round(inst, r, part, system, inst.k, pt)
+            chosen = sparse_round(inst, r, part, system, pt)
             tag, found = "4r", CenterSet(frozenset(chosen), 4 * r)
         else:
             record.dp_calls += 1
@@ -203,26 +203,27 @@ def solve_fixed_radius(
     return FixedRadiusResult("solved", got)
 
 
-def radius_search(inst: Instance, exact, probe, linear_scan: bool = False):
+def radius_search(inst: Instance, exact, probe):
     """Smallest candidate radius a test accepts, as (result, radius,
     optimal); a test returns None to reject a radius.
 
     With at least as many colors as centers and at most ENUM_CAP center
     sets, exact(r) decides each radius by enumeration, which is
-    monotone in r, so binary search finds the optimum.  Otherwise
-    probe(r) accepts every radius at or above the integral optimum and
-    rejects only radii below it, so binary search (or, with
-    linear_scan, a scan from below) never settles above the optimum.
-    The largest radius is probed only if nothing below it passed.
+    monotone in r and no cheaper at small radii, so binary search
+    finds the optimum.  Otherwise probe(r) rejects only radii below
+    the integral optimum, so the first radius accepted from below is
+    at most the optimum and the radius binary search would settle on;
+    accepted probes run more LPs the larger the radius, so the
+    candidates are scanned up from the smallest.  The largest radius
+    is probed only if nothing below it passed.
     """
     radii = candidate_radii(inst)
     optimal = inst.num_colors >= inst.k and subset_count(inst.n, inst.k) <= ENUM_CAP
     test = exact if optimal else probe
-    scan = linear_scan and not optimal
     best = None
     lo, hi = 0, len(radii) - 1
     while lo < hi:  # best, once found, is the result at radii[hi]
-        mid = lo if scan else (lo + hi) // 2
+        mid = (lo + hi) // 2 if optimal else lo
         got = test(radii[mid])
         if got is None:
             lo = mid + 1
@@ -243,7 +244,7 @@ class ColorfulSolution:
     trace: SolveTrace
 
 
-def solve_colorful(inst: Instance, linear_scan: bool = False) -> ColorfulSolution:
+def solve_colorful(inst: Instance) -> ColorfulSolution:
     """Minimize the radius guarantee over candidate radii (see
     radius_search): exact when enumeration is affordable, otherwise at
     most four times the optimum.
@@ -261,7 +262,7 @@ def solve_colorful(inst: Instance, linear_scan: bool = False) -> ColorfulSolutio
         trace.records.append(rec)
         return solve_fixed_radius(inst, r, rec).centers
 
-    centers, radius, optimal = radius_search(inst, exact, probe, linear_scan)
+    centers, radius, optimal = radius_search(inst, exact, probe)
     return ColorfulSolution(centers, radius, optimal, trace)
 
 

@@ -73,8 +73,8 @@ def test_colorful_radius_within_four_times_optimum():
     start = time.monotonic()
     observed = ROUNDING_FIRINGS
 
-    def spy(inst, r, part, system, k, pt):
-        chosen = real_sparse_round(inst, r, part, system, k, pt)
+    def spy(inst, r, part, system, pt):
+        chosen = real_sparse_round(inst, r, part, system, pt)
         report = check_feasible(inst, chosen, 4 * Fraction(r))
         observed.append((len(set(chosen)) <= inst.k, report.feasible))
         return chosen

@@ -141,6 +141,9 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     bad.write_text(json.dumps(good))
     assert main(["solve-fair", "--instance", str(bad)]) == 0
     capsys.readouterr()
+    assert main(["solve-fair", "--instance", str(bad), "--samples", "-3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
     for field, value in [
         ("n", "2"), ("n", True), ("k", "1"), ("k", True), ("k", 1.0),
         ("dist", 5), ("dist", [["0", "1"], 5]), ("dist", [["0", "1"], ["1"]]),
@@ -497,18 +500,15 @@ def test_trace_file_and_json_logs(tmp_path, capsys):
         assert "cut_details" in probe
 
 
-def test_linear_scan_flag(tmp_path):
+def test_linear_scan_flag(tmp_path, capsys):
     inst = write_instance(
         tmp_path, "inst.json",
         ["gen", "random", "--seed", "29", "--n", "8", "--k", "2", "--gamma", "1",
          "--demand-density", "1"],
     )
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["solve", "--instance", str(inst), "--out", str(a)]) == 0
-    assert main(["solve", "--instance", str(inst), "--linear-scan", "--out", str(b)]) == 0
-    da, db = read_json(a), read_json(b)
-    # the scan settles at or below the binary search radius
-    assert model.rational_from(db["probe_radius"]) <= model.rational_from(da["probe_radius"])
+    # one radius search: the flag that picked another order is gone
+    assert main(["solve", "--instance", str(inst), "--linear-scan"]) == 2
+    assert "--linear-scan" in capsys.readouterr().err
 
 
 # Small valid documents for the fuzz test: four points on a line, and

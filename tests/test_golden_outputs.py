@@ -7,8 +7,7 @@ which the cut branch fires), the cover reductions and the adversarial
 fixture.  For each case the test runs `solve` (or `solve-fair`) with
 `--trace` and `--json-logs` and compares sha256 digests of the solution
 file, the trace file and the stderr log against
-`tests/golden_outputs.json`; colorful cases also digest the
-`--linear-scan` solution.  A pure refactor of the solvers must leave
+`tests/golden_outputs.json`.  A pure refactor of the solvers must leave
 every digest unchanged.
 
 When a change is meant to alter the output, re-record with
@@ -113,15 +112,11 @@ def digests(inst, work: Path) -> dict:
         command, "--instance", str(path), "--out", str(out),
         "--trace", str(trace), "--json-logs",
     ])
-    got = {
+    return {
         "out": _sha(out.read_bytes()),
         "trace": _sha(trace.read_bytes()),
         "logs": _sha(logs.encode()),
     }
-    if command == "solve":
-        _run(["solve", "--instance", str(path), "--linear-scan", "--out", str(out)])
-        got["scan"] = _sha(out.read_bytes())
-    return got
 
 
 @pytest.fixture(scope="module")

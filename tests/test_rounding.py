@@ -63,7 +63,7 @@ def test_sparse_round_solves_fixture_system():
     pt = FractionalPoint(fx.x, fx.y)
     part = good_partition(inst, Fraction(1), pt)
     system = build_cluster_system(inst, part)
-    chosen = sparse_round(inst, Fraction(1), part, system, inst.k, pt)
+    chosen = sparse_round(inst, Fraction(1), part, system, pt)
     assert len(chosen) <= inst.k
     assert check_feasible(inst, chosen, Fraction(4)).feasible
 
@@ -73,7 +73,7 @@ def test_sparse_round_zero_demand_returns_empty():
     pt = FractionalPoint((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
     part = good_partition(inst, Fraction(1), pt)
     system = build_cluster_system(inst, part)
-    assert sparse_round(inst, Fraction(1), part, system, inst.k, pt) == frozenset()
+    assert sparse_round(inst, Fraction(1), part, system, pt) == frozenset()
 
 
 def test_sparse_round_rejects_unreachable_demand():
@@ -82,7 +82,7 @@ def test_sparse_round_rejects_unreachable_demand():
     part = good_partition(inst, Fraction(1), pt)
     system = CoveringSystem(rows=((1, 1),), rhs=(Fraction(5),))
     with pytest.raises(SparseRoundError):
-        sparse_round(inst, Fraction(1), part, system, inst.k, pt)
+        sparse_round(inst, Fraction(1), part, system, pt)
 
 
 def test_sparse_round_rejects_width_mismatch():
@@ -91,7 +91,7 @@ def test_sparse_round_rejects_width_mismatch():
     part = good_partition(inst, Fraction(1), pt)
     bad = CoveringSystem(rows=((1,),), rhs=(Fraction(1),))
     with pytest.raises(SparseRoundError):
-        sparse_round(inst, Fraction(1), part, bad, inst.k, pt)
+        sparse_round(inst, Fraction(1), part, bad, pt)
 
 
 def random_spread_instance(rng):
@@ -140,7 +140,7 @@ def test_sparse_round_random_systems_stay_sparse():
         mass = sum((y[s] for s in part.centers), Fraction(0))
         if mass > inst.k - t + 1:
             continue
-        chosen = sparse_round(inst, r, part, system, inst.k, pt)
+        chosen = sparse_round(inst, r, part, system, pt)
         fired += 1
         assert len(chosen) <= inst.k
         for row, b in zip(system.rows, system.rhs):
@@ -181,7 +181,7 @@ def test_sparse_round_on_genuine_relaxation_vertices():
         mass = opening_mass(inst, r, pt, part.centers)
         if mass > k - system.num_rows + 1:
             continue
-        chosen = sparse_round(inst, r, part, system, k, pt)
+        chosen = sparse_round(inst, r, part, system, pt)
         fired += 1
         assert len(chosen) <= k
         assert check_feasible(inst, chosen, 4 * r).feasible

@@ -1,12 +1,14 @@
 """Round-or-cut solver: relaxation shape, fixed-radius probes, end-to-end
 approximation ratio, cut validity, and the exact enumeration branch."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from colorful_kcenter import lp
+from colorful_kcenter.fair import solve_fair
 from colorful_kcenter.generators import fixture_adversarial, gen_clumps, gen_random
 from colorful_kcenter.model import (
     Instance,
@@ -14,7 +16,11 @@ from colorful_kcenter.model import (
     check_feasible,
     union_ball,
 )
-from colorful_kcenter.oracle import brute_force_colorful, enumerate_feasible
+from colorful_kcenter.oracle import (
+    brute_force_colorful,
+    brute_force_fair,
+    enumerate_feasible,
+)
 from colorful_kcenter.solver import (
     Cut,
     RadiusRecord,
@@ -98,22 +104,61 @@ def test_enumeration_branch_is_exact():
     assert hits == 60
 
 
-def test_linear_scan_never_settles_higher():
+def _assert_scanned_from_below(inst, records, probe_radius, optimum, refused):
+    """The probes took the candidate radii in order from the smallest,
+    every one before the last was refused, and the search stopped at
+    the first accepted radius, which is at most the optimum."""
+    radii = candidate_radii(inst)
+    probed = [rec.radius for rec in records]
+    assert probed == radii[: len(probed)]
+    assert [rec.outcome for rec in records[:-1]] == [refused] * (len(records) - 1)
+    assert records[-1].outcome != refused
+    assert probe_radius == probed[-1] <= optimum
+
+
+def test_lp_probes_scan_up_from_the_smallest_radius():
     rng = random.Random(16)
     for trial in range(40):
         n = rng.randint(4, 9)
         k = rng.randint(2, 3)
-        gamma = rng.randint(1, min(2, k - 1)) if k > 1 else 1
+        gamma = rng.randint(1, k - 1)
         inst = gen_random(seed=3000 + trial, n=n, k=k, gamma=gamma)
         opt = brute_force_colorful(inst)
-        scan = solve_colorful(inst, linear_scan=True)
-        bis = solve_colorful(inst)
-        # the scan takes the first workable radius, so it cannot sit
-        # above the binary search, and neither may pass the optimum
-        assert scan.probe_radius <= bis.probe_radius <= opt.radius
-        for sol in (scan, bis):
-            assert check_feasible(inst, sol.centers.centers, sol.centers.radius).feasible
-            assert sol.centers.radius <= 4 * opt.radius
+        sol = solve_colorful(inst)
+        assert not sol.optimal
+        _assert_scanned_from_below(
+            inst, sol.trace.records, sol.probe_radius, opt.radius, "infeasible"
+        )
+    for trial in range(15):
+        n = rng.randint(4, 7)
+        k = rng.randint(2, 3)
+        finst = gen_random(
+            seed=3100 + trial, n=n, k=k, gamma=1, p_density=Fraction(2, 3)
+        )
+        opt = brute_force_fair(finst)
+        sol = solve_fair(finst)
+        assert not sol.optimal
+        _assert_scanned_from_below(
+            finst.base, sol.trace.records, sol.probe_radius, opt.radius, "certified"
+        )
+
+
+def test_enumeration_bisects():
+    rng = random.Random(18)
+    for trial in range(30):
+        k = rng.randint(1, 2)
+        fair = trial % 2 == 1
+        inst = gen_random(
+            seed=3200 + trial, n=rng.randint(4, 8), k=k, gamma=rng.randint(k, 3),
+            p_density=Fraction(2, 3) if fair else None,
+        )
+        sol = solve_fair(inst) if fair else solve_colorful(inst)
+        assert sol.optimal
+        radii = candidate_radii(inst.base if fair else inst)
+        m = len(radii)
+        assert len(sol.trace.records) <= math.ceil(math.log2(m)) + 1
+        # binary search opens at the middle candidate, a scan at the first
+        assert sol.trace.records[0].radius == radii[(m - 1) // 2]
 
 
 def cut_is_valid(inst, cut, r):
