@@ -7,7 +7,9 @@ decimal strings (see rational_from).  Ball tests read an int view of
 the metric that each instance builds on first use: the distances times
 the lcm of their denominators, so "dist[c][u] <= r" is an int
 comparison with floor(r * scale), and the balls of every point at one
-radius are cached as bitmasks.  Points are identified by their 0-based
+radius are cached as bitmasks, as is counting_bound's answer at that
+radius: a color whose demand the relaxation cannot meet, shown by
+counting (see CountingBound).  Points are identified by their 0-based
 index into the distance matrix, both in memory and in files.
 """
 
@@ -163,11 +165,16 @@ class _BallTable:
     def __init__(self, dist):
         self.scale, self.rows = _scaled_rows(dist)
         self._masks = {}
+        self.bounds = {}  # counting_bound's result per level
+
+    def level(self, r) -> int:
+        """floor(r * scale): the balls of radius r are those of this level."""
+        return r.numerator * self.scale // r.denominator
 
     def masks(self, r) -> list:
         """Bit u of entry c is set iff dist[c][u] <= r (an int or a
         Fraction).  Shared: callers must not change it."""
-        level = r.numerator * self.scale // r.denominator
+        level = self.level(r)
         got = self._masks.get(level)
         if got is None:
             got = [sum(1 << u for u, d in enumerate(row) if d <= level) for row in self.rows]
@@ -271,14 +278,14 @@ class CoverageReport:
     counts: tuple
 
 
-def _points(mask) -> frozenset:
+def mask_points(mask) -> frozenset:
     """The set bits of mask as point indices."""
     return frozenset(u for u in range(mask.bit_length()) if mask >> u & 1)
 
 
 def ball(inst: Instance, c: int, r) -> frozenset:
     """All points within distance r of point c (closed ball)."""
-    return _points(_table(inst).masks(r)[c])
+    return mask_points(_table(inst).masks(r)[c])
 
 
 def union_mask(inst: Instance, centers, r) -> int:
@@ -292,7 +299,7 @@ def union_mask(inst: Instance, centers, r) -> int:
 
 def union_ball(inst: Instance, centers, r) -> frozenset:
     """Union of closed balls of radius r around each center."""
-    return _points(union_mask(inst, centers, r))
+    return mask_points(union_mask(inst, centers, r))
 
 
 def candidate_radii(inst: Instance):
@@ -337,6 +344,86 @@ def check_feasible(inst: Instance, centers, r) -> CoverageReport:
     budget_ok = len(distinct) <= inst.k
     met = all(cnt >= c.demand for cnt, c in zip(counts, inst.colors))
     return CoverageReport(feasible=budget_ok and met, budget_ok=budget_ok, counts=counts)
+
+
+@dataclass(frozen=True)
+class CountingBound:
+    """One color's demand is out of reach of the relaxation at a radius.
+
+    With U the points of `kept`, a subset of the color c, and a_v the
+    number of points of U in ball(v, r) (`counts`), every point of the
+    relaxation has
+
+        x(c) <= |c - U| + sum_{u in U} y(ball(u, r))
+             = |c - U| + sum_v a_v y_v
+             <= |c - U| + (sum of the k largest a_v) = bound,
+
+    from x <= 1 outside U, the coverage rows of U, y in [0, 1] and the
+    budget sum_v y_v <= k; bound < demand.  kth is the k-th largest a_v.
+    """
+
+    color: int
+    kept: int
+    counts: tuple
+    kth: int
+    bound: int
+
+
+def counting_bound(inst: Instance, r):
+    """A CountingBound for the first color whose demand the relaxation
+    at radius r cannot meet by counting (see _color_bound), or None.
+    Cached per radius level, so it depends only on the instance and r.
+    """
+    table = _table(inst)
+    level = table.level(r)
+    if level not in table.bounds:
+        masks = table.masks(r)
+        found = None
+        for color, (members, demand) in enumerate(color_masks(inst)):
+            found = _color_bound(masks, members, demand, inst.k, color)
+            if found is not None:
+                break
+        table.bounds[level] = found
+    return table.bounds[level]
+
+
+def _color_bound(masks, members, demand, k, color):
+    """Greedy search for U: start from U = members and drop the kept
+    point lying in the most of the k currently largest balls (by a_v,
+    ties to the lowest index) while it lies in at least two; each drop
+    adds one to |c - U| and takes one from each a_v of a ball holding
+    it.  Returns the smallest bound seen if it is below demand.
+
+    Skipped when k balls picked greedily already reach the demand: that
+    is an integral point of the rows the bound uses, so no U can give a
+    bound below demand.
+    """
+    spare = members.bit_count() - demand  # members that may stay uncovered
+    left = members
+    for _ in range(k):
+        if left.bit_count() <= spare:
+            return None
+        gains = list(map(int.bit_count, map(left.__and__, masks)))
+        left &= ~masks[gains.index(max(gains))]
+    if left.bit_count() <= spare:
+        return None
+    n = len(masks)
+    kept = [u for u in range(n) if members >> u & 1]
+    counts = list(map(int.bit_count, map(members.__and__, masks)))
+    best = None
+    while True:
+        top = sorted(range(n), key=counts.__getitem__, reverse=True)[:k]
+        bound = members.bit_count() - len(kept) + sum(map(counts.__getitem__, top))
+        if bound < demand and (best is None or bound < best.bound):
+            kept_mask = sum(1 << u for u in kept)
+            best = CountingBound(color, kept_mask, tuple(counts), counts[top[-1]], bound)
+        chosen = sum(1 << v for v in top)
+        hits = [(masks[u] & chosen).bit_count() for u in kept]
+        most = max(hits, default=0)
+        if most < 2:
+            return best
+        for v in mask_points(masks[kept.pop(hits.index(most))]):
+            counts[v] -= 1
 
 
 def subset_count(n: int, k: int) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Instance, ball, ball_masks, union_mask
+from .model import Instance, ball_masks, mask_points, union_mask
 
 
 def _fractions(values) -> tuple:
@@ -70,6 +70,8 @@ def good_partition(inst: Instance, r, pt: FractionalPoint) -> GoodPartition:
 
     Repeatedly takes the unassigned point with maximum x (ties: lowest
     index) as a center and assigns it everything unassigned within 4r.
+    The points are ranked once, by a stable sort on x, and the centers
+    are the points still unassigned when their rank comes up.
     """
     if len(pt.x) != inst.n:
         raise ValueError("point size != instance size")
@@ -78,13 +80,12 @@ def good_partition(inst: Instance, r, pt: FractionalPoint) -> GoodPartition:
     unassigned = (1 << n) - 1
     centers = []
     clusters = []
-    while unassigned:
-        left = [u for u in range(n) if unassigned >> u & 1]
-        s = max(left, key=pt.x.__getitem__)
-        cluster = masks[s] & unassigned
-        centers.append(s)
-        clusters.append(frozenset(u for u in left if cluster >> u & 1))
-        unassigned &= ~cluster
+    for s in sorted(range(n), key=pt.x.__getitem__, reverse=True):
+        if unassigned >> s & 1:
+            cluster = masks[s] & unassigned
+            centers.append(s)
+            clusters.append(mask_points(cluster))
+            unassigned &= ~cluster
     return GoodPartition(tuple(centers), tuple(clusters))
 
 
@@ -106,16 +107,19 @@ def verify_partition(inst: Instance, r, pt: FractionalPoint, part: GoodPartition
     if seen != set(range(inst.n)):
         missing = sorted(set(range(inst.n)) - seen)
         return PartitionViolation("partition", tuple(missing))
-    for i, s in enumerate(part.centers):
+    # the ball table's 4r balls: dist <= 4r as ints against floor(4r * scale)
+    far = ball_masks(inst, four_r, part.centers)
+    for i, (s, mask) in enumerate(zip(part.centers, far)):
         for t in part.centers[i + 1 :]:
-            if inst.dist[s][t] <= four_r:
+            if mask >> t & 1:
                 return PartitionViolation("separation", (s, t))
-    for s, cluster in zip(part.centers, part.clusters):
-        for u in sorted(cluster):
-            if inst.dist[s][u] > four_r:
-                return PartitionViolation("radius", (s, u))
-    for s, cluster in zip(part.centers, part.clusters):
-        mass = sum((pt.y[v] for v in ball(inst, s, r)), Fraction(0))
+    for s, mask, cluster in zip(part.centers, far, part.clusters):
+        outside = [u for u in cluster if not mask >> u & 1]
+        if outside:
+            return PartitionViolation("radius", (s, min(outside)))
+    near = ball_masks(inst, r, part.centers)
+    for s, mask, cluster in zip(part.centers, near, part.clusters):
+        mass = sum((pt.y[v] for v in mask_points(mask)), Fraction(0))
         for u in sorted(cluster):
             if mass < pt.x[u]:
                 return PartitionViolation("mass", (s, u))

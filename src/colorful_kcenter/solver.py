@@ -24,6 +24,18 @@ no integral solution can violate, so a radius that admits any integral
 solution is never declared infeasible.  Probing radii from below then
 stops at one at most the integral optimum, giving the factor of 4 (or,
 with no more centers than colors, enumerates the exact optimum).
+
+Before the first LP, model.counting_bound tries to show the polytope
+empty from one color c alone: for U inside c and a_v the number of
+points of U in ball(v, r), every point has
+
+    x(c) <= |c - U| + sum_v a_v y_v <= |c - U| + (sum of the k largest a_v).
+
+When that is below c's demand the radius is rejected with no LP, by
+the Farkas certificate of this inequality (counting_certificate: +1 on
+c's demand row and on the coverage rows of U, -A on the budget row, A
+the k-th largest a_v, and bound multipliers for the rest), checked
+exactly by lp.verify_certificate before it is returned.
 """
 
 from __future__ import annotations
@@ -40,6 +52,7 @@ from .model import (
     ball_masks,
     candidate_radii,
     check_feasible,
+    counting_bound,
     feasible_sets,
     subset_count,
     union_mask,
@@ -129,6 +142,39 @@ def build_relaxation(inst: Instance, r, cuts=(), extra_row=None) -> lp.LinearPro
     return program
 
 
+def counting_certificate(inst: Instance, program, found) -> lp.FarkasCertificate:
+    """The Farkas certificate of a model.CountingBound on program, the
+    relaxation at its radius with no cuts (and any extra row).
+
+    Row multipliers: +1 on the color's demand row and on the coverage
+    row of each kept point u, -A on the budget row, A the k-th largest
+    a_v.  Bound multipliers: upper 1 on x_u for u in the color but not
+    kept, upper (a_v - A)+ and lower (A - a_v)+ on y_v.  They sum to the
+    zero vector, and the gap is demand - bound > 0.  The certificate is
+    checked exactly before it is returned.
+    """
+    n = inst.n
+    color = inst.colors[found.color]
+    rows = [0] * len(program.constraints)
+    rows[0] = -found.kth
+    for u in range(n):
+        rows[1 + u] = found.kept >> u & 1
+    rows[1 + n + found.color] = 1
+    lower = [0] * (2 * n)
+    upper = [0] * (2 * n)
+    for u in color.members:
+        upper[u] = 1 - (found.kept >> u & 1)
+    for v, a in enumerate(found.counts):
+        upper[n + v] = max(a - found.kth, 0)
+        lower[n + v] = max(found.kth - a, 0)
+    cert = lp.FarkasCertificate(
+        tuple(rows), tuple(lower), tuple(upper), Fraction(color.demand - found.bound)
+    )
+    if not lp.verify_certificate(program, cert):
+        raise InternalError("counting certificate fails verification")
+    return cert
+
+
 def round_or_cut(inst: Instance, r, record, extra=None):
     """Round-or-cut loop at radius r over t covering rows.
 
@@ -137,13 +183,18 @@ def round_or_cut(inst: Instance, r, record, extra=None):
     ("2r", centers) with a center set meeting every demand (and the
     goal) at that multiple of r, or ("infeasible", certificate) proving
     that no integral radius-r solution exists.  Never reports infeasible
-    when one does exist.  Counts LP solves, DP calls and cuts on record.
+    when one does exist.  Counts LP solves, DP calls and cuts on record;
+    a radius the counting bound rejects runs no LP.
     """
     r = Fraction(r)
     t = inst.num_colors + (extra is not None)
     threshold = inst.k - t + 1
     extra_rows = () if extra is None else (extra,)
     target = None if extra is None else WeightedTarget(*extra)
+    found = counting_bound(inst, r)
+    if found is not None:
+        program = build_relaxation(inst, r, extra_row=extra)
+        return "infeasible", counting_certificate(inst, program, found)
     cuts = []
     seen = set()
     while True:

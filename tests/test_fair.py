@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from colorful_kcenter import lp
 from colorful_kcenter.fair import (
     Distribution,
     DualPoint,
@@ -27,6 +28,7 @@ from colorful_kcenter.model import (
     union_ball,
 )
 from colorful_kcenter.oracle import brute_force_fair, enumerate_feasible
+from colorful_kcenter.solver import build_relaxation
 
 
 def fair_line(coords, k, colors, p):
@@ -205,12 +207,17 @@ def test_sweep_against_oracle():
 
 def test_trace_bookkeeping():
     rng = random.Random(52)
-    for trial in range(12):
+    fast = 0
+    for trial in range(24):
         n = rng.randint(4, 8)
         k = rng.randint(2, 3)
         gamma = 1
+        # the second half demands whole colors, where the counting
+        # certificate decides some separations without an LP
+        density = Fraction(1, 2) if trial < 12 else Fraction(1)
         finst = gen_random(
-            seed=11_000 + trial, n=n, k=k, gamma=gamma, p_density=Fraction(1, 2)
+            seed=11_000 + trial, n=n, k=k, gamma=gamma, demand_density=density,
+            p_density=Fraction(1, 2),
         )
         sol = solve_fair(finst)
         trace = sol.trace
@@ -229,9 +236,17 @@ def test_trace_bookkeeping():
                 assert rec.separations[-1].outcome == "certified"
             for sep in rec.separations:
                 assert sep.outcome in ("column-4r", "column-2r", "certified")
-                assert sep.lp_solves >= 1
+                if sep.lp_solves == 0:
+                    # decided by the counting certificate alone
+                    fast += 1
+                    assert sep.outcome == "certified"
+                    goal = max(Fraction(0), sep.mu + sep.eps)
+                    extra = (sep.alpha, goal)
+                    program = build_relaxation(finst.base, rec.radius, extra_row=extra)
+                    assert lp.solve(program).status == "infeasible"
         final = [r for r in trace.records if r.radius == sol.probe_radius]
         assert any(r.outcome in ("distribution", "exact") for r in final)
+    assert fast >= 3
 
 
 def test_sample_deterministic_and_supported():

@@ -3,9 +3,13 @@
 import random
 from fractions import Fraction
 
-from colorful_kcenter.model import Instance, ball, union_ball
+from hypothesis import given, settings, strategies as st
+
+from colorful_kcenter.model import Instance, ball, ball_masks, union_ball
 from colorful_kcenter.partition import (
     FractionalPoint,
+    GoodPartition,
+    PartitionViolation,
     good_partition,
     opening_mass,
     verify_partition,
@@ -92,14 +96,81 @@ def test_clusters_partition_all_points():
                 assert pt.x[u] <= pt.x[s]
 
 
+def max_rescan_partition(inst, r, pt):
+    """good_partition as first written: before every pick, rescan all
+    unassigned points for the maximum x (ties: lowest index)."""
+    n = inst.n
+    masks = ball_masks(inst, 4 * Fraction(r))
+    unassigned = (1 << n) - 1
+    centers = []
+    clusters = []
+    while unassigned:
+        left = [u for u in range(n) if unassigned >> u & 1]
+        s = max(left, key=pt.x.__getitem__)
+        cluster = masks[s] & unassigned
+        centers.append(s)
+        clusters.append(frozenset(u for u in left if cluster >> u & 1))
+        unassigned &= ~cluster
+    return GoodPartition(tuple(centers), tuple(clusters))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 30), st.integers(0, 4)), min_size=1, max_size=10),
+    st.integers(0, 6),
+)
+def test_ranked_picks_match_the_max_rescan(points, r):
+    # x takes five values, so most draws tie some of them
+    inst = line_instance([coord for coord, _ in points])
+    x = tuple(Fraction(q, 4) for _, q in points)
+    pt = FractionalPoint(x, (Fraction(0),) * len(points))
+    assert good_partition(inst, r, pt) == max_rescan_partition(inst, r, pt)
+
+
+def test_verify_partition_flags_bad_tiling():
+    inst = line_instance([0, 1, 10, 11])
+    pt = FractionalPoint((Fraction(1, 2),) * 4, (Fraction(1, 2),) * 4)
+    cases = [
+        # center 2 is not in its own cluster
+        ((0, 2), ({0, 1}, {3}), (2,)),
+        # point 1 lies in two clusters
+        ((0, 2), ({0, 1}, {1, 2, 3}), (1,)),
+        # point 3 lies in none
+        ((0, 2), ({0, 1}, {2}), (3,)),
+    ]
+    for centers, clusters, witness in cases:
+        bad = GoodPartition(centers, tuple(map(frozenset, clusters)))
+        got = verify_partition(inst, Fraction(1), pt, bad)
+        assert got == PartitionViolation("partition", witness)
+
+
+def test_verify_partition_flags_bad_radius():
+    inst = line_instance([0, 1, 10, 11])
+    pt = FractionalPoint((Fraction(1, 2),) * 4, (Fraction(1, 2),) * 4)
+    # centers 0 and 2 are 10 > 4r apart, but point 3 is 11 > 4r from 0
+    bad = GoodPartition((0, 2), (frozenset({0, 1, 3}), frozenset({2})))
+    got = verify_partition(inst, Fraction(1), pt, bad)
+    assert got == PartitionViolation("radius", (0, 3))
+
+
+def test_verify_partition_flags_bad_mass():
+    inst = line_instance([0, 1, 10, 11])
+    # the r-ball of center 0 is {0, 1}, with y-mass 1/4 < x[1] = 1/2
+    pt = FractionalPoint(
+        (Fraction(1, 4), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)),
+        (Fraction(1, 4), Fraction(0), Fraction(1), Fraction(0)),
+    )
+    bad = GoodPartition((0, 2), (frozenset({0, 1}), frozenset({2, 3})))
+    got = verify_partition(inst, Fraction(1), pt, bad)
+    assert got == PartitionViolation("mass", (0, 1))
+
+
 def test_verify_partition_flags_bad_separation():
     inst = line_instance([0, 1, 10, 11])
     pt = FractionalPoint(
         tuple(Fraction(1, 2) for _ in range(4)),
         tuple(Fraction(1, 2) for _ in range(4)),
     )
-    from colorful_kcenter.partition import GoodPartition
-
     bad = GoodPartition(
         centers=(0, 1),
         clusters=(frozenset({0, 2}), frozenset({1, 3})),

@@ -7,13 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from colorful_kcenter import lp
+from colorful_kcenter import lp, solver
 from colorful_kcenter.fair import solve_fair
 from colorful_kcenter.generators import fixture_adversarial, gen_clumps, gen_random
 from colorful_kcenter.model import (
+    FairInstance,
     Instance,
     candidate_radii,
     check_feasible,
+    counting_bound,
     union_ball,
 )
 from colorful_kcenter.oracle import (
@@ -25,6 +27,7 @@ from colorful_kcenter.solver import (
     Cut,
     RadiusRecord,
     build_relaxation,
+    counting_certificate,
     pseudo_approx_baseline,
     solve_colorful,
     solve_fixed_radius,
@@ -215,17 +218,27 @@ def test_never_infeasible_when_solution_exists():
 
 def test_trace_bookkeeping():
     rng = random.Random(20)
-    for trial in range(30):
+    fast = 0
+    for trial in range(60):
         n = rng.randint(4, 9)
         k = rng.randint(2, 3)
         gamma = rng.randint(1, k - 1)
-        inst = gen_random(seed=5000 + trial, n=n, k=k, gamma=gamma)
+        # the second half demands whole colors, where the counting
+        # certificate decides some probes without an LP
+        density = Fraction(1, 2) if trial < 30 else Fraction(1)
+        inst = gen_random(seed=5000 + trial, n=n, k=k, gamma=gamma, demand_density=density)
         sol = solve_colorful(inst)
         trace = sol.trace
         assert trace.total_lp_solves() == sum(r.lp_solves for r in trace.records)
         assert trace.total_cuts() == sum(len(r.cuts) for r in trace.records)
         outcomes = {r.outcome for r in trace.records}
         assert outcomes <= {"rounded-4r", "solved-2r", "infeasible", "enumerated"}
+        for rec in trace.records:
+            if rec.lp_solves == 0 and rec.outcome != "enumerated":
+                # decided by the counting certificate alone
+                fast += 1
+                assert rec.outcome == "infeasible"
+                assert lp.solve(build_relaxation(inst, rec.radius)).status == "infeasible"
         solved = [r for r in trace.records if r.radius == sol.probe_radius]
         assert any(r.outcome in ("rounded-4r", "solved-2r", "enumerated") for r in solved)
         if sol.centers.radius == 4 * sol.probe_radius:
@@ -234,6 +247,7 @@ def test_trace_bookkeeping():
             pass  # dp support
         else:
             assert sol.optimal and sol.centers.radius == sol.probe_radius
+    assert fast >= 10
 
 
 def test_baseline_budget_and_coverage():
@@ -260,3 +274,95 @@ def test_baseline_rejects_empty_relaxation():
     assert lp.solve(prog).status == "infeasible"
     with pytest.raises(ValueError):
         pseudo_approx_baseline(fx.instance, 0)
+
+
+def test_counting_certificates_verify():
+    """Whenever the counting bound fires, the certificate built from it
+    passes the exact check, with and without an extra weighted row, and
+    the simplex agrees that the relaxation is empty."""
+    rng = random.Random(70)
+    hits = 0
+    for trial in range(60):
+        n = rng.randint(4, 11)
+        k = rng.randint(2, 4)
+        gamma = rng.randint(1, k - 1)
+        inst = gen_random(
+            seed=21_000 + trial, n=n, k=k, gamma=gamma,
+            metric=rng.choice(["line", "grid-l1"]), demand_density=Fraction(1),
+        )
+        weights = tuple(Fraction(rng.randint(0, 2), 2) for _ in range(n))
+        extra = (weights, Fraction(rng.randint(0, n), 2))
+        for r in candidate_radii(inst):
+            found = counting_bound(inst, r)
+            if found is None:
+                continue
+            hits += 1
+            assert found.bound < inst.colors[found.color].demand
+            for extra_row in (None, extra):
+                program = build_relaxation(inst, r, extra_row=extra_row)
+                cert = counting_certificate(inst, program, found)
+                assert lp.verify_certificate(program, cert)
+                assert cert.gap == inst.colors[found.color].demand - found.bound
+                assert lp.solve(program).status == "infeasible"
+    assert hits >= 15
+
+
+def test_counting_bound_depends_only_on_instance_and_radius():
+    rng = random.Random(72)
+    for trial in range(30):
+        n = rng.randint(4, 10)
+        k = rng.randint(2, 4)
+        inst = gen_random(
+            seed=23_000 + trial, n=n, k=k, gamma=rng.randint(1, k - 1),
+            demand_density=Fraction(1),
+        )
+        radii = candidate_radii(inst)
+        upward = [counting_bound(inst, r) for r in radii]
+        # an equal instance has its own cache; query it in reverse order
+        twin = Instance(dist=inst.dist, k=inst.k, colors=inst.colors)
+        downward = [counting_bound(twin, r) for r in reversed(radii)]
+        assert upward == downward[::-1]
+
+
+def _colorful_run(inst):
+    sol = solve_colorful(inst)
+    probes = [(rec.radius, rec.outcome) for rec in sol.trace.records]
+    return (sol.centers, sol.probe_radius, probes)
+
+
+def _fair_run(finst):
+    sol = solve_fair(finst)
+    probes = [
+        (rec.radius, rec.outcome, [sep.outcome for sep in rec.separations])
+        for rec in sol.trace.records
+    ]
+    return (sol.distribution, sol.probe_radius, probes)
+
+
+def test_counting_bound_changes_no_solution(monkeypatch):
+    """Solving with and without the counting certificate gives the same
+    centers or distribution, radius, probe radius and probe outcomes."""
+    rng = random.Random(73)
+    cases = []
+    for trial in range(40):
+        n = rng.randint(5, 10)
+        k = rng.randint(2, 4)
+        cases.append(gen_random(
+            seed=24_000 + trial, n=n, k=k, gamma=rng.randint(1, k - 1),
+            metric=rng.choice(["line", "grid-l1"]), demand_density=Fraction(1),
+            p_density=Fraction(2, 3),
+        ))
+    for k in range(2, 6):
+        for gamma in range(2, k + 1):
+            clumps = gen_clumps(k, gamma)
+            cases.append(FairInstance(base=clumps, p=(Fraction(1, 2),) * clumps.n))
+    with_bound = [(_colorful_run(f.base), _fair_run(f)) for f in cases]
+    fired = sum(
+        rec.lp_solves == 0 and rec.outcome == "infeasible"
+        for f in cases
+        for rec in solve_colorful(f.base).trace.records
+    )
+    assert fired >= 15
+    monkeypatch.setattr(solver, "counting_bound", lambda inst, r: None)
+    without = [(_colorful_run(f.base), _fair_run(f)) for f in cases]
+    assert with_bound == without
