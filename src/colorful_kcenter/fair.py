@@ -9,6 +9,11 @@ alpha-weighted coverage beats mu (a new column for the distribution),
 or confirmed by the solver's round-or-cut engine run with t = gamma + 1
 rows, the extra one asking for that weighted coverage, proving the
 probe radius too small.  The radius search is the solver's too.
+
+Each probe re-solves its LPs warm (lp's live handles): the restricted
+dual gains one row per column, and the separation relaxation swaps its
+weighted row between separations.  Every warm optimum is checked against
+a freshly built program, and every certificate verified against it.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .model import (
     union_mask,
     weighted_coverage,  # noqa: F401  (part of this module's interface)
 )
-from .solver import InternalError, radius_search, round_or_cut
+from .solver import InternalError, LiveRelaxation, radius_search, round_or_cut
 
 # Not called in this module, but benchmarks/tracing.py patches each of
 # these names here, so they stay importable from it.
@@ -158,7 +163,8 @@ class FairTrace:
 
 
 def separate_or_certify(
-    finst: FairInstance, r, dual: DualPoint, record: SeparationRecord = None
+    finst: FairInstance, r, dual: DualPoint, record: SeparationRecord = None,
+    relaxation=None,
 ):
     """Find a center set meeting the color demands at 4r (sometimes 2r)
     whose alpha-weighted coverage strictly exceeds mu, or certify that
@@ -168,7 +174,8 @@ def separate_or_certify(
     goal = mu + eps clamped at zero, which changes no answer since
     covered weight is never negative.  One more row drops the rounding
     threshold and cut bound to k - gamma and raises the outside-guess
-    budget to gamma - 1.
+    budget to gamma - 1.  relaxation, a solver.LiveRelaxation, carries
+    the probe's live relaxation LP from one separation to the next.
     """
     r = Fraction(r)
     eps = epsilon_gap(dual.alpha, dual.mu)
@@ -176,7 +183,7 @@ def separate_or_certify(
         record = SeparationRecord(radius=r)
     record.alpha, record.mu, record.eps = dual.alpha, dual.mu, eps
     extra = (dual.alpha, max(Fraction(0), dual.mu + eps))
-    tag, got = round_or_cut(finst.base, r, record, extra)
+    tag, got = round_or_cut(finst.base, r, record, extra, relaxation)
     if tag == "infeasible":
         record.outcome = "certified"
         return InQ(radius=r, dual=dual)
@@ -184,15 +191,7 @@ def separate_or_certify(
     return got
 
 
-def solve_restricted(finst: FairInstance, r, columns):
-    """Best dual response to the center sets found so far.
-
-    Minimizes mu over alpha >= 0 and free mu, normalized so the
-    target-weighted alpha mass exceeds mu by exactly one, subject to
-    every known column's coverage staying at most mu.  When even that
-    program is infeasible the known columns already support a
-    distribution meeting every target, and it is returned instead.
-    """
+def _restricted_program(finst: FairInstance, r, columns) -> lp.LinearProgram:
     inst = finst.base
     n = inst.n
     r4 = 4 * Fraction(r)
@@ -201,7 +200,25 @@ def solve_restricted(finst: FairInstance, r, columns):
     for c in columns:
         cov = union_mask(inst, c, r4)
         program.add([cov >> u & 1 for u in range(n)] + [-1], lp.LE, 0)
-    out = lp.solve(program)
+    return program
+
+
+def solve_restricted(finst: FairInstance, r, columns, live=None):
+    """Best dual response to the center sets found so far.
+
+    Minimizes mu over alpha >= 0 and free mu, normalized so the
+    target-weighted alpha mass exceeds mu by exactly one, subject to
+    every known column's coverage staying at most mu.  When even that
+    program is infeasible the known columns already support a
+    distribution meeting every target, and it is returned instead.
+
+    live, when given, is lp's handle on this program solved for a
+    prefix of columns (the previous call of the same probe); the rows
+    of the rest are appended to it and it re-solves warm.
+    """
+    n = finst.base.n
+    program = _restricted_program(finst, r, columns)
+    out = lp.solve(program) if live is None else live.append(program)
     if out.status == "optimal":
         if lp.check_point(program, out.solution) is not None:
             raise InternalError("LP returned a point outside its own polytope")
@@ -209,7 +226,7 @@ def solve_restricted(finst: FairInstance, r, columns):
     if out.status != "infeasible":
         # mu >= weighted mass - 1 >= -1 on every feasible point
         raise InternalError("dual response LP cannot be unbounded")
-    dist = _distribution_over(finst, columns, r4)
+    dist = _distribution_over(finst, columns, 4 * Fraction(r))
     if dist is None:
         raise InternalError("restricted distribution LP must be solvable")
     return dist
@@ -244,21 +261,28 @@ class FairSolution:
     trace: FairTrace
 
 
-def _probe(finst: FairInstance, r, rec: FairRadiusRecord):
+def _probe(finst: FairInstance, r, rec: FairRadiusRecord, first):
     """Column generation at one radius: alternate best dual responses
     with separation until a distribution emerges or a dual point
-    survives, which proves the radius too small."""
+    survives, which proves the radius too small.
+
+    The probe keeps one live restricted dual, starting from its own
+    copy of first (lp's handle on the column-free restricted dual,
+    which does not depend on r), and one live relaxation; both are
+    dropped when it ends."""
     columns = []
     known = set()
+    restricted = first.copy()
+    relaxation = LiveRelaxation()
     while True:
         rec.restricted_solves += 1
-        response = solve_restricted(finst, r, columns)
+        response = solve_restricted(finst, r, columns, restricted)
         if isinstance(response, Distribution):
             rec.outcome = "distribution"
             return response
         sep = SeparationRecord(radius=Fraction(r))
         rec.separations.append(sep)
-        got = separate_or_certify(finst, r, response, sep)
+        got = separate_or_certify(finst, r, response, sep, relaxation)
         if isinstance(got, InQ):
             rec.outcome = "certified"
             return None
@@ -274,9 +298,11 @@ def solve_fair(finst: FairInstance) -> FairSolution:
     center sets meets every coverage target (see solver.radius_search):
     exact when enumeration is affordable, a distribution over every
     feasible set deciding each radius; otherwise column generation
-    decides it and the radius is at most four times the optimum.
+    decides it and the radius is at most four times the optimum.  The
+    column-free restricted dual is solved once, at the first probe.
     """
     trace = FairTrace()
+    first = None
 
     def exact(r):
         found = _distribution_over(finst, list(feasible_sets(finst.base, r)), r)
@@ -285,9 +311,16 @@ def solve_fair(finst: FairInstance) -> FairSolution:
         return found
 
     def probe(r):
+        nonlocal first
+        if first is None:
+            out = lp.solve(_restricted_program(finst, r, ()))
+            if out.status != "optimal":
+                # alpha = 0, mu = -1 is feasible and mu >= -1 throughout
+                raise InternalError("column-free restricted dual must be solvable")
+            first = out.live
         rec = FairRadiusRecord(radius=r)
         trace.records.append(rec)
-        return _probe(finst, r, rec)
+        return _probe(finst, r, rec, first)
 
     dist, radius, optimal = radius_search(finst.base, exact, probe)
     return FairSolution(dist, radius, optimal, trace)

@@ -10,7 +10,14 @@ Inputs are ints or fractions.Fraction; ints stay ints.  Inside a solve
 everything is a Python int over a common denominator: the tableau is
 fraction-free (Edmonds 1967, Bareiss 1968) and updated by exact integer
 division, and the basic values, ratio-test steps, duals and every check
-share its denominator.  Outputs are Fractions, built once per solve.
+share its denominator.  Outputs are Fractions: the solution once per
+solve, the dual on first access.
+
+An optimal solve stays live: rows appended to its program are re-solved
+warm by a dual simplex, and dropped rows by the primal loop, from the
+last optimal basis.  Warm outcomes keep every check of a cold one: the
+strong-duality check on ints, and a Farkas certificate verified against
+the caller's program on "infeasible".
 """
 
 from __future__ import annotations
@@ -255,13 +262,47 @@ def verify_certificate(lp: LinearProgram, cert: FarkasCertificate) -> bool:
     return gap > 0 and Fraction(gap, m * L) == cert.gap
 
 
-@dataclass(frozen=True)
 class LpOutcome:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    solution: tuple = None
-    value: Fraction = None
-    dual: DualInfo = None
-    certificate: FarkasCertificate = None
+    """What a solve found: status "optimal", "infeasible" or "unbounded".
+
+    An optimum carries solution, value and dual, a DualInfo built on
+    first access; "infeasible" carries a verified certificate.  live,
+    on an optimum, is the handle that re-solves the program after rows
+    are appended or dropped (_Simplex.append, _Simplex.drop).  Every
+    warm re-solve moves that one handle on, so only the latest
+    outcome's handle describes its program.
+    """
+
+    __slots__ = ("status", "solution", "value", "certificate", "live", "_dual")
+
+    def __init__(
+        self, status, solution=None, value=None, dual=None, certificate=None, live=None
+    ):
+        self.status = status
+        self.solution = solution
+        self.value = value
+        self.certificate = certificate
+        self.live = live
+        self._dual = dual  # a DualInfo, or a function building it
+
+    @property
+    def dual(self):
+        if callable(self._dual):
+            self._dual = self._dual()
+        return self._dual
+
+    def _fields(self):
+        return (self.status, self.solution, self.value, self.dual, self.certificate)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        names = ("status", "solution", "value", "dual", "certificate")
+        return "LpOutcome(" + ", ".join(
+            f"{k}={v!r}" for k, v in zip(names, self._fields())) + ")"
 
 
 _AT_LOWER = 0
@@ -300,6 +341,11 @@ class _Simplex:
     columns hold the basis inverse; in particular the row duals are the
     negated reduced costs of the slack columns, a fact used for both
     the dual solution and the Farkas certificate.
+
+    An optimal solve stays live (see append and drop).  Artificial
+    columns are deleted after phase 1, so row i's slack is always column
+    n + i; a dropped row keeps its place in the tableau with its slack
+    free, and `rows` lists the rows still in the program, in order.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -336,6 +382,8 @@ class _Simplex:
         self.basis = [None] * self.m
         self.B = [0] * self.m
         self.artificial = []
+        self.rows = list(range(self.m))
+        self.optimal = False
 
     def bound_value(self, j):
         """The value of nonbasic column j, times L."""
@@ -357,12 +405,178 @@ class _Simplex:
             if any(self.basis[i] >= self.ncols and self.B[i] for i in range(self.m)):
                 return self._infeasible_outcome()
             self._drive_out_artificials()
-            self.frozen.update(self.artificial)
-        self._reduced_costs(self.cost + [0] * (self.total_cols() - self.n))
-        status = self._iterate()
-        if status == "unbounded":
-            return LpOutcome(status="unbounded")
-        return self._optimal_outcome()
+            # nonbasic at zero and never entering again: delete them
+            for row in self.T:
+                del row[self.ncols :]
+            for v in (self.lo, self.up, self.state):
+                del v[self.ncols :]
+            self.artificial = []
+        self._reduced_costs(self.cost + [0] * (self.ncols - self.n))
+        return self._primal_outcome()
+
+    # -- warm re-solves ---------------------------------------------------
+
+    def copy(self) -> "_Simplex":
+        """An independent handle on the same solved program."""
+        twin = object.__new__(_Simplex)
+        twin.__dict__.update(self.__dict__)
+        twin.T = [row[:] for row in self.T]
+        for name in ("B", "d", "lo", "up", "state", "basis", "rhs", "rows"):
+            setattr(twin, name, getattr(self, name)[:])
+        twin.frozen = set(self.frozen)
+        return twin
+
+    def append(self, lp: LinearProgram) -> LpOutcome:
+        """Re-solve for lp, the live program with rows appended.
+
+        lp's first len(self.rows) constraints are the live rows, in
+        order; each further one enters the tableau eliminated against
+        the basis, with its slack basic, which keeps the basis dual
+        feasible.  The dual simplex then restores primal feasibility
+        (Lemke 1954) under Bland's rule for the dual: the leaving row is
+        the one whose basic variable has the lowest index among those
+        outside their bounds, and the entering column has the least
+        ratio |d_j| / |T[r][j]|, ties to the lowest index.  "infeasible"
+        carries the certificate read off the blocking row, verified
+        against lp.
+        """
+        if not self.optimal:
+            raise ValueError("only an optimal solve can be re-solved")
+        if lp.num_vars != self.n or len(lp.constraints) < len(self.rows):
+            raise ValueError("lp does not extend the live program")
+        self.lp = lp
+        self.optimal = False
+        new = lp.constraints[len(self.rows) :]
+        L = math.lcm(self.L, *(con.rhs.denominator for con in new))
+        if L != self.L:
+            f = L // self.L
+            self.L = L
+            for v in (self.rhs, self.B, self.lo, self.up):
+                v[:] = [None if x is None else x * f for x in v]
+        for con in new:
+            self._add_row(con)
+        while True:
+            r, leave_state, bound = self._pick_leaving()
+            if r is None:
+                return self._optimal_outcome()
+            enter, direction = self._pick_entering_dual(r, leave_state)
+            if enter is None:
+                return self._row_infeasible_outcome(r, leave_state)
+            num = abs(self.B[r] - self.D * bound)
+            self._apply(enter, direction, num, r, leave_state)
+
+    def drop(self, rows) -> LpOutcome:
+        """Re-solve with the live rows at the given positions removed.
+
+        Each dropped row's slack becomes free at its current value zero,
+        so the basis stays primal feasible and the primal loop
+        re-optimizes; the row stays in the tableau, inert.  Returns
+        "optimal" or "unbounded".
+        """
+        if not self.optimal:
+            raise ValueError("only an optimal solve can be re-solved")
+        self.optimal = False
+        gone = {self.rows[p] for p in rows}
+        for i in gone:
+            s = self.n + i
+            self.lo[s] = self.up[s] = None
+            self.frozen.discard(s)
+            if self.state[s] != _BASIC:
+                self.state[s] = _AT_FREE
+        self.rows = [i for i in self.rows if i not in gone]
+        self.lp = None  # no longer the program solved
+        return self._primal_outcome()
+
+    def _add_row(self, con: Constraint):
+        """Append con to the tableau with its slack basic; the current
+        L already covers its rhs."""
+        n, D, T = self.n, self.D, self.T
+        a, s = con.ints, con.scale
+        rhs = _scaled(con.rhs, self.L)
+        # the true row is a / s; eliminated against the basis and taken
+        # over D' = D * s it is a * D - sum_i a[b_i] * T[i], and the
+        # slack's value b - a.x / s times D' * L is rhs * D' - a . X,
+        # X the structural values over D * L
+        row = [c * D for c in a] + [0] * (self.ncols - n)
+        value = rhs * D * s
+        for j, c in enumerate(a):
+            if c and self.state[j] != _BASIC:
+                value -= c * self.bound_value(j) * D
+        for i, b in enumerate(self.basis):
+            if b < n and a[b]:
+                f = a[b]
+                row = [v - f * w if w else v for v, w in zip(row, T[i])]
+                value -= f * self.B[i]
+        if s != 1:
+            for ti in T:
+                ti[:] = [v * s for v in ti]
+            self.B = [v * s for v in self.B]
+            self.d = [v * s for v in self.d]
+            self.D = D * s
+        for ti in T:
+            ti.append(0)
+        row.append(self.D)
+        T.append(row)
+        self.d.append(0)
+        col = self.ncols
+        lo, up = _SLACK_BOUNDS[con.rel]
+        self.lo.append(lo)
+        self.up.append(up)
+        if lo == up:
+            self.frozen.add(col)
+        self.state.append(_BASIC)
+        self.basis.append(col)
+        self.B.append(value)
+        self.rhs.append(rhs)
+        self.rows.append(self.m)
+        self.m += 1
+        self.ncols += 1
+
+    def _pick_leaving(self):
+        """(row, state it leaves to, that bound) for the basic variable
+        of lowest index outside its bounds, or Nones when none is."""
+        D = self.D
+        best = best_b = leave_state = bound = None
+        for i, b in enumerate(self.basis):
+            if best_b is not None and b > best_b:
+                continue
+            lo, up = self.lo[b], self.up[b]
+            if lo is not None and self.B[i] < lo * D:
+                best, best_b, leave_state, bound = i, b, _AT_LOWER, lo
+            elif up is not None and self.B[i] > up * D:
+                best, best_b, leave_state, bound = i, b, _AT_UPPER, up
+        return best, leave_state, bound
+
+    def _pick_entering_dual(self, r, leave_state):
+        """(column, direction) of the dual ratio test on row r, or
+        (None, 0) when no column can move its basic variable back.
+
+        With sigma = +1 when that variable must rise to its lower bound
+        and -1 when it must fall to its upper one, column j qualifies
+        when sigma * T[r][j] < 0 and j can increase, or > 0 and j can
+        decrease; its ratio |d_j| / |T[r][j]| bounds the dual step.
+        """
+        row, d, state, frozen = self.T[r], self.d, self.state, self.frozen
+        rising = leave_state == _AT_LOWER
+        best = None
+        best_num, best_den = 0, 1
+        direction = 0
+        for j, a in enumerate(row):
+            if not a or state[j] == _BASIC or j in frozen:
+                continue
+            if (a < 0) == rising:
+                if state[j] == _AT_UPPER:
+                    continue
+                move = 1
+            else:
+                if state[j] == _AT_LOWER:
+                    continue
+                move = -1
+            num = d[j] if d[j] > 0 else -d[j]
+            den = a if a > 0 else -a
+            if best is None or num * best_den < best_num * den:
+                best, best_num, best_den, direction = j, num, den, move
+        return best, direction
 
     # -- setup ------------------------------------------------------------
 
@@ -587,24 +801,20 @@ class _Simplex:
 
     # -- outcomes ---------------------------------------------------------
 
-    def _duals(self, sign=1):
-        """Row duals and bound multipliers (min convention) as Fractions,
-        each times sign, and y.b + low.lower - upp.upper (min
-        convention) as an int over lc*D*L.
+    def _duals(self):
+        """Row duals over the live rows and bound multipliers (min
+        convention) as ints over lc*D, and y.b + low.lower - upp.upper
+        as an int over lc*D*L.
 
         The row duals are the negated slack reduced costs; the bound
         multipliers are the nonnegative parts of the structural ones.
         """
         n, d = self.n, self.d
-        den = self.lc * self.D
-        total = 0
-        y = []
-        for i, b in enumerate(self.rhs):
-            v = -d[n + i]
-            y.append(Fraction(sign * v, den) if v else _ZERO)
-            total += v * b
-        low = [_ZERO] * n
-        upp = [_ZERO] * n
+        y = [-d[n + i] for i in range(self.m)]
+        total = sum(v * b for v, b in zip(y, self.rhs) if v)
+        y = self._live_part(y)
+        low = [0] * n
+        upp = [0] * n
         for j in range(n):
             dj = d[j]
             if not dj or self.state[j] == _BASIC:
@@ -612,14 +822,29 @@ class _Simplex:
             if dj > 0:
                 if self.lo[j] is None:
                     raise InternalError(f"multiplier on missing lower bound {j}")
-                low[j] = Fraction(sign * dj, den)
+                low[j] = dj
                 total += dj * self.lo[j]
             else:
                 if self.up[j] is None:
                     raise InternalError(f"multiplier on missing upper bound {j}")
-                upp[j] = Fraction(-sign * dj, den)
+                upp[j] = -dj
                 total += dj * self.up[j]
         return y, low, upp, total
+
+    def _live_part(self, per_row):
+        """per_row restricted to the live rows; a dropped row's slack is
+        free, so its entry must be zero."""
+        if len(self.rows) == self.m:
+            return per_row
+        live = set(self.rows)
+        if any(v for i, v in enumerate(per_row) if i not in live):
+            raise InternalError("a dropped row carries a multiplier")
+        return [per_row[i] for i in self.rows]
+
+    def _primal_outcome(self):
+        if self._iterate() == "unbounded":
+            return LpOutcome(status="unbounded")
+        return self._optimal_outcome()
 
     def _optimal_outcome(self):
         # structural values as ints over D*L
@@ -629,24 +854,79 @@ class _Simplex:
                 x[self.basis[i]] = self.B[i]
         cost = self.phase_cost
         primal = sum(cost[j] * v for j, v in enumerate(x) if cost[j] and v)
-        # a max program was solved as the min of its negation
-        sign = 1 if self.minimize else -1
-        y, low, upp, dual = self._duals(sign)
+        y, low, upp, dual = self._duals()
         if dual != primal:
             raise InternalError("strong duality failed, simplex bug")
+        # a max program was solved as the min of its negation
+        sign = 1 if self.minimize else -1
+        den = self.lc * self.D
         dl = self.D * self.L
         value = Fraction(sign * primal, self.lc * dl)
-        dual = DualInfo(tuple(y), tuple(low), tuple(upp), value)
         solution = tuple(Fraction(v, dl) if v else _ZERO for v in x)
-        return LpOutcome(status="optimal", solution=solution, value=value, dual=dual)
+        self.optimal = True
+
+        def dual_info():
+            return DualInfo(
+                _fractions(y, den, sign), _fractions(low, den, sign),
+                _fractions(upp, den, sign), value,
+            )
+
+        return LpOutcome("optimal", solution, value, dual=dual_info, live=self)
 
     def _infeasible_outcome(self):
         y, low, upp, gap = self._duals()
-        gap = Fraction(gap, self.lc * self.D * self.L)
-        cert = FarkasCertificate(tuple(y), tuple(low), tuple(upp), gap)
+        den = self.lc * self.D
+        return self._certified(
+            _fractions(y, den), _fractions(low, den), _fractions(upp, den),
+            Fraction(gap, den * self.L),
+        )
+
+    def _row_infeasible_outcome(self, r, leave_state):
+        """The Farkas certificate read off row r, whose basic variable
+        x_b lies below its lower bound (sigma = 1) or above its upper
+        one (sigma = -1) with no column able to move it back.
+
+        Row r is the combination, with lambda_i = T[r][n+i] / D, of the
+        rows "a_i.x + s_i = b_i".  Row multipliers -sigma*lambda and
+        bound multipliers sigma*T[r][j] / D on each structural column
+        (on its lower bound where positive, its upper bound where
+        negative) sum to zero; every such entry sits where the column
+        cannot move x_b back, so the gap is how far x_b lies outside its
+        bound.  A dropped row must carry no multiplier.
+        """
+        n, row = self.n, self.T[r]
+        sigma = 1 if leave_state == _AT_LOWER else -1
+        lam = [-sigma * row[n + i] for i in range(self.m)]
+        gap = sum(v * b for v, b in zip(lam, self.rhs) if v)
+        low = [0] * n
+        upp = [0] * n
+        for j in range(n):
+            v = sigma * row[j]
+            if not v:
+                continue
+            bound = self.lo[j] if v > 0 else self.up[j]
+            if bound is None:
+                raise InternalError(f"row {r} blocks on the missing bound of {j}")
+            if v > 0:
+                low[j] = v
+            else:
+                upp[j] = -v
+            gap += v * bound
+        D = self.D
+        return self._certified(
+            _fractions(self._live_part(lam), D), _fractions(low, D),
+            _fractions(upp, D), Fraction(gap, D * self.L),
+        )
+
+    def _certified(self, y, low, upp, gap):
+        cert = FarkasCertificate(y, low, upp, gap)
         if not verify_certificate(self.lp, cert):
-            raise InternalError("phase 1 built a bad certificate")
+            raise InternalError("the simplex built a bad certificate")
         return LpOutcome(status="infeasible", certificate=cert)
+
+
+def _fractions(values, den, sign=1):
+    return tuple(Fraction(sign * v, den) if v else _ZERO for v in values)
 
 
 def solve(lp: LinearProgram) -> LpOutcome:
@@ -654,7 +934,10 @@ def solve(lp: LinearProgram) -> LpOutcome:
 
     "optimal" comes with a basic solution (a vertex whenever the
     feasible region is pointed), its value, and a dual of equal value;
-    "infeasible" with a verified Farkas certificate.  Identical input
-    always takes the identical pivot path, so results are deterministic.
+    "infeasible" with a verified Farkas certificate.  An optimum's
+    handle (LpOutcome.live) re-solves warm after rows are appended or
+    dropped.  Identical input and an identical sequence of appends and
+    drops always take the identical pivot path, so results are
+    deterministic.
     """
     return _Simplex(lp).solve()

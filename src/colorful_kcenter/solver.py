@@ -35,12 +35,17 @@ When that is below c's demand the radius is rejected with no LP, by
 the Farkas certificate of this inequality (counting_certificate: +1 on
 c's demand row and on the coverage rows of U, -A on the budget row, A
 the k-th largest a_v, and bound multipliers for the rest), checked
-exactly by lp.verify_certificate before it is returned.
+exactly by lp.verify_certificate, against just the rows it uses,
+before it is returned.
+
+One probe's relaxation LPs share one live simplex (LiveRelaxation): the
+first is solved cold, and each later one, after a cut or with another
+extra row, re-solves warm from the last optimal basis (see lp).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import lp
@@ -115,51 +120,70 @@ def build_relaxation(inst: Instance, r, cuts=(), extra_row=None) -> lp.LinearPro
     """
     n = inst.n
     r = Fraction(r)
-    program = lp.LinearProgram(
-        2 * n, (1,) * n + (0,) * n, lp.MAX, (0,) * (2 * n), (1,) * (2 * n)
-    )
-    program.add([0] * n + [1] * n, lp.LE, inst.k)
-    masks = ball_masks(inst, r)
-
-    def y_row(mask):
-        # ones on the y variables of the points in mask
-        return [0] * n + [mask >> v & 1 for v in range(n)]
-
-    for u, mask in enumerate(masks):
-        row = y_row(mask)
-        row[u] = -1
-        program.add(row, lp.GE, 0)
+    program = _relaxation_frame(inst)
+    for u, mask in enumerate(ball_masks(inst, r)):
+        program.add(*_coverage_row(n, u, mask))
     for c in inst.colors:
-        row = [0] * (2 * n)
-        for u in c.members:
-            row[u] = 1
-        program.add(row, lp.GE, c.demand)
+        program.add(*_demand_row(n, c))
     if extra_row is not None:
         weights, rhs = extra_row
         program.add([weights[u] for u in range(n)] + [0] * n, lp.GE, rhs)
     for cut in cuts:
-        program.add(y_row(union_mask(inst, cut.centers, r)), lp.LE, cut.bound)
+        program.add(_y_row(n, union_mask(inst, cut.centers, r)), lp.LE, cut.bound)
     return program
 
 
-def counting_certificate(inst: Instance, program, found) -> lp.FarkasCertificate:
-    """The Farkas certificate of a model.CountingBound on program, the
-    relaxation at its radius with no cuts (and any extra row).
+def _relaxation_frame(inst: Instance) -> lp.LinearProgram:
+    """The relaxation's variables, bounds, objective and budget row."""
+    n = inst.n
+    program = lp.LinearProgram(
+        2 * n, (1,) * n + (0,) * n, lp.MAX, (0,) * (2 * n), (1,) * (2 * n)
+    )
+    program.add([0] * n + [1] * n, lp.LE, inst.k)
+    return program
+
+
+def _y_row(n, mask):
+    """Ones on the y variables of the points in mask."""
+    return [0] * n + [mask >> v & 1 for v in range(n)]
+
+
+def _coverage_row(n, u, mask):
+    """y(ball(u, r)) - x_u >= 0, mask the points of ball(u, r)."""
+    row = _y_row(n, mask)
+    row[u] = -1
+    return row, lp.GE, 0
+
+
+def _demand_row(n, color):
+    row = [0] * (2 * n)
+    for u in color.members:
+        row[u] = 1
+    return row, lp.GE, color.demand
+
+
+def counting_certificate(inst: Instance, r, found, extra=None) -> lp.FarkasCertificate:
+    """The Farkas certificate of a model.CountingBound on the relaxation
+    at radius r with no cuts, with one multiplier per row of
+    build_relaxation(inst, r, extra_row=extra).
 
     Row multipliers: +1 on the color's demand row and on the coverage
     row of each kept point u, -A on the budget row, A the k-th largest
     a_v.  Bound multipliers: upper 1 on x_u for u in the color but not
     kept, upper (a_v - A)+ and lower (A - a_v)+ on y_v.  They sum to the
     zero vector, and the gap is demand - bound > 0.  The certificate is
-    checked exactly before it is returned.
+    checked exactly, against a program of just the rows it uses (built
+    by build_relaxation's row code), before it is returned; every other
+    row has multiplier zero.
     """
     n = inst.n
     color = inst.colors[found.color]
-    rows = [0] * len(program.constraints)
-    rows[0] = -found.kth
-    for u in range(n):
-        rows[1 + u] = found.kept >> u & 1
-    rows[1 + n + found.color] = 1
+    masks = ball_masks(inst, Fraction(r))
+    kept = [u for u in range(n) if found.kept >> u & 1]
+    used = _relaxation_frame(inst)
+    for u in kept:
+        used.add(*_coverage_row(n, u, masks[u]))
+    used.add(*_demand_row(n, color))
     lower = [0] * (2 * n)
     upper = [0] * (2 * n)
     for u in color.members:
@@ -168,14 +192,29 @@ def counting_certificate(inst: Instance, program, found) -> lp.FarkasCertificate
         upper[n + v] = max(a - found.kth, 0)
         lower[n + v] = max(found.kth - a, 0)
     cert = lp.FarkasCertificate(
-        tuple(rows), tuple(lower), tuple(upper), Fraction(color.demand - found.bound)
+        (-found.kth,) + (1,) * len(kept) + (1,),
+        tuple(lower), tuple(upper), Fraction(color.demand - found.bound),
     )
-    if not lp.verify_certificate(program, cert):
+    if not lp.verify_certificate(used, cert):
         raise InternalError("counting certificate fails verification")
-    return cert
+    rows = [0] * (1 + n + inst.num_colors + (extra is not None))
+    rows[0] = -found.kth
+    for u in kept:
+        rows[1 + u] = 1
+    rows[1 + n + found.color] = 1
+    return replace(cert, row_mults=tuple(rows))
 
 
-def round_or_cut(inst: Instance, r, record, extra=None):
+@dataclass
+class LiveRelaxation:
+    """The relaxation LP of one probe radius, kept solved across the
+    probe's round_or_cut calls: lp's live handle on its latest optimum,
+    or None before the first solve."""
+
+    live: object = None
+
+
+def round_or_cut(inst: Instance, r, record, extra=None, relaxation=None):
     """Round-or-cut loop at radius r over t covering rows.
 
     t = gamma, plus one when extra = (weights, goal) asks for covered
@@ -185,6 +224,13 @@ def round_or_cut(inst: Instance, r, record, extra=None):
     that no integral radius-r solution exists.  Never reports infeasible
     when one does exist.  Counts LP solves, DP calls and cuts on record;
     a radius the counting bound rejects runs no LP.
+
+    The relaxation is solved cold once per LiveRelaxation, then warm:
+    a cut appends its row, and a later call with the same relaxation
+    (the next separation of a coverage-probability probe) drops the
+    last call's extra row and cuts and appends its own extra row.  Each
+    warm optimum is checked against a freshly built program like a cold
+    one, and lp verifies each certificate against it.
     """
     r = Fraction(r)
     t = inst.num_colors + (extra is not None)
@@ -193,13 +239,23 @@ def round_or_cut(inst: Instance, r, record, extra=None):
     target = None if extra is None else WeightedTarget(*extra)
     found = counting_bound(inst, r)
     if found is not None:
-        program = build_relaxation(inst, r, extra_row=extra)
-        return "infeasible", counting_certificate(inst, program, found)
+        return "infeasible", counting_certificate(inst, r, found, extra)
+    if relaxation is None:
+        relaxation = LiveRelaxation()
+    base = 1 + inst.n + inst.num_colors  # rows before the extra row and cuts
     cuts = []
     seen = set()
     while True:
         program = build_relaxation(inst, r, cuts, extra_row=extra)
-        out = lp.solve(program)
+        live = relaxation.live
+        if live is None:
+            out = lp.solve(program)
+        else:
+            if not cuts and len(live.rows) > base:
+                if live.drop(range(base, len(live.rows))).status != "optimal":
+                    raise InternalError("relaxation LP cannot be unbounded")
+            out = live.append(program)
+        relaxation.live = out.live
         record.lp_solves += 1
         if out.status == "infeasible":
             return "infeasible", out.certificate

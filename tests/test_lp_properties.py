@@ -479,3 +479,69 @@ def test_solve_equals_the_fraction_reference(program):
             assert lp.verify_certificate(program, bad) == reference_verify_certificate(
                 program, bad
             )
+
+
+# -- warm re-solves -----------------------------------------------------------
+#
+# An optimal outcome's live handle re-solves after rows are appended (dual
+# simplex) or dropped (primal simplex).  Each warm outcome must say what a
+# cold solve of the same program says, with its own exact checks passing.
+
+
+def mixed_rows(n):
+    return st.tuples(
+        st.lists(mixed, min_size=n, max_size=n),
+        st.sampled_from([lp.LE, lp.GE, lp.EQ]),
+        mixed,
+    )
+
+
+@st.composite
+def warm_sequences(draw):
+    """A program, then a list of steps: ("append", rows) adds one or
+    more rows in one call, ("drop", k) drops live row k mod the count."""
+    program = draw(mixed_programs())
+    n = program.num_vars
+    steps = [("append", draw(st.lists(mixed_rows(n), min_size=1, max_size=2)))
+             for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()) or not steps:
+        steps.insert(draw(st.integers(0, len(steps))), ("drop", draw(st.integers(0, 8))))
+    return program, steps
+
+
+def assert_same_as_cold(program, warm):
+    cold = lp.solve(program)
+    assert warm.status == cold.status
+    if warm.status == "optimal":
+        assert warm.value == cold.value
+        assert lp.check_point(program, warm.solution) is None
+        d = warm.dual
+        assert len(d.row_duals) == len(program.constraints)
+        assert _reference_combined_rhs(
+            program, d.row_duals, d.lower_duals, d.upper_duals
+        ) == d.objective == warm.value
+    elif warm.status == "infeasible":
+        assert lp.verify_certificate(program, warm.certificate)
+        assert reference_verify_certificate(program, warm.certificate)
+
+
+@settings(max_examples=400, deadline=None)
+@given(warm_sequences())
+def test_warm_resolves_agree_with_cold_solves(case):
+    program, steps = case
+    out = lp.solve(program)
+    rows = list(program.constraints)
+    for kind, arg in steps:
+        if out.status != "optimal" or kind == "drop" and not rows:
+            break
+        if kind == "append":
+            rows += lp.LinearProgram(program.num_vars, program.objective, constraints=arg).constraints
+        else:
+            arg %= len(rows)
+            del rows[arg]
+        current = lp.LinearProgram(
+            program.num_vars, program.objective, program.sense,
+            program.lower, program.upper, rows,
+        )
+        out = out.live.append(current) if kind == "append" else out.live.drop([arg])
+        assert_same_as_cold(current, out)

@@ -1,6 +1,7 @@
 """Round-or-cut solver: relaxation shape, fixed-radius probes, end-to-end
 approximation ratio, cut validity, and the exact enumeration branch."""
 
+import collections
 import math
 import random
 from fractions import Fraction
@@ -300,7 +301,7 @@ def test_counting_certificates_verify():
             assert found.bound < inst.colors[found.color].demand
             for extra_row in (None, extra):
                 program = build_relaxation(inst, r, extra_row=extra_row)
-                cert = counting_certificate(inst, program, found)
+                cert = counting_certificate(inst, r, found, extra_row)
                 assert lp.verify_certificate(program, cert)
                 assert cert.gap == inst.colors[found.color].demand - found.bound
                 assert lp.solve(program).status == "infeasible"
@@ -366,3 +367,46 @@ def test_counting_bound_changes_no_solution(monkeypatch):
     monkeypatch.setattr(solver, "counting_bound", lambda inst, r: None)
     without = [(_colorful_run(f.base), _fair_run(f)) for f in cases]
     assert with_bound == without
+
+
+def test_warm_resolves_match_cold_solves(monkeypatch):
+    """On the golden fair-* and clumps-* cases, every warm re-solve of a
+    probe's live LP (rows appended, or rows dropped) reports the status
+    and optimal value of a cold solve of the same program."""
+    from test_golden_outputs import CASES
+
+    seen = collections.Counter()
+    append, drop = lp._Simplex.append, lp._Simplex.drop
+
+    def same_as_cold(kind, program, out):
+        cold = lp.solve(program)
+        assert out.status == cold.status
+        assert out.value == cold.value
+        seen[kind, out.status] += 1
+
+    def spy_append(self, program):
+        out = append(self, program)
+        same_as_cold("append", program, out)
+        return out
+
+    def spy_drop(self, rows):
+        gone = set(rows)
+        before = self.lp
+        program = lp.LinearProgram(
+            before.num_vars, before.objective, before.sense, before.lower, before.upper,
+            [con for p, con in enumerate(before.constraints) if p not in gone],
+        )
+        out = drop(self, rows)
+        same_as_cold("drop", program, out)
+        return out
+
+    monkeypatch.setattr(lp._Simplex, "append", spy_append)
+    monkeypatch.setattr(lp._Simplex, "drop", spy_drop)
+    for name, inst in sorted(CASES.items()):
+        if name.startswith("clumps-"):
+            solve_colorful(inst)
+        elif name.startswith("fair-") and not name.startswith("fair-enum-"):
+            solve_fair(inst)
+    assert seen["append", "optimal"] >= 100
+    assert seen["append", "infeasible"] >= 20
+    assert seen["drop", "optimal"] >= 40
