@@ -31,6 +31,7 @@ from .model import (
     Instance,
     InstanceFormatError,
     InstanceSchemaError,
+    _is_int,
     rational_from,
     rational_str,
 )
@@ -283,15 +284,7 @@ def cmd_gen(args):
                 g = _parse_graph_text(fh.read())
             inst = gen_from_vc3(g, args.t)
         elif args.family == "setcover":
-            doc = _load_json(args.instance)
-            try:
-                sc = SetCoverInstance(
-                    universe=doc["universe"],
-                    sets=tuple(frozenset(s) for s in doc["sets"]),
-                )
-            except (KeyError, TypeError) as exc:
-                raise CliError(USAGE, f"set cover file needs universe and sets: {exc}")
-            inst = gen_from_setcover(sc, args.t)
+            inst = gen_from_setcover(_set_cover(_load_json(args.instance)), args.t)
         elif args.family == "clumps":
             inst = gen_clumps(args.k, args.gamma, spread=args.spread)
         else:  # random
@@ -314,16 +307,26 @@ def cmd_fixture(args):
     return model.instance_to_dict(fx.instance), OK
 
 
+def _set_cover(doc) -> SetCoverInstance:
+    """A set cover file's instance: a nonnegative integer universe and a
+    list of lists of integer elements; bools and other numbers are
+    malformed, as in _solution_points."""
+    if not (isinstance(doc, dict) and "universe" in doc and "sets" in doc):
+        raise CliError(USAGE, "set cover file needs universe and sets")
+    universe, sets = doc["universe"], doc["sets"]
+    if not (_is_int(universe) and universe >= 0):
+        raise CliError(USAGE, "set cover universe must be a nonnegative integer")
+    if not (isinstance(sets, list) and all(
+        isinstance(s, list) and all(map(_is_int, s)) for s in sets
+    )):
+        raise CliError(USAGE, "set cover sets must be lists of integer elements")
+    return SetCoverInstance(universe=universe, sets=tuple(map(frozenset, sets)))
+
+
 def _solution_points(value, n: int, what: str) -> list:
     """A list of point indices of an n-point instance; anything else,
     including bools and negative indices, is a malformed solution."""
-    if not (
-        isinstance(value, list)
-        and all(
-            isinstance(u, int) and not isinstance(u, bool) and 0 <= u < n
-            for u in value
-        )
-    ):
+    if not (isinstance(value, list) and all(_is_int(u) and 0 <= u < n for u in value)):
         raise CliError(
             USAGE, f"solution {what} must be a list of point indices in 0..{n - 1}"
         )

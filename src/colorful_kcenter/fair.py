@@ -11,9 +11,10 @@ rows, the extra one asking for that weighted coverage, proving the
 probe radius too small.  The radius search is the solver's too.
 
 Each probe re-solves its LPs warm (lp's live handles): the restricted
-dual gains one row per column, and the separation relaxation swaps its
-weighted row between separations.  Every warm optimum is checked against
-a freshly built program, and every certificate verified against it.
+dual gains one row per column, and each separation appends its weighted
+row to a copy of the probe's cut-free relaxation.  Every warm optimum is
+checked against a freshly built program, and every certificate verified
+against it.
 """
 
 from __future__ import annotations
@@ -174,8 +175,9 @@ def separate_or_certify(
     goal = mu + eps clamped at zero, which changes no answer since
     covered weight is never negative.  One more row drops the rounding
     threshold and cut bound to k - gamma and raises the outside-guess
-    budget to gamma - 1.  relaxation, a solver.LiveRelaxation, carries
-    the probe's live relaxation LP from one separation to the next.
+    budget to gamma - 1.  relaxation, a solver.LiveRelaxation, holds
+    the probe's cut-free relaxation LP, solved once and copied by each
+    separation; the answer is the same with a fresh one.
     """
     r = Fraction(r)
     eps = epsilon_gap(dual.alpha, dual.mu)
@@ -268,8 +270,8 @@ def _probe(finst: FairInstance, r, rec: FairRadiusRecord, first):
 
     The probe keeps one live restricted dual, starting from its own
     copy of first (lp's handle on the column-free restricted dual,
-    which does not depend on r), and one live relaxation; both are
-    dropped when it ends."""
+    which does not depend on r), and one cut-free relaxation that each
+    separation copies; both are dropped when it ends."""
     columns = []
     known = set()
     restricted = first.copy()

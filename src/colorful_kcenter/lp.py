@@ -14,10 +14,11 @@ share its denominator.  Outputs are Fractions: the solution once per
 solve, the dual on first access.
 
 An optimal solve stays live: rows appended to its program are re-solved
-warm by a dual simplex, and dropped rows by the primal loop, from the
-last optimal basis.  Warm outcomes keep every check of a cold one: the
-strong-duality check on ints, and a Farkas certificate verified against
-the caller's program on "infeasible".
+warm by a dual simplex from the last optimal basis, and a copy of the
+handle re-solves independently of the original.  Warm outcomes keep
+every check of a cold one: the strong-duality check on ints, and a
+Farkas certificate verified against the caller's program on
+"infeasible".
 """
 
 from __future__ import annotations
@@ -268,9 +269,9 @@ class LpOutcome:
     An optimum carries solution, value and dual, a DualInfo built on
     first access; "infeasible" carries a verified certificate.  live,
     on an optimum, is the handle that re-solves the program after rows
-    are appended or dropped (_Simplex.append, _Simplex.drop).  Every
-    warm re-solve moves that one handle on, so only the latest
-    outcome's handle describes its program.
+    are appended (_Simplex.append).  Every warm re-solve moves that one
+    handle on, so only the latest outcome's handle describes its
+    program; _Simplex.copy keeps an earlier one.
     """
 
     __slots__ = ("status", "solution", "value", "certificate", "live", "_dual")
@@ -342,10 +343,9 @@ class _Simplex:
     negated reduced costs of the slack columns, a fact used for both
     the dual solution and the Farkas certificate.
 
-    An optimal solve stays live (see append and drop).  Artificial
+    An optimal solve stays live (see copy and append).  Artificial
     columns are deleted after phase 1, so row i's slack is always column
-    n + i; a dropped row keeps its place in the tableau with its slack
-    free, and `rows` lists the rows still in the program, in order.
+    n + i.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -382,7 +382,6 @@ class _Simplex:
         self.basis = [None] * self.m
         self.B = [0] * self.m
         self.artificial = []
-        self.rows = list(range(self.m))
         self.optimal = False
 
     def bound_value(self, j):
@@ -412,16 +411,19 @@ class _Simplex:
                 del v[self.ncols :]
             self.artificial = []
         self._reduced_costs(self.cost + [0] * (self.ncols - self.n))
-        return self._primal_outcome()
+        if self._iterate() == "unbounded":
+            return LpOutcome(status="unbounded")
+        return self._optimal_outcome()
 
     # -- warm re-solves ---------------------------------------------------
 
     def copy(self) -> "_Simplex":
-        """An independent handle on the same solved program."""
+        """An independent handle on the same solved program: appends to
+        either leave the other as it was."""
         twin = object.__new__(_Simplex)
         twin.__dict__.update(self.__dict__)
         twin.T = [row[:] for row in self.T]
-        for name in ("B", "d", "lo", "up", "state", "basis", "rhs", "rows"):
+        for name in ("B", "d", "lo", "up", "state", "basis", "rhs"):
             setattr(twin, name, getattr(self, name)[:])
         twin.frozen = set(self.frozen)
         return twin
@@ -429,7 +431,7 @@ class _Simplex:
     def append(self, lp: LinearProgram) -> LpOutcome:
         """Re-solve for lp, the live program with rows appended.
 
-        lp's first len(self.rows) constraints are the live rows, in
+        lp's first self.m constraints are the live rows, in
         order; each further one enters the tableau eliminated against
         the basis, with its slack basic, which keeps the basis dual
         feasible.  The dual simplex then restores primal feasibility
@@ -442,11 +444,11 @@ class _Simplex:
         """
         if not self.optimal:
             raise ValueError("only an optimal solve can be re-solved")
-        if lp.num_vars != self.n or len(lp.constraints) < len(self.rows):
+        if lp.num_vars != self.n or len(lp.constraints) < self.m:
             raise ValueError("lp does not extend the live program")
         self.lp = lp
         self.optimal = False
-        new = lp.constraints[len(self.rows) :]
+        new = lp.constraints[self.m :]
         L = math.lcm(self.L, *(con.rhs.denominator for con in new))
         if L != self.L:
             f = L // self.L
@@ -464,28 +466,6 @@ class _Simplex:
                 return self._row_infeasible_outcome(r, leave_state)
             num = abs(self.B[r] - self.D * bound)
             self._apply(enter, direction, num, r, leave_state)
-
-    def drop(self, rows) -> LpOutcome:
-        """Re-solve with the live rows at the given positions removed.
-
-        Each dropped row's slack becomes free at its current value zero,
-        so the basis stays primal feasible and the primal loop
-        re-optimizes; the row stays in the tableau, inert.  Returns
-        "optimal" or "unbounded".
-        """
-        if not self.optimal:
-            raise ValueError("only an optimal solve can be re-solved")
-        self.optimal = False
-        gone = {self.rows[p] for p in rows}
-        for i in gone:
-            s = self.n + i
-            self.lo[s] = self.up[s] = None
-            self.frozen.discard(s)
-            if self.state[s] != _BASIC:
-                self.state[s] = _AT_FREE
-        self.rows = [i for i in self.rows if i not in gone]
-        self.lp = None  # no longer the program solved
-        return self._primal_outcome()
 
     def _add_row(self, con: Constraint):
         """Append con to the tableau with its slack basic; the current
@@ -528,7 +508,6 @@ class _Simplex:
         self.basis.append(col)
         self.B.append(value)
         self.rhs.append(rhs)
-        self.rows.append(self.m)
         self.m += 1
         self.ncols += 1
 
@@ -802,9 +781,8 @@ class _Simplex:
     # -- outcomes ---------------------------------------------------------
 
     def _duals(self):
-        """Row duals over the live rows and bound multipliers (min
-        convention) as ints over lc*D, and y.b + low.lower - upp.upper
-        as an int over lc*D*L.
+        """Row duals and bound multipliers (min convention) as ints over
+        lc*D, and y.b + low.lower - upp.upper as an int over lc*D*L.
 
         The row duals are the negated slack reduced costs; the bound
         multipliers are the nonnegative parts of the structural ones.
@@ -812,7 +790,6 @@ class _Simplex:
         n, d = self.n, self.d
         y = [-d[n + i] for i in range(self.m)]
         total = sum(v * b for v, b in zip(y, self.rhs) if v)
-        y = self._live_part(y)
         low = [0] * n
         upp = [0] * n
         for j in range(n):
@@ -830,21 +807,6 @@ class _Simplex:
                 upp[j] = -dj
                 total += dj * self.up[j]
         return y, low, upp, total
-
-    def _live_part(self, per_row):
-        """per_row restricted to the live rows; a dropped row's slack is
-        free, so its entry must be zero."""
-        if len(self.rows) == self.m:
-            return per_row
-        live = set(self.rows)
-        if any(v for i, v in enumerate(per_row) if i not in live):
-            raise InternalError("a dropped row carries a multiplier")
-        return [per_row[i] for i in self.rows]
-
-    def _primal_outcome(self):
-        if self._iterate() == "unbounded":
-            return LpOutcome(status="unbounded")
-        return self._optimal_outcome()
 
     def _optimal_outcome(self):
         # structural values as ints over D*L
@@ -892,7 +854,7 @@ class _Simplex:
         (on its lower bound where positive, its upper bound where
         negative) sum to zero; every such entry sits where the column
         cannot move x_b back, so the gap is how far x_b lies outside its
-        bound.  A dropped row must carry no multiplier.
+        bound.
         """
         n, row = self.n, self.T[r]
         sigma = 1 if leave_state == _AT_LOWER else -1
@@ -914,7 +876,7 @@ class _Simplex:
             gap += v * bound
         D = self.D
         return self._certified(
-            _fractions(self._live_part(lam), D), _fractions(low, D),
+            _fractions(lam, D), _fractions(low, D),
             _fractions(upp, D), Fraction(gap, D * self.L),
         )
 
@@ -935,9 +897,9 @@ def solve(lp: LinearProgram) -> LpOutcome:
     "optimal" comes with a basic solution (a vertex whenever the
     feasible region is pointed), its value, and a dual of equal value;
     "infeasible" with a verified Farkas certificate.  An optimum's
-    handle (LpOutcome.live) re-solves warm after rows are appended or
-    dropped.  Identical input and an identical sequence of appends and
-    drops always take the identical pivot path, so results are
-    deterministic.
+    handle (LpOutcome.live) re-solves warm after rows are appended, and
+    its copies do so independently.  Identical input and an identical
+    sequence of appends always take the identical pivot path, so
+    results are deterministic.
     """
     return _Simplex(lp).solve()

@@ -74,6 +74,16 @@ def build_cluster_system(
     return CoveringSystem(tuple(rows), tuple(rhs))
 
 
+def covering_program(system: CoveringSystem) -> lp.LinearProgram:
+    """Minimize the opened clusters z in [0,1] subject to every row of
+    the system: rows[l] . z >= rhs[l]."""
+    q = system.num_items
+    return lp.LinearProgram(
+        q, (1,) * q, lp.MIN, (0,) * q, (1,) * q,
+        [(row, lp.GE, b) for row, b in zip(system.rows, system.rhs)],
+    )
+
+
 def sparse_round(
     inst: Instance,
     r,
@@ -101,14 +111,7 @@ def sparse_round(
                 raise SparseRoundError("demand above the whole ground set")
         return frozenset(part.centers)
 
-    program = lp.LinearProgram(
-        q,
-        (1,) * q,
-        lp.MIN,
-        (0,) * q,
-        (1,) * q,
-        [(row, lp.GE, b) for row, b in zip(system.rows, system.rhs)],
-    )
+    program = covering_program(system)
     out = lp.solve(program)
     if out.status != "optimal":
         raise SparseRoundError(f"covering LP is {out.status}")

@@ -38,9 +38,12 @@ the k-th largest a_v, and bound multipliers for the rest), checked
 exactly by lp.verify_certificate, against just the rows it uses,
 before it is returned.
 
-One probe's relaxation LPs share one live simplex (LiveRelaxation): the
-first is solved cold, and each later one, after a cut or with another
-extra row, re-solves warm from the last optimal basis (see lp).
+A cut appends its row to the live simplex of the last relaxation LP,
+which re-solves warm from its optimal basis (see lp).  With an extra
+row, the relaxation without it and without cuts is solved cold once per
+LiveRelaxation; each round_or_cut call starts from its own copy of that
+solve and appends the extra row, so its answer does not depend on the
+calls before it.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ from .model import (
     weighted_coverage,
 )
 from .partition import FractionalPoint, good_partition, opening_mass, verify_partition
-from .rounding import build_cluster_system, sparse_round
+from .rounding import build_cluster_system, covering_program, sparse_round
 
 # largest subset count the exact enumeration branch will scan
 ENUM_CAP = 10**7
@@ -207,11 +210,11 @@ def counting_certificate(inst: Instance, r, found, extra=None) -> lp.FarkasCerti
 
 @dataclass
 class LiveRelaxation:
-    """The relaxation LP of one probe radius, kept solved across the
-    probe's round_or_cut calls: lp's live handle on its latest optimum,
-    or None before the first solve."""
+    """The cut-free relaxation LP of one probe radius with no extra row,
+    shared by the probe's round_or_cut calls: lp's live handle on its
+    optimum, or None before the first call that reaches an LP."""
 
-    live: object = None
+    base: object = None
 
 
 def round_or_cut(inst: Instance, r, record, extra=None, relaxation=None):
@@ -225,12 +228,14 @@ def round_or_cut(inst: Instance, r, record, extra=None, relaxation=None):
     when one does exist.  Counts LP solves, DP calls and cuts on record;
     a radius the counting bound rejects runs no LP.
 
-    The relaxation is solved cold once per LiveRelaxation, then warm:
-    a cut appends its row, and a later call with the same relaxation
-    (the next separation of a coverage-probability probe) drops the
-    last call's extra row and cuts and appends its own extra row.  Each
-    warm optimum is checked against a freshly built program like a cold
-    one, and lp verifies each certificate against it.
+    Without extra the relaxation is solved cold.  With extra, each
+    call copies relaxation.base (solved cold by the first call that
+    reaches an LP, and counted there) and appends the extra row, so
+    every call of a coverage-probability probe starts from the same
+    basis.  A cut appends its row.  Each warm optimum is checked against
+    a freshly built program like a cold one, and lp verifies each
+    certificate against it; an empty cut-free relaxation's certificate
+    gets a zero multiplier on the extra row and is verified again.
     """
     r = Fraction(r)
     t = inst.num_colors + (extra is not None)
@@ -240,22 +245,34 @@ def round_or_cut(inst: Instance, r, record, extra=None, relaxation=None):
     found = counting_bound(inst, r)
     if found is not None:
         return "infeasible", counting_certificate(inst, r, found, extra)
-    if relaxation is None:
-        relaxation = LiveRelaxation()
-    base = 1 + inst.n + inst.num_colors  # rows before the extra row and cuts
+    if extra is not None:
+        if relaxation is None:
+            relaxation = LiveRelaxation()
+        if relaxation.base is None:
+            out = lp.solve(build_relaxation(inst, r))
+            record.lp_solves += 1
+            if out.status == "infeasible":
+                cert = out.certificate
+                cert = replace(cert, row_mults=cert.row_mults + (0,))
+                full = build_relaxation(inst, r, extra_row=extra)
+                if not lp.verify_certificate(full, cert):
+                    raise InternalError("padded certificate fails verification")
+                return "infeasible", cert
+            if out.status != "optimal":
+                raise InternalError("relaxation LP cannot be unbounded")
+            relaxation.base = out.live
+    live = None
     cuts = []
     seen = set()
     while True:
         program = build_relaxation(inst, r, cuts, extra_row=extra)
-        live = relaxation.live
-        if live is None:
+        if live is not None:
+            out = live.append(program)
+        elif extra is None:
             out = lp.solve(program)
         else:
-            if not cuts and len(live.rows) > base:
-                if live.drop(range(base, len(live.rows))).status != "optimal":
-                    raise InternalError("relaxation LP cannot be unbounded")
-            out = live.append(program)
-        relaxation.live = out.live
+            out = relaxation.base.copy().append(program)
+        live = out.live
         record.lp_solves += 1
         if out.status == "infeasible":
             return "infeasible", out.certificate
@@ -392,15 +409,7 @@ def pseudo_approx_baseline(inst: Instance, r) -> CenterSet:
         return CenterSet(frozenset(), four_r)
     if part.size <= inst.k:
         return CenterSet(frozenset(part.centers), four_r)
-    covering = lp.LinearProgram(
-        part.size,
-        (1,) * part.size,
-        lp.MIN,
-        (0,) * part.size,
-        (1,) * part.size,
-        [(row, lp.GE, b) for row, b in zip(system.rows, system.rhs)],
-    )
-    cov = lp.solve(covering)
+    cov = lp.solve(covering_program(system))
     if cov.status != "optimal":
         raise InternalError("covering LP must be solvable from the embedded point")
     chosen = frozenset(

@@ -462,6 +462,20 @@ def test_gen_setcover_and_brute_decision(tmp_path, capsys):
     missing_universe.write_text(json.dumps({"sets": [[0]]}))
     assert main(["gen", "setcover", "--instance", str(missing_universe), "--t", "1"]) == 2
 
+    # a universe or element that is not a JSON integer is never truncated
+    capsys.readouterr()
+    for doc in [
+        {"universe": 3.5, "sets": [[0]]}, {"universe": True, "sets": [[0]]},
+        {"universe": -1, "sets": [[0]]}, {"universe": "2", "sets": [[0], [1]]},
+        {"universe": 2, "sets": [[0, 1.5], [1]]}, {"universe": 2, "sets": [[0], [True]]},
+        {"universe": 2, "sets": ["01"]}, {"universe": 2, "sets": {"0": [0]}},
+        [{"universe": 1, "sets": [[0]]}],
+    ]:
+        missing_universe.write_text(json.dumps(doc))
+        assert main(["gen", "setcover", "--instance", str(missing_universe), "--t", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (doc, err)
+
 
 def test_gen_clumps_and_fixture_match_library(tmp_path):
     out = write_instance(
@@ -601,6 +615,56 @@ def test_malformed_documents_never_raise(command, files):
     if code == 0 or (command == "verify" and code == 1 and not err):
         assert err == ""
         json.loads(out.getvalue())  # the result, or the verification report
+    else:
+        assert err.startswith(("error: ", "internal error: ")), err
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+# Generator input files for the fuzz test: small ids only, since gen vc3
+# sizes its instance by the largest vertex id in the file.
+FUZZ_SETCOVER = {"universe": 3, "sets": [[0, 1], [1, 2], [2]]}
+VERTEX = st.integers(0, 19).map(str)
+EDGE = st.lists(VERTEX, min_size=2, max_size=2)
+GRAPH_LINES = st.one_of(EDGE, EDGE, EDGE, st.lists(VERTEX, max_size=1), st.lists(
+    VERTEX | st.sampled_from(["-1", "+2", "1.5", "x", "#", "0x1", "1_0", ""]), max_size=3
+))
+
+
+@st.composite
+def graph_bytes(draw):
+    """Edge-list text from small tokens, or arbitrary bytes without a
+    run of three ASCII digits."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=40).filter(
+            lambda b: not any(b[i:i + 3].isdigit() for i in range(len(b)))
+        ))
+    lines = draw(st.lists(GRAPH_LINES, max_size=5))
+    return "\n".join(" ".join(line) for line in lines).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["setcover", "vc3"]).flatmap(lambda family: st.tuples(
+        st.just(family),
+        document_bytes(FUZZ_SETCOVER) if family == "setcover" else graph_bytes(),
+    )),
+    st.integers(-1, 3),
+)
+def test_malformed_generator_files_never_raise(case, t):
+    family, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        flag = "--instance" if family == "setcover" else "--graph"
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["gen", family, flag, path, "--t", str(t)])
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        assert err == ""
+        model.instance_from_dict(json.loads(out.getvalue()))
     else:
         assert err.startswith(("error: ", "internal error: ")), err
         assert err.count("\n") == 1 and err.endswith("\n"), err

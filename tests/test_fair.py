@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from colorful_kcenter import lp
+from colorful_kcenter import fair, lp
 from colorful_kcenter.fair import (
     Distribution,
     DualPoint,
     InQ,
+    SeparationRecord,
     coverage_probability,
     epsilon_gap,
     sample,
@@ -28,7 +29,7 @@ from colorful_kcenter.model import (
     union_ball,
 )
 from colorful_kcenter.oracle import brute_force_fair, enumerate_feasible
-from colorful_kcenter.solver import build_relaxation
+from colorful_kcenter.solver import LiveRelaxation, build_relaxation
 
 
 def fair_line(coords, k, colors, p):
@@ -247,6 +248,45 @@ def test_trace_bookkeeping():
         final = [r for r in trace.records if r.radius == sol.probe_radius]
         assert any(r.outcome in ("distribution", "exact") for r in final)
     assert fast >= 3
+
+
+def test_separations_do_not_depend_on_earlier_ones(monkeypatch):
+    """On the golden fair-* cases and eight random ones with gamma = 2,
+    each separation of a probe gives the answer, outcome and cuts of the
+    same separation run on a fresh LiveRelaxation; the cold solve of the
+    cut-free relaxation is counted once per probe, on the first
+    separation that reaches an LP."""
+    from test_golden_outputs import CASES
+
+    cases = [
+        gen_random(seed, 8, 3, 2, demand_density=Fraction(1), p_density=Fraction(2, 3))
+        for seed in range(1, 9)
+    ]
+    cases += [f for name, f in sorted(CASES.items())
+              if name.startswith("fair-") and not name.startswith("fair-enum-")]
+
+    separate = fair.separate_or_certify
+    compared = 0
+
+    def spy(finst, r, dual, record=None, relaxation=None):
+        fresh = SeparationRecord(radius=Fraction(r))
+        want = separate(finst, r, dual, fresh, LiveRelaxation())
+        got = separate(finst, r, dual, record, relaxation)
+        assert (got, record.outcome, record.cuts) == (want, fresh.outcome, fresh.cuts)
+        nonlocal compared
+        compared += 1
+        return got
+
+    monkeypatch.setattr(fair, "separate_or_certify", spy)
+    traces = [solve_fair(finst).trace for finst in cases]
+    assert compared >= 150
+    for trace in traces:
+        for rec in trace.records:
+            solved = [sep for sep in rec.separations if sep.lp_solves]
+            for i, sep in enumerate(solved):
+                # one solve only when the cut-free relaxation was empty
+                cold = i == 0 and (sep.outcome != "certified" or sep.lp_solves > 1)
+                assert sep.lp_solves == 1 + len(sep.cuts) + cold
 
 
 def test_sample_deterministic_and_supported():

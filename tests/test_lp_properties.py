@@ -18,7 +18,7 @@ import pytest
 pytest.importorskip("hypothesis")
 scipy_opt = pytest.importorskip("scipy.optimize")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from colorful_kcenter import lp  # noqa: E402
 
@@ -484,7 +484,7 @@ def test_solve_equals_the_fraction_reference(program):
 # -- warm re-solves -----------------------------------------------------------
 #
 # An optimal outcome's live handle re-solves after rows are appended (dual
-# simplex) or dropped (primal simplex).  Each warm outcome must say what a
+# simplex), itself or through a copy.  Each warm outcome must say what a
 # cold solve of the same program says, with its own exact checks passing.
 
 
@@ -496,16 +496,27 @@ def mixed_rows(n):
     )
 
 
+def extended(program, rows):
+    """program with rows appended, as a new program."""
+    added = lp.LinearProgram(program.num_vars, program.objective, constraints=rows)
+    return lp.LinearProgram(
+        program.num_vars, program.objective, program.sense,
+        program.lower, program.upper, program.constraints + added.constraints,
+    )
+
+
 @st.composite
 def warm_sequences(draw):
-    """A program, then a list of steps: ("append", rows) adds one or
-    more rows in one call, ("drop", k) drops live row k mod the count."""
+    """A program, then a list of steps ("append", rows) or ("copy", rows):
+    one or two rows appended in one call, to the live handle itself or
+    to a fresh copy of it."""
     program = draw(mixed_programs())
     n = program.num_vars
-    steps = [("append", draw(st.lists(mixed_rows(n), min_size=1, max_size=2)))
-             for _ in range(draw(st.integers(0, 2)))]
-    if draw(st.booleans()) or not steps:
-        steps.insert(draw(st.integers(0, len(steps))), ("drop", draw(st.integers(0, 8))))
+    steps = [
+        (draw(st.sampled_from(["append", "copy"])),
+         draw(st.lists(mixed_rows(n), min_size=1, max_size=2)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
     return program, steps
 
 
@@ -530,18 +541,33 @@ def assert_same_as_cold(program, warm):
 def test_warm_resolves_agree_with_cold_solves(case):
     program, steps = case
     out = lp.solve(program)
-    rows = list(program.constraints)
-    for kind, arg in steps:
-        if out.status != "optimal" or kind == "drop" and not rows:
+    for kind, rows in steps:
+        if out.status != "optimal":
             break
-        if kind == "append":
-            rows += lp.LinearProgram(program.num_vars, program.objective, constraints=arg).constraints
-        else:
-            arg %= len(rows)
-            del rows[arg]
-        current = lp.LinearProgram(
-            program.num_vars, program.objective, program.sense,
-            program.lower, program.upper, rows,
-        )
-        out = out.live.append(current) if kind == "append" else out.live.drop([arg])
-        assert_same_as_cold(current, out)
+        program = extended(program, rows)
+        live = out.live.copy() if kind == "copy" else out.live
+        out = live.append(program)
+        assert_same_as_cold(program, out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_copies_are_independent(data):
+    """Appends to one copy leave the original and a second copy as they
+    were: both then re-solve like cold solves, and alike."""
+    program = data.draw(mixed_programs())
+    out = lp.solve(program)
+    assume(out.status == "optimal")
+    one, two = out.live.copy(), out.live.copy()
+    rows = st.lists(mixed_rows(program.num_vars), min_size=1, max_size=2)
+    first = extended(program, data.draw(rows))
+    got = one.append(first)
+    assert_same_as_cold(first, got)
+    if got.status == "optimal":
+        again = extended(first, data.draw(rows))
+        assert_same_as_cold(again, got.live.append(again))
+    assert out.live.copy().append(program) == out
+    second = extended(program, data.draw(rows))
+    from_original = out.live.append(second)
+    assert_same_as_cold(second, from_original)
+    assert two.append(second) == from_original

@@ -371,37 +371,33 @@ def test_counting_bound_changes_no_solution(monkeypatch):
 
 def test_warm_resolves_match_cold_solves(monkeypatch):
     """On the golden fair-* and clumps-* cases, every warm re-solve of a
-    probe's live LP (rows appended, or rows dropped) reports the status
-    and optimal value of a cold solve of the same program."""
+    probe's live LP (rows appended, to the handle itself or to a fresh
+    copy of it) reports the status and optimal value of a cold solve of
+    the same program."""
     from test_golden_outputs import CASES
 
     seen = collections.Counter()
-    append, drop = lp._Simplex.append, lp._Simplex.drop
+    append, copy = lp._Simplex.append, lp._Simplex.copy
+    copies = set()
 
-    def same_as_cold(kind, program, out):
+    def spy_copy(self):
+        twin = copy(self)
+        copies.add(id(twin))
+        return twin
+
+    def spy_append(self, program):
+        fresh = id(self) in copies
+        copies.discard(id(self))
+        out = append(self, program)
         cold = lp.solve(program)
         assert out.status == cold.status
         assert out.value == cold.value
-        seen[kind, out.status] += 1
-
-    def spy_append(self, program):
-        out = append(self, program)
-        same_as_cold("append", program, out)
+        seen["append", out.status] += 1
+        seen["copy-append", out.status] += fresh
         return out
 
-    def spy_drop(self, rows):
-        gone = set(rows)
-        before = self.lp
-        program = lp.LinearProgram(
-            before.num_vars, before.objective, before.sense, before.lower, before.upper,
-            [con for p, con in enumerate(before.constraints) if p not in gone],
-        )
-        out = drop(self, rows)
-        same_as_cold("drop", program, out)
-        return out
-
+    monkeypatch.setattr(lp._Simplex, "copy", spy_copy)
     monkeypatch.setattr(lp._Simplex, "append", spy_append)
-    monkeypatch.setattr(lp._Simplex, "drop", spy_drop)
     for name, inst in sorted(CASES.items()):
         if name.startswith("clumps-"):
             solve_colorful(inst)
@@ -409,4 +405,4 @@ def test_warm_resolves_match_cold_solves(monkeypatch):
             solve_fair(inst)
     assert seen["append", "optimal"] >= 100
     assert seen["append", "infeasible"] >= 20
-    assert seen["drop", "optimal"] >= 40
+    assert seen["copy-append", "optimal"] >= 100
