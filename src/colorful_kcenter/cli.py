@@ -239,10 +239,11 @@ def _parse_graph_text(text: str) -> Graph:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        try:
-            nums = [int(tok) for tok in line.split()]
-        except ValueError:
-            raise CliError(USAGE, f"bad graph line {raw!r}: not an integer") from None
+        tokens = line.split()
+        # int() also takes "+", "_" and non-ASCII digits
+        if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+            raise CliError(USAGE, f"bad graph line {raw!r}: not a nonnegative integer")
+        nums = [int(tok) for tok in tokens]
         if len(nums) == 1 and declared is None and not edges:
             declared = nums[0]
             continue

@@ -12,9 +12,9 @@ probe radius too small.  The radius search is the solver's too.
 
 Each probe re-solves its LPs warm (lp's live handles): the restricted
 dual gains one row per column, and each separation appends its weighted
-row to a copy of the probe's cut-free relaxation.  Every warm optimum is
-checked against a freshly built program, and every certificate verified
-against it.
+row to a copy of the probe's cut-free relaxation.  Each program is built
+once and extended by its new rows; every optimum is checked against its
+full program, and every certificate verified against it.
 """
 
 from __future__ import annotations
@@ -194,18 +194,18 @@ def separate_or_certify(
 
 
 def _restricted_program(finst: FairInstance, r, columns) -> lp.LinearProgram:
-    inst = finst.base
-    n = inst.n
-    r4 = 4 * Fraction(r)
+    n = finst.base.n
     program = lp.LinearProgram(n + 1, (0,) * n + (1,), lp.MIN, (0,) * n + (None,))
     program.add(list(finst.p) + [-1], lp.EQ, 1)
-    for c in columns:
-        cov = union_mask(inst, c, r4)
-        program.add([cov >> u & 1 for u in range(n)] + [-1], lp.LE, 0)
-    return program
+    return program.extended([_column_row(finst.base, r, c) for c in columns])
 
 
-def solve_restricted(finst: FairInstance, r, columns, live=None):
+def _column_row(inst: Instance, r, column):
+    cov = union_mask(inst, column, 4 * Fraction(r))
+    return [cov >> u & 1 for u in range(inst.n)] + [-1], lp.LE, 0
+
+
+def solve_restricted(finst: FairInstance, r, columns, live=None, program=None):
     """Best dual response to the center sets found so far.
 
     Minimizes mu over alpha >= 0 and free mu, normalized so the
@@ -214,12 +214,14 @@ def solve_restricted(finst: FairInstance, r, columns, live=None):
     program is infeasible the known columns already support a
     distribution meeting every target, and it is returned instead.
 
-    live, when given, is lp's handle on this program solved for a
-    prefix of columns (the previous call of the same probe); the rows
-    of the rest are appended to it and it re-solves warm.
+    program, when given, is this program, already built.  live, when
+    given, is lp's handle on it solved for a prefix of columns (the
+    previous call of the same probe); the rows of the rest are appended
+    to it and it re-solves warm.
     """
     n = finst.base.n
-    program = _restricted_program(finst, r, columns)
+    if program is None:
+        program = _restricted_program(finst, r, columns)
     out = lp.solve(program) if live is None else live.append(program)
     if out.status == "optimal":
         if lp.check_point(program, out.solution) is not None:
@@ -263,22 +265,23 @@ class FairSolution:
     trace: FairTrace
 
 
-def _probe(finst: FairInstance, r, rec: FairRadiusRecord, first):
+def _probe(finst: FairInstance, r, rec: FairRadiusRecord, first, program):
     """Column generation at one radius: alternate best dual responses
     with separation until a distribution emerges or a dual point
     survives, which proves the radius too small.
 
     The probe keeps one live restricted dual, starting from its own
-    copy of first (lp's handle on the column-free restricted dual,
-    which does not depend on r), and one cut-free relaxation that each
-    separation copies; both are dropped when it ends."""
+    copy of first (lp's handle on program, the column-free restricted
+    dual, which does not depend on r), extended by each column's row,
+    and one cut-free relaxation that each separation copies; both are
+    dropped when it ends."""
     columns = []
     known = set()
     restricted = first.copy()
     relaxation = LiveRelaxation()
     while True:
         rec.restricted_solves += 1
-        response = solve_restricted(finst, r, columns, restricted)
+        response = solve_restricted(finst, r, columns, restricted, program)
         if isinstance(response, Distribution):
             rec.outcome = "distribution"
             return response
@@ -293,6 +296,7 @@ def _probe(finst: FairInstance, r, rec: FairRadiusRecord, first):
             raise InternalError("separation repeated a known column")
         known.add(col)
         columns.append(col)
+        program = program.extended([_column_row(finst.base, r, col)])
 
 
 def solve_fair(finst: FairInstance) -> FairSolution:
@@ -304,7 +308,7 @@ def solve_fair(finst: FairInstance) -> FairSolution:
     column-free restricted dual is solved once, at the first probe.
     """
     trace = FairTrace()
-    first = None
+    first = None  # lp's live handle on the column-free restricted dual, its program
 
     def exact(r):
         found = _distribution_over(finst, list(feasible_sets(finst.base, r)), r)
@@ -315,14 +319,15 @@ def solve_fair(finst: FairInstance) -> FairSolution:
     def probe(r):
         nonlocal first
         if first is None:
-            out = lp.solve(_restricted_program(finst, r, ()))
+            program = _restricted_program(finst, r, ())
+            out = lp.solve(program)
             if out.status != "optimal":
                 # alpha = 0, mu = -1 is feasible and mu >= -1 throughout
                 raise InternalError("column-free restricted dual must be solvable")
-            first = out.live
+            first = out.live, program
         rec = FairRadiusRecord(radius=r)
         trace.records.append(rec)
-        return _probe(finst, r, rec, first)
+        return _probe(finst, r, rec, *first)
 
     dist, radius, optimal = radius_search(finst.base, exact, probe)
     return FairSolution(dist, radius, optimal, trace)

@@ -15,10 +15,10 @@ solve, the dual on first access.
 
 An optimal solve stays live: rows appended to its program are re-solved
 warm by a dual simplex from the last optimal basis, and a copy of the
-handle re-solves independently of the original.  Warm outcomes keep
+handle re-solves independently of the original; LinearProgram.extended
+builds the longer program on the shorter one's rows.  Warm outcomes keep
 every check of a cold one: the strong-duality check on ints, and a
-Farkas certificate verified against the caller's program on
-"infeasible".
+Farkas certificate verified against the caller's program on "infeasible".
 """
 
 from __future__ import annotations
@@ -130,6 +130,17 @@ class LinearProgram:
             coeffs = tuple(map(_exact, coeffs))
             ints, scale = _over_lcm(coeffs)
         self.constraints.append(Constraint(coeffs, rel, _exact(rhs), tuple(ints), scale))
+
+    def extended(self, rows):
+        """A new program sharing this one's variables, bounds, objective
+        and checked rows, with each (coeffs, rel, rhs) of rows added; this
+        program is left unchanged."""
+        program = object.__new__(type(self))
+        program.__dict__.update(self.__dict__)
+        program.constraints = self.constraints[:]
+        for row in rows:
+            program.add(*row)
+        return program
 
 
 def _scaled_rhs_and_bounds(lp: LinearProgram):
@@ -431,10 +442,12 @@ class _Simplex:
     def append(self, lp: LinearProgram) -> LpOutcome:
         """Re-solve for lp, the live program with rows appended.
 
-        lp's first self.m constraints are the live rows, in
-        order; each further one enters the tableau eliminated against
-        the basis, with its slack basic, which keeps the basis dual
-        feasible.  The dual simplex then restores primal feasibility
+        lp has the live program's variables, bounds, objective and sense,
+        and its first self.m constraints are the live rows, in order
+        (shared, as LinearProgram.extended does, or equal); otherwise
+        ValueError.  Each further row enters the tableau eliminated
+        against the basis, with its slack basic, which keeps the basis
+        dual feasible.  The dual simplex then restores primal feasibility
         (Lemke 1954) under Bland's rule for the dual: the leaving row is
         the one whose basic variable has the lowest index among those
         outside their bounds, and the entering column has the least
@@ -444,7 +457,16 @@ class _Simplex:
         """
         if not self.optimal:
             raise ValueError("only an optimal solve can be re-solved")
-        if lp.num_vars != self.n or len(lp.constraints) < self.m:
+        live = self.lp
+        if (
+            (lp.num_vars, lp.sense, lp.objective, lp.lower, lp.upper)
+            != (live.num_vars, live.sense, live.objective, live.lower, live.upper)
+            or len(lp.constraints) < self.m
+            or any(
+                a is not b and a != b
+                for a, b in zip(lp.constraints, live.constraints[: self.m])
+            )
+        ):
             raise ValueError("lp does not extend the live program")
         self.lp = lp
         self.optimal = False

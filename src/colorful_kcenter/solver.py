@@ -38,12 +38,12 @@ the k-th largest a_v, and bound multipliers for the rest), checked
 exactly by lp.verify_certificate, against just the rows it uses,
 before it is returned.
 
-A cut appends its row to the live simplex of the last relaxation LP,
-which re-solves warm from its optimal basis (see lp).  With an extra
-row, the relaxation without it and without cuts is solved cold once per
-LiveRelaxation; each round_or_cut call starts from its own copy of that
-solve and appends the extra row, so its answer does not depend on the
-calls before it.
+A probe builds its cut-free relaxation once; extra rows and cuts extend
+it (lp.LinearProgram.extended).  A cut appends its row to the live
+simplex of the last relaxation LP, which re-solves warm (see lp).  With
+an extra row, the cut-free relaxation is solved cold once per
+LiveRelaxation; each round_or_cut call appends the extra row to its own
+copy of that solve, so its answer does not depend on the calls before it.
 """
 
 from __future__ import annotations
@@ -128,12 +128,8 @@ def build_relaxation(inst: Instance, r, cuts=(), extra_row=None) -> lp.LinearPro
         program.add(*_coverage_row(n, u, mask))
     for c in inst.colors:
         program.add(*_demand_row(n, c))
-    if extra_row is not None:
-        weights, rhs = extra_row
-        program.add([weights[u] for u in range(n)] + [0] * n, lp.GE, rhs)
-    for cut in cuts:
-        program.add(_y_row(n, union_mask(inst, cut.centers, r)), lp.LE, cut.bound)
-    return program
+    rows = [] if extra_row is None else [_weighted_row(n, extra_row)]
+    return program.extended(rows + [_cut_row(inst, r, cut) for cut in cuts])
 
 
 def _relaxation_frame(inst: Instance) -> lp.LinearProgram:
@@ -163,6 +159,15 @@ def _demand_row(n, color):
     for u in color.members:
         row[u] = 1
     return row, lp.GE, color.demand
+
+
+def _weighted_row(n, extra):
+    weights, goal = extra
+    return [weights[u] for u in range(n)] + [0] * n, lp.GE, goal
+
+
+def _cut_row(inst: Instance, r, cut: Cut):
+    return _y_row(inst.n, union_mask(inst, cut.centers, r)), lp.LE, cut.bound
 
 
 def counting_certificate(inst: Instance, r, found, extra=None) -> lp.FarkasCertificate:
@@ -211,9 +216,10 @@ def counting_certificate(inst: Instance, r, found, extra=None) -> lp.FarkasCerti
 @dataclass
 class LiveRelaxation:
     """The cut-free relaxation LP of one probe radius with no extra row,
-    shared by the probe's round_or_cut calls: lp's live handle on its
-    optimum, or None before the first call that reaches an LP."""
+    shared by the probe's round_or_cut calls: the program and lp's live
+    handle on its optimum, or None before the first call needing them."""
 
+    program: lp.LinearProgram = None
     base: object = None
 
 
@@ -228,14 +234,15 @@ def round_or_cut(inst: Instance, r, record, extra=None, relaxation=None):
     when one does exist.  Counts LP solves, DP calls and cuts on record;
     a radius the counting bound rejects runs no LP.
 
-    Without extra the relaxation is solved cold.  With extra, each
-    call copies relaxation.base (solved cold by the first call that
-    reaches an LP, and counted there) and appends the extra row, so
-    every call of a coverage-probability probe starts from the same
-    basis.  A cut appends its row.  Each warm optimum is checked against
-    a freshly built program like a cold one, and lp verifies each
-    certificate against it; an empty cut-free relaxation's certificate
-    gets a zero multiplier on the extra row and is verified again.
+    relaxation (fresh when None) holds the cut-free relaxation, built
+    once; the extra row and each cut extend it.  Without extra it is
+    solved cold.  With extra, each call copies relaxation.base (solved
+    cold by the first call that reaches an LP, and counted there) and
+    appends the extra row, so all calls start from one basis.  A cut
+    appends its row.  Each optimum is checked against its full program,
+    and lp verifies each certificate against it; an empty cut-free
+    relaxation's certificate gets a zero multiplier on the extra row and
+    is verified again.
     """
     r = Fraction(r)
     t = inst.num_colors + (extra is not None)
@@ -245,27 +252,28 @@ def round_or_cut(inst: Instance, r, record, extra=None, relaxation=None):
     found = counting_bound(inst, r)
     if found is not None:
         return "infeasible", counting_certificate(inst, r, found, extra)
+    if relaxation is None:
+        relaxation = LiveRelaxation()
+    if relaxation.program is None:
+        relaxation.program = build_relaxation(inst, r)
+    program = relaxation.program
     if extra is not None:
-        if relaxation is None:
-            relaxation = LiveRelaxation()
+        program = program.extended([_weighted_row(inst.n, extra)])
         if relaxation.base is None:
-            out = lp.solve(build_relaxation(inst, r))
+            out = lp.solve(relaxation.program)
             record.lp_solves += 1
             if out.status == "infeasible":
                 cert = out.certificate
                 cert = replace(cert, row_mults=cert.row_mults + (0,))
-                full = build_relaxation(inst, r, extra_row=extra)
-                if not lp.verify_certificate(full, cert):
+                if not lp.verify_certificate(program, cert):
                     raise InternalError("padded certificate fails verification")
                 return "infeasible", cert
             if out.status != "optimal":
                 raise InternalError("relaxation LP cannot be unbounded")
             relaxation.base = out.live
     live = None
-    cuts = []
     seen = set()
     while True:
-        program = build_relaxation(inst, r, cuts, extra_row=extra)
         if live is not None:
             out = live.append(program)
         elif extra is None:
@@ -306,8 +314,8 @@ def round_or_cut(inst: Instance, r, record, extra=None, relaxation=None):
             raise InternalError("cut centers repeated; loop would not progress")
         seen.add(s)
         cut = Cut(s, threshold)
-        cuts.append(cut)
         record.cuts.append(cut)
+        program = program.extended([_cut_row(inst, r, cut)])
 
 
 def solve_fixed_radius(

@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -245,6 +246,10 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
         ("a b\n", ["gen", "vc3", "--graph", str(graph), "--t", "1"]),
         ("3\n0 5\n", ["gen", "vc3", "--graph", str(graph), "--t", "1"]),
         ("0 -1\n", ["gen", "vc3", "--graph", str(graph), "--t", "1"]),
+        ("0 1_0\n", ["gen", "vc3", "--graph", str(graph), "--t", "1"]),
+        ("+2 3\n", ["gen", "vc3", "--graph", str(graph), "--t", "1"]),
+        ("2 \u0663\n", ["gen", "vc3", "--graph", str(graph), "--t", "1"]),
+        ("\uff13\n0 1\n", ["gen", "vc3", "--graph", str(graph), "--t", "1"]),
         ("x\n0 1\n", ["gen", "vc3", "--graph", str(graph), "--t", "1"]),
         ("0 1\n", ["gen", "vc3", "--graph", str(graph), "--t", "-1"]),
         (None, ["gen", "setcover", "--instance", str(cover), "--t", "1"]),
@@ -261,7 +266,7 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     ]
     for text, argv in cases:
         if text is not None:
-            graph.write_text(text)
+            graph.write_text(text, encoding="utf-8")
         assert main(argv) == 2, (text, argv)
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -626,7 +631,9 @@ FUZZ_SETCOVER = {"universe": 3, "sets": [[0, 1], [1, 2], [2]]}
 VERTEX = st.integers(0, 19).map(str)
 EDGE = st.lists(VERTEX, min_size=2, max_size=2)
 GRAPH_LINES = st.one_of(EDGE, EDGE, EDGE, st.lists(VERTEX, max_size=1), st.lists(
-    VERTEX | st.sampled_from(["-1", "+2", "1.5", "x", "#", "0x1", "1_0", ""]), max_size=3
+    VERTEX | st.sampled_from(
+        ["-1", "+2", "1.5", "x", "#", "0x1", "1_0", "", "_", "+", "\u0663", "1\u0663"]
+    ), max_size=3
 ))
 
 
@@ -665,6 +672,10 @@ def test_malformed_generator_files_never_raise(case, t):
     if code == 0:
         assert err == ""
         model.instance_from_dict(json.loads(out.getvalue()))
+        if family == "vc3":  # an accepted graph holds ASCII digits only
+            lines = data.decode().splitlines()
+            tokens = [tok for line in lines for tok in line.split("#", 1)[0].split()]
+            assert all(re.fullmatch("[0-9]+", tok) for tok in tokens), tokens
     else:
         assert err.startswith(("error: ", "internal error: ")), err
         assert err.count("\n") == 1 and err.endswith("\n"), err

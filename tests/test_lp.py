@@ -586,3 +586,34 @@ def test_internal_error_is_one_class():
     from colorful_kcenter import InternalError, solver
 
     assert InternalError is solver.InternalError is lp.InternalError
+
+
+def test_append_refuses_a_program_that_does_not_extend_the_live_one():
+    program = lp.LinearProgram(2, (1, 1), lp.MAX, (0, 0), (1, 1))
+    program.add([1, 1], lp.LE, 1)
+    program.add([1, -1], lp.GE, 0)
+    out = lp.solve(program)
+    assert out.status == "optimal"
+    new = ([1, 0], lp.LE, Fraction(1, 3))
+    live = program.constraints
+
+    def built(num_vars=2, objective=(1, 1), sense=lp.MAX, bounds=((0, 0), (1, 1)),
+              rows=(live[0], live[1])):
+        return lp.LinearProgram(num_vars, objective, sense, *bounds, [*rows, new])
+
+    for bad in (
+        built(rows=(live[0], ([1, -1], lp.GE, 1))),  # one live row changed
+        built(rows=(live[1], live[0])),
+        built(rows=(live[0],)),
+        built(objective=(1, 2)),
+        built(sense=lp.MIN),
+        built(bounds=((0, 0), (1, 2))),
+        built(bounds=((0, -1), (1, 1))),
+        lp.LinearProgram(3, (1, 1, 0), lp.MAX, (0, 0, 0), (1, 1, 1)),
+    ):
+        with pytest.raises(ValueError):
+            out.live.copy().append(bad)
+    # the live program's own rows and equal rows built anew both extend it
+    shared = out.live.copy().append(program.extended([new]))
+    assert shared == out.live.copy().append(built()) == lp.solve(built())
+    assert shared.value == Fraction(2, 3)

@@ -496,8 +496,8 @@ def mixed_rows(n):
     )
 
 
-def extended(program, rows):
-    """program with rows appended, as a new program."""
+def built_with(program, rows):
+    """program with rows appended, as a new program built from scratch."""
     added = lp.LinearProgram(program.num_vars, program.objective, constraints=rows)
     return lp.LinearProgram(
         program.num_vars, program.objective, program.sense,
@@ -544,7 +544,7 @@ def test_warm_resolves_agree_with_cold_solves(case):
     for kind, rows in steps:
         if out.status != "optimal":
             break
-        program = extended(program, rows)
+        program = built_with(program, rows)
         live = out.live.copy() if kind == "copy" else out.live
         out = live.append(program)
         assert_same_as_cold(program, out)
@@ -560,14 +560,40 @@ def test_copies_are_independent(data):
     assume(out.status == "optimal")
     one, two = out.live.copy(), out.live.copy()
     rows = st.lists(mixed_rows(program.num_vars), min_size=1, max_size=2)
-    first = extended(program, data.draw(rows))
+    first = built_with(program, data.draw(rows))
     got = one.append(first)
     assert_same_as_cold(first, got)
     if got.status == "optimal":
-        again = extended(first, data.draw(rows))
+        again = built_with(first, data.draw(rows))
         assert_same_as_cold(again, got.live.append(again))
     assert out.live.copy().append(program) == out
-    second = extended(program, data.draw(rows))
+    second = built_with(program, data.draw(rows))
     from_original = out.live.append(second)
     assert_same_as_cold(second, from_original)
     assert two.append(second) == from_original
+
+
+def fields(program):
+    """Everything a program holds, each row's ints and scale included."""
+    return (
+        program.num_vars, program.objective, program.sense, program.lower, program.upper,
+        [(c.coeffs, c.rel, c.rhs, c.ints, c.scale) for c in program.constraints],
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_extended_equals_a_program_built_from_scratch(data):
+    """program.extended(rows) holds what a program built from scratch
+    with the same rows holds, and leaves program as it was, also after
+    the result is extended again."""
+    program = data.draw(mixed_programs())
+    before = fields(program)
+    rows = st.lists(mixed_rows(program.num_vars), max_size=3)
+    first, more = data.draw(rows), data.draw(rows)
+    got = program.extended(first)
+    assert fields(got) == fields(built_with(program, first))
+    again = got.extended(more)
+    assert fields(again) == fields(built_with(program, first + more))
+    assert fields(got) == fields(built_with(program, first))
+    assert fields(program) == before

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from colorful_kcenter import lp, solver
+from colorful_kcenter import fair, lp, solver
 from colorful_kcenter.fair import solve_fair
 from colorful_kcenter.generators import fixture_adversarial, gen_clumps, gen_random
 from colorful_kcenter.model import (
@@ -406,3 +406,85 @@ def test_warm_resolves_match_cold_solves(monkeypatch):
     assert seen["append", "optimal"] >= 100
     assert seen["append", "infeasible"] >= 20
     assert seen["copy-append", "optimal"] >= 100
+
+
+def _fields(program):
+    return (
+        program.num_vars, program.objective, program.sense, program.lower, program.upper,
+        [(c.coeffs, c.rel, c.rhs, c.ints, c.scale) for c in program.constraints],
+    )
+
+
+def test_extended_programs_equal_fresh_builds(monkeypatch):
+    """On the golden fair-* and clumps-* cases, every program that
+    round_or_cut or solve_restricted re-solves warm or checks its
+    optimum against equals, row for row, what build_relaxation(inst, r,
+    cuts, extra_row) or fair._restricted_program(finst, r, columns)
+    builds from scratch.  The cut-free relaxation is built once per
+    probe that reaches an LP, and the column-free restricted dual once
+    per solve_fair."""
+    from test_golden_outputs import CASES
+
+    build, restricted = solver.build_relaxation, fair._restricted_program
+    round_or_cut, solve_restricted = solver.round_or_cut, fair.solve_restricted
+    append, check_point = lp._Simplex.append, lp.check_point
+    seen = collections.Counter()
+    context = []  # the call whose programs are checked, innermost last
+
+    def compare(program):
+        kind, *args = context[-1]
+        want = build(*args) if kind == "relaxation" else restricted(*args)
+        if program.num_vars == want.num_vars:  # not rounding's covering LP
+            assert _fields(program) == _fields(want)
+            seen[kind, bool(args[2])] += 1
+
+    def spy_round_or_cut(inst, r, record, extra=None, relaxation=None):
+        context.append(("relaxation", inst, r, record.cuts, extra))
+        try:
+            return round_or_cut(inst, r, record, extra, relaxation)
+        finally:
+            context.pop()
+
+    def spy_solve_restricted(finst, r, columns, live=None, program=None):
+        context.append(("restricted", finst, r, list(columns)))
+        try:
+            return solve_restricted(finst, r, columns, live, program)
+        finally:
+            context.pop()
+
+    def spy_append(self, program):
+        compare(program)
+        return append(self, program)
+
+    def spy_check_point(program, point):
+        compare(program)
+        return check_point(program, point)
+
+    def counted(name, f):
+        def spy(*args, **kwargs):
+            seen[name] += 1
+            return f(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(solver, "round_or_cut", spy_round_or_cut)
+    monkeypatch.setattr(fair, "round_or_cut", spy_round_or_cut)
+    monkeypatch.setattr(fair, "solve_restricted", spy_solve_restricted)
+    monkeypatch.setattr(lp._Simplex, "append", spy_append)
+    monkeypatch.setattr(lp, "check_point", spy_check_point)
+    monkeypatch.setattr(solver, "build_relaxation", counted("builds", build))
+    monkeypatch.setattr(fair, "_restricted_program", counted("restricted builds", restricted))
+    for name, inst in sorted(CASES.items()):
+        before = seen.copy()
+        if name.startswith("clumps-"):
+            records = solve_colorful(inst).trace.records
+            reached = sum(rec.lp_solves > 0 for rec in records)
+        elif name.startswith("fair-") and not name.startswith("fair-enum-"):
+            records = solve_fair(inst).trace.records
+            reached = sum(any(sep.lp_solves for sep in rec.separations) for rec in records)
+            assert seen["restricted builds"] - before["restricted builds"] == 1
+        else:
+            continue
+        assert seen["builds"] - before["builds"] == reached
+    # programs with cuts, and restricted duals with columns, were compared
+    assert seen["relaxation", True] >= 10 and seen["relaxation", False] >= 150
+    assert seen["restricted", True] >= 100 and seen["restricted", False] >= 50
