@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -235,14 +236,16 @@ def _parse_graph_text(text: str) -> Graph:
     edges = []
     declared = None
     top = -1
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
+    # lines end at LF or CRLF, tokens at ASCII spaces and tabs; str.split
+    # would also take other whitespace and int() signs, "_" and non-ASCII digits
+    for raw in re.split(r"\r?\n", text):
+        line = raw.split("#", 1)[0].strip(" \t")
         if not line:
             continue
-        tokens = line.split()
-        # int() also takes "+", "_" and non-ASCII digits
+        tokens = re.split(r"[ \t]+", line)
         if not all(tok.isascii() and tok.isdigit() for tok in tokens):
-            raise CliError(USAGE, f"bad graph line {raw!r}: not a nonnegative integer")
+            raise CliError(USAGE, f"bad graph line {raw!r}: not nonnegative integers "
+                           "separated by spaces or tabs")
         nums = [int(tok) for tok in tokens]
         if len(nums) == 1 and declared is None and not edges:
             declared = nums[0]
@@ -281,7 +284,7 @@ def _rational(value, what: str) -> Fraction:
 def cmd_gen(args):
     with _parameter_checks():
         if args.family == "vc3":
-            with open(args.graph, "r", encoding="utf-8") as fh:
+            with open(args.graph, "r", encoding="utf-8", newline="") as fh:
                 g = _parse_graph_text(fh.read())
             inst = gen_from_vc3(g, args.t)
         elif args.family == "setcover":

@@ -10,11 +10,13 @@ or confirmed by the solver's round-or-cut engine run with t = gamma + 1
 rows, the extra one asking for that weighted coverage, proving the
 probe radius too small.  The radius search is the solver's too.
 
-Each probe re-solves its LPs warm (lp's live handles): the restricted
-dual gains one row per column, and each separation appends its weighted
-row to a copy of the probe's cut-free relaxation.  Each program is built
-once and extended by its new rows; every optimum is checked against its
-full program, and every certificate verified against it.
+Each probe re-solves its LPs warm, by lp.solve(program, start) from an
+earlier outcome: the restricted dual gains one row per column, from the
+last restricted outcome, and each separation adds its weighted row to
+the probe's cut-free relaxation, from that relaxation's outcome.  Each
+program is built once and extended by its new rows; every optimum is
+checked against its full program, and every certificate verified
+against it.
 """
 
 from __future__ import annotations
@@ -176,8 +178,9 @@ def separate_or_certify(
     covered weight is never negative.  One more row drops the rounding
     threshold and cut bound to k - gamma and raises the outside-guess
     budget to gamma - 1.  relaxation, a solver.LiveRelaxation, holds
-    the probe's cut-free relaxation LP, solved once and copied by each
-    separation; the answer is the same with a fresh one.
+    the outcome of the probe's cut-free relaxation LP, solved once and
+    the start of each separation's LP; the answer is the same with a
+    fresh one.
     """
     r = Fraction(r)
     eps = epsilon_gap(dual.alpha, dual.mu)
@@ -205,8 +208,9 @@ def _column_row(inst: Instance, r, column):
     return [cov >> u & 1 for u in range(inst.n)] + [-1], lp.LE, 0
 
 
-def solve_restricted(finst: FairInstance, r, columns, live=None, program=None):
-    """Best dual response to the center sets found so far.
+def solve_restricted(finst: FairInstance, r, columns, start=None):
+    """Best dual response to the center sets found so far, and the LP
+    outcome it came from.
 
     Minimizes mu over alpha >= 0 and free mu, normalized so the
     target-weighted alpha mass exceeds mu by exactly one, subject to
@@ -214,26 +218,31 @@ def solve_restricted(finst: FairInstance, r, columns, live=None, program=None):
     program is infeasible the known columns already support a
     distribution meeting every target, and it is returned instead.
 
-    program, when given, is this program, already built.  live, when
-    given, is lp's handle on it solved for a prefix of columns (the
-    previous call of the same probe); the rows of the rest are appended
-    to it and it re-solves warm.
+    start, when given, is the outcome of this program for a prefix of
+    columns (the column-free one, or the previous call of the same
+    probe); the rows of the rest extend its program, re-solved warm
+    from it.
     """
     n = finst.base.n
-    if program is None:
+    if start is None:
         program = _restricted_program(finst, r, columns)
-    out = lp.solve(program) if live is None else live.append(program)
+    else:
+        done = len(start.program.constraints) - 1
+        program = start.program.extended(
+            [_column_row(finst.base, r, c) for c in columns[done:]]
+        )
+    out = lp.solve(program, start)
     if out.status == "optimal":
         if lp.check_point(program, out.solution) is not None:
             raise InternalError("LP returned a point outside its own polytope")
-        return DualPoint(alpha=out.solution[:n], mu=out.solution[n])
+        return DualPoint(alpha=out.solution[:n], mu=out.solution[n]), out
     if out.status != "infeasible":
         # mu >= weighted mass - 1 >= -1 on every feasible point
         raise InternalError("dual response LP cannot be unbounded")
     dist = _distribution_over(finst, columns, 4 * Fraction(r))
     if dist is None:
         raise InternalError("restricted distribution LP must be solvable")
-    return dist
+    return dist, out
 
 
 def _distribution_over(finst: FairInstance, columns, radius):
@@ -265,23 +274,22 @@ class FairSolution:
     trace: FairTrace
 
 
-def _probe(finst: FairInstance, r, rec: FairRadiusRecord, first, program):
+def _probe(finst: FairInstance, r, rec: FairRadiusRecord, first):
     """Column generation at one radius: alternate best dual responses
     with separation until a distribution emerges or a dual point
     survives, which proves the radius too small.
 
-    The probe keeps one live restricted dual, starting from its own
-    copy of first (lp's handle on program, the column-free restricted
-    dual, which does not depend on r), extended by each column's row,
-    and one cut-free relaxation that each separation copies; both are
-    dropped when it ends."""
+    The restricted dual starts from first, the outcome of the
+    column-free restricted dual (which does not depend on r), and each
+    call re-solves from the one before; every separation starts from one
+    cut-free relaxation outcome.  Both are dropped when the probe ends."""
     columns = []
     known = set()
-    restricted = first.copy()
+    out = first
     relaxation = LiveRelaxation()
     while True:
         rec.restricted_solves += 1
-        response = solve_restricted(finst, r, columns, restricted, program)
+        response, out = solve_restricted(finst, r, columns, out)
         if isinstance(response, Distribution):
             rec.outcome = "distribution"
             return response
@@ -296,7 +304,6 @@ def _probe(finst: FairInstance, r, rec: FairRadiusRecord, first, program):
             raise InternalError("separation repeated a known column")
         known.add(col)
         columns.append(col)
-        program = program.extended([_column_row(finst.base, r, col)])
 
 
 def solve_fair(finst: FairInstance) -> FairSolution:
@@ -308,7 +315,7 @@ def solve_fair(finst: FairInstance) -> FairSolution:
     column-free restricted dual is solved once, at the first probe.
     """
     trace = FairTrace()
-    first = None  # lp's live handle on the column-free restricted dual, its program
+    first = None  # the outcome of the column-free restricted dual
 
     def exact(r):
         found = _distribution_over(finst, list(feasible_sets(finst.base, r)), r)
@@ -319,15 +326,13 @@ def solve_fair(finst: FairInstance) -> FairSolution:
     def probe(r):
         nonlocal first
         if first is None:
-            program = _restricted_program(finst, r, ())
-            out = lp.solve(program)
-            if out.status != "optimal":
+            first = lp.solve(_restricted_program(finst, r, ()))
+            if first.status != "optimal":
                 # alpha = 0, mu = -1 is feasible and mu >= -1 throughout
                 raise InternalError("column-free restricted dual must be solvable")
-            first = out.live, program
         rec = FairRadiusRecord(radius=r)
         trace.records.append(rec)
-        return _probe(finst, r, rec, *first)
+        return _probe(finst, r, rec, first)
 
     dist, radius, optimal = radius_search(finst.base, exact, probe)
     return FairSolution(dist, radius, optimal, trace)

@@ -13,18 +13,20 @@ division, and the basic values, ratio-test steps, duals and every check
 share its denominator.  Outputs are Fractions: the solution once per
 solve, the dual on first access.
 
-An optimal solve stays live: rows appended to its program are re-solved
-warm by a dual simplex from the last optimal basis, and a copy of the
-handle re-solves independently of the original; LinearProgram.extended
-builds the longer program on the shorter one's rows.  Warm outcomes keep
-every check of a cold one: the strong-duality check on ints, and a
-Farkas certificate verified against the caller's program on "infeasible".
+solve(program, start) re-solves warm: start is an earlier optimal or
+infeasible outcome of a program that program extends by more rows
+(LinearProgram.extended builds it on the shorter one's rows).  From an
+optimum the new rows enter a copy of its tableau and a dual simplex
+re-solves from its basis; from "infeasible" the certificate gains zero
+multipliers on the new rows.  No solve changes its start.  Warm outcomes
+keep every check of a cold one: the strong-duality check on ints, and a
+Farkas certificate verified against the program on "infeasible".
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 LE = "<="
@@ -275,27 +277,28 @@ def verify_certificate(lp: LinearProgram, cert: FarkasCertificate) -> bool:
 
 
 class LpOutcome:
-    """What a solve found: status "optimal", "infeasible" or "unbounded".
+    """What a solve of program found: status "optimal", "infeasible" or
+    "unbounded".
 
     An optimum carries solution, value and dual, a DualInfo built on
-    first access; "infeasible" carries a verified certificate.  live,
-    on an optimum, is the handle that re-solves the program after rows
-    are appended (_Simplex.append).  Every warm re-solve moves that one
-    handle on, so only the latest outcome's handle describes its
-    program; _Simplex.copy keeps an earlier one.
+    first access; "infeasible" carries a certificate verified against
+    program.  Either can start a solve of a longer program (see solve);
+    an optimum keeps its solved tableau for that, which no solve changes.
     """
 
-    __slots__ = ("status", "solution", "value", "certificate", "live", "_dual")
+    __slots__ = ("status", "solution", "value", "certificate", "program", "_dual", "_simplex")
 
     def __init__(
-        self, status, solution=None, value=None, dual=None, certificate=None, live=None
+        self, status, solution=None, value=None, dual=None, certificate=None,
+        program=None, simplex=None,
     ):
         self.status = status
         self.solution = solution
         self.value = value
         self.certificate = certificate
-        self.live = live
+        self.program = program
         self._dual = dual  # a DualInfo, or a function building it
+        self._simplex = simplex
 
     @property
     def dual(self):
@@ -354,9 +357,9 @@ class _Simplex:
     negated reduced costs of the slack columns, a fact used for both
     the dual solution and the Farkas certificate.
 
-    An optimal solve stays live (see copy and append).  Artificial
-    columns are deleted after phase 1, so row i's slack is always column
-    n + i.
+    An optimal solve is kept by its outcome and re-solved for longer
+    programs through copies (see resolved).  Artificial columns are
+    deleted after phase 1, so row i's slack is always column n + i.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -393,7 +396,6 @@ class _Simplex:
         self.basis = [None] * self.m
         self.B = [0] * self.m
         self.artificial = []
-        self.optimal = False
 
     def bound_value(self, j):
         """The value of nonbasic column j, times L."""
@@ -423,71 +425,49 @@ class _Simplex:
             self.artificial = []
         self._reduced_costs(self.cost + [0] * (self.ncols - self.n))
         if self._iterate() == "unbounded":
-            return LpOutcome(status="unbounded")
+            return LpOutcome(status="unbounded", program=self.lp)
         return self._optimal_outcome()
 
     # -- warm re-solves ---------------------------------------------------
 
-    def copy(self) -> "_Simplex":
-        """An independent handle on the same solved program: appends to
-        either leave the other as it was."""
-        twin = object.__new__(_Simplex)
-        twin.__dict__.update(self.__dict__)
-        twin.T = [row[:] for row in self.T]
-        for name in ("B", "d", "lo", "up", "state", "basis", "rhs"):
-            setattr(twin, name, getattr(self, name)[:])
-        twin.frozen = set(self.frozen)
-        return twin
+    def resolved(self, lp: LinearProgram) -> LpOutcome:
+        """Re-solve a copy of this optimal simplex for lp, its program
+        with rows appended (solve checks that); self is left as it was.
 
-    def append(self, lp: LinearProgram) -> LpOutcome:
-        """Re-solve for lp, the live program with rows appended.
-
-        lp has the live program's variables, bounds, objective and sense,
-        and its first self.m constraints are the live rows, in order
-        (shared, as LinearProgram.extended does, or equal); otherwise
-        ValueError.  Each further row enters the tableau eliminated
-        against the basis, with its slack basic, which keeps the basis
-        dual feasible.  The dual simplex then restores primal feasibility
-        (Lemke 1954) under Bland's rule for the dual: the leaving row is
-        the one whose basic variable has the lowest index among those
-        outside their bounds, and the entering column has the least
-        ratio |d_j| / |T[r][j]|, ties to the lowest index.  "infeasible"
-        carries the certificate read off the blocking row, verified
-        against lp.
+        Each further row enters the tableau eliminated against the basis,
+        with its slack basic, which keeps the basis dual feasible.  The
+        dual simplex then restores primal feasibility (Lemke 1954) under
+        Bland's rule for the dual: the leaving row is the one whose basic
+        variable has the lowest index among those outside their bounds,
+        and the entering column has the least ratio |d_j| / |T[r][j]|,
+        ties to the lowest index.  "infeasible" carries the certificate
+        read off the blocking row, verified against lp.
         """
-        if not self.optimal:
-            raise ValueError("only an optimal solve can be re-solved")
-        live = self.lp
-        if (
-            (lp.num_vars, lp.sense, lp.objective, lp.lower, lp.upper)
-            != (live.num_vars, live.sense, live.objective, live.lower, live.upper)
-            or len(lp.constraints) < self.m
-            or any(
-                a is not b and a != b
-                for a, b in zip(lp.constraints, live.constraints[: self.m])
-            )
-        ):
-            raise ValueError("lp does not extend the live program")
-        self.lp = lp
-        self.optimal = False
-        new = lp.constraints[self.m :]
-        L = math.lcm(self.L, *(con.rhs.denominator for con in new))
-        if L != self.L:
-            f = L // self.L
-            self.L = L
-            for v in (self.rhs, self.B, self.lo, self.up):
+        warm = object.__new__(_Simplex)
+        warm.__dict__.update(self.__dict__)
+        warm.T = [row[:] for row in self.T]
+        for name in ("B", "d", "lo", "up", "state", "basis", "rhs"):
+            setattr(warm, name, getattr(self, name)[:])
+        warm.frozen = set(self.frozen)
+        warm.lp = lp
+        new = lp.constraints[warm.m :]
+        L = math.lcm(warm.L, *(con.rhs.denominator for con in new))
+        if L != warm.L:
+            f = L // warm.L
+            warm.L = L
+            for v in (warm.rhs, warm.B, warm.lo, warm.up):
                 v[:] = [None if x is None else x * f for x in v]
         for con in new:
-            self._add_row(con)
+            warm._add_row(con)
         while True:
-            r, leave_state, bound = self._pick_leaving()
+            r, leave_state, bound = warm._pick_leaving()
             if r is None:
-                return self._optimal_outcome()
-            enter, direction = self._pick_entering_dual(r, leave_state)
+                return warm._optimal_outcome()
+            enter, direction = warm._pick_entering_dual(r, leave_state)
             if enter is None:
-                return self._row_infeasible_outcome(r, leave_state)
-            num = abs(self.B[r] - self.D * bound)
-            self._apply(enter, direction, num, r, leave_state)
+                return warm._row_infeasible_outcome(r, leave_state)
+            num = abs(warm.B[r] - warm.D * bound)
+            warm._apply(enter, direction, num, r, leave_state)
 
     def _add_row(self, con: Constraint):
         """Append con to the tableau with its slack basic; the current
@@ -847,7 +827,6 @@ class _Simplex:
         dl = self.D * self.L
         value = Fraction(sign * primal, self.lc * dl)
         solution = tuple(Fraction(v, dl) if v else _ZERO for v in x)
-        self.optimal = True
 
         def dual_info():
             return DualInfo(
@@ -855,15 +834,17 @@ class _Simplex:
                 _fractions(upp, den, sign), value,
             )
 
-        return LpOutcome("optimal", solution, value, dual=dual_info, live=self)
+        return LpOutcome(
+            "optimal", solution, value, dual=dual_info, program=self.lp, simplex=self
+        )
 
     def _infeasible_outcome(self):
         y, low, upp, gap = self._duals()
         den = self.lc * self.D
-        return self._certified(
+        return _certified(self.lp, FarkasCertificate(
             _fractions(y, den), _fractions(low, den), _fractions(upp, den),
             Fraction(gap, den * self.L),
-        )
+        ))
 
     def _row_infeasible_outcome(self, r, leave_state):
         """The Farkas certificate read off row r, whose basic variable
@@ -897,31 +878,54 @@ class _Simplex:
                 upp[j] = -v
             gap += v * bound
         D = self.D
-        return self._certified(
+        return _certified(self.lp, FarkasCertificate(
             _fractions(lam, D), _fractions(low, D),
             _fractions(upp, D), Fraction(gap, D * self.L),
-        )
+        ))
 
-    def _certified(self, y, low, upp, gap):
-        cert = FarkasCertificate(y, low, upp, gap)
-        if not verify_certificate(self.lp, cert):
-            raise InternalError("the simplex built a bad certificate")
-        return LpOutcome(status="infeasible", certificate=cert)
+
+def _certified(lp: LinearProgram, cert: FarkasCertificate) -> LpOutcome:
+    if not verify_certificate(lp, cert):
+        raise InternalError("a Farkas certificate fails verification")
+    return LpOutcome(status="infeasible", certificate=cert, program=lp)
 
 
 def _fractions(values, den, sign=1):
     return tuple(Fraction(sign * v, den) if v else _ZERO for v in values)
 
 
-def solve(lp: LinearProgram) -> LpOutcome:
-    """Solve lp exactly.
+def solve(lp: LinearProgram, start: LpOutcome = None) -> LpOutcome:
+    """Solve lp exactly: cold, or warm from start.
 
     "optimal" comes with a basic solution (a vertex whenever the
     feasible region is pointed), its value, and a dual of equal value;
-    "infeasible" with a verified Farkas certificate.  An optimum's
-    handle (LpOutcome.live) re-solves warm after rows are appended, and
-    its copies do so independently.  Identical input and an identical
-    sequence of appends always take the identical pivot path, so
-    results are deterministic.
+    "infeasible" with a verified Farkas certificate.
+
+    start, when given, is an optimal or infeasible outcome of a program
+    that lp extends: lp has its variables, bounds, objective and sense,
+    and lp's rows begin with its rows, in order (shared, as
+    LinearProgram.extended does, or equal); otherwise ValueError.  From
+    an optimum, the new rows enter a copy of its tableau and a dual
+    simplex re-solves from its basis (_Simplex.resolved).  From
+    "infeasible", start's certificate with zero multipliers on the new
+    rows is verified against lp and returned, with no simplex run.
+    start is never changed.  Identical input and identical starts always
+    take the identical pivot path, so results are deterministic.
     """
-    return _Simplex(lp).solve()
+    if start is None:
+        return _Simplex(lp).solve()
+    if start.status not in ("optimal", "infeasible"):
+        raise ValueError("only an optimal or infeasible outcome can start a solve")
+    base = start.program
+    if (
+        (lp.num_vars, lp.sense, lp.objective, lp.lower, lp.upper)
+        != (base.num_vars, base.sense, base.objective, base.lower, base.upper)
+        or len(lp.constraints) < len(base.constraints)
+        or any(a is not b and a != b for a, b in zip(lp.constraints, base.constraints))
+    ):
+        raise ValueError("lp does not extend the program of start")
+    if start.status == "optimal":
+        return start._simplex.resolved(lp)
+    cert = start.certificate
+    pad = (0,) * (len(lp.constraints) - len(base.constraints))
+    return _certified(lp, replace(cert, row_mults=cert.row_mults + pad))

@@ -38,12 +38,11 @@ the k-th largest a_v, and bound multipliers for the rest), checked
 exactly by lp.verify_certificate, against just the rows it uses,
 before it is returned.
 
-A probe builds its cut-free relaxation once; extra rows and cuts extend
-it (lp.LinearProgram.extended).  A cut appends its row to the live
-simplex of the last relaxation LP, which re-solves warm (see lp).  With
-an extra row, the cut-free relaxation is solved cold once per
-LiveRelaxation; each round_or_cut call appends the extra row to its own
-copy of that solve, so its answer does not depend on the calls before it.
+A probe builds and solves its cut-free relaxation once, cold (once per
+LiveRelaxation when one is shared).  The extra row and each cut extend
+the last program (lp.LinearProgram.extended), and lp.solve(program,
+start) re-solves it warm from the last outcome (see lp), which it leaves
+as it was; so a call's answer does not depend on the calls before it.
 """
 
 from __future__ import annotations
@@ -215,12 +214,11 @@ def counting_certificate(inst: Instance, r, found, extra=None) -> lp.FarkasCerti
 
 @dataclass
 class LiveRelaxation:
-    """The cut-free relaxation LP of one probe radius with no extra row,
-    shared by the probe's round_or_cut calls: the program and lp's live
-    handle on its optimum, or None before the first call needing them."""
+    """The lp outcome of the cut-free relaxation of one probe radius with
+    no extra row, shared by the probe's round_or_cut calls; None before
+    the first call that needs it."""
 
-    program: lp.LinearProgram = None
-    base: object = None
+    base: lp.LpOutcome = None
 
 
 def round_or_cut(inst: Instance, r, record, extra=None, relaxation=None):
@@ -234,15 +232,13 @@ def round_or_cut(inst: Instance, r, record, extra=None, relaxation=None):
     when one does exist.  Counts LP solves, DP calls and cuts on record;
     a radius the counting bound rejects runs no LP.
 
-    relaxation (fresh when None) holds the cut-free relaxation, built
-    once; the extra row and each cut extend it.  Without extra it is
-    solved cold.  With extra, each call copies relaxation.base (solved
-    cold by the first call that reaches an LP, and counted there) and
-    appends the extra row, so all calls start from one basis.  A cut
-    appends its row.  Each optimum is checked against its full program,
-    and lp verifies each certificate against it; an empty cut-free
-    relaxation's certificate gets a zero multiplier on the extra row and
-    is verified again.
+    relaxation (fresh when None) holds the cut-free relaxation's
+    outcome, built and solved cold by the first call that reaches an LP,
+    and counted there.  The extra row, then each cut, extends the last
+    outcome's program, re-solved from that outcome (lp.solve); from an
+    empty relaxation that pads its certificate, which counts as no
+    solve.  Each optimum is checked against its full program, and lp
+    verifies each certificate against it.
     """
     r = Fraction(r)
     t = inst.num_colors + (extra is not None)
@@ -254,39 +250,21 @@ def round_or_cut(inst: Instance, r, record, extra=None, relaxation=None):
         return "infeasible", counting_certificate(inst, r, found, extra)
     if relaxation is None:
         relaxation = LiveRelaxation()
-    if relaxation.program is None:
-        relaxation.program = build_relaxation(inst, r)
-    program = relaxation.program
-    if extra is not None:
-        program = program.extended([_weighted_row(inst.n, extra)])
-        if relaxation.base is None:
-            out = lp.solve(relaxation.program)
-            record.lp_solves += 1
-            if out.status == "infeasible":
-                cert = out.certificate
-                cert = replace(cert, row_mults=cert.row_mults + (0,))
-                if not lp.verify_certificate(program, cert):
-                    raise InternalError("padded certificate fails verification")
-                return "infeasible", cert
-            if out.status != "optimal":
-                raise InternalError("relaxation LP cannot be unbounded")
-            relaxation.base = out.live
-    live = None
+    if relaxation.base is None:
+        relaxation.base = lp.solve(build_relaxation(inst, r))
+        record.lp_solves += 1
+    out = relaxation.base
+    rows = [] if extra is None else [_weighted_row(inst.n, extra)]
     seen = set()
     while True:
-        if live is not None:
-            out = live.append(program)
-        elif extra is None:
-            out = lp.solve(program)
-        else:
-            out = relaxation.base.copy().append(program)
-        live = out.live
-        record.lp_solves += 1
+        if rows:
+            record.lp_solves += out.status == "optimal"  # not a padded certificate
+            out = lp.solve(out.program.extended(rows), out)
         if out.status == "infeasible":
             return "infeasible", out.certificate
         if out.status != "optimal":
             raise InternalError("relaxation LP cannot be unbounded")
-        if lp.check_point(program, out.solution) is not None:
+        if lp.check_point(out.program, out.solution) is not None:
             raise InternalError("LP returned a point outside its own polytope")
         pt = FractionalPoint(out.solution[: inst.n], out.solution[inst.n :])
         part = good_partition(inst, r, pt)
@@ -315,7 +293,7 @@ def round_or_cut(inst: Instance, r, record, extra=None, relaxation=None):
         seen.add(s)
         cut = Cut(s, threshold)
         record.cuts.append(cut)
-        program = program.extended([_cut_row(inst, r, cut)])
+        rows = [_cut_row(inst, r, cut)]
 
 
 def solve_fixed_radius(

@@ -446,9 +446,20 @@ def test_gen_vc3_parsing_variants(tmp_path):
     )
     assert model.load_instance(str(out2)).n == 4  # inferred from edges
 
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_text("4\r\n0 1\t# a comment\u2003\r\n1  2\r\n", newline="", encoding="utf-8")
+    out3 = write_instance(
+        tmp_path, "vc3.json", ["gen", "vc3", "--graph", str(crlf), "--t", "1"]
+    )
+    assert out3.read_bytes() == out.read_bytes()
+
     bad = tmp_path / "bad.txt"
-    bad.write_text("0 1 2\n")
-    assert main(["gen", "vc3", "--graph", str(bad), "--t", "1"]) == 2
+    # lines end only at LF or CRLF, tokens only at ASCII spaces and tabs
+    for text in ["0 1 2\n", "0\u20031\n1\u00a02\n", "0 1\u20281 2\n", "0 1\r1 2\n"] + [
+        f"0 1{sep}1 2\n" for sep in "\x1c\x1d\x1e"
+    ]:
+        bad.write_text(text, newline="", encoding="utf-8")
+        assert main(["gen", "vc3", "--graph", str(bad), "--t", "1"]) == 2, text
 
 
 def test_gen_setcover_and_brute_decision(tmp_path, capsys):
@@ -637,16 +648,25 @@ GRAPH_LINES = st.one_of(EDGE, EDGE, EDGE, st.lists(VERTEX, max_size=1), st.lists
 ))
 
 
+# separators the graph grammar takes (LF, CRLF, space, tab) and others
+# that str.splitlines or str.split would also take
+LINE_END = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\u2028", "\x1c", "\x1d", "\x1e"])
+SPACE = st.sampled_from([" ", " ", "\t", " \t ", "\u00a0", "\u2003"])
+
+
 @st.composite
 def graph_bytes(draw):
-    """Edge-list text from small tokens, or arbitrary bytes without a
-    run of three ASCII digits."""
+    """Edge-list text from small tokens and separators, or arbitrary
+    bytes without a run of three ASCII digits."""
     if draw(st.booleans()):
         return draw(st.binary(max_size=40).filter(
             lambda b: not any(b[i:i + 3].isdigit() for i in range(len(b)))
         ))
-    lines = draw(st.lists(GRAPH_LINES, max_size=5))
-    return "\n".join(" ".join(line) for line in lines).encode()
+    text = ""
+    for line in draw(st.lists(GRAPH_LINES, max_size=5)):
+        text += "".join(draw(SPACE) + tok if i else tok for i, tok in enumerate(line))
+        text += draw(LINE_END)
+    return text.encode()
 
 
 @settings(max_examples=200, deadline=None)
@@ -672,10 +692,9 @@ def test_malformed_generator_files_never_raise(case, t):
     if code == 0:
         assert err == ""
         model.instance_from_dict(json.loads(out.getvalue()))
-        if family == "vc3":  # an accepted graph holds ASCII digits only
-            lines = data.decode().splitlines()
-            tokens = [tok for line in lines for tok in line.split("#", 1)[0].split()]
-            assert all(re.fullmatch("[0-9]+", tok) for tok in tokens), tokens
+        if family == "vc3":  # an accepted graph follows the README's grammar
+            for line in re.split(rb"\r?\n", data):
+                assert re.fullmatch(rb"[ \t0-9]*", line.split(b"#", 1)[0]), data
     else:
         assert err.startswith(("error: ", "internal error: ")), err
         assert err.count("\n") == 1 and err.endswith("\n"), err

@@ -108,7 +108,8 @@ def test_restricted_with_no_columns():
     finst = fair_line(
         [0, 2], 1, [((0, 1), 0)], [Fraction(3, 4), Fraction(1, 4)]
     )
-    dual = solve_restricted(finst, 0, [])
+    dual, out = solve_restricted(finst, 0, [])
+    assert out.status == "optimal"
     assert isinstance(dual, DualPoint)
     assert dual.mu == -1
     assert all(a == 0 for a in dual.alpha)
@@ -118,7 +119,8 @@ def test_restricted_respects_column_constraints():
     finst = fair_line(
         [0, 2], 1, [((0, 1), 0)], [Fraction(3, 4), Fraction(1, 4)]
     )
-    dual = solve_restricted(finst, 0, [frozenset({0})])
+    dual, out = solve_restricted(finst, 0, [frozenset({0})])
+    assert out.status == "optimal"
     assert isinstance(dual, DualPoint)
     # normalization pins target-weighted mass one above mu
     lhs = sum(

@@ -588,32 +588,40 @@ def test_internal_error_is_one_class():
     assert InternalError is solver.InternalError is lp.InternalError
 
 
-def test_append_refuses_a_program_that_does_not_extend_the_live_one():
+def test_solve_refuses_a_start_whose_program_it_does_not_extend():
     program = lp.LinearProgram(2, (1, 1), lp.MAX, (0, 0), (1, 1))
     program.add([1, 1], lp.LE, 1)
     program.add([1, -1], lp.GE, 0)
     out = lp.solve(program)
     assert out.status == "optimal"
+    empty = program.extended([([1, 1], lp.GE, 2)])
+    empty_out = lp.solve(empty)
+    assert empty_out.status == "infeasible"
     new = ([1, 0], lp.LE, Fraction(1, 3))
-    live = program.constraints
+    rows = program.constraints
 
     def built(num_vars=2, objective=(1, 1), sense=lp.MAX, bounds=((0, 0), (1, 1)),
-              rows=(live[0], live[1])):
+              rows=(rows[0], rows[1])):
         return lp.LinearProgram(num_vars, objective, sense, *bounds, [*rows, new])
 
     for bad in (
-        built(rows=(live[0], ([1, -1], lp.GE, 1))),  # one live row changed
-        built(rows=(live[1], live[0])),
-        built(rows=(live[0],)),
+        built(rows=(rows[0], ([1, -1], lp.GE, 1))),  # one row changed
+        built(rows=(rows[1], rows[0])),
+        built(rows=(rows[0],)),
         built(objective=(1, 2)),
         built(sense=lp.MIN),
         built(bounds=((0, 0), (1, 2))),
         built(bounds=((0, -1), (1, 1))),
         lp.LinearProgram(3, (1, 1, 0), lp.MAX, (0, 0, 0), (1, 1, 1)),
     ):
-        with pytest.raises(ValueError):
-            out.live.copy().append(bad)
-    # the live program's own rows and equal rows built anew both extend it
-    shared = out.live.copy().append(program.extended([new]))
-    assert shared == out.live.copy().append(built()) == lp.solve(built())
+        for start in (out, empty_out):
+            with pytest.raises(ValueError):
+                lp.solve(bad, start)
+    # the start's own rows and equal rows built anew both extend it
+    shared = lp.solve(program.extended([new]), out)
+    assert shared == lp.solve(built(), out) == lp.solve(built())
     assert shared.value == Fraction(2, 3)
+    padded = lp.solve(empty.extended([new]), empty_out)
+    assert padded.certificate.row_mults == empty_out.certificate.row_mults + (0,)
+    with pytest.raises(ValueError):
+        lp.solve(built(), empty_out)  # the start's third row is missing

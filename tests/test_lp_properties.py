@@ -483,9 +483,11 @@ def test_solve_equals_the_fraction_reference(program):
 
 # -- warm re-solves -----------------------------------------------------------
 #
-# An optimal outcome's live handle re-solves after rows are appended (dual
-# simplex), itself or through a copy.  Each warm outcome must say what a
-# cold solve of the same program says, with its own exact checks passing.
+# lp.solve(program, start) re-solves a program that extends start's from
+# start, an earlier optimal outcome (dual simplex) or infeasible one (its
+# certificate padded with zeros).  Each warm outcome must say what a cold
+# solve of the same program says, with its own exact checks passing, and
+# must leave its start as it was.
 
 
 def mixed_rows(n):
@@ -507,14 +509,13 @@ def built_with(program, rows):
 
 @st.composite
 def warm_sequences(draw):
-    """A program, then a list of steps ("append", rows) or ("copy", rows):
-    one or two rows appended in one call, to the live handle itself or
-    to a fresh copy of it."""
+    """A program, then a list of steps (back, rows): one or two rows
+    added to the program of the outcome back steps before the last
+    (0: the last one), solved from that outcome."""
     program = draw(mixed_programs())
     n = program.num_vars
     steps = [
-        (draw(st.sampled_from(["append", "copy"])),
-         draw(st.lists(mixed_rows(n), min_size=1, max_size=2)))
+        (draw(st.integers(0, 2)), draw(st.lists(mixed_rows(n), min_size=1, max_size=2)))
         for _ in range(draw(st.integers(1, 3)))
     ]
     return program, steps
@@ -540,37 +541,80 @@ def assert_same_as_cold(program, warm):
 @given(warm_sequences())
 def test_warm_resolves_agree_with_cold_solves(case):
     program, steps = case
-    out = lp.solve(program)
-    for kind, rows in steps:
-        if out.status != "optimal":
+    outcomes = [lp.solve(program)]
+    for back, rows in steps:
+        start = outcomes[max(len(outcomes) - 1 - back, 0)]
+        if start.status == "unbounded":
             break
-        program = built_with(program, rows)
-        live = out.live.copy() if kind == "copy" else out.live
-        out = live.append(program)
+        program = built_with(start.program, rows)
+        out = lp.solve(program, start)
+        assert out.program is program
         assert_same_as_cold(program, out)
+        outcomes.append(out)
+
+
+def contradicting(program, rows):
+    """program with rows and a pair of rows no point meets."""
+    coeffs = (1,) * program.num_vars
+    return built_with(program, [*rows, (coeffs, lp.LE, 0), (coeffs, lp.GE, 1)])
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_copies_are_independent(data):
-    """Appends to one copy leave the original and a second copy as they
-    were: both then re-solve like cold solves, and alike."""
+def test_a_start_is_left_as_it_was(data):
+    """Solves from one start, optimal or infeasible, are alike and leave
+    it as it was: its solution, value and dual stay those of a cold
+    solve.  From "infeasible" the certificate is the start's with zeros
+    appended.  A program that does not extend the start's is refused."""
     program = data.draw(mixed_programs())
-    out = lp.solve(program)
-    assume(out.status == "optimal")
-    one, two = out.live.copy(), out.live.copy()
     rows = st.lists(mixed_rows(program.num_vars), min_size=1, max_size=2)
-    first = built_with(program, data.draw(rows))
-    got = one.append(first)
-    assert_same_as_cold(first, got)
-    if got.status == "optimal":
-        again = built_with(first, data.draw(rows))
-        assert_same_as_cold(again, got.live.append(again))
-    assert out.live.copy().append(program) == out
-    second = built_with(program, data.draw(rows))
-    from_original = out.live.append(second)
-    assert_same_as_cold(second, from_original)
-    assert two.append(second) == from_original
+    for start_program in (program, contradicting(program, data.draw(rows))):
+        start = lp.solve(start_program)
+        if start.status == "unbounded":
+            with pytest.raises(ValueError):
+                lp.solve(start_program, start)
+            continue
+        before = (start.status, start.solution, start.value, start.certificate)
+        longer = built_with(start_program, data.draw(rows))
+        got = lp.solve(longer, start)
+        assert_same_as_cold(longer, got)
+        assert lp.solve(longer, start) == got
+        assert lp.solve(start_program, start) == start
+        if start.status == "infeasible":
+            cert = start.certificate
+            pad = (0,) * (len(longer.constraints) - len(start_program.constraints))
+            assert got.certificate == dataclasses.replace(
+                cert, row_mults=cert.row_mults + pad
+            )
+        elif got.status == "optimal":
+            again = built_with(longer, data.draw(rows))
+            assert_same_as_cold(again, lp.solve(again, got))
+        assert (start.status, start.solution, start.value, start.certificate) == before
+        assert start == lp.solve(start_program)  # the dual too, built only now
+        for other in not_extending(start_program):
+            with pytest.raises(ValueError):
+                lp.solve(other, start)
+
+
+def not_extending(program):
+    """Programs whose rows do not begin with program's, or with other
+    variables, objective or sense."""
+    n, rows = program.num_vars, list(program.constraints)
+    frame = (program.objective, program.sense, program.lower, program.upper)
+    other_sense = lp.MAX if program.sense == lp.MIN else lp.MIN
+    got = [
+        lp.LinearProgram(n, (program.objective[0] + 1, *program.objective[1:]),
+                         *frame[1:], rows),
+        lp.LinearProgram(n, program.objective, other_sense, *frame[2:], rows),
+        lp.LinearProgram(n + 1, program.objective + (0,), program.sense,
+                         program.lower + (0,), program.upper + (None,)),
+    ]
+    if rows:
+        first = rows[0]
+        changed = (first.coeffs, first.rel, first.rhs + 1)
+        got.append(lp.LinearProgram(n, *frame, [changed, *rows[1:]]))
+        got.append(lp.LinearProgram(n, *frame, rows[:-1]))
+    return got
 
 
 def fields(program):

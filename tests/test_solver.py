@@ -371,41 +371,36 @@ def test_counting_bound_changes_no_solution(monkeypatch):
 
 def test_warm_resolves_match_cold_solves(monkeypatch):
     """On the golden fair-* and clumps-* cases, every warm re-solve of a
-    probe's live LP (rows appended, to the handle itself or to a fresh
-    copy of it) reports the status and optimal value of a cold solve of
-    the same program."""
+    probe's LP (lp.solve from an earlier outcome, the latest one or one
+    that starts several re-solves) reports the status and optimal value
+    of a cold solve of the same program."""
     from test_golden_outputs import CASES
 
     seen = collections.Counter()
-    append, copy = lp._Simplex.append, lp._Simplex.copy
-    copies = set()
+    starts = {}  # id -> [start, solves from it]
+    solve = lp.solve
 
-    def spy_copy(self):
-        twin = copy(self)
-        copies.add(id(twin))
-        return twin
-
-    def spy_append(self, program):
-        fresh = id(self) in copies
-        copies.discard(id(self))
-        out = append(self, program)
-        cold = lp.solve(program)
-        assert out.status == cold.status
-        assert out.value == cold.value
-        seen["append", out.status] += 1
-        seen["copy-append", out.status] += fresh
+    def spy_solve(program, start=None):
+        out = solve(program, start)
+        if start is not None:
+            cold = solve(program)
+            assert out.status == cold.status
+            assert out.value == cold.value
+            seen[start.status, out.status] += 1
+            starts.setdefault(id(start), [start, 0])[1] += start.status == "optimal"
         return out
 
-    monkeypatch.setattr(lp._Simplex, "copy", spy_copy)
-    monkeypatch.setattr(lp._Simplex, "append", spy_append)
+    monkeypatch.setattr(lp, "solve", spy_solve)
     for name, inst in sorted(CASES.items()):
         if name.startswith("clumps-"):
             solve_colorful(inst)
         elif name.startswith("fair-") and not name.startswith("fair-enum-"):
             solve_fair(inst)
-    assert seen["append", "optimal"] >= 100
-    assert seen["append", "infeasible"] >= 20
-    assert seen["copy-append", "optimal"] >= 100
+    assert seen["optimal", "optimal"] >= 100
+    assert seen["optimal", "infeasible"] >= 20
+    # optimal starts shared by several re-solves: a probe's cut-free
+    # relaxation, and the column-free restricted dual
+    assert sum(n for _, n in starts.values() if n >= 2) >= 100
 
 
 def _fields(program):
@@ -427,7 +422,7 @@ def test_extended_programs_equal_fresh_builds(monkeypatch):
 
     build, restricted = solver.build_relaxation, fair._restricted_program
     round_or_cut, solve_restricted = solver.round_or_cut, fair.solve_restricted
-    append, check_point = lp._Simplex.append, lp.check_point
+    solve, check_point = lp.solve, lp.check_point
     seen = collections.Counter()
     context = []  # the call whose programs are checked, innermost last
 
@@ -445,16 +440,17 @@ def test_extended_programs_equal_fresh_builds(monkeypatch):
         finally:
             context.pop()
 
-    def spy_solve_restricted(finst, r, columns, live=None, program=None):
+    def spy_solve_restricted(finst, r, columns, start=None):
         context.append(("restricted", finst, r, list(columns)))
         try:
-            return solve_restricted(finst, r, columns, live, program)
+            return solve_restricted(finst, r, columns, start)
         finally:
             context.pop()
 
-    def spy_append(self, program):
-        compare(program)
-        return append(self, program)
+    def spy_solve(program, start=None):
+        if start is not None:
+            compare(program)
+        return solve(program, start)
 
     def spy_check_point(program, point):
         compare(program)
@@ -469,7 +465,7 @@ def test_extended_programs_equal_fresh_builds(monkeypatch):
     monkeypatch.setattr(solver, "round_or_cut", spy_round_or_cut)
     monkeypatch.setattr(fair, "round_or_cut", spy_round_or_cut)
     monkeypatch.setattr(fair, "solve_restricted", spy_solve_restricted)
-    monkeypatch.setattr(lp._Simplex, "append", spy_append)
+    monkeypatch.setattr(lp, "solve", spy_solve)
     monkeypatch.setattr(lp, "check_point", spy_check_point)
     monkeypatch.setattr(solver, "build_relaxation", counted("builds", build))
     monkeypatch.setattr(fair, "_restricted_program", counted("restricted builds", restricted))
