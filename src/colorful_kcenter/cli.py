@@ -44,6 +44,10 @@ INFEASIBLE = 1
 USAGE = 2
 INTERNAL = 3
 
+# most vertices gen vc3 takes: its instance holds n * n exact distances,
+# so its time and memory grow with the square of the vertex count
+MAX_GRAPH_VERTICES = 1000
+
 
 class CliError(Exception):
     """Carries the exit code for a user-facing failure."""
@@ -257,6 +261,8 @@ def _parse_graph_text(text: str) -> Graph:
     n = declared if declared is not None else top + 1
     if n <= 0:
         raise CliError(USAGE, "graph has no vertices")
+    if n > MAX_GRAPH_VERTICES:
+        raise CliError(USAGE, f"graph has more than {MAX_GRAPH_VERTICES} vertices")
     return Graph(n=n, edges=tuple(edges))
 
 

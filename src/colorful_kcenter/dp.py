@@ -24,10 +24,10 @@ find_few_outside searches for a small center set of the form
 "guessed points outside S, completed by centers inside S": it guesses
 every small subset Q outside S, discounts what Q already covers, and
 runs the dynamic program over S to cover the rest, maximizing covered
-weight and checking it against a threshold (both zero without a
-weighted target).  Used with radius r2 = 2r for cluster centers S
-that are pairwise > 4r apart, so the r2-balls around S never overlap
-and contributions are additive.
+weight and checking it against a goal (both zero without one).  Used
+with radius r2 = 2r for cluster centers S that are pairwise > 4r
+apart, so the r2-balls around S never overlap and contributions are
+additive.
 """
 
 from __future__ import annotations
@@ -174,40 +174,28 @@ def _beyond_pooled_reach(rows, demands, capacity) -> bool:
     return sum(scores[:capacity]) < len(pooled) * unit
 
 
-@dataclass(frozen=True)
-class WeightedTarget:
-    """Per-point weights plus a strict coverage threshold: a selection
-    qualifies when its covered weight is at least the threshold.
-    """
-
-    weights: tuple
-    threshold: Fraction
-
-
-def find_few_outside(
-    inst: Instance, r2, centers_s, beta: int, target: WeightedTarget = None
-):
+def find_few_outside(inst: Instance, r2, centers_s, beta: int, extra=None):
     """Search for a feasible center set with at most beta centers
     outside centers_s (and at most inst.k centers in total) at radius
     r2.  Returns the first hit as a CenterSet, or None.
 
     Guesses Q run over subsets of the complement in (size, lex) order;
     for each Q the dynamic program packs centers from centers_s to
-    cover the demands left after discounting Q's coverage.  With a
-    target, the covered weight including Q's share must also reach the
-    threshold; without one, every weight is zero and so is the
-    threshold.  The program's weights are the target's, scaled to ints
-    by one common factor, which changes neither its picks nor the
-    outcome of the exact threshold test.
+    cover the demands left after discounting Q's coverage.  extra =
+    (weights, goal), per-point weights and a goal, asks as well that
+    the weight covered, Q's share included, is at least goal; without
+    it every weight is zero and so is the goal.  The program's weights
+    are extra's, scaled to ints by one common factor, which changes
+    neither its picks nor the outcome of the exact goal test.
     """
     r2 = Fraction(r2)
-    # the target's weights as ints over their common denominator, once
-    # per call; only points of nonzero weight are ever summed
-    weights = () if target is None else target.weights
+    # the weights as ints over their common denominator, once per call;
+    # only points of nonzero weight are ever summed
+    weights, goal = ((), 0) if extra is None else extra
     scale = math.lcm(*(w.denominator for w in weights))
     weights = [w.numerator * (scale // w.denominator) for w in weights]
     heavy = sum(1 << u for u, w in enumerate(weights) if w)
-    goal = 0 if target is None else Fraction(target.threshold) * scale
+    goal *= scale
     s_list = sorted(set(centers_s))
     inside = sum(1 << s for s in s_list)
     # each inside center's 2*r2-ball may hold no other inside center

@@ -317,7 +317,8 @@ def candidate_radii(inst: Instance):
 
 def weighted_coverage(inst: Instance, weights, centers, r) -> Fraction:
     """Total weight of the points within distance r of centers."""
-    return sum((weights[u] for u in union_ball(inst, centers, r)), Fraction(0))
+    covered = union_mask(inst, centers, r)
+    return sum((w for u, w in enumerate(weights) if covered >> u & 1), Fraction(0))
 
 
 def ball_masks(inst: Instance, r, centers=None) -> list:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Instance, ball_masks, mask_points, union_mask
+from .model import Instance, ball_masks, mask_points, weighted_coverage
 
 
 def _fractions(values) -> tuple:
@@ -128,5 +128,4 @@ def verify_partition(inst: Instance, r, pt: FractionalPoint, part: GoodPartition
 
 def opening_mass(inst: Instance, r, pt: FractionalPoint, centers) -> Fraction:
     """Total y-mass inside the union of radius-r balls around centers."""
-    covered = union_mask(inst, centers, r)
-    return sum((y for v, y in enumerate(pt.y) if covered >> v & 1), Fraction(0))
+    return weighted_coverage(inst, pt.y, centers, r)

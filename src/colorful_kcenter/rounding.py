@@ -1,16 +1,16 @@
 """Rounding a clustered relaxation point through a small covering LP.
 
-The clusters collapse the instance to q aggregated items; the LP
-"minimize opened clusters subject to covering each row's demand" has at
-most t rows, so any vertex has at most t fractional coordinates.  When
-the optimum is at most k - t + 1, the support therefore has at most k
-clusters, and opening every support center covers all demands within
-four radii.
+The clusters collapse the instance to q aggregated items, and
+build_cluster_system returns the covering LP over them: minimize the
+opened clusters subject to covering each row's demand.  It has t rows,
+one per color plus the optional weighted row, so any vertex has at most
+t fractional coordinates.  When the optimum is at most k - t + 1, the
+support therefore has at most k clusters, and opening every support
+center covers all demands within four radii.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
@@ -24,74 +24,34 @@ class SparseRoundError(lp.InternalError):
     """
 
 
-@dataclass(frozen=True)
-class CoveringSystem:
-    """Aggregated demands over clusters: rows[l][i] is how much cluster
-    i contributes to row l, rhs[l] the amount required.
+def build_cluster_system(inst: Instance, part: GoodPartition, extra=None):
+    """The clusters' covering LP, as an lp.LinearProgram: minimize the
+    sum of z over z in [0,1]^q, q the cluster count, subject to one >=
+    row per color class (its members inside each cluster, at least its
+    demand) and, when extra = (weights, goal) is given, the per-point
+    weights summed per cluster, at least goal.
     """
-
-    rows: tuple
-    rhs: tuple
-
-    def __post_init__(self):
-        rows = tuple(tuple(Fraction(v) for v in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "rhs", tuple(Fraction(v) for v in self.rhs))
-        if len(rows) != len(self.rhs):
-            raise ValueError("row/rhs count mismatch")
-        width = {len(row) for row in rows}
-        if len(width) > 1:
-            raise ValueError("ragged covering system")
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def num_items(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-
-def build_cluster_system(
-    inst: Instance, part: GoodPartition, extra_rows=()
-) -> CoveringSystem:
-    """One row per color class counting members inside each cluster,
-    plus optional weighted rows given as (per-point-weights, rhs).
-    """
-    rows = []
-    rhs = []
+    q = part.size
+    program = lp.LinearProgram(q, (1,) * q, lp.MIN, (0,) * q, (1,) * q)
     for c in inst.colors:
-        rows.append(tuple(len(c.members & cluster) for cluster in part.clusters))
-        rhs.append(Fraction(c.demand))
-    for weights, bound in extra_rows:
-        rows.append(
-            tuple(
-                sum((weights[u] for u in cluster), Fraction(0))
-                for cluster in part.clusters
-            )
-        )
-        rhs.append(Fraction(bound))
-    return CoveringSystem(tuple(rows), tuple(rhs))
-
-
-def covering_program(system: CoveringSystem) -> lp.LinearProgram:
-    """Minimize the opened clusters z in [0,1] subject to every row of
-    the system: rows[l] . z >= rhs[l]."""
-    q = system.num_items
-    return lp.LinearProgram(
-        q, (1,) * q, lp.MIN, (0,) * q, (1,) * q,
-        [(row, lp.GE, b) for row, b in zip(system.rows, system.rhs)],
-    )
+        row = [len(c.members & cluster) for cluster in part.clusters]
+        program.add(row, lp.GE, c.demand)
+    if extra is not None:
+        weights, goal = extra
+        row = [sum((weights[u] for u in cluster), Fraction(0)) for cluster in part.clusters]
+        program.add(row, lp.GE, goal)
+    return program
 
 
 def sparse_round(
     inst: Instance,
     r,
     part: GoodPartition,
-    system: CoveringSystem,
+    program: lp.LinearProgram,
     pt: FractionalPoint,
 ) -> frozenset:
-    """Open at most inst.k cluster centers meeting every aggregated demand.
+    """Open at most inst.k cluster centers meeting every row of the
+    covering LP program (see build_cluster_system).
 
     Correct only under the caller-checked hypothesis that the point's
     opening mass around the centers is at most k - t + 1 (t = number of
@@ -100,18 +60,16 @@ def sparse_round(
     SparseRoundError.
     """
     q = part.size
-    t = system.num_rows
-    if system.num_items != q:
+    t = len(program.constraints)
+    if program.num_vars != q:
         raise SparseRoundError("covering system width != cluster count")
-    if all(b <= 0 for b in system.rhs):
+    if all(con.rhs <= 0 for con in program.constraints):
         return frozenset()
     if q <= inst.k:
-        for row, b in zip(system.rows, system.rhs):
-            if sum(row) < b:
-                raise SparseRoundError("demand above the whole ground set")
+        if lp.check_point(program, (1,) * q) is not None:
+            raise SparseRoundError("demand above the whole ground set")
         return frozenset(part.centers)
 
-    program = covering_program(system)
     out = lp.solve(program)
     if out.status != "optimal":
         raise SparseRoundError(f"covering LP is {out.status}")
@@ -132,14 +90,10 @@ def sparse_round(
     fractional = sum(1 for z in out.solution if 0 < z < 1)
     if fractional > t:
         raise SparseRoundError("vertex has more fractional entries than rows")
-    chosen = frozenset(s for s, z in zip(part.centers, out.solution) if z > 0)
+    support = tuple(int(z > 0) for z in out.solution)
+    chosen = frozenset(s for s, z in zip(part.centers, support) if z)
     if len(chosen) > inst.k:
         raise SparseRoundError(f"support {len(chosen)} exceeds budget {inst.k}")
-    for row, b in zip(system.rows, system.rhs):
-        got = sum(
-            (a for a, s, z in zip(row, part.centers, out.solution) if z > 0),
-            Fraction(0),
-        )
-        if got < b:
-            raise SparseRoundError("support fails an aggregated demand")
+    if lp.check_point(program, support) is not None:
+        raise SparseRoundError("support fails an aggregated demand")
     return chosen

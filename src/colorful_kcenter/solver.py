@@ -51,7 +51,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import lp
-from .dp import WeightedTarget, find_few_outside
+from .dp import find_few_outside
 from .lp import InternalError
 from .model import (
     CenterSet,
@@ -66,7 +66,7 @@ from .model import (
     weighted_coverage,
 )
 from .partition import FractionalPoint, good_partition, opening_mass, verify_partition
-from .rounding import build_cluster_system, covering_program, sparse_round
+from .rounding import build_cluster_system, sparse_round
 
 # largest subset count the exact enumeration branch will scan
 ENUM_CAP = 10**7
@@ -243,8 +243,6 @@ def round_or_cut(inst: Instance, r, record, extra=None, relaxation=None):
     r = Fraction(r)
     t = inst.num_colors + (extra is not None)
     threshold = inst.k - t + 1
-    extra_rows = () if extra is None else (extra,)
-    target = None if extra is None else WeightedTarget(*extra)
     found = counting_bound(inst, r)
     if found is not None:
         return "infeasible", counting_certificate(inst, r, found, extra)
@@ -272,13 +270,13 @@ def round_or_cut(inst: Instance, r, record, extra=None, relaxation=None):
         if bad is not None:
             raise InternalError(f"clustering violated {bad}")
         if opening_mass(inst, r, pt, part.centers) <= threshold:
-            system = build_cluster_system(inst, part, extra_rows=extra_rows)
-            chosen = sparse_round(inst, r, part, system, pt)
+            covering = build_cluster_system(inst, part, extra)
+            chosen = sparse_round(inst, r, part, covering, pt)
             tag, found = "4r", CenterSet(frozenset(chosen), 4 * r)
         else:
             record.dp_calls += 1
             tag = "2r"
-            found = find_few_outside(inst, 2 * r, part.centers, t - 2, target=target)
+            found = find_few_outside(inst, 2 * r, part.centers, t - 2, extra)
         if found is not None:
             if not check_feasible(inst, found.centers, found.radius).feasible:
                 raise InternalError(f"{tag} result fails raw-ball coverage")
@@ -389,13 +387,13 @@ def pseudo_approx_baseline(inst: Instance, r) -> CenterSet:
         raise ValueError(f"relaxation at radius {r} is {out.status}")
     pt = FractionalPoint(out.solution[: inst.n], out.solution[inst.n :])
     part = good_partition(inst, r, pt)
-    system = build_cluster_system(inst, part)
+    covering = build_cluster_system(inst, part)
     four_r = 4 * r
-    if all(b <= 0 for b in system.rhs):
+    if all(con.rhs <= 0 for con in covering.constraints):
         return CenterSet(frozenset(), four_r)
     if part.size <= inst.k:
         return CenterSet(frozenset(part.centers), four_r)
-    cov = lp.solve(covering_program(system))
+    cov = lp.solve(covering)
     if cov.status != "optimal":
         raise InternalError("covering LP must be solvable from the embedded point")
     chosen = frozenset(

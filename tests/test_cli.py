@@ -461,6 +461,16 @@ def test_gen_vc3_parsing_variants(tmp_path):
         bad.write_text(text, newline="", encoding="utf-8")
         assert main(["gen", "vc3", "--graph", str(bad), "--t", "1"]) == 2, text
 
+    # the vertex limit holds for a declared and for an implied count
+    limit = cli.MAX_GRAPH_VERTICES
+    assert cli._parse_graph_text(f"{limit}\n0 {limit - 1}\n").n == limit
+    for text in [f"{limit + 1}\n0 1\n", f"0 {limit}\n", "0 999999\n"]:
+        with pytest.raises(cli.CliError) as exc:
+            cli._parse_graph_text(text)
+        assert exc.value.code == 2 and str(limit) in str(exc.value), text
+    bad.write_text("0 999999\n")
+    assert main(["gen", "vc3", "--graph", str(bad), "--t", "1"]) == 2
+
 
 def test_gen_setcover_and_brute_decision(tmp_path, capsys):
     sc = tmp_path / "sc.json"
@@ -636,10 +646,14 @@ def test_malformed_documents_never_raise(command, files):
         assert err.count("\n") == 1 and err.endswith("\n"), err
 
 
-# Generator input files for the fuzz test: small ids only, since gen vc3
-# sizes its instance by the largest vertex id in the file.
+# Generator input files for the fuzz test.  Vertex ids are small or above
+# gen vc3's vertex limit, so that no accepted graph is large.
 FUZZ_SETCOVER = {"universe": 3, "sets": [[0, 1], [1, 2], [2]]}
-VERTEX = st.integers(0, 19).map(str)
+SMALL_VERTEX = st.integers(0, 19)
+VERTEX = st.one_of(
+    SMALL_VERTEX, SMALL_VERTEX, SMALL_VERTEX,
+    st.integers(cli.MAX_GRAPH_VERTICES + 1, 10**12),
+).map(str)
 EDGE = st.lists(VERTEX, min_size=2, max_size=2)
 GRAPH_LINES = st.one_of(EDGE, EDGE, EDGE, st.lists(VERTEX, max_size=1), st.lists(
     VERTEX | st.sampled_from(
@@ -656,12 +670,10 @@ SPACE = st.sampled_from([" ", " ", "\t", " \t ", "\u00a0", "\u2003"])
 
 @st.composite
 def graph_bytes(draw):
-    """Edge-list text from small tokens and separators, or arbitrary
-    bytes without a run of three ASCII digits."""
+    """Edge-list text from vertex ids, junk tokens and separators, or
+    arbitrary bytes."""
     if draw(st.booleans()):
-        return draw(st.binary(max_size=40).filter(
-            lambda b: not any(b[i:i + 3].isdigit() for i in range(len(b)))
-        ))
+        return draw(st.binary(max_size=40))
     text = ""
     for line in draw(st.lists(GRAPH_LINES, max_size=5)):
         text += "".join(draw(SPACE) + tok if i else tok for i, tok in enumerate(line))
@@ -689,12 +701,72 @@ def test_malformed_generator_files_never_raise(case, t):
             code = main(["gen", family, flag, path, "--t", str(t)])
     err = err.getvalue()
     assert code in (0, 1, 2, 3)
+    if family == "vc3":
+        # a number above the vertex limit is a count, an id or an error
+        numbers = [
+            int(num) for line in re.split(rb"\r?\n", data)
+            for num in re.findall(rb"[0-9]+", line.split(b"#", 1)[0])
+        ]
+        if any(v > cli.MAX_GRAPH_VERTICES for v in numbers):
+            assert code == 2, data
     if code == 0:
         assert err == ""
-        model.instance_from_dict(json.loads(out.getvalue()))
+        inst = model.instance_from_dict(json.loads(out.getvalue()))
         if family == "vc3":  # an accepted graph follows the README's grammar
+            assert inst.n <= cli.MAX_GRAPH_VERTICES
             for line in re.split(rb"\r?\n", data):
                 assert re.fullmatch(rb"[ \t0-9]*", line.split(b"#", 1)[0]), data
     else:
         assert err.startswith(("error: ", "internal error: ")), err
         assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+# Generator flags for the fuzz test: small ints, rationals and junk.
+FLAG_INT = st.integers(-3, 12).map(str)
+FLAG_JUNK = st.sampled_from(
+    ["", "x", "1.5", "1/2", "1e3", "0x10", " 3 ", "+4", "1_0", "\u0663", "--n", "-"]
+)
+FLAG_DENSITY = st.sampled_from(
+    ["0", "1", "1/2", "2/3", "0.25", " 1/3 ", "3/2", "-1/4", "1/0", "2", ".5", "1e-1"]
+)
+GEN_FLAGS = {
+    ("gen", "random"): {
+        "--seed": FLAG_INT, "--n": FLAG_INT, "--k": FLAG_INT, "--gamma": FLAG_INT,
+        "--metric": st.sampled_from(["line", "grid-l1", "grid", ""]),
+        "--demand-density": FLAG_DENSITY, "--p-density": FLAG_DENSITY,
+    },
+    ("gen", "clumps"): {"--k": FLAG_INT, "--gamma": FLAG_INT, "--spread": FLAG_INT},
+    ("fixture", "adversarial"): {"--m": FLAG_INT},
+}
+
+
+@st.composite
+def generator_argv(draw):
+    """A gen random, gen clumps or fixture command line: each flag left
+    out or given a small int, a rational or a junk string."""
+    command = draw(st.sampled_from(sorted(GEN_FLAGS)))
+    argv = list(command)
+    for flag, value in GEN_FLAGS[command].items():
+        if draw(st.integers(0, 5)):  # usually given
+            argv += [flag, draw(st.one_of(value, value, FLAG_JUNK))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_argv())
+def test_generator_flags_never_raise(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+        model.instance_from_dict(json.loads(out.getvalue()))
+    else:
+        # argparse's usage lines may come first; the last line says why
+        assert err.endswith("\n"), err
+        lines = err.splitlines()
+        assert "error: " in lines[-1], err
+        assert sum("error:" in line for line in lines) == 1, err

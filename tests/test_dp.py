@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colorful_kcenter.dp import DpProgram, DpResult, WeightedTarget, dp_solve, find_few_outside
+from colorful_kcenter.dp import DpProgram, DpResult, dp_solve, find_few_outside
 from colorful_kcenter.model import CenterSet, Instance, ball, union_ball
 
 
@@ -245,7 +245,7 @@ def line_instance(coords, k, colors):
     return Instance(dist=dist, k=k, colors=tuple(colors))
 
 
-def brute_few_outside(inst, r2, centers_s, beta, target=None):
+def brute_few_outside(inst, r2, centers_s, beta, extra=None):
     """Does any center set with <= beta points outside centers_s meet
     every demand (and the weight threshold) at radius r2?"""
     s_set = set(centers_s)
@@ -260,11 +260,10 @@ def brute_few_outside(inst, r2, centers_s, beta, target=None):
                         len(c.members & covered) < c.demand for c in inst.colors
                     ):
                         continue
-                    if target is not None:
-                        got = sum(
-                            (target.weights[u] for u in covered), Fraction(0)
-                        )
-                        if got < target.threshold:
+                    if extra is not None:
+                        weights, goal = extra
+                        got = sum((weights[u] for u in covered), Fraction(0))
+                        if got < goal:
                             continue
                     return True
     return False
@@ -326,9 +325,9 @@ def test_find_few_outside_weighted_threshold():
             Fraction(rng.randint(0, 4), 4) for _ in range(inst.n)
         )
         threshold = Fraction(rng.randint(0, 3 * inst.n), 4)
-        target = WeightedTarget(weights=weights, threshold=threshold)
-        exists = brute_few_outside(inst, r2, centers, beta, target)
-        got = find_few_outside(inst, r2, centers, beta, target=target)
+        extra = (weights, threshold)
+        exists = brute_few_outside(inst, r2, centers, beta, extra)
+        got = find_few_outside(inst, r2, centers, beta, extra)
         assert (got is not None) == exists
         if got is None:
             none_count += 1
@@ -347,12 +346,11 @@ def test_find_few_outside_rejects_close_centers():
         find_few_outside(inst, Fraction(3), (0, 1), 0)
 
 
-def reference_find_few_outside(inst, r2, centers_s, beta, target=None):
+def reference_find_few_outside(inst, r2, centers_s, beta, extra=None):
     """find_few_outside over point sets, one ball union per guess: the
     implementation of record for the bitmask version."""
     r2 = Fraction(r2)
-    if target is None:
-        target = WeightedTarget(weights=(0,) * inst.n, threshold=0)
+    weights, goal = ((0,) * inst.n, 0) if extra is None else extra
     s_list = sorted(set(centers_s))
     outside = [u for u in range(inst.n) if u not in set(s_list)]
     for size in range(0, min(beta, inst.k, len(outside)) + 1):
@@ -368,7 +366,7 @@ def reference_find_few_outside(inst, r2, centers_s, beta, target=None):
                 residual_rows.append(tuple(len(c.members & ib) for ib in item_balls))
                 residual_demands.append(left)
             prog = DpProgram(
-                weights=tuple(sum(target.weights[u] for u in ib) for ib in item_balls),
+                weights=tuple(sum(weights[u] for u in ib) for ib in item_balls),
                 rows=tuple(residual_rows),
                 demands=tuple(residual_demands),
                 capacity=inst.k - size,
@@ -376,8 +374,8 @@ def reference_find_few_outside(inst, r2, centers_s, beta, target=None):
             res = dp_solve(prog)
             if res is None:
                 continue
-            base = sum(target.weights[u] for u in covered_q)
-            if base + res.value >= target.threshold:
+            base = sum(weights[u] for u in covered_q)
+            if base + res.value >= goal:
                 chosen = frozenset(guess) | frozenset(s_list[i] for i in res.picks)
                 return CenterSet(chosen, r2)
     return None
@@ -390,12 +388,12 @@ def test_find_few_outside_matches_the_set_reference(seed, weighted):
     inst, centers = spread_instance(rng)
     r2 = Fraction(rng.randint(1, 20), rng.choice([1, 2, 3]))
     beta = rng.randint(0, 2)
-    target = None
+    extra = None
     if weighted:
-        target = WeightedTarget(
-            weights=tuple(Fraction(rng.randint(0, 4), rng.choice([1, 3, 4]))
-                          for _ in range(inst.n)),
-            threshold=Fraction(rng.randint(0, 3 * inst.n), 4),
+        extra = (
+            tuple(Fraction(rng.randint(0, 4), rng.choice([1, 3, 4]))
+                  for _ in range(inst.n)),
+            Fraction(rng.randint(0, 3 * inst.n), 4),
         )
-    got = find_few_outside(inst, r2, centers, beta, target=target)
-    assert got == reference_find_few_outside(inst, r2, centers, beta, target=target)
+    got = find_few_outside(inst, r2, centers, beta, extra)
+    assert got == reference_find_few_outside(inst, r2, centers, beta, extra)

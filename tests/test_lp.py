@@ -500,6 +500,31 @@ def test_bools_are_refused():
         lp.check_point(lp.LinearProgram(1, (0,)), (True,))
 
 
+def test_malformed_programs_are_refused():
+    square = lp.LinearProgram(2, (1, 1), lp.MIN, (0, 0), (1, 1), [((1, 1), lp.GE, 1)])
+    for build, message in (
+        (lambda: lp.LinearProgram(2, (1,)), "objective length"),
+        (lambda: lp.LinearProgram(1, (1,), "maximize"), "sense must be"),
+        (lambda: lp.LinearProgram(2, (1, 1), lp.MIN, (0,)), "bound vector length"),
+        (lambda: lp.LinearProgram(2, (1, 1), lp.MIN, None, (1, 1, 1)),
+         "bound vector length"),
+        (lambda: lp.LinearProgram(1, (1,), lp.MIN, (1,), (0,)), "empty bound interval"),
+        (lambda: lp.LinearProgram(1, (1,), lp.MIN, (Fraction(1, 2),), (Fraction(1, 3),)),
+         "empty bound interval"),
+        (lambda: lp.LinearProgram(1, (1,), constraints=[((1,), "<", 1)]), "bad relation"),
+        (lambda: lp.LinearProgram(2, (1, 1)).add([1], lp.GE, 0), "constraint length"),
+        (lambda: lp.LinearProgram(2, (1, 1)).add([1, 2, 3], lp.LE, 0),
+         "constraint length"),
+        (lambda: square.extended([((1, 1), lp.LE, 2), ((1,), lp.GE, 0)]),
+         "constraint length"),
+        (lambda: square.extended([((Fraction(1, 2),), lp.GE, 0)]), "constraint length"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build()
+    # a refused row leaves the program it would have extended as it was
+    assert len(square.constraints) == 1
+
+
 def test_int_and_fraction_rows_solve_alike():
     rng = random.Random(11)
     statuses = set()

@@ -1,19 +1,15 @@
-"""Cluster covering systems and sparse vertex rounding."""
+"""Cluster covering LPs and sparse vertex rounding."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from colorful_kcenter import lp
 from colorful_kcenter.generators import fixture_adversarial
 from colorful_kcenter.model import Instance, check_feasible, union_ball
 from colorful_kcenter.partition import FractionalPoint, good_partition
-from colorful_kcenter.rounding import (
-    CoveringSystem,
-    SparseRoundError,
-    build_cluster_system,
-    sparse_round,
-)
+from colorful_kcenter.rounding import SparseRoundError, build_cluster_system, sparse_round
 
 
 def line_instance(coords, k, colors):
@@ -23,12 +19,14 @@ def line_instance(coords, k, colors):
     return Instance(dist=dist, k=k, colors=tuple(colors))
 
 
-def test_covering_system_shape_checks():
-    CoveringSystem(rows=((1, 2),), rhs=(Fraction(1),))
-    with pytest.raises(ValueError):
-        CoveringSystem(rows=((1, 2), (1,)), rhs=(Fraction(1), Fraction(1)))
-    with pytest.raises(ValueError):
-        CoveringSystem(rows=((1, 2),), rhs=(Fraction(1), Fraction(2)))
+def covering(rows, rhs):
+    """The covering LP build_cluster_system would return for these rows:
+    minimize the sum of z in [0,1]^q subject to rows[l] . z >= rhs[l]."""
+    q = len(rows[0])
+    return lp.LinearProgram(
+        q, (1,) * q, lp.MIN, (0,) * q, (1,) * q,
+        [(row, lp.GE, b) for row, b in zip(rows, rhs)],
+    )
 
 
 def test_cluster_matrix_of_adversarial_fixture():
@@ -36,12 +34,11 @@ def test_cluster_matrix_of_adversarial_fixture():
     inst = fx.instance
     pt = FractionalPoint(fx.x, fx.y)
     part = good_partition(inst, Fraction(1), pt)
-    system = build_cluster_system(inst, part)
+    program = build_cluster_system(inst, part)
     # two groups of six points each: four of one color and two of the
     # other per cluster, demands three and three
     assert part.size == 2
-    assert system.rows == ((4, 2), (2, 4))
-    assert system.rhs == (Fraction(3), Fraction(3))
+    assert program == covering(((4, 2), (2, 4)), (3, 3))
 
 
 def test_extra_weighted_row():
@@ -50,11 +47,10 @@ def test_extra_weighted_row():
     pt = FractionalPoint(fx.x, fx.y)
     part = good_partition(inst, Fraction(1), pt)
     weights = tuple(Fraction(1, 12) for _ in range(12))
-    system = build_cluster_system(
-        inst, part, extra_rows=((weights, Fraction(1, 3)),)
-    )
-    assert system.rows[-1] == (Fraction(1, 2), Fraction(1, 2))
-    assert system.rhs[-1] == Fraction(1, 3)
+    program = build_cluster_system(inst, part, (weights, Fraction(1, 3)))
+    assert len(program.constraints) == inst.num_colors + 1
+    row = program.constraints[-1]
+    assert (row.coeffs, row.rel, row.rhs) == ((Fraction(1, 2),) * 2, lp.GE, Fraction(1, 3))
 
 
 def test_sparse_round_solves_fixture_system():
@@ -62,8 +58,8 @@ def test_sparse_round_solves_fixture_system():
     inst = fx.instance
     pt = FractionalPoint(fx.x, fx.y)
     part = good_partition(inst, Fraction(1), pt)
-    system = build_cluster_system(inst, part)
-    chosen = sparse_round(inst, Fraction(1), part, system, pt)
+    program = build_cluster_system(inst, part)
+    chosen = sparse_round(inst, Fraction(1), part, program, pt)
     assert len(chosen) <= inst.k
     assert check_feasible(inst, chosen, Fraction(4)).feasible
 
@@ -72,25 +68,25 @@ def test_sparse_round_zero_demand_returns_empty():
     inst = line_instance([0, 5], 1, [((0, 1), 0)])
     pt = FractionalPoint((Fraction(0), Fraction(0)), (Fraction(0), Fraction(0)))
     part = good_partition(inst, Fraction(1), pt)
-    system = build_cluster_system(inst, part)
-    assert sparse_round(inst, Fraction(1), part, system, pt) == frozenset()
+    program = build_cluster_system(inst, part)
+    assert sparse_round(inst, Fraction(1), part, program, pt) == frozenset()
 
 
 def test_sparse_round_rejects_unreachable_demand():
     inst = line_instance([0, 10], 2, [((0, 1), 2)])
     pt = FractionalPoint((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1)))
     part = good_partition(inst, Fraction(1), pt)
-    system = CoveringSystem(rows=((1, 1),), rhs=(Fraction(5),))
-    with pytest.raises(SparseRoundError):
-        sparse_round(inst, Fraction(1), part, system, pt)
+    program = covering(((1, 1),), (5,))
+    with pytest.raises(SparseRoundError, match="demand above the whole ground set"):
+        sparse_round(inst, Fraction(1), part, program, pt)
 
 
 def test_sparse_round_rejects_width_mismatch():
     inst = line_instance([0, 10], 2, [((0, 1), 2)])
     pt = FractionalPoint((Fraction(1), Fraction(1)), (Fraction(1), Fraction(1)))
     part = good_partition(inst, Fraction(1), pt)
-    bad = CoveringSystem(rows=((1,),), rhs=(Fraction(1),))
-    with pytest.raises(SparseRoundError):
+    bad = covering(((1,),), (1,))
+    with pytest.raises(SparseRoundError, match="width != cluster count"):
         sparse_round(inst, Fraction(1), part, bad, pt)
 
 
@@ -136,14 +132,13 @@ def test_sparse_round_random_systems_stay_sparse():
             )
             rows.append(row)
             rhs.append(cap * Fraction(rng.randint(0, 4), 4))
-        system = CoveringSystem(tuple(rows), tuple(rhs))
         mass = sum((y[s] for s in part.centers), Fraction(0))
         if mass > inst.k - t + 1:
             continue
-        chosen = sparse_round(inst, r, part, system, pt)
+        chosen = sparse_round(inst, r, part, covering(rows, rhs), pt)
         fired += 1
         assert len(chosen) <= inst.k
-        for row, b in zip(system.rows, system.rhs):
+        for row, b in zip(rows, rhs):
             got = sum(
                 (a for a, s in zip(row, part.centers) if s in chosen), Fraction(0)
             )
@@ -155,7 +150,6 @@ def test_sparse_round_on_genuine_relaxation_vertices():
     """Feed the rounder real LP vertices under its promised hypothesis:
     whenever the opening mass stays below the threshold, rounding must
     deliver at most k centers covering every demand at 4r."""
-    from colorful_kcenter import lp
     from colorful_kcenter.partition import opening_mass
     from colorful_kcenter.solver import build_relaxation
 
@@ -177,11 +171,11 @@ def test_sparse_round_on_genuine_relaxation_vertices():
             continue
         pt = FractionalPoint(out.solution[:n], out.solution[n:])
         part = good_partition(inst, r, pt)
-        system = build_cluster_system(inst, part)
+        program = build_cluster_system(inst, part)
         mass = opening_mass(inst, r, pt, part.centers)
-        if mass > k - system.num_rows + 1:
+        if mass > k - len(program.constraints) + 1:
             continue
-        chosen = sparse_round(inst, r, part, system, pt)
+        chosen = sparse_round(inst, r, part, program, pt)
         fired += 1
         assert len(chosen) <= k
         assert check_feasible(inst, chosen, 4 * r).feasible
