@@ -44,9 +44,10 @@ INFEASIBLE = 1
 USAGE = 2
 INTERNAL = 3
 
-# most vertices gen vc3 takes: its instance holds n * n exact distances,
-# so its time and memory grow with the square of the vertex count
-MAX_GRAPH_VERTICES = 1000
+# most points of an instance gen builds, in every family: an instance holds
+# n * n exact distances, so its time and memory grow with the square of n
+# (at 1,000 points, 3.1-3.7 s and 176-188 MB per family)
+MAX_POINTS = 1000
 
 
 class CliError(Exception):
@@ -261,8 +262,7 @@ def _parse_graph_text(text: str) -> Graph:
     n = declared if declared is not None else top + 1
     if n <= 0:
         raise CliError(USAGE, "graph has no vertices")
-    if n > MAX_GRAPH_VERTICES:
-        raise CliError(USAGE, f"graph has more than {MAX_GRAPH_VERTICES} vertices")
+    _check_points(n, "graph")
     return Graph(n=n, edges=tuple(edges))
 
 
@@ -287,6 +287,13 @@ def _rational(value, what: str) -> Fraction:
         raise CliError(USAGE, f"{what}: {exc}") from exc
 
 
+def _check_points(count: int, what: str):
+    """A usage error for an instance of more than MAX_POINTS points,
+    raised before it is built."""
+    if count > MAX_POINTS:
+        raise CliError(USAGE, f"{what}: {count} points, over the limit of {MAX_POINTS}")
+
+
 def cmd_gen(args):
     with _parameter_checks():
         if args.family == "vc3":
@@ -294,10 +301,14 @@ def cmd_gen(args):
                 g = _parse_graph_text(fh.read())
             inst = gen_from_vc3(g, args.t)
         elif args.family == "setcover":
-            inst = gen_from_setcover(_set_cover(_load_json(args.instance)), args.t)
+            sc = _set_cover(_load_json(args.instance))
+            _check_points(len(sc.sets), "set cover")
+            inst = gen_from_setcover(sc, args.t)
         elif args.family == "clumps":
+            _check_points(2 * args.k + 2, f"gen clumps --k {args.k}")
             inst = gen_clumps(args.k, args.gamma, spread=args.spread)
         else:  # random
+            _check_points(args.n, "gen random --n")
             inst = gen_random(
                 args.seed,
                 args.n,

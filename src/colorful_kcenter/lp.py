@@ -13,6 +13,11 @@ division, and the basic values, ratio-test steps, duals and every check
 share its denominator.  Outputs are Fractions: the solution once per
 solve, the dual on first access.
 
+Rows enter a tableau one way, each eliminated against the basis with
+its slack basic: a cold solve enters every row of its program into the
+structural columns alone, a warm re-solve its new rows into a copy of
+an optimal tableau.
+
 solve(program, start) re-solves warm: start is an earlier optimal or
 infeasible outcome of a program that program extends by more rows
 (LinearProgram.extended builds it on the shorter one's rows).  From an
@@ -145,23 +150,6 @@ class LinearProgram:
         return program
 
 
-def _scaled_rhs_and_bounds(lp: LinearProgram):
-    """(L, rhs, lower, upper): L the lcm of the denominators of every rhs
-    and finite bound of lp, and those values times L as ints."""
-    rhs = [con.rhs for con in lp.constraints]
-    scale = math.lcm(
-        *(v.denominator for v in rhs),
-        *(v.denominator for v in lp.lower if v is not None),
-        *(v.denominator for v in lp.upper if v is not None),
-    )
-    return (
-        scale,
-        [_scaled(v, scale) for v in rhs],
-        [_scaled(v, scale) for v in lp.lower],
-        [_scaled(v, scale) for v in lp.upper],
-    )
-
-
 @dataclass(frozen=True)
 class ViolatedConstraint:
     """Separating hyperplane witness returned by check_point.
@@ -269,10 +257,12 @@ def verify_certificate(lp: LinearProgram, cert: FarkasCertificate) -> bool:
                     combo[i] += f * c
     if any(combo):
         return False
-    L, rhs, lower, upper = _scaled_rhs_and_bounds(lp)
-    gap = sum(yj * b for yj, b in zip(Y, rhs) if yj)
-    gap += sum(P[i] * lower[i] for i in range(n) if P[i])
-    gap -= sum(Q[i] * upper[i] for i in range(n) if Q[i])
+    # the gap's terms, each value times L, the lcm of their denominators
+    terms = [(yj, con.rhs) for yj, con in zip(Y, lp.constraints) if yj]
+    terms += [(P[i], lp.lower[i]) for i in range(n) if P[i]]
+    terms += [(-Q[i], lp.upper[i]) for i in range(n) if Q[i]]
+    L = math.lcm(*(b.denominator for _, b in terms))
+    gap = sum(c * _scaled(b, L) for c, b in terms)
     return gap > 0 and Fraction(gap, m * L) == cert.gap
 
 
@@ -339,12 +329,12 @@ class _Simplex:
 
     The true tableau is T / D, T int rows and D > 0.  With A' the rows
     scaled by the lcm of their own denominators and B' its basis columns,
-    D = |det B'| (initially the product of the row scales) and
-    T = D * B'^-1 A' = +-adj(B') A' is integral.  A pivot on p = T[r][e]
-    is the Bareiss step T'[i][j] = (T[i][j]*p - T[i][e]*T[r][j]) // D,
-    exact since T' is again integral, with D' = |p| and all rows negated
-    when p < 0.  Reduced costs d are ints over lc*D (lc: lcm of the
-    phase's cost denominators) moved by the same step.
+    D = |det B'| and T = D * B'^-1 A' = +-adj(B') A' is integral.  A
+    pivot on p = T[r][e] is the Bareiss step
+    T'[i][j] = (T[i][j]*p - T[i][e]*T[r][j]) // D, exact since T' is
+    again integral, with D' = |p| and all rows negated when p < 0.
+    Reduced costs d are ints over lc*D (lc: lcm of the phase's cost
+    denominators) moved by the same step.
 
     Bounds, rhs and bound values are ints times L, the lcm of the rhs
     and finite bound denominators.  The basic values are the ints
@@ -357,25 +347,27 @@ class _Simplex:
     negated reduced costs of the slack columns, a fact used for both
     the dual solution and the Farkas certificate.
 
-    An optimal solve is kept by its outcome and re-solved for longer
-    programs through copies (see resolved).  Artificial columns are
-    deleted after phase 1, so row i's slack is always column n + i.
+    Rows enter one way, through _append: eliminated against the basis,
+    each with its slack basic.  A cold solve appends every row to the
+    structural columns alone (D = 1, L over the bounds), then swaps each
+    slack outside its bounds for an artificial (_start_basis).  An
+    optimal solve is kept by its outcome, and a re-solve appends a
+    longer program's new rows to a copy of it (resolved).  Artificial
+    columns are deleted after phase 1, so row i's slack is always
+    column n + i.
     """
 
     def __init__(self, lp: LinearProgram):
         self.lp = lp
-        self.n = lp.num_vars
-        self.m = len(lp.constraints)
+        self.n = self.ncols = lp.num_vars
+        self.m = 0
         self.minimize = lp.sense == MIN
         self.cost = list(lp.objective) if self.minimize else [-c for c in lp.objective]
-
-        self.L, self.rhs, self.lo, self.up = _scaled_rhs_and_bounds(lp)
-        for con in lp.constraints:
-            lo, up = _SLACK_BOUNDS[con.rel]
-            self.lo.append(lo)
-            self.up.append(up)
-        self.ncols = self.n + self.m
-        # never entering: fixed variables, and artificials after phase 1
+        bounds = (*lp.lower, *lp.upper)
+        self.L = math.lcm(*(v.denominator for v in bounds if v is not None))
+        self.lo = [_scaled(v, self.L) for v in lp.lower]
+        self.up = [_scaled(v, self.L) for v in lp.upper]
+        # never entering: fixed variables, == slacks among them
         self.frozen = {
             j
             for j, (lo, up) in enumerate(zip(self.lo, self.up))
@@ -385,17 +377,10 @@ class _Simplex:
             _AT_LOWER if lo is not None else _AT_UPPER if up is not None else _AT_FREE
             for lo, up in zip(self.lo, self.up)
         ]
-        self.D = math.prod(con.scale for con in lp.constraints)
-        self.T = []
-        for i, con in enumerate(lp.constraints):
-            f = self.D // con.scale
-            row = list(con.ints) if f == 1 else [c * f for c in con.ints]
-            row += [0] * self.m
-            row[self.n + i] = self.D
-            self.T.append(row)
-        self.basis = [None] * self.m
-        self.B = [0] * self.m
-        self.artificial = []
+        self.D = 1
+        self.T, self.B, self.basis, self.rhs, self.artificial = [], [], [], [], []
+        self.d = [0] * self.n  # set afresh at each phase start
+        self._append(lp.constraints)
 
     def bound_value(self, j):
         """The value of nonbasic column j, times L."""
@@ -405,9 +390,6 @@ class _Simplex:
         if st == _AT_UPPER:
             return self.up[j]
         return 0
-
-    def total_cols(self):
-        return self.ncols + len(self.artificial)
 
     def solve(self) -> LpOutcome:
         if self._start_basis():
@@ -428,20 +410,88 @@ class _Simplex:
             return LpOutcome(status="unbounded", program=self.lp)
         return self._optimal_outcome()
 
+    def _append(self, constraints):
+        """Enter constraints as rows of the tableau, each with its slack
+        basic.
+
+        L first grows by their rhs denominators.  Row a / s (a the ints
+        of a constraint, s its scale) eliminated against the basis is,
+        over D * s, a * D - sum_i a[b_i] * T[i], and its slack's value
+        b - a.x / s times D * s * L is rhs * D * s - a . X, X the
+        structural values over D * L.  D then grows once, by the product
+        of the scales, and every row, basic value and reduced cost is
+        brought over it.
+        """
+        n, D, T, B = self.n, self.D, self.T, self.B
+        L = math.lcm(self.L, *(con.rhs.denominator for con in constraints))
+        if L != self.L:
+            f = L // self.L
+            self.L = L
+            for v in (self.rhs, B, self.lo, self.up):
+                v[:] = [None if x is None else x * f for x in v]
+        pad = [0] * (self.ncols - n)
+        rows = []
+        for con in constraints:
+            a, s = con.ints, con.scale
+            rhs = _scaled(con.rhs, L)
+            row = [*a, *pad] if D == 1 else [c * D for c in a] + pad
+            value = rhs * s
+            for j, c in enumerate(a):
+                if c and self.state[j] != _BASIC:
+                    value -= c * self.bound_value(j)
+            value *= D
+            for i, b in enumerate(self.basis):
+                if b < n and a[b]:
+                    f = a[b]
+                    row = [v - f * w if w else v for v, w in zip(row, T[i])]
+                    value -= f * B[i]
+            rows.append((row, value, rhs, con))
+        scale = math.prod(con.scale for con in constraints)
+        if scale != 1:
+            for ti in T:
+                ti[:] = [v * scale for v in ti]
+            B[:] = [v * scale for v in B]
+            self.d = [v * scale for v in self.d]
+        self.D = D = D * scale
+        k, first = len(rows), self.ncols
+        zeros = [0] * k
+        for ti in T:
+            ti += zeros
+        for col, (row, value, rhs, con) in enumerate(rows, first):
+            f = scale // con.scale
+            if f != 1:
+                row = [v * f for v in row]
+                value *= f
+            row += zeros
+            row[col] = D
+            T.append(row)
+            B.append(value)
+            self.rhs.append(rhs)
+            lo, up = _SLACK_BOUNDS[con.rel]
+            self.lo.append(lo)
+            self.up.append(up)
+            if lo == up:
+                self.frozen.add(col)
+        self.state += [_BASIC] * k
+        self.basis += range(first, first + k)
+        self.d += zeros
+        self.ncols += k
+        self.m += k
+
     # -- warm re-solves ---------------------------------------------------
 
     def resolved(self, lp: LinearProgram) -> LpOutcome:
         """Re-solve a copy of this optimal simplex for lp, its program
         with rows appended (solve checks that); self is left as it was.
 
-        Each further row enters the tableau eliminated against the basis,
-        with its slack basic, which keeps the basis dual feasible.  The
-        dual simplex then restores primal feasibility (Lemke 1954) under
-        Bland's rule for the dual: the leaving row is the one whose basic
-        variable has the lowest index among those outside their bounds,
-        and the entering column has the least ratio |d_j| / |T[r][j]|,
-        ties to the lowest index.  "infeasible" carries the certificate
-        read off the blocking row, verified against lp.
+        The further rows enter the copy through _append, which keeps the
+        basis dual feasible.  The dual simplex then restores primal
+        feasibility (Lemke 1954) under Bland's rule for the dual: the
+        leaving row is the one whose basic variable has the lowest index
+        among those outside their bounds, and the entering column has the
+        least ratio |d_j| / |T[r][j]|, ties to the lowest index.
+        "infeasible" carries the certificate read off the blocking row,
+        verified against lp.
         """
         warm = object.__new__(_Simplex)
         warm.__dict__.update(self.__dict__)
@@ -450,15 +500,7 @@ class _Simplex:
             setattr(warm, name, getattr(self, name)[:])
         warm.frozen = set(self.frozen)
         warm.lp = lp
-        new = lp.constraints[warm.m :]
-        L = math.lcm(warm.L, *(con.rhs.denominator for con in new))
-        if L != warm.L:
-            f = L // warm.L
-            warm.L = L
-            for v in (warm.rhs, warm.B, warm.lo, warm.up):
-                v[:] = [None if x is None else x * f for x in v]
-        for con in new:
-            warm._add_row(con)
+        warm._append(lp.constraints[warm.m :])
         while True:
             r, leave_state, bound = warm._pick_leaving()
             if r is None:
@@ -468,50 +510,6 @@ class _Simplex:
                 return warm._row_infeasible_outcome(r, leave_state)
             num = abs(warm.B[r] - warm.D * bound)
             warm._apply(enter, direction, num, r, leave_state)
-
-    def _add_row(self, con: Constraint):
-        """Append con to the tableau with its slack basic; the current
-        L already covers its rhs."""
-        n, D, T = self.n, self.D, self.T
-        a, s = con.ints, con.scale
-        rhs = _scaled(con.rhs, self.L)
-        # the true row is a / s; eliminated against the basis and taken
-        # over D' = D * s it is a * D - sum_i a[b_i] * T[i], and the
-        # slack's value b - a.x / s times D' * L is rhs * D' - a . X,
-        # X the structural values over D * L
-        row = [c * D for c in a] + [0] * (self.ncols - n)
-        value = rhs * D * s
-        for j, c in enumerate(a):
-            if c and self.state[j] != _BASIC:
-                value -= c * self.bound_value(j) * D
-        for i, b in enumerate(self.basis):
-            if b < n and a[b]:
-                f = a[b]
-                row = [v - f * w if w else v for v, w in zip(row, T[i])]
-                value -= f * self.B[i]
-        if s != 1:
-            for ti in T:
-                ti[:] = [v * s for v in ti]
-            self.B = [v * s for v in self.B]
-            self.d = [v * s for v in self.d]
-            self.D = D * s
-        for ti in T:
-            ti.append(0)
-        row.append(self.D)
-        T.append(row)
-        self.d.append(0)
-        col = self.ncols
-        lo, up = _SLACK_BOUNDS[con.rel]
-        self.lo.append(lo)
-        self.up.append(up)
-        if lo == up:
-            self.frozen.add(col)
-        self.state.append(_BASIC)
-        self.basis.append(col)
-        self.B.append(value)
-        self.rhs.append(rhs)
-        self.m += 1
-        self.ncols += 1
 
     def _pick_leaving(self):
         """(row, state it leaves to, that bound) for the basic variable
@@ -562,45 +560,32 @@ class _Simplex:
     # -- setup ------------------------------------------------------------
 
     def _start_basis(self) -> bool:
-        """Slack basis where the start point allows it, artificials
-        elsewhere.  Returns True if a feasibility phase is needed.
+        """Swap each basic slack outside its bounds for an artificial,
+        basic at the slack's distance from them.  Returns True if a
+        feasibility phase is needed.
         """
-        start = [(j, v) for j in range(self.n) if (v := self.bound_value(j))]
         D = self.D
-        need = []
-        for i in range(self.m):
-            # rho = b - a.x_start, times D * L: T[i][j] = a_j * D here
-            row = self.T[i]
-            rho = self.rhs[i] * D - sum(row[j] * v for j, v in start if row[j])
-            s = self.n + i
-            if (self.lo[s] is None or rho >= self.lo[s] * D) and (
-                self.up[s] is None or rho <= self.up[s] * D
-            ):
-                self.basis[i] = s
-                self.state[s] = _BASIC
-                self.B[i] = rho
-            else:
-                need.append((i, rho))
-        if not need:
-            return False
-        for i, rho in need:
+        for i, s in enumerate(self.basis):
+            rho, lo, up = self.B[i], self.lo[s], self.up[s]
+            if (lo is None or rho >= lo * D) and (up is None or rho <= up * D):
+                continue
             if rho < 0:
                 # flip the row so the artificial starts basic at +|rho|
                 self.T[i] = [-v for v in self.T[i]]
                 rho = -rho
-            col = self.total_cols()
-            for r in range(self.m):
-                self.T[r].append(self.D if r == i else 0)
+            col = len(self.state)
+            for r, row in enumerate(self.T):
+                row.append(D if r == i else 0)
             self.lo.append(0)
             self.up.append(None)
+            self.state[s] = _AT_LOWER if lo is not None else _AT_UPPER
             self.state.append(_BASIC)
             self.basis[i] = col
             self.B[i] = rho
             self.artificial.append(col)
-        phase_cost = [0] * self.total_cols()
-        for j in self.artificial:
-            phase_cost[j] = 1
-        self._reduced_costs(phase_cost)
+        if not self.artificial:
+            return False
+        self._reduced_costs([0] * self.ncols + [1] * len(self.artificial))
         return True
 
     def _reduced_costs(self, cost):

@@ -270,6 +270,18 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
         assert main(argv) == 2, (text, argv)
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+    # no family builds an instance of more than the points limit
+    limit = cli.MAX_POINTS
+    cover.write_text(json.dumps({"universe": 1, "sets": [[0]] * (limit + 1)}))
+    for argv in [
+        ["gen", "setcover", "--instance", str(cover), "--t", "1"],
+        ["gen", "random", "--seed", "1", "--n", str(limit + 1), "--k", "1", "--gamma", "1"],
+        ["gen", "clumps", "--k", str(limit // 2), "--gamma", "2"],
+    ]:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(limit) in err, err
     graph.write_text("3\n0 1\n1 2\n")
     assert main(["gen", "vc3", "--graph", str(graph), "--t", "1"]) == 0
     assert main(random_args + ["--demand-density", "0", "--p-density", "1"]) == 0
@@ -462,7 +474,7 @@ def test_gen_vc3_parsing_variants(tmp_path):
         assert main(["gen", "vc3", "--graph", str(bad), "--t", "1"]) == 2, text
 
     # the vertex limit holds for a declared and for an implied count
-    limit = cli.MAX_GRAPH_VERTICES
+    limit = cli.MAX_POINTS
     assert cli._parse_graph_text(f"{limit}\n0 {limit - 1}\n").n == limit
     for text in [f"{limit + 1}\n0 1\n", f"0 {limit}\n", "0 999999\n"]:
         with pytest.raises(cli.CliError) as exc:
@@ -647,12 +659,12 @@ def test_malformed_documents_never_raise(command, files):
 
 
 # Generator input files for the fuzz test.  Vertex ids are small or above
-# gen vc3's vertex limit, so that no accepted graph is large.
+# the points limit, so that no accepted graph is large.
 FUZZ_SETCOVER = {"universe": 3, "sets": [[0, 1], [1, 2], [2]]}
 SMALL_VERTEX = st.integers(0, 19)
 VERTEX = st.one_of(
     SMALL_VERTEX, SMALL_VERTEX, SMALL_VERTEX,
-    st.integers(cli.MAX_GRAPH_VERTICES + 1, 10**12),
+    st.integers(cli.MAX_POINTS + 1, 10**12),
 ).map(str)
 EDGE = st.lists(VERTEX, min_size=2, max_size=2)
 GRAPH_LINES = st.one_of(EDGE, EDGE, EDGE, st.lists(VERTEX, max_size=1), st.lists(
@@ -707,13 +719,13 @@ def test_malformed_generator_files_never_raise(case, t):
             int(num) for line in re.split(rb"\r?\n", data)
             for num in re.findall(rb"[0-9]+", line.split(b"#", 1)[0])
         ]
-        if any(v > cli.MAX_GRAPH_VERTICES for v in numbers):
+        if any(v > cli.MAX_POINTS for v in numbers):
             assert code == 2, data
     if code == 0:
         assert err == ""
         inst = model.instance_from_dict(json.loads(out.getvalue()))
         if family == "vc3":  # an accepted graph follows the README's grammar
-            assert inst.n <= cli.MAX_GRAPH_VERTICES
+            assert inst.n <= cli.MAX_POINTS
             for line in re.split(rb"\r?\n", data):
                 assert re.fullmatch(rb"[ \t0-9]*", line.split(b"#", 1)[0]), data
     else:
@@ -721,7 +733,7 @@ def test_malformed_generator_files_never_raise(case, t):
         assert err.count("\n") == 1 and err.endswith("\n"), err
 
 
-# Generator flags for the fuzz test: small ints, rationals and junk.
+# Generator flags for the fuzz test: small ints, large counts, rationals and junk.
 FLAG_INT = st.integers(-3, 12).map(str)
 FLAG_JUNK = st.sampled_from(
     ["", "x", "1.5", "1/2", "1e3", "0x10", " 3 ", "+4", "1_0", "\u0663", "--n", "-"]
@@ -729,13 +741,17 @@ FLAG_JUNK = st.sampled_from(
 FLAG_DENSITY = st.sampled_from(
     ["0", "1", "1/2", "2/3", "0.25", " 1/3 ", "3/2", "-1/4", "1/0", "2", ".5", "1e-1"]
 )
+# counts of points: small, or above the points limit
+FLAG_COUNT = st.one_of(
+    FLAG_INT, FLAG_INT, FLAG_INT, st.integers(cli.MAX_POINTS + 1, 10**12).map(str)
+)
 GEN_FLAGS = {
     ("gen", "random"): {
-        "--seed": FLAG_INT, "--n": FLAG_INT, "--k": FLAG_INT, "--gamma": FLAG_INT,
+        "--seed": FLAG_INT, "--n": FLAG_COUNT, "--k": FLAG_COUNT, "--gamma": FLAG_INT,
         "--metric": st.sampled_from(["line", "grid-l1", "grid", ""]),
         "--demand-density": FLAG_DENSITY, "--p-density": FLAG_DENSITY,
     },
-    ("gen", "clumps"): {"--k": FLAG_INT, "--gamma": FLAG_INT, "--spread": FLAG_INT},
+    ("gen", "clumps"): {"--k": FLAG_COUNT, "--gamma": FLAG_INT, "--spread": FLAG_INT},
     ("fixture", "adversarial"): {"--m": FLAG_INT},
 }
 
@@ -743,7 +759,8 @@ GEN_FLAGS = {
 @st.composite
 def generator_argv(draw):
     """A gen random, gen clumps or fixture command line: each flag left
-    out or given a small int, a rational or a junk string."""
+    out or given a small int, a count above the points limit, a rational
+    or a junk string."""
     command = draw(st.sampled_from(sorted(GEN_FLAGS)))
     argv = list(command)
     for flag, value in GEN_FLAGS[command].items():
@@ -761,6 +778,11 @@ def test_generator_flags_never_raise(argv):
     err = err.getvalue()
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
+    # gen random's --n and gen clumps' --k above the limit are refused
+    count = dict(zip(argv[2::2], argv[3::2])).get("--n" if argv[1] == "random" else "--k")
+    if argv[0] == "gen" and count and count.isascii() and count.isdigit():
+        if int(count) > cli.MAX_POINTS:
+            assert code == 2, argv
     if code == 0:
         assert err == ""
         model.instance_from_dict(json.loads(out.getvalue()))

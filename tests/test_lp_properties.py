@@ -481,6 +481,36 @@ def test_solve_equals_the_fraction_reference(program):
             )
 
 
+# -- one row-entry path -------------------------------------------------------
+#
+# A cold solve enters its rows through the same _Simplex._append as a warm
+# re-solve enters its new ones, so where the rows are split between the
+# two must not matter.
+
+
+def tableau(simplex):
+    """Everything the tableau holds before a pivot."""
+    return tuple(
+        getattr(simplex, name)
+        for name in ("T", "D", "L", "B", "rhs", "lo", "up", "basis", "state")
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_programs())
+def test_rows_appended_to_a_prefix_build_the_same_tableau(program):
+    whole = tableau(lp._Simplex(program))
+    rows = program.constraints
+    for k in range(len(rows) + 1):
+        prefix = lp.LinearProgram(
+            program.num_vars, program.objective, program.sense,
+            program.lower, program.upper, rows[:k],
+        )
+        split = lp._Simplex(prefix)
+        split._append(rows[k:])
+        assert tableau(split) == whole, k
+
+
 # -- warm re-solves -----------------------------------------------------------
 #
 # lp.solve(program, start) re-solves a program that extends start's from
