@@ -44,9 +44,9 @@ INFEASIBLE = 1
 USAGE = 2
 INTERNAL = 3
 
-# most points of an instance gen builds, in every family: an instance holds
-# n * n exact distances, so its time and memory grow with the square of n
-# (at 1,000 points, 3.1-3.7 s and 176-188 MB per family)
+# most points of an instance gen builds in every family, and most gen random
+# colors: an instance holds n * n distances, so its time and memory grow with
+# n squared (2-core x86 VM: 1.4-1.5 s and 177-188 MB per family at 1,000 points)
 MAX_POINTS = 1000
 
 
@@ -287,11 +287,11 @@ def _rational(value, what: str) -> Fraction:
         raise CliError(USAGE, f"{what}: {exc}") from exc
 
 
-def _check_points(count: int, what: str):
-    """A usage error for an instance of more than MAX_POINTS points,
-    raised before it is built."""
+def _check_points(count: int, what: str, unit: str = "points"):
+    """A usage error for an instance of more than MAX_POINTS points (or
+    colors), raised before it is built."""
     if count > MAX_POINTS:
-        raise CliError(USAGE, f"{what}: {count} points, over the limit of {MAX_POINTS}")
+        raise CliError(USAGE, f"{what}: {count} {unit}, over the limit of {MAX_POINTS}")
 
 
 def cmd_gen(args):
@@ -309,6 +309,7 @@ def cmd_gen(args):
             inst = gen_clumps(args.k, args.gamma, spread=args.spread)
         else:  # random
             _check_points(args.n, "gen random --n")
+            _check_points(args.gamma, "gen random --gamma", "colors")
             inst = gen_random(
                 args.seed,
                 args.n,

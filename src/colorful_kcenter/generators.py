@@ -55,9 +55,7 @@ class SetCoverInstance:
 
 
 def _line_instance(coords, k, colors):
-    dist = tuple(
-        tuple(Fraction(abs(a - b)) for b in coords) for a in coords
-    )
+    dist = tuple(tuple(abs(a - b) for b in coords) for a in coords)
     return Instance(dist=dist, k=k, colors=tuple(colors))
 
 
@@ -210,21 +208,13 @@ def gen_random(
             raise ValueError(f"{name} density {density} outside [0, 1]")
     rng = random.Random(seed)
     if metric == "line":
-        coords = [rng.randint(0, 3 * n) for _ in range(n)]
-        dist = tuple(
-            tuple(Fraction(abs(a - b)) for b in coords) for a in coords
-        )
+        pts = [(rng.randint(0, 3 * n), 0) for _ in range(n)]  # on the x axis
     elif metric == "grid-l1":
         side = max(2, int(round(n ** 0.5)) + 1)
         pts = [(rng.randint(0, side), rng.randint(0, side)) for _ in range(n)]
-        dist = tuple(
-            tuple(
-                Fraction(abs(a[0] - b[0]) + abs(a[1] - b[1])) for b in pts
-            )
-            for a in pts
-        )
     else:
         raise ValueError(f"unknown metric {metric!r}")
+    dist = tuple(tuple(abs(a[0] - b[0]) + abs(a[1] - b[1]) for b in pts) for a in pts)
     colors = []
     for _ in range(gamma):
         members = tuple(u for u in range(n) if rng.random() < 0.5)

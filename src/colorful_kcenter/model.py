@@ -1,20 +1,21 @@
 """Instance model: finite metrics over exact rationals, color classes,
 balls, candidate radii, and coverage checks.
 
-Every distance, radius and probability is an exact rational: instance
-fields hold `fractions.Fraction`s, and files hold "p/q", integer or
-decimal strings (see rational_from).  Ball tests read an int view of
-the metric that each instance builds on first use: the distances times
-the lcm of their denominators, so "dist[c][u] <= r" is an int
-comparison with floor(r * scale), and the balls of every point at one
-radius are cached as bitmasks, as is counting_bound's answer at that
-radius: a color whose demand the relaxation cannot meet, shown by
-counting (see CountingBound).  Points are identified by their 0-based
-index into the distance matrix, both in memory and in files.
+Every distance, radius and probability is an exact rational, and files
+hold "p/q", integer or decimal strings (see rational_from).  An instance
+is its int rows: every distance times `scale`, the lcm of their
+denominators, so "dist[c][u] <= r" is an int comparison with
+floor(r * scale).  `dist` is a read-only view for I/O and the oracle:
+the rows themselves when scale is 1, `Fraction`s otherwise.  The balls
+of every point at one radius are cached as bitmasks, as is
+counting_bound's answer at that radius: a color whose demand the
+relaxation cannot meet, shown by counting (see CountingBound).  Points
+are identified by their 0-based index, in memory and in files.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -31,8 +32,16 @@ class InstanceFormatError(ValueError):
 
 class InstanceSchemaError(InstanceFormatError):
     """An instance document is not JSON of the documented shape and
-    types, as opposed to a well-formed document whose values break an
-    instance invariant."""
+    types, or its int rows would exceed MAX_ROW_BITS, as opposed to a
+    well-formed document whose values break an instance invariant."""
+
+
+# most bits the int rows of a loaded instance may take: n * n entries,
+# each scaled to the lcm of the distances' denominators, which pairwise
+# coprime denominators make about as long as the file (2-core x86 VM: just
+# under the limit, n = 94 with a distinct prime denominator per pair
+# solves in 3.3-4.1 s and 85 MB; at 2**30, n = 111 took 8.2 s and 155 MB)
+MAX_ROW_BITS = 2**29
 
 
 # The number grammar of instance and solution files: optional
@@ -99,9 +108,14 @@ class MetricViolation:
 
 def _scaled_rows(dist):
     """(scale, rows): the lcm of all denominators, and every entry
-    times it as an int."""
-    scale = math.lcm(*(v.denominator for row in dist for v in row))
-    return scale, [[v.numerator * (scale // v.denominator) for v in row] for row in dist]
+    times it as an int, each row a tuple.  An all-int matrix is its own
+    rows; any other entry goes through rational_from."""
+    rows = tuple(map(tuple, dist))
+    if all(type(v) is int for row in rows for v in row):
+        return 1, rows
+    rows = [list(map(rational_from, row)) for row in rows]
+    scale = math.lcm(*{v.denominator for row in rows for v in row})
+    return scale, tuple(tuple(v.numerator * scale // v.denominator for v in row) for row in rows)
 
 
 def validate_metric(dist):
@@ -116,27 +130,27 @@ def validate_metric(dist):
     for i in range(n):
         if len(dist[i]) != n:
             return MetricViolation("shape", (i,))
-    return _metric_violation(dist, _scaled_rows(dist)[1])
+    return _metric_violation(_scaled_rows(dist)[1])
 
 
-def _metric_violation(dist, rows):
-    """validate_metric on a square matrix, given its entries scaled to
-    ints by one common factor."""
+def _metric_violation(rows):
+    """validate_metric on a square matrix scaled to ints by one positive
+    factor, which keeps every sign, equality and triangle inequality."""
     n = len(rows)
-    # diagonal, sign and symmetry at once on the ints; the ordered scan
-    # over the Fractions runs only to name the first failure
+    # diagonal, sign and symmetry at once; the ordered scan runs only to
+    # name the first failure
     if (
         any(rows[i][i] for i in range(n))
         or min(map(min, rows), default=0) < 0
-        or rows != list(map(list, zip(*rows)))
+        or rows != tuple(zip(*rows))
     ):
         for i in range(n):
-            if dist[i][i] != 0:
+            if rows[i][i] != 0:
                 return MetricViolation("diagonal", (i,))
             for j in range(n):
-                if dist[i][j] < 0:
+                if rows[i][j] < 0:
                     return MetricViolation("negative", (i, j))
-                if dist[i][j] != dist[j][i]:
+                if rows[i][j] != rows[j][i]:
                     return MetricViolation("asymmetric", (i, j))
     # d(i,l) <= d(i,j) + d(j,l) must hold for every triple, and pair
     # (i, j) has a violating l iff max_l d(i,l) - d(j,l) exceeds d(i,j)
@@ -154,59 +168,37 @@ def _metric_violation(dist, rows):
     return None
 
 
-class _BallTable:
-    """The int view of one metric and its balls.
+@dataclass(frozen=True, init=False)
+class Instance:
+    """Colorful k-center instance: metric, center budget, color demands.
 
-    rows[c][u] is dist[c][u] times scale, the lcm of all denominators,
-    so dist[c][u] <= r iff rows[c][u] <= floor(r * scale).  The balls
-    of every point are cached per radius level.
+    Built from a matrix `dist` of ints, Fractions or rational strings;
+    rows[c][u] is dist[c][u] times scale, the lcm of all denominators.
     """
 
-    def __init__(self, dist):
-        self.scale, self.rows = _scaled_rows(dist)
-        self._masks = {}
-        self.bounds = {}  # counting_bound's result per level
-
-    def level(self, r) -> int:
-        """floor(r * scale): the balls of radius r are those of this level."""
-        return r.numerator * self.scale // r.denominator
-
-    def masks(self, r) -> list:
-        """Bit u of entry c is set iff dist[c][u] <= r (an int or a
-        Fraction).  Shared: callers must not change it."""
-        level = self.level(r)
-        got = self._masks.get(level)
-        if got is None:
-            got = [sum(1 << u for u, d in enumerate(row) if d <= level) for row in self.rows]
-            self._masks[level] = got
-        return got
-
-
-@dataclass(frozen=True)
-class Instance:
-    """Colorful k-center instance: metric, center budget, color demands."""
-
-    dist: tuple
+    rows: tuple
+    scale: int
     k: int
     colors: tuple
 
-    def __post_init__(self):
-        dist = tuple(tuple(map(rational_from, row)) for row in self.dist)
-        object.__setattr__(self, "dist", dist)
+    def __init__(self, dist, k, colors):
+        scale, rows = _scaled_rows(dist)
         colors = tuple(
             ColorClass(frozenset(c.members), int(c.demand)) if isinstance(c, ColorClass)
             else ColorClass(frozenset(c[0]), int(c[1]))
-            for c in self.colors
+            for c in colors
         )
-        object.__setattr__(self, "colors", colors)
-        n = len(dist)
+        # _masks and _bounds hold, per radius level, the balls of every point
+        # and counting_bound's result; not fields, so equality ignores them
+        self.__dict__.update(rows=rows, scale=scale, k=k, colors=colors, _masks={}, _bounds={})
+        n = len(rows)
         if n < 1:
             raise InstanceFormatError("instance needs at least one point")
-        for row in dist:
+        for row in rows:
             if len(row) != n:
                 raise InstanceFormatError("distance matrix is not square")
-        if not 1 <= self.k <= n:
-            raise InstanceFormatError(f"center budget k={self.k} outside 1..{n}")
+        if not 1 <= k <= n:
+            raise InstanceFormatError(f"center budget k={k} outside 1..{n}")
         if not colors:
             raise InstanceFormatError("need at least one color class")
         for idx, c in enumerate(colors):
@@ -217,23 +209,32 @@ class Instance:
                     f"color {idx} demand {c.demand} exceeds class size {len(c.members)}"
                 )
 
+    @functools.cached_property
+    def dist(self) -> tuple:
+        """The distance matrix, built on first access: the rows
+        themselves when scale is 1, Fractions otherwise."""
+        if self.scale == 1:
+            return self.rows
+        return tuple(tuple(Fraction(v, self.scale) for v in row) for row in self.rows)
+
     @property
     def n(self) -> int:
-        return len(self.dist)
+        return len(self.rows)
 
     @property
     def num_colors(self) -> int:
         return len(self.colors)
 
-
-def _table(inst: Instance) -> _BallTable:
-    """The instance's ball table, built on first use.  It is not a
-    field, so equality, hashing and repr ignore it."""
-    table = inst.__dict__.get("_balls")
-    if table is None:
-        table = _BallTable(inst.dist)
-        object.__setattr__(inst, "_balls", table)
-    return table
+    def _balls(self, r) -> list:
+        """Bit u of entry c is set iff dist[c][u] <= r (an int or a
+        Fraction), that is rows[c][u] <= floor(r * scale), the level of
+        r.  Shared: callers must not change it."""
+        level = r.numerator * self.scale // r.denominator
+        got = self._masks.get(level)
+        if got is None:
+            got = [sum(1 << u for u, d in enumerate(row) if d <= level) for row in self.rows]
+            self._masks[level] = got
+        return got
 
 
 @dataclass(frozen=True)
@@ -285,12 +286,12 @@ def mask_points(mask) -> frozenset:
 
 def ball(inst: Instance, c: int, r) -> frozenset:
     """All points within distance r of point c (closed ball)."""
-    return mask_points(_table(inst).masks(r)[c])
+    return mask_points(inst._balls(r)[c])
 
 
 def union_mask(inst: Instance, centers, r) -> int:
     """Bitmask of the points within distance r of some center."""
-    masks = _table(inst).masks(r)
+    masks = inst._balls(r)
     covered = 0
     for c in centers:
         covered |= masks[c]
@@ -308,11 +309,10 @@ def candidate_radii(inst: Instance):
     The optimal radius of any instance is one of these values, since
     feasibility only changes when a ball gains or loses a point.
     """
-    # keyed and sorted by the scaled ints, which order like the Fractions
-    vals = {0: Fraction(0)}
-    for i, (row, ints) in enumerate(zip(inst.dist, _table(inst).rows)):
-        vals.update(zip(ints[i + 1 :], row[i + 1 :]))
-    return [vals[v] for v in sorted(vals)]
+    vals = {0}
+    for i, row in enumerate(inst.rows):
+        vals.update(row[i + 1 :])
+    return [Fraction(v, inst.scale) for v in sorted(vals)]
 
 
 def weighted_coverage(inst: Instance, weights, centers, r) -> Fraction:
@@ -326,7 +326,7 @@ def ball_masks(inst: Instance, r, centers=None) -> list:
     given order (every point when centers is None): bit u of the entry
     for c is set iff dist[c][u] <= r.
     """
-    masks = _table(inst).masks(r)
+    masks = inst._balls(r)
     return list(masks) if centers is None else [masks[c] for c in centers]
 
 
@@ -375,17 +375,16 @@ def counting_bound(inst: Instance, r):
     at radius r cannot meet by counting (see _color_bound), or None.
     Cached per radius level, so it depends only on the instance and r.
     """
-    table = _table(inst)
-    level = table.level(r)
-    if level not in table.bounds:
-        masks = table.masks(r)
+    level = r.numerator * inst.scale // r.denominator  # as in Instance._balls
+    if level not in inst._bounds:
+        masks = inst._balls(r)
         found = None
         for color, (members, demand) in enumerate(color_masks(inst)):
             found = _color_bound(masks, members, demand, inst.k, color)
             if found is not None:
                 break
-        table.bounds[level] = found
-    return table.bounds[level]
+        inst._bounds[level] = found
+    return inst._bounds[level]
 
 
 def _color_bound(masks, members, demand, k, color):
@@ -442,7 +441,7 @@ def feasible_sets(inst: Instance, r):
     feasible completion and is skipped whole, so the sets that come
     out, and their order, are those of the plain scan.
     """
-    masks = _table(inst).masks(r)
+    masks = inst._balls(r)
     needs = color_masks(inst)
     reach = masks + [0]  # reach[i]: OR of the balls of points i..n-1
     for i in range(inst.n - 1, -1, -1):
@@ -550,6 +549,13 @@ def instance_from_dict(d: dict):
         raise InstanceSchemaError("field dist must be a list of n rows")
     parsed = _Parsed()
     dist = tuple(_rationals(row, "each dist row", n, parsed) for row in d["dist"])
+    scale = 1  # the lcm of the denominators so far, to which every entry is scaled
+    for value in parsed.values():
+        scale = math.lcm(scale, value.denominator)
+        if n * n * scale.bit_length() > MAX_ROW_BITS:
+            raise InstanceSchemaError(f"field dist: {n} x {n} distances over a common "
+                                      f"denominator of {scale.bit_length()}+ bits exceed "
+                                      f"the limit of {MAX_ROW_BITS} row bits")
     colors = []
     for c in d["colors"]:
         if not (
@@ -564,8 +570,7 @@ def instance_from_dict(d: dict):
             )
         colors.append((c["members"], c["demand"]))
     inst = Instance(dist=dist, k=d["k"], colors=tuple(colors))
-    # the ball table's int rows, which every solve reads afterwards
-    bad = _metric_violation(inst.dist, _table(inst).rows)
+    bad = _metric_violation(inst.rows)
     if bad is not None:
         raise InstanceFormatError(f"distance matrix is not a metric: {bad}")
     if "p" in d:

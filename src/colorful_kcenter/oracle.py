@@ -7,6 +7,9 @@ distances), and takes the overall minimum.  brute_force_fair walks
 candidate radii upward and decides, by exact LP feasibility over the
 full list of feasible center sets, whether some distribution over them
 meets every point's coverage target.
+
+Both read `Instance.dist`, a view of the int rows the ball tests read;
+test_instances_are_int_rows_with_an_exact_view pins it to the input.
 """
 
 from __future__ import annotations

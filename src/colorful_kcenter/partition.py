@@ -107,7 +107,7 @@ def verify_partition(inst: Instance, r, pt: FractionalPoint, part: GoodPartition
     if seen != set(range(inst.n)):
         missing = sorted(set(range(inst.n)) - seen)
         return PartitionViolation("partition", tuple(missing))
-    # the ball table's 4r balls: dist <= 4r as ints against floor(4r * scale)
+    # the instance's cached 4r balls: rows <= floor(4r * scale) as ints
     far = ball_masks(inst, four_r, part.centers)
     for i, (s, mask) in enumerate(zip(part.centers, far)):
         for t in part.centers[i + 1 :]:

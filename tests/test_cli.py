@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import os
 import re
@@ -171,6 +172,25 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     assert main(["solve", "--instance", str(bad)]) == 2
     bad.write_text(json.dumps([good]))
     assert main(["solve", "--instance", str(bad)]) == 2
+    # a metric whose distances (p+1)/p have a distinct prime p per pair: each
+    # of the 120 * 120 int row entries would take the lcm's ~10^5 bits, so
+    # loading stops before any row is built
+    n = 120
+    sieve = bytearray([1]) * 80_000
+    for i in range(2, 283):
+        sieve[i * i :: i] = bytes(len(sieve[i * i :: i]))
+    primes = iter(p for p in range(2, len(sieve)) if sieve[p])
+    coprime = [["0"] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        p = next(primes)
+        coprime[i][j] = coprime[j][i] = f"{p + 1}/{p}"
+    bad.write_text(json.dumps({**good, "n": n, "dist": coprime, "p": ["0"] * n}))
+    capsys.readouterr()
+    for command in ("solve", "solve-fair"):
+        assert main([command, "--instance", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(model.MAX_ROW_BITS) in err, err
 
     # malformed solution files given to verify: one error line and exit 2
     inst = write_instance(
@@ -276,6 +296,7 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     for argv in [
         ["gen", "setcover", "--instance", str(cover), "--t", "1"],
         ["gen", "random", "--seed", "1", "--n", str(limit + 1), "--k", "1", "--gamma", "1"],
+        ["gen", "random", "--seed", "1", "--n", "10", "--k", "1", "--gamma", str(limit + 1)],
         ["gen", "clumps", "--k", str(limit // 2), "--gamma", "2"],
     ]:
         assert main(argv) == 2, argv
@@ -741,13 +762,13 @@ FLAG_JUNK = st.sampled_from(
 FLAG_DENSITY = st.sampled_from(
     ["0", "1", "1/2", "2/3", "0.25", " 1/3 ", "3/2", "-1/4", "1/0", "2", ".5", "1e-1"]
 )
-# counts of points: small, or above the points limit
+# counts of points or colors: small, or above the points limit
 FLAG_COUNT = st.one_of(
     FLAG_INT, FLAG_INT, FLAG_INT, st.integers(cli.MAX_POINTS + 1, 10**12).map(str)
 )
 GEN_FLAGS = {
     ("gen", "random"): {
-        "--seed": FLAG_INT, "--n": FLAG_COUNT, "--k": FLAG_COUNT, "--gamma": FLAG_INT,
+        "--seed": FLAG_INT, "--n": FLAG_COUNT, "--k": FLAG_COUNT, "--gamma": FLAG_COUNT,
         "--metric": st.sampled_from(["line", "grid-l1", "grid", ""]),
         "--demand-density": FLAG_DENSITY, "--p-density": FLAG_DENSITY,
     },
@@ -778,11 +799,13 @@ def test_generator_flags_never_raise(argv):
     err = err.getvalue()
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
-    # gen random's --n and gen clumps' --k above the limit are refused
-    count = dict(zip(argv[2::2], argv[3::2])).get("--n" if argv[1] == "random" else "--k")
-    if argv[0] == "gen" and count and count.isascii() and count.isdigit():
-        if int(count) > cli.MAX_POINTS:
-            assert code == 2, argv
+    # gen random's --n and --gamma and gen clumps' --k above the limit are refused
+    flags = dict(zip(argv[2::2], argv[3::2]))
+    for flag in ("--n", "--gamma") if argv[1] == "random" else ("--k",):
+        count = flags.get(flag)
+        if argv[0] == "gen" and count and count.isascii() and count.isdigit():
+            if int(count) > cli.MAX_POINTS:
+                assert code == 2, argv
     if code == 0:
         assert err == ""
         model.instance_from_dict(json.loads(out.getvalue()))

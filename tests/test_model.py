@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from colorful_kcenter.fair import solve_fair
 from colorful_kcenter.model import (
     CenterSet,
     ColorClass,
@@ -31,6 +33,7 @@ from colorful_kcenter.model import (
     validate_metric,
 )
 from colorful_kcenter.oracle import enumerate_feasible
+from colorful_kcenter.solver import solve_colorful
 
 
 def line_instance(coords, k, colors):
@@ -289,6 +292,33 @@ def test_validate_metric_matches_fraction_scan(dist):
     assert validate_metric(dist) == reference_validate_metric(dist)
 
 
+@settings(max_examples=100, deadline=None)
+@given(perturbed_metrics(), st.data())
+def test_instances_are_int_rows_with_an_exact_view(dist, data):
+    n = len(dist)
+    scale = math.lcm(*(v.denominator for row in dist for v in row))
+    if scale == 1 and data.draw(st.booleans()):
+        dist = tuple(tuple(map(int, row)) for row in dist)  # as the generators pass them
+    inst = Instance(dist=dist, k=data.draw(st.integers(1, n)), colors=((range(n), 1),))
+    assert inst.scale == scale
+    assert all(type(v) is int for row in inst.rows for v in row)
+    assert inst.rows == tuple(tuple(v * scale for v in row) for row in dist)
+    if validate_metric(dist) is None:
+        # the solve path reads the rows and never builds the view
+        solve_colorful(inst)
+        solve_fair(FairInstance(base=inst, p=(Fraction(1, 2),) * n))
+        assert "dist" not in vars(inst)
+        text = dumps_instance(inst)
+        again = loads_instance(text)
+        assert again == inst
+        assert dumps_instance(again) == text  # byte-stable round trip
+    assert len(inst.dist) == n
+    for got, want in zip(inst.dist, dist):
+        assert len(got) == n
+        for a, b in zip(got, want):
+            assert a == b and isinstance(a, int if scale == 1 else Fraction)
+
+
 def test_validate_metric_names_the_first_triangle_in_scan_order():
     f = Fraction
     # pair (0, 1) fails at l = 2 and, by more, at l = 3: name l = 2
@@ -322,13 +352,13 @@ def small_instances(draw):
     inst = Instance(dist=dist, k=draw(st.integers(1, min(n, 4))), colors=tuple(colors))
     radii = candidate_radii(inst)
     r = draw(st.sampled_from(radii)) + draw(st.sampled_from([0, 0, Fraction(1, 7)]))
-    return inst, r
+    return inst, r, dist
 
 
 @settings(max_examples=200, deadline=None)
 @given(small_instances())
 def test_feasible_sets_match_check_feasible_and_the_oracle(case):
-    inst, r = case
+    inst, r, _ = case
     got = list(feasible_sets(inst, r))
     accepted = [
         frozenset(combo)
@@ -340,22 +370,23 @@ def test_feasible_sets_match_check_feasible_and_the_oracle(case):
     assert got == [frozenset(s) for s in enumerate_feasible(inst, r)]
 
 
-def scanned_ball(inst, c, r):
-    """Ball of radius r around c by comparing Fractions, entry by entry."""
-    return frozenset(u for u in range(inst.n) if inst.dist[c][u] <= Fraction(r))
+def scanned_ball(dist, c, r):
+    """Ball of radius r around c by comparing the drawn Fractions, entry
+    by entry, independently of the instance's int rows."""
+    return frozenset(u for u in range(len(dist)) if dist[c][u] <= Fraction(r))
 
 
 @settings(max_examples=200, deadline=None)
 @given(small_instances(), st.data())
 def test_ball_tests_match_a_fraction_scan(case, data):
-    inst, _ = case
+    inst, _, dist = case
     base = data.draw(st.sampled_from(candidate_radii(inst)))
     r = base * data.draw(st.sampled_from([1, 2, 4])) + data.draw(
         st.sampled_from([0, Fraction(1, 7), Fraction(-1, 11)])
     )
     if r.denominator == 1 and data.draw(st.booleans()):
         r = int(r)
-    balls = [scanned_ball(inst, c, r) for c in range(inst.n)]
+    balls = [scanned_ball(dist, c, r) for c in range(inst.n)]
     assert [ball(inst, c, r) for c in range(inst.n)] == balls
     assert ball_masks(inst, r) == [sum(1 << u for u in b) for b in balls]
     centers = data.draw(st.lists(st.integers(0, inst.n - 1), max_size=inst.n))
@@ -366,10 +397,10 @@ def test_ball_tests_match_a_fraction_scan(case, data):
 @settings(max_examples=200, deadline=None)
 @given(small_instances(), st.data())
 def test_check_feasible_counts_match_ball_union(case, data):
-    inst, r = case
+    inst, r, dist = case
     centers = data.draw(st.lists(st.integers(0, inst.n - 1), max_size=inst.n + 1))
     report = check_feasible(inst, centers, r)
-    covered = frozenset().union(*(scanned_ball(inst, c, r) for c in centers))
+    covered = frozenset().union(*(scanned_ball(dist, c, r) for c in centers))
     assert report.counts == tuple(len(c.members & covered) for c in inst.colors)
     assert report.budget_ok == (len(set(centers)) <= inst.k)
     assert report.feasible == (
