@@ -14,8 +14,8 @@ Each probe re-solves its LPs warm, by lp.solve(program, start) from an
 earlier outcome: the restricted dual gains one row per column, from the
 last restricted outcome, and each separation adds its weighted row to
 the probe's cut-free relaxation, from that relaxation's outcome.  Each
-program is built once and extended by its new rows; every optimum is
-checked against its full program, and every certificate verified
+program is built once and extended by its new rows; lp checks every
+optimum against its full program and verifies every certificate
 against it.
 """
 
@@ -233,8 +233,6 @@ def solve_restricted(finst: FairInstance, r, columns, start=None):
         )
     out = lp.solve(program, start)
     if out.status == "optimal":
-        if lp.check_point(program, out.solution) is not None:
-            raise InternalError("LP returned a point outside its own polytope")
         return DualPoint(alpha=out.solution[:n], mu=out.solution[n]), out
     if out.status != "infeasible":
         # mu >= weighted mass - 1 >= -1 on every feasible point

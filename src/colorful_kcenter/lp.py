@@ -10,8 +10,12 @@ Inputs are ints or fractions.Fraction; ints stay ints.  Inside a solve
 everything is a Python int over a common denominator: the tableau is
 fraction-free (Edmonds 1967, Bareiss 1968) and updated by exact integer
 division, and the basic values, ratio-test steps, duals and every check
-share its denominator.  Outputs are Fractions: the solution once per
-solve, the dual on first access.
+share its denominator.  An optimum is handed over the same way, as the
+ints point over den, with the Fractions solution and dual built on
+first access; a certificate is Fractions.  Every optimum is checked on
+ints before it is returned: its point against every bound and row of
+its program, and its value against the dual's.  Every certificate is
+verified against its program.
 
 Rows enter a tableau one way, each eliminated against the basis with
 its slack basic: a cold solve enters every row of its program into the
@@ -23,9 +27,8 @@ infeasible outcome of a program that program extends by more rows
 (LinearProgram.extended builds it on the shorter one's rows).  From an
 optimum the new rows enter a copy of its tableau and a dual simplex
 re-solves from its basis; from "infeasible" the certificate gains zero
-multipliers on the new rows.  No solve changes its start.  Warm outcomes
-keep every check of a cold one: the strong-duality check on ints, and a
-Farkas certificate verified against the program on "infeasible".
+multipliers on the new rows.  No solve changes its start, and warm
+outcomes keep every check of a cold one.
 """
 
 from __future__ import annotations
@@ -171,13 +174,17 @@ def check_point(lp: LinearProgram, point):
     point = tuple(map(_exact, point))
     if len(point) != lp.num_vars:
         raise ValueError("point length != num_vars")
-    # the point is P / m, so each comparison is one of ints
-    P, m = _over_lcm(point)
+    return _first_violation(lp, *_over_lcm(point))
+
+
+def _first_violation(lp: LinearProgram, P, m):
+    """check_point for the point P / m, P ints and m > 0: every
+    comparison is one of ints."""
     for i, (lo, up) in enumerate(zip(lp.lower, lp.upper)):
         if lo is not None and P[i] * lo.denominator < lo.numerator * m:
-            return ViolatedConstraint("lower", i, Fraction(lo - point[i]))
+            return ViolatedConstraint("lower", i, lo - Fraction(P[i], m))
         if up is not None and P[i] * up.denominator > up.numerator * m:
-            return ViolatedConstraint("upper", i, Fraction(point[i] - up))
+            return ViolatedConstraint("upper", i, Fraction(P[i], m) - up)
     nonzero = [(i, v) for i, v in enumerate(P) if v]
     for j, con in enumerate(lp.constraints):
         row = con.ints
@@ -270,25 +277,38 @@ class LpOutcome:
     """What a solve of program found: status "optimal", "infeasible" or
     "unbounded".
 
-    An optimum carries solution, value and dual, a DualInfo built on
-    first access; "infeasible" carries a certificate verified against
-    program.  Either can start a solve of a longer program (see solve);
-    an optimum keeps its solved tableau for that, which no solve changes.
+    An optimum carries point, its structural values as ints over den
+    (D * L of the solved tableau), value, and two views built on first
+    access: solution, the point as Fractions, and dual, a DualInfo.
+    "infeasible" carries a certificate verified against program.  Either
+    can start a solve of a longer program (see solve); an optimum keeps
+    its solved tableau for that, which no solve changes.
     """
 
-    __slots__ = ("status", "solution", "value", "certificate", "program", "_dual", "_simplex")
+    __slots__ = (
+        "status", "point", "den", "value", "certificate", "program",
+        "_solution", "_dual", "_simplex",
+    )
 
     def __init__(
-        self, status, solution=None, value=None, dual=None, certificate=None,
+        self, status, point=None, den=1, value=None, dual=None, certificate=None,
         program=None, simplex=None,
     ):
         self.status = status
-        self.solution = solution
+        self.point = point
+        self.den = den
         self.value = value
         self.certificate = certificate
         self.program = program
+        self._solution = None
         self._dual = dual  # a DualInfo, or a function building it
         self._simplex = simplex
+
+    @property
+    def solution(self):
+        if self._solution is None and self.point is not None:
+            self._solution = _fractions(self.point, self.den)
+        return self._solution
 
     @property
     def dual(self):
@@ -397,7 +417,7 @@ class _Simplex:
                 raise InternalError("phase 1 is bounded below by zero")
             # artificials stay >= 0, so any positive one means infeasible
             if any(self.basis[i] >= self.ncols and self.B[i] for i in range(self.m)):
-                return self._infeasible_outcome()
+                return self._infeasible_outcome(self.d, 1, self.lc * self.D)
             self._drive_out_artificials()
             # nonbasic at zero and never entering again: delete them
             for row in self.T:
@@ -507,7 +527,8 @@ class _Simplex:
                 return warm._optimal_outcome()
             enter, direction = warm._pick_entering_dual(r, leave_state)
             if enter is None:
-                return warm._row_infeasible_outcome(r, leave_state)
+                sigma = 1 if leave_state == _AT_LOWER else -1
+                return warm._infeasible_outcome(warm.T[r], sigma, warm.D)
             num = abs(warm.B[r] - warm.D * bound)
             warm._apply(enter, direction, num, r, leave_state)
 
@@ -767,51 +788,57 @@ class _Simplex:
 
     # -- outcomes ---------------------------------------------------------
 
-    def _duals(self):
-        """Row duals and bound multipliers (min convention) as ints over
-        lc*D, and y.b + low.lower - upp.upper as an int over lc*D*L.
+    def _multipliers(self, vec, sigma):
+        """Row multipliers y, bound multipliers low and upp, and the
+        combined rhs y.b + low.lower - upp.upper, read off vec (a tableau
+        row or the reduced costs) as ints over its denominator (times L).
 
-        The row duals are the negated slack reduced costs; the bound
-        multipliers are the nonnegative parts of the structural ones.
+        Row i gets -sigma * vec[n+i]; column j puts sigma * vec[j] on its
+        lower bound where positive, its upper one where negative.  The
+        reduced costs with sigma = 1, zero on basic columns, give the
+        duals (min convention) or the phase-1 certificate.  The row
+        blocking the dual simplex, sigma = 1 when its basic variable lies
+        below its lower bound and -1 above its upper one, gives a
+        certificate: every entry sits where its column cannot move that
+        variable back, so the rhs is how far it lies outside its bound.
         """
-        n, d = self.n, self.d
-        y = [-d[n + i] for i in range(self.m)]
+        n = self.n
+        y = [-sigma * vec[n + i] for i in range(self.m)]
         total = sum(v * b for v, b in zip(y, self.rhs) if v)
         low = [0] * n
         upp = [0] * n
         for j in range(n):
-            dj = d[j]
-            if not dj or self.state[j] == _BASIC:
+            v = sigma * vec[j]
+            if not v:
                 continue
-            if dj > 0:
-                if self.lo[j] is None:
-                    raise InternalError(f"multiplier on missing lower bound {j}")
-                low[j] = dj
-                total += dj * self.lo[j]
+            bound = self.lo[j] if v > 0 else self.up[j]
+            if bound is None:
+                raise InternalError(f"multiplier on the missing bound of {j}")
+            if v > 0:
+                low[j] = v
             else:
-                if self.up[j] is None:
-                    raise InternalError(f"multiplier on missing upper bound {j}")
-                upp[j] = -dj
-                total += dj * self.up[j]
+                upp[j] = -v
+            total += v * bound
         return y, low, upp, total
 
     def _optimal_outcome(self):
-        # structural values as ints over D*L
+        # structural values as ints over D*L, checked with the dual on ints
+        dl = self.D * self.L
         x = [self.bound_value(j) * self.D for j in range(self.n)]
         for i in range(self.m):
             if self.basis[i] < self.n:
                 x[self.basis[i]] = self.B[i]
         cost = self.phase_cost
         primal = sum(cost[j] * v for j, v in enumerate(x) if cost[j] and v)
-        y, low, upp, dual = self._duals()
+        y, low, upp, dual = self._multipliers(self.d, 1)
         if dual != primal:
             raise InternalError("strong duality failed, simplex bug")
+        if _first_violation(self.lp, x, dl) is not None:
+            raise InternalError("the optimum lies outside its program, simplex bug")
         # a max program was solved as the min of its negation
         sign = 1 if self.minimize else -1
         den = self.lc * self.D
-        dl = self.D * self.L
         value = Fraction(sign * primal, self.lc * dl)
-        solution = tuple(Fraction(v, dl) if v else _ZERO for v in x)
 
         def dual_info():
             return DualInfo(
@@ -820,52 +847,16 @@ class _Simplex:
             )
 
         return LpOutcome(
-            "optimal", solution, value, dual=dual_info, program=self.lp, simplex=self
+            "optimal", tuple(x), dl, value, dual=dual_info, program=self.lp, simplex=self
         )
 
-    def _infeasible_outcome(self):
-        y, low, upp, gap = self._duals()
-        den = self.lc * self.D
+    def _infeasible_outcome(self, vec, sigma, den):
+        """The certificate read off vec with sign sigma (see
+        _multipliers), vec's entries over den."""
+        y, low, upp, gap = self._multipliers(vec, sigma)
         return _certified(self.lp, FarkasCertificate(
             _fractions(y, den), _fractions(low, den), _fractions(upp, den),
             Fraction(gap, den * self.L),
-        ))
-
-    def _row_infeasible_outcome(self, r, leave_state):
-        """The Farkas certificate read off row r, whose basic variable
-        x_b lies below its lower bound (sigma = 1) or above its upper
-        one (sigma = -1) with no column able to move it back.
-
-        Row r is the combination, with lambda_i = T[r][n+i] / D, of the
-        rows "a_i.x + s_i = b_i".  Row multipliers -sigma*lambda and
-        bound multipliers sigma*T[r][j] / D on each structural column
-        (on its lower bound where positive, its upper bound where
-        negative) sum to zero; every such entry sits where the column
-        cannot move x_b back, so the gap is how far x_b lies outside its
-        bound.
-        """
-        n, row = self.n, self.T[r]
-        sigma = 1 if leave_state == _AT_LOWER else -1
-        lam = [-sigma * row[n + i] for i in range(self.m)]
-        gap = sum(v * b for v, b in zip(lam, self.rhs) if v)
-        low = [0] * n
-        upp = [0] * n
-        for j in range(n):
-            v = sigma * row[j]
-            if not v:
-                continue
-            bound = self.lo[j] if v > 0 else self.up[j]
-            if bound is None:
-                raise InternalError(f"row {r} blocks on the missing bound of {j}")
-            if v > 0:
-                low[j] = v
-            else:
-                upp[j] = -v
-            gap += v * bound
-        D = self.D
-        return _certified(self.lp, FarkasCertificate(
-            _fractions(lam, D), _fractions(low, D),
-            _fractions(upp, D), Fraction(gap, D * self.L),
         ))
 
 
@@ -883,8 +874,8 @@ def solve(lp: LinearProgram, start: LpOutcome = None) -> LpOutcome:
     """Solve lp exactly: cold, or warm from start.
 
     "optimal" comes with a basic solution (a vertex whenever the
-    feasible region is pointed), its value, and a dual of equal value;
-    "infeasible" with a verified Farkas certificate.
+    feasible region is pointed) checked against lp, its value, and a
+    dual of equal value; "infeasible" with a verified Farkas certificate.
 
     start, when given, is an optimal or infeasible outcome of a program
     that lp extends: lp has its variables, bounds, objective and sense,

@@ -6,6 +6,9 @@ far apart (centers > 4r), so radius-r balls, and even radius-2r balls,
 around distinct centers never overlap; and because the center maximizes
 x within its cluster, the y-mass inside its radius-r ball dominates the
 x of every point it absorbed.
+
+A point is ints over one denominator, as an LP optimum hands it over,
+so clustering and its checks compare ints.
 """
 
 from __future__ import annotations
@@ -16,21 +19,15 @@ from fractions import Fraction
 from .model import Instance, ball_masks, mask_points, weighted_coverage
 
 
-def _fractions(values) -> tuple:
-    # LP solutions already hold Fractions; only other numbers are wrapped
-    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
-
-
 @dataclass(frozen=True)
 class FractionalPoint:
-    """Coverage values x and opening values y of a relaxation point."""
+    """Coverage values x[u] / den and opening values y[u] / den."""
 
     x: tuple
     y: tuple
+    den: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _fractions(self.x))
-        object.__setattr__(self, "y", _fractions(self.y))
         if len(self.x) != len(self.y):
             raise ValueError("x and y must have equal length")
 
@@ -119,7 +116,7 @@ def verify_partition(inst: Instance, r, pt: FractionalPoint, part: GoodPartition
             return PartitionViolation("radius", (s, min(outside)))
     near = ball_masks(inst, r, part.centers)
     for s, mask, cluster in zip(part.centers, near, part.clusters):
-        mass = sum((pt.y[v] for v in mask_points(mask)), Fraction(0))
+        mass = sum(pt.y[v] for v in mask_points(mask))
         for u in sorted(cluster):
             if mass < pt.x[u]:
                 return PartitionViolation("mass", (s, u))
@@ -128,4 +125,4 @@ def verify_partition(inst: Instance, r, pt: FractionalPoint, part: GoodPartition
 
 def opening_mass(inst: Instance, r, pt: FractionalPoint, centers) -> Fraction:
     """Total y-mass inside the union of radius-r balls around centers."""
-    return weighted_coverage(inst, pt.y, centers, r)
+    return weighted_coverage(inst, pt.y, centers, r) / pt.den

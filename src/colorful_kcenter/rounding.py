@@ -87,10 +87,10 @@ def sparse_round(
         raise SparseRoundError(
             f"covering optimum {out.value} exceeds threshold {threshold}"
         )
-    fractional = sum(1 for z in out.solution if 0 < z < 1)
+    fractional = sum(1 for z in out.point if 0 < z < out.den)
     if fractional > t:
         raise SparseRoundError("vertex has more fractional entries than rows")
-    support = tuple(int(z > 0) for z in out.solution)
+    support = tuple(int(z > 0) for z in out.point)
     chosen = frozenset(s for s, z in zip(part.centers, support) if z)
     if len(chosen) > inst.k:
         raise SparseRoundError(f"support {len(chosen)} exceeds budget {inst.k}")

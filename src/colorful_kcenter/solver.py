@@ -237,8 +237,8 @@ def round_or_cut(inst: Instance, r, record, extra=None, relaxation=None):
     and counted there.  The extra row, then each cut, extends the last
     outcome's program, re-solved from that outcome (lp.solve); from an
     empty relaxation that pads its certificate, which counts as no
-    solve.  Each optimum is checked against its full program, and lp
-    verifies each certificate against it.
+    solve.  lp checks each optimum against its full program and verifies
+    each certificate against it.
     """
     r = Fraction(r)
     t = inst.num_colors + (extra is not None)
@@ -262,9 +262,7 @@ def round_or_cut(inst: Instance, r, record, extra=None, relaxation=None):
             return "infeasible", out.certificate
         if out.status != "optimal":
             raise InternalError("relaxation LP cannot be unbounded")
-        if lp.check_point(out.program, out.solution) is not None:
-            raise InternalError("LP returned a point outside its own polytope")
-        pt = FractionalPoint(out.solution[: inst.n], out.solution[inst.n :])
+        pt = FractionalPoint(out.point[: inst.n], out.point[inst.n :], out.den)
         part = good_partition(inst, r, pt)
         bad = verify_partition(inst, r, pt, part)
         if bad is not None:
@@ -385,7 +383,7 @@ def pseudo_approx_baseline(inst: Instance, r) -> CenterSet:
     out = lp.solve(program)
     if out.status != "optimal":
         raise ValueError(f"relaxation at radius {r} is {out.status}")
-    pt = FractionalPoint(out.solution[: inst.n], out.solution[inst.n :])
+    pt = FractionalPoint(out.point[: inst.n], out.point[inst.n :], out.den)
     part = good_partition(inst, r, pt)
     covering = build_cluster_system(inst, part)
     four_r = 4 * r
@@ -397,7 +395,7 @@ def pseudo_approx_baseline(inst: Instance, r) -> CenterSet:
     if cov.status != "optimal":
         raise InternalError("covering LP must be solvable from the embedded point")
     chosen = frozenset(
-        s for s, z in zip(part.centers, cov.solution) if z > 0
+        s for s, z in zip(part.centers, cov.point) if z > 0
     )
     limit = inst.k + inst.num_colors - 1
     if len(chosen) > limit:

@@ -143,9 +143,10 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     bad.write_text(json.dumps(good))
     assert main(["solve-fair", "--instance", str(bad)]) == 0
     capsys.readouterr()
-    assert main(["solve-fair", "--instance", str(bad), "--samples", "-3"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    for samples in ("-3", str(cli.MAX_SAMPLES + 1)):
+        assert main(["solve-fair", "--instance", str(bad), "--samples", samples]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
     for field, value in [
         ("n", "2"), ("n", True), ("k", "1"), ("k", True), ("k", 1.0),
         ("dist", 5), ("dist", [["0", "1"], 5]), ("dist", [["0", "1"], ["1"]]),
@@ -790,8 +791,20 @@ def generator_argv(draw):
     return argv
 
 
+@st.composite
+def gamma_over_limit_argv(draw):
+    """A gen random command valid but for --gamma, above the colors limit:
+    without that check it would build a small instance and exit 0."""
+    n = draw(st.integers(1, 8))
+    return [
+        "gen", "random", "--seed", str(draw(st.integers(0, 12))), "--n", str(n),
+        "--k", str(draw(st.integers(1, n))),
+        "--gamma", str(draw(st.integers(cli.MAX_POINTS + 1, 2 * cli.MAX_POINTS))),
+    ]
+
+
 @settings(max_examples=200, deadline=None)
-@given(generator_argv())
+@given(st.one_of(generator_argv(), generator_argv(), generator_argv(), gamma_over_limit_argv()))
 def test_generator_flags_never_raise(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -9,6 +9,7 @@ presolve) or as unknown (without), so feasibility is asked of it with a
 zero objective, where neither can happen, and the optimum separately.
 """
 
+import copy
 import dataclasses
 import math
 from fractions import Fraction
@@ -370,7 +371,7 @@ class _ReferenceSimplex:
         if dual_obj != value:
             raise lp.InternalError("strong duality failed, simplex bug")
         dual = lp.DualInfo(tuple(y), tuple(low), tuple(upp), dual_obj)
-        return lp.LpOutcome(status="optimal", solution=tuple(x), value=value, dual=dual)
+        return lp.LpOutcome(status="optimal", point=tuple(x), value=value, dual=dual)
 
     def _infeasible_outcome(self):
         y = self._row_duals()
@@ -479,6 +480,41 @@ def test_solve_equals_the_fraction_reference(program):
             assert lp.verify_certificate(program, bad) == reference_verify_certificate(
                 program, bad
             )
+
+
+# -- the optimum as ints -----------------------------------------------------
+#
+# An optimum hands over its point as ints over den, and solution is the
+# Fraction view of it; lp checks every optimum's point against its program.
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(programs(), mixed_programs()))
+def test_solution_is_the_point_over_den(program):
+    out = lp.solve(program)
+    if out.status == "optimal":
+        assert all(type(v) is int for v in out.point) and type(out.den) is int
+        assert out.den > 0
+        assert out.solution == tuple(Fraction(v, out.den) for v in out.point)
+    else:
+        assert out.point is None and out.solution is None
+
+
+def test_an_optimum_outside_its_program_is_refused():
+    """A zero-cost basic variable pushed past its upper bound keeps
+    strong duality, and the point check inside lp refuses it."""
+    program = lp.LinearProgram(
+        2, (1, 0), lp.MIN, (0, 0), (1, 1), [((-1, 1), lp.EQ, Fraction(1, 2))]
+    )
+    out = lp.solve(program)
+    assert out.solution == (0, Fraction(1, 2))
+    simplex = copy.deepcopy(out._simplex)
+    assert simplex._optimal_outcome() == out
+    i = simplex.basis.index(1)
+    assert simplex.phase_cost[1] == 0
+    simplex.B[i] = 2 * simplex.D * simplex.L  # x1 = 2, above its bound 1
+    with pytest.raises(lp.InternalError, match="outside its program"):
+        simplex._optimal_outcome()
 
 
 # -- one row-entry path -------------------------------------------------------

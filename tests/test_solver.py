@@ -412,22 +412,26 @@ def _fields(program):
 
 def test_extended_programs_equal_fresh_builds(monkeypatch):
     """On the golden fair-* and clumps-* cases, every program that
-    round_or_cut or solve_restricted re-solves warm or checks its
-    optimum against equals, row for row, what build_relaxation(inst, r,
-    cuts, extra_row) or fair._restricted_program(finst, r, columns)
-    builds from scratch.  The cut-free relaxation is built once per
-    probe that reaches an LP, and the column-free restricted dual once
-    per solve_fair."""
+    round_or_cut or solve_restricted re-solves warm, or whose optimum lp
+    checks, equals, row for row, what build_relaxation(inst, r, cuts,
+    extra_row) or fair._restricted_program(finst, r, columns) builds
+    from scratch; rounding's covering LPs and the distribution LPs are
+    not compared.  The cut-free relaxation is built once per probe that
+    reaches an LP, and the column-free restricted dual once per
+    solve_fair."""
     from test_golden_outputs import CASES
 
     build, restricted = solver.build_relaxation, fair._restricted_program
     round_or_cut, solve_restricted = solver.round_or_cut, fair.solve_restricted
-    solve, check_point = lp.solve, lp.check_point
+    solve, first_violation = lp.solve, lp._first_violation
+    distribution_over = fair._distribution_over
     seen = collections.Counter()
     context = []  # the call whose programs are checked, innermost last
 
     def compare(program):
         kind, *args = context[-1]
+        if kind == "distribution":
+            return
         want = build(*args) if kind == "relaxation" else restricted(*args)
         if program.num_vars == want.num_vars:  # not rounding's covering LP
             assert _fields(program) == _fields(want)
@@ -450,11 +454,28 @@ def test_extended_programs_equal_fresh_builds(monkeypatch):
     def spy_solve(program, start=None):
         if start is not None:
             compare(program)
+        elif context and context[-1][0] == "relaxation":
+            # a cold solve here is of the cut-free relaxation with no extra row
+            kind, inst, r, _, _ = context[-1]
+            context.append((kind, inst, r, (), None))
+            try:
+                return solve(program)
+            finally:
+                context.pop()
         return solve(program, start)
 
-    def spy_check_point(program, point):
-        compare(program)
-        return check_point(program, point)
+    def spy_distribution_over(finst, columns, radius):
+        context.append(("distribution",))
+        try:
+            return distribution_over(finst, columns, radius)
+        finally:
+            context.pop()
+
+    def spy_first_violation(program, point, den):
+        # where lp checks every optimum, and check_point the points it is given
+        if context:
+            compare(program)
+        return first_violation(program, point, den)
 
     def counted(name, f):
         def spy(*args, **kwargs):
@@ -466,7 +487,8 @@ def test_extended_programs_equal_fresh_builds(monkeypatch):
     monkeypatch.setattr(fair, "round_or_cut", spy_round_or_cut)
     monkeypatch.setattr(fair, "solve_restricted", spy_solve_restricted)
     monkeypatch.setattr(lp, "solve", spy_solve)
-    monkeypatch.setattr(lp, "check_point", spy_check_point)
+    monkeypatch.setattr(lp, "_first_violation", spy_first_violation)
+    monkeypatch.setattr(fair, "_distribution_over", spy_distribution_over)
     monkeypatch.setattr(solver, "build_relaxation", counted("builds", build))
     monkeypatch.setattr(fair, "_restricted_program", counted("restricted builds", restricted))
     for name, inst in sorted(CASES.items()):
