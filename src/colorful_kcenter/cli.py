@@ -32,6 +32,7 @@ from .model import (
     Instance,
     InstanceFormatError,
     InstanceSchemaError,
+    NumberTooLongError,
     _is_int,
     rational_from,
     rational_str,
@@ -536,9 +537,8 @@ def main(argv=None) -> int:
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.code
-    except (
-        InstanceSchemaError, OracleCapExceeded, OSError, UnicodeDecodeError
-    ) as exc:
+    except (InstanceSchemaError, NumberTooLongError, OracleCapExceeded, OSError,
+            UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE
     except InstanceFormatError as exc:

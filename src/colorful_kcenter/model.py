@@ -2,8 +2,10 @@
 balls, candidate radii, and coverage checks.
 
 Every distance, radius and probability is an exact rational, and files
-hold "p/q", integer or decimal strings (see rational_from).  An instance
-is its int rows: every distance times `scale`, the lcm of their
+hold "p/q", integer or decimal strings (see rational_from).  Numbers
+enter an instance only through its constructors, which parse each
+distinct entry once; instance_from_dict checks only JSON shapes.  An
+instance is its int rows: every distance times `scale`, the lcm of their
 denominators, so "dist[c][u] <= r" is an int comparison with
 floor(r * scale).  `dist` is a read-only view for I/O and the oracle:
 the rows themselves when scale is 1, `Fraction`s otherwise.  The balls
@@ -16,10 +18,12 @@ are identified by their 0-based index, in memory and in files.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,9 +66,7 @@ def rational_from(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool) or isinstance(value, float):
-        raise InstanceFormatError(f"not an exact rational: {value!r}")
-    if isinstance(value, int):
+    if _is_int(value):
         return Fraction(value)
     if isinstance(value, str):
         match = _RATIONAL.fullmatch(value)
@@ -81,9 +83,17 @@ def rational_from(value) -> Fraction:
     raise InstanceFormatError(f"not an exact rational: {value!r}")
 
 
+class NumberTooLongError(ValueError):
+    """A rational has more digits than Python writes out in decimal."""
+
+
 def rational_str(x: Fraction) -> str:
     """Canonical "numerator/denominator" form, e.g. 3/4, 5/1, -2/3."""
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:  # more digits than int -> str converts
+        limit = sys.get_int_max_str_digits()
+        raise NumberTooLongError(f"a number of over {limit} digits is too long to write") from exc
 
 
 @dataclass(frozen=True)
@@ -107,15 +117,30 @@ class MetricViolation:
 
 
 def _scaled_rows(dist):
-    """(scale, rows): the lcm of all denominators, and every entry
-    times it as an int, each row a tuple.  An all-int matrix is its own
-    rows; any other entry goes through rational_from."""
+    """(scale, rows): the lcm of all denominators, and every entry times
+    it as an int, each row a tuple.  An all-int matrix is its own rows;
+    otherwise each distinct entry is parsed and scaled once, and a bad
+    entry or an lcm over MAX_ROW_BITS raises InstanceSchemaError first."""
     rows = tuple(map(tuple, dist))
-    if all(type(v) is int for row in rows for v in row):
+    entries = itertools.chain.from_iterable
+    types = set(map(type, entries(rows)))
+    if types <= {int}:
         return 1, rows
-    rows = [list(map(rational_from, row)) for row in rows]
-    scale = math.lcm(*{v.denominator for row in rows for v in row})
-    return scale, tuple(tuple(v.numerator * scale // v.denominator for v in row) for row in rows)
+    try:
+        if not types <= {str, int, Fraction}:  # True == 1.0 == 1, and lists are unhashable
+            list(map(rational_from, entries(rows)))  # so name the first bad entry in order
+        values = {v: rational_from(v) for v in dict.fromkeys(entries(rows))}
+    except InstanceFormatError as exc:
+        raise InstanceSchemaError(f"each dist row: {exc}") from exc
+    scale = 1
+    for value in values.values():
+        scale = math.lcm(scale, value.denominator)
+        if len(rows) ** 2 * scale.bit_length() > MAX_ROW_BITS:
+            raise InstanceSchemaError(f"field dist: {len(rows)} x {len(rows)} distances over a "
+                                      f"common denominator of {scale.bit_length()}+ bits "
+                                      f"exceed the limit of {MAX_ROW_BITS} row bits")
+    scaled = {v: x.numerator * scale // x.denominator for v, x in values.items()}
+    return scale, tuple(tuple(map(scaled.__getitem__, row)) for row in rows)
 
 
 def validate_metric(dist):
@@ -152,19 +177,19 @@ def _metric_violation(rows):
                     return MetricViolation("negative", (i, j))
                 if rows[i][j] != rows[j][i]:
                     return MetricViolation("asymmetric", (i, j))
-    # d(i,l) <= d(i,j) + d(j,l) must hold for every triple, and pair
-    # (i, j) has a violating l iff max_l d(i,l) - d(j,l) exceeds d(i,j)
+    # d(i,l) <= d(i,j) + d(j,l) for every l iff max_l d(i,l) - d(j,l) is
+    # at most d(i,j), so pair (i, j) holds both ways iff max_l |.| is too;
+    # the first violation in (i, j, l) order has no point below this i
     for i in range(n):
         di = rows[i]
-        for j in range(n):
-            if j == i:
-                continue
-            dj = rows[j]
-            dij = di[j]
-            if max(map(operator.sub, di, dj)) > dij:
-                for l in range(n):
-                    if di[l] > dij + dj[l]:
-                        return MetricViolation("triangle", (i, j, l))
+        for j in range(i + 1, n):
+            if max(map(abs, map(operator.sub, di, rows[j]))) > di[j]:
+                return next(
+                    MetricViolation("triangle", (a, b, l))
+                    for a in range(i, n) for b in range(n)
+                    if max(map(operator.sub, rows[a], rows[b])) > rows[a][b]
+                    for l in range(n) if rows[a][l] > rows[a][b] + rows[b][l]
+                )
     return None
 
 
@@ -245,7 +270,10 @@ class FairInstance:
     p: tuple
 
     def __post_init__(self):
-        p = tuple(rational_from(v) for v in self.p)
+        try:
+            p = tuple(map(rational_from, self.p))
+        except InstanceFormatError as exc:
+            raise InstanceSchemaError(f"field p: {exc}") from exc
         object.__setattr__(self, "p", p)
         if len(p) != self.base.n:
             raise InstanceFormatError("probability vector length != n")
@@ -514,24 +542,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-class _Parsed(dict):
-    """Each distinct string of one document, parsed once: a distance
-    matrix repeats most of its entries."""
-
-    def __missing__(self, text):
-        value = self[text] = rational_from(text)
-        return value
-
-
-def _rationals(values, what: str, length: int, parsed: _Parsed) -> tuple:
-    if not isinstance(values, list) or len(values) != length:
-        raise InstanceSchemaError(f"{what} must be a list of {length} rationals")
-    try:
-        return tuple(parsed[v] if type(v) is str else rational_from(v) for v in values)
-    except InstanceFormatError as exc:
-        raise InstanceSchemaError(f"{what}: {exc}") from exc
-
-
 def instance_from_dict(d: dict):
     """Instance (or FairInstance when "p" is present) from a parsed
     document.  Wrong JSON types and shapes raise InstanceSchemaError;
@@ -547,34 +557,23 @@ def instance_from_dict(d: dict):
         raise InstanceSchemaError("n and k must be integers and colors a list")
     if not isinstance(d["dist"], list) or len(d["dist"]) != n:
         raise InstanceSchemaError("field dist must be a list of n rows")
-    parsed = _Parsed()
-    dist = tuple(_rationals(row, "each dist row", n, parsed) for row in d["dist"])
-    scale = 1  # the lcm of the denominators so far, to which every entry is scaled
-    for value in parsed.values():
-        scale = math.lcm(scale, value.denominator)
-        if n * n * scale.bit_length() > MAX_ROW_BITS:
-            raise InstanceSchemaError(f"field dist: {n} x {n} distances over a common "
-                                      f"denominator of {scale.bit_length()}+ bits exceed "
-                                      f"the limit of {MAX_ROW_BITS} row bits")
-    colors = []
+    for row in d["dist"]:
+        if not isinstance(row, list) or len(row) != n:
+            raise InstanceSchemaError(f"each dist row must be a list of {n} rationals")
     for c in d["colors"]:
-        if not (
-            isinstance(c, dict)
-            and isinstance(c.get("members"), list)
-            and all(map(_is_int, c["members"]))
-            and _is_int(c.get("demand"))
-        ):
-            raise InstanceSchemaError(
-                "color entries need a members list of point indices and an "
-                "integer demand"
-            )
-        colors.append((c["members"], c["demand"]))
-    inst = Instance(dist=dist, k=d["k"], colors=tuple(colors))
+        if not (isinstance(c, dict) and isinstance(c.get("members"), list)
+                and all(map(_is_int, c["members"])) and _is_int(c.get("demand"))):
+            raise InstanceSchemaError("color entries need a members list of point indices "
+                                      "and an integer demand")
+    colors = tuple((c["members"], c["demand"]) for c in d["colors"])
+    inst = Instance(dist=d["dist"], k=d["k"], colors=colors)
     bad = _metric_violation(inst.rows)
     if bad is not None:
         raise InstanceFormatError(f"distance matrix is not a metric: {bad}")
     if "p" in d:
-        return FairInstance(base=inst, p=_rationals(d["p"], "field p", n, parsed))
+        if not isinstance(d["p"], list) or len(d["p"]) != n:
+            raise InstanceSchemaError(f"field p must be a list of {n} rationals")
+        return FairInstance(base=inst, p=d["p"])
     return inst
 
 

@@ -3,7 +3,6 @@
 import contextlib
 import copy
 import io
-import itertools
 import json
 import os
 import re
@@ -13,13 +12,14 @@ import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from colorful_kcenter import cli, model
 from colorful_kcenter.cli import main
 from colorful_kcenter.generators import fixture_adversarial, gen_clumps, gen_from_vc3
 from colorful_kcenter.oracle import brute_force_colorful
 from colorful_kcenter.solver import InternalError
+from test_model import coprime_metric
 
 
 def write_instance(tmp_path, name, argv):
@@ -177,15 +177,7 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
     # of the 120 * 120 int row entries would take the lcm's ~10^5 bits, so
     # loading stops before any row is built
     n = 120
-    sieve = bytearray([1]) * 80_000
-    for i in range(2, 283):
-        sieve[i * i :: i] = bytes(len(sieve[i * i :: i]))
-    primes = iter(p for p in range(2, len(sieve)) if sieve[p])
-    coprime = [["0"] * n for _ in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        p = next(primes)
-        coprime[i][j] = coprime[j][i] = f"{p + 1}/{p}"
-    bad.write_text(json.dumps({**good, "n": n, "dist": coprime, "p": ["0"] * n}))
+    bad.write_text(json.dumps({**good, "n": n, "dist": coprime_metric(n), "p": ["0"] * n}))
     capsys.readouterr()
     for command in ("solve", "solve-fair"):
         assert main([command, "--instance", str(bad)]) == 2
@@ -284,6 +276,27 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
         (None, random_args + ["--p-density", "3"]),
         (None, random_args + ["--p-density", "-1"]),
         (None, ["fixture", "adversarial", "--m", "3"]),
+    ]
+    # numbers of more than 4,300 digits, which Python does not write out:
+    # 4 * r over 4,300-digit distances, generated distances, and the
+    # weights of a distribution whose targets have coprime denominators
+    long = LONG_NUMBERS[0]
+    three = tmp_path / "long.json"
+    three.write_text(json.dumps({
+        "n": 3, "k": 2, "dist": [[long if i != j else "0" for j in range(3)] for i in range(3)],
+        "colors": [{"members": [0, 1, 2], "demand": 3}],
+    }))
+    four = tmp_path / "long-fair.json"
+    four.write_text(json.dumps({
+        "n": 4, "k": 1, "dist": [[int(i != j) for j in range(4)] for i in range(4)],
+        "colors": [{"members": [0, 1, 2, 3], "demand": 0}],
+        "p": [f"1/{2**10000}", f"1/{3**6300}", f"1/{5**4300}", "0"],
+    }))
+    cases += [
+        (None, ["solve", "--instance", str(three)]),
+        (None, ["solve-fair", "--instance", str(four)]),
+        (None, ["gen", "clumps", "--k", "2", "--gamma", "2", "--spread", long]),
+        (None, ["fixture", "adversarial", "--m", long]),
     ]
     for text, argv in cases:
         if text is not None:
@@ -603,10 +616,13 @@ FUZZ_DISTRIBUTION = {
     ],
     "samples": [[0]],
 }
+# numbers of 4,300 digits, the most Python writes out in decimal: any
+# result they add to, like a sum of probabilities, is too long to write
+LONG_NUMBERS = ("9" * 4300, 10**4300 - 1)
 JUNK = st.sampled_from([
     None, True, False, 0, 1, 2, -1, 2**64, -(2**70), 0.5, 1.0,
     "", "x", "1/0", "nan", "inf", "-1/2", "2/1", " 3 ", "0x10", "[]", "1e999999999",
-    [], {}, [[0, 1]], [None], {"members": [0], "demand": 1},
+    [], {}, [[0, 1]], [None], {"members": [0], "demand": 1}, *LONG_NUMBERS,
 ])
 
 
@@ -658,6 +674,14 @@ def document_bytes(draw, doc):
         document_bytes(FUZZ_DISTRIBUTION if fair else FUZZ_SOLUTION),
     )),
 )
+# random draws reach a long number in a prob slot of a checked distribution
+# only rarely; its sum with the other probability is too long to write
+@example("verify", (json.dumps(FUZZ_FAIR).encode(), json.dumps({
+    **FUZZ_DISTRIBUTION,
+    "distribution": [
+        {**row, "prob": LONG_NUMBERS[0]} for row in FUZZ_DISTRIBUTION["distribution"]
+    ],
+}).encode()))
 def test_malformed_documents_never_raise(command, files):
     with tempfile.TemporaryDirectory() as tmp:
         inst, sol = os.path.join(tmp, "inst.json"), os.path.join(tmp, "sol.json")
@@ -767,14 +791,17 @@ FLAG_DENSITY = st.sampled_from(
 FLAG_COUNT = st.one_of(
     FLAG_INT, FLAG_INT, FLAG_INT, st.integers(cli.MAX_POINTS + 1, 10**12).map(str)
 )
+# lengths that scale every distance: small, or of 4,300 digits, so that
+# the distances are too long to write
+FLAG_LENGTH = st.one_of(FLAG_INT, FLAG_INT, st.just(LONG_NUMBERS[0]))
 GEN_FLAGS = {
     ("gen", "random"): {
         "--seed": FLAG_INT, "--n": FLAG_COUNT, "--k": FLAG_COUNT, "--gamma": FLAG_COUNT,
         "--metric": st.sampled_from(["line", "grid-l1", "grid", ""]),
         "--demand-density": FLAG_DENSITY, "--p-density": FLAG_DENSITY,
     },
-    ("gen", "clumps"): {"--k": FLAG_COUNT, "--gamma": FLAG_INT, "--spread": FLAG_INT},
-    ("fixture", "adversarial"): {"--m": FLAG_INT},
+    ("gen", "clumps"): {"--k": FLAG_COUNT, "--gamma": FLAG_INT, "--spread": FLAG_LENGTH},
+    ("fixture", "adversarial"): {"--m": FLAG_LENGTH},
 }
 
 

@@ -1,10 +1,12 @@
 """Core model: rationals, metrics, instances, balls, serialization."""
 
+import copy
 import itertools
 import json
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,8 +17,10 @@ from colorful_kcenter.model import (
     CenterSet,
     ColorClass,
     FairInstance,
+    MAX_ROW_BITS,
     Instance,
     InstanceFormatError,
+    InstanceSchemaError,
     MetricViolation,
     ball,
     ball_masks,
@@ -339,6 +343,90 @@ def test_validate_metric_names_the_first_triangle_in_scan_order():
             (d02, f(1, 3), f(0)),
         )
         assert validate_metric(dist) == want
+    # pair {0, 1} is the first to fail, but only as (1, 0, 2); the ordered
+    # scan meets (0, 3, 1) first
+    dist = ((0, 1, 1, 0), (1, 0, 3, 0), (1, 3, 0, 1), (0, 0, 1, 0))
+    assert validate_metric(dist) == MetricViolation("triangle", (0, 3, 1))
+    assert reference_validate_metric(dist) == validate_metric(dist)
+
+
+def coprime_metric(n):
+    """An n-point metric of "(p+1)/p" strings, a distinct prime p per
+    pair (n <= 120): the lcm of its denominators has about as many bits
+    as the matrix has digits."""
+    sieve = bytearray([1]) * 80_000
+    for i in range(2, 283):
+        sieve[i * i :: i] = bytes(len(sieve[i * i :: i]))
+    primes = iter(p for p in range(2, len(sieve)) if sieve[p])
+    dist = [["0"] * n for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        p = next(primes)
+        dist[i][j] = dist[j][i] = f"{p + 1}/{p}"
+    return dist
+
+
+def test_the_row_bits_limit_holds_before_any_row_is_built():
+    # each of the 120 * 120 int row entries would take the lcm's ~10^5
+    # bits, about 180 MB in all
+    n = 120
+    dist = coprime_metric(n)
+    for build in (
+        lambda: Instance(dist=dist, k=1, colors=((range(n), 1),)),
+        lambda: validate_metric(dist),
+        lambda: instance_from_dict(
+            {"n": n, "k": 1, "dist": dist, "colors": [{"members": [0], "demand": 1}]}
+        ),
+    ):
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(InstanceSchemaError, match=str(MAX_ROW_BITS)):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1
+        assert peak < 20 * 2**20, peak
+
+
+BAD_NUMBERS = st.sampled_from(
+    [True, False, 0.0, 1.0, 0.5, "x", "", "1e5", "1/0", "1_0", ".5", "\u0663"]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(perturbed_metrics().filter(lambda d: validate_metric(d) is None), BAD_NUMBERS, st.data())
+def test_bad_numbers_are_schema_errors_naming_their_field(dist, bad, data):
+    # valid entries as Fractions, ints where integral, or strings: True
+    # and 0.0 equal the ints and Fractions 1 and 0 beside them; documents
+    # hold the ints and strings, and the Fractions as strings
+    n = len(dist)
+    form = data.draw(st.sampled_from([Fraction, int, str]))
+    dist = [[
+        rational_str(v) if form is str else int(v) if form is int and v.denominator == 1 else v
+        for v in row
+    ] for row in dist]
+    p = [data.draw(st.sampled_from([0, 1, Fraction(1, 2), "1/3"])) for _ in range(n)]
+    inst = Instance(dist=dist, k=1, colors=((range(n), 0),))
+
+    def as_json(values):
+        return [v if type(v) in (int, str) else rational_str(v) for v in values]
+
+    doc = {"n": n, "k": 1, "dist": list(map(as_json, dist)),
+           "colors": [{"members": list(range(n)), "demand": 0}], "p": as_json(p)}
+    valid_rows = copy.deepcopy(doc["dist"])
+    i, j, u = (data.draw(st.integers(0, n - 1)) for _ in range(3))
+    dist[i][j] = doc["dist"][i][j] = bad
+    p[u] = doc["p"][u] = bad
+    with pytest.raises(InstanceSchemaError, match="^each dist row: "):
+        Instance(dist=dist, k=1, colors=((range(n), 0),))
+    with pytest.raises(InstanceSchemaError, match="^each dist row: "):
+        instance_from_dict(doc)
+    with pytest.raises(InstanceSchemaError, match="^field p: "):
+        FairInstance(base=inst, p=p)
+    doc["dist"] = valid_rows
+    with pytest.raises(InstanceSchemaError, match="^field p: "):
+        instance_from_dict(doc)
 
 
 @st.composite
