@@ -1,34 +1,37 @@
 """Exact rational linear programming.
 
-Bounded-variable primal simplex over exact rationals, two phases, Bland's
-pivoting rule.  Returns basic optimal solutions (vertices of the feasible
-region), a dual solution whose objective matches the primal exactly, and
-on infeasible programs a Farkas certificate: a signed combination of
-constraints and variable bounds that sums to "0 >= positive".
+A bounded-variable dual simplex (Lemke 1954) over exact rationals, under
+Bland's rule for the dual.  Returns basic optimal solutions (vertices of
+the feasible region), a dual solution whose objective matches the primal
+exactly, and on infeasible programs a Farkas certificate: a signed
+combination of constraints and variable bounds that sums to
+"0 >= positive".
 
 Inputs are ints or fractions.Fraction; ints stay ints.  Inside a solve
 everything is a Python int over a common denominator: the tableau is
 fraction-free (Edmonds 1967, Bareiss 1968) and updated by exact integer
-division, and the basic values, ratio-test steps, duals and every check
-share its denominator.  An optimum is handed over the same way, as the
-ints point over den, with the Fractions solution and dual built on
-first access; a certificate is Fractions.  Every optimum is checked on
-ints before it is returned: its point against every bound and row of
-its program, and its value against the dual's.  Every certificate is
-verified against its program.
+division, and the basic values, steps, duals and every check share its
+denominator.  An optimum is handed over the same way, as the ints point
+over den, with the Fractions solution and dual built on first access; a
+certificate is Fractions.  Every optimum is checked on ints before it
+is returned: its point against every bound and row of its program, and
+its value against the dual's.  Every certificate is verified against
+its program.
 
-Rows enter a tableau one way, each eliminated against the basis with
-its slack basic: a cold solve enters every row of its program into the
-structural columns alone, a warm re-solve its new rows into a copy of
-an optimal tableau.
+Every solve runs one pivot loop from a dual feasible basis.  A cold
+solve starts from the slack basis: each structural column at the bound
+its cost prefers, and every row entered with its slack basic.  When a
+cost points past an open side of its column, Fourer's boxed auxiliary
+problem looks for a dual feasible basis first; when there is none, the
+zero objective tells "infeasible" from "unbounded".
 
 solve(program, start) re-solves warm: start is an earlier optimal or
 infeasible outcome of a program that program extends by more rows
 (LinearProgram.extended builds it on the shorter one's rows).  From an
-optimum the new rows enter a copy of its tableau and a dual simplex
-re-solves from its basis; from "infeasible" the certificate gains zero
-multipliers on the new rows.  No solve changes its start, and warm
-outcomes keep every check of a cold one.
+optimum the new rows enter a copy of its tableau the same way, and the
+dual simplex re-solves from its basis; from "infeasible" the
+certificate gains zero multipliers on the new rows.  No solve changes
+its start, and warm outcomes keep every check of a cold one.
 """
 
 from __future__ import annotations
@@ -337,15 +340,26 @@ _BASIC = 3
 
 _ZERO = Fraction(0)
 _SLACK_BOUNDS = {LE: (0, None), GE: (None, 0), EQ: (0, 0)}
+# Fourer's box for each bound type, keyed by (has lower, has upper)
+_FOURER_BOX = {(0, 0): (-1, 1), (1, 0): (0, 1), (0, 1): (-1, 0), (1, 1): (0, 0)}
+
+
+def _placed(lo, up, d):
+    """The bound a nonbasic column with reduced cost d sits at: its
+    upper one when d < 0 or it has no lower one, else its lower one,
+    and free at zero with neither."""
+    if up is not None and (d < 0 or lo is None):
+        return _AT_UPPER
+    return _AT_FREE if lo is None else _AT_LOWER
 
 
 class _Simplex:
-    """State for one solve.
+    """State for one solve: a bounded-variable dual simplex.
 
-    Columns: structural variables, then one slack per row, then
-    artificials for rows whose slack start is infeasible.  Constraint
-    "a.x rel b" is held as "a.x + s = b" with the slack bounded by
-    [0, inf) for <=, (-inf, 0] for >=, and [0, 0] for ==.
+    Columns: structural variables, then one slack per row, so row i's
+    slack is column n + i.  Constraint "a.x rel b" is held as
+    "a.x + s = b" with the slack bounded by [0, inf) for <=, (-inf, 0]
+    for >=, and [0, 0] for ==.  A fixed column never enters the basis.
 
     The true tableau is T / D, T int rows and D > 0.  With A' the rows
     scaled by the lcm of their own denominators and B' its basis columns,
@@ -353,7 +367,7 @@ class _Simplex:
     pivot on p = T[r][e] is the Bareiss step
     T'[i][j] = (T[i][j]*p - T[i][e]*T[r][j]) // D, exact since T' is
     again integral, with D' = |p| and all rows negated when p < 0.
-    Reduced costs d are ints over lc*D (lc: lcm of the phase's cost
+    Reduced costs d are ints over lc*D (lc: lcm of the solve's cost
     denominators) moved by the same step.
 
     Bounds, rhs and bound values are ints times L, the lcm of the rhs
@@ -363,18 +377,14 @@ class _Simplex:
     step, and every division is checked exact.
 
     T / D carries the identity on the current basis, so the slack
-    columns hold the basis inverse; in particular the row duals are the
-    negated reduced costs of the slack columns, a fact used for both
-    the dual solution and the Farkas certificate.
+    columns hold the basis inverse: the basic values are
+    T_slack . rhs - T_N . x_N over D * L (_rebase), and the row duals
+    are the negated reduced costs of the slack columns.
 
-    Rows enter one way, through _append: eliminated against the basis,
-    each with its slack basic.  A cold solve appends every row to the
-    structural columns alone (D = 1, L over the bounds), then swaps each
-    slack outside its bounds for an artificial (_start_basis).  An
-    optimal solve is kept by its outcome, and a re-solve appends a
-    longer program's new rows to a copy of it (resolved).  Artificial
-    columns are deleted after phase 1, so row i's slack is always
-    column n + i.
+    Rows enter one way, through _append, each with its slack basic: a
+    cold solve appends every row to the structural columns alone (D = 1,
+    L over the bounds), a re-solve a longer program's new rows to a copy
+    of an optimal simplex (resolved).  Both then run _loop.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -387,48 +397,34 @@ class _Simplex:
         self.L = math.lcm(*(v.denominator for v in bounds if v is not None))
         self.lo = [_scaled(v, self.L) for v in lp.lower]
         self.up = [_scaled(v, self.L) for v in lp.upper]
-        # never entering: fixed variables, == slacks among them
-        self.frozen = {
-            j
-            for j, (lo, up) in enumerate(zip(self.lo, self.up))
-            if lo is not None and lo == up
-        }
-        self.state = [
-            _AT_LOWER if lo is not None else _AT_UPPER if up is not None else _AT_FREE
-            for lo, up in zip(self.lo, self.up)
-        ]
+        # the slack basis's reduced costs are the costs themselves
+        self.state = [_placed(lo, up, c) for lo, up, c in zip(self.lo, self.up, self.cost)]
         self.D = 1
-        self.T, self.B, self.basis, self.rhs, self.artificial = [], [], [], [], []
-        self.d = [0] * self.n  # set afresh at each phase start
+        self.T, self.B, self.basis, self.rhs = [], [], [], []
+        self.d = [0] * self.n  # set by _reduced_costs
         self._append(lp.constraints)
 
     def bound_value(self, j):
         """The value of nonbasic column j, times L."""
         st = self.state[j]
-        if st == _AT_LOWER:
-            return self.lo[j]
-        if st == _AT_UPPER:
-            return self.up[j]
-        return 0
+        return self.lo[j] if st == _AT_LOWER else self.up[j] if st == _AT_UPPER else 0
 
     def solve(self) -> LpOutcome:
-        if self._start_basis():
-            if self._iterate() != "optimal":
-                raise InternalError("phase 1 is bounded below by zero")
-            # artificials stay >= 0, so any positive one means infeasible
-            if any(self.basis[i] >= self.ncols and self.B[i] for i in range(self.m)):
-                return self._infeasible_outcome(self.d, 1, self.lc * self.D)
-            self._drive_out_artificials()
-            # nonbasic at zero and never entering again: delete them
-            for row in self.T:
-                del row[self.ncols :]
-            for v in (self.lo, self.up, self.state):
-                del v[self.ncols :]
-            self.artificial = []
-        self._reduced_costs(self.cost + [0] * (self.ncols - self.n))
-        if self._iterate() == "unbounded":
-            return LpOutcome(status="unbounded", program=self.lp)
-        return self._optimal_outcome()
+        """Solve cold from the slack basis.
+
+        That basis is dual feasible unless some cost points past an open
+        side; then _phase_one looks for one that is.  When none exists,
+        the program has a ray of negative cost, so it is infeasible or
+        unbounded.  Its zero objective, dual feasible at any basis, tells
+        which: a verified certificate, or a point that _optimal_outcome
+        checks against the program, and then "unbounded".
+        """
+        self._reduced_costs(self.cost + [0] * self.m)
+        if self._dual_feasible() or self._phase_one():
+            return self._run()
+        self._reduced_costs([0] * self.ncols)
+        out = self._run()
+        return out if out.status == "infeasible" else LpOutcome("unbounded", program=self.lp)
 
     def _append(self, constraints):
         """Enter constraints as rows of the tableau, each with its slack
@@ -490,47 +486,132 @@ class _Simplex:
             lo, up = _SLACK_BOUNDS[con.rel]
             self.lo.append(lo)
             self.up.append(up)
-            if lo == up:
-                self.frozen.add(col)
         self.state += [_BASIC] * k
         self.basis += range(first, first + k)
         self.d += zeros
         self.ncols += k
         self.m += k
 
-    # -- warm re-solves ---------------------------------------------------
-
     def resolved(self, lp: LinearProgram) -> LpOutcome:
         """Re-solve a copy of this optimal simplex for lp, its program
         with rows appended (solve checks that); self is left as it was.
 
         The further rows enter the copy through _append, which keeps the
-        basis dual feasible.  The dual simplex then restores primal
-        feasibility (Lemke 1954) under Bland's rule for the dual: the
-        leaving row is the one whose basic variable has the lowest index
-        among those outside their bounds, and the entering column has the
-        least ratio |d_j| / |T[r][j]|, ties to the lowest index.
-        "infeasible" carries the certificate read off the blocking row,
-        verified against lp.
+        basis dual feasible, and the dual simplex restores primal
+        feasibility from there.
         """
         warm = object.__new__(_Simplex)
         warm.__dict__.update(self.__dict__)
         warm.T = [row[:] for row in self.T]
         for name in ("B", "d", "lo", "up", "state", "basis", "rhs"):
             setattr(warm, name, getattr(self, name)[:])
-        warm.frozen = set(self.frozen)
         warm.lp = lp
         warm._append(lp.constraints[warm.m :])
+        return warm._run()
+
+    # -- the start ----------------------------------------------------------
+
+    def _reduced_costs(self, cost):
+        """d = c - c_B . T/D as the ints lc*D*d; the solve's costs are
+        kept as the ints lc*c."""
+        cost, self.lc = _over_lcm(cost)
+        d = [c * self.D for c in cost]
+        for i in range(self.m):
+            cb = cost[self.basis[i]]
+            if cb:
+                for j, v in enumerate(self.T[i]):
+                    if v:
+                        d[j] -= cb * v
+        self.d = d
+        self.phase_cost = cost
+
+    def _dual_feasible(self):
+        """Whether every nonbasic column that can enter sits at the
+        bound the sign of its reduced cost asks for: lower for d > 0,
+        upper for d < 0, and either or none for d = 0."""
+        d, lo, up = self.d, self.lo, self.up  # d is zero on basic columns
+        return all(
+            st == (_AT_LOWER if d[j] > 0 else _AT_UPPER)
+            for j, st in enumerate(self.state)
+            if d[j] and (lo[j] is None or lo[j] != up[j])
+        )
+
+    def _phase_one(self):
+        """Look for a dual feasible basis by Fourer's boxed auxiliary
+        problem ("Notes on the dual simplex method", 1994).
+
+        It has the same rows and costs, rhs 0, and each column boxed by
+        its bound type (_FOURER_BOX).  Every basis of it is dual feasible
+        once its nonbasics sit where their reduced costs ask, and 0 is
+        feasible, so the dual simplex ends at an optimum.  Its value, the
+        sum of d_j * x_j over the nonbasics, is 0 exactly when each term
+        is, that is when the basis is dual feasible for the program.  The
+        real bounds and rhs are then put back, and that is returned.
+        """
+        real = self.lo, self.up, self.rhs
+        boxes = [_FOURER_BOX[lo is not None, up is not None] for lo, up in zip(*real[:2])]
+        self.lo = [lo * self.L for lo, _ in boxes]
+        self.up = [up * self.L for _, up in boxes]
+        self.rhs = [0] * self.m
+        self._rebase()
+        if self._loop() is not None:
+            raise InternalError("the auxiliary problem is infeasible, but 0 meets it")
+        self.lo, self.up, self.rhs = real
+        self._rebase()
+        return self._dual_feasible()
+
+    def _rebase(self):
+        """Place each nonbasic column at the bound its reduced cost asks
+        for, and compute the basic values T_slack . rhs - T_N . x_N, all
+        over D * L."""
+        n, state = self.n, self.state
+        x = [0] * self.ncols
+        for j, st in enumerate(state):
+            if st != _BASIC:
+                state[j] = _placed(self.lo[j], self.up[j], self.d[j])
+                x[j] = -self.bound_value(j)
+        for i, b in enumerate(self.rhs):
+            x[n + i] += b
+        nz = [(j, v) for j, v in enumerate(x) if v]
+        self.B = [sum(row[j] * v for j, v in nz) for row in self.T]
+
+    # -- the dual simplex -----------------------------------------------------
+
+    def _run(self) -> LpOutcome:
+        """The outcome the dual simplex reaches: "optimal", or
+        "infeasible" with the certificate read off the blocking row,
+        verified against the program."""
+        blocked = self._loop()
+        if blocked is None:
+            return self._optimal_outcome()
+        r, sigma = blocked
+        y, low, upp, gap = self._multipliers(self.T[r], sigma)
+        D = self.D
+        return _certified(self.lp, FarkasCertificate(
+            _fractions(y, D), _fractions(low, D), _fractions(upp, D),
+            Fraction(gap, D * self.L),
+        ))
+
+    def _loop(self):
+        """Run the dual simplex (Lemke 1954) from a dual feasible basis
+        to a primal feasible one, which is then optimal, and return None;
+        or return (row, sigma) for the row whose basic variable no column
+        can move back inside its bounds (see _multipliers).
+
+        Bland's rule for the dual: the leaving row is the one whose basic
+        variable has the lowest index among those outside their bounds,
+        and the entering column has the least ratio |d_j| / |T[r][j]|,
+        ties to the lowest index.
+        """
         while True:
-            r, leave_state, bound = warm._pick_leaving()
+            r, leave_state, bound = self._pick_leaving()
             if r is None:
-                return warm._optimal_outcome()
-            enter, direction = warm._pick_entering_dual(r, leave_state)
+                return None
+            sigma = 1 if leave_state == _AT_LOWER else -1
+            enter, direction = self._pick_entering_dual(r, leave_state)
             if enter is None:
-                sigma = 1 if leave_state == _AT_LOWER else -1
-                return warm._infeasible_outcome(warm.T[r], sigma, warm.D)
-            num = abs(warm.B[r] - warm.D * bound)
-            warm._apply(enter, direction, num, r, leave_state)
+                return r, sigma
+            self._apply(enter, direction, abs(self.B[r] - self.D * bound), r, leave_state)
 
     def _pick_leaving(self):
         """(row, state it leaves to, that bound) for the basic variable
@@ -556,170 +637,28 @@ class _Simplex:
         when sigma * T[r][j] < 0 and j can increase, or > 0 and j can
         decrease; its ratio |d_j| / |T[r][j]| bounds the dual step.
         """
-        row, d, state, frozen = self.T[r], self.d, self.state, self.frozen
+        row, d, state, lo, up = self.T[r], self.d, self.state, self.lo, self.up
         rising = leave_state == _AT_LOWER
-        best = None
-        best_num, best_den = 0, 1
-        direction = 0
+        best, best_num, best_den, direction = None, 0, 1, 0
         for j, a in enumerate(row):
-            if not a or state[j] == _BASIC or j in frozen:
+            # fixed columns (== slacks among them) never enter
+            if not a or state[j] == _BASIC or lo[j] is not None and lo[j] == up[j]:
                 continue
-            if (a < 0) == rising:
-                if state[j] == _AT_UPPER:
-                    continue
-                move = 1
-            else:
-                if state[j] == _AT_LOWER:
-                    continue
-                move = -1
+            move = 1 if (a < 0) == rising else -1
+            if state[j] == (_AT_UPPER if move > 0 else _AT_LOWER):
+                continue
             num = d[j] if d[j] > 0 else -d[j]
             den = a if a > 0 else -a
             if best is None or num * best_den < best_num * den:
                 best, best_num, best_den, direction = j, num, den, move
         return best, direction
 
-    # -- setup ------------------------------------------------------------
-
-    def _start_basis(self) -> bool:
-        """Swap each basic slack outside its bounds for an artificial,
-        basic at the slack's distance from them.  Returns True if a
-        feasibility phase is needed.
-        """
-        D = self.D
-        for i, s in enumerate(self.basis):
-            rho, lo, up = self.B[i], self.lo[s], self.up[s]
-            if (lo is None or rho >= lo * D) and (up is None or rho <= up * D):
-                continue
-            if rho < 0:
-                # flip the row so the artificial starts basic at +|rho|
-                self.T[i] = [-v for v in self.T[i]]
-                rho = -rho
-            col = len(self.state)
-            for r, row in enumerate(self.T):
-                row.append(D if r == i else 0)
-            self.lo.append(0)
-            self.up.append(None)
-            self.state[s] = _AT_LOWER if lo is not None else _AT_UPPER
-            self.state.append(_BASIC)
-            self.basis[i] = col
-            self.B[i] = rho
-            self.artificial.append(col)
-        if not self.artificial:
-            return False
-        self._reduced_costs([0] * self.ncols + [1] * len(self.artificial))
-        return True
-
-    def _reduced_costs(self, cost):
-        """d = c - c_B . T/D as the ints lc*D*d, fresh at each phase start;
-        the phase's costs are kept as the ints lc*c."""
-        cost, self.lc = _over_lcm(cost)
-        d = [c * self.D for c in cost]
-        for i in range(self.m):
-            cb = cost[self.basis[i]]
-            if cb:
-                for j, v in enumerate(self.T[i]):
-                    if v:
-                        d[j] -= cb * v
-        self.d = d
-        self.phase_cost = cost
-
-    # -- core loop --------------------------------------------------------
-
-    def _iterate(self):
-        while True:
-            enter, direction = self._pick_entering()
-            if enter is None:
-                return "optimal"
-            num, leave_row, leave_state = self._ratio_test(enter, direction)
-            if num is None:
-                return "unbounded"
-            self._apply(enter, direction, num, leave_row, leave_state)
-
-    def _pick_entering(self):
-        """Bland: lowest-index nonbasic column whose reduced cost can
-        improve the objective in its feasible move direction.
-        """
-        d = self.d
-        state = self.state
-        for j in range(len(d)):
-            st = state[j]
-            if st == _BASIC or j in self.frozen:
-                continue
-            if d[j] < 0 and st != _AT_UPPER:
-                return j, 1
-            if d[j] > 0 and st != _AT_LOWER:
-                return j, -1
-        return None, 0
-
-    def _ratio_test(self, enter, direction):
-        """Largest step t >= 0 when column `enter` moves by direction*t.
-
-        Candidates: each basic variable hitting one of its bounds, and
-        the entering variable hitting its own opposite bound.  Ties are
-        broken on the smallest variable index (Bland), the entering
-        variable counting with its own index.
-
-        Each candidate is t * L = num / den with ints num >= 0 and
-        den > 0, compared by cross-multiplying.  den is |T[i][e]| for
-        row i, and 1 for the entering variable's own bound, which needs
-        no pivot.  Returns (num, leaving row or -1, leaving state), or
-        Nones when no candidate exists.
-        """
-        best_num = best_var = best_state = None
-        best_den = 1
-        best_row = -1
-        lo_e, up_e = self.lo[enter], self.up[enter]
-        if lo_e is not None and up_e is not None:
-            best_num = up_e - lo_e
-            best_var = enter
-            best_state = _AT_UPPER if direction > 0 else _AT_LOWER
-        D = self.D
-        for i, row in enumerate(self.T):
-            coef = row[enter]
-            if not coef:
-                continue
-            b = self.basis[i]
-            # the true column entry is coef / D: t = |beta - bound| * D / |coef|
-            if (coef > 0) == (direction > 0):
-                bound = self.lo[b]
-                if bound is None:
-                    continue
-                num = self.B[i] - D * bound
-                new_state = _AT_LOWER
-            else:
-                bound = self.up[b]
-                if bound is None:
-                    continue
-                num = D * bound - self.B[i]
-                new_state = _AT_UPPER
-            den = coef if coef > 0 else -coef
-            if best_num is not None:
-                lhs, rhs = num * best_den, best_num * den
-                if lhs > rhs or (lhs == rhs and b > best_var):
-                    continue
-            best_num, best_den = num, den
-            best_var = b
-            best_row = i
-            best_state = new_state
-        return best_num, best_row, best_state
-
     def _apply(self, enter, direction, num, leave_row, leave_state):
-        """Move column `enter` by the step num / den / L of the ratio
-        test (den = 1 on a bound flip, |p| on a pivot), then pivot."""
-        T = self.T
-        D = self.D
-        B = self.B
+        """Pivot column `enter` into row leave_row, moving it by
+        direction * num / |p| / L, which takes the leaving variable to
+        its bound leave_state."""
+        T, D, B = self.T, self.D, self.B
         move = num if direction > 0 else -num
-        if leave_row < 0:
-            # entering variable hit its own far bound: flip, no pivot;
-            # B[i] -= t * L * D * T[i][e] / D with t * L = num
-            if move:
-                for i, ti in enumerate(T):
-                    coef = ti[enter]
-                    if coef:
-                        B[i] -= move * coef
-            self.state[enter] = leave_state
-            return
         leaving = self.basis[leave_row]
         row = T[leave_row]
         p = row[enter]
@@ -768,24 +707,6 @@ class _Simplex:
         self.state[enter] = _BASIC
         self.state[leaving] = leave_state
 
-    def _drive_out_artificials(self):
-        """After a feasible phase 1, pivot basic artificials (all at
-        value 0) onto a nonbasic real column.  One always exists: row i
-        of the invertible slack block is nonzero somewhere, and never at
-        another basic column, so a redundant row keeps a fixed slack.
-        """
-        for i in range(self.m):
-            if self.basis[i] < self.ncols:
-                continue
-            row = self.T[i]
-            target = next(
-                (j for j in range(self.ncols) if self.state[j] != _BASIC and row[j]),
-                None,
-            )
-            if target is None:
-                raise InternalError(f"row {i} has no column to replace its artificial")
-            self._apply(target, 1, 0, i, _AT_LOWER)
-
     # -- outcomes ---------------------------------------------------------
 
     def _multipliers(self, vec, sigma):
@@ -796,11 +717,11 @@ class _Simplex:
         Row i gets -sigma * vec[n+i]; column j puts sigma * vec[j] on its
         lower bound where positive, its upper one where negative.  The
         reduced costs with sigma = 1, zero on basic columns, give the
-        duals (min convention) or the phase-1 certificate.  The row
-        blocking the dual simplex, sigma = 1 when its basic variable lies
-        below its lower bound and -1 above its upper one, gives a
-        certificate: every entry sits where its column cannot move that
-        variable back, so the rhs is how far it lies outside its bound.
+        duals (min convention).  The row blocking the dual simplex,
+        sigma = 1 when its basic variable lies below its lower bound and
+        -1 above its upper one, gives a certificate: every entry sits
+        where its column cannot move that variable back, so the rhs is
+        how far it lies outside its bound.
         """
         n = self.n
         y = [-sigma * vec[n + i] for i in range(self.m)]
@@ -850,15 +771,6 @@ class _Simplex:
             "optimal", tuple(x), dl, value, dual=dual_info, program=self.lp, simplex=self
         )
 
-    def _infeasible_outcome(self, vec, sigma, den):
-        """The certificate read off vec with sign sigma (see
-        _multipliers), vec's entries over den."""
-        y, low, upp, gap = self._multipliers(vec, sigma)
-        return _certified(self.lp, FarkasCertificate(
-            _fractions(y, den), _fractions(low, den), _fractions(upp, den),
-            Fraction(gap, den * self.L),
-        ))
-
 
 def _certified(lp: LinearProgram, cert: FarkasCertificate) -> LpOutcome:
     if not verify_certificate(lp, cert):
@@ -876,13 +788,14 @@ def solve(lp: LinearProgram, start: LpOutcome = None) -> LpOutcome:
     "optimal" comes with a basic solution (a vertex whenever the
     feasible region is pointed) checked against lp, its value, and a
     dual of equal value; "infeasible" with a verified Farkas certificate.
+    Cold, the dual simplex starts from the slack basis (_Simplex.solve).
 
     start, when given, is an optimal or infeasible outcome of a program
     that lp extends: lp has its variables, bounds, objective and sense,
     and lp's rows begin with its rows, in order (shared, as
     LinearProgram.extended does, or equal); otherwise ValueError.  From
-    an optimum, the new rows enter a copy of its tableau and a dual
-    simplex re-solves from its basis (_Simplex.resolved).  From
+    an optimum, the new rows enter a copy of its tableau and the same
+    dual simplex re-solves from its basis (_Simplex.resolved).  From
     "infeasible", start's certificate with zero multipliers on the new
     rows is verified against lp and returned, with no simplex run.
     start is never changed.  Identical input and identical starts always

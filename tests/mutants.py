@@ -1,0 +1,182 @@
+"""Mutants of src/ that the test suite must kill, for tests/run_mutants.py.
+
+Each row names a file under src/colorful_kcenter, a snippet that must
+occur in it exactly once, the snippet's replacement, and the one test
+node that must fail against the mutated copy.  A row whose snippet no
+longer matches fails the run too: update the row with the code.
+"""
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    snippet: str
+    replacement: str
+    node: str
+
+
+MUTANTS = [
+    # a dual infeasible start goes straight into the dual simplex
+    Mutant(
+        "phase 1 skipped",
+        "lp.py",
+        "if self._dual_feasible() or self._phase_one():",
+        "if True:",
+        "tests/test_lp.py::test_golden_outcomes[unbounded]",
+    ),
+    # "no dual feasible basis" is only half of "unbounded": the zero-cost
+    # solve must also find a point
+    Mutant(
+        "zero-cost fallback answers unbounded without solving",
+        "lp.py",
+        "        self._reduced_costs([0] * self.ncols)\n"
+        "        out = self._run()\n"
+        '        return out if out.status == "infeasible" else LpOutcome("unbounded", program=self.lp)\n',
+        '        return LpOutcome("unbounded", program=self.lp)\n',
+        "tests/test_lp.py::test_golden_outcomes[primal_and_dual_infeasible]",
+    ),
+    Mutant(
+        "Fourer's box for a free column is [0, 1]",
+        "lp.py",
+        "_FOURER_BOX = {(0, 0): (-1, 1),",
+        "_FOURER_BOX = {(0, 0): (0, 1),",
+        "tests/test_lp.py::test_golden_outcomes[restricted_optimal]",
+    ),
+    # a boxed column with a negative cost or reduced cost stays at its
+    # lower bound, the start and phase 1 both count it dual infeasible,
+    # and the zero-cost solve calls a bounded program "unbounded"
+    Mutant(
+        "nonbasic placement ignores the sign of the reduced cost",
+        "lp.py",
+        "if up is not None and (d < 0 or lo is None):",
+        "if up is not None and lo is None:",
+        "tests/test_lp.py::test_golden_outcomes[bound_flips]",
+    ),
+    Mutant(
+        "dual ratio ties broken to the highest index",
+        "lp.py",
+        "if best is None or num * best_den < best_num * den:",
+        "if best is None or num * best_den <= best_num * den:",
+        "tests/test_lp.py::test_golden_outcomes[infeasible_rational_rows]",
+    ),
+    Mutant(
+        "leaving row of the highest basic index",
+        "lp.py",
+        "if best_b is not None and b > best_b:",
+        "if best_b is not None and b < best_b:",
+        "tests/test_lp.py::test_golden_outcomes[infeasible_equalities]",
+    ),
+    Mutant(
+        "optimum check deleted",
+        "lp.py",
+        "if _first_violation(self.lp, x, dl) is not None:",
+        "if False:",
+        "tests/test_lp_properties.py::test_an_optimum_outside_its_program_is_refused",
+    ),
+    Mutant(
+        "a warm re-solve drops its first new row",
+        "lp.py",
+        "warm._append(lp.constraints[warm.m :])",
+        "warm._append(lp.constraints[warm.m + 1 :])",
+        "tests/test_lp.py::test_solve_refuses_a_start_whose_program_it_does_not_extend",
+    ),
+    # the lcm is checked only once every row is built at it
+    Mutant(
+        "row-bits check after the rows are built",
+        "model.py",
+        "    scale = 1\n"
+        "    for value in values.values():\n"
+        "        scale = math.lcm(scale, value.denominator)\n",
+        "    scale = math.lcm(*(value.denominator for value in values.values()))\n"
+        "    built = [[values[v].numerator * scale // values[v].denominator for v in row]\n"
+        "             for row in rows]\n"
+        "    for value in values.values():\n",
+        "tests/test_model.py::test_the_row_bits_limit_holds_before_any_row_is_built",
+    ),
+    Mutant(
+        "--gamma limit removed",
+        "cli.py",
+        '            _check_points(args.gamma, "gen random --gamma", "colors")\n',
+        "",
+        "tests/test_cli.py::test_exit_codes_for_bad_inputs",
+    ),
+    Mutant(
+        "--samples limit removed",
+        "cli.py",
+        "if not 0 <= args.samples <= MAX_SAMPLES:",
+        "if not 0 <= args.samples:",
+        "tests/test_cli.py::test_exit_codes_for_bad_inputs",
+    ),
+    # the rows entered before this one are over the grown D, this one not
+    Mutant(
+        "a new row is not brought over the grown denominator",
+        "lp.py",
+        "            if f != 1:\n"
+        "                row = [v * f for v in row]\n"
+        "                value *= f\n",
+        "            if f != 1:\n"
+        "                value *= f\n",
+        "tests/test_lp.py::test_golden_outcomes[mixed_denominators]",
+    ),
+    # exact rationals: an optimum's value as a float
+    Mutant(
+        "the optimal value is a float",
+        "lp.py",
+        "value = Fraction(sign * primal, self.lc * dl)",
+        "value = sign * primal / (self.lc * dl)",
+        "tests/test_lp.py::test_int_programs_give_fraction_outcomes",
+    ),
+    # a certificate that does not sum to the zero vector passes
+    Mutant(
+        "Farkas combination not checked",
+        "lp.py",
+        "    if any(combo):\n        return False\n",
+        "",
+        "tests/test_lp_properties.py::test_solve_equals_the_fraction_reference",
+    ),
+    Mutant(
+        "open balls",
+        "model.py",
+        "sum(1 << u for u, d in enumerate(row) if d <= level)",
+        "sum(1 << u for u, d in enumerate(row) if d < level)",
+        "tests/test_model.py::test_balls_and_candidate_radii",
+    ),
+    Mutant(
+        "counting certificate with A one above the k-th largest count",
+        "model.py",
+        "CountingBound(color, kept_mask, tuple(counts), counts[top[-1]], bound)",
+        "CountingBound(color, kept_mask, tuple(counts), counts[top[-1]] + 1, bound)",
+        "tests/test_solver.py::test_counting_certificates_verify",
+    ),
+    Mutant(
+        "verify_partition skips the radius check",
+        "partition.py",
+        "        if outside:\n",
+        "        if False:\n",
+        "tests/test_partition.py::test_verify_partition_flags_bad_radius",
+    ),
+    Mutant(
+        "points limit off by one",
+        "cli.py",
+        "if count > MAX_POINTS:",
+        "if count > MAX_POINTS + 1:",
+        "tests/test_cli.py::test_exit_codes_for_bad_inputs",
+    ),
+    # byte-identical reruns: the output carries a per-run value
+    Mutant(
+        "solution file differs from run to run",
+        "cli.py",
+        "return json.dumps(payload, indent=2)",
+        'return json.dumps({**payload, "run": id(payload)}, indent=2)',
+        "tests/test_golden_outputs.py::test_output_bytes_unchanged[random-1]",
+    ),
+    Mutant(
+        "round_or_cut reports 5r for a rounded solution",
+        "solver.py",
+        'tag, found = "4r", CenterSet(frozenset(chosen), 4 * r)',
+        'tag, found = "4r", CenterSet(frozenset(chosen), 5 * r)',
+        "tests/test_acceptance.py::test_colorful_radius_within_four_times_optimum",
+    ),
+]

@@ -342,10 +342,14 @@ def test_scipy_cross_check():
 
 # -- golden outcomes ---------------------------------------------------------
 #
-# Exact outcomes of small programs, recorded from a simplex that held its
-# tableau as Fractions.  Bland's rule reads only signs and exact ratios, so
-# any exact tableau must take the same pivot path and reproduce every
-# vertex, dual and certificate here byte for byte.
+# Exact outcomes of small programs, equal to those of the Fraction dual
+# simplex in test_lp_properties.py.  Bland's rule reads only signs and exact
+# ratios, so any exact tableau must take the same pivot path and reproduce
+# every vertex, dual and certificate here byte for byte.  Between them the
+# programs take every branch of a cold solve: a dual feasible slack basis,
+# Fourer's phase 1 (a free column with a cost, or a cost pointing past an
+# open side) ending dual feasible or not, and the zero-cost solve that then
+# ends infeasible or feasible ("unbounded").
 
 
 def golden_program(n, objective, sense, lower, upper, rows):
@@ -365,7 +369,8 @@ def golden_program(n, objective, sense, lower, upper, rows):
 
 
 GOLDEN_PROGRAMS = {
-    # rows with denominators 6 and 5: the integer tableau starts at D = 30
+    # rows with denominators 6 and 5: the integer tableau starts at D = 30;
+    # free columns with costs take phase 1
     "mixed_denominators": golden_program(
         2, ("1", "1"), lp.MAX, None, None,
         [(("1/2", "1/3"), lp.LE, "1"), (("2/5", "1"), lp.LE, "3/2")],
@@ -376,22 +381,24 @@ GOLDEN_PROGRAMS = {
         [(("-1", "-3", "2"), lp.GE, "1"), (("1", "0", "-1"), lp.EQ, "1"),
          (("2", "2", "2"), lp.LE, "0")],
     ),
-    # equality rows the slack start cannot meet: phase 1 with artificials
+    # equality rows the slack start does not meet: both fixed slacks leave
     "equality_artificials": golden_program(
         3, ("1", "2", "3"), lp.MIN, None, None,
         [(("1", "1", "1"), lp.EQ, "4"), (("1", "-1", "0"), lp.EQ, "1")],
     ),
-    # the second row is twice the first: phase 1 drives its artificial out
-    # onto a fixed slack, which stays basic at 0
+    # the second row is twice the first: its fixed slack stays basic at 0
     "redundant_equality": golden_program(
         2, ("1", "-1"), lp.MIN, None, None,
         [(("1", "1"), lp.EQ, "2"), (("2", "2"), lp.EQ, "4")],
     ),
-    # boxed variables reach their own far bound first: flips, no pivot
+    # boxed variables start at the bound their cost prefers: optimal with
+    # no pivot
     "bound_flips": golden_program(
         2, ("2", "1"), lp.MAX, ("0", "0"), ("1", "3"),
         [(("1", "1"), lp.LE, "10")],
     ),
+    # a ray of negative cost: phase 1 ends dual infeasible, and the
+    # zero-cost solve finds a point
     "unbounded": golden_program(
         2, ("1", "1"), lp.MAX, None, None,
         [(("1", "-1"), lp.LE, "1")],
@@ -404,7 +411,8 @@ GOLDEN_PROGRAMS = {
         2, ("1", "0"), lp.MAX, None, ("3", None),
         [(("1", "1"), lp.EQ, "1"), (("2", "2"), lp.EQ, "3")],
     ),
-    # solve_restricted: min mu, p.alpha - mu == 1, each column's cover <= mu
+    # solve_restricted: min mu, p.alpha - mu == 1, each column's cover <= mu;
+    # the free mu takes phase 1
     "restricted_optimal": golden_program(
         4, ("0", "0", "0", "1"), lp.MIN, ("0", "0", "0", None), None,
         [(("1/2", "2/3", "1/3", "-1"), lp.EQ, "1"),
@@ -415,6 +423,12 @@ GOLDEN_PROGRAMS = {
         4, ("0", "0", "0", "1"), lp.MIN, ("0", "0", "0", None), None,
         [(("1/2", "2/3", "1/3", "-1"), lp.EQ, "1"),
          (("1", "1", "1", "-1"), lp.LE, "0")],
+    ),
+    # a ray of negative cost and no feasible point: the zero-cost solve
+    # must end "infeasible", never "unbounded"
+    "primal_and_dual_infeasible": golden_program(
+        2, ("-1", "-1"), lp.MIN, ("0", "0"), None,
+        [(("1", "-1"), lp.GE, "1"), (("-1", "1"), lp.GE, "1")],
     ),
 }
 
@@ -446,13 +460,14 @@ GOLDEN_LINES = {
     "mixed_denominators": "optimal | x 15/11 21/22 | v 51/22 | y 18/11 5/11 | lo 0 0 | up 0 0",
     "negative_pivots": "optimal | x 1 -1 0 | v 4 | y 0 0 1 | lo 0 -4 0 | up 0 0 0",
     "equality_artificials": "optimal | x 5/2 3/2 0 | v 11/2 | y 3/2 -1/2 | lo 0 0 3/2 | up 0 0 0",
-    "redundant_equality": "optimal | x 0 2 | v -2 | y 0 -1/2 | lo 2 0 | up 0 0",
+    "redundant_equality": "optimal | x 0 2 | v -2 | y -1 0 | lo 2 0 | up 0 0",
     "bound_flips": "optimal | x 1 3 | v 5 | y 0 | lo 0 0 | up -2 -1",
     "unbounded": "unbounded",
-    "infeasible_rational_rows": "infeasible | y 1 0 | lo 0 0 | up 1/2 1/3 | gap 7/6",
+    "infeasible_rational_rows": "infeasible | y 3 0 | lo 0 0 | up 3/2 1 | gap 7/2",
     "infeasible_equalities": "infeasible | y -2 1 | lo 0 0 | up 0 0 | gap 1",
     "restricted_optimal": "optimal | x 0 0 3 0 | v 0 | y 0 -1 0 | lo 1 1 0 0 | up 0 0 0 0",
     "restricted_infeasible": "infeasible | y 1 -1 | lo 1/2 1/3 2/3 0 | up 0 0 0 0 | gap 1",
+    "primal_and_dual_infeasible": "infeasible | y 1 1 | lo 0 0 | up 0 0 | gap 2",
 }
 
 

@@ -121,11 +121,11 @@ def test_outcomes_are_exact_and_agree_with_highs(program):
 
 # -- the Fraction simplex of record -----------------------------------------
 #
-# lp.solve keeps its basic values, steps and checks as ints over common
-# denominators.  _ReferenceSimplex is the same bounded-variable Bland
-# simplex with Fraction basic values and Fraction ratio-test steps, over
-# the same fraction-free tableau; lp.solve must return exactly its
-# outcomes.
+# lp.solve keeps its tableau, basic values and checks as ints over common
+# denominators.  _ReferenceSimplex is the same bounded-variable dual
+# simplex over a plain Fraction tableau B^-1 [A | I]: the same start
+# placement, Fourer phase 1, zero-cost fallback and Bland choices.
+# lp.solve must return exactly its outcomes.
 
 
 def reference_verify_certificate(program, cert):
@@ -163,6 +163,9 @@ def _reference_combined_rhs(program, y, low, upp):
 
 _LOWER, _UPPER, _FREE, _BASIC = range(4)
 _SLACK = {lp.LE: (Fraction(0), None), lp.GE: (None, Fraction(0)), lp.EQ: (Fraction(0),) * 2}
+# Fourer's auxiliary box by bound type: free, lower-only, upper-only, both
+_BOX = {(False, False): (-1, 1), (True, False): (0, 1), (False, True): (-1, 0),
+        (True, True): (0, 0)}
 
 
 class _ReferenceSimplex:
@@ -174,198 +177,145 @@ class _ReferenceSimplex:
         self.cost = [c if self.minimize else -c for c in program.objective]
         self.lo = list(program.lower) + [_SLACK[con.rel][0] for con in program.constraints]
         self.up = list(program.upper) + [_SLACK[con.rel][1] for con in program.constraints]
-        self.ncols = n + m
-        self.frozen = {
-            j for j, (lo, up) in enumerate(zip(self.lo, self.up)) if lo is not None and lo == up
-        }
-        self.state = [
-            _LOWER if lo is not None else _UPPER if up is not None else _FREE
-            for lo, up in zip(self.lo, self.up)
+        self.rhs = [con.rhs for con in program.constraints]
+        self.T = [
+            list(con.coeffs) + [Fraction(int(k == i)) for k in range(m)]
+            for i, con in enumerate(program.constraints)
         ]
-        self.D = math.prod(
-            math.lcm(*(c.denominator for c in con.coeffs)) for con in program.constraints
-        )
-        self.T = []
-        for i, con in enumerate(program.constraints):
-            row = [c.numerator * (self.D // c.denominator) for c in con.coeffs] + [0] * m
-            row[n + i] = self.D
-            self.T.append(row)
-        self.basis = [None] * m
-        self.beta = [Fraction(0)] * m
-        self.artificial = []
+        self.basis = [n + i for i in range(m)]
+        self.state = [None] * n + [_BASIC] * m  # structural ones placed by rebase
+        self.d = self.cost + [Fraction(0)] * m  # the slack basis: d = c
 
-    def bound_value(self, j):
+    def frozen(self, j):
+        return self.lo[j] is not None and self.lo[j] == self.up[j]
+
+    def value(self, j):
         st = self.state[j]
         return self.lo[j] if st == _LOWER else self.up[j] if st == _UPPER else Fraction(0)
 
-    def total_cols(self):
-        return self.ncols + len(self.artificial)
+    def rebase(self):
+        """Each nonbasic column at the bound its reduced cost asks for,
+        and the basic values B^-1 (b - N x_N)."""
+        for j, st in enumerate(self.state):
+            if st == _BASIC:
+                continue
+            lo, up = self.lo[j], self.up[j]
+            if up is not None and (self.d[j] < 0 or lo is None):
+                self.state[j] = _UPPER
+            else:
+                self.state[j] = _FREE if lo is None else _LOWER
+        x_n = [(j, self.value(j)) for j, st in enumerate(self.state) if st != _BASIC]
+        self.beta = [
+            sum(row[self.n + k] * b for k, b in enumerate(self.rhs))
+            - sum(row[j] * v for j, v in x_n)
+            for row in self.T
+        ]
+
+    def dual_feasible(self):
+        return all(
+            self.state[j] == (_LOWER if dj > 0 else _UPPER)
+            for j, dj in enumerate(self.d)
+            if dj and not self.frozen(j)
+        )
 
     def solve(self):
-        if self._start_basis():
-            if self._iterate() != "optimal":
-                raise lp.InternalError("phase 1 is bounded below by zero")
-            if any(self.basis[i] >= self.ncols and self.beta[i] for i in range(self.m)):
-                return self._infeasible_outcome()
-            self._drive_out_artificials()
-            self.frozen.update(self.artificial)
-        self._reduced_costs(self.cost + [0] * (self.total_cols() - self.n))
-        if self._iterate() == "unbounded":
-            return lp.LpOutcome(status="unbounded")
+        self.rebase()
+        if not self.dual_feasible():
+            real = self.lo, self.up, self.rhs
+            boxes = [_BOX[lo is not None, up is not None] for lo, up in zip(self.lo, self.up)]
+            self.lo = [Fraction(lo) for lo, _ in boxes]
+            self.up = [Fraction(up) for _, up in boxes]
+            self.rhs = [Fraction(0)] * self.m
+            self.rebase()
+            if self.loop() is not None:
+                raise lp.InternalError("the auxiliary problem is feasible at 0")
+            self.lo, self.up, self.rhs = real
+            self.rebase()
+            if not self.dual_feasible():
+                self.cost = [Fraction(0)] * self.n
+                self.d = [Fraction(0)] * len(self.d)
+                out = self.outcome()
+                if out.status == "infeasible":
+                    return out
+                return lp.LpOutcome(status="unbounded")
+        return self.outcome()
+
+    def loop(self):
+        """Bland's dual simplex; None when primal feasible, else the
+        blocking (row, sigma)."""
+        while True:
+            outside = [
+                (b, i) for i, b in enumerate(self.basis)
+                if self.lo[b] is not None and self.beta[i] < self.lo[b]
+                or self.up[b] is not None and self.beta[i] > self.up[b]
+            ]
+            if not outside:
+                return None
+            b, r = min(outside)
+            sigma = 1 if self.lo[b] is not None and self.beta[r] < self.lo[b] else -1
+            enter = best = None
+            for j, a in enumerate(self.T[r]):
+                if not a or self.state[j] == _BASIC or self.frozen(j):
+                    continue
+                # raising x_j moves x_b by -a: towards its bound when sigma * a < 0
+                if self.state[j] == (_UPPER if sigma * a < 0 else _LOWER):
+                    continue
+                ratio = abs(self.d[j] / a)
+                if best is None or ratio < best:
+                    enter, best = j, ratio
+            if enter is None:
+                return r, sigma
+            self.pivot(r, enter, self.lo[b] if sigma > 0 else self.up[b])
+            self.state[b] = _LOWER if sigma > 0 else _UPPER
+
+    def pivot(self, r, e, bound):
+        T = self.T
+        p = T[r][e]
+        delta = (self.beta[r] - bound) / p
+        for i, row in enumerate(T):
+            self.beta[i] -= row[e] * delta
+        self.beta[r] = self.value(e) + delta
+        T[r] = [v / p for v in T[r]]
+        for i, row in enumerate(T):
+            if i != r and row[e]:
+                f = row[e]
+                T[i] = [v - f * w for v, w in zip(row, T[r])]
+        f = self.d[e]
+        self.d = [v - f * w for v, w in zip(self.d, T[r])]
+        self.basis[r] = e
+        self.state[e] = _BASIC
+
+    def outcome(self):
+        blocked = self.loop()
+        if blocked is not None:
+            return self._infeasible_outcome(*blocked)
         return self._optimal_outcome()
 
-    def _start_basis(self):
-        start = [(j, v) for j in range(self.n) if (v := self.bound_value(j))]
-        need = []
-        for i, con in enumerate(self.lp.constraints):
-            rho = con.rhs - sum((con.coeffs[j] * v for j, v in start), Fraction(0))
-            s = self.n + i
-            if (self.lo[s] is None or rho >= self.lo[s]) and (
-                self.up[s] is None or rho <= self.up[s]
-            ):
-                self.basis[i], self.state[s], self.beta[i] = s, _BASIC, rho
-            else:
-                need.append((i, rho))
-        if not need:
-            return False
-        for i, rho in need:
-            if rho < 0:
-                self.T[i] = [-v for v in self.T[i]]
-                rho = -rho
-            col = self.total_cols()
-            for r in range(self.m):
-                self.T[r].append(self.D if r == i else 0)
-            self.lo.append(Fraction(0))
-            self.up.append(None)
-            self.state.append(_BASIC)
-            self.basis[i], self.beta[i] = col, rho
-            self.artificial.append(col)
-        self._reduced_costs([int(j in self.artificial) for j in range(self.total_cols())])
-        return True
-
-    def _reduced_costs(self, cost):
-        self.lc = math.lcm(*(c.denominator for c in cost))
-        cost = [c.numerator * (self.lc // c.denominator) for c in cost]
-        self.d = [c * self.D for c in cost]
-        for i in range(self.m):
-            cb = cost[self.basis[i]]
-            for j, v in enumerate(self.T[i]):
-                self.d[j] -= cb * v
-
-    def _iterate(self):
-        while True:
-            enter, direction = self._pick_entering()
-            if enter is None:
-                return "optimal"
-            step, leave_row, leave_state = self._ratio_test(enter, direction)
-            if step is None:
-                return "unbounded"
-            self._apply(enter, direction, step, leave_row, leave_state)
-
-    def _pick_entering(self):
-        for j, dj in enumerate(self.d):
-            st = self.state[j]
-            if st == _BASIC or j in self.frozen:
-                continue
-            if dj < 0 and st != _UPPER:
-                return j, 1
-            if dj > 0 and st != _LOWER:
-                return j, -1
-        return None, 0
-
-    def _ratio_test(self, enter, direction):
-        best = best_var = best_state = None
-        best_row = -1
-        if self.lo[enter] is not None and self.up[enter] is not None:
-            best = self.up[enter] - self.lo[enter]
-            best_var = enter
-            best_state = _UPPER if direction > 0 else _LOWER
-        for i, row in enumerate(self.T):
-            coef = row[enter]
-            if not coef:
-                continue
-            b = self.basis[i]
-            if (coef > 0) == (direction > 0):
-                bound, sign, new_state = self.lo[b], 1, _LOWER
-            else:
-                bound, sign, new_state = self.up[b], -1, _UPPER
-            if bound is None:
-                continue
-            t = sign * (self.beta[i] - bound) * self.D / abs(coef)
-            if best is not None and (t > best or t == best and b > best_var):
-                continue
-            best, best_var, best_row, best_state = t, b, i, new_state
-        return best, best_row, best_state
-
-    def _apply(self, enter, direction, step, leave_row, leave_state):
-        T, D = self.T, self.D
-        move = step if direction > 0 else -step
-        for i, ti in enumerate(T):
-            self.beta[i] -= move * ti[enter] / D
-        if leave_row < 0:
-            self.state[enter] = leave_state
-            return
-        enter_val = self.bound_value(enter) + move
-        leaving = self.basis[leave_row]
-        row = T[leave_row]
-        p = row[enter]
-        sign = 1 if p > 0 else -1
-        for i, ti in enumerate(T + [self.d]):
-            if i != leave_row:
-                g = sign * ti[enter]
-                ti[:] = [(v * p * sign - g * w) // D for v, w in zip(ti, row)]
-        self.D = p * sign
-        if sign < 0:
-            T[leave_row] = [-v for v in row]
-        self.basis[leave_row] = enter
-        self.beta[leave_row] = enter_val
-        self.state[enter] = _BASIC
-        self.state[leaving] = leave_state
-
-    def _drive_out_artificials(self):
-        for i in range(self.m):
-            if self.basis[i] < self.ncols:
-                continue
-            target = next(
-                (j for j in range(self.ncols) if self.state[j] != _BASIC and self.T[i][j]),
-                None,
-            )
-            if target is None:
-                raise lp.InternalError(f"row {i} has no column to replace its artificial")
-            self._apply(target, 1, Fraction(0), i, _LOWER)
-
-    def _reduced_cost(self, j):
-        return Fraction(self.d[j], self.lc * self.D)
-
-    def _bound_multipliers(self):
+    def _bound_multipliers(self, vec, sigma):
         low = [Fraction(0)] * self.n
         upp = [Fraction(0)] * self.n
         for j in range(self.n):
-            if self.state[j] == _BASIC:
-                continue
-            dj = self._reduced_cost(j)
-            if dj > 0:
+            v = sigma * vec[j]
+            if v > 0:
                 if self.lp.lower[j] is None:
                     raise lp.InternalError(f"multiplier on missing lower bound {j}")
-                low[j] = dj
-            elif dj < 0:
+                low[j] = v
+            elif v < 0:
                 if self.lp.upper[j] is None:
                     raise lp.InternalError(f"multiplier on missing upper bound {j}")
-                upp[j] = -dj
+                upp[j] = -v
         return low, upp
 
-    def _row_duals(self):
-        return [-self._reduced_cost(self.n + i) for i in range(self.m)]
-
     def _optimal_outcome(self):
-        x = [self.bound_value(j) for j in range(self.n)]
-        for i in range(self.m):
-            if self.basis[i] < self.n:
-                x[self.basis[i]] = self.beta[i]
-        value = sum((c * v for c, v in zip(self.lp.objective, x)), Fraction(0))
-        y = self._row_duals()
-        low, upp = self._bound_multipliers()
+        x = [self.value(j) for j in range(self.n)]
+        for i, b in enumerate(self.basis):
+            if b < self.n:
+                x[b] = self.beta[i]
+        value = sum((c * v for c, v in zip(self.cost, x)), Fraction(0))
+        y = [-self.d[self.n + i] for i in range(self.m)]
+        low, upp = self._bound_multipliers(self.d, 1)
         if not self.minimize:
+            value = -value
             y, low, upp = [-v for v in y], [-v for v in low], [-v for v in upp]
         dual_obj = _reference_combined_rhs(self.lp, y, low, upp)
         if dual_obj != value:
@@ -373,13 +323,14 @@ class _ReferenceSimplex:
         dual = lp.DualInfo(tuple(y), tuple(low), tuple(upp), dual_obj)
         return lp.LpOutcome(status="optimal", point=tuple(x), value=value, dual=dual)
 
-    def _infeasible_outcome(self):
-        y = self._row_duals()
-        low, upp = self._bound_multipliers()
+    def _infeasible_outcome(self, r, sigma):
+        row = self.T[r]
+        y = [-sigma * row[self.n + i] for i in range(self.m)]
+        low, upp = self._bound_multipliers(row, sigma)
         gap = _reference_combined_rhs(self.lp, y, low, upp)
         cert = lp.FarkasCertificate(tuple(y), tuple(low), tuple(upp), gap)
         if not reference_verify_certificate(self.lp, cert):
-            raise lp.InternalError("phase 1 built a bad certificate")
+            raise lp.InternalError("the blocking row gave a bad certificate")
         return lp.LpOutcome(status="infeasible", certificate=cert)
 
 
@@ -517,11 +468,11 @@ def test_an_optimum_outside_its_program_is_refused():
         simplex._optimal_outcome()
 
 
-# -- one row-entry path -------------------------------------------------------
+# -- one row-entry path, one pivot loop ---------------------------------------
 #
 # A cold solve enters its rows through the same _Simplex._append as a warm
 # re-solve enters its new ones, so where the rows are split between the
-# two must not matter.
+# two must not matter; and both then run the same dual simplex.
 
 
 def tableau(simplex):
@@ -545,6 +496,20 @@ def test_rows_appended_to_a_prefix_build_the_same_tableau(program):
         split = lp._Simplex(prefix)
         split._append(rows[k:])
         assert tableau(split) == whole, k
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(programs(), mixed_programs()))
+def test_a_cold_solve_is_a_warm_solve_from_the_rowless_program(program):
+    """Cold and warm solves run one pivot loop: where the program without
+    rows is optimal, a cold solve takes the path of a re-solve from that
+    optimum, and ends with the same outcome."""
+    rowless = lp.LinearProgram(
+        program.num_vars, program.objective, program.sense, program.lower, program.upper
+    )
+    start = lp.solve(rowless)
+    assume(start.status == "optimal")
+    assert lp.solve(program) == lp.solve(program, start)
 
 
 # -- warm re-solves -----------------------------------------------------------
