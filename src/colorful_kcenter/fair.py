@@ -10,6 +10,16 @@ or confirmed by the solver's round-or-cut engine run with t = gamma + 1
 rows, the extra one asking for that weighted coverage, proving the
 probe radius too small.  The radius search is the solver's too.
 
+A distribution over the known columns exists exactly when the
+restricted dual over them is infeasible (Farkas), and then lp's
+verified certificate is that distribution: with theta > 0 its
+multiplier on the normalisation row and y_c <= 0 its multiplier on
+column c's row, the weights -y_c / theta sum to one, because the
+certificate is zero on mu's column, and cover each point u with at
+least p(u), because its multiplier on alpha_u's lower bound is
+nonnegative.  Enumeration decides a radius by the same restricted
+dual, over one feasible center set per distinct coverage.
+
 Each probe re-solves its LPs warm, by lp.solve(program, start) from an
 earlier outcome: the restricted dual gains one row per column, from the
 last restricted outcome, and each separation adds its weighted row to
@@ -74,17 +84,6 @@ class DualPoint:
         for u, a in enumerate(alpha):
             if a < 0:
                 raise ValueError(f"negative weight {a} at point {u}")
-
-
-@dataclass(frozen=True)
-class InQ:
-    """Separation failed: no center set feasible at this radius has
-    alpha-weighted coverage above mu, so no distribution at this
-    radius meets the targets and the radius search must move up.
-    """
-
-    radius: Fraction
-    dual: DualPoint
 
 
 @dataclass(frozen=True)
@@ -170,8 +169,9 @@ def separate_or_certify(
     relaxation=None,
 ):
     """Find a center set meeting the color demands at 4r (sometimes 2r)
-    whose alpha-weighted coverage strictly exceeds mu, or certify that
-    none exists even at radius r.
+    whose alpha-weighted coverage strictly exceeds mu, or return None,
+    certifying that none exists even at radius r: then no distribution
+    at radius r meets the targets, and the radius search moves up.
 
     This is the round-or-cut engine with the extra row (alpha, goal),
     goal = mu + eps clamped at zero, which changes no answer since
@@ -191,32 +191,38 @@ def separate_or_certify(
     tag, got = round_or_cut(finst.base, r, record, extra, relaxation)
     if tag == "infeasible":
         record.outcome = "certified"
-        return InQ(radius=r, dual=dual)
+        return None
     record.outcome = f"column-{tag}"
     return got
 
 
-def _restricted_program(finst: FairInstance, r, columns) -> lp.LinearProgram:
+def _restricted_program(finst: FairInstance, radius, columns) -> lp.LinearProgram:
     n = finst.base.n
     program = lp.LinearProgram(n + 1, (0,) * n + (1,), lp.MIN, (0,) * n + (None,))
     program.add(list(finst.p) + [-1], lp.EQ, 1)
-    return program.extended([_column_row(finst.base, r, c) for c in columns])
+    return program.extended([_column_row(finst.base, radius, c) for c in columns])
 
 
-def _column_row(inst: Instance, r, column):
-    cov = union_mask(inst, column, 4 * Fraction(r))
+def _column_row(inst: Instance, radius, column):
+    cov = union_mask(inst, column, radius)
     return [cov >> u & 1 for u in range(inst.n)] + [-1], lp.LE, 0
 
 
-def solve_restricted(finst: FairInstance, r, columns, start=None):
-    """Best dual response to the center sets found so far, and the LP
-    outcome it came from.
+def solve_restricted(finst: FairInstance, radius, columns, start=None):
+    """Best dual response to the given center sets, each covering the
+    points within radius of it, and the LP outcome it came from.
 
     Minimizes mu over alpha >= 0 and free mu, normalized so the
     target-weighted alpha mass exceeds mu by exactly one, subject to
-    every known column's coverage staying at most mu.  When even that
-    program is infeasible the known columns already support a
-    distribution meeting every target, and it is returned instead.
+    every column's coverage staying at most mu.  When that program is
+    infeasible, its verified Farkas certificate is returned instead, as
+    a distribution over the columns at radius: with theta > 0 its
+    multiplier on the normalisation row (the gap, as every other rhs
+    and finite bound is 0) and y_c <= 0 on column c's row, c gets
+    weight -y_c / theta.  The weights sum to one because the
+    certificate is zero on mu's column, and cover each point u with at
+    least p(u) because its multiplier on alpha_u's lower bound is
+    nonnegative.
 
     start, when given, is the outcome of this program for a prefix of
     columns (the column-free one, or the previous call of the same
@@ -225,11 +231,11 @@ def solve_restricted(finst: FairInstance, r, columns, start=None):
     """
     n = finst.base.n
     if start is None:
-        program = _restricted_program(finst, r, columns)
+        program = _restricted_program(finst, radius, columns)
     else:
         done = len(start.program.constraints) - 1
         program = start.program.extended(
-            [_column_row(finst.base, r, c) for c in columns[done:]]
+            [_column_row(finst.base, radius, c) for c in columns[done:]]
         )
     out = lp.solve(program, start)
     if out.status == "optimal":
@@ -237,31 +243,18 @@ def solve_restricted(finst: FairInstance, r, columns, start=None):
     if out.status != "infeasible":
         # mu >= weighted mass - 1 >= -1 on every feasible point
         raise InternalError("dual response LP cannot be unbounded")
-    dist = _distribution_over(finst, columns, 4 * Fraction(r))
-    if dist is None:
-        raise InternalError("restricted distribution LP must be solvable")
-    return dist, out
-
-
-def _distribution_over(finst: FairInstance, columns, radius):
-    """Probability weights over the given center sets meeting every
-    coverage target at the given radius, or None."""
-    if not columns:
-        return None
-    covers = [union_mask(finst.base, c, radius) for c in columns]
-    program = lp.LinearProgram(len(columns), (0,) * len(columns))
-    program.add([1] * len(columns), lp.EQ, 1)
-    for u in range(finst.base.n):
-        if finst.p[u] <= 0:
-            continue
-        program.add([cov >> u & 1 for cov in covers], lp.GE, finst.p[u])
-    out = lp.solve(program)
-    if out.status != "optimal":
-        return None
-    support = tuple(
-        (frozenset(c), w) for c, w in zip(columns, out.solution) if w > 0
+    cert = out.certificate
+    dist = Distribution(
+        support=tuple(
+            (c, -y / cert.gap) for c, y in zip(columns, cert.row_mults[1:]) if y
+        ),
+        radius=radius,
     )
-    return Distribution(support=support, radius=radius)
+    # verify_certificate checks the sums, not that row c is column c's
+    for u, target in enumerate(finst.p):
+        if coverage_probability(finst.base, dist, u) < target:
+            raise InternalError(f"the certificate's distribution misses point {u}")
+    return dist, out
 
 
 @dataclass(frozen=True)
@@ -287,14 +280,14 @@ def _probe(finst: FairInstance, r, rec: FairRadiusRecord, first):
     relaxation = LiveRelaxation()
     while True:
         rec.restricted_solves += 1
-        response, out = solve_restricted(finst, r, columns, out)
+        response, out = solve_restricted(finst, 4 * Fraction(r), columns, out)
         if isinstance(response, Distribution):
             rec.outcome = "distribution"
             return response
         sep = SeparationRecord(radius=Fraction(r))
         rec.separations.append(sep)
         got = separate_or_certify(finst, r, response, sep, relaxation)
-        if isinstance(got, InQ):
+        if got is None:
             rec.outcome = "certified"
             return None
         col = frozenset(got.centers)
@@ -307,7 +300,7 @@ def _probe(finst: FairInstance, r, rec: FairRadiusRecord, first):
 def solve_fair(finst: FairInstance) -> FairSolution:
     """Minimize the radius at which some distribution over feasible
     center sets meets every coverage target (see solver.radius_search):
-    exact when enumeration is affordable, a distribution over every
+    exact when enumeration is affordable, the restricted dual over every
     feasible set deciding each radius; otherwise column generation
     decides it and the radius is at most four times the optimum.  The
     column-free restricted dual is solved once, at the first probe.
@@ -316,7 +309,12 @@ def solve_fair(finst: FairInstance) -> FairSolution:
     first = None  # the outcome of the column-free restricted dual
 
     def exact(r):
-        found = _distribution_over(finst, list(feasible_sets(finst.base, r)), r)
+        # equal coverage gives equal rows: keep the first set of each
+        sets = {}
+        for centers in feasible_sets(finst.base, r):
+            sets.setdefault(union_mask(finst.base, centers, r), centers)
+        got, _ = solve_restricted(finst, r, list(sets.values()))
+        found = got if isinstance(got, Distribution) else None
         outcome = "infeasible" if found is None else "exact"
         trace.records.append(FairRadiusRecord(radius=r, outcome=outcome))
         return found
@@ -324,7 +322,7 @@ def solve_fair(finst: FairInstance) -> FairSolution:
     def probe(r):
         nonlocal first
         if first is None:
-            first = lp.solve(_restricted_program(finst, r, ()))
+            first = lp.solve(_restricted_program(finst, 4 * Fraction(r), ()))
             if first.status != "optimal":
                 # alpha = 0, mu = -1 is feasible and mu >= -1 throughout
                 raise InternalError("column-free restricted dual must be solvable")

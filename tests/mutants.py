@@ -62,6 +62,13 @@ MUTANTS = [
         "tests/test_lp.py::test_golden_outcomes[infeasible_rational_rows]",
     ),
     Mutant(
+        "dual ratio ties broken to the highest index, on degenerate programs",
+        "lp.py",
+        "if best is None or num * best_den < best_num * den:",
+        "if best is None or num * best_den <= best_num * den:",
+        "tests/test_lp_properties.py::test_ties_in_the_ratio_test_go_to_the_lowest_index",
+    ),
+    Mutant(
         "leaving row of the highest basic index",
         "lp.py",
         "if best_b is not None and b > best_b:",
@@ -128,6 +135,14 @@ MUTANTS = [
         "value = sign * primal / (self.lc * dl)",
         "tests/test_lp.py::test_int_programs_give_fraction_outcomes",
     ),
+    # a forged certificate proves a program infeasible
+    Mutant(
+        "certificates not verified",
+        "lp.py",
+        "if not verify_certificate(lp, cert):",
+        "if False:",
+        "tests/test_lp.py::test_a_forged_certificate_cannot_start_a_solve",
+    ),
     # a certificate that does not sum to the zero vector passes
     Mutant(
         "Farkas combination not checked",
@@ -144,6 +159,14 @@ MUTANTS = [
         "tests/test_model.py::test_balls_and_candidate_radii",
     ),
     Mutant(
+        "triangle rescan names the failing pair's own first triple",
+        "model.py",
+        "                    for a in range(i, n) for b in range(n)\n"
+        "                    if max(map(operator.sub, rows[a], rows[b])) > rows[a][b]\n",
+        "                    for a, b in ((i, j), (j, i))\n",
+        "tests/test_model.py::test_validate_metric_names_the_first_triangle_in_scan_order",
+    ),
+    Mutant(
         "counting certificate with A one above the k-th largest count",
         "model.py",
         "CountingBound(color, kept_mask, tuple(counts), counts[top[-1]], bound)",
@@ -156,6 +179,36 @@ MUTANTS = [
         "        if outside:\n",
         "        if False:\n",
         "tests/test_partition.py::test_verify_partition_flags_bad_radius",
+    ),
+    # the packing DP's bounds drop a state the plain recursion solves
+    Mutant(
+        "reach bound drops a demand it meets exactly",
+        "dp.py",
+        "if any(map(operator.gt, need, reach[i][min(budget, q - i)])):",
+        "if any(map(operator.ge, need, reach[i][min(budget, q - i)])):",
+        "tests/test_dp.py::test_demand_at_and_past_its_reach",
+    ),
+    Mutant(
+        "pooled bound drops demands it meets exactly",
+        "dp.py",
+        "return sum(scores[:capacity]) < len(pooled) * unit",
+        "return sum(scores[:capacity]) <= len(pooled) * unit",
+        "tests/test_dp.py::test_demand_at_and_past_its_reach",
+    ),
+    # the distribution is the restricted dual's Farkas certificate
+    Mutant(
+        "restricted-dual weights read off the wrong rows",
+        "fair.py",
+        "cert.row_mults[1:]",
+        "cert.row_mults[:-1]",
+        "tests/test_fair.py::test_a_distribution_exactly_when_the_coverage_lp_is_feasible",
+    ),
+    Mutant(
+        "restricted-dual weights with their sign flipped",
+        "fair.py",
+        "(c, -y / cert.gap)",
+        "(c, y / cert.gap)",
+        "tests/test_fair.py::test_a_distribution_exactly_when_the_coverage_lp_is_feasible",
     ),
     Mutant(
         "points limit off by one",

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import colorful_kcenter
 from colorful_kcenter import cli, model
 from colorful_kcenter.cli import main
 from colorful_kcenter.generators import fixture_adversarial, gen_clumps, gen_from_vc3
@@ -345,7 +346,8 @@ def test_one_process_matches_fresh_processes(tmp_path, capsys, monkeypatch):
         out = capsys.readouterr()
         in_process.append((code, out.out, out.err))
     env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    # the directory holding the package this process imported
+    src = os.path.dirname(os.path.dirname(os.path.abspath(colorful_kcenter.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     fresh = []
     for argv in runs:

@@ -1,16 +1,17 @@
 """Coverage-probability distributions: dual responses, separation,
 column generation, and end-to-end guarantees."""
 
+import collections
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colorful_kcenter import fair, lp
 from colorful_kcenter.fair import (
     Distribution,
     DualPoint,
-    InQ,
     SeparationRecord,
     coverage_probability,
     epsilon_gap,
@@ -25,10 +26,11 @@ from colorful_kcenter.model import (
     CenterSet,
     FairInstance,
     Instance,
+    candidate_radii,
     check_feasible,
     union_ball,
 )
-from colorful_kcenter.oracle import brute_force_fair, enumerate_feasible
+from colorful_kcenter.oracle import _coverage_lp, brute_force_fair, enumerate_feasible
 from colorful_kcenter.solver import LiveRelaxation, build_relaxation
 
 
@@ -131,6 +133,47 @@ def test_restricted_respects_column_constraints():
     assert dual.mu == 0 and dual.alpha == (Fraction(0), Fraction(4))
 
 
+@st.composite
+def restricted_cases(draw):
+    """A random instance with random targets, a radius among its
+    candidates, and a list of distinct center sets."""
+    n = draw(st.integers(2, 6))
+    base = gen_random(draw(st.integers(0, 10**6)), n, 2, 1)
+    targets = st.sampled_from([0, Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), 1])
+    finst = FairInstance(base=base, p=tuple(draw(targets) for _ in range(n)))
+    radius = draw(st.sampled_from(candidate_radii(base)))
+    sets = st.frozensets(st.integers(0, n - 1), min_size=1, max_size=2)
+    columns = draw(st.lists(sets, min_size=1, max_size=5, unique=True))
+    return finst, radius, columns
+
+
+def test_a_distribution_exactly_when_the_coverage_lp_is_feasible():
+    """solve_restricted reads a distribution off the restricted dual's
+    certificate exactly when the oracle's primal coverage LP over the
+    same columns is feasible, and that distribution meets every target;
+    both outcomes are drawn."""
+    seen = collections.Counter()
+
+    @settings(max_examples=200, deadline=None)
+    @given(restricted_cases())
+    def check(case):
+        finst, radius, columns = case
+        got, out = solve_restricted(finst, radius, columns)
+        feasible = lp.solve(_coverage_lp(finst, columns, radius)).status == "optimal"
+        assert isinstance(got, Distribution) == feasible
+        if feasible:
+            assert got.radius == radius
+            assert {c for c, _ in got.support} <= set(columns)
+            for u, target in enumerate(finst.p):
+                assert coverage_probability(finst.base, got, u) >= target
+        else:
+            assert isinstance(got, DualPoint) and out.status == "optimal"
+        seen[feasible] += 1
+
+    check()
+    assert seen[True] >= 20 and seen[False] >= 20
+
+
 def test_separation_certifies_below_optimum():
     finst = fair_line([0, 2], 1, [((0, 1), 0)], [Fraction(3, 4), Fraction(3, 4)])
     dual = DualPoint(alpha=(Fraction(2), Fraction(2)), mu=Fraction(2))
@@ -138,9 +181,7 @@ def test_separation_certifies_below_optimum():
     # dual survives and certifies the radius too small
     for cs in enumerate_feasible(finst.base, 0):
         assert weighted_coverage(finst.base, dual.alpha, cs, 0) <= dual.mu
-    got = separate_or_certify(finst, 0, dual)
-    assert isinstance(got, InQ)
-    assert got.radius == 0 and got.dual is dual
+    assert separate_or_certify(finst, 0, dual) is None
 
 
 def test_separation_finds_column_at_workable_radius():

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import colorful_kcenter
 from colorful_kcenter import lp
 
 
@@ -594,13 +595,35 @@ def test_invariant_checks_survive_optimize_flag():
         """
     )
     env = dict(os.environ)
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    src = os.path.join(root, "src")
+    # the directory holding the package this process imported
+    src = os.path.dirname(os.path.dirname(os.path.abspath(colorful_kcenter.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, timeout=60
     )
     assert done.returncode == 0, done.stderr.decode()
+
+
+def test_a_forged_certificate_cannot_start_a_solve():
+    """A solve from an infeasible start pads its certificate and
+    verifies it against the longer program, so a forged one raises
+    instead of proving the program infeasible."""
+    program = lp.LinearProgram(2, (0, 0), lp.MIN, (0, 0), (1, 1), [([1, 1], lp.GE, 3)])
+    out = lp.solve(program)
+    assert out.status == "infeasible"
+    rows = [([1, 0], lp.LE, Fraction(1, 2))]
+    padded = lp.solve(program.extended(rows), out)
+    assert padded.certificate.row_mults == out.certificate.row_mults + (0,)
+    cert = out.certificate
+    for forged in (
+        dataclasses.replace(cert, gap=cert.gap + 1),
+        dataclasses.replace(cert, row_mults=tuple(-y for y in cert.row_mults)),
+        dataclasses.replace(cert, lower_mults=(1, 0)),
+    ):
+        assert not lp.verify_certificate(program, forged)
+        start = lp.LpOutcome("infeasible", certificate=forged, program=program)
+        with pytest.raises(lp.InternalError, match="fails verification"):
+            lp.solve(program.extended(rows), start)
 
 
 def test_package_has_no_assert_statements():

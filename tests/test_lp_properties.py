@@ -433,6 +433,36 @@ def test_solve_equals_the_fraction_reference(program):
             )
 
 
+@st.composite
+def degenerate_programs(draw):
+    """mixed_programs with ties in the dual ratio test: some columns
+    are copies of others (coefficients and cost times 1 or 2, the same
+    bounds), so their ratios |d_j| / |T[r][j]| stay equal on every
+    tableau, and the columns are shuffled."""
+    base = draw(mixed_programs())
+    n = base.num_vars
+    copies = draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from([1, 2])),
+                           min_size=1, max_size=3))
+    cols = [(j, 1) for j in range(n)] + copies
+    order = draw(st.permutations(range(len(cols))))
+    cols = [cols[i] for i in order]
+    return lp.LinearProgram(
+        len(cols),
+        tuple(f * base.objective[j] for j, f in cols),
+        base.sense,
+        tuple(base.lower[j] for j, _ in cols),
+        tuple(base.upper[j] for j, _ in cols),
+        [([f * con.coeffs[j] for j, f in cols], con.rel, con.rhs)
+         for con in base.constraints],
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(degenerate_programs())
+def test_ties_in_the_ratio_test_go_to_the_lowest_index(program):
+    assert lp.solve(program) == reference_solve(program)
+
+
 # -- the optimum as ints -----------------------------------------------------
 #
 # An optimum hands over its point as ints over den, and solution is the

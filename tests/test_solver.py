@@ -414,24 +414,20 @@ def test_extended_programs_equal_fresh_builds(monkeypatch):
     """On the golden fair-* and clumps-* cases, every program that
     round_or_cut or solve_restricted re-solves warm, or whose optimum lp
     checks, equals, row for row, what build_relaxation(inst, r, cuts,
-    extra_row) or fair._restricted_program(finst, r, columns) builds
-    from scratch; rounding's covering LPs and the distribution LPs are
-    not compared.  The cut-free relaxation is built once per probe that
-    reaches an LP, and the column-free restricted dual once per
-    solve_fair."""
+    extra_row) or fair._restricted_program(finst, radius, columns)
+    builds from scratch; rounding's covering LPs are not compared.  The
+    cut-free relaxation is built once per probe that reaches an LP, and
+    the column-free restricted dual once per solve_fair."""
     from test_golden_outputs import CASES
 
     build, restricted = solver.build_relaxation, fair._restricted_program
     round_or_cut, solve_restricted = solver.round_or_cut, fair.solve_restricted
     solve, first_violation = lp.solve, lp._first_violation
-    distribution_over = fair._distribution_over
     seen = collections.Counter()
     context = []  # the call whose programs are checked, innermost last
 
     def compare(program):
         kind, *args = context[-1]
-        if kind == "distribution":
-            return
         want = build(*args) if kind == "relaxation" else restricted(*args)
         if program.num_vars == want.num_vars:  # not rounding's covering LP
             assert _fields(program) == _fields(want)
@@ -464,13 +460,6 @@ def test_extended_programs_equal_fresh_builds(monkeypatch):
                 context.pop()
         return solve(program, start)
 
-    def spy_distribution_over(finst, columns, radius):
-        context.append(("distribution",))
-        try:
-            return distribution_over(finst, columns, radius)
-        finally:
-            context.pop()
-
     def spy_first_violation(program, point, den):
         # where lp checks every optimum, and check_point the points it is given
         if context:
@@ -488,7 +477,6 @@ def test_extended_programs_equal_fresh_builds(monkeypatch):
     monkeypatch.setattr(fair, "solve_restricted", spy_solve_restricted)
     monkeypatch.setattr(lp, "solve", spy_solve)
     monkeypatch.setattr(lp, "_first_violation", spy_first_violation)
-    monkeypatch.setattr(fair, "_distribution_over", spy_distribution_over)
     monkeypatch.setattr(solver, "build_relaxation", counted("builds", build))
     monkeypatch.setattr(fair, "_restricted_program", counted("restricted builds", restricted))
     for name, inst in sorted(CASES.items()):
