@@ -6,9 +6,11 @@ every point u at the returned radius is at least p(u).  The search
 runs in the dual: a candidate (alpha, mu) claiming no such
 distribution exists is either refuted by a new center set whose
 alpha-weighted coverage beats mu (a new column for the distribution),
-or confirmed by the solver's round-or-cut engine run with t = gamma + 1
-rows, the extra one asking for that weighted coverage, proving the
-probe radius too small.  The radius search is the solver's too.
+or it survives and rejects the radius.  Enumeration prices exactly,
+by the feasible set of largest weighted coverage; a probe asks the
+solver's round-or-cut engine, run with t = gamma + 1 rows, the extra
+one asking for that weighted coverage, which finds a set at 4r or
+proves r too small.  The radius search is the solver's too.
 
 A distribution over the known columns exists exactly when the
 restricted dual over them is infeasible (Farkas), and then lp's
@@ -17,16 +19,14 @@ multiplier on the normalisation row and y_c <= 0 its multiplier on
 column c's row, the weights -y_c / theta sum to one, because the
 certificate is zero on mu's column, and cover each point u with at
 least p(u), because its multiplier on alpha_u's lower bound is
-nonnegative.  Enumeration decides a radius by the same restricted
-dual, over one feasible center set per distinct coverage.
+nonnegative.
 
-Each probe re-solves its LPs warm, by lp.solve(program, start) from an
-earlier outcome: the restricted dual gains one row per column, from the
-last restricted outcome, and each separation adds its weighted row to
-the probe's cut-free relaxation, from that relaxation's outcome.  Each
-program is built once and extended by its new rows; lp checks every
-optimum against its full program and verifies every certificate
-against it.
+Every LP re-solves warm, by lp.solve(program, start) from an earlier
+outcome: the restricted dual gains one row per column, from its last
+outcome, and each separation adds its weighted row to the probe's
+cut-free relaxation, from that relaxation's outcome.  Each program is
+built once and extended by its new rows; lp checks every optimum
+against its full program and verifies every certificate against it.
 """
 
 from __future__ import annotations
@@ -196,11 +196,12 @@ def separate_or_certify(
     return got
 
 
-def _restricted_program(finst: FairInstance, radius, columns) -> lp.LinearProgram:
+def _restricted_program(finst: FairInstance) -> lp.LinearProgram:
+    """The restricted dual over no columns, which no radius enters."""
     n = finst.base.n
     program = lp.LinearProgram(n + 1, (0,) * n + (1,), lp.MIN, (0,) * n + (None,))
     program.add(list(finst.p) + [-1], lp.EQ, 1)
-    return program.extended([_column_row(finst.base, radius, c) for c in columns])
+    return program
 
 
 def _column_row(inst: Instance, radius, column):
@@ -225,18 +226,14 @@ def solve_restricted(finst: FairInstance, radius, columns, start=None):
     nonnegative.
 
     start, when given, is the outcome of this program for a prefix of
-    columns (the column-free one, or the previous call of the same
-    probe); the rows of the rest extend its program, re-solved warm
+    columns (the column-free one, or the previous call at the same
+    radius); the rows of the rest extend its program, re-solved warm
     from it.
     """
     n = finst.base.n
-    if start is None:
-        program = _restricted_program(finst, radius, columns)
-    else:
-        done = len(start.program.constraints) - 1
-        program = start.program.extended(
-            [_column_row(finst.base, radius, c) for c in columns[done:]]
-        )
+    program = _restricted_program(finst) if start is None else start.program
+    done = len(program.constraints) - 1
+    program = program.extended([_column_row(finst.base, radius, c) for c in columns[done:]])
     out = lp.solve(program, start)
     if out.status == "optimal":
         return DualPoint(alpha=out.solution[:n], mu=out.solution[n]), out
@@ -265,70 +262,74 @@ class FairSolution:
     trace: FairTrace
 
 
-def _probe(finst: FairInstance, r, rec: FairRadiusRecord, first):
-    """Column generation at one radius: alternate best dual responses
-    with separation until a distribution emerges or a dual point
-    survives, which proves the radius too small.
-
-    The restricted dual starts from first, the outcome of the
-    column-free restricted dual (which does not depend on r), and each
-    call re-solves from the one before; every separation starts from one
-    cut-free relaxation outcome.  Both are dropped when the probe ends."""
-    columns = []
-    known = set()
-    out = first
-    relaxation = LiveRelaxation()
+def _generate(finst: FairInstance, radius, first, price):
+    """Column generation at one radius, from first, the column-free
+    restricted dual's outcome: alternate best dual responses with
+    price(dual), a new column beating it or None, until a distribution
+    emerges or a dual point survives, rejecting the radius (None)."""
+    columns, out = [], first
     while True:
-        rec.restricted_solves += 1
-        response, out = solve_restricted(finst, 4 * Fraction(r), columns, out)
-        if isinstance(response, Distribution):
-            rec.outcome = "distribution"
-            return response
-        sep = SeparationRecord(radius=Fraction(r))
-        rec.separations.append(sep)
-        got = separate_or_certify(finst, r, response, sep, relaxation)
-        if got is None:
-            rec.outcome = "certified"
+        got, out = solve_restricted(finst, radius, columns, out)
+        if isinstance(got, Distribution):
+            return got
+        col = price(got)
+        if col is None:
             return None
-        col = frozenset(got.centers)
-        if col in known:
-            raise InternalError("separation repeated a known column")
-        known.add(col)
+        if col in columns:
+            raise InternalError("pricing repeated a known column")
         columns.append(col)
 
 
 def solve_fair(finst: FairInstance) -> FairSolution:
     """Minimize the radius at which some distribution over feasible
     center sets meets every coverage target (see solver.radius_search):
-    exact when enumeration is affordable, the restricted dual over every
-    feasible set deciding each radius; otherwise column generation
-    decides it and the radius is at most four times the optimum.  The
-    column-free restricted dual is solved once, at the first probe.
+    exact when enumeration is affordable, otherwise at most four times
+    the optimum.  Column generation from the column-free restricted
+    dual, solved once, decides each radius; a probe's columns cover at
+    4r.  Enumeration prices exactly, so its restricted dual holds the
+    columns priced in, not every feasible set.
     """
     trace = FairTrace()
-    first = None  # the outcome of the column-free restricted dual
+    first = lp.solve(_restricted_program(finst))
+    if first.status != "optimal":
+        # alpha = 0, mu = -1 is feasible and mu >= -1 throughout
+        raise InternalError("column-free restricted dual must be solvable")
 
     def exact(r):
         # equal coverage gives equal rows: keep the first set of each
         sets = {}
         for centers in feasible_sets(finst.base, r):
             sets.setdefault(union_mask(finst.base, centers, r), centers)
-        got, _ = solve_restricted(finst, r, list(sets.values()))
-        found = got if isinstance(got, Distribution) else None
-        outcome = "infeasible" if found is None else "exact"
+
+        def price(dual):
+            # the first set of largest alpha-weighted coverage, if above mu
+            den = math.lcm(dual.mu.denominator, *(a.denominator for a in dual.alpha))
+            weights = [(1 << u, int(a * den)) for u, a in enumerate(dual.alpha) if a]
+            mass = {m: sum(w for bit, w in weights if m & bit) for m in sets}
+            best = max(mass, key=mass.get, default=None)
+            return None if best is None or mass[best] <= dual.mu * den else sets[best]
+
+        dist = _generate(finst, r, first, price)
+        outcome = "infeasible" if dist is None else "exact"
         trace.records.append(FairRadiusRecord(radius=r, outcome=outcome))
-        return found
+        return dist
 
     def probe(r):
-        nonlocal first
-        if first is None:
-            first = lp.solve(_restricted_program(finst, 4 * Fraction(r), ()))
-            if first.status != "optimal":
-                # alpha = 0, mu = -1 is feasible and mu >= -1 throughout
-                raise InternalError("column-free restricted dual must be solvable")
         rec = FairRadiusRecord(radius=r)
         trace.records.append(rec)
-        return _probe(finst, r, rec, first)
+        relaxation = LiveRelaxation()  # every separation starts from it
+
+        def separate(dual):
+            sep = SeparationRecord(radius=r)
+            rec.separations.append(sep)
+            got = separate_or_certify(finst, r, dual, sep, relaxation)
+            return None if got is None else frozenset(got.centers)
+
+        dist = _generate(finst, 4 * r, first, separate)
+        rec.outcome = "certified" if dist is None else "distribution"
+        # a separation follows every restricted solve but a last accepting one
+        rec.restricted_solves = len(rec.separations) + (dist is not None)
+        return dist
 
     dist, radius, optimal = radius_search(finst.base, exact, probe)
     return FairSolution(dist, radius, optimal, trace)

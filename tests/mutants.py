@@ -210,6 +210,21 @@ MUTANTS = [
         "(c, y / cert.gap)",
         "tests/test_fair.py::test_a_distribution_exactly_when_the_coverage_lp_is_feasible",
     ),
+    # enumeration prices its columns from the feasible sets
+    Mutant(
+        "pricing asks for more than mu",
+        "fair.py",
+        "mass[best] <= dual.mu * den",
+        "mass[best] <= dual.mu * den + den",
+        "tests/test_fair.py::test_enumeration_prices_to_the_brute_force_radius",
+    ),
+    Mutant(
+        "enumeration solves every coverage at once",
+        "fair.py",
+        "dist = _generate(finst, r, first, price)",
+        "dist, _ = solve_restricted(finst, r, list(sets.values()))",
+        "tests/test_fair.py::test_enumeration_keeps_the_restricted_dual_small",
+    ),
     Mutant(
         "points limit off by one",
         "cli.py",

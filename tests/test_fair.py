@@ -28,7 +28,9 @@ from colorful_kcenter.model import (
     Instance,
     candidate_radii,
     check_feasible,
+    feasible_sets,
     union_ball,
+    union_mask,
 )
 from colorful_kcenter.oracle import _coverage_lp, brute_force_fair, enumerate_feasible
 from colorful_kcenter.solver import LiveRelaxation, build_relaxation
@@ -172,6 +174,63 @@ def test_a_distribution_exactly_when_the_coverage_lp_is_feasible():
 
     check()
     assert seen[True] >= 20 and seen[False] >= 20
+
+
+def _priced_columns(monkeypatch, most=None):
+    """(radius, number of columns) of every solve_restricted call, each
+    checked to be at most most before it is solved."""
+    calls = []
+    solve = fair.solve_restricted
+
+    def spy(finst, radius, columns, start=None):
+        calls.append((radius, len(columns)))
+        assert most is None or len(columns) <= most
+        return solve(finst, radius, columns, start)
+
+    monkeypatch.setattr(fair, "solve_restricted", spy)
+    return calls
+
+
+def test_enumeration_prices_to_the_brute_force_radius(monkeypatch):
+    """With gamma >= k, solve_fair prices columns from the feasible sets
+    and returns the radius of the oracle's coverage LP over all of them,
+    with a distribution meeting every target; some radii take several
+    priced columns."""
+    calls = _priced_columns(monkeypatch)
+    rng = random.Random(22)
+    for trial in range(24):
+        n, k = rng.randint(5, 10), rng.randint(1, 3)
+        finst = gen_random(
+            seed=22_000 + trial, n=n, k=k, gamma=k + trial % 2,
+            metric=rng.choice(["line", "grid-l1"]),
+            demand_density=rng.choice([Fraction(1, 2), Fraction(1)]),
+            p_density=Fraction(2, 3),
+        )
+        sol = solve_fair(finst)
+        assert sol.optimal
+        assert sol.distribution.radius == brute_force_fair(finst).radius
+        for u, target in enumerate(finst.p):
+            assert coverage_probability(finst.base, sol.distribution, u) >= target
+    assert max(count for _, count in calls) >= 5
+
+
+def test_enumeration_keeps_the_restricted_dual_small(monkeypatch):
+    """Exact pricing adds a column only while some feasible set beats
+    mu, so the restricted dual stays far smaller than the number of
+    distinct coverages it prices from, which reaches the thousands
+    here; its tableau grows with the square of its rows."""
+    finst = gen_random(
+        seed=2, n=30, k=3, gamma=3, metric="grid-l1",
+        demand_density=Fraction(1, 4), p_density=Fraction(2, 3),
+    )
+    calls = _priced_columns(monkeypatch, most=finst.n)
+    sol = solve_fair(finst)
+    assert sol.optimal and sol.distribution.radius == 2
+    coverages = {
+        r: len({union_mask(finst.base, c, r) for c in feasible_sets(finst.base, r)})
+        for r, _ in calls
+    }
+    assert max(coverages.values()) > 1000
 
 
 def test_separation_certifies_below_optimum():

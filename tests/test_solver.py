@@ -414,8 +414,9 @@ def test_extended_programs_equal_fresh_builds(monkeypatch):
     """On the golden fair-* and clumps-* cases, every program that
     round_or_cut or solve_restricted re-solves warm, or whose optimum lp
     checks, equals, row for row, what build_relaxation(inst, r, cuts,
-    extra_row) or fair._restricted_program(finst, radius, columns)
-    builds from scratch; rounding's covering LPs are not compared.  The
+    extra_row) builds from scratch, or the column-free
+    fair._restricted_program(finst) extended by every column's row at
+    once; rounding's covering LPs are not compared.  The
     cut-free relaxation is built once per probe that reaches an LP, and
     the column-free restricted dual once per solve_fair."""
     from test_golden_outputs import CASES
@@ -428,7 +429,11 @@ def test_extended_programs_equal_fresh_builds(monkeypatch):
 
     def compare(program):
         kind, *args = context[-1]
-        want = build(*args) if kind == "relaxation" else restricted(*args)
+        if kind == "relaxation":
+            want = build(*args)
+        else:
+            finst, r, columns = args
+            want = restricted(finst).extended([fair._column_row(finst.base, r, c) for c in columns])
         if program.num_vars == want.num_vars:  # not rounding's covering LP
             assert _fields(program) == _fields(want)
             seen[kind, bool(args[2])] += 1
