@@ -24,10 +24,10 @@ find_few_outside searches for a small center set of the form
 "guessed points outside S, completed by centers inside S": it guesses
 every small subset Q outside S, discounts what Q already covers, and
 runs the dynamic program over S to cover the rest, maximizing covered
-weight and checking it against a goal (both zero without one).  Used
-with radius r2 = 2r for cluster centers S that are pairwise > 4r
-apart, so the r2-balls around S never overlap and contributions are
-additive.
+weight, summed by model.mask_weight, and checking it against a goal
+(fair's ints; both zero without one).  Used with radius r2 = 2r for
+cluster centers S that are pairwise > 4r apart, so the r2-balls around
+S never overlap and contributions are additive.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lp import InternalError
-from .model import CenterSet, Instance, ball_masks, color_masks
+from .model import CenterSet, Instance, ball_masks, color_masks, mask_weight
 
 
 @dataclass(frozen=True)
@@ -182,20 +182,14 @@ def find_few_outside(inst: Instance, r2, centers_s, beta: int, extra=None):
     Guesses Q run over subsets of the complement in (size, lex) order;
     for each Q the dynamic program packs centers from centers_s to
     cover the demands left after discounting Q's coverage.  extra =
-    (weights, goal), per-point weights and a goal, asks as well that
-    the weight covered, Q's share included, is at least goal; without
-    it every weight is zero and so is the goal.  The program's weights
-    are extra's, scaled to ints by one common factor, which changes
-    neither its picks nor the outcome of the exact goal test.
+    (weights, goal), per-point weights and a goal (ints from fair,
+    though any exact numbers do), asks as well that the weight covered,
+    Q's share included, is at least goal; without it every weight is
+    zero and so is the goal.
     """
     r2 = Fraction(r2)
-    # the weights as ints over their common denominator, once per call;
-    # only points of nonzero weight are ever summed
     weights, goal = ((), 0) if extra is None else extra
-    scale = math.lcm(*(w.denominator for w in weights))
-    weights = [w.numerator * (scale // w.denominator) for w in weights]
-    heavy = sum(1 << u for u, w in enumerate(weights) if w)
-    goal *= scale
+    heavy = sum(1 << u for u, w in enumerate(weights) if w)  # the only points summed
     s_list = sorted(set(centers_s))
     inside = sum(1 << s for s in s_list)
     # each inside center's 2*r2-ball may hold no other inside center
@@ -226,7 +220,7 @@ def find_few_outside(inst: Instance, r2, centers_s, beta: int, extra=None):
             if _beyond_pooled_reach(residual_rows, residual_demands, inst.k - size):
                 continue
             prog = DpProgram(
-                weights=tuple(_weight_of(weights, m & heavy) for m in item_masks),
+                weights=tuple(mask_weight(weights, m & heavy) for m in item_masks),
                 rows=tuple(residual_rows),
                 demands=tuple(residual_demands),
                 capacity=inst.k - size,
@@ -234,17 +228,8 @@ def find_few_outside(inst: Instance, r2, centers_s, beta: int, extra=None):
             res = dp_solve(prog)
             if res is None:
                 continue
-            if _weight_of(weights, covered_q & heavy) + res.value >= goal:
+            if mask_weight(weights, covered_q & heavy) + res.value >= goal:
                 chosen = frozenset(guess) | frozenset(s_list[i] for i in res.picks)
                 return CenterSet(chosen, r2)
     return None
 
-
-def _weight_of(weights, mask):
-    """Exact total of weights[u] over the set bits u of mask."""
-    total = 0
-    while mask:
-        low = mask & -mask
-        total += weights[low.bit_length() - 1]
-        mask ^= low
-    return total

@@ -9,8 +9,8 @@ alpha-weighted coverage beats mu (a new column for the distribution),
 or it survives and rejects the radius.  Enumeration prices exactly,
 by the feasible set of largest weighted coverage; a probe asks the
 solver's round-or-cut engine, run with t = gamma + 1 rows, the extra
-one asking for that weighted coverage, which finds a set at 4r or
-proves r too small.  The radius search is the solver's too.
+one (weighted_goal's ints) asking for that weighted coverage, to find
+a set at 4r or prove r too small.  The radius search is the solver's.
 
 A distribution over the known columns exists exactly when the
 restricted dual over them is infeasible (Farkas), and then lp's
@@ -42,6 +42,7 @@ from .model import (
     Instance,
     ball_masks,
     feasible_sets,
+    mask_weight,
     rational_from,
     union_mask,
     weighted_coverage,  # noqa: F401  (part of this module's interface)
@@ -55,19 +56,6 @@ from .model import candidate_radii, check_feasible  # noqa: F401
 from .partition import good_partition, opening_mass, verify_partition  # noqa: F401
 from .rounding import build_cluster_system, sparse_round  # noqa: F401
 from .solver import build_relaxation  # noqa: F401
-
-
-def epsilon_gap(alpha, mu) -> Fraction:
-    """Strictness margin for weighted-coverage thresholds.
-
-    Every subset sum of alpha minus mu is a multiple of one over the
-    product of all denominators, so "strictly above mu" and "at least
-    mu plus the margin" pick out exactly the same center sets.
-    """
-    prod = rational_from(mu).denominator
-    for a in alpha:
-        prod *= rational_from(a).denominator
-    return Fraction(1, prod)
 
 
 @dataclass(frozen=True)
@@ -84,6 +72,21 @@ class DualPoint:
         for u, a in enumerate(alpha):
             if a < 0:
                 raise ValueError(f"negative weight {a} at point {u}")
+
+    @property
+    def scale(self) -> int:  # the product of the denominators of alpha and mu
+        return math.prod(a.denominator for a in self.alpha) * self.mu.denominator
+
+
+def weighted_goal(dual: DualPoint) -> tuple:
+    """(weights, goal) = (alpha * scale, max(0, mu * scale + 1)) as ints,
+    scale = dual.scale.  Every subset sum of alpha minus mu is a multiple
+    of 1 / scale, so a set's alpha-weighted coverage exceeds mu exactly
+    when its weights sum to goal or more; covered weight is never
+    negative, so the clamp changes no answer."""
+    scale = dual.scale
+    weights = tuple(a.numerator * (scale // a.denominator) for a in dual.alpha)
+    return weights, max(0, dual.mu.numerator * (scale // dual.mu.denominator) + 1)
 
 
 @dataclass(frozen=True)
@@ -115,11 +118,8 @@ def coverage_probability(inst: Instance, dist: Distribution, u: int) -> Fraction
     """Probability that point u lies within the distribution's radius
     of a drawn center set."""
     near = ball_masks(inst, dist.radius, (u,))[0]  # bit c: dist[u][c] <= radius
-    total = Fraction(0)
-    for centers, weight in dist.support:
-        if any(near >> c & 1 for c in centers):
-            total += weight
-    return total
+    return sum((w for centers, w in dist.support if any(near >> c & 1 for c in centers)),
+               Fraction(0))
 
 
 @dataclass
@@ -173,9 +173,9 @@ def separate_or_certify(
     certifying that none exists even at radius r: then no distribution
     at radius r meets the targets, and the radius search moves up.
 
-    This is the round-or-cut engine with the extra row (alpha, goal),
-    goal = mu + eps clamped at zero, which changes no answer since
-    covered weight is never negative.  One more row drops the rounding
+    This is the round-or-cut engine with the extra row
+    weighted_goal(dual), alpha and mu as ints; record.eps, 1 /
+    dual.scale, is its margin above mu.  One more row drops the rounding
     threshold and cut bound to k - gamma and raises the outside-guess
     budget to gamma - 1.  relaxation, a solver.LiveRelaxation, holds
     the outcome of the probe's cut-free relaxation LP, solved once and
@@ -183,12 +183,10 @@ def separate_or_certify(
     fresh one.
     """
     r = Fraction(r)
-    eps = epsilon_gap(dual.alpha, dual.mu)
     if record is None:
         record = SeparationRecord(radius=r)
-    record.alpha, record.mu, record.eps = dual.alpha, dual.mu, eps
-    extra = (dual.alpha, max(Fraction(0), dual.mu + eps))
-    tag, got = round_or_cut(finst.base, r, record, extra, relaxation)
+    record.alpha, record.mu, record.eps = dual.alpha, dual.mu, Fraction(1, dual.scale)
+    tag, got = round_or_cut(finst.base, r, record, weighted_goal(dual), relaxation)
     if tag == "infeasible":
         record.outcome = "certified"
         return None
@@ -297,17 +295,20 @@ def solve_fair(finst: FairInstance) -> FairSolution:
 
     def exact(r):
         # equal coverage gives equal rows: keep the first set of each
+        balls = ball_masks(finst.base, r)
         sets = {}
         for centers in feasible_sets(finst.base, r):
-            sets.setdefault(union_mask(finst.base, centers, r), centers)
+            covered = 0
+            for c in centers:
+                covered |= balls[c]
+            sets.setdefault(covered, centers)
 
         def price(dual):
             # the first set of largest alpha-weighted coverage, if above mu
-            den = math.lcm(dual.mu.denominator, *(a.denominator for a in dual.alpha))
-            weights = [(1 << u, int(a * den)) for u, a in enumerate(dual.alpha) if a]
-            mass = {m: sum(w for bit, w in weights if m & bit) for m in sets}
+            weights, goal = weighted_goal(dual)
+            mass = {m: mask_weight(weights, m) for m in sets}
             best = max(mass, key=mass.get, default=None)
-            return None if best is None or mass[best] <= dual.mu * den else sets[best]
+            return None if best is None or mass[best] < goal else sets[best]
 
         dist = _generate(finst, r, first, price)
         outcome = "infeasible" if dist is None else "exact"

@@ -250,11 +250,14 @@ class Instance:
     def num_colors(self) -> int:
         return len(self.colors)
 
+    def _level(self, r) -> int:
+        """floor(r * scale), r an int or a Fraction: the level of r."""
+        return r.numerator * self.scale // r.denominator
+
     def _balls(self, r) -> list:
-        """Bit u of entry c is set iff dist[c][u] <= r (an int or a
-        Fraction), that is rows[c][u] <= floor(r * scale), the level of
-        r.  Shared: callers must not change it."""
-        level = r.numerator * self.scale // r.denominator
+        """Bit u of entry c is set iff dist[c][u] <= r, that is iff
+        rows[c][u] <= the level of r.  Shared: callers must not change it."""
+        level = self._level(r)
         got = self._masks.get(level)
         if got is None:
             got = [sum(1 << u for u, d in enumerate(row) if d <= level) for row in self.rows]
@@ -343,10 +346,19 @@ def candidate_radii(inst: Instance):
     return [Fraction(v, inst.scale) for v in sorted(vals)]
 
 
-def weighted_coverage(inst: Instance, weights, centers, r) -> Fraction:
+def mask_weight(weights, mask):
+    """Exact total of weights[u] over the set bits u of mask."""
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += weights[low.bit_length() - 1]
+        mask ^= low
+    return total
+
+
+def weighted_coverage(inst: Instance, weights, centers, r):
     """Total weight of the points within distance r of centers."""
-    covered = union_mask(inst, centers, r)
-    return sum((w for u, w in enumerate(weights) if covered >> u & 1), Fraction(0))
+    return mask_weight(weights, union_mask(inst, centers, r))
 
 
 def ball_masks(inst: Instance, r, centers=None) -> list:
@@ -403,7 +415,7 @@ def counting_bound(inst: Instance, r):
     at radius r cannot meet by counting (see _color_bound), or None.
     Cached per radius level, so it depends only on the instance and r.
     """
-    level = r.numerator * inst.scale // r.denominator  # as in Instance._balls
+    level = inst._level(r)
     if level not in inst._bounds:
         masks = inst._balls(r)
         found = None

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Instance, ball_masks, mask_points, weighted_coverage
+from .model import Instance, ball_masks, mask_points, mask_weight, weighted_coverage
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def verify_partition(inst: Instance, r, pt: FractionalPoint, part: GoodPartition
             return PartitionViolation("radius", (s, min(outside)))
     near = ball_masks(inst, r, part.centers)
     for s, mask, cluster in zip(part.centers, near, part.clusters):
-        mass = sum(pt.y[v] for v in mask_points(mask))
+        mass = mask_weight(pt.y, mask)
         for u in sorted(cluster):
             if mass < pt.x[u]:
                 return PartitionViolation("mass", (s, u))
@@ -125,4 +125,4 @@ def verify_partition(inst: Instance, r, pt: FractionalPoint, part: GoodPartition
 
 def opening_mass(inst: Instance, r, pt: FractionalPoint, centers) -> Fraction:
     """Total y-mass inside the union of radius-r balls around centers."""
-    return weighted_coverage(inst, pt.y, centers, r) / pt.den
+    return Fraction(weighted_coverage(inst, pt.y, centers, r), pt.den)

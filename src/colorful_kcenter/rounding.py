@@ -3,10 +3,11 @@
 The clusters collapse the instance to q aggregated items, and
 build_cluster_system returns the covering LP over them: minimize the
 opened clusters subject to covering each row's demand.  It has t rows,
-one per color plus the optional weighted row, so any vertex has at most
-t fractional coordinates.  When the optimum is at most k - t + 1, the
-support therefore has at most k clusters, and opening every support
-center covers all demands within four radii.
+one per color plus the optional weighted row (fair's int weights summed
+per cluster), so any vertex has at most t fractional coordinates.  When
+the optimum is at most k - t + 1, the support therefore has at most k
+clusters, and opening every support center covers all demands within
+four radii.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def build_cluster_system(inst: Instance, part: GoodPartition, extra=None):
         program.add(row, lp.GE, c.demand)
     if extra is not None:
         weights, goal = extra
-        row = [sum((weights[u] for u in cluster), Fraction(0)) for cluster in part.clusters]
+        row = [sum(weights[u] for u in cluster) for cluster in part.clusters]
         program.add(row, lp.GE, goal)
     return program
 

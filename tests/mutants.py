@@ -214,9 +214,24 @@ MUTANTS = [
     Mutant(
         "pricing asks for more than mu",
         "fair.py",
-        "mass[best] <= dual.mu * den",
-        "mass[best] <= dual.mu * den + den",
+        "mass[best] < goal",
+        "mass[best] < goal + dual.scale",
         "tests/test_fair.py::test_enumeration_prices_to_the_brute_force_radius",
+    ),
+    # a covered weight strictly above mu is at least mu * scale + 1
+    Mutant(
+        "goal without its +1 margin",
+        "fair.py",
+        "max(0, dual.mu.numerator * (scale // dual.mu.denominator) + 1)",
+        "max(0, dual.mu.numerator * (scale // dual.mu.denominator))",
+        "tests/test_fair.py::test_pair_forces_doubled_radius",
+    ),
+    Mutant(
+        "margin doubled",
+        "fair.py",
+        "max(0, dual.mu.numerator * (scale // dual.mu.denominator) + 1)",
+        "max(0, dual.mu.numerator * (scale // dual.mu.denominator) + 2)",
+        "tests/test_fair.py::test_pair_forces_doubled_radius",
     ),
     Mutant(
         "enumeration solves every coverage at once",

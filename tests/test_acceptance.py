@@ -14,7 +14,7 @@ from fractions import Fraction
 from colorful_kcenter import lp, solver
 from colorful_kcenter.cli import main as cli_main
 from colorful_kcenter.dp import DpProgram, dp_solve
-from colorful_kcenter.fair import epsilon_gap, solve_fair, weighted_coverage
+from colorful_kcenter.fair import DualPoint, solve_fair, weighted_coverage, weighted_goal
 from colorful_kcenter.generators import (
     fixture_adversarial,
     gen_clumps,
@@ -311,14 +311,18 @@ def test_strict_threshold_margin_is_exact():
             Fraction(rng.randint(0, 50), rng.randint(1, 50)) for _ in range(n)
         )
         mu = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
-        eps = epsilon_gap(alpha, mu)
-        assert eps > 0
-        sums = [Fraction(0)] * (1 << n)
+        dual = DualPoint(alpha=alpha, mu=mu)
+        weights, goal = weighted_goal(dual)
+        assert dual.scale > 0 and goal >= 0
+        assert all(isinstance(w, int) and w == a * dual.scale for w, a in zip(weights, alpha))
+        sums = [(Fraction(0), 0)] * (1 << n)
         for mask in range(1, 1 << n):
             low = mask & -mask
-            sums[mask] = sums[mask ^ low] + alpha[low.bit_length() - 1]
-        for v in sums:
-            assert (v > mu) == (v >= mu + eps)
+            v, w = sums[mask ^ low]
+            u = low.bit_length() - 1
+            sums[mask] = (v + alpha[u], w + weights[u])
+        for v, w in sums:
+            assert (v > mu) == (w >= goal)
 
 
 def test_identical_runs_produce_identical_bytes(tmp_path):

@@ -14,12 +14,12 @@ from colorful_kcenter.fair import (
     DualPoint,
     SeparationRecord,
     coverage_probability,
-    epsilon_gap,
     sample,
     separate_or_certify,
     solve_fair,
     solve_restricted,
     weighted_coverage,
+    weighted_goal,
 )
 from colorful_kcenter.generators import gen_random
 from colorful_kcenter.model import (
@@ -29,6 +29,7 @@ from colorful_kcenter.model import (
     candidate_radii,
     check_feasible,
     feasible_sets,
+    mask_weight,
     union_ball,
     union_mask,
 )
@@ -44,20 +45,27 @@ def fair_line(coords, k, colors, p):
     return FairInstance(base=inst, p=tuple(Fraction(v) for v in p))
 
 
-def test_epsilon_gap_units():
-    assert epsilon_gap((), Fraction(5)) == 1
-    assert epsilon_gap((Fraction(2), Fraction(3)), Fraction(4)) == 1
-    assert epsilon_gap((Fraction(1, 3), Fraction(1, 4)), Fraction(1, 6)) == Fraction(1, 72)
-    assert epsilon_gap((Fraction(1, 2), Fraction(1, 2)), Fraction(1, 2)) == Fraction(1, 8)
+def test_weighted_goal_units():
+    def encode(alpha, mu):
+        dual = DualPoint(alpha=alpha, mu=mu)
+        return dual.scale, weighted_goal(dual)
+
+    # scale is one over the margin, and goal / scale is mu plus the margin
+    assert encode((), Fraction(5)) == (1, ((), 6))
+    assert encode((Fraction(2), Fraction(3)), Fraction(4)) == (1, ((2, 3), 5))
+    assert encode((Fraction(1, 3), Fraction(1, 4)), Fraction(1, 6)) == (72, ((24, 18), 13))
+    assert encode((Fraction(1, 2), Fraction(1, 2)), Fraction(1, 2)) == (8, ((4, 4), 5))
+    # a goal below zero is clamped: every set covers at least nothing
+    assert encode((Fraction(1),), Fraction(-3, 2)) == (2, ((2,), 0))
     # the margin never reclassifies a subset sum
     alpha = (Fraction(1, 3), Fraction(1, 4), Fraction(2, 3))
     mu = Fraction(5, 6)
-    eps = epsilon_gap(alpha, mu)
+    weights, goal = weighted_goal(DualPoint(alpha=alpha, mu=mu))
     for mask in range(8):
         v = sum(
             (alpha[i] for i in range(3) if mask >> i & 1), Fraction(0)
         )
-        assert (v > mu) == (v >= mu + eps)
+        assert (v > mu) == (mask_weight(weights, mask) >= goal)
 
 
 def test_dual_point_rejects_negative_weight():
@@ -249,8 +257,9 @@ def test_separation_finds_column_at_workable_radius():
     got = separate_or_certify(finst, 2, dual)
     assert isinstance(got, CenterSet)
     assert got.radius in (4, 8)
-    goal = dual.mu + epsilon_gap(dual.alpha, dual.mu)
-    assert weighted_coverage(finst.base, dual.alpha, got.centers, got.radius) >= goal
+    weights, goal = weighted_goal(dual)
+    assert weighted_coverage(finst.base, weights, got.centers, got.radius) >= goal
+    assert weighted_coverage(finst.base, dual.alpha, got.centers, got.radius) > dual.mu
     assert check_feasible(finst.base, got.centers, got.radius).feasible
 
 

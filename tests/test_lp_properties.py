@@ -463,6 +463,60 @@ def test_ties_in_the_ratio_test_go_to_the_lowest_index(program):
     assert lp.solve(program) == reference_solve(program)
 
 
+@st.composite
+def scaled_rows(draw):
+    """(program, scaled, i, factor): scaled is program with row i's
+    coefficients and rhs times factor > 0, either a drawn rational or
+    the lcm of the row's denominators times 1 to 3, which turns the row
+    into ints (as fair's weighted row is)."""
+    program = draw(st.one_of(programs(), mixed_programs(), degenerate_programs()))
+    assume(program.constraints)
+    rows = [(con.coeffs, con.rel, con.rhs) for con in program.constraints]
+    i = draw(st.integers(0, len(rows) - 1))
+    coeffs, rel, rhs = rows[i]
+    if draw(st.booleans()):
+        factor = draw(st.builds(Fraction, st.integers(1, 12), st.integers(1, 7)))
+        rows[i] = ([factor * v for v in coeffs], rel, factor * rhs)
+    else:
+        factor = math.lcm(*(Fraction(v).denominator for v in (*coeffs, rhs)))
+        factor *= draw(st.integers(1, 3))
+        rows[i] = ([int(factor * v) for v in coeffs], rel, int(factor * rhs))
+    scaled = lp.LinearProgram(
+        program.num_vars, program.objective, program.sense, program.lower, program.upper, rows
+    )
+    return program, scaled, i, factor
+
+
+@settings(max_examples=400, deadline=None)
+@given(scaled_rows())
+def test_scaling_a_row_changes_no_choice(case):
+    """A positive factor on one row changes no sign or ratio the dual
+    simplex compares, so every Bland choice is the same: the same status,
+    point and value, row i's dual divided by the factor, and a
+    certificate that is a positive multiple of the old one with row i's
+    multiplier divided by the factor."""
+    program, scaled, i, factor = case
+    out, got = lp.solve(program), lp.solve(scaled)
+    assert got.status == out.status
+    assert got.solution == out.solution and got.value == out.value
+    if out.status == "optimal":
+        duals = list(out.dual.row_duals)
+        duals[i] /= factor
+        assert got.dual.row_duals == tuple(duals)
+    if out.status == "infeasible":
+        assert lp.verify_certificate(scaled, got.certificate)
+        assert reference_verify_certificate(scaled, got.certificate)
+        cert = out.certificate
+        mults = list(cert.row_mults)
+        mults[i] /= factor
+        t = got.certificate.gap / cert.gap
+        assert t > 0
+        assert got.certificate == lp.FarkasCertificate(
+            *(tuple(t * v for v in part) for part in (mults, cert.lower_mults, cert.upper_mults)),
+            t * cert.gap,
+        )
+
+
 # -- the optimum as ints -----------------------------------------------------
 #
 # An optimum hands over its point as ints over den, and solution is the
