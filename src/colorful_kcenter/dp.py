@@ -17,8 +17,7 @@ that provably have no feasible completion:
 
 Both are necessary conditions for feasibility, so every value the
 recursion keeps, and every pick the replay makes, is the same as
-without them.  Weights are scaled to ints by the lcm of their
-denominators, and the result is scaled back to an exact Fraction.
+without them.  Weights are ints, so every sum is exact.
 
 find_few_outside searches for a small center set of the form
 "guessed points outside S, completed by centers inside S": it guesses
@@ -45,8 +44,8 @@ from .model import CenterSet, Instance, ball_masks, color_masks, mask_weight
 
 @dataclass(frozen=True)
 class DpProgram:
-    """Items with weights, per-row integer contributions, integer
-    demands, and a cardinality cap.
+    """Items with integer weights, per-row integer contributions,
+    integer demands, and a cardinality cap.
     """
 
     weights: tuple
@@ -55,7 +54,9 @@ class DpProgram:
     capacity: int
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(map(Fraction, self.weights)))
+        object.__setattr__(self, "weights", tuple(self.weights))
+        if any(type(w) is not int for w in self.weights):
+            raise ValueError("weights must be ints")
         rows = tuple(tuple(map(int, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "demands", tuple(map(int, self.demands)))
@@ -78,7 +79,7 @@ class DpProgram:
 
 @dataclass(frozen=True)
 class DpResult:
-    value: Fraction
+    value: int
     picks: tuple  # item indices, ascending
 
 
@@ -93,8 +94,7 @@ def dp_solve(prog: DpProgram):
     if _beyond_pooled_reach(prog.rows, prog.demands, prog.capacity):
         return None
     cols = tuple(zip(*prog.rows)) if prog.rows else ((),) * q
-    scale = math.lcm(*(w.denominator for w in prog.weights))
-    weights = [w.numerator * (scale // w.denominator) for w in prog.weights]
+    weights = prog.weights
     # reach[i][b]: per row, the sum of the b largest contributions among
     # items i..q-1, for b = 0..q-i
     reach = [None] * q
@@ -108,7 +108,7 @@ def dp_solve(prog: DpProgram):
     memo = {}
 
     def best(i, need, budget):
-        # best scaled weight from items i..q-1 covering `need` with <=
+        # best weight from items i..q-1 covering `need` with <=
         # budget picks; exhausted demands still allow further picks for
         # their weight
         if i == q or budget == 0:
@@ -154,7 +154,7 @@ def dp_solve(prog: DpProgram):
         value -= weights[i]
         budget -= 1
         i += 1
-    return DpResult(Fraction(top, scale), tuple(picks))
+    return DpResult(top, tuple(picks))
 
 
 def _beyond_pooled_reach(rows, demands, capacity) -> bool:
@@ -182,8 +182,8 @@ def find_few_outside(inst: Instance, r2, centers_s, beta: int, extra=None):
     Guesses Q run over subsets of the complement in (size, lex) order;
     for each Q the dynamic program packs centers from centers_s to
     cover the demands left after discounting Q's coverage.  extra =
-    (weights, goal), per-point weights and a goal (ints from fair,
-    though any exact numbers do), asks as well that the weight covered,
+    (weights, goal), per-point int weights and a goal (fair's
+    weighted_goal), asks as well that the weight covered,
     Q's share included, is at least goal; without it every weight is
     zero and so is the goal.
     """

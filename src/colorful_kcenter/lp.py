@@ -11,12 +11,15 @@ Inputs are ints or fractions.Fraction; ints stay ints.  Inside a solve
 everything is a Python int over a common denominator: the tableau is
 fraction-free (Edmonds 1967, Bareiss 1968) and updated by exact integer
 division, and the basic values, steps, duals and every check share its
-denominator.  An optimum is handed over the same way, as the ints point
-over den, with the Fractions solution and dual built on first access; a
-certificate is Fractions.  Every optimum is checked on ints before it
-is returned: its point against every bound and row of its program, and
-its value against the dual's.  Every certificate is verified against
-its program.
+denominator.  Each row enters the tableau at its own int scale, its
+coefficients times the lcm of their denominators, and the duals and
+certificates read off it are mapped back to the program's rows.  An
+optimum is handed over as ints too, the point over den, with the
+Fractions solution and dual built on first access; a certificate is
+Fractions.  Every optimum is checked on ints before it is returned:
+its point against every bound and row of its program, and its value
+against the dual's.  Every certificate is verified against its
+program.
 
 Every solve runs one pivot loop from a dual feasible basis.  A cold
 solve starts from the slack basis: each structural column at the bound
@@ -357,29 +360,31 @@ class _Simplex:
     """State for one solve: a bounded-variable dual simplex.
 
     Columns: structural variables, then one slack per row, so row i's
-    slack is column n + i.  Constraint "a.x rel b" is held as
-    "a.x + s = b" with the slack bounded by [0, inf) for <=, (-inf, 0]
-    for >=, and [0, 0] for ==.  A fixed column never enters the basis.
+    slack is column n + i.  Constraint "a.x rel b" is held at its own
+    int scale s_i, the lcm of a's denominators, as "A_i.x + s = b * s_i"
+    with A_i = a * s_i its ints: the slack is s_i times the program's,
+    bounded by [0, inf) for <=, (-inf, 0] for >=, and [0, 0] for ==.  A
+    fixed column never enters the basis.
 
-    The true tableau is T / D, T int rows and D > 0.  With A' the rows
-    scaled by the lcm of their own denominators and B' its basis columns,
-    D = |det B'| and T = D * B'^-1 A' = +-adj(B') A' is integral.  A
-    pivot on p = T[r][e] is the Bareiss step
-    T'[i][j] = (T[i][j]*p - T[i][e]*T[r][j]) // D, exact since T' is
-    again integral, with D' = |p| and all rows negated when p < 0.
-    Reduced costs d are ints over lc*D (lc: lcm of the solve's cost
-    denominators) moved by the same step.
+    The true tableau is T / D = B^-1 [A | I], T int rows and D > 0:
+    with B the basis columns of the integral [A | I], D = |det B| and
+    T = +-adj(B) [A | I] is integral.  A pivot on p = T[r][e] is the
+    Bareiss step T'[i][j] = (T[i][j]*p - T[i][e]*T[r][j]) // D, exact
+    since T' is again integral, with D' = |p| and all rows negated when
+    p < 0.  Reduced costs d are ints over lc*D (lc: lcm of the solve's
+    cost denominators) moved by the same step.
 
     Bounds, rhs and bound values are ints times L, the lcm of the rhs
-    and finite bound denominators.  The basic values are the ints
-    B[i] = beta_i * D * L, integral because D * beta = +-adj(B') times
-    an integral vector over L; a pivot moves them by the same Bareiss
-    step, and every division is checked exact.
+    and finite bound denominators, so row i's rhs is b * s_i * L.  The
+    basic values are the ints B[i] = beta_i * D * L, integral because
+    D * beta = +-adj(B) times an integral vector over L; a pivot moves
+    them by the same Bareiss step, and every division is checked exact.
 
     T / D carries the identity on the current basis, so the slack
     columns hold the basis inverse: the basic values are
-    T_slack . rhs - T_N . x_N over D * L (_rebase), and the row duals
-    are the negated reduced costs of the slack columns.
+    T_slack . rhs - T_N . x_N over D * L (_basic_values), and the row
+    duals are the negated reduced costs of the slack columns, times
+    each row's s_i to be the program's (_multipliers).
 
     Rows enter one way, through _append, each with its slack basic: a
     cold solve appends every row to the structural columns alone (D = 1,
@@ -430,59 +435,34 @@ class _Simplex:
         """Enter constraints as rows of the tableau, each with its slack
         basic.
 
-        L first grows by their rhs denominators.  Row a / s (a the ints
-        of a constraint, s its scale) eliminated against the basis is,
-        over D * s, a * D - sum_i a[b_i] * T[i], and its slack's value
-        b - a.x / s times D * s * L is rhs * D * s - a . X, X the
-        structural values over D * L.  D then grows once, by the product
-        of the scales, and every row, basic value and reduced cost is
-        brought over it.
+        A constraint enters as its ints a = coeffs * scale with rhs
+        rhs * scale, so its slack is scale times the program's; L first
+        grows by the rhs denominators.  Row a eliminated against the
+        basis is, over D, a * D - sum_i a[b_i] * T[i], so D does not
+        grow, and _basic_values gives the new rows' values.
         """
-        n, D, T, B = self.n, self.D, self.T, self.B
+        n, D, T = self.n, self.D, self.T
         L = math.lcm(self.L, *(con.rhs.denominator for con in constraints))
         if L != self.L:
             f = L // self.L
             self.L = L
-            for v in (self.rhs, B, self.lo, self.up):
+            for v in (self.rhs, self.B, self.lo, self.up):
                 v[:] = [None if x is None else x * f for x in v]
-        pad = [0] * (self.ncols - n)
-        rows = []
-        for con in constraints:
-            a, s = con.ints, con.scale
-            rhs = _scaled(con.rhs, L)
+        k, first = len(constraints), self.ncols
+        zeros = [0] * k
+        for ti in T:
+            ti += zeros
+        pad = [0] * (first + k - n)
+        for col, con in enumerate(constraints, first):
+            a = con.ints
             row = [*a, *pad] if D == 1 else [c * D for c in a] + pad
-            value = rhs * s
-            for j, c in enumerate(a):
-                if c and self.state[j] != _BASIC:
-                    value -= c * self.bound_value(j)
-            value *= D
             for i, b in enumerate(self.basis):
                 if b < n and a[b]:
                     f = a[b]
                     row = [v - f * w if w else v for v, w in zip(row, T[i])]
-                    value -= f * B[i]
-            rows.append((row, value, rhs, con))
-        scale = math.prod(con.scale for con in constraints)
-        if scale != 1:
-            for ti in T:
-                ti[:] = [v * scale for v in ti]
-            B[:] = [v * scale for v in B]
-            self.d = [v * scale for v in self.d]
-        self.D = D = D * scale
-        k, first = len(rows), self.ncols
-        zeros = [0] * k
-        for ti in T:
-            ti += zeros
-        for col, (row, value, rhs, con) in enumerate(rows, first):
-            f = scale // con.scale
-            if f != 1:
-                row = [v * f for v in row]
-                value *= f
-            row += zeros
             row[col] = D
             T.append(row)
-            B.append(value)
-            self.rhs.append(rhs)
+            self.rhs.append(_scaled(con.rhs, L) * con.scale)
             lo, up = _SLACK_BOUNDS[con.rel]
             self.lo.append(lo)
             self.up.append(up)
@@ -491,6 +471,7 @@ class _Simplex:
         self.d += zeros
         self.ncols += k
         self.m += k
+        self.B += self._basic_values(T[first - n :])
 
     def resolved(self, lp: LinearProgram) -> LpOutcome:
         """Re-solve a copy of this optimal simplex for lp, its program
@@ -562,18 +543,21 @@ class _Simplex:
 
     def _rebase(self):
         """Place each nonbasic column at the bound its reduced cost asks
-        for, and compute the basic values T_slack . rhs - T_N . x_N, all
-        over D * L."""
-        n, state = self.n, self.state
-        x = [0] * self.ncols
-        for j, st in enumerate(state):
+        for, and compute every basic value."""
+        for j, st in enumerate(self.state):
             if st != _BASIC:
-                state[j] = _placed(self.lo[j], self.up[j], self.d[j])
-                x[j] = -self.bound_value(j)
+                self.state[j] = _placed(self.lo[j], self.up[j], self.d[j])
+        self.B = self._basic_values(self.T)
+
+    def _basic_values(self, rows):
+        """The basic values of the tableau rows `rows` over D * L: each
+        row's T_slack . rhs - T_N . x_N, x_N the nonbasic values."""
+        n = self.n
+        x = [-self.bound_value(j) for j in range(self.ncols)]  # 0 where basic
         for i, b in enumerate(self.rhs):
             x[n + i] += b
         nz = [(j, v) for j, v in enumerate(x) if v]
-        self.B = [sum(row[j] * v for j, v in nz) for row in self.T]
+        return [sum(row[j] * v for j, v in nz) for row in rows]
 
     # -- the dual simplex -----------------------------------------------------
 
@@ -586,10 +570,12 @@ class _Simplex:
             return self._optimal_outcome()
         r, sigma = blocked
         y, low, upp, gap = self._multipliers(self.T[r], sigma)
-        D = self.D
+        # a basic slack is its row's scale times the program's slack
+        b = self.basis[r] - self.n
+        den = self.D if b < 0 else self.D * self.lp.constraints[b].scale
         return _certified(self.lp, FarkasCertificate(
-            _fractions(y, D), _fractions(low, D), _fractions(upp, D),
-            Fraction(gap, D * self.L),
+            _fractions(y, den), _fractions(low, den), _fractions(upp, den),
+            Fraction(gap, den * self.L),
         ))
 
     def _loop(self):
@@ -714,14 +700,16 @@ class _Simplex:
         combined rhs y.b + low.lower - upp.upper, read off vec (a tableau
         row or the reduced costs) as ints over its denominator (times L).
 
-        Row i gets -sigma * vec[n+i]; column j puts sigma * vec[j] on its
-        lower bound where positive, its upper one where negative.  The
-        reduced costs with sigma = 1, zero on basic columns, give the
-        duals (min convention).  The row blocking the dual simplex,
-        sigma = 1 when its basic variable lies below its lower bound and
-        -1 above its upper one, gives a certificate: every entry sits
-        where its column cannot move that variable back, so the rhs is
-        how far it lies outside its bound.
+        Row i's tableau row gets -sigma * vec[n+i], which the combined
+        rhs sums, and the program's row that times the row's scale;
+        column j puts sigma * vec[j] on its lower bound where positive,
+        its upper one where negative.  The reduced costs with sigma = 1,
+        zero on basic columns, give the duals (min convention).  The row
+        blocking the dual simplex, sigma = 1 when its basic variable
+        lies below its lower bound and -1 above its upper one, gives a
+        certificate: every entry sits where its column cannot move that
+        variable back, so the rhs is how far it lies outside its bound,
+        times its row's scale when it is a slack.
         """
         n = self.n
         y = [-sigma * vec[n + i] for i in range(self.m)]
@@ -740,7 +728,7 @@ class _Simplex:
             else:
                 upp[j] = -v
             total += v * bound
-        return y, low, upp, total
+        return [v * con.scale for v, con in zip(y, self.lp.constraints)], low, upp, total
 
     def _optimal_outcome(self):
         # structural values as ints over D*L, checked with the dual on ints

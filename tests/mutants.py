@@ -116,16 +116,28 @@ MUTANTS = [
         "if not 0 <= args.samples:",
         "tests/test_cli.py::test_exit_codes_for_bad_inputs",
     ),
-    # the rows entered before this one are over the grown D, this one not
+    # each row enters at its own int scale: its rhs too, and what is read
+    # off its scaled slack is mapped back to the program's row
     Mutant(
-        "a new row is not brought over the grown denominator",
+        "rhs entered unscaled",
         "lp.py",
-        "            if f != 1:\n"
-        "                row = [v * f for v in row]\n"
-        "                value *= f\n",
-        "            if f != 1:\n"
-        "                value *= f\n",
+        "self.rhs.append(_scaled(con.rhs, L) * con.scale)",
+        "self.rhs.append(_scaled(con.rhs, L))",
         "tests/test_lp.py::test_golden_outcomes[mixed_denominators]",
+    ),
+    Mutant(
+        "row multipliers not multiplied back by scale",
+        "lp.py",
+        "return [v * con.scale for v, con in zip(y, self.lp.constraints)], low, upp, total",
+        "return y, low, upp, total",
+        "tests/test_lp.py::test_golden_outcomes[mixed_denominators]",
+    ),
+    Mutant(
+        "blocking-row certificate not divided by its scale",
+        "lp.py",
+        "den = self.D if b < 0 else self.D * self.lp.constraints[b].scale",
+        "den = self.D",
+        "tests/test_lp.py::test_golden_outcomes[infeasible_scaled_slack]",
     ),
     # exact rationals: an optimum's value as a float
     Mutant(

@@ -225,17 +225,17 @@ def test_dp_agrees_with_exhaustive_enumeration():
             tuple(rng.randint(0, bound) for _ in range(q)) for _ in range(t)
         )
         demands = tuple(rng.randint(0, bound) for _ in range(t))
-        weights = tuple(Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(q))
+        weights = tuple(rng.randint(0, 6) * (6 // rng.randint(1, 3)) for _ in range(q))
         capacity = rng.randint(0, q)
         prog = DpProgram(weights=weights, rows=rows, demands=demands, capacity=capacity)
 
         # exhaustive pass over all subsets via shared-prefix sums
         size = [0] * (1 << q)
-        val = [Fraction(0)] * (1 << q)
+        val = [0] * (1 << q)
         sums = [(0,) * t] * (1 << q)
         best = None
         if all(d <= 0 for d in demands):
-            best = Fraction(0)
+            best = 0
         for mask in range(1, 1 << q):
             low = mask & -mask
             i = low.bit_length() - 1

@@ -25,7 +25,7 @@ def brute_best(prog):
                     break
             if not ok:
                 continue
-            value = sum((prog.weights[i] for i in picks), Fraction(0))
+            value = sum(prog.weights[i] for i in picks)
             if best is None or value > best[0]:
                 best = (value, picks)
     return best
@@ -39,9 +39,9 @@ def random_program(rng, weighted):
     )
     demands = tuple(rng.randint(0, 6) for _ in range(t))
     if weighted:
-        weights = tuple(Fraction(rng.randint(0, 8), 4) for _ in range(q))
+        weights = tuple(rng.randint(0, 8) for _ in range(q))
     else:
-        weights = tuple(Fraction(0) for _ in range(q))
+        weights = (0,) * q
     capacity = rng.randint(0, q + 1)
     return DpProgram(weights=weights, rows=rows, demands=demands, capacity=capacity)
 
@@ -79,7 +79,7 @@ def test_weighted_matches_enumeration():
         assert res is not None
         assert res.value == want[0]
         # claimed picks must earn the claimed value and be feasible
-        assert sum((prog.weights[i] for i in res.picks), Fraction(0)) == res.value
+        assert sum(prog.weights[i] for i in res.picks) == res.value
         for row, need in zip(prog.rows, prog.demands):
             assert sum(row[i] for i in res.picks) >= need
         assert len(res.picks) <= prog.capacity
@@ -98,11 +98,11 @@ def test_deterministic_picks():
 
 def test_zero_capacity_edge():
     prog = DpProgram(
-        weights=(Fraction(1),), rows=((1,),), demands=(1,), capacity=0
+        weights=(1,), rows=((1,),), demands=(1,), capacity=0
     )
     assert dp_solve(prog) is None
     prog = DpProgram(
-        weights=(Fraction(1),), rows=((1,),), demands=(0,), capacity=0
+        weights=(1,), rows=((1,),), demands=(0,), capacity=0
     )
     res = dp_solve(prog)
     assert res is not None and res.picks == ()
@@ -110,7 +110,7 @@ def test_zero_capacity_edge():
 
 def test_demand_above_reach_is_infeasible():
     prog = DpProgram(
-        weights=(Fraction(0), Fraction(0)),
+        weights=(0, 0),
         rows=((2, 2),),
         demands=(5,),
         capacity=2,
@@ -119,16 +119,15 @@ def test_demand_above_reach_is_infeasible():
 
 
 def reference_dp_solve(prog):
-    """The plain memoised recursion over Fraction weights, without
-    pruning: the implementation of record for dp_solve."""
+    """The plain memoised recursion, without pruning: the implementation
+    of record for dp_solve."""
     q = prog.num_items
     rows = prog.rows
     memo = {}
-    zero = Fraction(0)
 
     def best(i, need, budget):
         if i == q or budget == 0:
-            return zero if not any(need) else None
+            return 0 if not any(need) else None
         key = (i, need, budget)
         hit = memo.get(key, memo)
         if hit is not memo:
@@ -182,10 +181,10 @@ def packing_programs(draw, weighted):
     demands = tuple(draw(st.lists(st.integers(0, 8), min_size=t, max_size=t)))
     if weighted:
         # negative weights too: DpProgram allows them
-        weight = st.fractions(-1, 3, max_denominator=6) | st.just(Fraction(0))
+        weight = st.integers(-6, 18) | st.just(0)
         weights = tuple(draw(st.lists(weight, min_size=q, max_size=q)))
     else:
-        weights = (Fraction(0),) * q
+        weights = (0,) * q
     capacity = draw(st.integers(0, q + 1))
     return DpProgram(weights=weights, rows=rows, demands=demands, capacity=capacity)
 
@@ -219,23 +218,30 @@ def test_dp_solve_matches_the_reference(prog):
 )
 def test_demand_at_and_past_its_reach(rows, demands, capacity, picks):
     prog = DpProgram(
-        weights=(Fraction(0),) * len(rows[0]), rows=rows, demands=demands, capacity=capacity
+        weights=(0,) * len(rows[0]), rows=rows, demands=demands, capacity=capacity
     )
-    want = None if picks is None else DpResult(Fraction(0), picks)
+    want = None if picks is None else DpResult(0, picks)
     assert reference_dp_solve(prog) == want
     assert dp_solve(prog) == want
 
 
 def test_weights_are_summed_exactly():
-    # denominators 2, 3 and 7: the result is the exact sum, not a rounding
+    # weights past a float's 53 bits: the result is the exact sum, not a
+    # rounding
     prog = DpProgram(
-        weights=(Fraction(1, 2), Fraction(2, 3), Fraction(1, 7)),
+        weights=(2**60 + 1, 2**60 + 2, 2**53),
         rows=((1, 1, 1),),
         demands=(2,),
         capacity=2,
     )
-    assert dp_solve(prog) == DpResult(Fraction(7, 6), (0, 1))
-    assert reference_dp_solve(prog) == DpResult(Fraction(7, 6), (0, 1))
+    assert dp_solve(prog) == DpResult(2**61 + 3, (0, 1))
+    assert reference_dp_solve(prog) == DpResult(2**61 + 3, (0, 1))
+
+
+@pytest.mark.parametrize("weight", [Fraction(1, 2), Fraction(1), 1.0, True])
+def test_non_int_weights_are_refused(weight):
+    with pytest.raises(ValueError):
+        DpProgram(weights=(1, weight), rows=((1, 1),), demands=(1,), capacity=1)
 
 
 def line_instance(coords, k, colors):
@@ -262,7 +268,7 @@ def brute_few_outside(inst, r2, centers_s, beta, extra=None):
                         continue
                     if extra is not None:
                         weights, goal = extra
-                        got = sum((weights[u] for u in covered), Fraction(0))
+                        got = sum(weights[u] for u in covered)
                         if got < goal:
                             continue
                     return True
@@ -321,10 +327,8 @@ def test_find_few_outside_weighted_threshold():
         inst, centers = spread_instance(rng)
         r2 = Fraction(rng.randint(1, 10))
         beta = rng.randint(0, 2)
-        weights = tuple(
-            Fraction(rng.randint(0, 4), 4) for _ in range(inst.n)
-        )
-        threshold = Fraction(rng.randint(0, 3 * inst.n), 4)
+        weights = tuple(rng.randint(0, 4) for _ in range(inst.n))
+        threshold = rng.randint(0, 3 * inst.n)
         extra = (weights, threshold)
         exists = brute_few_outside(inst, r2, centers, beta, extra)
         got = find_few_outside(inst, r2, centers, beta, extra)
@@ -334,7 +338,7 @@ def test_find_few_outside_weighted_threshold():
             continue
         found_count += 1
         covered = union_ball(inst, got.centers, r2)
-        assert sum((weights[u] for u in covered), Fraction(0)) >= threshold
+        assert sum(weights[u] for u in covered) >= threshold
         for c in inst.colors:
             assert len(c.members & covered) >= c.demand
     assert found_count > 50 and none_count > 30
@@ -391,9 +395,9 @@ def test_find_few_outside_matches_the_set_reference(seed, weighted):
     extra = None
     if weighted:
         extra = (
-            tuple(Fraction(rng.randint(0, 4), rng.choice([1, 3, 4]))
+            tuple(rng.randint(0, 4) * (12 // rng.choice([1, 3, 4]))
                   for _ in range(inst.n)),
-            Fraction(rng.randint(0, 3 * inst.n), 4),
+            rng.randint(0, 3 * inst.n) * 3,
         )
     got = find_few_outside(inst, r2, centers, beta, extra)
     assert got == reference_find_few_outside(inst, r2, centers, beta, extra)

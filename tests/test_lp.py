@@ -370,8 +370,8 @@ def golden_program(n, objective, sense, lower, upper, rows):
 
 
 GOLDEN_PROGRAMS = {
-    # rows with denominators 6 and 5: the integer tableau starts at D = 30;
-    # free columns with costs take phase 1
+    # rows with denominators 6 and 5 enter as their ints 3x + 2y <= 6 and
+    # 2x + 5y <= 15; free columns with costs take phase 1
     "mixed_denominators": golden_program(
         2, ("1", "1"), lp.MAX, None, None,
         [(("1/2", "1/3"), lp.LE, "1"), (("2/5", "1"), lp.LE, "3/2")],
@@ -407,6 +407,12 @@ GOLDEN_PROGRAMS = {
     "infeasible_rational_rows": golden_program(
         2, ("0", "0"), lp.MIN, ("0", "0"), ("1", "1"),
         [(("1/2", "1/3"), lp.GE, "2"), (("1", "-1"), lp.LE, "1/2")],
+    ),
+    # the slack of x/2 <= -1/3 enters as that of x <= -2/3, twice the
+    # program's: the certificate is read off over the program's slack
+    "infeasible_scaled_slack": golden_program(
+        2, ("1", "0"), lp.MIN, ("0", "0"), None,
+        [(("1/2", "0"), lp.LE, "-1/3")],
     ),
     "infeasible_equalities": golden_program(
         2, ("1", "0"), lp.MAX, None, ("3", None),
@@ -465,6 +471,7 @@ GOLDEN_LINES = {
     "bound_flips": "optimal | x 1 3 | v 5 | y 0 | lo 0 0 | up -2 -1",
     "unbounded": "unbounded",
     "infeasible_rational_rows": "infeasible | y 3 0 | lo 0 0 | up 3/2 1 | gap 7/2",
+    "infeasible_scaled_slack": "infeasible | y -1 | lo 1/2 0 | up 0 0 | gap 1/3",
     "infeasible_equalities": "infeasible | y -2 1 | lo 0 0 | up 0 0 | gap 1",
     "restricted_optimal": "optimal | x 0 0 3 0 | v 0 | y 0 -1 0 | lo 1 1 0 0 | up 0 0 0 0",
     "restricted_infeasible": "infeasible | y 1 -1 | lo 1/2 1/3 2/3 0 | up 0 0 0 0 | gap 1",
