@@ -531,8 +531,10 @@ class _Simplex:
         """
         real = self.lo, self.up, self.rhs
         boxes = [_FOURER_BOX[lo is not None, up is not None] for lo, up in zip(*real[:2])]
-        self.lo = [lo * self.L for lo, _ in boxes]
-        self.up = [up * self.L for _, up in boxes]
+        # a slack is its row's scale times the program's, and so is its box
+        scales = [self.L] * self.n + [con.scale * self.L for con in self.lp.constraints]
+        self.lo = [lo * s for (lo, _), s in zip(boxes, scales)]
+        self.up = [up * s for (_, up), s in zip(boxes, scales)]
         self.rhs = [0] * self.m
         self._rebase()
         if self._loop() is not None:

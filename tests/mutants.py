@@ -139,6 +139,13 @@ MUTANTS = [
         "den = self.D",
         "tests/test_lp.py::test_golden_outcomes[infeasible_scaled_slack]",
     ),
+    Mutant(
+        "phase 1 boxes a scaled slack as the program's",
+        "lp.py",
+        "scales = [self.L] * self.n + [con.scale * self.L for con in self.lp.constraints]",
+        "scales = [self.L] * self.ncols",
+        "tests/test_lp.py::test_golden_outcomes[phase_one_scaled_slack]",
+    ),
     # exact rationals: an optimum's value as a float
     Mutant(
         "the optimal value is a float",

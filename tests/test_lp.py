@@ -414,6 +414,12 @@ GOLDEN_PROGRAMS = {
         2, ("1", "0"), lp.MIN, ("0", "0"), None,
         [(("1/2", "0"), lp.LE, "-1/3")],
     ),
+    # phase 1 boxes the slack of 2y/3 - z >= 0, entered as 2y - 3z >= 0,
+    # by three times the program's box, or it takes another pivot path
+    "phase_one_scaled_slack": golden_program(
+        3, ("0", "1", "0"), lp.MAX, ("1", None, None), ("2", None, "0"),
+        [(("0", "2/3", "-1"), lp.GE, "0"), (("1", "0", "-2"), lp.LE, "0")],
+    ),
     "infeasible_equalities": golden_program(
         2, ("1", "0"), lp.MAX, None, ("3", None),
         [(("1", "1"), lp.EQ, "1"), (("2", "2"), lp.EQ, "3")],
@@ -472,6 +478,7 @@ GOLDEN_LINES = {
     "unbounded": "unbounded",
     "infeasible_rational_rows": "infeasible | y 3 0 | lo 0 0 | up 3/2 1 | gap 7/2",
     "infeasible_scaled_slack": "infeasible | y -1 | lo 1/2 0 | up 0 0 | gap 1/3",
+    "phase_one_scaled_slack": "infeasible | y 0 -1/2 | lo 1/2 0 0 | up 0 0 1 | gap 1/2",
     "infeasible_equalities": "infeasible | y -2 1 | lo 0 0 | up 0 0 | gap 1",
     "restricted_optimal": "optimal | x 0 0 3 0 | v 0 | y 0 -1 0 | lo 1 1 0 0 | up 0 0 0 0",
     "restricted_infeasible": "infeasible | y 1 -1 | lo 1/2 1/3 2/3 0 | up 0 0 0 0 | gap 1",
