@@ -24,9 +24,22 @@ find_few_outside searches for a small center set of the form
 every small subset Q outside S, discounts what Q already covers, and
 runs the dynamic program over S to cover the rest, maximizing covered
 weight, summed by model.mask_weight, and checking it against a goal
-(fair's ints; both zero without one).  Used with radius r2 = 2r for
-cluster centers S that are pairwise > 4r apart, so the r2-balls around
-S never overlap and contributions are additive.
+(fair's ints, never negative; both zero without one).  Used with
+radius r2 = 2r for cluster centers S that are pairwise > 4r apart, so
+the r2-balls around S never overlap and contributions are additive.
+
+The search never guesses an outside point u whose r2-ball lies inside
+the r2-ball of some s in S, and still returns the same first hit.  Say
+a guess Q holds such a u and hits with picks P from S.  Then Q - u with
+the picks P + s is no larger in total, covers at least as much, and so
+meets every demand and has at least the same (nonnegative) weight.  The
+dynamic program for Q - u has capacity k - |Q| + 1 >= |P + s|, and the
+balls around S are disjoint, so it finds that selection or one at least
+as heavy, and Q - u hits.  Smaller guesses come first, so Q - u is
+tried before Q, and the first hit holds no such u.  A point whose ball
+lies inside another outside point's ball is kept: swapping one for the
+other keeps the guess's size, and lex order may put the first hit on
+the contained point.
 """
 
 from __future__ import annotations
@@ -55,11 +68,13 @@ class DpProgram:
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(self.weights))
-        if any(type(w) is not int for w in self.weights):
-            raise ValueError("weights must be ints")
-        rows = tuple(tuple(map(int, row)) for row in self.rows)
+        rows = tuple(map(tuple, self.rows))
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "demands", tuple(map(int, self.demands)))
+        object.__setattr__(self, "demands", tuple(self.demands))
+        # checked, not converted: int() would truncate 3/2 and 1.9 to 1
+        numbers = (*self.weights, *itertools.chain(*rows), *self.demands, self.capacity)
+        if any(type(v) is not int for v in numbers):
+            raise ValueError("weights, contributions, demands and capacity must be ints")
         if len(rows) != len(self.demands):
             raise ValueError("row/demand count mismatch")
         q = len(self.weights)
@@ -186,9 +201,18 @@ def find_few_outside(inst: Instance, r2, centers_s, beta: int, extra=None):
     weighted_goal), asks as well that the weight covered,
     Q's share included, is at least goal; without it every weight is
     zero and so is the goal.
+
+    Outside points whose r2-ball lies inside an inside center's r2-ball
+    are dropped before the guesses: that center, picked by the dynamic
+    program for the guess without them, serves at least as well, and
+    that smaller guess comes first (the module docstring has the
+    argument).  Containment in an outside point's ball drops nothing,
+    since that swap keeps the guess's size and lex order decides.
     """
     r2 = Fraction(r2)
     weights, goal = ((), 0) if extra is None else extra
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be nonnegative")
     heavy = sum(1 << u for u, w in enumerate(weights) if w)  # the only points summed
     s_list = sorted(set(centers_s))
     inside = sum(1 << s for s in s_list)
@@ -196,9 +220,12 @@ def find_few_outside(inst: Instance, r2, centers_s, beta: int, extra=None):
     for s, reach in zip(s_list, ball_masks(inst, 2 * r2, s_list)):
         if reach & inside != 1 << s:
             raise ValueError("inside-centers too close: r2-balls must be disjoint")
-    outside = [u for u in range(inst.n) if not inside >> u & 1]
-
     masks = ball_masks(inst, r2)
+    held = [masks[s] for s in s_list]
+    outside = [
+        u for u in range(inst.n)
+        if not inside >> u & 1 and all(masks[u] | m != m for m in held)
+    ]
     needs = color_masks(inst)
     for size in range(0, min(beta, inst.k, len(outside)) + 1):
         for guess in itertools.combinations(outside, size):

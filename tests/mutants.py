@@ -214,6 +214,22 @@ MUTANTS = [
         "return sum(scores[:capacity]) <= len(pooled) * unit",
         "tests/test_dp.py::test_demand_at_and_past_its_reach",
     ),
+    # the guess search drops only outside points that an inside center's
+    # ball dominates
+    Mutant(
+        "guess pruning drops points whose ball contains an inside ball",
+        "dp.py",
+        "all(masks[u] | m != m for m in held)",
+        "all(masks[u] | m != masks[u] for m in held)",
+        "tests/test_dp.py::test_find_few_outside_matches_brute_existence",
+    ),
+    Mutant(
+        "guess pruning drops points whose ball meets an inside ball",
+        "dp.py",
+        "all(masks[u] | m != m for m in held)",
+        "all(not masks[u] & m for m in held)",
+        "tests/test_dp.py::test_find_few_outside_matches_brute_existence",
+    ),
     # the distribution is the restricted dual's Farkas certificate
     Mutant(
         "restricted-dual weights read off the wrong rows",

@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from colorful_kcenter import dp
 from colorful_kcenter.dp import DpProgram, DpResult, dp_solve, find_few_outside
+from colorful_kcenter.generators import gen_clumps
 from colorful_kcenter.model import CenterSet, Instance, ball, union_ball
 
 
@@ -244,6 +246,17 @@ def test_non_int_weights_are_refused(weight):
         DpProgram(weights=(1, weight), rows=((1, 1),), demands=(1,), capacity=1)
 
 
+@pytest.mark.parametrize("value", [Fraction(3, 2), Fraction(1), 1.9, 1.0, True])
+@pytest.mark.parametrize("field", ["rows", "demands", "capacity"])
+def test_non_int_rows_demands_and_capacity_are_refused(field, value):
+    # each is refused, not truncated: (3/2,) and 1.9 once read as 1
+    fields = {"rows": ((1, value),), "demands": (value,), "capacity": value}
+    args = dict(weights=(0, 0), rows=((1, 1),), demands=(1,), capacity=1)
+    args[field] = fields[field]
+    with pytest.raises(ValueError):
+        DpProgram(**args)
+
+
 def line_instance(coords, k, colors):
     dist = tuple(
         tuple(Fraction(abs(a - b)) for b in coords) for a in coords
@@ -298,13 +311,29 @@ def spread_instance(rng):
     return inst, centers
 
 
+# calls, of each 250-call sweep below, in which some outside point is
+# dominated, so that the sweep runs the pruning (157 and 146 today)
+DOMINATED_FLOOR = 100
+
+
+def has_dominated(inst, r2, centers):
+    """Does some point outside centers have its r2-ball inside the
+    r2-ball of a point of centers?"""
+    held = [ball(inst, s, r2) for s in centers]
+    return any(
+        any(ball(inst, u, r2) <= b for b in held)
+        for u in range(inst.n) if u not in centers
+    )
+
+
 def test_find_few_outside_matches_brute_existence():
     rng = random.Random(8)
-    found_count = none_count = 0
+    found_count = none_count = dominated_count = 0
     for _ in range(250):
         inst, centers = spread_instance(rng)
         r2 = Fraction(rng.randint(1, 10))
         beta = rng.randint(0, 2)
+        dominated_count += has_dominated(inst, r2, centers)
         exists = brute_few_outside(inst, r2, centers, beta)
         got = find_few_outside(inst, r2, centers, beta)
         assert (got is not None) == exists
@@ -318,15 +347,17 @@ def test_find_few_outside_matches_brute_existence():
         for c in inst.colors:
             assert len(c.members & covered) >= c.demand
     assert found_count > 60 and none_count > 30
+    assert dominated_count > DOMINATED_FLOOR
 
 
 def test_find_few_outside_weighted_threshold():
     rng = random.Random(10)
-    found_count = none_count = 0
+    found_count = none_count = dominated_count = 0
     for _ in range(250):
         inst, centers = spread_instance(rng)
         r2 = Fraction(rng.randint(1, 10))
         beta = rng.randint(0, 2)
+        dominated_count += has_dominated(inst, r2, centers)
         weights = tuple(rng.randint(0, 4) for _ in range(inst.n))
         threshold = rng.randint(0, 3 * inst.n)
         extra = (weights, threshold)
@@ -342,12 +373,21 @@ def test_find_few_outside_weighted_threshold():
         for c in inst.colors:
             assert len(c.members & covered) >= c.demand
     assert found_count > 50 and none_count > 30
+    assert dominated_count > DOMINATED_FLOOR
 
 
 def test_find_few_outside_rejects_close_centers():
     inst = line_instance([0, 1, 50], 2, [((0, 1, 2), 1)])
     with pytest.raises(ValueError):
         find_few_outside(inst, Fraction(3), (0, 1), 0)
+
+
+def test_find_few_outside_refuses_negative_weights():
+    # dropping dominated guesses is exact only when covering more never
+    # loses weight
+    inst = line_instance([0, 1, 50], 2, [((0, 1, 2), 1)])
+    with pytest.raises(ValueError):
+        find_few_outside(inst, Fraction(2), (0,), 1, ((0, -1, 0), 0))
 
 
 def reference_find_few_outside(inst, r2, centers_s, beta, extra=None):
@@ -401,3 +441,35 @@ def test_find_few_outside_matches_the_set_reference(seed, weighted):
         )
     got = find_few_outside(inst, r2, centers, beta, extra)
     assert got == reference_find_few_outside(inst, r2, centers, beta, extra)
+
+
+def test_dominated_guesses_are_never_built(monkeypatch):
+    # every pair's second point lies in the ball of its first, an inside
+    # center, at r2 = 2; 9 pairs and k = 8 leave one pair uncovered, so
+    # the one guess left, the empty one, fails the pooled bound, as each
+    # of the 382 guesses of at most 5 of the 9 outside points would
+    calls = []
+    pooled = dp._beyond_pooled_reach
+
+    def spy(*args):
+        calls.append(args)
+        return pooled(*args)
+
+    monkeypatch.setattr(dp, "_beyond_pooled_reach", spy)
+    inst = gen_clumps(8, 7)
+    assert find_few_outside(inst, 2, range(0, 18, 2), 5) is None
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("extra", [None, ((0, 1, 3, 1, 0), 4)])
+def test_first_hit_skips_a_dominated_point(extra):
+    # inside centers at 0 and 100; the point at 1 is dominated by 0 (both
+    # balls are {0, 1} at r2 = 2) and comes first in lex order, but the
+    # color {1, 50, 53} needs two members, and only a guess of 50 or 53
+    # reaches more than the point at 1
+    inst = line_instance([0, 1, 50, 53, 100], 3, [((1, 2, 3), 2)])
+    centers = (0, 4)
+    assert has_dominated(inst, 2, centers)
+    got = find_few_outside(inst, 2, centers, 2, extra)
+    assert got == reference_find_few_outside(inst, 2, centers, 2, extra)
+    assert got is not None and set(got.centers) - set(centers) == {2}
