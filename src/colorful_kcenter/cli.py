@@ -95,6 +95,10 @@ def _coverage_rows(inst: Instance, report) -> list:
 # trace serialization
 
 
+def _cut_details(cuts) -> list:
+    return [{"centers": sorted(cut.centers), "bound": cut.bound} for cut in cuts]
+
+
 def _colorful_trace(trace, full: bool) -> dict:
     probes = []
     for rec in trace.records:
@@ -106,10 +110,7 @@ def _colorful_trace(trace, full: bool) -> dict:
             "dp_calls": rec.dp_calls,
         }
         if full:
-            row["cut_details"] = [
-                {"centers": sorted(cut.centers), "bound": cut.bound}
-                for cut in rec.cuts
-            ]
+            row["cut_details"] = _cut_details(rec.cuts)
         probes.append(row)
     return {
         "probes": probes,
@@ -132,15 +133,12 @@ def _fair_trace(trace, full: bool) -> dict:
             row["separation_details"] = [
                 {
                     "outcome": sep.outcome,
-                    "mu": rational_str(sep.mu),
-                    "eps": rational_str(sep.eps),
-                    "alpha": [rational_str(a) for a in sep.alpha],
+                    "mu": rational_str(Fraction(sep.dual.mu, sep.dual.den)),
+                    "eps": rational_str(Fraction(1, sep.dual.den)),  # the row's margin
+                    "alpha": [rational_str(Fraction(a, sep.dual.den)) for a in sep.dual.alpha],
                     "lp_solves": sep.lp_solves,
                     "dp_calls": sep.dp_calls,
-                    "cut_details": [
-                        {"centers": sorted(cut.centers), "bound": cut.bound}
-                        for cut in sep.cuts
-                    ],
+                    "cut_details": _cut_details(sep.cuts),
                 }
                 for sep in rec.separations
             ]

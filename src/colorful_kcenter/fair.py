@@ -9,8 +9,9 @@ alpha-weighted coverage beats mu (a new column for the distribution),
 or it survives and rejects the radius.  Enumeration prices exactly,
 by the feasible set of largest weighted coverage; a probe asks the
 solver's round-or-cut engine, run with t = gamma + 1 rows, the extra
-one (weighted_goal's ints) asking for that weighted coverage, to find
-a set at 4r or prove r too small.  The radius search is the solver's.
+one (weighted_goal: the restricted dual's own ints) asking for that
+weighted coverage, to find a set at 4r or prove r too small.  The
+radius search is the solver's.
 
 A distribution over the known columns exists exactly when the
 restricted dual over them is infeasible (Farkas), and then lp's
@@ -60,33 +61,27 @@ from .solver import build_relaxation  # noqa: F401
 
 @dataclass(frozen=True)
 class DualPoint:
-    """Candidate witness (alpha, mu) against the coverage targets."""
+    """Candidate witness (alpha, mu) against the coverage targets, as the
+    restricted dual's ints: point u weighs alpha[u] / den, and mu / den
+    is the coverage to beat."""
 
     alpha: tuple
-    mu: Fraction
+    mu: int
+    den: int
 
     def __post_init__(self):
-        alpha = tuple(rational_from(a) for a in self.alpha)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "mu", rational_from(self.mu))
-        for u, a in enumerate(alpha):
+        for u, a in enumerate(self.alpha):
             if a < 0:
                 raise ValueError(f"negative weight {a} at point {u}")
 
-    @property
-    def scale(self) -> int:  # the product of the denominators of alpha and mu
-        return math.prod(a.denominator for a in self.alpha) * self.mu.denominator
-
 
 def weighted_goal(dual: DualPoint) -> tuple:
-    """(weights, goal) = (alpha * scale, max(0, mu * scale + 1)) as ints,
-    scale = dual.scale.  Every subset sum of alpha minus mu is a multiple
-    of 1 / scale, so a set's alpha-weighted coverage exceeds mu exactly
-    when its weights sum to goal or more; covered weight is never
-    negative, so the clamp changes no answer."""
-    scale = dual.scale
-    weights = tuple(a.numerator * (scale // a.denominator) for a in dual.alpha)
-    return weights, max(0, dual.mu.numerator * (scale // dual.mu.denominator) + 1)
+    """(weights, goal) = (alpha, max(0, mu + 1)), the ints over den.
+    Every subset sum of alpha minus mu is an int, so a set's
+    alpha-weighted coverage exceeds mu exactly when its weights sum to
+    goal or more; covered weight is never negative, so the clamp changes
+    no answer."""
+    return dual.alpha, max(0, dual.mu + 1)
 
 
 @dataclass(frozen=True)
@@ -127,9 +122,7 @@ class SeparationRecord:
     """What happened while answering one dual point."""
 
     radius: Fraction
-    alpha: tuple = ()
-    mu: Fraction = None
-    eps: Fraction = None
+    dual: DualPoint = None
     outcome: str = ""  # "column-4r" | "column-2r" | "certified"
     cuts: list = field(default_factory=list)
     lp_solves: int = 0
@@ -174,8 +167,8 @@ def separate_or_certify(
     at radius r meets the targets, and the radius search moves up.
 
     This is the round-or-cut engine with the extra row
-    weighted_goal(dual), alpha and mu as ints; record.eps, 1 /
-    dual.scale, is its margin above mu.  One more row drops the rounding
+    weighted_goal(dual), alpha and mu as ints over dual.den, so its
+    margin above mu is 1 / dual.den.  One more row drops the rounding
     threshold and cut bound to k - gamma and raises the outside-guess
     budget to gamma - 1.  relaxation, a solver.LiveRelaxation, holds
     the outcome of the probe's cut-free relaxation LP, solved once and
@@ -185,7 +178,7 @@ def separate_or_certify(
     r = Fraction(r)
     if record is None:
         record = SeparationRecord(radius=r)
-    record.alpha, record.mu, record.eps = dual.alpha, dual.mu, Fraction(1, dual.scale)
+    record.dual = dual
     tag, got = round_or_cut(finst.base, r, record, weighted_goal(dual), relaxation)
     if tag == "infeasible":
         record.outcome = "certified"
@@ -234,7 +227,7 @@ def solve_restricted(finst: FairInstance, radius, columns, start=None):
     program = program.extended([_column_row(finst.base, radius, c) for c in columns[done:]])
     out = lp.solve(program, start)
     if out.status == "optimal":
-        return DualPoint(alpha=out.solution[:n], mu=out.solution[n]), out
+        return DualPoint(alpha=out.point[:n], mu=out.point[n], den=out.den), out
     if out.status != "infeasible":
         # mu >= weighted mass - 1 >= -1 on every feasible point
         raise InternalError("dual response LP cannot be unbounded")

@@ -250,23 +250,31 @@ MUTANTS = [
         "pricing asks for more than mu",
         "fair.py",
         "mass[best] < goal",
-        "mass[best] < goal + dual.scale",
+        "mass[best] < goal + dual.den",
         "tests/test_fair.py::test_enumeration_prices_to_the_brute_force_radius",
     ),
-    # a covered weight strictly above mu is at least mu * scale + 1
+    # a covered weight strictly above mu, both ints over den, is at least mu + 1
     Mutant(
         "goal without its +1 margin",
         "fair.py",
-        "max(0, dual.mu.numerator * (scale // dual.mu.denominator) + 1)",
-        "max(0, dual.mu.numerator * (scale // dual.mu.denominator))",
+        "max(0, dual.mu + 1)",
+        "max(0, dual.mu)",
         "tests/test_fair.py::test_pair_forces_doubled_radius",
     ),
     Mutant(
         "margin doubled",
         "fair.py",
-        "max(0, dual.mu.numerator * (scale // dual.mu.denominator) + 1)",
-        "max(0, dual.mu.numerator * (scale // dual.mu.denominator) + 2)",
-        "tests/test_fair.py::test_pair_forces_doubled_radius",
+        "max(0, dual.mu + 1)",
+        "max(0, dual.mu + 2)",
+        "tests/test_fair.py::test_weighted_goal_units",
+    ),
+    # the dual point is the restricted dual's optimum, alpha then mu
+    Mutant(
+        "dual point read off the wrong columns",
+        "fair.py",
+        "alpha=out.point[:n]",
+        "alpha=out.point[1:n + 1]",
+        "tests/test_fair.py::test_restricted_dual_point_is_the_lp_point",
     ),
     Mutant(
         "enumeration solves every coverage at once",

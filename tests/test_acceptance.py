@@ -152,10 +152,10 @@ def test_every_emitted_cut_survives_enumeration():
         for centers in enumerate_feasible(inst, r):
             assert len(centers & fence) <= cut.bound
     for finst, sep, cut in FAIR_CUTS:
-        goal = sep.mu + sep.eps
+        dual = sep.dual
         fence = union_ball(finst.base, cut.centers, sep.radius)
         for centers in enumerate_feasible(finst.base, sep.radius):
-            if weighted_coverage(finst.base, sep.alpha, centers, sep.radius) < goal:
+            if weighted_coverage(finst.base, dual.alpha, centers, sep.radius) <= dual.mu:
                 continue
             assert len(centers & fence) <= cut.bound
 
@@ -307,22 +307,21 @@ def test_strict_threshold_margin_is_exact():
     rng = random.Random(100)
     for _ in range(1000):
         n = rng.randint(1, 8)
-        alpha = tuple(
-            Fraction(rng.randint(0, 50), rng.randint(1, 50)) for _ in range(n)
-        )
-        mu = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
-        dual = DualPoint(alpha=alpha, mu=mu)
+        den = rng.randint(1, 50)
+        alpha = tuple(rng.randint(0, 50) for _ in range(n))
+        mu = rng.randint(-50, 50)
+        dual = DualPoint(alpha=alpha, mu=mu, den=den)
         weights, goal = weighted_goal(dual)
-        assert dual.scale > 0 and goal >= 0
-        assert all(isinstance(w, int) and w == a * dual.scale for w, a in zip(weights, alpha))
+        assert goal >= 0
+        assert all(isinstance(w, int) and w == a for w, a in zip(weights, alpha))
         sums = [(Fraction(0), 0)] * (1 << n)
         for mask in range(1, 1 << n):
             low = mask & -mask
             v, w = sums[mask ^ low]
             u = low.bit_length() - 1
-            sums[mask] = (v + alpha[u], w + weights[u])
+            sums[mask] = (v + Fraction(alpha[u], den), w + weights[u])
         for v, w in sums:
-            assert (v > mu) == (w >= goal)
+            assert (v > Fraction(mu, den)) == (w >= goal)
 
 
 def test_identical_runs_produce_identical_bytes(tmp_path):

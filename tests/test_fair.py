@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from colorful_kcenter import fair, lp
 from colorful_kcenter.fair import (
@@ -45,32 +45,31 @@ def fair_line(coords, k, colors, p):
     return FairInstance(base=inst, p=tuple(Fraction(v) for v in p))
 
 
-def test_weighted_goal_units():
-    def encode(alpha, mu):
-        dual = DualPoint(alpha=alpha, mu=mu)
-        return dual.scale, weighted_goal(dual)
-
-    # scale is one over the margin, and goal / scale is mu plus the margin
-    assert encode((), Fraction(5)) == (1, ((), 6))
-    assert encode((Fraction(2), Fraction(3)), Fraction(4)) == (1, ((2, 3), 5))
-    assert encode((Fraction(1, 3), Fraction(1, 4)), Fraction(1, 6)) == (72, ((24, 18), 13))
-    assert encode((Fraction(1, 2), Fraction(1, 2)), Fraction(1, 2)) == (8, ((4, 4), 5))
-    # a goal below zero is clamped: every set covers at least nothing
-    assert encode((Fraction(1),), Fraction(-3, 2)) == (2, ((2,), 0))
-    # the margin never reclassifies a subset sum
-    alpha = (Fraction(1, 3), Fraction(1, 4), Fraction(2, 3))
-    mu = Fraction(5, 6)
-    weights, goal = weighted_goal(DualPoint(alpha=alpha, mu=mu))
-    for mask in range(8):
-        v = sum(
-            (alpha[i] for i in range(3) if mask >> i & 1), Fraction(0)
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 60), max_size=8),
+    st.integers(-600, 600),
+    st.integers(1, 60),
+)
+@example([1, 3], 3, 4)  # a set weighing mu is not above it, one weighing mu + 1 is
+@example([1], -3, 2)  # a goal below zero is clamped
+def test_weighted_goal_units(alpha, mu, den):
+    """Over the restricted dual's denominator den, a set's alpha-weight
+    exceeds mu exactly when its int weights sum to the goal or more:
+    the margin is 1 / den, and the clamp changes no answer."""
+    dual = DualPoint(alpha=tuple(alpha), mu=mu, den=den)
+    weights, goal = weighted_goal(dual)
+    assert all(isinstance(w, int) for w in weights) and goal >= 0
+    for mask in range(1 << len(alpha)):
+        covered = sum(a for i, a in enumerate(alpha) if mask >> i & 1)
+        assert (mask_weight(weights, mask) >= goal) == (
+            Fraction(covered, den) > Fraction(mu, den)
         )
-        assert (v > mu) == (mask_weight(weights, mask) >= goal)
 
 
 def test_dual_point_rejects_negative_weight():
     with pytest.raises(ValueError):
-        DualPoint(alpha=(Fraction(-1, 2),), mu=Fraction(0))
+        DualPoint(alpha=(-1,), mu=0, den=2)
 
 
 def test_distribution_validation():
@@ -123,7 +122,7 @@ def test_restricted_with_no_columns():
     dual, out = solve_restricted(finst, 0, [])
     assert out.status == "optimal"
     assert isinstance(dual, DualPoint)
-    assert dual.mu == -1
+    assert Fraction(dual.mu, dual.den) == -1
     assert all(a == 0 for a in dual.alpha)
 
 
@@ -134,13 +133,40 @@ def test_restricted_respects_column_constraints():
     dual, out = solve_restricted(finst, 0, [frozenset({0})])
     assert out.status == "optimal"
     assert isinstance(dual, DualPoint)
+    alpha = tuple(Fraction(a, dual.den) for a in dual.alpha)
+    mu = Fraction(dual.mu, dual.den)
     # normalization pins target-weighted mass one above mu
-    lhs = sum(
-        (p * a for p, a in zip(finst.p, dual.alpha)), Fraction(0)
-    ) - dual.mu
+    lhs = sum((p * a for p, a in zip(finst.p, alpha)), Fraction(0)) - mu
     assert lhs == 1
-    assert weighted_coverage(finst.base, dual.alpha, {0}, 0) <= dual.mu
-    assert dual.mu == 0 and dual.alpha == (Fraction(0), Fraction(4))
+    assert weighted_coverage(finst.base, alpha, {0}, 0) <= mu
+    assert mu == 0 and alpha == (Fraction(0), Fraction(4))
+
+
+def test_restricted_dual_point_is_the_lp_point(monkeypatch):
+    """Every dual point solve_restricted returns along probing and
+    enumerating solve_fair runs is its LP's optimum, alpha then mu, read
+    as ints over the optimum's den."""
+    checked = collections.Counter()
+    solve = fair.solve_restricted
+
+    def spy(finst, radius, columns, start=None):
+        got, out = solve(finst, radius, columns, start)
+        if out.status == "optimal":
+            n = finst.base.n
+            assert out.solution[n] == Fraction(got.mu, got.den)
+            for u in range(n):
+                assert out.solution[u] == Fraction(got.alpha[u], got.den)
+            checked[got.den > 1] += 1
+        return got, out
+
+    monkeypatch.setattr(fair, "solve_restricted", spy)
+    for seed in range(1, 5):
+        for gamma in (1, 2):  # k = 2: gamma = 1 probes, gamma = 2 enumerates
+            solve_fair(gen_random(
+                seed=12_000 + seed, n=8, k=2, gamma=gamma,
+                demand_density=Fraction(1, 2), p_density=Fraction(2, 3),
+            ))
+    assert checked[True] >= 5 and checked[False] >= 5
 
 
 @st.composite
@@ -243,7 +269,7 @@ def test_enumeration_keeps_the_restricted_dual_small(monkeypatch):
 
 def test_separation_certifies_below_optimum():
     finst = fair_line([0, 2], 1, [((0, 1), 0)], [Fraction(3, 4), Fraction(3, 4)])
-    dual = DualPoint(alpha=(Fraction(2), Fraction(2)), mu=Fraction(2))
+    dual = DualPoint(alpha=(2, 2), mu=2, den=1)
     # every radius-0 feasible set covers alpha-mass at most mu, so the
     # dual survives and certifies the radius too small
     for cs in enumerate_feasible(finst.base, 0):
@@ -253,7 +279,7 @@ def test_separation_certifies_below_optimum():
 
 def test_separation_finds_column_at_workable_radius():
     finst = fair_line([0, 2], 1, [((0, 1), 0)], [Fraction(3, 4), Fraction(3, 4)])
-    dual = DualPoint(alpha=(Fraction(2), Fraction(2)), mu=Fraction(2))
+    dual = DualPoint(alpha=(2, 2), mu=2, den=1)
     got = separate_or_certify(finst, 2, dual)
     assert isinstance(got, CenterSet)
     assert got.radius in (4, 8)
@@ -264,13 +290,13 @@ def test_separation_finds_column_at_workable_radius():
 
 
 def fair_cut_is_valid(finst, sep, cut):
-    """Among radius-r feasible sets whose alpha coverage clears the
-    strict goal, none opens more than the bound inside the fence."""
+    """Among radius-r feasible sets whose alpha coverage exceeds mu,
+    none opens more than the bound inside the fence."""
     r = sep.radius
-    goal = sep.mu + sep.eps
+    dual = sep.dual
     fence = union_ball(finst.base, cut.centers, r)
     for cs in enumerate_feasible(finst.base, r):
-        if weighted_coverage(finst.base, sep.alpha, cs, r) < goal:
+        if weighted_coverage(finst.base, dual.alpha, cs, r) <= dual.mu:
             continue
         if len(cs & fence) > cut.bound:
             return False
@@ -352,8 +378,8 @@ def test_trace_bookkeeping():
                     # decided by the counting certificate alone
                     fast += 1
                     assert sep.outcome == "certified"
-                    goal = max(Fraction(0), sep.mu + sep.eps)
-                    extra = (sep.alpha, goal)
+                    # alpha over den exceeds mu over den: ints reaching mu + 1
+                    extra = (sep.dual.alpha, max(0, sep.dual.mu + 1))
                     program = build_relaxation(finst.base, rec.radius, extra_row=extra)
                     assert lp.solve(program).status == "infeasible"
         final = [r for r in trace.records if r.radius == sol.probe_radius]
