@@ -15,12 +15,9 @@ radius search is the solver's.
 
 A distribution over the known columns exists exactly when the
 restricted dual over them is infeasible (Farkas), and then lp's
-verified certificate is that distribution: with theta > 0 its
-multiplier on the normalisation row and y_c <= 0 its multiplier on
-column c's row, the weights -y_c / theta sum to one, because the
-certificate is zero on mu's column, and cover each point u with at
-least p(u), because its multiplier on alpha_u's lower bound is
-nonnegative.
+verified certificate is that distribution, each column c weighted by
+-y_c / gap, y_c <= 0 the certificate's multiplier on its row (see
+solve_restricted).
 
 Every LP re-solves warm, by lp.solve(program, start) from an earlier
 outcome: the restricted dual gains one row per column, from its last
@@ -188,9 +185,11 @@ def separate_or_certify(
 
 
 def _restricted_program(finst: FairInstance) -> lp.LinearProgram:
-    """The restricted dual over no columns, which no radius enters."""
+    """The restricted dual over no columns, which no radius enters.
+    mu's lower bound -1 is implied, as mu = p.alpha - 1 >= -1, and gives
+    mu's cost a finite side, as lp.solve asks."""
     n = finst.base.n
-    program = lp.LinearProgram(n + 1, (0,) * n + (1,), lp.MIN, (0,) * n + (None,))
+    program = lp.LinearProgram(n + 1, (0,) * n + (1,), lp.MIN, (0,) * n + (-1,))
     program.add(list(finst.p) + [-1], lp.EQ, 1)
     return program
 
@@ -204,17 +203,19 @@ def solve_restricted(finst: FairInstance, radius, columns, start=None):
     """Best dual response to the given center sets, each covering the
     points within radius of it, and the LP outcome it came from.
 
-    Minimizes mu over alpha >= 0 and free mu, normalized so the
+    Minimizes mu over alpha >= 0 and mu >= -1, normalized so the
     target-weighted alpha mass exceeds mu by exactly one, subject to
     every column's coverage staying at most mu.  When that program is
     infeasible, its verified Farkas certificate is returned instead, as
-    a distribution over the columns at radius: with theta > 0 its
-    multiplier on the normalisation row (the gap, as every other rhs
-    and finite bound is 0) and y_c <= 0 on column c's row, c gets
-    weight -y_c / theta.  The weights sum to one because the
-    certificate is zero on mu's column, and cover each point u with at
-    least p(u) because its multiplier on alpha_u's lower bound is
-    nonnegative.
+    a distribution over the columns at radius, c weighted -y_c / gap.
+    With theta its multiplier on the normalisation row, y_c <= 0 on
+    column c's row, and P_u, P_mu >= 0 on the lower bounds of alpha_u
+    and mu, the certificate sums to zero on mu's column, so
+    sum_c (-y_c) = theta - P_mu, which is the gap (every other rhs and
+    finite bound is 0) and positive: the weights sum to one.  On
+    alpha_u's column it gives sum_c (-y_c) cov_c(u) = theta p(u) + P_u,
+    so u is covered with (theta p(u) + P_u) / (theta - P_mu) >= p(u),
+    as theta >= gap > 0.
 
     start, when given, is the outcome of this program for a prefix of
     columns (the column-free one, or the previous call at the same
@@ -228,9 +229,6 @@ def solve_restricted(finst: FairInstance, radius, columns, start=None):
     out = lp.solve(program, start)
     if out.status == "optimal":
         return DualPoint(alpha=out.point[:n], mu=out.point[n], den=out.den), out
-    if out.status != "infeasible":
-        # mu >= weighted mass - 1 >= -1 on every feasible point
-        raise InternalError("dual response LP cannot be unbounded")
     cert = out.certificate
     dist = Distribution(
         support=tuple(

@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import FairInstance, Instance
+from .model import FairInstance, Instance, _is_int
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,9 @@ class Graph:
         edges = []
         seen = set()
         for e in self.edges:
-            u, v = int(e[0]), int(e[1])
+            u, v = e[0], e[1]
+            if not (_is_int(u) and _is_int(v)):
+                raise ValueError(f"edge {e} has an endpoint that is not an int")
             if u == v:
                 raise ValueError("self-loops are not allowed")
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -47,9 +49,11 @@ class SetCoverInstance:
     sets: tuple
 
     def __post_init__(self):
-        sets = tuple(frozenset(int(v) for v in s) for s in self.sets)
+        sets = tuple(map(frozenset, self.sets))
         object.__setattr__(self, "sets", sets)
         for s in sets:
+            if not all(map(_is_int, s)):
+                raise ValueError("set elements must be ints")
             if any(not (0 <= v < self.universe) for v in s):
                 raise ValueError("set element out of range")
 

@@ -23,10 +23,13 @@ program.
 
 Every solve runs one pivot loop from a dual feasible basis.  A cold
 solve starts from the slack basis: each structural column at the bound
-its cost prefers, and every row entered with its slack basic.  When a
-cost points past an open side of its column, Fourer's boxed auxiliary
-problem looks for a dual feasible basis first; when there is none, the
-zero objective tells "infeasible" from "unbounded".
+its cost prefers, and every row entered with its slack basic.  That
+basis is dual feasible because a cold solve takes only programs whose
+every cost, in min form, points to a finite bound of its column (lower
+for a positive cost, upper for a negative one), as Koberstein ("The
+dual simplex method", 2005) notes for boxed programs; any other program
+is refused with ValueError.  Such a program is never unbounded, so
+every outcome is "optimal" or "infeasible".
 
 solve(program, start) re-solves warm: start is an earlier optimal or
 infeasible outcome of a program that program extends by more rows
@@ -280,8 +283,7 @@ def verify_certificate(lp: LinearProgram, cert: FarkasCertificate) -> bool:
 
 
 class LpOutcome:
-    """What a solve of program found: status "optimal", "infeasible" or
-    "unbounded".
+    """What a solve of program found: status "optimal" or "infeasible".
 
     An optimum carries point, its structural values as ints over den
     (D * L of the solved tableau), value, and two views built on first
@@ -343,8 +345,6 @@ _BASIC = 3
 
 _ZERO = Fraction(0)
 _SLACK_BOUNDS = {LE: (0, None), GE: (None, 0), EQ: (0, 0)}
-# Fourer's box for each bound type, keyed by (has lower, has upper)
-_FOURER_BOX = {(0, 0): (-1, 1), (1, 0): (0, 1), (0, 1): (-1, 0), (1, 1): (0, 0)}
 
 
 def _placed(lo, up, d):
@@ -371,8 +371,9 @@ class _Simplex:
     T = +-adj(B) [A | I] is integral.  A pivot on p = T[r][e] is the
     Bareiss step T'[i][j] = (T[i][j]*p - T[i][e]*T[r][j]) // D, exact
     since T' is again integral, with D' = |p| and all rows negated when
-    p < 0.  Reduced costs d are ints over lc*D (lc: lcm of the solve's
-    cost denominators) moved by the same step.
+    p < 0.  Reduced costs d are ints over lc*D (lc: lcm of the cost
+    denominators) moved by the same step; at the slack basis, D = 1 and
+    d is the cost.
 
     Bounds, rhs and bound values are ints times L, the lcm of the rhs
     and finite bound denominators, so row i's rhs is b * s_i * L.  The
@@ -397,39 +398,29 @@ class _Simplex:
         self.n = self.ncols = lp.num_vars
         self.m = 0
         self.minimize = lp.sense == MIN
-        self.cost = list(lp.objective) if self.minimize else [-c for c in lp.objective]
+        cost = lp.objective if self.minimize else [-c for c in lp.objective]
+        for j, (lo, up, c) in enumerate(zip(lp.lower, lp.upper, cost)):
+            if c > 0 and lo is None or c < 0 and up is None:
+                side = "lower" if c > 0 else "upper"
+                raise ValueError(
+                    f"column {j} has no {side} bound, but its cost moves it that way"
+                )
+        # the costs as the ints lc*c, and the slack basis's reduced costs
+        self.cost, self.lc = _over_lcm(cost)
+        self.d = self.cost[:]
         bounds = (*lp.lower, *lp.upper)
         self.L = math.lcm(*(v.denominator for v in bounds if v is not None))
         self.lo = [_scaled(v, self.L) for v in lp.lower]
         self.up = [_scaled(v, self.L) for v in lp.upper]
-        # the slack basis's reduced costs are the costs themselves
-        self.state = [_placed(lo, up, c) for lo, up, c in zip(self.lo, self.up, self.cost)]
+        self.state = [_placed(lo, up, c) for lo, up, c in zip(self.lo, self.up, self.d)]
         self.D = 1
         self.T, self.B, self.basis, self.rhs = [], [], [], []
-        self.d = [0] * self.n  # set by _reduced_costs
         self._append(lp.constraints)
 
     def bound_value(self, j):
         """The value of nonbasic column j, times L."""
         st = self.state[j]
         return self.lo[j] if st == _AT_LOWER else self.up[j] if st == _AT_UPPER else 0
-
-    def solve(self) -> LpOutcome:
-        """Solve cold from the slack basis.
-
-        That basis is dual feasible unless some cost points past an open
-        side; then _phase_one looks for one that is.  When none exists,
-        the program has a ray of negative cost, so it is infeasible or
-        unbounded.  Its zero objective, dual feasible at any basis, tells
-        which: a verified certificate, or a point that _optimal_outcome
-        checks against the program, and then "unbounded".
-        """
-        self._reduced_costs(self.cost + [0] * self.m)
-        if self._dual_feasible() or self._phase_one():
-            return self._run()
-        self._reduced_costs([0] * self.ncols)
-        out = self._run()
-        return out if out.status == "infeasible" else LpOutcome("unbounded", program=self.lp)
 
     def _append(self, constraints):
         """Enter constraints as rows of the tableau, each with its slack
@@ -489,67 +480,6 @@ class _Simplex:
         warm.lp = lp
         warm._append(lp.constraints[warm.m :])
         return warm._run()
-
-    # -- the start ----------------------------------------------------------
-
-    def _reduced_costs(self, cost):
-        """d = c - c_B . T/D as the ints lc*D*d; the solve's costs are
-        kept as the ints lc*c."""
-        cost, self.lc = _over_lcm(cost)
-        d = [c * self.D for c in cost]
-        for i in range(self.m):
-            cb = cost[self.basis[i]]
-            if cb:
-                for j, v in enumerate(self.T[i]):
-                    if v:
-                        d[j] -= cb * v
-        self.d = d
-        self.phase_cost = cost
-
-    def _dual_feasible(self):
-        """Whether every nonbasic column that can enter sits at the
-        bound the sign of its reduced cost asks for: lower for d > 0,
-        upper for d < 0, and either or none for d = 0."""
-        d, lo, up = self.d, self.lo, self.up  # d is zero on basic columns
-        return all(
-            st == (_AT_LOWER if d[j] > 0 else _AT_UPPER)
-            for j, st in enumerate(self.state)
-            if d[j] and (lo[j] is None or lo[j] != up[j])
-        )
-
-    def _phase_one(self):
-        """Look for a dual feasible basis by Fourer's boxed auxiliary
-        problem ("Notes on the dual simplex method", 1994).
-
-        It has the same rows and costs, rhs 0, and each column boxed by
-        its bound type (_FOURER_BOX).  Every basis of it is dual feasible
-        once its nonbasics sit where their reduced costs ask, and 0 is
-        feasible, so the dual simplex ends at an optimum.  Its value, the
-        sum of d_j * x_j over the nonbasics, is 0 exactly when each term
-        is, that is when the basis is dual feasible for the program.  The
-        real bounds and rhs are then put back, and that is returned.
-        """
-        real = self.lo, self.up, self.rhs
-        boxes = [_FOURER_BOX[lo is not None, up is not None] for lo, up in zip(*real[:2])]
-        # a slack is its row's scale times the program's, and so is its box
-        scales = [self.L] * self.n + [con.scale * self.L for con in self.lp.constraints]
-        self.lo = [lo * s for (lo, _), s in zip(boxes, scales)]
-        self.up = [up * s for (_, up), s in zip(boxes, scales)]
-        self.rhs = [0] * self.m
-        self._rebase()
-        if self._loop() is not None:
-            raise InternalError("the auxiliary problem is infeasible, but 0 meets it")
-        self.lo, self.up, self.rhs = real
-        self._rebase()
-        return self._dual_feasible()
-
-    def _rebase(self):
-        """Place each nonbasic column at the bound its reduced cost asks
-        for, and compute every basic value."""
-        for j, st in enumerate(self.state):
-            if st != _BASIC:
-                self.state[j] = _placed(self.lo[j], self.up[j], self.d[j])
-        self.B = self._basic_values(self.T)
 
     def _basic_values(self, rows):
         """The basic values of the tableau rows `rows` over D * L: each
@@ -739,7 +669,7 @@ class _Simplex:
         for i in range(self.m):
             if self.basis[i] < self.n:
                 x[self.basis[i]] = self.B[i]
-        cost = self.phase_cost
+        cost = self.cost
         primal = sum(cost[j] * v for j, v in enumerate(x) if cost[j] and v)
         y, low, upp, dual = self._multipliers(self.d, 1)
         if dual != primal:
@@ -778,7 +708,9 @@ def solve(lp: LinearProgram, start: LpOutcome = None) -> LpOutcome:
     "optimal" comes with a basic solution (a vertex whenever the
     feasible region is pointed) checked against lp, its value, and a
     dual of equal value; "infeasible" with a verified Farkas certificate.
-    Cold, the dual simplex starts from the slack basis (_Simplex.solve).
+    Cold, the dual simplex starts from the slack basis, which needs
+    every cost, in min form, to point to a finite bound of its column;
+    otherwise ValueError names the first column whose cost does not.
 
     start, when given, is an optimal or infeasible outcome of a program
     that lp extends: lp has its variables, bounds, objective and sense,
@@ -792,9 +724,7 @@ def solve(lp: LinearProgram, start: LpOutcome = None) -> LpOutcome:
     take the identical pivot path, so results are deterministic.
     """
     if start is None:
-        return _Simplex(lp).solve()
-    if start.status not in ("optimal", "infeasible"):
-        raise ValueError("only an optimal or infeasible outcome can start a solve")
+        return _Simplex(lp)._run()
     base = start.program
     if (
         (lp.num_vars, lp.sense, lp.objective, lp.lower, lp.upper)

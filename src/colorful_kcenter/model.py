@@ -208,11 +208,12 @@ class Instance:
 
     def __init__(self, dist, k, colors):
         scale, rows = _scaled_rows(dist)
-        colors = tuple(
-            ColorClass(frozenset(c.members), int(c.demand)) if isinstance(c, ColorClass)
-            else ColorClass(frozenset(c[0]), int(c[1]))
-            for c in colors
-        )
+        colors = [(tuple(c.members), c.demand) if isinstance(c, ColorClass)
+                  else (tuple(c[0]), c[1]) for c in colors]
+        # checked, not converted: int() would truncate 5/2 to 2 and take 0.0
+        if not (_is_int(k) and all(_is_int(d) and all(map(_is_int, m)) for m, d in colors)):
+            raise InstanceFormatError("k, color members and demands must be ints")
+        colors = tuple(ColorClass(frozenset(m), d) for m, d in colors)
         # _masks and _bounds hold, per radius level, the balls of every point
         # and counting_bound's result; not fields, so equality ignores them
         self.__dict__.update(rows=rows, scale=scale, k=k, colors=colors, _masks={}, _bounds={})

@@ -18,35 +18,17 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    # a dual infeasible start goes straight into the dual simplex
+    # a cold solve takes only programs whose slack basis is dual feasible
     Mutant(
-        "phase 1 skipped",
+        "the refusal checks the side a cost points away from",
         "lp.py",
-        "if self._dual_feasible() or self._phase_one():",
-        "if True:",
-        "tests/test_lp.py::test_golden_outcomes[unbounded]",
+        "if c > 0 and lo is None or c < 0 and up is None:",
+        "if c > 0 and up is None or c < 0 and lo is None:",
+        "tests/test_lp.py::test_a_cost_past_an_open_side_is_refused[min-lower]",
     ),
-    # "no dual feasible basis" is only half of "unbounded": the zero-cost
-    # solve must also find a point
-    Mutant(
-        "zero-cost fallback answers unbounded without solving",
-        "lp.py",
-        "        self._reduced_costs([0] * self.ncols)\n"
-        "        out = self._run()\n"
-        '        return out if out.status == "infeasible" else LpOutcome("unbounded", program=self.lp)\n',
-        '        return LpOutcome("unbounded", program=self.lp)\n',
-        "tests/test_lp.py::test_golden_outcomes[primal_and_dual_infeasible]",
-    ),
-    Mutant(
-        "Fourer's box for a free column is [0, 1]",
-        "lp.py",
-        "_FOURER_BOX = {(0, 0): (-1, 1),",
-        "_FOURER_BOX = {(0, 0): (0, 1),",
-        "tests/test_lp.py::test_golden_outcomes[restricted_optimal]",
-    ),
-    # a boxed column with a negative cost or reduced cost stays at its
-    # lower bound, the start and phase 1 both count it dual infeasible,
-    # and the zero-cost solve calls a bounded program "unbounded"
+    # a boxed column with a negative cost stays at its lower bound, so
+    # the slack basis is not dual feasible, and the first "optimum" has
+    # a dual of another value, which the strong duality check refuses
     Mutant(
         "nonbasic placement ignores the sign of the reduced cost",
         "lp.py",
@@ -139,13 +121,6 @@ MUTANTS = [
         "den = self.D",
         "tests/test_lp.py::test_golden_outcomes[infeasible_scaled_slack]",
     ),
-    Mutant(
-        "phase 1 boxes a scaled slack as the program's",
-        "lp.py",
-        "scales = [self.L] * self.n + [con.scale * self.L for con in self.lp.constraints]",
-        "scales = [self.L] * self.ncols",
-        "tests/test_lp.py::test_golden_outcomes[phase_one_scaled_slack]",
-    ),
     # exact rationals: an optimum's value as a float
     Mutant(
         "the optimal value is a float",
@@ -229,6 +204,15 @@ MUTANTS = [
         "all(masks[u] | m != m for m in held)",
         "all(not masks[u] & m for m in held)",
         "tests/test_dp.py::test_find_few_outside_matches_brute_existence",
+    ),
+    # mu's implied lower bound -1 is what makes the restricted dual's
+    # slack basis dual feasible
+    Mutant(
+        "restricted dual with mu free",
+        "fair.py",
+        "(0,) * n + (-1,)",
+        "(0,) * n + (None,)",
+        "tests/test_fair.py::test_restricted_with_no_columns",
     ),
     # the distribution is the restricted dual's Farkas certificate
     Mutant(

@@ -7,7 +7,7 @@ occur exactly once, or if a node passes (or is not found) against its
 mutant.
 
     python tests/run_mutants.py             # every mutant
-    python tests/run_mutants.py "phase 1"   # those whose name contains it
+    python tests/run_mutants.py "dual ratio" # those whose name contains it
 """
 
 import os

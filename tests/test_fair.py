@@ -2,6 +2,7 @@
 column generation, and end-to-end guarantees."""
 
 import collections
+import itertools
 import random
 from fractions import Fraction
 
@@ -208,6 +209,36 @@ def test_a_distribution_exactly_when_the_coverage_lp_is_feasible():
 
     check()
     assert seen[True] >= 20 and seen[False] >= 20
+
+
+def test_restricted_distributions_meet_every_target():
+    """solve_restricted, given random center sets one at a time and
+    re-solved warm, until its restricted dual is infeasible: each
+    distribution read off the certificate meets every target.  The gap
+    is theta - P_mu, theta the multiplier on the normalisation row and
+    P_mu >= 0 on mu's lower bound -1, and point u is covered with
+    (theta p(u) + P_u) / (theta - P_mu) >= p(u)."""
+    rng = random.Random(27)
+    targets = [0, Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), 1]
+    found = 0
+    for trial in range(120):
+        n = rng.randint(2, 7)
+        base = gen_random(27_000 + trial, n, 2, 1)
+        finst = FairInstance(base=base, p=tuple(rng.choice(targets) for _ in range(n)))
+        radius = rng.choice(candidate_radii(base))
+        pool = [frozenset(s) for size in (1, 2) for s in itertools.combinations(range(n), size)]
+        rng.shuffle(pool)
+        columns, out = [], None
+        for column in pool:
+            columns.append(column)
+            got, out = solve_restricted(finst, radius, columns, out)
+            if isinstance(got, Distribution):
+                assert {c for c, _ in got.support} <= set(columns)
+                for u, target in enumerate(finst.p):
+                    assert coverage_probability(base, got, u) >= target
+                found += 1
+                break
+    assert found >= 60
 
 
 def _priced_columns(monkeypatch, most=None):

@@ -100,13 +100,13 @@ def random_box_program(rng):
 
 
 def test_hand_cases():
-    # max x + y inside a triangle
+    # max x + y inside a triangle, whose rows imply x, y <= 2
     program = lp.LinearProgram(
         2,
         (Fraction(1), Fraction(1)),
         lp.MAX,
         (Fraction(0), Fraction(0)),
-        (None, None),
+        (Fraction(2), Fraction(2)),
         [((Fraction(1), Fraction(2)), lp.LE, Fraction(4)),
          ((Fraction(2), Fraction(1)), lp.LE, Fraction(4))],
     )
@@ -129,13 +129,14 @@ def test_hand_cases():
     assert out.solution == (Fraction(0), Fraction(2))
 
 
-def test_free_variable_seed_case():
-    # min mu with sum(p.alpha) - mu == 1 and no other rows: alpha = 0
+def test_restricted_dual_seed_case():
+    # min mu with sum(p.alpha) - mu == 1, mu >= -1 and no other rows:
+    # alpha = 0
     program = lp.LinearProgram(
         3,
         (Fraction(0), Fraction(0), Fraction(1)),
         lp.MIN,
-        (Fraction(0), Fraction(0), None),
+        (Fraction(0), Fraction(0), Fraction(-1)),
     )
     program.add((Fraction(1, 2), Fraction(1, 3), Fraction(-1)), lp.EQ, 1)
     out = lp.solve(program)
@@ -158,16 +159,32 @@ def test_infeasible_has_verified_certificate():
     assert lp.verify_certificate(program, out.certificate)
 
 
-def test_unbounded_detected():
+@pytest.mark.parametrize("sense, cost, lower, upper, side", [
+    (lp.MIN, 1, None, 5, "lower"),
+    (lp.MAX, -1, None, 5, "lower"),
+    (lp.MIN, -1, 0, None, "upper"),
+    (lp.MAX, 1, 0, None, "upper"),
+], ids=["min-lower", "max-lower", "min-upper", "max-upper"])
+def test_a_cost_past_an_open_side_is_refused(sense, cost, lower, upper, side):
+    """A cold solve needs the slack basis dual feasible: every cost, in
+    min form, pointing to a finite bound of its column.  The error names
+    the first column whose cost does not."""
     program = lp.LinearProgram(
-        1,
-        (Fraction(1),),
-        lp.MAX,
-        (Fraction(0),),
-        (None,),
+        3, (0, cost, cost), sense, (None, lower, lower), (None, upper, upper),
+        [((1, 1, 1), lp.LE, 4)],
+    )
+    with pytest.raises(ValueError, match=f"column 1 has no {side} bound"):
+        lp.solve(program)
+
+
+def test_a_zero_cost_free_column_solves():
+    # x free at zero cost, y >= 0 at cost 1: x + y >= 2 puts x at 2
+    program = lp.LinearProgram(
+        2, (0, 1), lp.MIN, (None, 0), (None, None), [((1, 1), lp.GE, 2)]
     )
     out = lp.solve(program)
-    assert out.status == "unbounded"
+    assert out.status == "optimal"
+    assert out.value == 0 and out.solution == (2, 0)
 
 
 def test_matches_vertex_oracle_on_random_boxes():
@@ -336,8 +353,6 @@ def test_scipy_cross_check():
             agreed += 1
         elif ref.status == 2:
             assert out.status == "infeasible"
-        elif ref.status == 3:
-            assert out.status == "unbounded"
     assert agreed > 40
 
 
@@ -346,11 +361,12 @@ def test_scipy_cross_check():
 # Exact outcomes of small programs, equal to those of the Fraction dual
 # simplex in test_lp_properties.py.  Bland's rule reads only signs and exact
 # ratios, so any exact tableau must take the same pivot path and reproduce
-# every vertex, dual and certificate here byte for byte.  Between them the
-# programs take every branch of a cold solve: a dual feasible slack basis,
-# Fourer's phase 1 (a free column with a cost, or a cost pointing past an
-# open side) ending dual feasible or not, and the zero-cost solve that then
-# ends infeasible or feasible ("unbounded").
+# every vertex, dual and certificate here byte for byte.  A cold solve
+# takes only programs whose costs point to finite bounds, so its slack
+# basis is dual feasible; where a cost needs a bound that the rows
+# already imply, the program states one that cuts off no feasible point.
+# A program with a cost pointing past an open side is refused, and its
+# line is the error, which names the first such column.
 
 
 def golden_program(n, objective, sense, lower, upper, rows):
@@ -371,9 +387,9 @@ def golden_program(n, objective, sense, lower, upper, rows):
 
 GOLDEN_PROGRAMS = {
     # rows with denominators 6 and 5 enter as their ints 3x + 2y <= 6 and
-    # 2x + 5y <= 15; free columns with costs take phase 1
+    # 2x + 5y <= 15, which imply the upper bounds
     "mixed_denominators": golden_program(
-        2, ("1", "1"), lp.MAX, None, None,
+        2, ("1", "1"), lp.MAX, None, ("2", "3/2"),
         [(("1/2", "1/3"), lp.LE, "1"), (("2/5", "1"), lp.LE, "3/2")],
     ),
     # pivots on negative entries, both at |p| == D and, with D > 1, at |p| != D
@@ -389,7 +405,7 @@ GOLDEN_PROGRAMS = {
     ),
     # the second row is twice the first: its fixed slack stays basic at 0
     "redundant_equality": golden_program(
-        2, ("1", "-1"), lp.MIN, None, None,
+        2, ("1", "-1"), lp.MIN, None, (None, "3"),
         [(("1", "1"), lp.EQ, "2"), (("2", "2"), lp.EQ, "4")],
     ),
     # boxed variables start at the bound their cost prefers: optimal with
@@ -397,12 +413,6 @@ GOLDEN_PROGRAMS = {
     "bound_flips": golden_program(
         2, ("2", "1"), lp.MAX, ("0", "0"), ("1", "3"),
         [(("1", "1"), lp.LE, "10")],
-    ),
-    # a ray of negative cost: phase 1 ends dual infeasible, and the
-    # zero-cost solve finds a point
-    "unbounded": golden_program(
-        2, ("1", "1"), lp.MAX, None, None,
-        [(("1", "-1"), lp.LE, "1")],
     ),
     "infeasible_rational_rows": golden_program(
         2, ("0", "0"), lp.MIN, ("0", "0"), ("1", "1"),
@@ -414,34 +424,43 @@ GOLDEN_PROGRAMS = {
         2, ("1", "0"), lp.MIN, ("0", "0"), None,
         [(("1/2", "0"), lp.LE, "-1/3")],
     ),
-    # phase 1 boxes the slack of 2y/3 - z >= 0, entered as 2y - 3z >= 0,
-    # by three times the program's box, or it takes another pivot path
-    "phase_one_scaled_slack": golden_program(
-        3, ("0", "1", "0"), lp.MAX, ("1", None, None), ("2", None, "0"),
-        [(("0", "2/3", "-1"), lp.GE, "0"), (("1", "0", "-2"), lp.LE, "0")],
-    ),
     "infeasible_equalities": golden_program(
         2, ("1", "0"), lp.MAX, None, ("3", None),
         [(("1", "1"), lp.EQ, "1"), (("2", "2"), lp.EQ, "3")],
     ),
-    # solve_restricted: min mu, p.alpha - mu == 1, each column's cover <= mu;
-    # the free mu takes phase 1
+    # solve_restricted: min mu >= -1, p.alpha - mu == 1, each column's
+    # cover <= mu
     "restricted_optimal": golden_program(
-        4, ("0", "0", "0", "1"), lp.MIN, ("0", "0", "0", None), None,
+        4, ("0", "0", "0", "1"), lp.MIN, ("0", "0", "0", "-1"), None,
         [(("1/2", "2/3", "1/3", "-1"), lp.EQ, "1"),
          (("1", "1", "0", "-1"), lp.LE, "0"),
          (("0", "1", "0", "-1"), lp.LE, "0")],
     ),
     "restricted_infeasible": golden_program(
-        4, ("0", "0", "0", "1"), lp.MIN, ("0", "0", "0", None), None,
+        4, ("0", "0", "0", "1"), lp.MIN, ("0", "0", "0", "-1"), None,
         [(("1/2", "2/3", "1/3", "-1"), lp.EQ, "1"),
          (("1", "1", "1", "-1"), lp.LE, "0")],
     ),
-    # a ray of negative cost and no feasible point: the zero-cost solve
-    # must end "infeasible", never "unbounded"
+    # refused: a ray of negative cost
+    "unbounded": golden_program(
+        2, ("1", "1"), lp.MAX, None, None,
+        [(("1", "-1"), lp.LE, "1")],
+    ),
+    # refused: a ray of negative cost, and no feasible point either
     "primal_and_dual_infeasible": golden_program(
         2, ("-1", "-1"), lp.MIN, ("0", "0"), None,
         [(("1", "-1"), lp.GE, "1"), (("-1", "1"), lp.GE, "1")],
+    ),
+    # refused: its free second column has a cost; the others have none
+    "free_column_with_cost": golden_program(
+        3, ("0", "1", "0"), lp.MAX, ("1", None, None), ("2", None, "0"),
+        [(("0", "2/3", "-1"), lp.GE, "0"), (("1", "0", "-2"), lp.LE, "0")],
+    ),
+    # refused: solve_restricted's program with mu free, as it was before
+    # mu took its implied bound -1
+    "restricted_free_mu": golden_program(
+        4, ("0", "0", "0", "1"), lp.MIN, ("0", "0", "0", None), None,
+        [(("1/2", "2/3", "1/3", "-1"), lp.EQ, "1")],
     ),
 }
 
@@ -475,14 +494,18 @@ GOLDEN_LINES = {
     "equality_artificials": "optimal | x 5/2 3/2 0 | v 11/2 | y 3/2 -1/2 | lo 0 0 3/2 | up 0 0 0",
     "redundant_equality": "optimal | x 0 2 | v -2 | y -1 0 | lo 2 0 | up 0 0",
     "bound_flips": "optimal | x 1 3 | v 5 | y 0 | lo 0 0 | up -2 -1",
-    "unbounded": "unbounded",
     "infeasible_rational_rows": "infeasible | y 3 0 | lo 0 0 | up 3/2 1 | gap 7/2",
     "infeasible_scaled_slack": "infeasible | y -1 | lo 1/2 0 | up 0 0 | gap 1/3",
-    "phase_one_scaled_slack": "infeasible | y 0 -1/2 | lo 1/2 0 0 | up 0 0 1 | gap 1/2",
     "infeasible_equalities": "infeasible | y -2 1 | lo 0 0 | up 0 0 | gap 1",
     "restricted_optimal": "optimal | x 0 0 3 0 | v 0 | y 0 -1 0 | lo 1 1 0 0 | up 0 0 0 0",
     "restricted_infeasible": "infeasible | y 1 -1 | lo 1/2 1/3 2/3 0 | up 0 0 0 0 | gap 1",
-    "primal_and_dual_infeasible": "infeasible | y 1 1 | lo 0 0 | up 0 0 | gap 2",
+    "unbounded": "refused | column 0 has no upper bound, but its cost moves it that way",
+    "primal_and_dual_infeasible":
+        "refused | column 0 has no upper bound, but its cost moves it that way",
+    "free_column_with_cost":
+        "refused | column 1 has no upper bound, but its cost moves it that way",
+    "restricted_free_mu":
+        "refused | column 3 has no lower bound, but its cost moves it that way",
 }
 
 
@@ -498,7 +521,7 @@ def _outcome_numbers(out):
 def test_int_programs_give_fraction_outcomes():
     # ints in, Fractions out: solution, value, duals and certificate
     optimal = lp.LinearProgram(
-        2, (3, 2), lp.MAX, (0, -1), (4, None),
+        2, (3, 2), lp.MAX, (0, -1), (4, 2),
         [((1, 1), lp.LE, 4), ((1, 3), lp.LE, 6), ((2, -1), lp.GE, -5)],
     )
     infeasible = lp.LinearProgram(
@@ -563,7 +586,12 @@ def test_int_and_fraction_rows_solve_alike():
         sense = rng.choice([lp.MIN, lp.MAX])
         objective = [rng.randint(-5, 5) for _ in range(n)]
         lower = [rng.randint(-3, 0) for _ in range(n)]
-        upper = [lo + rng.randint(0, 5) if rng.random() < 0.7 else None for lo in lower]
+        # a cost that asks its column to rise gets an upper bound
+        rising = [c > 0 if sense == lp.MAX else c < 0 for c in objective]
+        upper = [
+            lo + rng.randint(0, 5) if rng.random() < 0.7 or up else None
+            for lo, up in zip(lower, rising)
+        ]
         rows = [
             ([rng.randint(-4, 4) for _ in range(n)], rng.choice([lp.LE, lp.GE, lp.EQ]),
              rng.randint(-6, 6))
@@ -580,12 +608,16 @@ def test_int_and_fraction_rows_solve_alike():
             [([whole(v) for v in row], rel, whole(b)) for row, rel, b in rows],
         ))
         statuses.add(out.status)
-    assert statuses == {"optimal", "infeasible", "unbounded"}
+    assert statuses == {"optimal", "infeasible"}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_PROGRAMS))
 def test_golden_outcomes(name):
-    assert golden_line(lp.solve(GOLDEN_PROGRAMS[name])) == GOLDEN_LINES[name]
+    try:
+        line = golden_line(lp.solve(GOLDEN_PROGRAMS[name]))
+    except ValueError as refused:
+        line = f"refused | {refused}"
+    assert line == GOLDEN_LINES[name]
 
 
 def test_invariant_checks_survive_optimize_flag():

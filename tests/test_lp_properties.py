@@ -4,9 +4,11 @@ Every outcome is checked exactly (membership, strong duality, Farkas
 certificate) and against scipy's HiGHS in floating point.  The float
 comparison lives only here; the solver path stays exact.
 
-HiGHS sometimes reports an unbounded program as infeasible (with
-presolve) or as unknown (without), so feasibility is asked of it with a
-zero objective, where neither can happen, and the optimum separately.
+Every drawn program is one lp.solve takes: each cost, in min form,
+points to a finite bound of its column, so no program is unbounded.
+HiGHS may still call an infeasible program "unbounded or infeasible",
+so feasibility is asked of it with a zero objective and the optimum
+separately.
 """
 
 import copy
@@ -28,12 +30,19 @@ rationals = st.builds(Fraction, st.integers(-6, 6), denominators)
 widths = st.builds(Fraction, st.integers(0, 8), st.sampled_from([1, 2, 3]))
 
 
+def min_form(objective, sense):
+    return objective if sense == lp.MIN else [-c for c in objective]
+
+
 @st.composite
-def bounds(draw):
-    lower = draw(st.none() | rationals)
+def bounds(draw, cost):
+    """A column's (lower, upper), each side drawn finite or open, but
+    finite on the side cost, in min form, points to: lower when cost is
+    positive, upper when it is negative."""
+    lower = draw(rationals if cost > 0 else st.none() | rationals)
     if lower is None:
-        return None, draw(st.none() | rationals)
-    width = draw(st.none() | widths)
+        return None, draw(rationals if cost < 0 else st.none() | rationals)
+    width = draw(widths if cost < 0 else st.none() | widths)
     return lower, None if width is None else lower + width
 
 
@@ -41,14 +50,10 @@ def bounds(draw):
 def programs(draw):
     n = draw(st.integers(1, 4))
     m = draw(st.integers(0, 4))
-    lower, upper = zip(*(draw(bounds()) for _ in range(n)))
-    program = lp.LinearProgram(
-        n,
-        tuple(draw(rationals) for _ in range(n)),
-        draw(st.sampled_from([lp.MIN, lp.MAX])),
-        lower,
-        upper,
-    )
+    objective = tuple(draw(rationals) for _ in range(n))
+    sense = draw(st.sampled_from([lp.MIN, lp.MAX]))
+    lower, upper = zip(*(draw(bounds(c)) for c in min_form(objective, sense)))
+    program = lp.LinearProgram(n, objective, sense, lower, upper)
     for _ in range(m):
         program.add(
             tuple(draw(rationals) for _ in range(n)),
@@ -113,8 +118,7 @@ def test_outcomes_are_exact_and_agree_with_highs(program):
     if status == 0:
         assert out.status == "optimal"
         assert abs(float(out.value) - value) < 1e-7
-    elif status == 3:
-        assert out.status == "unbounded"
+    assert status != 3
     if out.status == "optimal":
         assert status == 0
 
@@ -124,8 +128,7 @@ def test_outcomes_are_exact_and_agree_with_highs(program):
 # lp.solve keeps its tableau, basic values and checks as ints over common
 # denominators.  _ReferenceSimplex is the same bounded-variable dual
 # simplex over a plain Fraction tableau B^-1 [A | I]: the same start
-# placement, Fourer phase 1, zero-cost fallback and Bland choices.
-# lp.solve must return exactly its outcomes.
+# placement and Bland choices.  lp.solve must return exactly its outcomes.
 
 
 def reference_verify_certificate(program, cert):
@@ -163,9 +166,6 @@ def _reference_combined_rhs(program, y, low, upp):
 
 _LOWER, _UPPER, _FREE, _BASIC = range(4)
 _SLACK = {lp.LE: (Fraction(0), None), lp.GE: (None, Fraction(0)), lp.EQ: (Fraction(0),) * 2}
-# Fourer's auxiliary box by bound type: free, lower-only, upper-only, both
-_BOX = {(False, False): (-1, 1), (True, False): (0, 1), (False, True): (-1, 0),
-        (True, True): (0, 0)}
 
 
 class _ReferenceSimplex:
@@ -211,33 +211,8 @@ class _ReferenceSimplex:
             for row in self.T
         ]
 
-    def dual_feasible(self):
-        return all(
-            self.state[j] == (_LOWER if dj > 0 else _UPPER)
-            for j, dj in enumerate(self.d)
-            if dj and not self.frozen(j)
-        )
-
     def solve(self):
         self.rebase()
-        if not self.dual_feasible():
-            real = self.lo, self.up, self.rhs
-            boxes = [_BOX[lo is not None, up is not None] for lo, up in zip(self.lo, self.up)]
-            self.lo = [Fraction(lo) for lo, _ in boxes]
-            self.up = [Fraction(up) for _, up in boxes]
-            self.rhs = [Fraction(0)] * self.m
-            self.rebase()
-            if self.loop() is not None:
-                raise lp.InternalError("the auxiliary problem is feasible at 0")
-            self.lo, self.up, self.rhs = real
-            self.rebase()
-            if not self.dual_feasible():
-                self.cost = [Fraction(0)] * self.n
-                self.d = [Fraction(0)] * len(self.d)
-                out = self.outcome()
-                if out.status == "infeasible":
-                    return out
-                return lp.LpOutcome(status="unbounded")
         return self.outcome()
 
     def loop(self):
@@ -374,8 +349,14 @@ mixed = small_ints | st.builds(Fraction, small_ints, st.integers(1, 7))
 
 
 @st.composite
-def mixed_bounds(draw):
-    kind = draw(st.sampled_from(["free", "lower", "upper", "boxed", "boxed", "fixed"]))
+def mixed_bounds(draw, cost):
+    """A column's bounds of a drawn kind, among the kinds with a finite
+    bound on the side cost, in min form, points to."""
+    kinds = ["free", "lower", "upper", "boxed", "boxed", "fixed"]
+    if cost:
+        # drop the kinds open on that side
+        kinds = [k for k in kinds if k not in ("free", "upper" if cost > 0 else "lower")]
+    kind = draw(st.sampled_from(kinds))
     lo = draw(mixed)
     if kind == "free":
         return None, None
@@ -392,14 +373,10 @@ def mixed_bounds(draw):
 def mixed_programs(draw):
     n = draw(st.integers(1, 4))
     m = draw(st.integers(0, 5))
-    lower, upper = zip(*(draw(mixed_bounds()) for _ in range(n)))
-    program = lp.LinearProgram(
-        n,
-        tuple(draw(mixed) for _ in range(n)),
-        draw(st.sampled_from([lp.MIN, lp.MAX])),
-        lower,
-        upper,
-    )
+    objective = tuple(draw(mixed) for _ in range(n))
+    sense = draw(st.sampled_from([lp.MIN, lp.MAX]))
+    lower, upper = zip(*(draw(mixed_bounds(c)) for c in min_form(objective, sense)))
+    program = lp.LinearProgram(n, objective, sense, lower, upper)
     for _ in range(m):
         program.add(
             [draw(mixed) for _ in range(n)],
@@ -546,7 +523,7 @@ def test_an_optimum_outside_its_program_is_refused():
     simplex = copy.deepcopy(out._simplex)
     assert simplex._optimal_outcome() == out
     i = simplex.basis.index(1)
-    assert simplex.phase_cost[1] == 0
+    assert simplex.cost[1] == 0
     simplex.B[i] = 2 * simplex.D * simplex.L  # x1 = 2, above its bound 1
     with pytest.raises(lp.InternalError, match="outside its program"):
         simplex._optimal_outcome()
@@ -585,14 +562,15 @@ def test_rows_appended_to_a_prefix_build_the_same_tableau(program):
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(programs(), mixed_programs()))
 def test_a_cold_solve_is_a_warm_solve_from_the_rowless_program(program):
-    """Cold and warm solves run one pivot loop: where the program without
-    rows is optimal, a cold solve takes the path of a re-solve from that
+    """Cold and warm solves run one pivot loop: the program without rows
+    is optimal at its slack basis, as every cost points to a finite
+    bound, and a cold solve takes the path of a re-solve from that
     optimum, and ends with the same outcome."""
     rowless = lp.LinearProgram(
         program.num_vars, program.objective, program.sense, program.lower, program.upper
     )
     start = lp.solve(rowless)
-    assume(start.status == "optimal")
+    assert start.status == "optimal"
     assert lp.solve(program) == lp.solve(program, start)
 
 
@@ -659,8 +637,6 @@ def test_warm_resolves_agree_with_cold_solves(case):
     outcomes = [lp.solve(program)]
     for back, rows in steps:
         start = outcomes[max(len(outcomes) - 1 - back, 0)]
-        if start.status == "unbounded":
-            break
         program = built_with(start.program, rows)
         out = lp.solve(program, start)
         assert out.program is program
@@ -685,10 +661,6 @@ def test_a_start_is_left_as_it_was(data):
     rows = st.lists(mixed_rows(program.num_vars), min_size=1, max_size=2)
     for start_program in (program, contradicting(program, data.draw(rows))):
         start = lp.solve(start_program)
-        if start.status == "unbounded":
-            with pytest.raises(ValueError):
-                lp.solve(start_program, start)
-            continue
         before = (start.status, start.solution, start.value, start.certificate)
         longer = built_with(start_program, data.draw(rows))
         got = lp.solve(longer, start)

@@ -152,6 +152,26 @@ def test_instance_validation():
         line_instance([0, 1], 1, [((0, 5), 1)])  # member out of range
 
 
+def test_instance_refuses_numbers_that_are_not_ints():
+    """k, every demand and every member must be an int: int() would
+    store demand 5/2 as 2 and take 1.5, True or 0.0 as well."""
+    for k, colors in (
+        (2, [((0, 1, 2), Fraction(5, 2))]),
+        (2, [((0, 1, 2), Fraction(2))]),
+        (Fraction(3, 2), [((0, 1), 1)]),
+        (1.5, [((0, 1), 1)]),
+        (True, [((0, 1), 1)]),
+        (2, [((0, 1), True)]),
+        (2, [((0.0, 1), 1)]),
+        (2, [((False, 1), 1)]),
+        (2, [ColorClass(frozenset({0, 1}), 1.0)]),
+    ):
+        with pytest.raises(InstanceFormatError, match="must be ints"):
+            line_instance([0, 1, 2], k, colors)
+    inst = line_instance([0, 1, 2], 2, [ColorClass(frozenset({0, 1}), 1), ((2,), 1)])
+    assert inst.colors == (ColorClass(frozenset({0, 1}), 1), ColorClass(frozenset({2}), 1))
+
+
 def test_fair_instance_validation():
     inst = line_instance([0, 1], 1, [((0, 1), 1)])
     FairInstance(base=inst, p=(Fraction(1, 2), Fraction(1)))

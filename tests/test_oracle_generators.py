@@ -176,6 +176,13 @@ def test_generator_validation_errors():
         gen_from_setcover(SetCoverInstance(universe=2, sets=(frozenset({0}),)), 1)
     with pytest.raises(ValueError):
         SetCoverInstance(universe=1, sets=(frozenset({3}),))
+    # numbers that are not ints are refused, not truncated by int()
+    for edge in ((Fraction(1, 2), 1), (0.7, 2.2), (0, 2.0), (True, 2)):
+        with pytest.raises(ValueError, match="not an int"):
+            Graph(n=3, edges=(edge,))
+    for element in (2.9, Fraction(5, 2), 1.0, True):
+        with pytest.raises(ValueError, match="must be ints"):
+            SetCoverInstance(universe=3, sets=(frozenset({0, element}),))
     with pytest.raises(ValueError):
         gen_clumps(3, 1)  # too few colors
     with pytest.raises(ValueError):
