@@ -11,7 +11,9 @@ by the feasible set of largest weighted coverage; a probe asks the
 solver's round-or-cut engine, run with t = gamma + 1 rows, the extra
 one (weighted_goal: the restricted dual's own ints) asking for that
 weighted coverage, to find a set at 4r or prove r too small.  The
-radius search is the solver's.
+radius search and its trace are the solver's: a probe's
+solver.ProbeRecord counts its restricted-dual solves and keeps one
+ProbeRecord per separation, on which round_or_cut counts.
 
 A distribution over the known columns exists exactly when the
 restricted dual over them is infeasible (Farkas), and then lp's
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
@@ -45,7 +47,9 @@ from .model import (
     union_mask,
     weighted_coverage,  # noqa: F401  (part of this module's interface)
 )
-from .solver import InternalError, LiveRelaxation, radius_search, round_or_cut
+from .solver import (
+    InternalError, LiveRelaxation, ProbeRecord, SolveTrace, radius_search, round_or_cut,
+)
 
 # Not called in this module, but benchmarks/tracing.py patches each of
 # these names here, so they stay importable from it.
@@ -114,49 +118,8 @@ def coverage_probability(inst: Instance, dist: Distribution, u: int) -> Fraction
                Fraction(0))
 
 
-@dataclass
-class SeparationRecord:
-    """What happened while answering one dual point."""
-
-    radius: Fraction
-    dual: DualPoint = None
-    outcome: str = ""  # "column-4r" | "column-2r" | "certified"
-    cuts: list = field(default_factory=list)
-    lp_solves: int = 0
-    dp_calls: int = 0
-
-
-@dataclass
-class FairRadiusRecord:
-    """What happened while probing one radius."""
-
-    radius: Fraction
-    outcome: str = ""  # "distribution" | "certified" | "exact" | "infeasible"
-    separations: list = field(default_factory=list)
-    restricted_solves: int = 0
-
-
-@dataclass
-class FairTrace:
-    records: list = field(default_factory=list)
-
-    def total_cuts(self) -> int:
-        return sum(
-            len(sep.cuts) for rec in self.records for sep in rec.separations
-        )
-
-    def total_columns(self) -> int:
-        return sum(
-            1
-            for rec in self.records
-            for sep in rec.separations
-            if sep.outcome.startswith("column")
-        )
-
-
 def separate_or_certify(
-    finst: FairInstance, r, dual: DualPoint, record: SeparationRecord = None,
-    relaxation=None,
+    finst: FairInstance, r, dual: DualPoint, record: ProbeRecord = None, relaxation=None
 ):
     """Find a center set meeting the color demands at 4r (sometimes 2r)
     whose alpha-weighted coverage strictly exceeds mu, or return None,
@@ -174,7 +137,7 @@ def separate_or_certify(
     """
     r = Fraction(r)
     if record is None:
-        record = SeparationRecord(radius=r)
+        record = ProbeRecord(radius=r)
     record.dual = dual
     tag, got = round_or_cut(finst.base, r, record, weighted_goal(dual), relaxation)
     if tag == "infeasible":
@@ -248,7 +211,7 @@ class FairSolution:
     distribution: Distribution
     probe_radius: Fraction  # the relaxation radius that produced it
     optimal: bool  # True when found by exact enumeration
-    trace: FairTrace
+    trace: SolveTrace
 
 
 def _generate(finst: FairInstance, radius, first, price):
@@ -278,13 +241,12 @@ def solve_fair(finst: FairInstance) -> FairSolution:
     4r.  Enumeration prices exactly, so its restricted dual holds the
     columns priced in, not every feasible set.
     """
-    trace = FairTrace()
     first = lp.solve(_restricted_program(finst))
     if first.status != "optimal":
         # alpha = 0, mu = -1 is feasible and mu >= -1 throughout
         raise InternalError("column-free restricted dual must be solvable")
 
-    def exact(r):
+    def exact(r, rec):
         # equal coverage gives equal rows: keep the first set of each
         balls = ball_masks(finst.base, r)
         sets = {}
@@ -302,17 +264,14 @@ def solve_fair(finst: FairInstance) -> FairSolution:
             return None if best is None or mass[best] < goal else sets[best]
 
         dist = _generate(finst, r, first, price)
-        outcome = "infeasible" if dist is None else "exact"
-        trace.records.append(FairRadiusRecord(radius=r, outcome=outcome))
+        rec.outcome = "infeasible" if dist is None else "exact"
         return dist
 
-    def probe(r):
-        rec = FairRadiusRecord(radius=r)
-        trace.records.append(rec)
+    def probe(r, rec):
         relaxation = LiveRelaxation()  # every separation starts from it
 
         def separate(dual):
-            sep = SeparationRecord(radius=r)
+            sep = ProbeRecord(radius=r)
             rec.separations.append(sep)
             got = separate_or_certify(finst, r, dual, sep, relaxation)
             return None if got is None else frozenset(got.centers)
@@ -323,8 +282,7 @@ def solve_fair(finst: FairInstance) -> FairSolution:
         rec.restricted_solves = len(rec.separations) + (dist is not None)
         return dist
 
-    dist, radius, optimal = radius_search(finst.base, exact, probe)
-    return FairSolution(dist, radius, optimal, trace)
+    return FairSolution(*radius_search(finst.base, exact, probe))
 
 
 def sample(dist: Distribution, seed: int) -> frozenset:

@@ -84,14 +84,15 @@ def _scaled(v, scale):
 
 @dataclass
 class Constraint:
-    """coeffs . x rel rhs, with coeffs also held as the ints
-    coeffs * scale, scale the lcm of their denominators."""
+    """coeffs . x rel rhs, also held as the ints ints . x rel b: coeffs
+    and rhs times scale, the lcm of their denominators."""
 
     coeffs: tuple
     rel: str
     rhs: Fraction
     ints: tuple = field(repr=False, compare=False)
     scale: int = field(repr=False, compare=False)
+    b: int = field(repr=False, compare=False)
 
 
 @dataclass
@@ -142,13 +143,14 @@ class LinearProgram:
             raise ValueError("constraint length != num_vars")
         if rel not in (LE, GE, EQ):
             raise ValueError(f"bad relation {rel!r}")
-        if set(map(type, coeffs)) <= {int}:
+        rhs = _exact(rhs)
+        if type(rhs) is int and set(map(type, coeffs)) <= {int}:
             # the rows the solvers build: plain ints, scale 1
-            ints, scale = coeffs, 1
+            ints, b, scale = coeffs, rhs, 1
         else:
             coeffs = tuple(map(_exact, coeffs))
-            ints, scale = _over_lcm(coeffs)
-        self.constraints.append(Constraint(coeffs, rel, _exact(rhs), tuple(ints), scale))
+            (*ints, b), scale = _over_lcm((*coeffs, rhs))
+        self.constraints.append(Constraint(coeffs, rel, rhs, tuple(ints), scale, b))
 
     def extended(self, rows):
         """A new program sharing this one's variables, bounds, objective
@@ -197,15 +199,9 @@ def _first_violation(lp: LinearProgram, P, m):
     nonzero = [(i, v) for i, v in enumerate(P) if v]
     for j, con in enumerate(lp.constraints):
         row = con.ints
-        # (lhs - rhs) * m * scale * rhs.denominator
-        rhs = con.rhs
-        diff = sum(row[i] * v for i, v in nonzero) * rhs.denominator - (
-            rhs.numerator * m * con.scale
-        )
+        diff = sum(row[i] * v for i, v in nonzero) - con.b * m  # (lhs - rhs) * m * scale
         if diff > 0 and con.rel != GE or diff < 0 and con.rel != LE:
-            return ViolatedConstraint(
-                "row", j, Fraction(abs(diff), m * con.scale * rhs.denominator)
-            )
+            return ViolatedConstraint("row", j, Fraction(abs(diff), m * con.scale))
     return None
 
 
@@ -361,10 +357,10 @@ class _Simplex:
 
     Columns: structural variables, then one slack per row, so row i's
     slack is column n + i.  Constraint "a.x rel b" is held at its own
-    int scale s_i, the lcm of a's denominators, as "A_i.x + s = b * s_i"
-    with A_i = a * s_i its ints: the slack is s_i times the program's,
-    bounded by [0, inf) for <=, (-inf, 0] for >=, and [0, 0] for ==.  A
-    fixed column never enters the basis.
+    int scale s_i, the lcm of the denominators of a and b, as
+    "A_i.x + s = b * s_i", both sides its ints: the slack is s_i times
+    the program's, bounded by [0, inf) for <=, (-inf, 0] for >=, and
+    [0, 0] for ==.  A fixed column never enters the basis.
 
     The true tableau is T / D = B^-1 [A | I], T int rows and D > 0:
     with B the basis columns of the integral [A | I], D = |det B| and
@@ -375,11 +371,12 @@ class _Simplex:
     denominators) moved by the same step; at the slack basis, D = 1 and
     d is the cost.
 
-    Bounds, rhs and bound values are ints times L, the lcm of the rhs
-    and finite bound denominators, so row i's rhs is b * s_i * L.  The
-    basic values are the ints B[i] = beta_i * D * L, integral because
-    D * beta = +-adj(B) times an integral vector over L; a pivot moves
-    them by the same Bareiss step, and every division is checked exact.
+    Bounds, rhs and bound values are ints times L, the lcm of the finite
+    bound denominators, fixed for the solve, so row i's rhs is
+    b * s_i * L.  The basic values are the ints B[i] = beta_i * D * L,
+    integral because D * beta = +-adj(B) times an integral vector over
+    L; a pivot moves them by the same Bareiss step, and every division
+    is checked exact.
 
     T / D carries the identity on the current basis, so the slack
     columns hold the basis inverse: the basic values are
@@ -427,18 +424,12 @@ class _Simplex:
         basic.
 
         A constraint enters as its ints a = coeffs * scale with rhs
-        rhs * scale, so its slack is scale times the program's; L first
-        grows by the rhs denominators.  Row a eliminated against the
-        basis is, over D, a * D - sum_i a[b_i] * T[i], so D does not
-        grow, and _basic_values gives the new rows' values.
+        b = rhs * scale, so its slack is scale times the program's.  Row
+        a eliminated against the basis is, over D,
+        a * D - sum_i a[b_i] * T[i], so D does not grow, and
+        _basic_values gives the new rows' values.
         """
         n, D, T = self.n, self.D, self.T
-        L = math.lcm(self.L, *(con.rhs.denominator for con in constraints))
-        if L != self.L:
-            f = L // self.L
-            self.L = L
-            for v in (self.rhs, self.B, self.lo, self.up):
-                v[:] = [None if x is None else x * f for x in v]
         k, first = len(constraints), self.ncols
         zeros = [0] * k
         for ti in T:
@@ -453,7 +444,7 @@ class _Simplex:
                     row = [v - f * w if w else v for v, w in zip(row, T[i])]
             row[col] = D
             T.append(row)
-            self.rhs.append(_scaled(con.rhs, L) * con.scale)
+            self.rhs.append(con.b * self.L)
             lo, up = _SLACK_BOUNDS[con.rel]
             self.lo.append(lo)
             self.up.append(up)

@@ -208,12 +208,17 @@ class Instance:
 
     def __init__(self, dist, k, colors):
         scale, rows = _scaled_rows(dist)
-        colors = [(tuple(c.members), c.demand) if isinstance(c, ColorClass)
-                  else (tuple(c[0]), c[1]) for c in colors]
+        pairs = []
+        for idx, c in enumerate(colors):
+            try:
+                m, d = (c.members, c.demand) if isinstance(c, ColorClass) else c
+                pairs.append((tuple(m), d))
+            except (TypeError, ValueError):
+                raise InstanceFormatError(f"color {idx} is not a (members, demand) pair") from None
         # checked, not converted: int() would truncate 5/2 to 2 and take 0.0
-        if not (_is_int(k) and all(_is_int(d) and all(map(_is_int, m)) for m, d in colors)):
+        if not (_is_int(k) and all(_is_int(d) and all(map(_is_int, m)) for m, d in pairs)):
             raise InstanceFormatError("k, color members and demands must be ints")
-        colors = tuple(ColorClass(frozenset(m), d) for m, d in colors)
+        colors = tuple(ColorClass(frozenset(m), d) for m, d in pairs)
         # _masks and _bounds hold, per radius level, the balls of every point
         # and counting_bound's result; not fields, so equality ignores them
         self.__dict__.update(rows=rows, scale=scale, k=k, colors=colors, _masks={}, _bounds={})

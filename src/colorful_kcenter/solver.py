@@ -43,6 +43,10 @@ LiveRelaxation when one is shared).  The extra row and each cut extend
 the last program (lp.LinearProgram.extended), and lp.solve(program,
 start) re-solves it warm from the last outcome (see lp), which it leaves
 as it was; so a call's answer does not depend on the calls before it.
+
+Both solvers note each probe on a ProbeRecord (its outcome, cuts, LP
+solves and DP calls) and keep them in one SolveTrace, in probe order;
+a solve_fair probe also keeps one ProbeRecord per separation.
 """
 
 from __future__ import annotations
@@ -83,25 +87,46 @@ class Cut:
 
 
 @dataclass
-class RadiusRecord:
-    """What happened while probing one radius."""
+class ProbeRecord:
+    """What happened while probing one radius, or while answering one
+    dual point of a solve_fair probe (one of its separations).
+
+    outcome: "rounded-4r", "solved-2r", "infeasible" or "enumerated"
+    for a solve_colorful probe; "distribution", "certified", "exact" or
+    "infeasible" for a solve_fair probe; "column-4r", "column-2r" or
+    "certified" for a separation.  round_or_cut counts its cuts, LP
+    solves and DP calls on the record it is given; a solve_fair probe
+    keeps its separations and its restricted-dual solves.
+    """
 
     radius: Fraction
-    outcome: str = ""  # "rounded-4r" | "solved-2r" | "infeasible"
+    outcome: str = ""
     cuts: list = field(default_factory=list)
     lp_solves: int = 0
     dp_calls: int = 0
+    dual: object = None  # the fair.DualPoint a separation answers
+    separations: list = field(default_factory=list)
+    restricted_solves: int = 0
 
 
 @dataclass
 class SolveTrace:
+    """The probes of one solve, in the order the radius search ran them."""
+
     records: list = field(default_factory=list)
 
+    def _walk(self):
+        """Every probe, each followed by its separations."""
+        return [rec for probe in self.records for rec in (probe, *probe.separations)]
+
     def total_cuts(self) -> int:
-        return sum(len(rec.cuts) for rec in self.records)
+        return sum(len(rec.cuts) for rec in self._walk())
 
     def total_lp_solves(self) -> int:
-        return sum(rec.lp_solves for rec in self.records)
+        return sum(rec.lp_solves + rec.restricted_solves for rec in self._walk())
+
+    def total_columns(self) -> int:
+        return sum(rec.outcome.startswith("column") for rec in self._walk())
 
 
 @dataclass(frozen=True)
@@ -290,15 +315,13 @@ def round_or_cut(inst: Instance, r, record, extra=None, relaxation=None):
         rows = [_cut_row(inst, r, cut)]
 
 
-def solve_fixed_radius(
-    inst: Instance, r, record: RadiusRecord = None
-) -> FixedRadiusResult:
+def solve_fixed_radius(inst: Instance, r, record: ProbeRecord = None) -> FixedRadiusResult:
     """Center set feasible at radius 4r (sometimes 2r), or an
     infeasibility certificate proving no integral radius-r solution
     exists; see round_or_cut.
     """
     if record is None:
-        record = RadiusRecord(radius=Fraction(r))
+        record = ProbeRecord(radius=Fraction(r))
     tag, got = round_or_cut(inst, r, record)
     if tag == "infeasible":
         record.outcome = "infeasible"
@@ -309,7 +332,9 @@ def solve_fixed_radius(
 
 def radius_search(inst: Instance, exact, probe):
     """Smallest candidate radius a test accepts, as (result, radius,
-    optimal); a test returns None to reject a radius.
+    optimal, trace).  A test(r, record) returns None to reject r and
+    notes what happened on record, a fresh ProbeRecord that the
+    SolveTrace keeps in probe order.
 
     With at least as many colors as centers and at most ENUM_CAP center
     sets, exact(r) decides each radius by enumeration, which is
@@ -323,7 +348,12 @@ def radius_search(inst: Instance, exact, probe):
     """
     radii = candidate_radii(inst)
     optimal = inst.num_colors >= inst.k and subset_count(inst.n, inst.k) <= ENUM_CAP
-    test = exact if optimal else probe
+    trace = SolveTrace()
+
+    def test(r):
+        trace.records.append(ProbeRecord(radius=r))
+        return (exact if optimal else probe)(r, trace.records[-1])
+
     best = None
     lo, hi = 0, len(radii) - 1
     while lo < hi:  # best, once found, is the result at radii[hi]
@@ -337,7 +367,7 @@ def radius_search(inst: Instance, exact, probe):
         best = test(radii[lo])
     if best is None:
         raise InternalError("the largest candidate radius must be accepted")
-    return best, radii[lo], optimal
+    return best, radii[lo], optimal, trace
 
 
 @dataclass(frozen=True)
@@ -353,21 +383,16 @@ def solve_colorful(inst: Instance) -> ColorfulSolution:
     radius_search): exact when enumeration is affordable, otherwise at
     most four times the optimum.
     """
-    trace = SolveTrace()
 
-    def exact(r):
+    def exact(r, rec):
         found = next(feasible_sets(inst, r), None)
-        outcome = "infeasible" if found is None else "enumerated"
-        trace.records.append(RadiusRecord(radius=r, outcome=outcome))
+        rec.outcome = "infeasible" if found is None else "enumerated"
         return None if found is None else CenterSet(found, r)
 
-    def probe(r):
-        rec = RadiusRecord(radius=r)
-        trace.records.append(rec)
+    def probe(r, rec):
         return solve_fixed_radius(inst, r, rec).centers
 
-    centers, radius, optimal = radius_search(inst, exact, probe)
-    return ColorfulSolution(centers, radius, optimal, trace)
+    return ColorfulSolution(*radius_search(inst, exact, probe))
 
 
 def pseudo_approx_baseline(inst: Instance, r) -> CenterSet:

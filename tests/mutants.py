@@ -103,8 +103,8 @@ MUTANTS = [
     Mutant(
         "rhs entered unscaled",
         "lp.py",
-        "self.rhs.append(_scaled(con.rhs, L) * con.scale)",
-        "self.rhs.append(_scaled(con.rhs, L))",
+        "self.rhs.append(con.b * self.L)",
+        "self.rhs.append(con.rhs * self.L)",
         "tests/test_lp.py::test_golden_outcomes[mixed_denominators]",
     ),
     Mutant(
@@ -281,6 +281,22 @@ MUTANTS = [
         "return json.dumps(payload, indent=2)",
         'return json.dumps({**payload, "run": id(payload)}, indent=2)',
         "tests/test_golden_outputs.py::test_output_bytes_unchanged[random-1]",
+    ),
+    # one trace type: a solve_fair probe's columns and cuts sit on its
+    # separations, and its last restricted solve accepts
+    Mutant(
+        "trace totals skip separations",
+        "solver.py",
+        "(probe, *probe.separations)",
+        "(probe,)",
+        "tests/test_fair.py::test_trace_bookkeeping",
+    ),
+    Mutant(
+        "restricted_solves misses the accepting solve",
+        "fair.py",
+        "len(rec.separations) + (dist is not None)",
+        "len(rec.separations)",
+        "tests/test_fair.py::test_trace_bookkeeping",
     ),
     Mutant(
         "round_or_cut reports 5r for a rounded solution",

@@ -13,7 +13,6 @@ from colorful_kcenter import fair, lp
 from colorful_kcenter.fair import (
     Distribution,
     DualPoint,
-    SeparationRecord,
     coverage_probability,
     sample,
     separate_or_certify,
@@ -35,7 +34,7 @@ from colorful_kcenter.model import (
     union_mask,
 )
 from colorful_kcenter.oracle import _coverage_lp, brute_force_fair, enumerate_feasible
-from colorful_kcenter.solver import LiveRelaxation, build_relaxation
+from colorful_kcenter.solver import LiveRelaxation, ProbeRecord, build_relaxation
 
 
 def fair_line(coords, k, colors, p):
@@ -437,7 +436,7 @@ def test_separations_do_not_depend_on_earlier_ones(monkeypatch):
     compared = 0
 
     def spy(finst, r, dual, record=None, relaxation=None):
-        fresh = SeparationRecord(radius=Fraction(r))
+        fresh = ProbeRecord(radius=Fraction(r))
         want = separate(finst, r, dual, fresh, LiveRelaxation())
         got = separate(finst, r, dual, record, relaxation)
         assert (got, record.outcome, record.cuts) == (want, fresh.outcome, fresh.cuts)

@@ -172,6 +172,20 @@ def test_instance_refuses_numbers_that_are_not_ints():
     assert inst.colors == (ColorClass(frozenset({0, 1}), 1), ColorClass(frozenset({2}), 1))
 
 
+@pytest.mark.parametrize(
+    "bad", [((0, 1), 1, 7), ((0, 1),), (5, 1)],
+    ids=["third-entry", "no-demand", "members-not-iterable"],
+)
+def test_instance_refuses_colors_that_are_not_pairs(bad):
+    """A color is a ColorClass or a (members, demand) pair: a third
+    entry is not dropped, and a missing demand or members that are not
+    iterable are a format error naming the color, not a raw one."""
+    with pytest.raises(InstanceFormatError, match="color 1 is not a"):
+        line_instance([0, 1], 1, [ColorClass(frozenset({0}), 1), bad])
+    inst = line_instance([0, 1], 1, [ColorClass(frozenset({0, 1}), 2)])
+    assert inst.colors == (ColorClass(frozenset({0, 1}), 2),)
+
+
 def test_fair_instance_validation():
     inst = line_instance([0, 1], 1, [((0, 1), 1)])
     FairInstance(base=inst, p=(Fraction(1, 2), Fraction(1)))

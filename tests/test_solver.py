@@ -26,7 +26,8 @@ from colorful_kcenter.oracle import (
 )
 from colorful_kcenter.solver import (
     Cut,
-    RadiusRecord,
+    ProbeRecord,
+    SolveTrace,
     build_relaxation,
     counting_certificate,
     pseudo_approx_baseline,
@@ -249,6 +250,22 @@ def test_trace_bookkeeping():
         else:
             assert sol.optimal and sol.centers.radius == sol.probe_radius
     assert fast >= 10
+
+
+def test_trace_totals_walk_each_probe_and_its_separations():
+    """A solve_fair probe keeps its cuts, relaxation solves and columns
+    on its separations; the totals add them to the probes' own."""
+    cut = Cut(frozenset({0}), 1)
+    seps = [
+        ProbeRecord(1, "column-4r", [cut], 2),
+        ProbeRecord(1, "column-2r", [], 1, 1),
+        ProbeRecord(1, "certified", [cut, cut], 3),
+    ]
+    trace = SolveTrace([
+        ProbeRecord(0, "infeasible", [cut], 1),
+        ProbeRecord(1, "distribution", separations=seps, restricted_solves=4),
+    ])
+    assert (trace.total_cuts(), trace.total_lp_solves(), trace.total_columns()) == (4, 11, 2)
 
 
 def test_baseline_budget_and_coverage():
