@@ -214,14 +214,16 @@ class FairSolution:
     trace: SolveTrace
 
 
-def _generate(finst: FairInstance, radius, first, price):
+def _generate(finst: FairInstance, radius, first, price, rec: ProbeRecord):
     """Column generation at one radius, from first, the column-free
     restricted dual's outcome: alternate best dual responses with
     price(dual), a new column beating it or None, until a distribution
-    emerges or a dual point survives, rejecting the radius (None)."""
+    emerges or a dual point survives, rejecting the radius (None).
+    Each restricted solve counts on rec."""
     columns, out = [], first
     while True:
         got, out = solve_restricted(finst, radius, columns, out)
+        rec.restricted_solves += 1
         if isinstance(got, Distribution):
             return got
         col = price(got)
@@ -248,13 +250,9 @@ def solve_fair(finst: FairInstance) -> FairSolution:
 
     def exact(r, rec):
         # equal coverage gives equal rows: keep the first set of each
-        balls = ball_masks(finst.base, r)
         sets = {}
         for centers in feasible_sets(finst.base, r):
-            covered = 0
-            for c in centers:
-                covered |= balls[c]
-            sets.setdefault(covered, centers)
+            sets.setdefault(union_mask(finst.base, centers, r), centers)
 
         def price(dual):
             # the first set of largest alpha-weighted coverage, if above mu
@@ -263,7 +261,7 @@ def solve_fair(finst: FairInstance) -> FairSolution:
             best = max(mass, key=mass.get, default=None)
             return None if best is None or mass[best] < goal else sets[best]
 
-        dist = _generate(finst, r, first, price)
+        dist = _generate(finst, r, first, price, rec)
         rec.outcome = "infeasible" if dist is None else "exact"
         return dist
 
@@ -276,10 +274,8 @@ def solve_fair(finst: FairInstance) -> FairSolution:
             got = separate_or_certify(finst, r, dual, sep, relaxation)
             return None if got is None else frozenset(got.centers)
 
-        dist = _generate(finst, 4 * r, first, separate)
+        dist = _generate(finst, 4 * r, first, separate, rec)
         rec.outcome = "certified" if dist is None else "distribution"
-        # a separation follows every restricted solve but a last accepting one
-        rec.restricted_solves = len(rec.separations) + (dist is not None)
         return dist
 
     return FairSolution(*radius_search(finst.base, exact, probe))

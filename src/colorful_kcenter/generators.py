@@ -37,9 +37,6 @@ class Graph:
             edges.append(key)
         object.__setattr__(self, "edges", tuple(sorted(edges)))
 
-    def degree(self, u: int) -> int:
-        return sum(1 for a, b in self.edges if u in (a, b))
-
 
 @dataclass(frozen=True)
 class SetCoverInstance:

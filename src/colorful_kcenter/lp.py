@@ -7,19 +7,20 @@ exactly, and on infeasible programs a Farkas certificate: a signed
 combination of constraints and variable bounds that sums to
 "0 >= positive".
 
-Inputs are ints or fractions.Fraction; ints stay ints.  Inside a solve
-everything is a Python int over a common denominator: the tableau is
+Costs and bounds are ints; an integral Fraction becomes one, and any
+other Fraction is refused with ValueError.  Row coefficients and rhs are
+ints or Fractions, and a row given with Fractions is held as its ints:
+each number times the lcm of the row's denominators.  Its duals and
+certificate multipliers are those of that held row.  Inside a solve
+everything is a Python int over one denominator D: the tableau is
 fraction-free (Edmonds 1967, Bareiss 1968) and updated by exact integer
-division, and the basic values, steps, duals and every check share its
-denominator.  Each row enters the tableau at its own int scale, its
-coefficients times the lcm of their denominators, and the duals and
-certificates read off it are mapped back to the program's rows.  An
-optimum is handed over as ints too, the point over den, with the
-Fractions solution and dual built on first access; a certificate is
-Fractions.  Every optimum is checked on ints before it is returned:
-its point against every bound and row of its program, and its value
-against the dual's.  Every certificate is verified against its
-program.
+division, and the reduced costs, basic values, steps, duals and every
+check share D.  An optimum is handed over as ints too, the point over
+den = D, with the Fractions solution and dual built on first access; a
+certificate is Fractions.  Every optimum is checked on ints before it
+is returned: its point against every bound and row of its program, and
+its value against the dual's.  Every certificate is verified against
+its program.
 
 Every solve runs one pivot loop from a dual feasible basis.  A cold
 solve starts from the slack basis: each structural column at the bound
@@ -74,33 +75,37 @@ def _over_lcm(values):
     return [v.numerator * (m // v.denominator) for v in values], m
 
 
-def _scaled(v, scale):
-    """v * scale as an int, None for None; scale is a multiple of v's
-    denominator."""
-    if v is None:
-        return None
-    return v.numerator * (scale // v.denominator)
+def _ints(values, what):
+    """values as a tuple of ints, Nones kept: an integral Fraction
+    becomes its int, any other Fraction is refused with ValueError
+    naming it, and bools and inexact numbers with TypeError."""
+    values = tuple(values)
+    if set(map(type, values)) <= {int, type(None)}:
+        return values  # the programs the solvers build
+    values = tuple(None if v is None else _exact(v) for v in values)
+    for j, v in enumerate(values):
+        if v is not None and v.denominator != 1:
+            raise ValueError(f"{what} {v} of column {j} is not an integer")
+    return tuple(None if v is None else v.numerator for v in values)
 
 
 @dataclass
 class Constraint:
-    """coeffs . x rel rhs, also held as the ints ints . x rel b: coeffs
-    and rhs times scale, the lcm of their denominators."""
+    """coeffs . x rel rhs, coeffs and rhs ints."""
 
     coeffs: tuple
     rel: str
-    rhs: Fraction
-    ints: tuple = field(repr=False, compare=False)
-    scale: int = field(repr=False, compare=False)
-    b: int = field(repr=False, compare=False)
+    rhs: int
 
 
 @dataclass
 class LinearProgram:
-    """min or max c.x subject to row constraints and box bounds.
+    """min or max c.x subject to row constraints and box bounds, c and
+    the bounds ints.
 
     lower/upper entries may be None for an unbounded side; lower defaults
-    to all zero, upper to all None.
+    to all zero, upper to all None.  A row given with Fractions is held
+    as its ints, each number times the lcm of the row's denominators.
     """
 
     num_vars: int
@@ -112,19 +117,15 @@ class LinearProgram:
 
     def __post_init__(self):
         n = self.num_vars
-        self.objective = tuple(map(_exact, self.objective))
+        self.objective = _ints(self.objective, "cost")
+        if None in self.objective:
+            raise TypeError("expected int or Fraction, got NoneType")
         if len(self.objective) != n:
             raise ValueError("objective length != num_vars")
         if self.sense not in (MIN, MAX):
             raise ValueError(f"sense must be {MIN!r} or {MAX!r}")
-        if self.lower is None:
-            self.lower = (0,) * n
-        else:
-            self.lower = tuple(None if v is None else _exact(v) for v in self.lower)
-        if self.upper is None:
-            self.upper = (None,) * n
-        else:
-            self.upper = tuple(None if v is None else _exact(v) for v in self.upper)
+        self.lower = (0,) * n if self.lower is None else _ints(self.lower, "lower bound")
+        self.upper = (None,) * n if self.upper is None else _ints(self.upper, "upper bound")
         if len(self.lower) != n or len(self.upper) != n:
             raise ValueError("bound vector length != num_vars")
         for lo, up in zip(self.lower, self.upper):
@@ -143,14 +144,11 @@ class LinearProgram:
             raise ValueError("constraint length != num_vars")
         if rel not in (LE, GE, EQ):
             raise ValueError(f"bad relation {rel!r}")
-        rhs = _exact(rhs)
-        if type(rhs) is int and set(map(type, coeffs)) <= {int}:
-            # the rows the solvers build: plain ints, scale 1
-            ints, b, scale = coeffs, rhs, 1
-        else:
-            coeffs = tuple(map(_exact, coeffs))
-            (*ints, b), scale = _over_lcm((*coeffs, rhs))
-        self.constraints.append(Constraint(coeffs, rel, rhs, tuple(ints), scale, b))
+        if type(rhs) is not int or not set(map(type, coeffs)) <= {int}:
+            # a row given with Fractions is held as its ints
+            (*ints, b), _ = _over_lcm((*map(_exact, coeffs), _exact(rhs)))
+            coeffs, rhs = tuple(ints), b
+        self.constraints.append(Constraint(coeffs, rel, rhs))
 
     def extended(self, rows):
         """A new program sharing this one's variables, bounds, objective
@@ -192,16 +190,16 @@ def _first_violation(lp: LinearProgram, P, m):
     """check_point for the point P / m, P ints and m > 0: every
     comparison is one of ints."""
     for i, (lo, up) in enumerate(zip(lp.lower, lp.upper)):
-        if lo is not None and P[i] * lo.denominator < lo.numerator * m:
+        if lo is not None and P[i] < lo * m:
             return ViolatedConstraint("lower", i, lo - Fraction(P[i], m))
-        if up is not None and P[i] * up.denominator > up.numerator * m:
+        if up is not None and P[i] > up * m:
             return ViolatedConstraint("upper", i, Fraction(P[i], m) - up)
     nonzero = [(i, v) for i, v in enumerate(P) if v]
     for j, con in enumerate(lp.constraints):
-        row = con.ints
-        diff = sum(row[i] * v for i, v in nonzero) - con.b * m  # (lhs - rhs) * m * scale
+        row = con.coeffs
+        diff = sum(row[i] * v for i, v in nonzero) - con.rhs * m  # (lhs - rhs) * m
         if diff > 0 and con.rel != GE or diff < 0 and con.rel != LE:
-            return ViolatedConstraint("row", j, Fraction(abs(diff), m * con.scale))
+            return ViolatedConstraint("row", j, Fraction(abs(diff), m))
     return None
 
 
@@ -244,7 +242,7 @@ def verify_certificate(lp: LinearProgram, cert: FarkasCertificate) -> bool:
     y, p, q = cert.row_mults, cert.lower_mults, cert.upper_mults
     if len(y) != len(lp.constraints) or len(p) != n or len(q) != n:
         return False
-    # every multiplier as an int over m; each row's ints are over its scale
+    # every multiplier as an int over m
     mults, m = _over_lcm((*y, *p, *q))
     Y, P, Q = mults[: len(y)], mults[len(y) : len(y) + n], mults[len(y) + n :]
     for yj, con in zip(Y, lp.constraints):
@@ -259,30 +257,26 @@ def verify_certificate(lp: LinearProgram, cert: FarkasCertificate) -> bool:
             return False
         if Q[i] and lp.upper[i] is None:
             return False
-    scale = math.lcm(*(con.scale for con in lp.constraints))
-    combo = [(P[i] - Q[i]) * scale for i in range(n)]
+    combo = [P[i] - Q[i] for i in range(n)]
+    gap = 0
     for yj, con in zip(Y, lp.constraints):
         if yj:
-            f = yj * (scale // con.scale)
-            for i, c in enumerate(con.ints):
+            for i, c in enumerate(con.coeffs):
                 if c:
-                    combo[i] += f * c
+                    combo[i] += yj * c
+            gap += yj * con.rhs
     if any(combo):
         return False
-    # the gap's terms, each value times L, the lcm of their denominators
-    terms = [(yj, con.rhs) for yj, con in zip(Y, lp.constraints) if yj]
-    terms += [(P[i], lp.lower[i]) for i in range(n) if P[i]]
-    terms += [(-Q[i], lp.upper[i]) for i in range(n) if Q[i]]
-    L = math.lcm(*(b.denominator for _, b in terms))
-    gap = sum(c * _scaled(b, L) for c, b in terms)
-    return gap > 0 and Fraction(gap, m * L) == cert.gap
+    gap += sum(P[i] * lp.lower[i] for i in range(n) if P[i])
+    gap -= sum(Q[i] * lp.upper[i] for i in range(n) if Q[i])
+    return gap > 0 and Fraction(gap, m) == cert.gap
 
 
 class LpOutcome:
     """What a solve of program found: status "optimal" or "infeasible".
 
     An optimum carries point, its structural values as ints over den
-    (D * L of the solved tableau), value, and two views built on first
+    (D of the solved tableau), value, and two views built on first
     access: solution, the point as Fractions, and dual, a DualInfo.
     "infeasible" carries a certificate verified against program.  Either
     can start a solve of a longer program (see solve); an optimum keeps
@@ -356,38 +350,31 @@ class _Simplex:
     """State for one solve: a bounded-variable dual simplex.
 
     Columns: structural variables, then one slack per row, so row i's
-    slack is column n + i.  Constraint "a.x rel b" is held at its own
-    int scale s_i, the lcm of the denominators of a and b, as
-    "A_i.x + s = b * s_i", both sides its ints: the slack is s_i times
-    the program's, bounded by [0, inf) for <=, (-inf, 0] for >=, and
-    [0, 0] for ==.  A fixed column never enters the basis.
+    slack is column n + i.  Constraint "a.x rel b", a and b ints, is
+    held as "a.x + s = b", the slack bounded by [0, inf) for <=,
+    (-inf, 0] for >=, and [0, 0] for ==.  A fixed column never enters
+    the basis.
 
     The true tableau is T / D = B^-1 [A | I], T int rows and D > 0:
     with B the basis columns of the integral [A | I], D = |det B| and
     T = +-adj(B) [A | I] is integral.  A pivot on p = T[r][e] is the
     Bareiss step T'[i][j] = (T[i][j]*p - T[i][e]*T[r][j]) // D, exact
     since T' is again integral, with D' = |p| and all rows negated when
-    p < 0.  Reduced costs d are ints over lc*D (lc: lcm of the cost
-    denominators) moved by the same step; at the slack basis, D = 1 and
-    d is the cost.
-
-    Bounds, rhs and bound values are ints times L, the lcm of the finite
-    bound denominators, fixed for the solve, so row i's rhs is
-    b * s_i * L.  The basic values are the ints B[i] = beta_i * D * L,
-    integral because D * beta = +-adj(B) times an integral vector over
-    L; a pivot moves them by the same Bareiss step, and every division
-    is checked exact.
+    p < 0.  Reduced costs d are ints over D moved by the same step; at
+    the slack basis, D = 1 and d is the cost.  The basic values are the
+    ints B[i] = beta_i * D, integral because D * beta = +-adj(B) times
+    an integral vector; a pivot moves them by the same Bareiss step, and
+    every division is checked exact.
 
     T / D carries the identity on the current basis, so the slack
     columns hold the basis inverse: the basic values are
-    T_slack . rhs - T_N . x_N over D * L (_basic_values), and the row
-    duals are the negated reduced costs of the slack columns, times
-    each row's s_i to be the program's (_multipliers).
+    T_slack . rhs - T_N . x_N over D (_basic_values), and the row duals
+    are the negated reduced costs of the slack columns (_multipliers).
 
     Rows enter one way, through _append, each with its slack basic: a
-    cold solve appends every row to the structural columns alone (D = 1,
-    L over the bounds), a re-solve a longer program's new rows to a copy
-    of an optimal simplex (resolved).  Both then run _loop.
+    cold solve appends every row to the structural columns alone
+    (D = 1), a re-solve a longer program's new rows to a copy of an
+    optimal simplex (resolved).  Both then run _loop.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -395,27 +382,22 @@ class _Simplex:
         self.n = self.ncols = lp.num_vars
         self.m = 0
         self.minimize = lp.sense == MIN
-        cost = lp.objective if self.minimize else [-c for c in lp.objective]
-        for j, (lo, up, c) in enumerate(zip(lp.lower, lp.upper, cost)):
+        self.cost = [c if self.minimize else -c for c in lp.objective]
+        for j, (lo, up, c) in enumerate(zip(lp.lower, lp.upper, self.cost)):
             if c > 0 and lo is None or c < 0 and up is None:
                 side = "lower" if c > 0 else "upper"
                 raise ValueError(
                     f"column {j} has no {side} bound, but its cost moves it that way"
                 )
-        # the costs as the ints lc*c, and the slack basis's reduced costs
-        self.cost, self.lc = _over_lcm(cost)
-        self.d = self.cost[:]
-        bounds = (*lp.lower, *lp.upper)
-        self.L = math.lcm(*(v.denominator for v in bounds if v is not None))
-        self.lo = [_scaled(v, self.L) for v in lp.lower]
-        self.up = [_scaled(v, self.L) for v in lp.upper]
+        self.d = self.cost[:]  # the slack basis's reduced costs
+        self.lo, self.up = list(lp.lower), list(lp.upper)
         self.state = [_placed(lo, up, c) for lo, up, c in zip(self.lo, self.up, self.d)]
         self.D = 1
         self.T, self.B, self.basis, self.rhs = [], [], [], []
         self._append(lp.constraints)
 
     def bound_value(self, j):
-        """The value of nonbasic column j, times L."""
+        """The value of nonbasic column j."""
         st = self.state[j]
         return self.lo[j] if st == _AT_LOWER else self.up[j] if st == _AT_UPPER else 0
 
@@ -423,9 +405,7 @@ class _Simplex:
         """Enter constraints as rows of the tableau, each with its slack
         basic.
 
-        A constraint enters as its ints a = coeffs * scale with rhs
-        b = rhs * scale, so its slack is scale times the program's.  Row
-        a eliminated against the basis is, over D,
+        Row a eliminated against the basis is, over D,
         a * D - sum_i a[b_i] * T[i], so D does not grow, and
         _basic_values gives the new rows' values.
         """
@@ -436,7 +416,7 @@ class _Simplex:
             ti += zeros
         pad = [0] * (first + k - n)
         for col, con in enumerate(constraints, first):
-            a = con.ints
+            a = con.coeffs
             row = [*a, *pad] if D == 1 else [c * D for c in a] + pad
             for i, b in enumerate(self.basis):
                 if b < n and a[b]:
@@ -444,7 +424,7 @@ class _Simplex:
                     row = [v - f * w if w else v for v, w in zip(row, T[i])]
             row[col] = D
             T.append(row)
-            self.rhs.append(con.b * self.L)
+            self.rhs.append(con.rhs)
             lo, up = _SLACK_BOUNDS[con.rel]
             self.lo.append(lo)
             self.up.append(up)
@@ -473,7 +453,7 @@ class _Simplex:
         return warm._run()
 
     def _basic_values(self, rows):
-        """The basic values of the tableau rows `rows` over D * L: each
+        """The basic values of the tableau rows `rows` over D: each
         row's T_slack . rhs - T_N . x_N, x_N the nonbasic values."""
         n = self.n
         x = [-self.bound_value(j) for j in range(self.ncols)]  # 0 where basic
@@ -493,12 +473,9 @@ class _Simplex:
             return self._optimal_outcome()
         r, sigma = blocked
         y, low, upp, gap = self._multipliers(self.T[r], sigma)
-        # a basic slack is its row's scale times the program's slack
-        b = self.basis[r] - self.n
-        den = self.D if b < 0 else self.D * self.lp.constraints[b].scale
+        D = self.D
         return _certified(self.lp, FarkasCertificate(
-            _fractions(y, den), _fractions(low, den), _fractions(upp, den),
-            Fraction(gap, den * self.L),
+            _fractions(y, D), _fractions(low, D), _fractions(upp, D), Fraction(gap, D)
         ))
 
     def _loop(self):
@@ -564,7 +541,7 @@ class _Simplex:
 
     def _apply(self, enter, direction, num, leave_row, leave_state):
         """Pivot column `enter` into row leave_row, moving it by
-        direction * num / |p| / L, which takes the leaving variable to
+        direction * num / |p|, which takes the leaving variable to
         its bound leave_state."""
         T, D, B = self.T, self.D, self.B
         move = num if direction > 0 else -num
@@ -575,8 +552,8 @@ class _Simplex:
         a = p * sign
         col = [ti[enter] for ti in T]
         col[leave_row] = 0
-        # B[i] = beta_i*D*L moves to (beta_i - move_t*T[i][e]/D)*|p|*L,
-        # which is (B[i]*|p| - move*T[i][e]) / D since t*L*|p| = num
+        # B[i] = beta_i*D moves to (beta_i - move_t*T[i][e]/D)*|p|,
+        # which is (B[i]*|p| - move*T[i][e]) / D since t*|p| = num
         for i, coef in enumerate(col):
             if a != D and i != leave_row:
                 q, rem = divmod(B[i] * a - move * coef, D)
@@ -621,18 +598,16 @@ class _Simplex:
     def _multipliers(self, vec, sigma):
         """Row multipliers y, bound multipliers low and upp, and the
         combined rhs y.b + low.lower - upp.upper, read off vec (a tableau
-        row or the reduced costs) as ints over its denominator (times L).
+        row or the reduced costs) as ints over its denominator D.
 
-        Row i's tableau row gets -sigma * vec[n+i], which the combined
-        rhs sums, and the program's row that times the row's scale;
+        Row i gets -sigma * vec[n+i], which the combined rhs sums;
         column j puts sigma * vec[j] on its lower bound where positive,
         its upper one where negative.  The reduced costs with sigma = 1,
         zero on basic columns, give the duals (min convention).  The row
         blocking the dual simplex, sigma = 1 when its basic variable
         lies below its lower bound and -1 above its upper one, gives a
         certificate: every entry sits where its column cannot move that
-        variable back, so the rhs is how far it lies outside its bound,
-        times its row's scale when it is a slack.
+        variable back, so the rhs is how far it lies outside its bound.
         """
         n = self.n
         y = [-sigma * vec[n + i] for i in range(self.m)]
@@ -651,12 +626,12 @@ class _Simplex:
             else:
                 upp[j] = -v
             total += v * bound
-        return [v * con.scale for v, con in zip(y, self.lp.constraints)], low, upp, total
+        return y, low, upp, total
 
     def _optimal_outcome(self):
-        # structural values as ints over D*L, checked with the dual on ints
-        dl = self.D * self.L
-        x = [self.bound_value(j) * self.D for j in range(self.n)]
+        # structural values as ints over D, checked with the dual on ints
+        D = self.D
+        x = [self.bound_value(j) * D for j in range(self.n)]
         for i in range(self.m):
             if self.basis[i] < self.n:
                 x[self.basis[i]] = self.B[i]
@@ -665,21 +640,20 @@ class _Simplex:
         y, low, upp, dual = self._multipliers(self.d, 1)
         if dual != primal:
             raise InternalError("strong duality failed, simplex bug")
-        if _first_violation(self.lp, x, dl) is not None:
+        if _first_violation(self.lp, x, D) is not None:
             raise InternalError("the optimum lies outside its program, simplex bug")
         # a max program was solved as the min of its negation
         sign = 1 if self.minimize else -1
-        den = self.lc * self.D
-        value = Fraction(sign * primal, self.lc * dl)
+        value = Fraction(sign * primal, D)
 
         def dual_info():
             return DualInfo(
-                _fractions(y, den, sign), _fractions(low, den, sign),
-                _fractions(upp, den, sign), value,
+                _fractions(y, D, sign), _fractions(low, D, sign), _fractions(upp, D, sign),
+                value,
             )
 
         return LpOutcome(
-            "optimal", tuple(x), dl, value, dual=dual_info, program=self.lp, simplex=self
+            "optimal", tuple(x), D, value, dual=dual_info, program=self.lp, simplex=self
         )
 
 

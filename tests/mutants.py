@@ -60,7 +60,7 @@ MUTANTS = [
     Mutant(
         "optimum check deleted",
         "lp.py",
-        "if _first_violation(self.lp, x, dl) is not None:",
+        "if _first_violation(self.lp, x, D) is not None:",
         "if False:",
         "tests/test_lp_properties.py::test_an_optimum_outside_its_program_is_refused",
     ),
@@ -98,35 +98,28 @@ MUTANTS = [
         "if not 0 <= args.samples:",
         "tests/test_cli.py::test_exit_codes_for_bad_inputs",
     ),
-    # each row enters at its own int scale: its rhs too, and what is read
-    # off its scaled slack is mapped back to the program's row
+    # an LP is its ints: costs and bounds must be integers, and a row
+    # given with Fractions is held as its ints, its rhs too
     Mutant(
-        "rhs entered unscaled",
+        "the integrality refusal dropped",
         "lp.py",
-        "self.rhs.append(con.b * self.L)",
-        "self.rhs.append(con.rhs * self.L)",
-        "tests/test_lp.py::test_golden_outcomes[mixed_denominators]",
+        "if v is not None and v.denominator != 1:",
+        "if False:",
+        "tests/test_lp.py::test_malformed_programs_are_refused",
     ),
     Mutant(
-        "row multipliers not multiplied back by scale",
+        "a Fraction row's rhs stored unscaled",
         "lp.py",
-        "return [v * con.scale for v, con in zip(y, self.lp.constraints)], low, upp, total",
-        "return y, low, upp, total",
+        "coeffs, rhs = tuple(ints), b",
+        "coeffs = tuple(ints)",
         "tests/test_lp.py::test_golden_outcomes[mixed_denominators]",
-    ),
-    Mutant(
-        "blocking-row certificate not divided by its scale",
-        "lp.py",
-        "den = self.D if b < 0 else self.D * self.lp.constraints[b].scale",
-        "den = self.D",
-        "tests/test_lp.py::test_golden_outcomes[infeasible_scaled_slack]",
     ),
     # exact rationals: an optimum's value as a float
     Mutant(
         "the optimal value is a float",
         "lp.py",
-        "value = Fraction(sign * primal, self.lc * dl)",
-        "value = sign * primal / (self.lc * dl)",
+        "value = Fraction(sign * primal, D)",
+        "value = sign * primal / D",
         "tests/test_lp.py::test_int_programs_give_fraction_outcomes",
     ),
     # a forged certificate proves a program infeasible
@@ -263,7 +256,7 @@ MUTANTS = [
     Mutant(
         "enumeration solves every coverage at once",
         "fair.py",
-        "dist = _generate(finst, r, first, price)",
+        "dist = _generate(finst, r, first, price, rec)",
         "dist, _ = solve_restricted(finst, r, list(sets.values()))",
         "tests/test_fair.py::test_enumeration_keeps_the_restricted_dual_small",
     ),
@@ -294,9 +287,13 @@ MUTANTS = [
     Mutant(
         "restricted_solves misses the accepting solve",
         "fair.py",
-        "len(rec.separations) + (dist is not None)",
-        "len(rec.separations)",
-        "tests/test_fair.py::test_trace_bookkeeping",
+        "        rec.restricted_solves += 1\n"
+        "        if isinstance(got, Distribution):\n"
+        "            return got\n",
+        "        if isinstance(got, Distribution):\n"
+        "            return got\n"
+        "        rec.restricted_solves += 1\n",
+        "tests/test_fair.py::test_restricted_solves_count_every_solve[enumerated]",
     ),
     Mutant(
         "round_or_cut reports 5r for a rounded solution",

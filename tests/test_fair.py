@@ -417,6 +417,36 @@ def test_trace_bookkeeping():
     assert fast >= 3
 
 
+@pytest.mark.parametrize("gamma", [2, 1], ids=["enumerated", "probed"])
+def test_restricted_solves_count_every_solve(monkeypatch, gamma):
+    """A probe's restricted_solves is the number of restricted-dual
+    solves it ran, whether enumeration or separation priced its
+    columns.  Each radius is probed once, at r when enumerating and at
+    4r otherwise, so the solves are told apart by their radius."""
+    finst = gen_random(
+        seed=2, n=9, k=2, gamma=gamma, demand_density=Fraction(1), p_density=Fraction(2, 3)
+    )
+    calls = collections.Counter()
+    real = fair.solve_restricted
+
+    def spy(finst, radius, columns, start=None):
+        calls[radius] += 1
+        return real(finst, radius, columns, start)
+
+    monkeypatch.setattr(fair, "solve_restricted", spy)
+    sol = solve_fair(finst)
+    assert sol.optimal == (gamma == 2)
+    scale = 1 if sol.optimal else 4
+    records = sol.trace.records
+    assert [rec.restricted_solves for rec in records] == [
+        calls[scale * rec.radius] for rec in records
+    ]
+    assert sum(calls.values()) == sol.trace.total_lp_solves() - sum(
+        sep.lp_solves for rec in records for sep in rec.separations
+    )
+    assert all(rec.restricted_solves >= 1 for rec in records)
+
+
 def test_separations_do_not_depend_on_earlier_ones(monkeypatch):
     """On the golden fair-* cases and eight random ones with gamma = 2,
     each separation of a probe gives the answer, outcome and cuts of the

@@ -386,10 +386,10 @@ def golden_program(n, objective, sense, lower, upper, rows):
 
 
 GOLDEN_PROGRAMS = {
-    # rows with denominators 6 and 5 enter as their ints 3x + 2y <= 6 and
-    # 2x + 5y <= 15, which imply the upper bounds
+    # rows with coefficient denominators 6 and 5 are held as their ints
+    # 3x + 2y <= 6 and 4x + 10y <= 15, which imply the upper bounds
     "mixed_denominators": golden_program(
-        2, ("1", "1"), lp.MAX, None, ("2", "3/2"),
+        2, ("1", "1"), lp.MAX, None, ("2", "2"),
         [(("1/2", "1/3"), lp.LE, "1"), (("2/5", "1"), lp.LE, "3/2")],
     ),
     # pivots on negative entries, both at |p| == D and, with D > 1, at |p| != D
@@ -418,8 +418,7 @@ GOLDEN_PROGRAMS = {
         2, ("0", "0"), lp.MIN, ("0", "0"), ("1", "1"),
         [(("1/2", "1/3"), lp.GE, "2"), (("1", "-1"), lp.LE, "1/2")],
     ),
-    # the slack of x/2 <= -1/3 enters as that of x <= -2/3, twice the
-    # program's: the certificate is read off over the program's slack
+    # x/2 <= -1/3 is held as 3x <= -2, and the certificate is that row's
     "infeasible_scaled_slack": golden_program(
         2, ("1", "0"), lp.MIN, ("0", "0"), None,
         [(("1/2", "0"), lp.LE, "-1/3")],
@@ -489,16 +488,16 @@ def golden_line(out):
 
 
 GOLDEN_LINES = {
-    "mixed_denominators": "optimal | x 15/11 21/22 | v 51/22 | y 18/11 5/11 | lo 0 0 | up 0 0",
+    "mixed_denominators": "optimal | x 15/11 21/22 | v 51/22 | y 3/11 1/22 | lo 0 0 | up 0 0",
     "negative_pivots": "optimal | x 1 -1 0 | v 4 | y 0 0 1 | lo 0 -4 0 | up 0 0 0",
     "equality_artificials": "optimal | x 5/2 3/2 0 | v 11/2 | y 3/2 -1/2 | lo 0 0 3/2 | up 0 0 0",
     "redundant_equality": "optimal | x 0 2 | v -2 | y -1 0 | lo 2 0 | up 0 0",
     "bound_flips": "optimal | x 1 3 | v 5 | y 0 | lo 0 0 | up -2 -1",
-    "infeasible_rational_rows": "infeasible | y 3 0 | lo 0 0 | up 3/2 1 | gap 7/2",
-    "infeasible_scaled_slack": "infeasible | y -1 | lo 1/2 0 | up 0 0 | gap 1/3",
+    "infeasible_rational_rows": "infeasible | y 1/2 0 | lo 0 0 | up 3/2 1 | gap 7/2",
+    "infeasible_scaled_slack": "infeasible | y -1 | lo 3 0 | up 0 0 | gap 2",
     "infeasible_equalities": "infeasible | y -2 1 | lo 0 0 | up 0 0 | gap 1",
     "restricted_optimal": "optimal | x 0 0 3 0 | v 0 | y 0 -1 0 | lo 1 1 0 0 | up 0 0 0 0",
-    "restricted_infeasible": "infeasible | y 1 -1 | lo 1/2 1/3 2/3 0 | up 0 0 0 0 | gap 1",
+    "restricted_infeasible": "infeasible | y 1 -6 | lo 3 2 4 0 | up 0 0 0 0 | gap 6",
     "unbounded": "refused | column 0 has no upper bound, but its cost moves it that way",
     "primal_and_dual_infeasible":
         "refused | column 0 has no upper bound, but its cost moves it that way",
@@ -562,8 +561,14 @@ def test_malformed_programs_are_refused():
         (lambda: lp.LinearProgram(2, (1, 1), lp.MIN, None, (1, 1, 1)),
          "bound vector length"),
         (lambda: lp.LinearProgram(1, (1,), lp.MIN, (1,), (0,)), "empty bound interval"),
-        (lambda: lp.LinearProgram(1, (1,), lp.MIN, (Fraction(1, 2),), (Fraction(1, 3),)),
+        (lambda: lp.LinearProgram(1, (1,), lp.MIN, (Fraction(4, 2),), (Fraction(3, 3),)),
          "empty bound interval"),
+        (lambda: lp.LinearProgram(2, (1, Fraction(1, 2))),
+         "cost 1/2 of column 1 is not an integer"),
+        (lambda: lp.LinearProgram(2, (1, 1), lp.MIN, (0, Fraction(-3, 2))),
+         "lower bound -3/2 of column 1 is not an integer"),
+        (lambda: lp.LinearProgram(2, (1, 1), lp.MIN, None, (Fraction(1, 3), None)),
+         "upper bound 1/3 of column 0 is not an integer"),
         (lambda: lp.LinearProgram(1, (1,), constraints=[((1,), "<", 1)]), "bad relation"),
         (lambda: lp.LinearProgram(2, (1, 1)).add([1], lp.GE, 0), "constraint length"),
         (lambda: lp.LinearProgram(2, (1, 1)).add([1, 2, 3], lp.LE, 0),
@@ -576,6 +581,22 @@ def test_malformed_programs_are_refused():
             build()
     # a refused row leaves the program it would have extended as it was
     assert len(square.constraints) == 1
+
+
+def test_a_program_is_held_as_ints():
+    """Integral Fraction costs and bounds become ints, and a row given
+    with Fractions is held as its ints: each number times the lcm of the
+    row's denominators."""
+    program = lp.LinearProgram(
+        2, (Fraction(3), -1), lp.MIN, (Fraction(-2), 0), (None, Fraction(4, 2)),
+        [((Fraction(1, 2), Fraction(2, 3)), lp.LE, Fraction(5, 4)), ((2, 3), lp.GE, 1)],
+    )
+    assert (program.objective, program.lower, program.upper) == ((3, -1), (-2, 0), (None, 2))
+    rows = [(c.coeffs, c.rel, c.rhs) for c in program.constraints]
+    assert rows == [((6, 8), lp.LE, 15), ((2, 3), lp.GE, 1)]
+    numbers = [*program.objective, *program.lower, program.upper[1]]
+    numbers += [v for coeffs, _, rhs in rows for v in (*coeffs, rhs)]
+    assert all(type(v) is int for v in numbers)
 
 
 def test_int_and_fraction_rows_solve_alike():

@@ -4,8 +4,10 @@ Every outcome is checked exactly (membership, strong duality, Farkas
 certificate) and against scipy's HiGHS in floating point.  The float
 comparison lives only here; the solver path stays exact.
 
-Every drawn program is one lp.solve takes: each cost, in min form,
-points to a finite bound of its column, so no program is unbounded.
+Every drawn program is one lp.solve takes: costs and bounds are ints,
+drawn some as ints and some as integral Fractions, rows rational, and
+each cost, in min form, points to a finite bound of its column, so no
+program is unbounded.
 HiGHS may still call an infeasible program "unbounded or infeasible",
 so feasibility is asked of it with a zero objective and the optimum
 separately.
@@ -27,7 +29,9 @@ from colorful_kcenter import lp  # noqa: E402
 
 denominators = st.sampled_from([1, 1, 2, 3, 4, 5, 7])
 rationals = st.builds(Fraction, st.integers(-6, 6), denominators)
-widths = st.builds(Fraction, st.integers(0, 8), st.sampled_from([1, 2, 3]))
+# costs and bounds: ints, as ints or as integral Fractions
+wholes = st.integers(-6, 6) | st.builds(Fraction, st.integers(-6, 6))
+widths = st.integers(0, 8) | st.builds(Fraction, st.integers(0, 8))
 
 
 def min_form(objective, sense):
@@ -39,9 +43,9 @@ def bounds(draw, cost):
     """A column's (lower, upper), each side drawn finite or open, but
     finite on the side cost, in min form, points to: lower when cost is
     positive, upper when it is negative."""
-    lower = draw(rationals if cost > 0 else st.none() | rationals)
+    lower = draw(wholes if cost > 0 else st.none() | wholes)
     if lower is None:
-        return None, draw(rationals if cost < 0 else st.none() | rationals)
+        return None, draw(wholes if cost < 0 else st.none() | wholes)
     width = draw(widths if cost < 0 else st.none() | widths)
     return lower, None if width is None else lower + width
 
@@ -50,7 +54,7 @@ def bounds(draw, cost):
 def programs(draw):
     n = draw(st.integers(1, 4))
     m = draw(st.integers(0, 4))
-    objective = tuple(draw(rationals) for _ in range(n))
+    objective = tuple(draw(wholes) for _ in range(n))
     sense = draw(st.sampled_from([lp.MIN, lp.MAX]))
     lower, upper = zip(*(draw(bounds(c)) for c in min_form(objective, sense)))
     program = lp.LinearProgram(n, objective, sense, lower, upper)
@@ -125,10 +129,11 @@ def test_outcomes_are_exact_and_agree_with_highs(program):
 
 # -- the Fraction simplex of record -----------------------------------------
 #
-# lp.solve keeps its tableau, basic values and checks as ints over common
-# denominators.  _ReferenceSimplex is the same bounded-variable dual
-# simplex over a plain Fraction tableau B^-1 [A | I]: the same start
-# placement and Bland choices.  lp.solve must return exactly its outcomes.
+# lp.solve keeps its tableau, basic values and checks as ints over one
+# denominator.  _ReferenceSimplex is the same bounded-variable dual
+# simplex over a plain Fraction tableau B^-1 [A | I] of the program's
+# rows as held: the same start placement and Bland choices.  lp.solve
+# must return exactly its outcomes.
 
 
 def reference_verify_certificate(program, cert):
@@ -174,12 +179,12 @@ class _ReferenceSimplex:
         self.n = n = program.num_vars
         self.m = m = len(program.constraints)
         self.minimize = program.sense == lp.MIN
-        self.cost = [c if self.minimize else -c for c in program.objective]
+        self.cost = [Fraction(c if self.minimize else -c) for c in program.objective]
         self.lo = list(program.lower) + [_SLACK[con.rel][0] for con in program.constraints]
         self.up = list(program.upper) + [_SLACK[con.rel][1] for con in program.constraints]
-        self.rhs = [con.rhs for con in program.constraints]
+        self.rhs = [Fraction(con.rhs) for con in program.constraints]
         self.T = [
-            list(con.coeffs) + [Fraction(int(k == i)) for k in range(m)]
+            list(map(Fraction, con.coeffs)) + [Fraction(int(k == i)) for k in range(m)]
             for i, con in enumerate(program.constraints)
         ]
         self.basis = [n + i for i in range(m)]
@@ -309,26 +314,9 @@ class _ReferenceSimplex:
         return lp.LpOutcome(status="infeasible", certificate=cert)
 
 
-def as_fractions(program):
-    """The same program with every number a Fraction."""
-
-    def frac(v):
-        return None if v is None else Fraction(v)
-
-    return lp.LinearProgram(
-        program.num_vars,
-        tuple(map(frac, program.objective)),
-        program.sense,
-        tuple(map(frac, program.lower)),
-        tuple(map(frac, program.upper)),
-        [(tuple(map(frac, con.coeffs)), con.rel, frac(con.rhs))
-         for con in program.constraints],
-    )
-
-
 def reference_solve(program):
     """The Fraction simplex of record for lp.solve."""
-    return _ReferenceSimplex(as_fractions(program)).solve()
+    return _ReferenceSimplex(program).solve()
 
 
 def numbers(outcome):
@@ -346,6 +334,8 @@ def numbers(outcome):
 small_ints = st.integers(-6, 6)
 # ints, and Fractions with denominators 1 to 7
 mixed = small_ints | st.builds(Fraction, small_ints, st.integers(1, 7))
+# ints, as ints or as integral Fractions: costs and bounds
+mixed_wholes = small_ints | st.builds(Fraction, small_ints)
 
 
 @st.composite
@@ -357,7 +347,7 @@ def mixed_bounds(draw, cost):
         # drop the kinds open on that side
         kinds = [k for k in kinds if k not in ("free", "upper" if cost > 0 else "lower")]
     kind = draw(st.sampled_from(kinds))
-    lo = draw(mixed)
+    lo = draw(mixed_wholes)
     if kind == "free":
         return None, None
     if kind == "lower":
@@ -366,14 +356,14 @@ def mixed_bounds(draw, cost):
         return None, lo
     if kind == "fixed":
         return lo, lo
-    return lo, lo + draw(st.integers(1, 8)) / Fraction(draw(st.integers(1, 3)))
+    return lo, lo + draw(st.integers(1, 8) | st.builds(Fraction, st.integers(1, 8)))
 
 
 @st.composite
 def mixed_programs(draw):
     n = draw(st.integers(1, 4))
     m = draw(st.integers(0, 5))
-    objective = tuple(draw(mixed) for _ in range(n))
+    objective = tuple(draw(mixed_wholes) for _ in range(n))
     sense = draw(st.sampled_from([lp.MIN, lp.MAX]))
     lower, upper = zip(*(draw(mixed_bounds(c)) for c in min_form(objective, sense)))
     program = lp.LinearProgram(n, objective, sense, lower, upper)
@@ -443,21 +433,21 @@ def test_ties_in_the_ratio_test_go_to_the_lowest_index(program):
 @st.composite
 def scaled_rows(draw):
     """(program, scaled, i, factor): scaled is program with row i's
-    coefficients and rhs times factor > 0, either a drawn rational or
-    the lcm of the row's denominators times 1 to 3, which turns the row
-    into ints (as fair's weighted row is)."""
+    coefficients and rhs times a drawn rational > 0 or an int 1 to 3.
+    Each row is held as its ints, each number times the lcm of the row's
+    denominators, so scaled holds program's row i times factor, the
+    drawn number times that lcm."""
     program = draw(st.one_of(programs(), mixed_programs(), degenerate_programs()))
     assume(program.constraints)
     rows = [(con.coeffs, con.rel, con.rhs) for con in program.constraints]
     i = draw(st.integers(0, len(rows) - 1))
     coeffs, rel, rhs = rows[i]
     if draw(st.booleans()):
-        factor = draw(st.builds(Fraction, st.integers(1, 12), st.integers(1, 7)))
-        rows[i] = ([factor * v for v in coeffs], rel, factor * rhs)
+        drawn = draw(st.builds(Fraction, st.integers(1, 12), st.integers(1, 7)))
     else:
-        factor = math.lcm(*(Fraction(v).denominator for v in (*coeffs, rhs)))
-        factor *= draw(st.integers(1, 3))
-        rows[i] = ([int(factor * v) for v in coeffs], rel, int(factor * rhs))
+        drawn = draw(st.integers(1, 3))
+    rows[i] = ([drawn * v for v in coeffs], rel, drawn * rhs)
+    factor = drawn * math.lcm(*(Fraction(v).denominator for v in rows[i][0] + [rows[i][2]]))
     scaled = lp.LinearProgram(
         program.num_vars, program.objective, program.sense, program.lower, program.upper, rows
     )
@@ -473,6 +463,8 @@ def test_scaling_a_row_changes_no_choice(case):
     certificate that is a positive multiple of the old one with row i's
     multiplier divided by the factor."""
     program, scaled, i, factor = case
+    held, row = program.constraints[i], scaled.constraints[i]
+    assert (row.coeffs, row.rhs) == (tuple(factor * v for v in held.coeffs), factor * held.rhs)
     out, got = lp.solve(program), lp.solve(scaled)
     assert got.status == out.status
     assert got.solution == out.solution and got.value == out.value
@@ -524,7 +516,7 @@ def test_an_optimum_outside_its_program_is_refused():
     assert simplex._optimal_outcome() == out
     i = simplex.basis.index(1)
     assert simplex.cost[1] == 0
-    simplex.B[i] = 2 * simplex.D * simplex.L  # x1 = 2, above its bound 1
+    simplex.B[i] = 2 * simplex.D  # x1 = 2, above its bound 1
     with pytest.raises(lp.InternalError, match="outside its program"):
         simplex._optimal_outcome()
 
@@ -540,7 +532,7 @@ def tableau(simplex):
     """Everything the tableau holds before a pivot."""
     return tuple(
         getattr(simplex, name)
-        for name in ("T", "D", "L", "B", "rhs", "lo", "up", "basis", "state")
+        for name in ("T", "D", "B", "rhs", "lo", "up", "basis", "state")
     )
 
 
@@ -705,10 +697,10 @@ def not_extending(program):
 
 
 def fields(program):
-    """Everything a program holds, each row's ints and scale included."""
+    """Everything a program holds, each row as its ints."""
     return (
         program.num_vars, program.objective, program.sense, program.lower, program.upper,
-        [(c.coeffs, c.rel, c.rhs, c.ints, c.scale) for c in program.constraints],
+        [(c.coeffs, c.rel, c.rhs) for c in program.constraints],
     )
 
 

@@ -50,7 +50,8 @@ def test_extra_weighted_row():
     program = build_cluster_system(inst, part, (weights, Fraction(1, 3)))
     assert len(program.constraints) == inst.num_colors + 1
     row = program.constraints[-1]
-    assert (row.coeffs, row.rel, row.rhs) == ((Fraction(1, 2),) * 2, lp.GE, Fraction(1, 3))
+    # (1/2, 1/2) >= 1/3, held as its ints times 6
+    assert (row.coeffs, row.rel, row.rhs) == ((3, 3), lp.GE, 2)
 
 
 def test_sparse_round_solves_fixture_system():

@@ -423,7 +423,7 @@ def test_warm_resolves_match_cold_solves(monkeypatch):
 def _fields(program):
     return (
         program.num_vars, program.objective, program.sense, program.lower, program.upper,
-        [(c.coeffs, c.rel, c.rhs, c.ints, c.scale) for c in program.constraints],
+        [(c.coeffs, c.rel, c.rhs) for c in program.constraints],
     )
 
 
