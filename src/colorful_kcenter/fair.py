@@ -15,6 +15,17 @@ radius search and its trace are the solver's: a probe's
 solver.ProbeRecord counts its restricted-dual solves and keeps one
 ProbeRecord per separation, on which round_or_cut counts.
 
+The probes of one solve_fair share a column pool, every column any of
+them priced.  A probe first solves the restricted dual over the pool
+alone and accepts, with no separation, when that gives a distribution;
+otherwise it generates from the column-free dual point and adds the
+pool right after its own first column (merged before it, the pool
+steers the probe's first dual points, and more radii rise).  This is
+exact: the probes scan the radii up, so a pool column meets every
+demand at its own 4r' or 2r' <= 4r, and a certified dual point proves
+r below the optimum whichever columns produced it, so 4r <= 4 OPT
+still holds.  Enumeration bisects, and takes no pool.
+
 A distribution over the known columns exists exactly when the
 restricted dual over them is infeasible (Farkas), and then lp's
 verified certificate is that distribution, each column c weighted by
@@ -22,11 +33,12 @@ verified certificate is that distribution, each column c weighted by
 solve_restricted).
 
 Every LP re-solves warm, by lp.solve(program, start) from an earlier
-outcome: the restricted dual gains one row per column, from its last
-outcome, and each separation adds its weighted row to the probe's
-cut-free relaxation, from that relaxation's outcome.  Each program is
-built once and extended by its new rows; lp checks every optimum
-against its full program and verifies every certificate against it.
+outcome: the restricted dual gains its new columns' rows, from its last
+outcome (the pool's from the column-free one), and each separation adds
+its weighted row to the probe's cut-free relaxation, from that
+relaxation's outcome.  Each program is built once and extended by its
+new rows; lp checks every optimum against its full program and
+verifies every certificate against it.
 """
 
 from __future__ import annotations
@@ -214,12 +226,26 @@ class FairSolution:
     trace: SolveTrace
 
 
-def _generate(finst: FairInstance, radius, first, price, rec: ProbeRecord):
+def _generate(finst: FairInstance, radius, first, price, rec: ProbeRecord, pool=None):
     """Column generation at one radius, from first, the column-free
     restricted dual's outcome: alternate best dual responses with
     price(dual), a new column beating it or None, until a distribution
     emerges or a dual point survives, rejecting the radius (None).
-    Each restricted solve counts on rec."""
+    Each restricted solve counts on rec.
+
+    pool, a list of columns that meet every demand at radius, is tried
+    alone first, and accepted when it gives a distribution.  Otherwise
+    generation starts from the column-free dual point as without a
+    pool, adds every pool column right after the first column it
+    prices (before it, the pool would steer the first dual points, and
+    some radii rise), and appends each new column to the pool.  A
+    priced column beats mu, and every column in the restricted dual,
+    pool included, covers at most mu, so pricing never repeats one."""
+    if pool:
+        got, _ = solve_restricted(finst, radius, pool, first)
+        rec.restricted_solves += 1
+        if isinstance(got, Distribution):
+            return got
     columns, out = [], first
     while True:
         got, out = solve_restricted(finst, radius, columns, out)
@@ -232,6 +258,12 @@ def _generate(finst: FairInstance, radius, first, price, rec: ProbeRecord):
         if col in columns:
             raise InternalError("pricing repeated a known column")
         columns.append(col)
+        if pool is None:
+            continue
+        if len(columns) == 1:
+            columns += [c for c in pool if c != col]
+        if col not in pool:
+            pool.append(col)
 
 
 def solve_fair(finst: FairInstance) -> FairSolution:
@@ -242,6 +274,11 @@ def solve_fair(finst: FairInstance) -> FairSolution:
     dual, solved once, decides each radius; a probe's columns cover at
     4r.  Enumeration prices exactly, so its restricted dual holds the
     columns priced in, not every feasible set.
+
+    The probes share one column pool (see _generate).  They scan the
+    radii up, so a pool column meets every demand at 4r, and a
+    certified dual point proves r below the optimum whichever columns
+    produced it.  Enumeration bisects, so it takes no pool.
     """
     first = lp.solve(_restricted_program(finst))
     if first.status != "optimal":
@@ -265,6 +302,8 @@ def solve_fair(finst: FairInstance) -> FairSolution:
         rec.outcome = "infeasible" if dist is None else "exact"
         return dist
 
+    pool = []  # every column a probe priced, kept up the radius scan
+
     def probe(r, rec):
         relaxation = LiveRelaxation()  # every separation starts from it
 
@@ -274,7 +313,7 @@ def solve_fair(finst: FairInstance) -> FairSolution:
             got = separate_or_certify(finst, r, dual, sep, relaxation)
             return None if got is None else frozenset(got.centers)
 
-        dist = _generate(finst, 4 * r, first, separate, rec)
+        dist = _generate(finst, 4 * r, first, separate, rec, pool)
         rec.outcome = "certified" if dist is None else "distribution"
         return dist
 

@@ -287,13 +287,33 @@ MUTANTS = [
     Mutant(
         "restricted_solves misses the accepting solve",
         "fair.py",
+        "        got, out = solve_restricted(finst, radius, columns, out)\n"
         "        rec.restricted_solves += 1\n"
         "        if isinstance(got, Distribution):\n"
         "            return got\n",
+        "        got, out = solve_restricted(finst, radius, columns, out)\n"
         "        if isinstance(got, Distribution):\n"
         "            return got\n"
         "        rec.restricted_solves += 1\n",
         "tests/test_fair.py::test_restricted_solves_count_every_solve[enumerated]",
+    ),
+    # one column pool per solve_fair: enumeration bisects, so a pool
+    # could hold columns priced above its radius
+    Mutant(
+        "enumeration seeded from the pool",
+        "fair.py",
+        "dist = _generate(finst, r, first, price, rec)",
+        "dist = _generate(finst, r, first, price, rec, pool)",
+        "tests/test_fair.py::test_pool_columns_were_priced_at_lower_radii",
+    ),
+    # the pool steers the probe's first dual point, which may survive
+    # a separation that the column-free one does not
+    Mutant(
+        "pool merged before the probe's first column",
+        "fair.py",
+        "    columns, out = [], first\n",
+        "    columns, out = list(pool or ()), first\n",
+        "tests/test_fair.py::test_the_pool_joins_after_the_probes_first_column",
     ),
     Mutant(
         "round_or_cut reports 5r for a rounded solution",

@@ -376,6 +376,8 @@ def test_sweep_against_oracle():
 def test_trace_bookkeeping():
     rng = random.Random(52)
     fast = 0
+    tried = collections.Counter()
+    cases = []
     for trial in range(24):
         n = rng.randint(4, 8)
         k = rng.randint(2, 3)
@@ -383,10 +385,20 @@ def test_trace_bookkeeping():
         # the second half demands whole colors, where the counting
         # certificate decides some separations without an LP
         density = Fraction(1, 2) if trial < 12 else Fraction(1)
-        finst = gen_random(
+        cases.append(gen_random(
             seed=11_000 + trial, n=n, k=k, gamma=gamma, demand_density=density,
             p_density=Fraction(1, 2),
-        )
+        ))
+    # later probes of these inherit a pool, which accepts alone or not;
+    # the probe at the middle of three is certified despite its pool
+    cases += [
+        gen_random(seed, 12, 4, 2, demand_density=Fraction(1), p_density=Fraction(2, 3))
+        for seed in range(1, 11)
+    ] + [
+        gen_random(seed, 8, 3, 2, demand_density=Fraction(1, 2), p_density=Fraction(2, 3))
+        for seed in (25, 27)
+    ]
+    for finst in cases:
         sol = solve_fair(finst)
         trace = sol.trace
         assert trace.total_columns() == sum(
@@ -395,13 +407,19 @@ def test_trace_bookkeeping():
             for sep in rec.separations
             if sep.outcome.startswith("column")
         )
+        pooled = False  # whether an earlier probe priced a column
         for rec in trace.records:
             assert rec.outcome in ("distribution", "certified", "exact", "infeasible")
+            # a solve per separation and one that accepts, after a solve
+            # of the pool alone, which accepts when no separation follows
             if rec.outcome == "distribution":
-                assert rec.restricted_solves == len(rec.separations) + 1
+                assert rec.restricted_solves == len(rec.separations) + 1 + (
+                    pooled and bool(rec.separations))
             elif rec.outcome == "certified":
-                assert rec.restricted_solves == len(rec.separations)
+                assert rec.restricted_solves == len(rec.separations) + pooled
                 assert rec.separations[-1].outcome == "certified"
+            tried[pooled, rec.outcome, bool(rec.separations)] += 1
+            pooled = pooled or any(sep.outcome.startswith("column") for sep in rec.separations)
             for sep in rec.separations:
                 assert sep.outcome in ("column-4r", "column-2r", "certified")
                 if sep.lp_solves == 0:
@@ -415,6 +433,10 @@ def test_trace_bookkeeping():
         final = [r for r in trace.records if r.radius == sol.probe_radius]
         assert any(r.outcome in ("distribution", "exact") for r in final)
     assert fast >= 3
+    # (pool tried, outcome, any separation): every kind of pooled probe
+    assert tried[True, "distribution", False] >= 5
+    assert tried[True, "distribution", True] >= 1
+    assert tried[True, "certified", True] >= 2
 
 
 @pytest.mark.parametrize("gamma", [2, 1], ids=["enumerated", "probed"])
@@ -447,8 +469,90 @@ def test_restricted_solves_count_every_solve(monkeypatch, gamma):
     assert all(rec.restricted_solves >= 1 for rec in records)
 
 
+def test_pool_columns_were_priced_at_lower_radii(monkeypatch):
+    """Every column a probe inherits from the pool was priced by a
+    separation of an earlier probe at a lower radius, and enumeration,
+    which bisects, never receives a pool."""
+    separate, generate = fair.separate_or_certify, fair._generate
+    priced = {}  # column: the radius of the separation that first priced it
+    inherited = collections.Counter()
+
+    def spy_separate(finst, r, dual, record=None, relaxation=None):
+        got = separate(finst, r, dual, record, relaxation)
+        if got is not None:
+            priced.setdefault(frozenset(got.centers), Fraction(r))
+        return got
+
+    def spy_generate(finst, radius, first, price, rec, pool=None):
+        if finst.base.num_colors >= finst.base.k:
+            assert pool is None
+        else:
+            assert all(priced[c] < rec.radius for c in pool)
+            inherited[bool(pool)] += 1
+        return generate(finst, radius, first, price, rec, pool)
+
+    monkeypatch.setattr(fair, "separate_or_certify", spy_separate)
+    monkeypatch.setattr(fair, "_generate", spy_generate)
+    for seed in range(1, 9):
+        for gamma in (2, 4):  # k = 4: gamma = 2 probes, gamma = 4 enumerates
+            priced.clear()
+            solve_fair(gen_random(
+                seed, 10, 4, gamma, demand_density=Fraction(1), p_density=Fraction(2, 3)
+            ))
+    assert inherited[True] >= 5 and inherited[False] >= 5
+
+
+def test_pooled_probes_against_the_oracle():
+    """On a small-n sweep in which later probes inherit the pool, the
+    radius stays within four times the oracle's optimum, every support
+    set meets the demands at the distribution's radius and every target
+    is met; some probes accept from the pool alone."""
+    from_pool = 0
+    for seed in range(1, 41):
+        finst = gen_random(
+            seed, 8, 3, 2, metric="grid-l1" if seed % 2 else "line",
+            demand_density=Fraction(1) if seed % 3 else Fraction(1, 2),
+            p_density=Fraction(2, 3),
+        )
+        opt = brute_force_fair(finst)
+        sol = solve_fair(finst)
+        dist = sol.distribution
+        assert dist.radius <= 4 * opt.radius
+        for cs, _ in dist.support:
+            assert check_feasible(finst.base, cs, dist.radius).feasible
+        for u, target in enumerate(finst.p):
+            assert coverage_probability(finst.base, dist, u) >= target
+        from_pool += sum(
+            rec.outcome == "distribution" and not rec.separations for rec in sol.trace.records
+        )
+    assert from_pool >= 5
+
+
+def test_a_probe_accepts_from_the_pool_alone():
+    """On this instance the probe at radius 0 prices 14 columns before
+    it is certified; the probe at radius 1 solves the restricted dual
+    over those alone, once, and accepts with no separation."""
+    finst = gen_random(1, 12, 4, 2, demand_density=Fraction(1), p_density=Fraction(2, 3))
+    records = solve_fair(finst).trace.records
+    assert [(rec.radius, rec.outcome, len(rec.separations), rec.restricted_solves)
+            for rec in records] == [(0, "certified", 14, 14), (1, "distribution", 0, 1)]
+
+
+def test_the_pool_joins_after_the_probes_first_column():
+    """On this instance the pool alone does not accept radius 1.  From
+    the column-free dual point the probe prices one column, the pool
+    joins it, and the next restricted solve accepts, at 4.  Merged
+    before that first column, the pool steers the probe to a dual point
+    that certifies radius 1, and the radius rises to 8."""
+    finst = gen_random(10, 12, 4, 2, demand_density=Fraction(1), p_density=Fraction(2, 3))
+    sol = solve_fair(finst)
+    assert sol.distribution.radius == 4
+    assert [(rec.outcome, len(rec.separations), rec.restricted_solves)
+            for rec in sol.trace.records] == [("certified", 2, 2), ("distribution", 1, 3)]
+
+
 def test_separations_do_not_depend_on_earlier_ones(monkeypatch):
-    """On the golden fair-* cases and eight random ones with gamma = 2,
+    """On the golden fair-* cases and fourteen random ones with gamma = 2,
     each separation of a probe gives the answer, outcome and cuts of the
     same separation run on a fresh LiveRelaxation; the cold solve of the
     cut-free relaxation is counted once per probe, on the first
@@ -457,7 +561,7 @@ def test_separations_do_not_depend_on_earlier_ones(monkeypatch):
 
     cases = [
         gen_random(seed, 8, 3, 2, demand_density=Fraction(1), p_density=Fraction(2, 3))
-        for seed in range(1, 9)
+        for seed in range(1, 15)
     ]
     cases += [f for name, f in sorted(CASES.items())
               if name.startswith("fair-") and not name.startswith("fair-enum-")]

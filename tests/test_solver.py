@@ -2,6 +2,7 @@
 approximation ratio, cut validity, and the exact enumeration branch."""
 
 import collections
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -428,7 +429,8 @@ def _fields(program):
 
 
 def test_extended_programs_equal_fresh_builds(monkeypatch):
-    """On the golden fair-* and clumps-* cases, every program that
+    """On the golden fair-* and clumps-* cases, and on 120 random fair
+    ones, eight of which cut, every program that
     round_or_cut or solve_restricted re-solves warm, or whose optimum lp
     checks, equals, row for row, what build_relaxation(inst, r, cuts,
     extra_row) builds from scratch, or the column-free
@@ -501,7 +503,12 @@ def test_extended_programs_equal_fresh_builds(monkeypatch):
     monkeypatch.setattr(lp, "_first_violation", spy_first_violation)
     monkeypatch.setattr(solver, "build_relaxation", counted("builds", build))
     monkeypatch.setattr(fair, "_restricted_program", counted("restricted builds", restricted))
-    for name, inst in sorted(CASES.items()):
+    cases = dict(CASES)  # the pool spares many separations, and with them cuts
+    for seed, (n, k), half in itertools.product(range(1, 31), ((9, 3), (12, 4)), (1, 2)):
+        cases[f"fair-random-{seed}-{n}-{half}"] = gen_random(
+            seed, n, k, 2, demand_density=Fraction(1, half), p_density=Fraction(2, 3)
+        )
+    for name, inst in sorted(cases.items()):
         before = seen.copy()
         if name.startswith("clumps-"):
             records = solve_colorful(inst).trace.records
