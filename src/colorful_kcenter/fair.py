@@ -26,19 +26,20 @@ demand at its own 4r' or 2r' <= 4r, and a certified dual point proves
 r below the optimum whichever columns produced it, so 4r <= 4 OPT
 still holds.  Enumeration bisects, and takes no pool.
 
-A distribution over the known columns exists exactly when the
-restricted dual over them is infeasible (Farkas), and then lp's
-verified certificate is that distribution, each column c weighted by
--y_c / gap, y_c <= 0 the certificate's multiplier on its row (see
-solve_restricted).
+The restricted dual is a covering LP over the points with a target:
+least p.alpha over alpha >= 0, with (p - cov_c).alpha >= 1 for every
+known column c, and mu = p.alpha - 1.  A distribution over the known
+columns exists exactly when it is infeasible (Farkas), and then lp's
+verified certificate is that distribution (see solve_restricted).
+With no column its optimum is alpha = 0, mu = -1, priced with no solve.
 
-Every LP re-solves warm, by lp.solve(program, start) from an earlier
-outcome: the restricted dual gains its new columns' rows, from its last
-outcome (the pool's from the column-free one), and each separation adds
-its weighted row to the probe's cut-free relaxation, from that
-relaxation's outcome.  Each program is built once and extended by its
-new rows; lp checks every optimum against its full program and
-verifies every certificate against it.
+Every LP but the first over some columns (the pool's too) re-solves
+warm, by lp.solve(program, start) from an earlier outcome: the
+restricted dual gains its new columns' rows, from its last outcome,
+and each separation adds its weighted row to the probe's cut-free
+relaxation, from that relaxation's outcome.  Each program is built once
+and extended by its new rows; lp checks every optimum against its full
+program and verifies every certificate against it.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .model import (
     mask_weight,
     rational_from,
     union_mask,
-    weighted_coverage,  # noqa: F401  (part of this module's interface)
 )
 from .solver import (
     InternalError, LiveRelaxation, ProbeRecord, SolveTrace, radius_search, round_or_cut,
@@ -159,61 +159,62 @@ def separate_or_certify(
     return got
 
 
+def _targeted(finst: FairInstance):
+    """The points u with p(u) > 0, and L, the lcm of the targets'
+    denominators."""
+    return [u for u, t in enumerate(finst.p) if t], math.lcm(*(t.denominator for t in finst.p))
+
+
 def _restricted_program(finst: FairInstance) -> lp.LinearProgram:
-    """The restricted dual over no columns, which no radius enters.
-    mu's lower bound -1 is implied, as mu = p.alpha - 1 >= -1, and gives
-    mu's cost a finite side, as lp.solve asks."""
-    n = finst.base.n
-    program = lp.LinearProgram(n + 1, (0,) * n + (1,), lp.MIN, (0,) * n + (-1,))
-    program.add(list(finst.p) + [-1], lp.EQ, 1)
-    return program
-
-
-def _column_row(inst: Instance, radius, column):
-    cov = union_mask(inst, column, radius)
-    return [cov >> u & 1 for u in range(inst.n)] + [-1], lp.LE, 0
+    """The restricted dual over no columns, which no radius enters:
+    minimize L p.alpha over alpha >= 0, one alpha_u per targeted point,
+    so every cost is an int and the slack basis is dual feasible as it
+    stands."""
+    targeted, scale = _targeted(finst)
+    return lp.LinearProgram(len(targeted), [int(scale * finst.p[u]) for u in targeted])
 
 
 def solve_restricted(finst: FairInstance, radius, columns, start=None):
     """Best dual response to the given center sets, each covering the
     points within radius of it, and the LP outcome it came from.
 
-    Minimizes mu over alpha >= 0 and mu >= -1, normalized so the
-    target-weighted alpha mass exceeds mu by exactly one, subject to
-    every column's coverage staying at most mu.  When that program is
-    infeasible, its verified Farkas certificate is returned instead, as
-    a distribution over the columns at radius, c weighted -y_c / gap.
-    With theta its multiplier on the normalisation row, y_c <= 0 on
-    column c's row, and P_u, P_mu >= 0 on the lower bounds of alpha_u
-    and mu, the certificate sums to zero on mu's column, so
-    sum_c (-y_c) = theta - P_mu, which is the gap (every other rhs and
-    finite bound is 0) and positive: the weights sum to one.  On
-    alpha_u's column it gives sum_c (-y_c) cov_c(u) = theta p(u) + P_u,
-    so u is covered with (theta p(u) + P_u) / (theta - P_mu) >= p(u),
-    as theta >= gap > 0.
+    Minimizes p.alpha over alpha >= 0 on the targeted points, subject to
+    (p - cov_c).alpha >= 1 for every column c, both sides times L; the
+    dual point is alpha with mu = p.alpha - 1, as ints over L times the
+    optimum's den.  When that program is infeasible, its verified Farkas
+    certificate y >= 0 on the column rows is returned instead, as the
+    distribution over the columns at radius weighting c by y_c / sum(y).
+    On alpha_u's column the rows' combination is -P_u <= 0, so
+    sum_c y_c cov_c(u) >= p(u) sum(y), and sum(y) = gap / L > 0.
 
     start, when given, is the outcome of this program for a prefix of
-    columns (the column-free one, or the previous call at the same
-    radius); the rows of the rest extend its program, re-solved warm
-    from it.
+    columns (the previous call at the same radius); the rows of the rest
+    extend its program, re-solved warm from it.
     """
-    n = finst.base.n
+    inst = finst.base
+    targeted, scale = _targeted(finst)
     program = _restricted_program(finst) if start is None else start.program
-    done = len(program.constraints) - 1
-    program = program.extended([_column_row(finst.base, radius, c) for c in columns[done:]])
-    out = lp.solve(program, start)
+    costs = program.objective
+    rows = []
+    for c in columns[len(program.constraints):]:
+        cov = union_mask(inst, c, radius)
+        rows.append(([a - scale * (cov >> u & 1) for u, a in zip(targeted, costs)],
+                     lp.GE, scale))
+    out = lp.solve(program.extended(rows), start)
     if out.status == "optimal":
-        return DualPoint(alpha=out.point[:n], mu=out.point[n], den=out.den), out
-    cert = out.certificate
+        point = dict(zip(targeted, out.point))
+        alpha = tuple(scale * point.get(u, 0) for u in range(inst.n))
+        mu = sum(c * a for c, a in zip(costs, out.point)) - scale * out.den
+        return DualPoint(alpha=alpha, mu=mu, den=scale * out.den), out
+    y = out.certificate.row_mults
+    total = sum(y)
     dist = Distribution(
-        support=tuple(
-            (c, -y / cert.gap) for c, y in zip(columns, cert.row_mults[1:]) if y
-        ),
+        support=tuple((c, w / total) for c, w in zip(columns, y) if w),
         radius=radius,
     )
     # verify_certificate checks the sums, not that row c is column c's
     for u, target in enumerate(finst.p):
-        if coverage_probability(finst.base, dist, u) < target:
+        if coverage_probability(inst, dist, u) < target:
             raise InternalError(f"the certificate's distribution misses point {u}")
     return dist, out
 
@@ -226,12 +227,12 @@ class FairSolution:
     trace: SolveTrace
 
 
-def _generate(finst: FairInstance, radius, first, price, rec: ProbeRecord, pool=None):
-    """Column generation at one radius, from first, the column-free
-    restricted dual's outcome: alternate best dual responses with
-    price(dual), a new column beating it or None, until a distribution
-    emerges or a dual point survives, rejecting the radius (None).
-    Each restricted solve counts on rec.
+def _generate(finst: FairInstance, radius, price, rec: ProbeRecord, pool=None):
+    """Column generation at one radius: alternate best dual responses
+    with price(dual), a new column beating it or None, until a
+    distribution emerges or a dual point survives, rejecting the radius
+    (None).  The column-free dual point alpha = 0, mu = -1 is priced
+    first, with no solve; each restricted solve counts on rec.
 
     pool, a list of columns that meet every demand at radius, is tried
     alone first, and accepted when it gives a distribution.  Otherwise
@@ -242,49 +243,40 @@ def _generate(finst: FairInstance, radius, first, price, rec: ProbeRecord, pool=
     priced column beats mu, and every column in the restricted dual,
     pool included, covers at most mu, so pricing never repeats one."""
     if pool:
-        got, _ = solve_restricted(finst, radius, pool, first)
+        got, _ = solve_restricted(finst, radius, pool)
         rec.restricted_solves += 1
         if isinstance(got, Distribution):
             return got
-    columns, out = [], first
+    columns, out = [], None
+    got = DualPoint(alpha=(0,) * finst.base.n, mu=-1, den=1)
     while True:
-        got, out = solve_restricted(finst, radius, columns, out)
-        rec.restricted_solves += 1
-        if isinstance(got, Distribution):
-            return got
         col = price(got)
         if col is None:
             return None
         if col in columns:
             raise InternalError("pricing repeated a known column")
         columns.append(col)
-        if pool is None:
-            continue
-        if len(columns) == 1:
-            columns += [c for c in pool if c != col]
-        if col not in pool:
-            pool.append(col)
+        if pool is not None:
+            if len(columns) == 1:
+                columns += [c for c in pool if c != col]
+            if col not in pool:
+                pool.append(col)
+        got, out = solve_restricted(finst, radius, columns, out)
+        rec.restricted_solves += 1
+        if isinstance(got, Distribution):
+            return got
 
 
 def solve_fair(finst: FairInstance) -> FairSolution:
     """Minimize the radius at which some distribution over feasible
     center sets meets every coverage target (see solver.radius_search):
     exact when enumeration is affordable, otherwise at most four times
-    the optimum.  Column generation from the column-free restricted
-    dual, solved once, decides each radius; a probe's columns cover at
-    4r.  Enumeration prices exactly, so its restricted dual holds the
-    columns priced in, not every feasible set.
-
-    The probes share one column pool (see _generate).  They scan the
-    radii up, so a pool column meets every demand at 4r, and a
-    certified dual point proves r below the optimum whichever columns
-    produced it.  Enumeration bisects, so it takes no pool.
+    the optimum.  Column generation from the column-free dual point
+    decides each radius; a probe's columns cover at 4r.  Enumeration
+    prices exactly, so its restricted dual holds the columns priced in,
+    not every feasible set.  The probes share one column pool (see
+    _generate); enumeration, which bisects, takes none.
     """
-    first = lp.solve(_restricted_program(finst))
-    if first.status != "optimal":
-        # alpha = 0, mu = -1 is feasible and mu >= -1 throughout
-        raise InternalError("column-free restricted dual must be solvable")
-
     def exact(r, rec):
         # equal coverage gives equal rows: keep the first set of each
         sets = {}
@@ -298,7 +290,7 @@ def solve_fair(finst: FairInstance) -> FairSolution:
             best = max(mass, key=mass.get, default=None)
             return None if best is None or mass[best] < goal else sets[best]
 
-        dist = _generate(finst, r, first, price, rec)
+        dist = _generate(finst, r, price, rec)
         rec.outcome = "infeasible" if dist is None else "exact"
         return dist
 
@@ -313,7 +305,7 @@ def solve_fair(finst: FairInstance) -> FairSolution:
             got = separate_or_certify(finst, r, dual, sep, relaxation)
             return None if got is None else frozenset(got.centers)
 
-        dist = _generate(finst, 4 * r, first, separate, rec, pool)
+        dist = _generate(finst, 4 * r, separate, rec, pool)
         rec.outcome = "certified" if dist is None else "distribution"
         return dist
 

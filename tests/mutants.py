@@ -198,28 +198,43 @@ MUTANTS = [
         "all(not masks[u] & m for m in held)",
         "tests/test_dp.py::test_find_few_outside_matches_brute_existence",
     ),
-    # mu's implied lower bound -1 is what makes the restricted dual's
-    # slack basis dual feasible
+    # the column-free restricted dual's optimum, priced with no solve
     Mutant(
-        "restricted dual with mu free",
+        "column-free dual point priced with mu = 0",
         "fair.py",
-        "(0,) * n + (-1,)",
-        "(0,) * n + (None,)",
+        "mu=-1, den=1",
+        "mu=0, den=1",
         "tests/test_fair.py::test_restricted_with_no_columns",
+    ),
+    # the restricted dual is a covering LP over every point with a target
+    Mutant(
+        "a targeted alpha dropped",
+        "fair.py",
+        "for u, t in enumerate(finst.p) if t]",
+        "for u, t in enumerate(finst.p) if 0 < t < 1]",
+        "tests/test_fair.py::test_the_covering_form_matches_the_mu_form",
     ),
     # the distribution is the restricted dual's Farkas certificate
     Mutant(
         "restricted-dual weights read off the wrong rows",
         "fair.py",
-        "cert.row_mults[1:]",
-        "cert.row_mults[:-1]",
+        "zip(columns, y)",
+        "zip(columns, y[1:])",
         "tests/test_fair.py::test_a_distribution_exactly_when_the_coverage_lp_is_feasible",
     ),
     Mutant(
         "restricted-dual weights with their sign flipped",
         "fair.py",
-        "(c, -y / cert.gap)",
-        "(c, y / cert.gap)",
+        "(c, w / total)",
+        "(c, -w / total)",
+        "tests/test_fair.py::test_a_distribution_exactly_when_the_coverage_lp_is_feasible",
+    ),
+    # the gap is L sum(y), so weights over it sum to 1 / L
+    Mutant(
+        "restricted-dual weights not normalised by their sum",
+        "fair.py",
+        "total = sum(y)",
+        "total = out.certificate.gap",
         "tests/test_fair.py::test_a_distribution_exactly_when_the_coverage_lp_is_feasible",
     ),
     # enumeration prices its columns from the feasible sets
@@ -245,18 +260,19 @@ MUTANTS = [
         "max(0, dual.mu + 2)",
         "tests/test_fair.py::test_weighted_goal_units",
     ),
-    # the dual point is the restricted dual's optimum, alpha then mu
+    # the dual point is the restricted dual's optimum, one alpha per
+    # targeted point
     Mutant(
-        "dual point read off the wrong columns",
+        "dual point read off onto the wrong points",
         "fair.py",
-        "alpha=out.point[:n]",
-        "alpha=out.point[1:n + 1]",
+        "point = dict(zip(targeted, out.point))",
+        "point = dict(enumerate(out.point))",
         "tests/test_fair.py::test_restricted_dual_point_is_the_lp_point",
     ),
     Mutant(
         "enumeration solves every coverage at once",
         "fair.py",
-        "dist = _generate(finst, r, first, price, rec)",
+        "dist = _generate(finst, r, price, rec)",
         "dist, _ = solve_restricted(finst, r, list(sets.values()))",
         "tests/test_fair.py::test_enumeration_keeps_the_restricted_dual_small",
     ),
@@ -302,8 +318,8 @@ MUTANTS = [
     Mutant(
         "enumeration seeded from the pool",
         "fair.py",
-        "dist = _generate(finst, r, first, price, rec)",
-        "dist = _generate(finst, r, first, price, rec, pool)",
+        "dist = _generate(finst, r, price, rec)",
+        "dist = _generate(finst, r, price, rec, pool)",
         "tests/test_fair.py::test_pool_columns_were_priced_at_lower_radii",
     ),
     # the pool steers the probe's first dual point, which may survive
@@ -311,8 +327,11 @@ MUTANTS = [
     Mutant(
         "pool merged before the probe's first column",
         "fair.py",
-        "    columns, out = [], first\n",
-        "    columns, out = list(pool or ()), first\n",
+        "    columns, out = [], None\n"
+        "    got = DualPoint(alpha=(0,) * finst.base.n, mu=-1, den=1)\n",
+        "    columns = list(pool or ())\n"
+        "    got, out = solve_restricted(finst, radius, columns) if pool else (\n"
+        "        DualPoint(alpha=(0,) * finst.base.n, mu=-1, den=1), None)\n",
         "tests/test_fair.py::test_the_pool_joins_after_the_probes_first_column",
     ),
     Mutant(

@@ -14,7 +14,7 @@ from fractions import Fraction
 from colorful_kcenter import lp, solver
 from colorful_kcenter.cli import main as cli_main
 from colorful_kcenter.dp import DpProgram, dp_solve
-from colorful_kcenter.fair import DualPoint, solve_fair, weighted_coverage, weighted_goal
+from colorful_kcenter.fair import DualPoint, solve_fair, weighted_goal
 from colorful_kcenter.generators import (
     fixture_adversarial,
     gen_clumps,
@@ -24,7 +24,7 @@ from colorful_kcenter.generators import (
     gen_random_graph,
     gen_random_setcover,
 )
-from colorful_kcenter.model import check_feasible, union_ball
+from colorful_kcenter.model import check_feasible, union_ball, weighted_coverage
 from colorful_kcenter.oracle import (
     brute_force_colorful,
     brute_force_fair,

@@ -3,6 +3,7 @@ column generation, and end-to-end guarantees."""
 
 import collections
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -18,7 +19,6 @@ from colorful_kcenter.fair import (
     separate_or_certify,
     solve_fair,
     solve_restricted,
-    weighted_coverage,
     weighted_goal,
 )
 from colorful_kcenter.generators import gen_random
@@ -32,6 +32,7 @@ from colorful_kcenter.model import (
     mask_weight,
     union_ball,
     union_mask,
+    weighted_coverage,
 )
 from colorful_kcenter.oracle import _coverage_lp, brute_force_fair, enumerate_feasible
 from colorful_kcenter.solver import LiveRelaxation, ProbeRecord, build_relaxation
@@ -115,7 +116,10 @@ def test_zero_targets_trivial():
     assert sol.distribution.radius == 0
 
 
-def test_restricted_with_no_columns():
+def test_restricted_with_no_columns(monkeypatch):
+    """The restricted dual over no columns has its optimum at alpha = 0,
+    mu = -1, and column generation prices that point before any
+    restricted solve."""
     finst = fair_line(
         [0, 2], 1, [((0, 1), 0)], [Fraction(3, 4), Fraction(1, 4)]
     )
@@ -124,6 +128,15 @@ def test_restricted_with_no_columns():
     assert isinstance(dual, DualPoint)
     assert Fraction(dual.mu, dual.den) == -1
     assert all(a == 0 for a in dual.alpha)
+    calls = _priced_columns(monkeypatch)
+    priced = []
+
+    def price(got):
+        priced.append((got, len(calls)))
+        return None
+
+    assert fair._generate(finst, 0, price, ProbeRecord(radius=Fraction(0))) is None
+    assert priced == [(DualPoint(alpha=(0, 0), mu=-1, den=1), 0)] and not calls
 
 
 def test_restricted_respects_column_constraints():
@@ -135,28 +148,34 @@ def test_restricted_respects_column_constraints():
     assert isinstance(dual, DualPoint)
     alpha = tuple(Fraction(a, dual.den) for a in dual.alpha)
     mu = Fraction(dual.mu, dual.den)
-    # normalization pins target-weighted mass one above mu
-    lhs = sum((p * a for p, a in zip(finst.p, alpha)), Fraction(0)) - mu
-    assert lhs == 1
+    # mu is the target-weighted mass less one, and the column covers at most mu
+    assert sum((p * a for p, a in zip(finst.p, alpha)), Fraction(0)) - mu == 1
     assert weighted_coverage(finst.base, alpha, {0}, 0) <= mu
     assert mu == 0 and alpha == (Fraction(0), Fraction(4))
 
 
 def test_restricted_dual_point_is_the_lp_point(monkeypatch):
     """Every dual point solve_restricted returns along probing and
-    enumerating solve_fair runs is its LP's optimum, alpha then mu, read
-    as ints over the optimum's den."""
+    enumerating solve_fair runs is its LP's optimum A over D, one entry
+    per targeted point, read as ints over den = L D, L the lcm of the
+    targets' denominators: alpha is L A, 0 at an untargeted point, and
+    mu is L p.A - L D."""
     checked = collections.Counter()
     solve = fair.solve_restricted
 
     def spy(finst, radius, columns, start=None):
         got, out = solve(finst, radius, columns, start)
         if out.status == "optimal":
-            n = finst.base.n
-            assert out.solution[n] == Fraction(got.mu, got.den)
-            for u in range(n):
-                assert out.solution[u] == Fraction(got.alpha[u], got.den)
-            checked[got.den > 1] += 1
+            scale = math.lcm(*(t.denominator for t in finst.p))
+            targeted = [u for u, t in enumerate(finst.p) if t]
+            point = dict(zip(targeted, out.point))
+            assert len(out.point) == len(targeted)
+            assert got.den == scale * out.den
+            assert got.alpha == tuple(scale * point.get(u, 0) for u in range(finst.n))
+            mass = sum(scale * finst.p[u] * a for u, a in point.items())
+            assert got.mu == mass - scale * out.den
+            checked[out.den > 1] += 1
+            checked["untargeted"] += len(targeted) < finst.n
         return got, out
 
     monkeypatch.setattr(fair, "solve_restricted", spy)
@@ -166,7 +185,7 @@ def test_restricted_dual_point_is_the_lp_point(monkeypatch):
                 seed=12_000 + seed, n=8, k=2, gamma=gamma,
                 demand_density=Fraction(1, 2), p_density=Fraction(2, 3),
             ))
-    assert checked[True] >= 5 and checked[False] >= 5
+    assert checked[True] >= 5 and checked[False] >= 5 and checked["untargeted"] >= 5
 
 
 @st.composite
@@ -210,13 +229,67 @@ def test_a_distribution_exactly_when_the_coverage_lp_is_feasible():
     assert seen[True] >= 20 and seen[False] >= 20
 
 
+def _mu_form(finst, radius, columns):
+    """The restricted dual with mu kept: minimize mu over alpha >= 0 and
+    mu >= -1 subject to p.alpha - mu == 1 and, per column,
+    cov_c.alpha - mu <= 0."""
+    n = finst.n
+    program = lp.LinearProgram(n + 1, (0,) * n + (1,), lp.MIN, (0,) * n + (-1,))
+    program.add(list(finst.p) + [-1], lp.EQ, 1)
+    for column in columns:
+        cov = union_mask(finst.base, column, radius)
+        program.add([cov >> u & 1 for u in range(n)] + [-1], lp.LE, 0)
+    return program
+
+
+def test_the_covering_form_matches_the_mu_form():
+    """The covering LP over the targeted points is infeasible exactly
+    when the restricted dual with mu is, and otherwise its least p.alpha
+    less one is that program's least mu, which the dual point reads as
+    mu; an untargeted point's alpha is 0."""
+    seen = collections.Counter()
+
+    @settings(max_examples=200, deadline=None)
+    @given(restricted_cases())
+    def check(case):
+        finst, radius, columns = case
+        got, out = solve_restricted(finst, radius, columns)
+        want = lp.solve(_mu_form(finst, radius, columns))
+        assert out.status == want.status
+        if want.status == "optimal":
+            scale = math.lcm(*(t.denominator for t in finst.p))
+            assert out.value / scale - 1 == want.value == Fraction(got.mu, got.den)
+            assert all(a == 0 for a, t in zip(got.alpha, finst.p) if not t)
+        else:
+            for u, target in enumerate(finst.p):
+                assert coverage_probability(finst.base, got, u) >= target
+        seen[want.status] += 1
+
+    check()
+    assert seen["optimal"] >= 20 and seen["infeasible"] >= 20
+
+
+def test_an_untargeted_point_covered_by_every_column():
+    """Point 1 has no target and both columns cover it: it has no alpha,
+    its dual point entry is 0, and the distribution the two columns give
+    still meets every target."""
+    finst = fair_line([0, 1, 2], 1, [((0, 1, 2), 0)], [Fraction(1, 2), 0, Fraction(1, 2)])
+    columns = [frozenset({0}), frozenset({2})]
+    dual, out = solve_restricted(finst, 1, columns[:1])
+    assert len(out.point) == 2
+    assert dual == DualPoint(alpha=(0, 0, 4), mu=0, den=2)
+    dist, out = solve_restricted(finst, 1, columns, out)
+    assert dist.support == ((columns[0], Fraction(1, 2)), (columns[1], Fraction(1, 2)))
+    for u, target in enumerate(finst.p):
+        assert coverage_probability(finst.base, dist, u) >= target
+
+
 def test_restricted_distributions_meet_every_target():
     """solve_restricted, given random center sets one at a time and
     re-solved warm, until its restricted dual is infeasible: each
-    distribution read off the certificate meets every target.  The gap
-    is theta - P_mu, theta the multiplier on the normalisation row and
-    P_mu >= 0 on mu's lower bound -1, and point u is covered with
-    (theta p(u) + P_u) / (theta - P_mu) >= p(u)."""
+    distribution read off the certificate meets every target.  Column c
+    weighs y_c / sum(y), y >= 0 the certificate's multipliers on the
+    column rows, and sum_c y_c cov_c(u) >= p(u) sum(y)."""
     rng = random.Random(27)
     targets = [0, Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), 1]
     found = 0
@@ -410,13 +483,13 @@ def test_trace_bookkeeping():
         pooled = False  # whether an earlier probe priced a column
         for rec in trace.records:
             assert rec.outcome in ("distribution", "certified", "exact", "infeasible")
-            # a solve per separation and one that accepts, after a solve
-            # of the pool alone, which accepts when no separation follows
+            # a solve after each separation that priced a column, after
+            # a solve of the pool alone, which accepts when no separation
+            # follows; the column-free dual point is priced with no solve
             if rec.outcome == "distribution":
-                assert rec.restricted_solves == len(rec.separations) + 1 + (
-                    pooled and bool(rec.separations))
-            elif rec.outcome == "certified":
                 assert rec.restricted_solves == len(rec.separations) + pooled
+            elif rec.outcome == "certified":
+                assert rec.restricted_solves == len(rec.separations) - 1 + pooled
                 assert rec.separations[-1].outcome == "certified"
             tried[pooled, rec.outcome, bool(rec.separations)] += 1
             pooled = pooled or any(sep.outcome.startswith("column") for sep in rec.separations)
@@ -483,13 +556,13 @@ def test_pool_columns_were_priced_at_lower_radii(monkeypatch):
             priced.setdefault(frozenset(got.centers), Fraction(r))
         return got
 
-    def spy_generate(finst, radius, first, price, rec, pool=None):
+    def spy_generate(finst, radius, price, rec, pool=None):
         if finst.base.num_colors >= finst.base.k:
             assert pool is None
         else:
             assert all(priced[c] < rec.radius for c in pool)
             inherited[bool(pool)] += 1
-        return generate(finst, radius, first, price, rec, pool)
+        return generate(finst, radius, price, rec, pool)
 
     monkeypatch.setattr(fair, "separate_or_certify", spy_separate)
     monkeypatch.setattr(fair, "_generate", spy_generate)
@@ -529,13 +602,14 @@ def test_pooled_probes_against_the_oracle():
 
 
 def test_a_probe_accepts_from_the_pool_alone():
-    """On this instance the probe at radius 0 prices 14 columns before
-    it is certified; the probe at radius 1 solves the restricted dual
-    over those alone, once, and accepts with no separation."""
+    """On this instance the probe at radius 0 prices 11 columns, each
+    followed by a restricted solve, before its twelfth separation
+    certifies it; the probe at radius 1 solves the restricted dual over
+    those alone, once, and accepts with no separation."""
     finst = gen_random(1, 12, 4, 2, demand_density=Fraction(1), p_density=Fraction(2, 3))
     records = solve_fair(finst).trace.records
     assert [(rec.radius, rec.outcome, len(rec.separations), rec.restricted_solves)
-            for rec in records] == [(0, "certified", 14, 14), (1, "distribution", 0, 1)]
+            for rec in records] == [(0, "certified", 12, 11), (1, "distribution", 0, 1)]
 
 
 def test_the_pool_joins_after_the_probes_first_column():
@@ -548,7 +622,7 @@ def test_the_pool_joins_after_the_probes_first_column():
     sol = solve_fair(finst)
     assert sol.distribution.radius == 4
     assert [(rec.outcome, len(rec.separations), rec.restricted_solves)
-            for rec in sol.trace.records] == [("certified", 2, 2), ("distribution", 1, 3)]
+            for rec in sol.trace.records] == [("certified", 2, 1), ("distribution", 1, 2)]
 
 
 def test_separations_do_not_depend_on_earlier_ones(monkeypatch):

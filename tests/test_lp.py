@@ -130,8 +130,9 @@ def test_hand_cases():
 
 
 def test_restricted_dual_seed_case():
-    # min mu with sum(p.alpha) - mu == 1, mu >= -1 and no other rows:
-    # alpha = 0
+    # an equality row and a -1 lower bound: min mu with
+    # sum(p.alpha) - mu == 1, mu >= -1 and no other rows, optimal at
+    # alpha = 0 with no pivot
     program = lp.LinearProgram(
         3,
         (Fraction(0), Fraction(0), Fraction(1)),
@@ -427,8 +428,8 @@ GOLDEN_PROGRAMS = {
         2, ("1", "0"), lp.MAX, None, ("3", None),
         [(("1", "1"), lp.EQ, "1"), (("2", "2"), lp.EQ, "3")],
     ),
-    # solve_restricted: min mu >= -1, p.alpha - mu == 1, each column's
-    # cover <= mu
+    # an equality row and a -1 lower bound: min mu >= -1 with
+    # p.alpha - mu == 1 and each column's cover <= mu
     "restricted_optimal": golden_program(
         4, ("0", "0", "0", "1"), lp.MIN, ("0", "0", "0", "-1"), None,
         [(("1/2", "2/3", "1/3", "-1"), lp.EQ, "1"),
@@ -455,8 +456,8 @@ GOLDEN_PROGRAMS = {
         3, ("0", "1", "0"), lp.MAX, ("1", None, None), ("2", None, "0"),
         [(("0", "2/3", "-1"), lp.GE, "0"), (("1", "0", "-2"), lp.LE, "0")],
     ),
-    # refused: solve_restricted's program with mu free, as it was before
-    # mu took its implied bound -1
+    # refused: the equality-row program above with mu free, its cost
+    # pointing to a missing lower bound
     "restricted_free_mu": golden_program(
         4, ("0", "0", "0", "1"), lp.MIN, ("0", "0", "0", None), None,
         [(("1/2", "2/3", "1/3", "-1"), lp.EQ, "1")],

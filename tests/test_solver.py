@@ -19,6 +19,7 @@ from colorful_kcenter.model import (
     check_feasible,
     counting_bound,
     union_ball,
+    union_mask,
 )
 from colorful_kcenter.oracle import (
     brute_force_colorful,
@@ -387,9 +388,19 @@ def test_counting_bound_changes_no_solution(monkeypatch):
     assert with_bound == without
 
 
+def _random_fair_cases():
+    """120 random fair instances, 9 and 12 points, full and half demand."""
+    return {
+        f"fair-random-{seed}-{n}-{half}": gen_random(
+            seed, n, k, 2, demand_density=Fraction(1, half), p_density=Fraction(2, 3)
+        )
+        for seed, (n, k), half in itertools.product(range(1, 31), ((9, 3), (12, 4)), (1, 2))
+    }
+
+
 def test_warm_resolves_match_cold_solves(monkeypatch):
-    """On the golden fair-* and clumps-* cases, every warm re-solve of a
-    probe's LP (lp.solve from an earlier outcome, the latest one or one
+    """On the golden fair-* and clumps-* cases and 120 random fair ones,
+    every warm re-solve of a probe's LP (lp.solve from an earlier outcome, the latest one or one
     that starts several re-solves) reports the status and optimal value
     of a cold solve of the same program."""
     from test_golden_outputs import CASES
@@ -409,7 +420,7 @@ def test_warm_resolves_match_cold_solves(monkeypatch):
         return out
 
     monkeypatch.setattr(lp, "solve", spy_solve)
-    for name, inst in sorted(CASES.items()):
+    for name, inst in sorted({**CASES, **_random_fair_cases()}.items()):
         if name.startswith("clumps-"):
             solve_colorful(inst)
         elif name.startswith("fair-") and not name.startswith("fair-enum-"):
@@ -417,7 +428,7 @@ def test_warm_resolves_match_cold_solves(monkeypatch):
     assert seen["optimal", "optimal"] >= 100
     assert seen["optimal", "infeasible"] >= 20
     # optimal starts shared by several re-solves: a probe's cut-free
-    # relaxation, and the column-free restricted dual
+    # relaxation
     assert sum(n for _, n in starts.values() if n >= 2) >= 100
 
 
@@ -435,9 +446,10 @@ def test_extended_programs_equal_fresh_builds(monkeypatch):
     checks, equals, row for row, what build_relaxation(inst, r, cuts,
     extra_row) builds from scratch, or the column-free
     fair._restricted_program(finst) extended by every column's row at
-    once; rounding's covering LPs are not compared.  The
+    once, L (p - cov_c) >= L with L the lcm of the targets'
+    denominators; rounding's covering LPs are not compared.  The
     cut-free relaxation is built once per probe that reaches an LP, and
-    the column-free restricted dual once per solve_fair."""
+    the column-free restricted dual once per cold restricted solve."""
     from test_golden_outputs import CASES
 
     build, restricted = solver.build_relaxation, fair._restricted_program
@@ -451,8 +463,14 @@ def test_extended_programs_equal_fresh_builds(monkeypatch):
         if kind == "relaxation":
             want = build(*args)
         else:
-            finst, r, columns = args
-            want = restricted(finst).extended([fair._column_row(finst.base, r, c) for c in columns])
+            finst, r, _, columns = args
+            scale = math.lcm(*(t.denominator for t in finst.p))
+            rows = []
+            for c in columns:
+                cov = union_mask(finst.base, c, r)
+                rows.append(([scale * (t - (cov >> u & 1)) for u, t in enumerate(finst.p) if t],
+                             lp.GE, scale))
+            want = restricted(finst).extended(rows)
         if program.num_vars == want.num_vars:  # not rounding's covering LP
             assert _fields(program) == _fields(want)
             seen[kind, bool(args[2])] += 1
@@ -465,7 +483,8 @@ def test_extended_programs_equal_fresh_builds(monkeypatch):
             context.pop()
 
     def spy_solve_restricted(finst, r, columns, start=None):
-        context.append(("restricted", finst, r, list(columns)))
+        seen["cold restricted solves"] += start is None
+        context.append(("restricted", finst, r, start is not None, list(columns)))
         try:
             return solve_restricted(finst, r, columns, start)
         finally:
@@ -503,11 +522,8 @@ def test_extended_programs_equal_fresh_builds(monkeypatch):
     monkeypatch.setattr(lp, "_first_violation", spy_first_violation)
     monkeypatch.setattr(solver, "build_relaxation", counted("builds", build))
     monkeypatch.setattr(fair, "_restricted_program", counted("restricted builds", restricted))
-    cases = dict(CASES)  # the pool spares many separations, and with them cuts
-    for seed, (n, k), half in itertools.product(range(1, 31), ((9, 3), (12, 4)), (1, 2)):
-        cases[f"fair-random-{seed}-{n}-{half}"] = gen_random(
-            seed, n, k, 2, demand_density=Fraction(1, half), p_density=Fraction(2, 3)
-        )
+    # the pool spares many separations, and with them cuts
+    cases = {**CASES, **_random_fair_cases()}
     for name, inst in sorted(cases.items()):
         before = seen.copy()
         if name.startswith("clumps-"):
@@ -516,10 +532,11 @@ def test_extended_programs_equal_fresh_builds(monkeypatch):
         elif name.startswith("fair-") and not name.startswith("fair-enum-"):
             records = solve_fair(inst).trace.records
             reached = sum(any(sep.lp_solves for sep in rec.separations) for rec in records)
-            assert seen["restricted builds"] - before["restricted builds"] == 1
+            assert seen["restricted builds"] - before["restricted builds"] == (
+                seen["cold restricted solves"] - before["cold restricted solves"])
         else:
             continue
         assert seen["builds"] - before["builds"] == reached
-    # programs with cuts, and restricted duals with columns, were compared
+    # programs with cuts, and restricted duals solved warm and cold, were compared
     assert seen["relaxation", True] >= 10 and seen["relaxation", False] >= 150
     assert seen["restricted", True] >= 100 and seen["restricted", False] >= 50
