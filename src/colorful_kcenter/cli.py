@@ -47,7 +47,8 @@ INTERNAL = 3
 
 # most points of an instance gen builds in every family, and most gen random
 # colors: an instance holds n * n distances, so its time and memory grow with
-# n squared (2-core x86 VM: 1.4-1.5 s and 177-188 MB per family at 1,000 points)
+# n squared (2-core x86 VM: 1.4-1.5 s and 177-188 MB per family at 1,000 points;
+# loading the gen random file back, with its metric check: 1.8-2.1 s, 116 MB)
 MAX_POINTS = 1000
 
 # most center sets solve-fair --samples draws: time and memory grow linearly

@@ -23,6 +23,7 @@ import json
 import math
 import operator
 import re
+import struct
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,22 +65,30 @@ def rational_from(value) -> Fraction:
     is exponent notation, whose value can take memory exponential in the
     length of the string ("1e999999999" is a 3-billion-bit integer).
     """
-    if isinstance(value, Fraction):
-        return value
-    if _is_int(value):
-        return Fraction(value)
+    return value if isinstance(value, Fraction) else Fraction(*_ratio(value))
+
+
+def _ratio(value) -> tuple:
+    """rational_from(value) as (numerator, denominator) ints in lowest
+    terms, with no Fraction built."""
     if isinstance(value, str):
         match = _RATIONAL.fullmatch(value)
         try:
             if match is not None:
                 num, den, decimals = match.groups()
                 if decimals is not None:
-                    return Fraction(int(num + decimals), 10 ** len(decimals))
-                if den is None or int(den):
-                    return Fraction(int(num), int(den or 1))
+                    num, den = num + decimals, 10 ** len(decimals)
+                num, den = int(num), int(den or 1)
+                if den:
+                    g = math.gcd(num, den)
+                    return num // g, den // g
         except ValueError:  # more digits than int() converts
             pass
         raise InstanceFormatError(f"bad rational string: {value!r}")
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    if _is_int(value):
+        return value, 1
     raise InstanceFormatError(f"not an exact rational: {value!r}")
 
 
@@ -128,18 +137,18 @@ def _scaled_rows(dist):
         return 1, rows
     try:
         if not types <= {str, int, Fraction}:  # True == 1.0 == 1, and lists are unhashable
-            list(map(rational_from, entries(rows)))  # so name the first bad entry in order
-        values = {v: rational_from(v) for v in dict.fromkeys(entries(rows))}
+            list(map(_ratio, entries(rows)))  # so name the first bad entry in order
+        values = {v: _ratio(v) for v in dict.fromkeys(entries(rows))}
     except InstanceFormatError as exc:
         raise InstanceSchemaError(f"each dist row: {exc}") from exc
     scale = 1
-    for value in values.values():
-        scale = math.lcm(scale, value.denominator)
+    for _, den in values.values():
+        scale = math.lcm(scale, den)
         if len(rows) ** 2 * scale.bit_length() > MAX_ROW_BITS:
             raise InstanceSchemaError(f"field dist: {len(rows)} x {len(rows)} distances over a "
                                       f"common denominator of {scale.bit_length()}+ bits "
                                       f"exceed the limit of {MAX_ROW_BITS} row bits")
-    scaled = {v: x.numerator * scale // x.denominator for v, x in values.items()}
+    scaled = {v: num * (scale // den) for v, (num, den) in values.items()}
     return scale, tuple(tuple(map(scaled.__getitem__, row)) for row in rows)
 
 
@@ -178,19 +187,48 @@ def _metric_violation(rows):
                 if rows[i][j] != rows[j][i]:
                     return MetricViolation("asymmetric", (i, j))
     # d(i,l) <= d(i,j) + d(j,l) for every l iff max_l d(i,l) - d(j,l) is
-    # at most d(i,j), so pair (i, j) holds both ways iff max_l |.| is too;
-    # the first violation in (i, j, l) order has no point below this i
+    # at most d(i,j), so pair (i, j) holds both ways iff max_l |.| is too.
+    # Row i is packed into one int P_i, a field of w = 8, 16, 32 or 64 bits
+    # per point holding e' = e >> s, the entry's top 62 bits.  Field l of
+    # (G - m + d'(i,j)) * ones +- (P_j - P_i) is then G - m + d'(i,j) +-
+    # (d'(j,l) - d'(i,l)), in [0, 2G) as G = 2**(w-1) > 2 * max e', so no
+    # field carries, and its bit G is set iff d'(i,j) +- (...) >= m.
+    # Truncation costs under one unit per term, so m = 1 when s > 0 makes
+    # that prove the exact sum >= 0.  Field i of P_i holds m, not 0, so
+    # fields i and j pass if d'(i,j) >= m; only the pairs this leaves
+    # unproven are rescanned exactly.
+    bits = max(map(max, rows), default=0).bit_length()
+    s = max(0, bits - 62)
+    m, shift = int(s > 0), itertools.repeat(s)
+    code, w = next((c, 8 * b) for c, b in zip("BHIQ", (1, 2, 4, 8)) if 8 * b >= bits - s + 2)
+    guard, ones, fmt = 1 << w - 1, int("1".zfill(w) * n, 2), f"<{n}{code}"
+    need = guard * ones
+    packed = [int.from_bytes(struct.pack(fmt, *(map(operator.rshift, row, shift) if s else row)),
+                             "little") + (m << w * i) for i, row in enumerate(rows)]
     for i in range(n):
-        di = rows[i]
+        pi = packed[i]
         for j in range(i + 1, n):
-            if max(map(abs, map(operator.sub, di, rows[j]))) > di[j]:
-                return next(
-                    MetricViolation("triangle", (a, b, l))
-                    for a in range(i, n) for b in range(n)
-                    if max(map(operator.sub, rows[a], rows[b])) > rows[a][b]
-                    for l in range(n) if rows[a][l] > rows[a][b] + rows[b][l]
-                )
+            diff = packed[j] - pi
+            base = (guard - m + (rows[i][j] >> s)) * ones
+            if (base + diff) & (base - diff) & need != need and (
+                    found := _triangle_from(rows, i, j)) is not None:
+                return found
     return None
+
+
+def _triangle_from(rows, i, j):
+    """None if pair (i, j) holds the triangle inequality both ways, else
+    the first violation in (a, b, l) order; once every pair before (i, j)
+    holds, no violation has a below i."""
+    if max(map(abs, map(operator.sub, rows[i], rows[j]))) <= rows[i][j]:
+        return None
+    n = len(rows)
+    return next(
+        MetricViolation("triangle", (a, b, l))
+        for a in range(i, n) for b in range(n)
+        if max(map(operator.sub, rows[a], rows[b])) > rows[a][b]
+        for l in range(n) if rows[a][l] > rows[a][b] + rows[b][l]
+    )
 
 
 @dataclass(frozen=True, init=False)
@@ -482,42 +520,42 @@ def feasible_sets(inst: Instance, r):
     in (size, lex) order.  Exhaustive; meant for enumeration scale.
 
     The combinations of each size are walked depth first, carrying the
-    OR of the balls picked so far.  A prefix whose OR, together with
-    every ball from its next index on, still misses a demand has no
-    feasible completion and is skipped whole, so the sets that come
-    out, and their order, are those of the plain scan.
+    OR of the balls picked so far.  A prefix has no feasible completion,
+    and is skipped whole, if its OR with every ball from its next index
+    on still misses a demand, or if a color's count in its OR plus left
+    times top, the most members of it that one of those balls holds, is
+    below its demand: each of the left balls still to pick adds at most
+    top.  So the sets that come out, and their order, are the plain scan's.
     """
     masks = inst._balls(r)
-    needs = color_masks(inst)
-    reach = masks + [0]  # reach[i]: OR of the balls of points i..n-1
-    for i in range(inst.n - 1, -1, -1):
-        reach[i] |= reach[i + 1]
-    if _meets(0, needs):
+    reach = [*itertools.accumulate(masks[::-1], operator.or_)][::-1] + [0]  # OR of balls i..n-1
+    # each color's members, demand and top: top[i] is the most members
+    # of it that one of the balls of points i..n-1 holds
+    needs = [(m, d, [*itertools.accumulate([(b & m).bit_count() for b in masks[::-1]], max)][::-1]
+              + [0]) for m, d in color_masks(inst)]
+    if not any(demand for _, demand, _ in needs):
         yield frozenset()
     for size in range(1, inst.k + 1):
         for combo in _completions((), 0, 0, size, masks, reach, needs):
             yield frozenset(combo)
 
 
-def _meets(covered, needs) -> bool:
-    for members, demand in needs:
-        if (covered & members).bit_count() < demand:
-            return False
-    return True
-
-
 def _completions(head, start, covered, left, masks, reach, needs):
     """head plus `left` more points from start on that meet every
-    demand, in lex order; covered is the OR of head's balls."""
-    if not _meets(covered | reach[start], needs):
-        return
+    demand in needs, in lex order; covered is the OR of head's balls."""
+    best = covered | reach[start]
+    pending = []  # the demands head leaves open: those it meets stay met
+    for members, demand, top in needs:
+        got = (covered & members).bit_count()
+        if got + left * top[start] < demand or (best & members).bit_count() < demand:
+            return
+        if got < demand:
+            pending.append((members, demand, top))
     n = len(masks)
     if left == 1:
-        # only the demands the head leaves open can fail
-        pending = [(m, d) for m, d in needs if (covered & m).bit_count() < d]
         for c in range(start, n):
             last = covered | masks[c]
-            for members, demand in pending:
+            for members, demand, _ in pending:
                 if (last & members).bit_count() < demand:
                     break
             else:
@@ -525,7 +563,7 @@ def _completions(head, start, covered, left, masks, reach, needs):
         return
     for c in range(start, n - left + 1):
         yield from _completions(
-            head + (c,), c + 1, covered | masks[c], left - 1, masks, reach, needs
+            head + (c,), c + 1, covered | masks[c], left - 1, masks, reach, pending
         )
 
 

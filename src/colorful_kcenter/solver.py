@@ -338,13 +338,16 @@ def radius_search(inst: Instance, exact, probe):
 
     With at least as many colors as centers and at most ENUM_CAP center
     sets, exact(r) decides each radius by enumeration, which is
-    monotone in r and no cheaper at small radii, so binary search
-    finds the optimum.  Otherwise probe(r) rejects only radii below
-    the integral optimum, so the first radius accepted from below is
-    at most the optimum and the radius binary search would settle on;
-    accepted probes run more LPs the larger the radius, so the
-    candidates are scanned up from the smallest.  The largest radius
-    is probed only if nothing below it passed.
+    monotone in r, so binary search finds the optimum.  A radius with
+    no feasible set costs the most; feasible_sets' pick-count bound
+    prunes its search near the root far below the optimum, but little
+    just below it, where a scan up would pay for each radius.
+    Otherwise probe(r) rejects only radii below the integral optimum,
+    so the first radius accepted from below is at most the optimum and
+    the radius binary search would settle on; accepted probes run more
+    LPs the larger the radius, so the candidates are scanned up from
+    the smallest.  The largest radius is probed only if nothing below
+    it passed.
     """
     radii = candidate_radii(inst)
     optimal = inst.num_colors >= inst.k and subset_count(inst.n, inst.k) <= ENUM_CAP

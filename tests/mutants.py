@@ -76,12 +76,11 @@ MUTANTS = [
         "row-bits check after the rows are built",
         "model.py",
         "    scale = 1\n"
-        "    for value in values.values():\n"
-        "        scale = math.lcm(scale, value.denominator)\n",
-        "    scale = math.lcm(*(value.denominator for value in values.values()))\n"
-        "    built = [[values[v].numerator * scale // values[v].denominator for v in row]\n"
-        "             for row in rows]\n"
-        "    for value in values.values():\n",
+        "    for _, den in values.values():\n"
+        "        scale = math.lcm(scale, den)\n",
+        "    scale = math.lcm(*(den for _, den in values.values()))\n"
+        "    built = [[values[v][0] * (scale // values[v][1]) for v in row] for row in rows]\n"
+        "    for _, den in values.values():\n",
         "tests/test_model.py::test_the_row_bits_limit_holds_before_any_row_is_built",
     ),
     Mutant(
@@ -148,10 +147,37 @@ MUTANTS = [
     Mutant(
         "triangle rescan names the failing pair's own first triple",
         "model.py",
-        "                    for a in range(i, n) for b in range(n)\n"
-        "                    if max(map(operator.sub, rows[a], rows[b])) > rows[a][b]\n",
-        "                    for a, b in ((i, j), (j, i))\n",
+        "        for a in range(i, n) for b in range(n)\n"
+        "        if max(map(operator.sub, rows[a], rows[b])) > rows[a][b]\n",
+        "        for a, b in ((i, j), (j, i))\n",
         "tests/test_model.py::test_validate_metric_names_the_first_triangle_in_scan_order",
+    ),
+    # the packed triangle check: a field too narrow to hold G + 2 * max e'
+    # carries into its neighbour, which only makes pairs fall back to the
+    # exact rescan; a check of the top 62 bits without the one-unit margin
+    # clears a pair one unit short
+    Mutant(
+        "packed fields one bit narrower",
+        "model.py",
+        "bits - s + 2",
+        "bits - s + 1",
+        "tests/test_model.py::test_a_metric_is_decided_by_the_packed_check_alone",
+    ),
+    Mutant(
+        "packed check of the top bits without the one-unit margin",
+        "model.py",
+        "m, shift = int(s > 0),",
+        "m, shift = 0,",
+        "tests/test_model.py::test_the_exact_rescan_decides_what_the_margin_cannot_clear",
+    ),
+    # the enumeration's pick-count bound drops a prefix that has a
+    # feasible completion
+    Mutant(
+        "pick-count bound one pick short",
+        "model.py",
+        "+ left * top[start] < demand",
+        "+ (left - 1) * top[start] < demand",
+        "tests/test_model.py::test_pick_count_bound_at_its_boundary",
     ),
     Mutant(
         "counting certificate with A one above the k-th largest count",

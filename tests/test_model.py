@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from colorful_kcenter import model
 from colorful_kcenter.fair import solve_fair
 from colorful_kcenter.model import (
     CenterSet,
@@ -324,8 +325,29 @@ def perturbed_metrics(draw):
     return tuple(tuple(row) for row in dist)
 
 
-@settings(max_examples=400, deadline=None)
-@given(perturbed_metrics())
+@st.composite
+def line_metrics(draw):
+    """A line metric, where every triangle through three distinct points
+    is tight, whose coordinates and denominator may push its int rows
+    past the 62 bits the packed check keeps, sometimes with one entry
+    (or symmetric pair) moved by one unit of the common denominator."""
+    n = draw(st.integers(1, 6))
+    den = draw(st.sampled_from([1, 6, 2**61 - 1, 3 * (2**89 - 1)]))
+    top = draw(st.sampled_from([3, 2**40, 2**100]))
+    xs = [Fraction(draw(st.integers(0, top)), den) for _ in range(n)]
+    dist = [[abs(a - b) for b in xs] for a in xs]
+    if n > 1 and draw(st.booleans()):
+        unit = Fraction(1, math.lcm(*(v.denominator for row in dist for v in row)))
+        i = draw(st.integers(0, n - 1))
+        j = (i + draw(st.integers(1, n - 1))) % n
+        dist[i][j] += draw(st.sampled_from([-unit, unit]))
+        if draw(st.booleans()):
+            dist[j][i] = dist[i][j]
+    return tuple(tuple(row) for row in dist)
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.one_of(perturbed_metrics(), line_metrics()))
 def test_validate_metric_matches_fraction_scan(dist):
     assert validate_metric(dist) == reference_validate_metric(dist)
 
@@ -382,6 +404,59 @@ def test_validate_metric_names_the_first_triangle_in_scan_order():
     dist = ((0, 1, 1, 0), (1, 0, 3, 0), (1, 3, 0, 1), (0, 0, 1, 0))
     assert validate_metric(dist) == MetricViolation("triangle", (0, 3, 1))
     assert reference_validate_metric(dist) == validate_metric(dist)
+
+
+def spy_rescans(monkeypatch):
+    """The (i, j) pairs that _metric_violation rescans exactly."""
+    pairs = []
+    real = model._triangle_from
+
+    def spy(rows, i, j):
+        pairs.append((i, j))
+        return real(rows, i, j)
+
+    monkeypatch.setattr(model, "_triangle_from", spy)
+    return pairs
+
+
+def test_a_metric_is_decided_by_the_packed_check_alone(monkeypatch):
+    rescans = spy_rescans(monkeypatch)
+    # lines whose entries fill each field width but the two bits it keeps
+    # spare, up to the 62 bits kept in full
+    for top in (1, 3, 2**6 - 1, 2**7 - 1, 2**14 - 1, 2**15 - 1, 2**31 - 1, 2**62 - 1):
+        xs = [0, 1, top // 3, top // 2, top]
+        assert validate_metric([[abs(a - b) for b in xs] for a in xs]) is None
+    assert validate_metric(((0,),)) is None
+    assert validate_metric(((0, 2**70), (2**70, 0))) is None
+    # every entry in [1, 2] over an lcm of about 1,900 bits: top bits only
+    assert validate_metric(coprime_metric(20)) is None
+    assert rescans == []
+
+
+def wide_line(*nums):
+    """Line metric of the points num / (2**89 - 1), a prime, as strings."""
+    xs = [Fraction(x, 2**89 - 1) for x in nums]
+    return [[rational_str(abs(a - b)) for b in xs] for a in xs]
+
+
+def test_the_exact_rescan_decides_what_the_margin_cannot_clear(monkeypatch):
+    rescans = spy_rescans(monkeypatch)
+    # scaled ints 2**100, 2**100 and 2**101 + 1, one unit too long for
+    # d(0,2), so 40 bits are dropped; they are all 0 in 2**100, so without
+    # the one-unit margin the top bits would sum exactly and clear both
+    # pairs that hold the violation
+    dist = wide_line(0, 2**100, 2**101 + 1)
+    dist[1][2] = dist[2][1] = dist[0][1]
+    want = MetricViolation("triangle", (0, 1, 2))
+    assert reference_validate_metric([list(map(rational_from, row)) for row in dist]) == want
+    assert validate_metric(dist) == want
+    assert rescans == [(0, 1)]
+    # scaled ints 2**70, 2**70 + 1 and their sum: d(0,1) + d(1,2) = d(0,2)
+    # exactly, which the margin on the top bits cannot show, so both pairs
+    # with point 1 are rescanned
+    rescans.clear()
+    assert validate_metric(wide_line(0, 2**70, 2**71 + 1)) is None
+    assert rescans == [(0, 1), (1, 2)]
 
 
 def coprime_metric(n):
@@ -482,14 +557,41 @@ def small_instances(draw):
 def test_feasible_sets_match_check_feasible_and_the_oracle(case):
     inst, r, _ = case
     got = list(feasible_sets(inst, r))
-    accepted = [
+    assert got == plain_scan(inst, r)
+    assert got == [frozenset(s) for s in enumerate_feasible(inst, r)]
+
+
+def plain_scan(inst, r):
+    return [
         frozenset(combo)
         for size in range(inst.k + 1)
         for combo in itertools.combinations(range(inst.n), size)
         if check_feasible(inst, combo, r).feasible
     ]
-    assert got == accepted
-    assert got == [frozenset(s) for s in enumerate_feasible(inst, r)]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_pick_count_bound_at_its_boundary(monkeypatch, k):
+    # at radius 1 the balls are {0, 1} twice, {2, 3} twice, {4, 5} twice
+    # and {6}: one ball holds at most two points of the one color, so k
+    # balls reach a demand of 2k, which the bound must keep, and no more
+    calls = []
+    real = model._completions
+
+    def spy(head, start, covered, left, *tables):
+        calls.append((start, covered, left))
+        return real(head, start, covered, left, *tables)
+
+    monkeypatch.setattr(model, "_completions", spy)
+    for demand in range(2 * k + 2):
+        inst = line_instance([0, 1, 10, 11, 20, 21, 30], k, [(range(7), demand)])
+        calls.clear()
+        got = list(feasible_sets(inst, 1))
+        assert got == plain_scan(inst, 1)
+        assert bool(got) == (demand <= 2 * k)
+    # one past it, the balls from index 0 on still reach all 7 points, but
+    # the bound prunes each size at its root
+    assert calls == [(0, 0, size) for size in range(1, k + 1)]
 
 
 def scanned_ball(dist, c, r):
