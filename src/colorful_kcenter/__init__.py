@@ -30,7 +30,6 @@ from .oracle import (
 from .solver import (
     ColorfulSolution,
     InternalError,
-    pseudo_approx_baseline,
     solve_colorful,
     solve_fixed_radius,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "check_feasible",
     "coverage_probability",
     "load_instance",
-    "pseudo_approx_baseline",
     "sample",
     "save_instance",
     "solve_colorful",

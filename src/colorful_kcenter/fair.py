@@ -26,6 +26,14 @@ demand at its own 4r' or 2r' <= 4r, and a certified dual point proves
 r below the optimum whichever columns produced it, so 4r <= 4 OPT
 still holds.  Enumeration bisects, and takes no pool.
 
+Until one has a point, a probe first tests the fair relaxation at 4r,
+solver.build_relaxation's polytope with x_u >= p(u) on the targeted
+points (see _relaxation_empty).  While it is empty no distribution
+exists at 4r, where every column the probe could price lies, so its
+column generation could only end certified: it is rejected as "empty"
+with no separation.  Balls grow with the radius, so once the test
+finds a point no later probe runs it.
+
 The restricted dual is a covering LP over the points with a target:
 least p.alpha over alpha >= 0, with (p - cov_c).alpha >= 1 for every
 known column c, and mu = p.alpha - 1.  A distribution over the known
@@ -54,22 +62,23 @@ from .model import (
     FairInstance,
     Instance,
     ball_masks,
+    check_feasible,
     feasible_sets,
     mask_weight,
     rational_from,
     union_mask,
 )
 from .solver import (
-    InternalError, LiveRelaxation, ProbeRecord, SolveTrace, radius_search, round_or_cut,
+    InternalError, LiveRelaxation, ProbeRecord, SolveTrace, build_relaxation, radius_search,
+    round_or_cut,
 )
 
 # Not called in this module, but benchmarks/tracing.py patches each of
 # these names here, so they stay importable from it.
 from .dp import find_few_outside  # noqa: F401
-from .model import candidate_radii, check_feasible  # noqa: F401
+from .model import candidate_radii  # noqa: F401
 from .partition import good_partition, opening_mass, verify_partition  # noqa: F401
 from .rounding import build_cluster_system, sparse_round  # noqa: F401
-from .solver import build_relaxation  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -219,6 +228,41 @@ def solve_restricted(finst: FairInstance, radius, columns, start=None):
     return dist, out
 
 
+def _greedy_point_mass(finst: FairInstance, radius):
+    """k centers picked greedily, each covering the most targeted points
+    not yet covered within radius (ties to the lowest index), when they
+    cover every targeted point and meet every demand: the point mass on
+    them is then a distribution at radius.  None otherwise."""
+    inst = finst.base
+    masks = ball_masks(inst, radius)
+    left = sum(1 << u for u, p in enumerate(finst.p) if p)
+    chosen = []
+    for _ in range(inst.k):
+        gains = list(map(int.bit_count, map(left.__and__, masks)))
+        chosen.append(gains.index(max(gains)))
+        left &= ~masks[chosen[-1]]
+    if left or not check_feasible(inst, chosen, radius).feasible:
+        return None
+    return frozenset(chosen)
+
+
+def _relaxation_empty(finst: FairInstance, radius, rec: ProbeRecord) -> bool:
+    """Whether the fair relaxation at radius is empty: the polytope of
+    solver.build_relaxation(inst, radius) with x_u >= p(u) for every
+    targeted point.  A distribution at radius gives a point of it, y_v =
+    Pr[v opened] and x_u = Pr[u covered], so an infeasible outcome,
+    whose Farkas certificate lp has verified, proves that none exists.
+    _greedy_point_mass proves it non-empty with no LP when it can; the
+    LP, cold, counts on rec."""
+    if _greedy_point_mass(finst, radius) is not None:
+        return False
+    n = finst.base.n
+    rows = [([0] * u + [p.denominator] + [0] * (2 * n - u - 1), lp.GE, p.numerator)
+            for u, p in enumerate(finst.p) if p]
+    rec.lp_solves += 1
+    return lp.solve(build_relaxation(finst.base, radius).extended(rows)).status == "infeasible"
+
+
 @dataclass(frozen=True)
 class FairSolution:
     distribution: Distribution
@@ -295,8 +339,14 @@ def solve_fair(finst: FairInstance) -> FairSolution:
         return dist
 
     pool = []  # every column a probe priced, kept up the radius scan
+    nonempty = False  # a lower probe's fair relaxation at 4r had a point
 
     def probe(r, rec):
+        nonlocal nonempty
+        if not nonempty and _relaxation_empty(finst, 4 * r, rec):
+            rec.outcome = "empty"
+            return None
+        nonempty = True
         relaxation = LiveRelaxation()  # every separation starts from it
 
         def separate(dual):

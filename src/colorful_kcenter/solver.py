@@ -92,11 +92,12 @@ class ProbeRecord:
     dual point of a solve_fair probe (one of its separations).
 
     outcome: "rounded-4r", "solved-2r", "infeasible" or "enumerated"
-    for a solve_colorful probe; "distribution", "certified", "exact" or
-    "infeasible" for a solve_fair probe; "column-4r", "column-2r" or
-    "certified" for a separation.  round_or_cut counts its cuts, LP
-    solves and DP calls on the record it is given; a solve_fair probe
-    keeps its separations and its restricted-dual solves.
+    for a solve_colorful probe; "distribution", "certified", "empty",
+    "exact" or "infeasible" for a solve_fair probe; "column-4r",
+    "column-2r" or "certified" for a separation.  round_or_cut counts
+    its cuts, LP solves and DP calls on the record it is given; a
+    solve_fair probe keeps its separations and its restricted-dual
+    solves.
     """
 
     radius: Fraction
@@ -397,36 +398,3 @@ def solve_colorful(inst: Instance) -> ColorfulSolution:
 
     return ColorfulSolution(*radius_search(inst, exact, probe))
 
-
-def pseudo_approx_baseline(inst: Instance, r) -> CenterSet:
-    """Single-shot rounding without cuts: may open up to gamma - 1
-    extra centers beyond the budget, covering all demands within 4r.
-
-    Raises ValueError when the relaxation at r is empty.
-    """
-    r = Fraction(r)
-    program = build_relaxation(inst, r)
-    out = lp.solve(program)
-    if out.status != "optimal":
-        raise ValueError(f"relaxation at radius {r} is {out.status}")
-    pt = FractionalPoint(out.point[: inst.n], out.point[inst.n :], out.den)
-    part = good_partition(inst, r, pt)
-    covering = build_cluster_system(inst, part)
-    four_r = 4 * r
-    if all(con.rhs <= 0 for con in covering.constraints):
-        return CenterSet(frozenset(), four_r)
-    if part.size <= inst.k:
-        return CenterSet(frozenset(part.centers), four_r)
-    cov = lp.solve(covering)
-    if cov.status != "optimal":
-        raise InternalError("covering LP must be solvable from the embedded point")
-    chosen = frozenset(
-        s for s, z in zip(part.centers, cov.point) if z > 0
-    )
-    limit = inst.k + inst.num_colors - 1
-    if len(chosen) > limit:
-        raise InternalError(f"baseline opened {len(chosen)} > {limit} centers")
-    counts = check_feasible(inst, chosen, four_r).counts
-    if any(c < col.demand for c, col in zip(counts, inst.colors)):
-        raise InternalError("baseline support fails a color demand")
-    return CenterSet(chosen, four_r)

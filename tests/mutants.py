@@ -360,6 +360,24 @@ MUTANTS = [
         "        DualPoint(alpha=(0,) * finst.base.n, mu=-1, den=1), None)\n",
         "tests/test_fair.py::test_the_pool_joins_after_the_probes_first_column",
     ),
+    # a probe is rejected by its fair relaxation at 4r, where every column
+    # it could price lies; emptiness at r rejects radii that accept
+    Mutant(
+        "fair relaxation tested at r",
+        "fair.py",
+        "_relaxation_empty(finst, 4 * r, rec)",
+        "_relaxation_empty(finst, r, rec)",
+        "tests/test_fair.py::test_empty_probes_reject_under_column_generation",
+    ),
+    # the greedy centers prove the relaxation non-empty only when their
+    # point mass is a distribution, demands included
+    Mutant(
+        "greedy point mass without the demand check",
+        "fair.py",
+        "if left or not check_feasible(inst, chosen, radius).feasible:",
+        "if left:",
+        "tests/test_fair.py::test_the_greedy_point_mass_is_a_distribution",
+    ),
     Mutant(
         "round_or_cut reports 5r for a rounded solution",
         "solver.py",
