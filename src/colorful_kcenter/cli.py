@@ -96,64 +96,55 @@ def _coverage_rows(inst: Instance, report) -> list:
 # trace serialization
 
 
-def _cut_details(cuts) -> list:
-    return [{"centers": sorted(cut.centers), "bound": cut.bound} for cut in cuts]
+def _probe_row(rec, full: bool) -> dict:
+    """One solver.ProbeRecord, a probe or a separation, as a trace row.
+    Its cuts, LP solves and DP calls sum over the record and its
+    separations, as SolveTrace's totals do.  A full row adds the
+    record's own cuts, each separation as a full row, and a
+    separation's dual point."""
+    walk = (rec, *rec.separations)
+    row = {
+        "radius": rational_str(rec.radius),
+        "outcome": rec.outcome,
+        "cuts": sum(len(r.cuts) for r in walk),
+        "lp_solves": sum(r.lp_solves for r in walk),
+        "dp_calls": sum(r.dp_calls for r in walk),
+        "restricted_solves": rec.restricted_solves,
+        "separations": len(rec.separations),
+    }
+    if full:
+        if rec.dual is not None:
+            den = rec.dual.den
+            row["mu"] = rational_str(Fraction(rec.dual.mu, den))
+            row["eps"] = rational_str(Fraction(1, den))  # the weighted row's margin
+            row["alpha"] = [rational_str(Fraction(a, den)) for a in rec.dual.alpha]
+        row["cut_details"] = [{"centers": sorted(c.centers), "bound": c.bound} for c in rec.cuts]
+        row["separation_details"] = [_probe_row(sep, full) for sep in rec.separations]
+    return row
 
 
-def _colorful_trace(trace, full: bool) -> dict:
-    probes = []
-    for rec in trace.records:
-        row = {
-            "radius": rational_str(rec.radius),
-            "outcome": rec.outcome,
-            "cuts": len(rec.cuts),
-            "lp_solves": rec.lp_solves,
-            "dp_calls": rec.dp_calls,
-        }
-        if full:
-            row["cut_details"] = _cut_details(rec.cuts)
-        probes.append(row)
+def _trace(trace, full: bool) -> dict:
     return {
-        "probes": probes,
+        "probes": [_probe_row(rec, full) for rec in trace.records],
         "total_cuts": trace.total_cuts(),
         "total_lp_solves": trace.total_lp_solves(),
-    }
-
-
-def _fair_trace(trace, full: bool) -> dict:
-    probes = []
-    for rec in trace.records:
-        row = {
-            "radius": rational_str(rec.radius),
-            "outcome": rec.outcome,
-            "restricted_solves": rec.restricted_solves,
-            "separations": len(rec.separations),
-            "cuts": sum(len(sep.cuts) for sep in rec.separations),
-        }
-        if full:
-            row["separation_details"] = [
-                {
-                    "outcome": sep.outcome,
-                    "mu": rational_str(Fraction(sep.dual.mu, sep.dual.den)),
-                    "eps": rational_str(Fraction(1, sep.dual.den)),  # the row's margin
-                    "alpha": [rational_str(Fraction(a, sep.dual.den)) for a in sep.dual.alpha],
-                    "lp_solves": sep.lp_solves,
-                    "dp_calls": sep.dp_calls,
-                    "cut_details": _cut_details(sep.cuts),
-                }
-                for sep in rec.separations
-            ]
-        probes.append(row)
-    return {
-        "probes": probes,
-        "total_cuts": trace.total_cuts(),
         "total_columns": trace.total_columns(),
     }
 
 
-def _json_logs(trace_dict: dict):
-    for probe in trace_dict["probes"]:
-        sys.stderr.write(json.dumps({"event": "probe", **probe}) + "\n")
+def _solved(payload: dict, sol, args) -> dict:
+    """payload with the solve's probe radius, optimality and trace; also
+    writes the full trace to --trace and one line per probe row to
+    stderr under --json-logs."""
+    payload["probe_radius"] = rational_str(sol.probe_radius)
+    payload["optimal"] = sol.optimal
+    payload["trace"] = _trace(sol.trace, full=False)
+    if args.trace:
+        _write_output(_trace(sol.trace, full=True), args.trace)
+    if args.json_logs:
+        for probe in payload["trace"]["probes"]:
+            sys.stderr.write(json.dumps({"event": "probe", **probe}) + "\n")
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +164,8 @@ def cmd_solve(args):
         "radius": rational_str(sol.centers.radius),
         "centers": sorted(sol.centers.centers),
         "coverage": _coverage_rows(inst, report),
-        "probe_radius": rational_str(sol.probe_radius),
-        "optimal": sol.optimal,
-        "trace": _colorful_trace(sol.trace, full=False),
     }
-    if args.trace:
-        _write_output(_colorful_trace(sol.trace, full=True), args.trace)
-    if args.json_logs:
-        _json_logs(payload["trace"])
-    return payload, OK
+    return _solved(payload, sol, args), OK
 
 
 def cmd_solve_fair(args):
@@ -195,25 +179,18 @@ def cmd_solve_fair(args):
     for centers, _ in dist.support:
         if not model.check_feasible(finst.base, centers, dist.radius).feasible:
             raise InternalError("distribution support fails re-validation")
-    payload = {
+    payload = _solved({
         "kind": "fair-solution",
         "radius": rational_str(dist.radius),
         "distribution": [
             {"centers": sorted(centers), "prob": rational_str(weight)}
             for centers, weight in dist.support
         ],
-        "probe_radius": rational_str(sol.probe_radius),
-        "optimal": sol.optimal,
-        "trace": _fair_trace(sol.trace, full=False),
-    }
+    }, sol, args)
     if args.samples:
         payload["samples"] = [
             sorted(fair_mod.sample(dist, args.seed + i)) for i in range(args.samples)
         ]
-    if args.trace:
-        _write_output(_fair_trace(sol.trace, full=True), args.trace)
-    if args.json_logs:
-        _json_logs(payload["trace"])
     return payload, OK
 
 
@@ -453,24 +430,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--out", help="write JSON output here instead of stdout")
+    solving = argparse.ArgumentParser(add_help=False, parents=[shared])
+    solving.add_argument("--instance", required=True)
+    solving.add_argument("--trace", help="write the full probe trace to this file")
+    solving.add_argument("--json-logs", action="store_true",
+                        help="write one JSON line per probe to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", parents=[shared], help="approximate a colorful instance")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--trace", help="write the full probe trace to this file")
-    p.add_argument("--json-logs", action="store_true",
-                   help="write one JSON line per probe to stderr")
+    p = sub.add_parser("solve", parents=[solving], help="approximate a colorful instance")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("solve-fair", parents=[shared],
+    p = sub.add_parser("solve-fair", parents=[solving],
                        help="distribution meeting per-point coverage targets")
-    p.add_argument("--instance", required=True)
     p.add_argument("--samples", type=int, default=0,
                    help="append this many sampled center sets")
     p.add_argument("--seed", type=int, default=0, help="base seed for sampling")
-    p.add_argument("--trace", help="write the full probe trace to this file")
-    p.add_argument("--json-logs", action="store_true",
-                   help="write one JSON line per probe to stderr")
     p.set_defaults(func=cmd_solve_fair)
 
     p = sub.add_parser("brute", parents=[shared], help="exact optimum by enumeration")

@@ -64,6 +64,7 @@ from .model import (
     ball_masks,
     check_feasible,
     feasible_sets,
+    greedy_balls,
     mask_weight,
     rational_from,
     union_mask,
@@ -229,18 +230,13 @@ def solve_restricted(finst: FairInstance, radius, columns, start=None):
 
 
 def _greedy_point_mass(finst: FairInstance, radius):
-    """k centers picked greedily, each covering the most targeted points
-    not yet covered within radius (ties to the lowest index), when they
-    cover every targeted point and meet every demand: the point mass on
-    them is then a distribution at radius.  None otherwise."""
+    """k centers picked greedily (model.greedy_balls) over the targeted
+    points within radius, when they cover every targeted point and meet
+    every demand: the point mass on them is then a distribution at
+    radius.  None otherwise."""
     inst = finst.base
-    masks = ball_masks(inst, radius)
-    left = sum(1 << u for u, p in enumerate(finst.p) if p)
-    chosen = []
-    for _ in range(inst.k):
-        gains = list(map(int.bit_count, map(left.__and__, masks)))
-        chosen.append(gains.index(max(gains)))
-        left &= ~masks[chosen[-1]]
+    targeted = sum(1 << u for u, p in enumerate(finst.p) if p)
+    left, chosen = greedy_balls(ball_masks(inst, radius), targeted, inst.k)
     if left or not check_feasible(inst, chosen, radius).feasible:
         return None
     return frozenset(chosen)

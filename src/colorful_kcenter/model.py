@@ -471,6 +471,22 @@ def counting_bound(inst: Instance, r):
     return inst._bounds[level]
 
 
+def greedy_balls(masks, left, k, spare=-1):
+    """Up to k balls picked greedily, each covering the most points of
+    left not yet covered (ties to the lowest index), as (the points of
+    left they leave uncovered, their centers in pick order).  The picks
+    stop once at most spare points of left are uncovered; by default
+    all k are picked."""
+    chosen = []
+    for _ in range(k):
+        if left.bit_count() <= spare:
+            break
+        gains = list(map(int.bit_count, map(left.__and__, masks)))
+        chosen.append(gains.index(max(gains)))
+        left &= ~masks[chosen[-1]]
+    return left, chosen
+
+
 def _color_bound(masks, members, demand, k, color):
     """Greedy search for U: start from U = members and drop the kept
     point lying in the most of the k currently largest balls (by a_v,
@@ -483,12 +499,7 @@ def _color_bound(masks, members, demand, k, color):
     bound below demand.
     """
     spare = members.bit_count() - demand  # members that may stay uncovered
-    left = members
-    for _ in range(k):
-        if left.bit_count() <= spare:
-            return None
-        gains = list(map(int.bit_count, map(left.__and__, masks)))
-        left &= ~masks[gains.index(max(gains))]
+    left, _ = greedy_balls(masks, members, k, spare)
     if left.bit_count() <= spare:
         return None
     n = len(masks)

@@ -378,6 +378,25 @@ MUTANTS = [
         "if left:",
         "tests/test_fair.py::test_the_greedy_point_mass_is_a_distribution",
     ),
+    # the counting bound's skip and the greedy point mass share one pick
+    # order, most uncovered points first, ties to the lowest index
+    Mutant(
+        "greedy balls break ties to the highest index",
+        "model.py",
+        "chosen.append(gains.index(max(gains)))",
+        "chosen.append(len(gains) - 1 - gains[::-1].index(max(gains)))",
+        "tests/test_model.py::"
+        "test_greedy_balls_pick_the_most_uncovered_points_ties_to_the_lowest_index",
+    ),
+    # a row's counts sum over the record and its separations, so a
+    # solve_fair probe's row counts its separations' LP solves and cuts
+    Mutant(
+        "trace rows drop their separations' counts",
+        "cli.py",
+        "walk = (rec, *rec.separations)",
+        "walk = (rec,)",
+        "tests/test_cli.py::test_trace_file_and_json_logs",
+    ),
     Mutant(
         "round_or_cut reports 5r for a rounded solution",
         "solver.py",

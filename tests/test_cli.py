@@ -567,26 +567,46 @@ def test_gen_clumps_and_fixture_match_library(tmp_path):
     assert model.load_instance(str(fx2)).dist == fixture_adversarial(12).instance.dist
 
 
+ROW_KEYS = {"radius", "outcome", "cuts", "lp_solves", "dp_calls", "restricted_solves",
+            "separations"}
+FULL_KEYS = ROW_KEYS | {"cut_details", "separation_details"}
+
+
 def test_trace_file_and_json_logs(tmp_path, capsys):
-    inst = write_instance(
-        tmp_path, "inst.json",
-        ["gen", "random", "--seed", "23", "--n", "8", "--k", "2", "--gamma", "1",
-         "--demand-density", "1"],
-    )
-    trace = tmp_path / "trace.json"
-    sol = tmp_path / "sol.json"
-    assert main([
-        "solve", "--instance", str(inst), "--trace", str(trace),
-        "--json-logs", "--out", str(sol),
-    ]) == 0
-    err = capsys.readouterr().err
-    lines = [ln for ln in err.splitlines() if ln.strip()]
-    tdoc = read_json(trace)
-    assert len(lines) == len(tdoc["probes"])
-    for ln in lines:
-        assert json.loads(ln)["event"] == "probe"
-    for probe in tdoc["probes"]:
-        assert "cut_details" in probe
+    for command, argv in [
+        ("solve", ["--seed", "23", "--n", "8", "--k", "2", "--gamma", "1",
+                   "--demand-density", "1"]),
+        # the fair relaxation at 4r rejects the first probe, radius 0, by one LP
+        ("solve-fair", ["--seed", "1", "--n", "12", "--k", "4", "--gamma", "2",
+                        "--demand-density", "1", "--p-density", "2/3"]),
+    ]:
+        inst = write_instance(tmp_path, "inst.json", ["gen", "random", *argv])
+        trace = tmp_path / "trace.json"
+        sol = tmp_path / "sol.json"
+        assert main([
+            command, "--instance", str(inst), "--trace", str(trace),
+            "--json-logs", "--out", str(sol),
+        ]) == 0
+        err = capsys.readouterr().err
+        rows = read_json(sol)["trace"]["probes"]
+        assert [json.loads(ln) for ln in err.splitlines()] == [
+            {"event": "probe", **row} for row in rows
+        ]
+        assert all(set(row) == ROW_KEYS for row in rows)
+        tdoc = read_json(trace)
+        assert [{k: probe[k] for k in row} for probe, row in zip(tdoc["probes"], rows)] == rows
+        seps = [sep for probe in tdoc["probes"] for sep in probe["separation_details"]]
+        assert all(set(probe) == FULL_KEYS for probe in tdoc["probes"])
+        assert all(set(sep) == FULL_KEYS | {"mu", "eps", "alpha"} for sep in seps)
+        assert (command == "solve-fair") == bool(seps)
+        for doc in (read_json(sol)["trace"], tdoc):
+            assert doc["total_cuts"] == sum(row["cuts"] for row in rows)
+            assert doc["total_lp_solves"] == sum(
+                row["lp_solves"] + row["restricted_solves"] for row in rows
+            )
+            assert doc["total_columns"] == sum(s["outcome"].startswith("column-") for s in seps)
+        if command == "solve-fair":
+            assert rows[0]["outcome"] == "empty" and rows[0]["lp_solves"] == 1
 
 
 def test_linear_scan_flag(tmp_path, capsys):

@@ -29,6 +29,7 @@ from colorful_kcenter.model import (
     check_feasible,
     dumps_instance,
     feasible_sets,
+    greedy_balls,
     instance_from_dict,
     instance_to_dict,
     loads_instance,
@@ -207,6 +208,26 @@ def test_balls_and_candidate_radii():
     assert radii[0] == 0
     assert radii == sorted(set(radii))
     assert Fraction(9) in radii and Fraction(11) in radii
+
+
+def test_greedy_balls_pick_the_most_uncovered_points_ties_to_the_lowest_index():
+    # balls 0, 1 and 2 tie at two points; then 2 alone covers two more
+    masks = [0b0011, 0b0011, 0b1100, 0b0100]
+    assert greedy_balls(masks, 0b1111, 2) == (0, [0, 2])
+    assert greedy_balls(masks, 0b1111, 2, spare=2) == (0b1100, [0])  # stops early
+    rng = random.Random(3)
+    for _ in range(200):
+        n, k, spare = rng.randint(1, 7), rng.randint(0, 4), rng.randint(-1, 3)
+        masks = [rng.getrandbits(n) for _ in range(n)]
+        start = rng.getrandbits(n)
+        left, chosen = start, []
+        for _ in range(k):
+            if left.bit_count() <= spare:
+                break
+            v = max(range(n), key=lambda v: ((left & masks[v]).bit_count(), -v))
+            left &= ~masks[v]
+            chosen.append(v)
+        assert greedy_balls(masks, start, k, spare) == (left, chosen)
 
 
 def test_check_feasible_counts():
