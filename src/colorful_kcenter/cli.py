@@ -85,6 +85,18 @@ def _load_json(path):
         raise CliError(USAGE, f"{path}: invalid JSON: {exc}") from exc
 
 
+def _centers_payload(kind: str, centers: model.CenterSet) -> dict:
+    return {"kind": kind, "radius": rational_str(centers.radius),
+            "centers": sorted(centers.centers)}
+
+
+def _distribution_payload(kind: str, dist: fair_mod.Distribution) -> dict:
+    return {"kind": kind, "radius": rational_str(dist.radius), "distribution": [
+        {"centers": sorted(centers), "prob": rational_str(weight)}
+        for centers, weight in dist.support
+    ]}
+
+
 def _coverage_rows(inst: Instance, report) -> list:
     return [
         {"color": i, "covered": covered, "demand": c.demand}
@@ -159,12 +171,8 @@ def cmd_solve(args):
     report = model.check_feasible(inst, sol.centers.centers, sol.centers.radius)
     if not report.feasible:
         raise InternalError("solver output fails re-validation")
-    payload = {
-        "kind": "colorful-solution",
-        "radius": rational_str(sol.centers.radius),
-        "centers": sorted(sol.centers.centers),
-        "coverage": _coverage_rows(inst, report),
-    }
+    payload = _centers_payload("colorful-solution", sol.centers)
+    payload["coverage"] = _coverage_rows(inst, report)
     return _solved(payload, sol, args), OK
 
 
@@ -179,14 +187,7 @@ def cmd_solve_fair(args):
     for centers, _ in dist.support:
         if not model.check_feasible(finst.base, centers, dist.radius).feasible:
             raise InternalError("distribution support fails re-validation")
-    payload = _solved({
-        "kind": "fair-solution",
-        "radius": rational_str(dist.radius),
-        "distribution": [
-            {"centers": sorted(centers), "prob": rational_str(weight)}
-            for centers, weight in dist.support
-        ],
-    }, sol, args)
+    payload = _solved(_distribution_payload("fair-solution", dist), sol, args)
     if args.samples:
         payload["samples"] = [
             sorted(fair_mod.sample(dist, args.seed + i)) for i in range(args.samples)
@@ -199,23 +200,8 @@ def cmd_brute(args):
     if args.fair and not isinstance(inst, FairInstance):
         raise CliError(USAGE, "--fair needs an instance with coverage targets")
     if isinstance(inst, FairInstance):
-        opt = brute_force_fair(inst, cap=args.cap)
-        payload = {
-            "kind": "fair-optimum",
-            "radius": rational_str(opt.radius),
-            "distribution": [
-                {"centers": sorted(centers), "prob": rational_str(weight)}
-                for centers, weight in opt.support
-            ],
-        }
-    else:
-        opt = brute_force_colorful(inst, cap=args.cap)
-        payload = {
-            "kind": "colorful-optimum",
-            "radius": rational_str(opt.radius),
-            "centers": sorted(opt.centers.centers),
-        }
-    return payload, OK
+        return _distribution_payload("fair-optimum", brute_force_fair(inst, cap=args.cap)), OK
+    return _centers_payload("colorful-optimum", brute_force_colorful(inst, cap=args.cap)), OK
 
 
 def _parse_graph_text(text: str) -> Graph:
@@ -455,7 +441,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="refuse instances with more candidate center sets")
     p.set_defaults(func=cmd_brute)
 
-    p = sub.add_parser("gen", parents=[shared], help="emit an instance as JSON")
+    # --out follows the family, whose default would overwrite a value given before it
+    p = sub.add_parser("gen", help="emit an instance as JSON")
     fam = p.add_subparsers(dest="family", required=True)
     g = fam.add_parser("vc3", parents=[shared])
     g.add_argument("--graph", required=True,

@@ -1,4 +1,4 @@
-"""Instance generators: seeded random families, hardness reductions
+"""Instance generators: seeded random instances, hardness reductions
 from vertex cover and set cover onto line metrics, and the adversarial
 fixture on which single-shot rounding overshoots the budget.
 """
@@ -61,31 +61,29 @@ def _line_instance(coords, k, colors):
 
 
 def gen_from_vc3(g: Graph, t: int) -> Instance:
-    """Vertices on a line one apart, an edge's endpoints as a color
-    class with demand 1, budget t: a radius-0 solution is exactly a
-    vertex cover of size at most t.
-
-    t = 0 is only meaningful for edgeless graphs (answered by the empty
-    cover); then a dummy zero-demand color keeps the instance well
-    formed.  Budgets above n are clamped to n, which changes nothing
-    since no cover needs more than n vertices.
+    """Vertex cover as set cover on the incidence family, where set v
+    holds the edges at v: a radius-0 solution is exactly a vertex cover
+    of size at most t.  t = 0 is only meaningful for edgeless graphs.
     """
     if g.n < 1:
         raise ValueError("graph needs at least one vertex")
-    if t < 0:
-        raise ValueError("cover budget must be nonnegative")
     if t == 0 and g.edges:
         raise ValueError("t=0 with edges present has no center-budget analogue")
-    colors = [((u, v), 1) for u, v in g.edges]
-    if not colors:
-        colors = [((), 0)]
-    return _line_instance(list(range(g.n)), max(1, min(t, g.n)), colors)
+    incidence = [[] for _ in range(g.n)]
+    for i, edge in enumerate(g.edges):
+        for v in edge:
+            incidence[v].append(i)
+    return gen_from_setcover(SetCoverInstance(len(g.edges), tuple(incidence)), t)
 
 
 def gen_from_setcover(sc: SetCoverInstance, t: int) -> Instance:
     """One point per set on a line one apart; each universe element
     becomes a color class (demand 1) whose members are the sets
     containing it.  A radius-0 solution is a cover by at most t sets.
+
+    An empty universe gets a dummy zero-demand color, which keeps the
+    instance well formed.  Budgets above m are clamped to m, which
+    changes nothing since no cover needs more than m sets.
     """
     m = len(sc.sets)
     if m < 1:
@@ -94,14 +92,16 @@ def gen_from_setcover(sc: SetCoverInstance, t: int) -> Instance:
         raise ValueError("cover budget must be nonnegative")
     if t == 0 and sc.universe > 0:
         raise ValueError("t=0 with a nonempty universe has no analogue")
-    colors = []
+    members = {}
+    for i, s in enumerate(sc.sets):
+        for e in s:
+            members.setdefault(e, []).append(i)
+    # stops at the first uncovered element, so a huge universe costs no more
+    # than the sets given
     for e in range(sc.universe):
-        members = tuple(i for i, s in enumerate(sc.sets) if e in s)
-        if not members:
+        if e not in members:
             raise ValueError(f"element {e} is in no set; never coverable")
-        colors.append((members, 1))
-    if not colors:
-        colors = [((), 0)]
+    colors = [(tuple(members[e]), 1) for e in range(sc.universe)] or [((), 0)]
     return _line_instance(list(range(m)), max(1, min(t, m)), colors)
 
 
@@ -233,50 +233,3 @@ def gen_random(
         else:
             p.append(Fraction(0))
     return FairInstance(base=inst, p=tuple(p))
-
-
-def gen_random_graph(seed: int, n: int, max_degree: int = 3) -> Graph:
-    """Connected random graph (a degree-capped random tree plus a few
-    extra edges) for exercising the vertex cover reduction.
-    """
-    if n < 1:
-        raise ValueError("need at least one vertex")
-    rng = random.Random(seed)
-    edges = []
-    deg = [0] * n
-    for v in range(1, n):
-        options = [u for u in range(v) if deg[u] < max_degree]
-        if not options:
-            options = [v - 1]
-        u = rng.choice(options)
-        edges.append((u, v))
-        deg[u] += 1
-        deg[v] += 1
-    extra = rng.randint(0, n)
-    for _ in range(extra):
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u != v and deg[u] < max_degree and deg[v] < max_degree:
-            key = (min(u, v), max(u, v))
-            if key not in edges:
-                edges.append(key)
-                deg[u] += 1
-                deg[v] += 1
-    return Graph(n=n, edges=tuple(edges))
-
-
-def gen_random_setcover(seed: int, universe: int, num_sets: int) -> SetCoverInstance:
-    """Random covering family; every element is restocked into some set
-    so full coverage always exists.
-    """
-    if universe < 0 or num_sets < 1:
-        raise ValueError("need a nonnegative universe and at least one set")
-    rng = random.Random(seed)
-    sets = [set() for _ in range(num_sets)]
-    for e in range(universe):
-        hits = [i for i in range(num_sets) if rng.random() < 0.4]
-        if not hits:
-            hits = [rng.randrange(num_sets)]
-        for i in hits:
-            sets[i].add(e)
-    return SetCoverInstance(universe=universe, sets=tuple(frozenset(s) for s in sets))

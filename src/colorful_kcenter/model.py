@@ -373,11 +373,6 @@ def union_mask(inst: Instance, centers, r) -> int:
     return covered
 
 
-def union_ball(inst: Instance, centers, r) -> frozenset:
-    """Union of closed balls of radius r around each center."""
-    return mask_points(union_mask(inst, centers, r))
-
-
 def candidate_radii(inst: Instance):
     """Sorted distinct pairwise distances, always including 0.
 

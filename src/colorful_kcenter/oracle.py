@@ -1,12 +1,12 @@
 """Brute-force reference solvers, deliberately built on different
 machinery than the main pipeline.
 
-brute_force_colorful computes, for every center subset, the smallest
+Both walk every center set of at most k points with the smallest
 radius at which it meets all demands (a per-color order statistic of
-distances), and takes the overall minimum.  brute_force_fair walks
-candidate radii upward and decides, by exact LP feasibility over the
-full list of feasible center sets, whether some distribution over them
-meets every point's coverage target.
+distances).  brute_force_colorful takes the first set of least radius;
+brute_force_fair walks candidate radii upward and decides, by exact LP
+feasibility over the sets that meet every demand there, whether some
+distribution over them meets every point's coverage target.
 
 Both read `Instance.dist`, a view of the int rows the ball tests read;
 test_instances_are_int_rows_with_an_exact_view pins it to the input.
@@ -15,10 +15,10 @@ test_instances_are_int_rows_with_an_exact_view pins it to the input.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
+from .fair import Distribution
 from .model import CenterSet, FairInstance, Instance, candidate_radii, subset_count
 
 
@@ -51,50 +51,32 @@ def _min_radius_of(inst: Instance, centers) -> Fraction:
     return worst
 
 
-@dataclass(frozen=True)
-class ColorfulOptimum:
-    radius: Fraction
-    centers: CenterSet
-
-
-def brute_force_colorful(inst: Instance, cap: int = 10**7) -> ColorfulOptimum:
-    """Exact optimum radius and a witness, by exhausting center sets in
-    (size, lex) order.  Raises OracleCapExceeded past cap subsets.
+def _center_sets(inst: Instance):
+    """Each center set (size <= k) that meets every demand at some
+    radius, with the smallest such radius, in (size, lex) order.
     """
-    _check_cap(inst, cap)
-    best = None
-    best_set = None
     for size in range(inst.k + 1):
         for combo in itertools.combinations(range(inst.n), size):
-            r = _min_radius_of(inst, combo)
-            if r is None:
-                continue
-            if best is None or r < best:
-                best = r
-                best_set = combo
-    if best is None:
-        raise RuntimeError("unreachable: opening all points meets any demand")
-    return ColorfulOptimum(best, CenterSet(frozenset(best_set), best))
+            mr = _min_radius_of(inst, combo)
+            if mr is not None:
+                yield frozenset(combo), mr
+
+
+def brute_force_colorful(inst: Instance, cap: int = 10**7) -> CenterSet:
+    """Exact optimum: the first center set of least radius in (size,
+    lex) order.  Raises OracleCapExceeded past cap subsets.
+    """
+    _check_cap(inst, cap)
+    centers, radius = min(_center_sets(inst), key=lambda pair: pair[1])
+    return CenterSet(centers, Fraction(radius))
 
 
 def enumerate_feasible(inst: Instance, r):
     """All center sets (size <= k) meeting every demand at radius r,
     in (size, lex) order.  Exhaustive; meant for small n.
     """
-    out = []
     r = Fraction(r)
-    for size in range(inst.k + 1):
-        for combo in itertools.combinations(range(inst.n), size):
-            mr = _min_radius_of(inst, combo)
-            if mr is not None and mr <= r:
-                out.append(frozenset(combo))
-    return out
-
-
-@dataclass(frozen=True)
-class FairOptimum:
-    radius: Fraction
-    support: tuple  # ((frozenset, Fraction), ...) with positive weights
+    return [cs for cs, mr in _center_sets(inst) if mr <= r]
 
 
 def _coverage_lp(finst: FairInstance, sets, r):
@@ -112,26 +94,20 @@ def _coverage_lp(finst: FairInstance, sets, r):
     return program
 
 
-def brute_force_fair(finst: FairInstance, cap: int = 10**7) -> FairOptimum:
+def brute_force_fair(finst: FairInstance, cap: int = 10**7) -> Distribution:
     """Smallest candidate radius admitting a coverage lottery, with a
     basic (small-support) distribution as witness.
     """
     inst = finst.base
     _check_cap(inst, cap)
-    pairs = []
-    for size in range(inst.k + 1):
-        for combo in itertools.combinations(range(inst.n), size):
-            mr = _min_radius_of(inst, combo)
-            if mr is not None:
-                pairs.append((frozenset(combo), mr))
+    pairs = list(_center_sets(inst))
     for r in candidate_radii(inst):
         sets = [cs for cs, mr in pairs if mr <= r]
         if not sets:
             continue
         out = lp.solve(_coverage_lp(finst, sets, r))
         if out.status == "optimal":
-            support = tuple(
-                (cs, lam) for cs, lam in zip(sets, out.solution) if lam > 0
+            return Distribution(
+                tuple((cs, lam) for cs, lam in zip(sets, out.solution) if lam > 0), r
             )
-            return FairOptimum(r, support)
     raise RuntimeError("unreachable: the largest radius covers everything")

@@ -404,4 +404,37 @@ MUTANTS = [
         'tag, found = "4r", CenterSet(frozenset(chosen), 5 * r)',
         "tests/test_acceptance.py::test_colorful_radius_within_four_times_optimum",
     ),
+    # vertex cover is set cover on the incidence family: every edge lies
+    # in the sets of both its endpoints
+    Mutant(
+        "an edge attached to only one endpoint",
+        "generators.py",
+        "        for v in edge:\n",
+        "        for v in edge[:1]:\n",
+        "tests/test_oracle_generators.py::test_vc3_is_setcover_on_the_incidence_family",
+    ),
+    # a center set meets every demand at r exactly when its smallest
+    # such radius is at most r, equality included
+    Mutant(
+        "enumerate_feasible drops the sets whose smallest radius is r",
+        "oracle.py",
+        "_center_sets(inst) if mr <= r]",
+        "_center_sets(inst) if mr < r]",
+        "tests/test_oracle_generators.py::test_fixture_invariants",
+    ),
+    Mutant(
+        "brute_force_fair drops the sets whose smallest radius is r",
+        "oracle.py",
+        "if mr <= r]\n        if not sets:",
+        "if mr < r]\n        if not sets:",
+        "tests/test_cli.py::test_brute_documents_are_pinned[fair]",
+    ),
+    # gen's --out was overwritten by each family's default
+    Mutant(
+        "gen takes --out before its family again",
+        "cli.py",
+        'sub.add_parser("gen", help=',
+        'sub.add_parser("gen", parents=[shared], help=',
+        "tests/test_cli.py::test_gen_out_follows_the_family",
+    ),
 ]

@@ -21,10 +21,13 @@ from colorful_kcenter.generators import (
     gen_from_setcover,
     gen_from_vc3,
     gen_random,
-    gen_random_graph,
-    gen_random_setcover,
 )
-from colorful_kcenter.model import check_feasible, union_ball, weighted_coverage
+from colorful_kcenter.model import (
+    check_feasible,
+    mask_points,
+    union_mask,
+    weighted_coverage,
+)
 from colorful_kcenter.oracle import (
     brute_force_colorful,
     brute_force_fair,
@@ -32,6 +35,7 @@ from colorful_kcenter.oracle import (
 )
 from colorful_kcenter.rounding import sparse_round as real_sparse_round
 from colorful_kcenter.solver import build_relaxation, solve_colorful, solve_fixed_radius
+from cover_families import gen_random_graph, gen_random_setcover
 
 # cuts observed by the approximation sweeps, audited later:
 # (instance, probe radius, cut) and (fair instance, separation, cut)
@@ -148,12 +152,12 @@ def test_every_emitted_cut_survives_enumeration():
                         COLORFUL_CUTS.append((inst, rec.radius, cut))
     assert COLORFUL_CUTS
     for inst, r, cut in COLORFUL_CUTS:
-        fence = union_ball(inst, cut.centers, r)
+        fence = mask_points(union_mask(inst, cut.centers, r))
         for centers in enumerate_feasible(inst, r):
             assert len(centers & fence) <= cut.bound
     for finst, sep, cut in FAIR_CUTS:
         dual = sep.dual
-        fence = union_ball(finst.base, cut.centers, sep.radius)
+        fence = mask_points(union_mask(finst.base, cut.centers, sep.radius))
         for centers in enumerate_feasible(finst.base, sep.radius):
             if weighted_coverage(finst.base, dual.alpha, centers, sep.radius) <= dual.mu:
                 continue

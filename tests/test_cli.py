@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 import colorful_kcenter
 from colorful_kcenter import cli, model
 from colorful_kcenter.cli import main
-from colorful_kcenter.generators import fixture_adversarial, gen_clumps, gen_from_vc3
+from colorful_kcenter.generators import fixture_adversarial, gen_clumps, gen_from_vc3, gen_random
 from colorful_kcenter.oracle import brute_force_colorful
 from colorful_kcenter.solver import InternalError
 from test_model import coprime_metric
@@ -109,6 +109,58 @@ def test_brute_fair_kind(tmp_path, capsys):
     assert sum(
         Fraction(model.rational_from(r["prob"])) for r in doc["distribution"]
     ) == 1
+
+
+# brute's documents, byte for byte, for a colorful instance with OPT > 0
+# and a fair one whose optimum mixes three center sets
+BRUTE_DOCUMENTS = {
+    "colorful": (
+        gen_random(1, 9, 3, 2, demand_density=Fraction(1)),
+        '{\n  "kind": "colorful-optimum",\n  "radius": "4/1",\n  "centers": [\n'
+        '    0,\n    1,\n    2\n  ]\n}\n',
+    ),
+    "fair": (
+        gen_random(4, 8, 2, 2, demand_density=Fraction(1), p_density=Fraction(2, 3)),
+        '{\n  "kind": "fair-optimum",\n  "radius": "3/1",\n  "distribution": [\n'
+        '    {\n      "centers": [\n        4\n      ],\n      "prob": "1/3"\n    },\n'
+        '    {\n      "centers": [\n        0,\n        1\n      ],\n'
+        '      "prob": "1/2"\n    },\n'
+        '    {\n      "centers": [\n        2,\n        4\n      ],\n'
+        '      "prob": "1/6"\n    }\n  ]\n}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BRUTE_DOCUMENTS))
+def test_brute_documents_are_pinned(name, tmp_path):
+    inst, expected = BRUTE_DOCUMENTS[name]
+    path = tmp_path / "inst.json"
+    path.write_text(model.dumps_instance(inst))
+    out = tmp_path / "out.json"
+    assert main(["brute", "--instance", str(path), "--out", str(out)]) == 0
+    assert out.read_text() == expected
+
+
+def test_gen_out_follows_the_family(tmp_path, capsys):
+    graph = tmp_path / "graph.txt"
+    graph.write_text("0 1\n")
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"universe": 1, "sets": [[0]]}))
+    for family in [
+        ["vc3", "--graph", str(graph), "--t", "1"],
+        ["setcover", "--instance", str(cover), "--t", "1"],
+        ["random", "--seed", "1", "--n", "4", "--k", "2", "--gamma", "1"],
+        ["clumps", "--k", "2", "--gamma", "2"],
+    ]:
+        out = tmp_path / "out.json"
+        assert main(["gen", *family, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert model.load_instance(str(out))
+        out.unlink()
+        # before the family, --out is not an option of gen: a usage error
+        assert main(["gen", "--out", str(out), *family]) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
 
 
 def test_exit_codes_for_bad_inputs(tmp_path, capsys):

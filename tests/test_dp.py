@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from colorful_kcenter import dp
 from colorful_kcenter.dp import DpProgram, DpResult, dp_solve, find_few_outside
 from colorful_kcenter.generators import gen_clumps
-from colorful_kcenter.model import CenterSet, Instance, ball, union_ball
+from colorful_kcenter.model import CenterSet, Instance, ball, mask_points, union_mask
 
 
 def brute_best(prog):
@@ -274,7 +274,7 @@ def brute_few_outside(inst, r2, centers_s, beta, extra=None):
             for wsize in range(min(len(s_set), inst.k - qsize) + 1):
                 for w in itertools.combinations(sorted(s_set), wsize):
                     chosen = set(guess) | set(w)
-                    covered = union_ball(inst, chosen, r2)
+                    covered = mask_points(union_mask(inst, chosen, r2))
                     if any(
                         len(c.members & covered) < c.demand for c in inst.colors
                     ):
@@ -343,7 +343,7 @@ def test_find_few_outside_matches_brute_existence():
         found_count += 1
         assert len(got.centers) <= inst.k
         assert len(set(got.centers) - set(centers)) <= beta
-        covered = union_ball(inst, got.centers, r2)
+        covered = mask_points(union_mask(inst, got.centers, r2))
         for c in inst.colors:
             assert len(c.members & covered) >= c.demand
     assert found_count > 60 and none_count > 30
@@ -368,7 +368,7 @@ def test_find_few_outside_weighted_threshold():
             none_count += 1
             continue
         found_count += 1
-        covered = union_ball(inst, got.centers, r2)
+        covered = mask_points(union_mask(inst, got.centers, r2))
         assert sum(weights[u] for u in covered) >= threshold
         for c in inst.colors:
             assert len(c.members & covered) >= c.demand
@@ -399,7 +399,7 @@ def reference_find_few_outside(inst, r2, centers_s, beta, extra=None):
     outside = [u for u in range(inst.n) if u not in set(s_list)]
     for size in range(0, min(beta, inst.k, len(outside)) + 1):
         for guess in itertools.combinations(outside, size):
-            covered_q = union_ball(inst, guess, r2)
+            covered_q = mask_points(union_mask(inst, guess, r2))
             residual_rows = []
             residual_demands = []
             item_balls = [ball(inst, s, r2) - covered_q for s in s_list]

@@ -29,8 +29,8 @@ from colorful_kcenter.model import (
     candidate_radii,
     check_feasible,
     feasible_sets,
+    mask_points,
     mask_weight,
-    union_ball,
     union_mask,
     weighted_coverage,
 )
@@ -397,7 +397,7 @@ def fair_cut_is_valid(finst, sep, cut):
     none opens more than the bound inside the fence."""
     r = sep.radius
     dual = sep.dual
-    fence = union_ball(finst.base, cut.centers, r)
+    fence = mask_points(union_mask(finst.base, cut.centers, r))
     for cs in enumerate_feasible(finst.base, r):
         if weighted_coverage(finst.base, dual.alpha, cs, r) <= dual.mu:
             continue

@@ -35,10 +35,9 @@ from colorful_kcenter.generators import (
     gen_from_setcover,
     gen_from_vc3,
     gen_random,
-    gen_random_graph,
-    gen_random_setcover,
 )
 from colorful_kcenter.model import FairInstance, dumps_instance
+from cover_families import gen_random_graph, gen_random_setcover
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 

@@ -33,9 +33,10 @@ from colorful_kcenter.model import (
     instance_from_dict,
     instance_to_dict,
     loads_instance,
+    mask_points,
     rational_from,
     rational_str,
-    union_ball,
+    union_mask,
     validate_metric,
 )
 from colorful_kcenter.oracle import enumerate_feasible
@@ -203,7 +204,7 @@ def test_balls_and_candidate_radii():
     inst = line_instance([0, 1, 10, 11], 2, [((0, 1, 2, 3), 2)])
     assert ball(inst, 0, 1) == {0, 1}
     assert ball(inst, 0, 0) == {0}
-    assert union_ball(inst, [0, 2], 1) == {0, 1, 2, 3}
+    assert mask_points(union_mask(inst, [0, 2], 1)) == {0, 1, 2, 3}
     radii = candidate_radii(inst)
     assert radii[0] == 0
     assert radii == sorted(set(radii))
@@ -636,7 +637,8 @@ def test_ball_tests_match_a_fraction_scan(case, data):
     assert ball_masks(inst, r) == [sum(1 << u for u in b) for b in balls]
     centers = data.draw(st.lists(st.integers(0, inst.n - 1), max_size=inst.n))
     assert ball_masks(inst, r, centers) == [sum(1 << u for u in balls[c]) for c in centers]
-    assert union_ball(inst, centers, r) == frozenset().union(*(balls[c] for c in centers))
+    covered = frozenset().union(*(balls[c] for c in centers))
+    assert mask_points(union_mask(inst, centers, r)) == covered
 
 
 @settings(max_examples=200, deadline=None)

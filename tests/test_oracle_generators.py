@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,13 +16,12 @@ from colorful_kcenter.generators import (
     gen_from_setcover,
     gen_from_vc3,
     gen_random,
-    gen_random_graph,
-    gen_random_setcover,
 )
 from colorful_kcenter.model import (
     FairInstance,
     candidate_radii,
     check_feasible,
+    dumps_instance,
     validate_metric,
 )
 from colorful_kcenter.oracle import (
@@ -31,6 +31,7 @@ from colorful_kcenter.oracle import (
     enumerate_feasible,
 )
 from colorful_kcenter.solver import build_relaxation
+from cover_families import gen_random_graph, gen_random_setcover
 
 
 def test_colorful_oracle_self_consistency():
@@ -44,8 +45,8 @@ def test_colorful_oracle_self_consistency():
             seed=7000 + trial, n=n, k=k, gamma=gamma, demand_density=Fraction(1)
         )
         opt = brute_force_colorful(inst)
-        assert check_feasible(inst, opt.centers.centers, opt.radius).feasible
-        assert opt.centers.radius == opt.radius
+        assert type(opt.radius) is Fraction
+        assert check_feasible(inst, opt.centers, opt.radius).feasible
         radii = candidate_radii(inst)
         assert opt.radius in radii
         idx = radii.index(opt.radius)
@@ -138,6 +139,39 @@ def test_vc3_radius_zero_equivalence():
             assert feas == (t >= vc)
 
 
+def _built(gen, *args):
+    """dumps_instance of gen(*args), or ("error", message)."""
+    try:
+        return dumps_instance(gen(*args))
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+def test_vc3_is_setcover_on_the_incidence_family():
+    rng = random.Random(46)
+    with pytest.raises(ValueError, match="graph needs at least one vertex"):
+        gen_from_vc3(Graph(n=0, edges=()), 1)
+    checked = 0
+    for trial in range(300):
+        n = rng.randint(1, 7)
+        density = rng.choice([0, 0.2, 0.5, 1])
+        pairs = [e for e in itertools.combinations(range(n), 2) if rng.random() < density]
+        g = Graph(n=n, edges=tuple(pairs))
+        # set v holds the indices of the edges at v
+        incidence = SetCoverInstance(
+            universe=len(g.edges),
+            sets=tuple(frozenset(i for i, e in enumerate(g.edges) if v in e) for v in range(n)),
+        )
+        for t in range(-1, n + 3):
+            got = _built(gen_from_vc3, g, t)
+            if t == 0 and g.edges:
+                assert got == ("error", "t=0 with edges present has no center-budget analogue")
+            else:
+                assert got == _built(gen_from_setcover, incidence, t), (g, t)
+                checked += 1
+    assert checked > 1500
+
+
 def min_set_cover(sc):
     m = len(sc.sets)
     full = set(range(sc.universe))
@@ -160,6 +194,18 @@ def test_setcover_radius_zero_equivalence():
             inst = gen_from_setcover(sc, t)
             feas = brute_force_colorful(inst).radius == 0
             assert feas == (t >= best)
+
+
+def test_an_uncovered_element_is_found_before_the_universe_is_built():
+    sc = SetCoverInstance(universe=10**6, sets=(frozenset({0, 2}),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="element 1 is in no set"):
+            gen_from_setcover(sc, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_generator_validation_errors():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from colorful_kcenter.model import Instance, ball, ball_masks, union_ball
+from colorful_kcenter.model import Instance, ball, ball_masks, mask_points, union_mask
 from colorful_kcenter.partition import (
     FractionalPoint,
     GoodPartition,
@@ -189,4 +189,4 @@ def test_opening_mass_counts_union_once():
     # balls of radius 1 around 0 and 2 overlap in point 1
     mass = opening_mass(inst, Fraction(1), pt, [0, 2])
     assert mass == Fraction(1, 2) + Fraction(1, 3) + Fraction(1, 5)
-    assert union_ball(inst, [0, 2], 1) == {0, 1, 2}
+    assert mask_points(union_mask(inst, [0, 2], 1)) == {0, 1, 2}

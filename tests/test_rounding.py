@@ -7,7 +7,7 @@ import pytest
 
 from colorful_kcenter import lp
 from colorful_kcenter.generators import fixture_adversarial
-from colorful_kcenter.model import Instance, check_feasible, union_ball
+from colorful_kcenter.model import Instance, check_feasible
 from colorful_kcenter.partition import FractionalPoint, good_partition
 from colorful_kcenter.rounding import SparseRoundError, build_cluster_system, sparse_round
 

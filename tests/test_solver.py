@@ -16,7 +16,7 @@ from colorful_kcenter.model import (
     candidate_radii,
     check_feasible,
     counting_bound,
-    union_ball,
+    mask_points,
     union_mask,
 )
 from colorful_kcenter.oracle import (
@@ -170,7 +170,7 @@ def test_enumeration_bisects():
 def cut_is_valid(inst, cut, r):
     """No feasible radius-r center set opens more than the bound inside
     the fenced region."""
-    fence = union_ball(inst, cut.centers, r)
+    fence = mask_points(union_mask(inst, cut.centers, r))
     for centers in enumerate_feasible(inst, r):
         if len(centers & fence) > cut.bound:
             return False
