@@ -14,7 +14,6 @@ from .model import (
     FairInstance,
     Instance,
     InstanceFormatError,
-    Rational,
     ball,
     candidate_radii,
     check_feasible,
@@ -46,7 +45,6 @@ __all__ = [
     "InstanceFormatError",
     "InternalError",
     "OracleCapExceeded",
-    "Rational",
     "ball",
     "brute_force_colorful",
     "brute_force_fair",

@@ -197,8 +197,6 @@ def cmd_solve_fair(args):
 
 def cmd_brute(args):
     inst = model.load_instance(args.instance)
-    if args.fair and not isinstance(inst, FairInstance):
-        raise CliError(USAGE, "--fair needs an instance with coverage targets")
     if isinstance(inst, FairInstance):
         return _distribution_payload("fair-optimum", brute_force_fair(inst, cap=args.cap)), OK
     return _centers_payload("colorful-optimum", brute_force_colorful(inst, cap=args.cap)), OK
@@ -266,10 +264,12 @@ def cmd_gen(args):
         if args.family == "vc3":
             with open(args.graph, "r", encoding="utf-8", newline="") as fh:
                 g = _parse_graph_text(fh.read())
+            _check_points(len(g.edges), "graph edges", "colors")
             inst = gen_from_vc3(g, args.t)
         elif args.family == "setcover":
             sc = _set_cover(_load_json(args.instance))
             _check_points(len(sc.sets), "set cover")
+            _check_points(sc.universe, "set cover universe", "colors")
             inst = gen_from_setcover(sc, args.t)
         elif args.family == "clumps":
             _check_points(2 * args.k + 2, f"gen clumps --k {args.k}")
@@ -435,8 +435,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("brute", parents=[shared], help="exact optimum by enumeration")
     p.add_argument("--instance", required=True)
-    p.add_argument("--fair", action="store_true",
-                   help="require coverage targets in the instance")
     p.add_argument("--cap", type=int, default=10**7,
                    help="refuse instances with more candidate center sets")
     p.set_defaults(func=cmd_brute)

@@ -15,9 +15,9 @@ that provably have no feasible completion:
     needs more than the min(budget, q - i) largest contributions of
     items i..q-1 in that row add up to, the state is infeasible.
 
-Both are necessary conditions for feasibility, so every value the
-recursion keeps, and every pick the replay makes, is the same as
-without them.  Weights are ints, so every sum is exact.
+Both are necessary conditions for feasibility, so the recursion keeps
+every value and pick that it keeps without them.  Weights are ints, so
+every sum is exact.
 
 find_few_outside searches for a small center set of the form
 "guessed points outside S, completed by centers inside S": it guesses
@@ -51,7 +51,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lp import InternalError
 from .model import CenterSet, Instance, ball_masks, color_masks, mask_weight
 
 
@@ -123,11 +122,11 @@ def dp_solve(prog: DpProgram):
     memo = {}
 
     def best(i, need, budget):
-        # best weight from items i..q-1 covering `need` with <=
-        # budget picks; exhausted demands still allow further picks for
-        # their weight
+        # (weight, picks as a bitmask) of the best selection from items
+        # i..q-1 covering `need` with <= budget picks, or None; met demands
+        # still allow picks for their weight; item i only if strictly heavier
         if i == q or budget == 0:
-            return 0 if not any(need) else None
+            return (0, 0) if not any(need) else None
         key = (i, need, budget)
         hit = memo.get(key, memo)
         if hit is not memo:
@@ -141,35 +140,16 @@ def dp_solve(prog: DpProgram):
         nxt = tuple(v - c if v > c else 0 for v, c in zip(need, cols[i]))
         with_i = best(i + 1, nxt, budget - 1)
         if with_i is not None:
-            with_i += weights[i]
-            if res is None or with_i > res:
-                res = with_i
+            weight = with_i[0] + weights[i]
+            if res is None or weight > res[0]:
+                res = (weight, with_i[1] | 1 << i)
         memo[key] = res
         return res
 
     top = best(0, prog.demands, prog.capacity)
     if top is None:
         return None
-
-    # replay the table, preferring "skip" so ties pick lexicographically
-    picks = []
-    need = prog.demands
-    budget = prog.capacity
-    value = top
-    i = 0
-    while any(need) or value > 0:
-        skip = best(i + 1, need, budget) if i < q else None
-        if skip is not None and skip == value:
-            i += 1
-            continue
-        if i == q:
-            raise InternalError("replay ran off the table")
-        picks.append(i)
-        need = tuple(v - c if v > c else 0 for v, c in zip(need, cols[i]))
-        value -= weights[i]
-        budget -= 1
-        i += 1
-    return DpResult(top, tuple(picks))
+    return DpResult(top[0], tuple(i for i in range(q) if top[1] >> i & 1))
 
 
 def _beyond_pooled_reach(rows, demands, capacity) -> bool:

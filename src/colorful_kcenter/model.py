@@ -28,8 +28,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
-
 
 class InstanceFormatError(ValueError):
     """An instance file or dict violates the schema or its invariants."""

@@ -90,6 +90,21 @@ MUTANTS = [
         "",
         "tests/test_cli.py::test_exit_codes_for_bad_inputs",
     ),
+    # a set-cover element and a vc3 edge are each one color
+    Mutant(
+        "`gen setcover` skips the colors check",
+        "cli.py",
+        '            _check_points(sc.universe, "set cover universe", "colors")\n',
+        "",
+        "tests/test_cli.py::test_exit_codes_for_bad_inputs",
+    ),
+    Mutant(
+        "`gen vc3` skips the colors check",
+        "cli.py",
+        '            _check_points(len(g.edges), "graph edges", "colors")\n',
+        "",
+        "tests/test_cli.py::test_exit_codes_for_bad_inputs",
+    ),
     Mutant(
         "--samples limit removed",
         "cli.py",
@@ -206,6 +221,22 @@ MUTANTS = [
         "dp.py",
         "return sum(scores[:capacity]) < len(pooled) * unit",
         "return sum(scores[:capacity]) <= len(pooled) * unit",
+        "tests/test_dp.py::test_demand_at_and_past_its_reach",
+    ),
+    # the packing DP carries its picks: item i only when strictly heavier
+    # than the skip, and then with its own bit
+    Mutant(
+        "the DP takes the pick on equal weight",
+        "dp.py",
+        "if res is None or weight > res[0]:",
+        "if res is None or weight >= res[0]:",
+        "tests/test_dp.py::test_dp_solve_matches_the_reference",
+    ),
+    Mutant(
+        "the picks mask drops the item's bit",
+        "dp.py",
+        "res = (weight, with_i[1] | 1 << i)",
+        "res = (weight, with_i[1])",
         "tests/test_dp.py::test_demand_at_and_past_its_reach",
     ),
     # the guess search drops only outside points that an inside center's

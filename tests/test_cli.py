@@ -370,6 +370,24 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert str(limit) in err, err
+    # nor one of more than the limit in colors: a set-cover universe, and a
+    # vc3 graph's edges, each one color
+    star = "".join(f"0 {v}\n" for v in range(1, limit))  # limit - 1 edges
+    for colors, more in [(limit, "1 2\n"), (limit + 1, "1 2\n2 3\n")]:
+        cover.write_text(json.dumps({"universe": colors, "sets": [list(range(colors))]}))
+        graph.write_text(star + more)
+        for argv in [
+            ["gen", "setcover", "--instance", str(cover), "--t", "1"],
+            ["gen", "vc3", "--graph", str(graph), "--t", "1"],
+        ]:
+            code = main(argv)
+            out = capsys.readouterr()
+            if colors == limit:
+                assert code == 0 and len(json.loads(out.out)["colors"]) == limit, argv
+            else:
+                assert code == 2 and out.out == "", argv
+                assert out.err.startswith("error: ") and out.err.count("\n") == 1, out.err
+                assert f"{colors} colors" in out.err and str(limit) in out.err, out.err
     graph.write_text("3\n0 1\n1 2\n")
     assert main(["gen", "vc3", "--graph", str(graph), "--t", "1"]) == 0
     assert main(random_args + ["--demand-density", "0", "--p-density", "1"]) == 0

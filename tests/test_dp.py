@@ -240,6 +240,16 @@ def test_weights_are_summed_exactly():
     assert reference_dp_solve(prog) == DpResult(2**61 + 3, (0, 1))
 
 
+def test_a_deep_program_solves():
+    # the skip chain recurses once per item: 900 items fit the default
+    # recursion limit, where a wrapper frame per level would not
+    q = 900
+    prog = DpProgram(
+        weights=(0,) * q, rows=((0,) * (q - 1) + (1,),), demands=(1,), capacity=1
+    )
+    assert dp_solve(prog) == DpResult(0, (q - 1,))
+
+
 @pytest.mark.parametrize("weight", [Fraction(1, 2), Fraction(1), 1.0, True])
 def test_non_int_weights_are_refused(weight):
     with pytest.raises(ValueError):
