@@ -3,21 +3,29 @@
 dp_solve maximizes total item weight subject to picking at most kappa
 items whose color contributions reach every demand; demands are clamped
 at zero as they shrink, which keeps the state space at most the product
-of the initial demands plus one in each coordinate.  It is an exact
-branch and bound over that memoised recursion, and drops only states
-that provably have no feasible completion:
+of the initial demands plus one in each coordinate.  It is one forward
+pass over the items: the layer after items 0..i-1 maps each state
+(need, budget) to the best (weight, picks) that reaches it, and item i
+carries each state over unchanged (skip) and, with budget left, to the
+state its contributions leave (pick).  Only two layers are alive at a
+time.  On equal weight a state keeps the picks that skip the first item
+where the two differ; both share every completion, so the answer is
+the heaviest feasible selection that skips earliest.  Two bounds drop
+only states that provably have no feasible completion:
 
-  * the pooled bound, once per program: an item earns min(c, m) / m
-    for each row with contribution c and demand m > 0, and if the
-    best kappa items earn less than one per such row in total, no
-    selection meets every demand;
   * the reach bound, at every state (i, need, budget): if some row
     needs more than the min(budget, q - i) largest contributions of
-    items i..q-1 in that row add up to, the state is infeasible.
+    items i..q-1 in that row add up to, the state is infeasible, and
+    past the last item every unmet demand is;
+  * the pooled bound, which find_few_outside runs once per program
+    before building it: an item earns min(c, m) / m for each row with
+    contribution c and demand m > 0, and if the best kappa items earn
+    less than one per such row in total, no selection meets every
+    demand.
 
-Both are necessary conditions for feasibility, so the recursion keeps
-every value and pick that it keeps without them.  Weights are ints, so
-every sum is exact.
+Both are necessary conditions for feasibility, so the pass keeps every
+value and pick that it keeps without them.  Weights are ints, so every
+sum is exact.
 
 find_few_outside searches for a small center set of the form
 "guessed points outside S, completed by centers inside S": it guesses
@@ -101,17 +109,16 @@ def dp_solve(prog: DpProgram):
     """Best-weight feasible selection, or None if no selection meets
     the demands within the capacity.
 
-    Deterministic: on equal value the lexicographically smallest pick
-    set (scanning items in order, preferring "skip") is returned.
+    One forward pass over the items, two layers of states alive at a
+    time.  A state holds (weight, -mask), item i at bit q - 1 - i: the
+    larger pair is heavier or, on equal weight, skips the first item
+    where the two differ, so the lexicographically smallest pick set.
     """
     q = prog.num_items
-    if _beyond_pooled_reach(prog.rows, prog.demands, prog.capacity):
-        return None
     cols = tuple(zip(*prog.rows)) if prog.rows else ((),) * q
-    weights = prog.weights
     # reach[i][b]: per row, the sum of the b largest contributions among
-    # items i..q-1, for b = 0..q-i
-    reach = [None] * q
+    # items i..q-1, for b = 0..q-i; reach[q] is the zero row
+    reach = [None] * q + [[(0,) * len(prog.rows)]]
     suffix = [[] for _ in prog.rows]  # each row's items i..q-1, descending
     for i in range(q - 1, -1, -1):
         for row, c in zip(suffix, cols[i]):
@@ -119,37 +126,30 @@ def dp_solve(prog: DpProgram):
         tops = [itertools.accumulate(row, initial=0) for row in suffix]
         reach[i] = list(zip(*tops)) if tops else [()] * (q - i + 1)
 
-    memo = {}
-
-    def best(i, need, budget):
-        # (weight, picks as a bitmask) of the best selection from items
-        # i..q-1 covering `need` with <= budget picks, or None; met demands
-        # still allow picks for their weight; item i only if strictly heavier
-        if i == q or budget == 0:
-            return (0, 0) if not any(need) else None
-        key = (i, need, budget)
-        hit = memo.get(key, memo)
-        if hit is not memo:
-            return hit
-        # a demand above what the best `budget` items left can add is out
-        # of reach: the recursion below would also end in None
-        if any(map(operator.gt, need, reach[i][min(budget, q - i)])):
-            memo[key] = None
-            return None
-        res = best(i + 1, need, budget)
-        nxt = tuple(v - c if v > c else 0 for v, c in zip(need, cols[i]))
-        with_i = best(i + 1, nxt, budget - 1)
-        if with_i is not None:
-            weight = with_i[0] + weights[i]
-            if res is None or weight > res[0]:
-                res = (weight, with_i[1] | 1 << i)
-        memo[key] = res
-        return res
-
-    top = best(0, prog.demands, prog.capacity)
+    if any(map(operator.gt, prog.demands, reach[0][min(prog.capacity, q)])):
+        return None
+    layer = {(prog.demands, prog.capacity): (0, 0)}
+    for i, (w, col) in enumerate(zip(prog.weights, cols)):
+        ahead, left, bit = reach[i + 1], q - 1 - i, 1 << q - 1 - i
+        # drop a state needing more than the best items left can add
+        nxt = {
+            (need, budget): value for (need, budget), value in layer.items()
+            if not any(map(operator.gt, need, ahead[min(budget, left)]))
+        }
+        for (need, budget), (weight, neg) in layer.items():
+            if not budget:
+                continue
+            need = tuple(v - c if v > c else 0 for v, c in zip(need, col))
+            if any(map(operator.gt, need, ahead[min(budget - 1, left)])):
+                continue
+            key, value = (need, budget - 1), (weight + w, neg - bit)
+            if nxt.get(key, value) <= value:
+                nxt[key] = value
+        layer = nxt
+    top = max(layer.values(), default=None)
     if top is None:
         return None
-    return DpResult(top[0], tuple(i for i in range(q) if top[1] >> i & 1))
+    return DpResult(top[0], tuple(i for i in range(q) if -top[1] >> q - 1 - i & 1))
 
 
 def _beyond_pooled_reach(rows, demands, capacity) -> bool:
@@ -223,7 +223,7 @@ def find_few_outside(inst: Instance, r2, centers_s, beta: int, extra=None):
                     tuple((members & m).bit_count() for m in item_masks)
                 )
                 residual_demands.append(left)
-            # dp_solve's first test, run before the program is built
+            # the pooled bound, run once per program, before it is built
             if _beyond_pooled_reach(residual_rows, residual_demands, inst.k - size):
                 continue
             prog = DpProgram(

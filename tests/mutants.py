@@ -212,8 +212,8 @@ MUTANTS = [
     Mutant(
         "reach bound drops a demand it meets exactly",
         "dp.py",
-        "if any(map(operator.gt, need, reach[i][min(budget, q - i)])):",
-        "if any(map(operator.ge, need, reach[i][min(budget, q - i)])):",
+        "if any(map(operator.gt, need, ahead[min(budget - 1, left)])):",
+        "if any(map(operator.ge, need, ahead[min(budget - 1, left)])):",
         "tests/test_dp.py::test_demand_at_and_past_its_reach",
     ),
     Mutant(
@@ -223,21 +223,29 @@ MUTANTS = [
         "return sum(scores[:capacity]) <= len(pooled) * unit",
         "tests/test_dp.py::test_demand_at_and_past_its_reach",
     ),
-    # the packing DP carries its picks: item i only when strictly heavier
-    # than the skip, and then with its own bit
+    # the packing DP's forward pass: a state keeps the heavier picks and,
+    # on equal weight, the smaller mask, which skips the first item where
+    # the two differ; a pick sets its item's bit and needs budget left
     Mutant(
         "the DP takes the pick on equal weight",
         "dp.py",
-        "if res is None or weight > res[0]:",
-        "if res is None or weight >= res[0]:",
-        "tests/test_dp.py::test_dp_solve_matches_the_reference",
+        "if nxt.get(key, value) <= value:",
+        "if nxt.get(key, value)[0] <= value[0]:",
+        "tests/test_dp.py::test_demand_at_and_past_its_reach",
     ),
     Mutant(
         "the picks mask drops the item's bit",
         "dp.py",
-        "res = (weight, with_i[1] | 1 << i)",
-        "res = (weight, with_i[1])",
+        "key, value = (need, budget - 1), (weight + w, neg - bit)",
+        "key, value = (need, budget - 1), (weight + w, neg)",
         "tests/test_dp.py::test_demand_at_and_past_its_reach",
+    ),
+    Mutant(
+        "the pick is offered with no budget left",
+        "dp.py",
+        "            if not budget:\n                continue\n",
+        "",
+        "tests/test_dp.py::test_weights_are_summed_exactly",
     ),
     # the guess search drops only outside points that an inside center's
     # ball dominates

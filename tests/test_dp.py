@@ -216,6 +216,9 @@ def test_dp_solve_matches_the_reference(prog):
         (((2, 2, 0), (0, 0, 2)), (4, 3), 3, None),
         # a demand of zero pools nothing
         (((2, 2, 0), (0, 0, 2)), (4, 0), 2, (0, 1)),
+        # equal weight everywhere: (1, 2) skips item 0 and must win over
+        # (0, 3), which reaches the same state by a later pick
+        (((2, 1, 1, 0),), (2,), 2, (1, 2)),
     ],
 )
 def test_demand_at_and_past_its_reach(rows, demands, capacity, picks):
@@ -225,6 +228,10 @@ def test_demand_at_and_past_its_reach(rows, demands, capacity, picks):
     want = None if picks is None else DpResult(0, picks)
     assert reference_dp_solve(prog) == want
     assert dp_solve(prog) == want
+    # find_few_outside runs the pooled bound before each program reaches
+    # dp_solve: it must pass every feasible one
+    if picks is not None:
+        assert dp._beyond_pooled_reach(rows, demands, capacity) is False
 
 
 def test_weights_are_summed_exactly():
@@ -241,13 +248,23 @@ def test_weights_are_summed_exactly():
 
 
 def test_a_deep_program_solves():
-    # the skip chain recurses once per item: 900 items fit the default
-    # recursion limit, where a wrapper frame per level would not
-    q = 900
+    # twice Python's default recursion limit of items
+    q = 2000
     prog = DpProgram(
         weights=(0,) * q, rows=((0,) * (q - 1) + (1,),), demands=(1,), capacity=1
     )
     assert dp_solve(prog) == DpResult(0, (q - 1,))
+
+
+def test_find_few_outside_over_a_thousand_inside_centers():
+    # every point of a line one apart is an inside center, each ball at
+    # r2 = 2/5 holds only its own point, and the one demand is met only
+    # by the last: the program has 1,000 items, the last the only pick
+    n = 1000
+    dist = tuple(tuple(abs(a - b) for b in range(n)) for a in range(n))
+    inst = Instance(dist=dist, k=1, colors=(((n - 1,), 1),))
+    r2 = Fraction(2, 5)
+    assert find_few_outside(inst, r2, range(n), 1) == CenterSet(frozenset({n - 1}), r2)
 
 
 @pytest.mark.parametrize("weight", [Fraction(1, 2), Fraction(1), 1.0, True])
