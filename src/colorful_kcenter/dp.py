@@ -59,7 +59,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import CenterSet, Instance, ball_masks, color_masks, mask_weight
+from .model import CenterSet, Instance, ball_masks, mask_weight
 
 
 @dataclass(frozen=True)
@@ -197,8 +197,9 @@ def find_few_outside(inst: Instance, r2, centers_s, beta: int, extra=None):
     s_list = sorted(set(centers_s))
     inside = sum(1 << s for s in s_list)
     # each inside center's 2*r2-ball may hold no other inside center
-    for s, reach in zip(s_list, ball_masks(inst, 2 * r2, s_list)):
-        if reach & inside != 1 << s:
+    reach = ball_masks(inst, 2 * r2)
+    for s in s_list:
+        if reach[s] & inside != 1 << s:
             raise ValueError("inside-centers too close: r2-balls must be disjoint")
     masks = ball_masks(inst, r2)
     held = [masks[s] for s in s_list]
@@ -206,7 +207,6 @@ def find_few_outside(inst: Instance, r2, centers_s, beta: int, extra=None):
         u for u in range(inst.n)
         if not inside >> u & 1 and all(masks[u] | m != m for m in held)
     ]
-    needs = color_masks(inst)
     for size in range(0, min(beta, inst.k, len(outside)) + 1):
         for guess in itertools.combinations(outside, size):
             covered_q = 0
@@ -215,7 +215,7 @@ def find_few_outside(inst: Instance, r2, centers_s, beta: int, extra=None):
             item_masks = [masks[s] & ~covered_q for s in s_list]
             residual_rows = []
             residual_demands = []
-            for members, demand in needs:
+            for members, demand in inst.color_masks:
                 left = demand - (members & covered_q).bit_count()
                 if left <= 0:
                     continue

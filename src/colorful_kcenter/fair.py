@@ -135,7 +135,7 @@ class Distribution:
 def coverage_probability(inst: Instance, dist: Distribution, u: int) -> Fraction:
     """Probability that point u lies within the distribution's radius
     of a drawn center set."""
-    near = ball_masks(inst, dist.radius, (u,))[0]  # bit c: dist[u][c] <= radius
+    near = ball_masks(inst, dist.radius)[u]  # bit c: dist[u][c] <= radius
     return sum((w for centers, w in dist.support if any(near >> c & 1 for c in centers)),
                Fraction(0))
 
@@ -169,19 +169,13 @@ def separate_or_certify(
     return got
 
 
-def _targeted(finst: FairInstance):
-    """The points u with p(u) > 0, and L, the lcm of the targets'
-    denominators."""
-    return [u for u, t in enumerate(finst.p) if t], math.lcm(*(t.denominator for t in finst.p))
-
-
 def _restricted_program(finst: FairInstance) -> lp.LinearProgram:
     """The restricted dual over no columns, which no radius enters:
     minimize L p.alpha over alpha >= 0, one alpha_u per targeted point,
     so every cost is an int and the slack basis is dual feasible as it
     stands."""
-    targeted, scale = _targeted(finst)
-    return lp.LinearProgram(len(targeted), [int(scale * finst.p[u]) for u in targeted])
+    return lp.LinearProgram(len(finst.targeted),
+                            [int(finst.target_lcm * finst.p[u]) for u in finst.targeted])
 
 
 def solve_restricted(finst: FairInstance, radius, columns, start=None):
@@ -202,7 +196,7 @@ def solve_restricted(finst: FairInstance, radius, columns, start=None):
     extend its program, re-solved warm from it.
     """
     inst = finst.base
-    targeted, scale = _targeted(finst)
+    targeted, scale = finst.targeted, finst.target_lcm
     program = _restricted_program(finst) if start is None else start.program
     costs = program.objective
     rows = []
@@ -235,7 +229,7 @@ def _greedy_point_mass(finst: FairInstance, radius):
     every demand: the point mass on them is then a distribution at
     radius.  None otherwise."""
     inst = finst.base
-    targeted = sum(1 << u for u, p in enumerate(finst.p) if p)
+    targeted = sum(1 << u for u in finst.targeted)
     left, chosen = greedy_balls(ball_masks(inst, radius), targeted, inst.k)
     if left or not check_feasible(inst, chosen, radius).feasible:
         return None
@@ -252,9 +246,9 @@ def _relaxation_empty(finst: FairInstance, radius, rec: ProbeRecord) -> bool:
     LP, cold, counts on rec."""
     if _greedy_point_mass(finst, radius) is not None:
         return False
-    n = finst.base.n
-    rows = [([0] * u + [p.denominator] + [0] * (2 * n - u - 1), lp.GE, p.numerator)
-            for u, p in enumerate(finst.p) if p]
+    n, p = finst.base.n, finst.p
+    rows = [([0] * u + [p[u].denominator] + [0] * (2 * n - u - 1), lp.GE, p[u].numerator)
+            for u in finst.targeted]
     rec.lp_solves += 1
     return lp.solve(build_relaxation(finst.base, radius).extended(rows)).status == "infeasible"
 

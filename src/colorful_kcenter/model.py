@@ -8,11 +8,13 @@ distinct entry once; instance_from_dict checks only JSON shapes.  An
 instance is its int rows: every distance times `scale`, the lcm of their
 denominators, so "dist[c][u] <= r" is an int comparison with
 floor(r * scale).  `dist` is a read-only view for I/O and the oracle:
-the rows themselves when scale is 1, `Fraction`s otherwise.  The balls
-of every point at one radius are cached as bitmasks, as is
-counting_bound's answer at that radius: a color whose demand the
-relaxation cannot meet, shown by counting (see CountingBound).  Points
-are identified by their 0-based index, in memory and in files.
+the rows themselves when scale is 1, `Fraction`s otherwise.  An
+instance builds each table derived from it once and shares it
+read-only: its color masks when it is constructed, and per radius level
+the balls of every point as a tuple of bitmasks and counting_bound's
+answer, a color whose demand the relaxation cannot meet, shown by
+counting (see CountingBound).  Points are identified by their 0-based
+index, in memory and in files.
 """
 
 from __future__ import annotations
@@ -235,6 +237,9 @@ class Instance:
 
     Built from a matrix `dist` of ints, Fractions or rational strings;
     rows[c][u] is dist[c][u] times scale, the lcm of all denominators.
+    Not fields, so equality ignores them: `color_masks`, (members as an
+    int bitmask, demand) per color, and per radius level the balls of
+    every point (_masks) and counting_bound's answer (_bounds).
     """
 
     rows: tuple
@@ -255,9 +260,6 @@ class Instance:
         if not (_is_int(k) and all(_is_int(d) and all(map(_is_int, m)) for m, d in pairs)):
             raise InstanceFormatError("k, color members and demands must be ints")
         colors = tuple(ColorClass(frozenset(m), d) for m, d in pairs)
-        # _masks and _bounds hold, per radius level, the balls of every point
-        # and counting_bound's result; not fields, so equality ignores them
-        self.__dict__.update(rows=rows, scale=scale, k=k, colors=colors, _masks={}, _bounds={})
         n = len(rows)
         if n < 1:
             raise InstanceFormatError("instance needs at least one point")
@@ -273,8 +275,11 @@ class Instance:
                 raise InstanceFormatError(f"color {idx} has out-of-range members")
             if not 0 <= c.demand <= len(c.members):
                 raise InstanceFormatError(
-                    f"color {idx} demand {c.demand} exceeds class size {len(c.members)}"
+                    f"color {idx} demand {c.demand} outside 0..{len(c.members)}"
                 )
+        self.__dict__.update(rows=rows, scale=scale, k=k, colors=colors, _masks={}, _bounds={},
+                             color_masks=tuple((sum(1 << u for u in c.members), c.demand)
+                                               for c in colors))
 
     @functools.cached_property
     def dist(self) -> tuple:
@@ -296,20 +301,22 @@ class Instance:
         """floor(r * scale), r an int or a Fraction: the level of r."""
         return r.numerator * self.scale // r.denominator
 
-    def _balls(self, r) -> list:
+    def _balls(self, r) -> tuple:
         """Bit u of entry c is set iff dist[c][u] <= r, that is iff
-        rows[c][u] <= the level of r.  Shared: callers must not change it."""
+        rows[c][u] <= the level of r."""
         level = self._level(r)
         got = self._masks.get(level)
         if got is None:
-            got = [sum(1 << u for u, d in enumerate(row) if d <= level) for row in self.rows]
+            got = tuple(sum(1 << u for u, d in enumerate(row) if d <= level) for row in self.rows)
             self._masks[level] = got
         return got
 
 
 @dataclass(frozen=True)
 class FairInstance:
-    """Colorful k-center plus per-point coverage probability targets."""
+    """Colorful k-center plus per-point coverage probability targets, and,
+    not fields, `targeted`, the points u with p(u) > 0 in ascending order,
+    and `target_lcm`, L, the lcm of the targets' denominators."""
 
     base: Instance
     p: tuple
@@ -325,6 +332,8 @@ class FairInstance:
         for u, pu in enumerate(p):
             if not 0 <= pu <= 1:
                 raise InstanceFormatError(f"p[{u}]={pu} outside [0,1]")
+        self.__dict__.update(targeted=tuple(u for u, t in enumerate(p) if t),
+                             target_lcm=math.lcm(*(t.denominator for t in p)))
 
     @property
     def n(self) -> int:
@@ -398,18 +407,10 @@ def weighted_coverage(inst: Instance, weights, centers, r):
     return mask_weight(weights, union_mask(inst, centers, r))
 
 
-def ball_masks(inst: Instance, r, centers=None) -> list:
-    """Closed balls of radius r as int bitmasks, one per center in the
-    given order (every point when centers is None): bit u of the entry
-    for c is set iff dist[c][u] <= r.
-    """
-    masks = inst._balls(r)
-    return list(masks) if centers is None else [masks[c] for c in centers]
-
-
-def color_masks(inst: Instance) -> tuple:
-    """(members as an int bitmask, demand) for each color class."""
-    return tuple((sum(1 << u for u in c.members), c.demand) for c in inst.colors)
+def ball_masks(inst: Instance, r) -> tuple:
+    """Closed balls of radius r as int bitmasks, one per point: bit u of
+    entry c is set iff dist[c][u] <= r.  The instance's own table."""
+    return inst._balls(r)
 
 
 def check_feasible(inst: Instance, centers, r) -> CoverageReport:
@@ -418,7 +419,7 @@ def check_feasible(inst: Instance, centers, r) -> CoverageReport:
     """
     distinct = set(centers)
     covered = union_mask(inst, distinct, r)
-    counts = tuple((covered & m).bit_count() for m, _ in color_masks(inst))
+    counts = tuple((covered & m).bit_count() for m, _ in inst.color_masks)
     budget_ok = len(distinct) <= inst.k
     met = all(cnt >= c.demand for cnt, c in zip(counts, inst.colors))
     return CoverageReport(feasible=budget_ok and met, budget_ok=budget_ok, counts=counts)
@@ -456,7 +457,7 @@ def counting_bound(inst: Instance, r):
     if level not in inst._bounds:
         masks = inst._balls(r)
         found = None
-        for color, (members, demand) in enumerate(color_masks(inst)):
+        for color, (members, demand) in enumerate(inst.color_masks):
             found = _color_bound(masks, members, demand, inst.k, color)
             if found is not None:
                 break
@@ -536,7 +537,7 @@ def feasible_sets(inst: Instance, r):
     # each color's members, demand and top: top[i] is the most members
     # of it that one of the balls of points i..n-1 holds
     needs = [(m, d, [*itertools.accumulate([(b & m).bit_count() for b in masks[::-1]], max)][::-1]
-              + [0]) for m, d in color_masks(inst)]
+              + [0]) for m, d in inst.color_masks]
     if not any(demand for _, demand, _ in needs):
         yield frozenset()
     for size in range(1, inst.k + 1):

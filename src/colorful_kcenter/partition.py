@@ -105,18 +105,18 @@ def verify_partition(inst: Instance, r, pt: FractionalPoint, part: GoodPartition
         missing = sorted(set(range(inst.n)) - seen)
         return PartitionViolation("partition", tuple(missing))
     # the instance's cached 4r balls: rows <= floor(4r * scale) as ints
-    far = ball_masks(inst, four_r, part.centers)
-    for i, (s, mask) in enumerate(zip(part.centers, far)):
+    far = ball_masks(inst, four_r)
+    for i, s in enumerate(part.centers):
         for t in part.centers[i + 1 :]:
-            if mask >> t & 1:
+            if far[s] >> t & 1:
                 return PartitionViolation("separation", (s, t))
-    for s, mask, cluster in zip(part.centers, far, part.clusters):
-        outside = [u for u in cluster if not mask >> u & 1]
+    for s, cluster in zip(part.centers, part.clusters):
+        outside = [u for u in cluster if not far[s] >> u & 1]
         if outside:
             return PartitionViolation("radius", (s, min(outside)))
-    near = ball_masks(inst, r, part.centers)
-    for s, mask, cluster in zip(part.centers, near, part.clusters):
-        mass = mask_weight(pt.y, mask)
+    near = ball_masks(inst, r)
+    for s, cluster in zip(part.centers, part.clusters):
+        mass = mask_weight(pt.y, near[s])
         for u in sorted(cluster):
             if mass < pt.x[u]:
                 return PartitionViolation("mass", (s, u))

@@ -159,6 +159,16 @@ MUTANTS = [
         "sum(1 << u for u, d in enumerate(row) if d < level)",
         "tests/test_model.py::test_balls_and_candidate_radii",
     ),
+    # a radius level is floor(r * scale), not floor(r) * scale: on an
+    # instance of scale 7 the balls at r = 2/7 are not those at r = 0
+    Mutant(
+        "Instance._level floors r before scaling it",
+        "model.py",
+        "return r.numerator * self.scale // r.denominator",
+        "return r.numerator // r.denominator * self.scale",
+        "tests/test_acceptance.py::"
+        "test_scaling_every_distance_scales_every_radius_and_nothing_else",
+    ),
     Mutant(
         "triangle rescan names the failing pair's own first triple",
         "model.py",
@@ -274,9 +284,9 @@ MUTANTS = [
     # the restricted dual is a covering LP over every point with a target
     Mutant(
         "a targeted alpha dropped",
-        "fair.py",
-        "for u, t in enumerate(finst.p) if t]",
-        "for u, t in enumerate(finst.p) if 0 < t < 1]",
+        "model.py",
+        "for u, t in enumerate(p) if t)",
+        "for u, t in enumerate(p) if 0 < t < 1)",
         "tests/test_fair.py::test_the_covering_form_matches_the_mu_form",
     ),
     # the distribution is the restricted dual's Farkas certificate

@@ -4,7 +4,9 @@ For each mutant, src/ is copied to a temporary directory, the mutant's
 snippet is replaced in its file, and only the mutant's test node runs,
 with the copy first on PYTHONPATH.  The run fails if a snippet does not
 occur exactly once, or if a node passes (or is not found) against its
-mutant.
+mutant.  Each mutant has its own copy and subprocess, so os.cpu_count()
+of them run at once; their lines print in table order, then the total
+wall time.
 
     python tests/run_mutants.py             # every mutant
     python tests/run_mutants.py "dual ratio" # those whose name contains it
@@ -16,6 +18,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,18 +59,26 @@ def check(mutant) -> str:
     return f"{mutant.node} exited {done.returncode}:\n{tail}"
 
 
+def timed_check(mutant):
+    """(check(mutant), its wall time in seconds)."""
+    start = time.perf_counter()
+    problem = check(mutant)
+    return problem, time.perf_counter() - start
+
+
 def main(argv) -> int:
     chosen = [m for m in MUTANTS if not argv or any(a in m.name for a in argv)]
     failed = 0
-    for mutant in chosen:
-        start = time.perf_counter()
-        problem = check(mutant)
-        took = time.perf_counter() - start
-        print(f"{'killed  ' if problem is None else 'SURVIVED'} {took:5.1f} s  {mutant.name}")
-        if problem is not None:
-            failed += 1
-            print("    " + problem.replace("\n", "\n    "))
-    print(f"{len(chosen) - failed} of {len(chosen)} mutants killed")
+    start = time.perf_counter()
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        for mutant, (problem, took) in zip(chosen, pool.map(timed_check, chosen)):
+            print(f"{'killed  ' if problem is None else 'SURVIVED'} {took:5.1f} s  {mutant.name}",
+                  flush=True)
+            if problem is not None:
+                failed += 1
+                print("    " + problem.replace("\n", "\n    "))
+    print(f"{len(chosen) - failed} of {len(chosen)} mutants killed "
+          f"in {time.perf_counter() - start:.0f} s")
     return 1 if failed or not chosen else 0
 
 

@@ -9,6 +9,7 @@ is exact; no tolerance anywhere.
 import json
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 from colorful_kcenter import lp, solver
@@ -23,6 +24,8 @@ from colorful_kcenter.generators import (
     gen_random,
 )
 from colorful_kcenter.model import (
+    FairInstance,
+    Instance,
     check_feasible,
     mask_points,
     union_mask,
@@ -357,3 +360,57 @@ def test_identical_runs_produce_identical_bytes(tmp_path):
     assert cli_main(argv + ["--out", str(fa)]) == 0
     assert cli_main(argv + ["--out", str(fb)]) == 0
     assert fa.read_bytes() == fb.read_bytes()
+
+
+def _scaled(inst, f):
+    """inst with every distance times f, fair targets kept."""
+    if isinstance(inst, FairInstance):
+        return FairInstance(base=_scaled(inst.base, f), p=inst.p)
+    return Instance(dist=[[d * f for d in row] for row in inst.dist], k=inst.k,
+                    colors=inst.colors)
+
+
+def _scaled_record(rec, f):
+    """rec and its separations with every radius times f."""
+    return replace(rec, radius=rec.radius * f,
+                   separations=[_scaled_record(sep, f) for sep in rec.separations])
+
+
+def _scaling_pool():
+    """Full-demand gen_random instances on both metrics, colorful with
+    gamma below k (the LP path) and at or above it (enumeration), fair
+    with p density 2/3 likewise, and clumps, on which a cut fires."""
+    pool = [gen_clumps(2, 2), gen_clumps(3, 2), gen_clumps(4, 3)]
+    for metric in ("line", "grid-l1"):
+        for seed in range(1, 5):
+            for n, k, gamma in ((12, 4, 2), (14, 3, 2), (16, 5, 3), (10, 2, 3)):
+                pool.append(gen_random(seed, n, k, gamma, metric, Fraction(1)))
+            for n, k, gamma in ((9, 3, 2), (12, 4, 2), (12, 3, 1), (8, 2, 2)):
+                pool.append(gen_random(seed, n, k, gamma, metric, Fraction(1), Fraction(2, 3)))
+    return pool
+
+
+def test_scaling_every_distance_scales_every_radius_and_nothing_else():
+    """Metamorphic: times 3, and times 2/7, which makes the instance's
+    scale 7 and its radius levels sevenths, every radius of the solution
+    and its trace scales by the factor, and centers, distributions,
+    optimality and every probe and separation record are otherwise
+    equal: outcomes, cuts, duals and counts."""
+    outcomes = set()
+    for inst in _scaling_pool():
+        fair = isinstance(inst, FairInstance)
+        solve = solve_fair if fair else solve_colorful
+        sol = solve(inst)
+        for f in (3, Fraction(2, 7)):
+            got = solve(_scaled(inst, f))
+            answer, want = ((got.distribution, sol.distribution) if fair
+                            else (got.centers, sol.centers))
+            assert answer == replace(want, radius=want.radius * f)
+            assert got.probe_radius == sol.probe_radius * f
+            assert got.optimal == sol.optimal
+            assert got.trace.records == [_scaled_record(rec, f) for rec in sol.trace.records]
+        outcomes.update(r.outcome for p in sol.trace.records for r in (p, *p.separations))
+        outcomes.update("cut" for p in sol.trace.records for r in (p, *p.separations) if r.cuts)
+    # the pool reaches every branch of both solvers
+    assert outcomes == {"rounded-4r", "solved-2r", "infeasible", "enumerated", "cut", "empty",
+                        "certified", "distribution", "exact", "column-4r", "column-2r"}

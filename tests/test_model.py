@@ -155,6 +155,15 @@ def test_instance_validation():
         line_instance([0, 1], 1, [((0, 5), 1)])  # member out of range
 
 
+@pytest.mark.parametrize("demand", [-1, -5, 2, 4])
+def test_a_demand_outside_its_range_names_the_range(demand):
+    """A demand below 0 is out of range as one above the class size is,
+    and the message says so, in the form of the k message."""
+    with pytest.raises(InstanceFormatError,
+                       match=rf"^color 1 demand {demand} outside 0\.\.1$"):
+        line_instance([0, 1, 2], 2, [((0, 1), 1), ((2,), demand)])
+
+
 def test_instance_refuses_numbers_that_are_not_ints():
     """k, every demand and every member must be an int: int() would
     store demand 5/2 as 2 and take 1.5, True or 0.0 as well."""
@@ -634,9 +643,10 @@ def test_ball_tests_match_a_fraction_scan(case, data):
         r = int(r)
     balls = [scanned_ball(dist, c, r) for c in range(inst.n)]
     assert [ball(inst, c, r) for c in range(inst.n)] == balls
-    assert ball_masks(inst, r) == [sum(1 << u for u in b) for b in balls]
+    masks = ball_masks(inst, r)
+    assert masks == tuple(sum(1 << u for u in b) for b in balls)
     centers = data.draw(st.lists(st.integers(0, inst.n - 1), max_size=inst.n))
-    assert ball_masks(inst, r, centers) == [sum(1 << u for u in balls[c]) for c in centers]
+    assert [masks[c] for c in centers] == [sum(1 << u for u in balls[c]) for c in centers]
     covered = frozenset().union(*(balls[c] for c in centers))
     assert mask_points(union_mask(inst, centers, r)) == covered
 
