@@ -10,22 +10,19 @@ carries each state over unchanged (skip) and, with budget left, to the
 state its contributions leave (pick).  Only two layers are alive at a
 time.  On equal weight a state keeps the picks that skip the first item
 where the two differ; both share every completion, so the answer is
-the heaviest feasible selection that skips earliest.  Two bounds drop
-only states that provably have no feasible completion:
+the heaviest selection that meets every demand and skips earliest: the
+best state of the last layer with no unmet need.
 
-  * the reach bound, at every state (i, need, budget): if some row
-    needs more than the min(budget, q - i) largest contributions of
-    items i..q-1 in that row add up to, the state is infeasible, and
-    past the last item every unmet demand is;
-  * the pooled bound, which find_few_outside runs once per program
-    before building it: an item earns min(c, m) / m for each row with
-    contribution c and demand m > 0, and if the best kappa items earn
-    less than one per such row in total, no selection meets every
-    demand.
-
-Both are necessary conditions for feasibility, so the pass keeps every
-value and pick that it keeps without them.  Weights are ints, so every
-sum is exact.
+One bound drops programs that provably have no feasible selection, the
+pooled bound, which find_few_outside runs once per program before
+building it: an item earns min(c, m) / m for each row with contribution
+c and demand m > 0, and if the best kappa items earn less than one per
+such row in total, no selection meets every demand.  It is a necessary
+condition for feasibility, so it drops no program that has an answer.
+A per-state bound (a row needing more than the best items left can add)
+is not run: building its per-program tables of suffix sums and testing
+every state cost more than the states it dropped saved.  Weights are
+ints, so every sum is exact.
 
 find_few_outside searches for a small center set of the form
 "guessed points outside S, completed by centers inside S": it guesses
@@ -52,10 +49,8 @@ the contained point.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -113,40 +108,25 @@ def dp_solve(prog: DpProgram):
     time.  A state holds (weight, -mask), item i at bit q - 1 - i: the
     larger pair is heavier or, on equal weight, skips the first item
     where the two differ, so the lexicographically smallest pick set.
+    Every state is carried to the last layer, whose states with no
+    unmet need hold the answer; the pooled bound runs before, in
+    find_few_outside, not here.
     """
     q = prog.num_items
     cols = tuple(zip(*prog.rows)) if prog.rows else ((),) * q
-    # reach[i][b]: per row, the sum of the b largest contributions among
-    # items i..q-1, for b = 0..q-i; reach[q] is the zero row
-    reach = [None] * q + [[(0,) * len(prog.rows)]]
-    suffix = [[] for _ in prog.rows]  # each row's items i..q-1, descending
-    for i in range(q - 1, -1, -1):
-        for row, c in zip(suffix, cols[i]):
-            bisect.insort(row, c, key=operator.neg)
-        tops = [itertools.accumulate(row, initial=0) for row in suffix]
-        reach[i] = list(zip(*tops)) if tops else [()] * (q - i + 1)
-
-    if any(map(operator.gt, prog.demands, reach[0][min(prog.capacity, q)])):
-        return None
     layer = {(prog.demands, prog.capacity): (0, 0)}
     for i, (w, col) in enumerate(zip(prog.weights, cols)):
-        ahead, left, bit = reach[i + 1], q - 1 - i, 1 << q - 1 - i
-        # drop a state needing more than the best items left can add
-        nxt = {
-            (need, budget): value for (need, budget), value in layer.items()
-            if not any(map(operator.gt, need, ahead[min(budget, left)]))
-        }
+        bit = 1 << q - 1 - i
+        nxt = dict(layer)
         for (need, budget), (weight, neg) in layer.items():
             if not budget:
                 continue
             need = tuple(v - c if v > c else 0 for v, c in zip(need, col))
-            if any(map(operator.gt, need, ahead[min(budget - 1, left)])):
-                continue
             key, value = (need, budget - 1), (weight + w, neg - bit)
             if nxt.get(key, value) <= value:
                 nxt[key] = value
         layer = nxt
-    top = max(layer.values(), default=None)
+    top = max((v for (need, _), v in layer.items() if not any(need)), default=None)
     if top is None:
         return None
     return DpResult(top[0], tuple(i for i in range(q) if -top[1] >> q - 1 - i & 1))

@@ -218,14 +218,15 @@ MUTANTS = [
         "        if False:\n",
         "tests/test_partition.py::test_verify_partition_flags_bad_radius",
     ),
-    # the packing DP's bounds drop a state the plain recursion solves
+    # the packing DP's answer is a last-layer state with no unmet need
     Mutant(
-        "reach bound drops a demand it meets exactly",
+        "the last layer accepts a state with unmet need",
         "dp.py",
-        "if any(map(operator.gt, need, ahead[min(budget - 1, left)])):",
-        "if any(map(operator.ge, need, ahead[min(budget - 1, left)])):",
+        "for (need, _), v in layer.items() if not any(need))",
+        "for (need, _), v in layer.items())",
         "tests/test_dp.py::test_demand_at_and_past_its_reach",
     ),
+    # the pooled bound drops a program the plain recursion solves
     Mutant(
         "pooled bound drops demands it meets exactly",
         "dp.py",

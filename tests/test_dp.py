@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colorful_kcenter import dp
+from colorful_kcenter import dp, fair, solver
 from colorful_kcenter.dp import DpProgram, DpResult, dp_solve, find_few_outside
-from colorful_kcenter.generators import gen_clumps
+from colorful_kcenter.generators import gen_clumps, gen_random
 from colorful_kcenter.model import CenterSet, Instance, ball, mask_points, union_mask
 
 
@@ -195,6 +195,33 @@ def packing_programs(draw, weighted):
 @given(st.booleans().flatmap(packing_programs))
 def test_dp_solve_matches_the_reference(prog):
     assert dp_solve(prog) == reference_dp_solve(prog)
+
+
+# programs, of the 80 solves below, that reach dp_solve (202 today)
+SOLVER_PROGRAMS_FLOOR = 150
+
+
+def test_dp_solve_matches_the_reference_on_the_solvers_programs(monkeypatch):
+    # the benchmark's fair and colorful shapes reach 16 items and demands
+    # of 10, past the strategy above, and give weighted programs too
+    programs = []
+    solve = dp.dp_solve
+
+    def spy(prog):
+        programs.append(prog)
+        return solve(prog)
+
+    monkeypatch.setattr(dp, "dp_solve", spy)
+    for seed in range(1, 41):
+        fair.solve_fair(gen_random(seed, 12, 4, 2, demand_density=1, p_density=Fraction(2, 3)))
+        solver.solve_colorful(gen_random(seed, 16, 4, 3, demand_density=1))
+    assert len(programs) >= SOLVER_PROGRAMS_FLOOR
+    assert max(p.num_items for p in programs) > 10
+    assert max(m for p in programs for m in p.demands) > 8
+    assert any(any(p.weights) for p in programs)
+    results = [solve(p) for p in programs]
+    assert None in results
+    assert results == [reference_dp_solve(p) for p in programs]
 
 
 @pytest.mark.parametrize(
