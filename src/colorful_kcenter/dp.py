@@ -108,8 +108,10 @@ def dp_solve(prog: DpProgram):
     time.  A state holds (weight, -mask), item i at bit q - 1 - i: the
     larger pair is heavier or, on equal weight, skips the first item
     where the two differ, so the lexicographically smallest pick set.
-    Every state is carried to the last layer, whose states with no
-    unmet need hold the answer; the pooled bound runs before, in
+    A pick that spends the last budget with some need left reaches a
+    dead state, which no pick can leave, and is dropped; every other
+    state is carried to the last layer, whose states with no unmet need
+    hold the answer.  The pooled bound runs before, in
     find_few_outside, not here.
     """
     q = prog.num_items
@@ -122,6 +124,8 @@ def dp_solve(prog: DpProgram):
             if not budget:
                 continue
             need = tuple(v - c if v > c else 0 for v, c in zip(need, col))
+            if budget == 1 and any(need):
+                continue
             key, value = (need, budget - 1), (weight + w, neg - bit)
             if nxt.get(key, value) <= value:
                 nxt[key] = value

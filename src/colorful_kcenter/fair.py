@@ -26,13 +26,21 @@ demand at its own 4r' or 2r' <= 4r, and a certified dual point proves
 r below the optimum whichever columns produced it, so 4r <= 4 OPT
 still holds.  Enumeration bisects, and takes no pool.
 
-Until one has a point, a probe first tests the fair relaxation at 4r,
-solver.build_relaxation's polytope with x_u >= p(u) on the targeted
-points (see _relaxation_empty).  While it is empty no distribution
-exists at 4r, where every column the probe could price lies, so its
-column generation could only end certified: it is rejected as "empty"
-with no separation.  Balls grow with the radius, so once the test
-finds a point no later probe runs it.
+A probe at r first builds a greedy point mass at 4r (see
+_greedy_point_mass) and, when it is a distribution, accepts it as
+"greedy-4r" with no LP, separation or restricted solve, and leaves the
+pool alone.  This is exact: the probes scan the radii up and every
+rejection is certified, so OPT >= r, and a point mass covering every
+targeted point meets every target, so it is a distribution at 4r <= 4
+OPT.  The greedy only accepts; it never rejects a radius.
+
+Otherwise, until one has a point, the probe tests the fair relaxation
+at 4r, solver.build_relaxation's polytope with x_u >= p(u) on the
+targeted points (see _relaxation_empty).  While it is empty no
+distribution exists at 4r, where every column the probe could price
+lies, so its column generation could only end certified: it is
+rejected as "empty" with no separation.  Balls grow with the radius,
+so once the test finds a point no later probe runs it.
 
 The restricted dual is a covering LP over the points with a target:
 least p.alpha over alpha >= 0, with (p - cov_c).alpha >= 1 for every
@@ -224,13 +232,27 @@ def solve_restricted(finst: FairInstance, radius, columns, start=None):
 
 
 def _greedy_point_mass(finst: FairInstance, radius):
-    """k centers picked greedily (model.greedy_balls) over the targeted
-    points within radius, when they cover every targeted point and meet
-    every demand: the point mass on them is then a distribution at
-    radius.  None otherwise."""
+    """Centers picked greedily at radius whose point mass is a
+    distribution there, or None.  model.greedy_balls picks until every
+    targeted point is covered; each pick left then takes the ball with
+    the most still-needed demand, sum over colors c of min(need_c, new
+    members of c), ties to the lowest index, until every demand is met.
+    check_feasible decides: the picks must cover every targeted point
+    and meet every demand."""
     inst = finst.base
-    targeted = sum(1 << u for u in finst.targeted)
-    left, chosen = greedy_balls(ball_masks(inst, radius), targeted, inst.k)
+    masks = ball_masks(inst, radius)
+    left, chosen = greedy_balls(masks, sum(1 << u for u in finst.targeted), inst.k, 0)
+    covered = union_mask(inst, chosen, radius)
+    for _ in range(inst.k - len(chosen)):
+        needs = [(members & ~covered, demand - (members & covered).bit_count())
+                 for members, demand in inst.color_masks]
+        needs = [(fresh, need) for fresh, need in needs if need > 0]
+        if not needs:
+            break
+        gains = [sum(min(need, (fresh & m).bit_count()) for fresh, need in needs)
+                 for m in masks]
+        chosen.append(gains.index(max(gains)))
+        covered |= masks[chosen[-1]]
     if left or not check_feasible(inst, chosen, radius).feasible:
         return None
     return frozenset(chosen)
@@ -242,10 +264,7 @@ def _relaxation_empty(finst: FairInstance, radius, rec: ProbeRecord) -> bool:
     targeted point.  A distribution at radius gives a point of it, y_v =
     Pr[v opened] and x_u = Pr[u covered], so an infeasible outcome,
     whose Farkas certificate lp has verified, proves that none exists.
-    _greedy_point_mass proves it non-empty with no LP when it can; the
-    LP, cold, counts on rec."""
-    if _greedy_point_mass(finst, radius) is not None:
-        return False
+    The LP, cold, counts on rec."""
     n, p = finst.base.n, finst.p
     rows = [([0] * u + [p[u].denominator] + [0] * (2 * n - u - 1), lp.GE, p[u].numerator)
             for u in finst.targeted]
@@ -308,8 +327,10 @@ def solve_fair(finst: FairInstance) -> FairSolution:
     the optimum.  Column generation from the column-free dual point
     decides each radius; a probe's columns cover at 4r.  Enumeration
     prices exactly, so its restricted dual holds the columns priced in,
-    not every feasible set.  The probes share one column pool (see
-    _generate); enumeration, which bisects, takes none.
+    not every feasible set.  A probe accepts its greedy point mass at
+    4r before any column generation when it is a distribution.  The
+    probes share one column pool (see _generate); enumeration, which
+    bisects, takes none.
     """
     def exact(r, rec):
         # equal coverage gives equal rows: keep the first set of each
@@ -333,6 +354,10 @@ def solve_fair(finst: FairInstance) -> FairSolution:
 
     def probe(r, rec):
         nonlocal nonempty
+        mass = _greedy_point_mass(finst, 4 * r)
+        if mass is not None:
+            rec.outcome = "greedy-4r"
+            return Distribution(((mass, 1),), 4 * r)
         if not nonempty and _relaxation_empty(finst, 4 * r, rec):
             rec.outcome = "empty"
             return None

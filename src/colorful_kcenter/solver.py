@@ -92,12 +92,13 @@ class ProbeRecord:
     dual point of a solve_fair probe (one of its separations).
 
     outcome: "rounded-4r", "solved-2r", "infeasible" or "enumerated"
-    for a solve_colorful probe; "distribution", "certified", "empty",
-    "exact" or "infeasible" for a solve_fair probe; "column-4r",
-    "column-2r" or "certified" for a separation.  round_or_cut counts
-    its cuts, LP solves and DP calls on the record it is given; a
-    solve_fair probe keeps its separations and its restricted-dual
-    solves.
+    for a solve_colorful probe; "greedy-4r", "distribution",
+    "certified", "empty", "exact" or "infeasible" for a solve_fair
+    probe ("greedy-4r": its greedy point mass at 4r, with no LP,
+    separation or restricted solve); "column-4r", "column-2r" or
+    "certified" for a separation.  round_or_cut counts its cuts, LP
+    solves and DP calls on the record it is given; a solve_fair probe
+    keeps its separations and its restricted-dual solves.
     """
 
     radius: Fraction

@@ -419,14 +419,29 @@ MUTANTS = [
         "_relaxation_empty(finst, r, rec)",
         "tests/test_fair.py::test_empty_probes_reject_under_column_generation",
     ),
-    # the greedy centers prove the relaxation non-empty only when their
-    # point mass is a distribution, demands included
+    # a greedy point mass answers a probe only when it is a
+    # distribution, demands included
     Mutant(
         "greedy point mass without the demand check",
         "fair.py",
         "if left or not check_feasible(inst, chosen, radius).feasible:",
         "if left:",
         "tests/test_fair.py::test_the_greedy_point_mass_is_a_distribution",
+    ),
+    Mutant(
+        "greedy-4r accepted without check_feasible",
+        "fair.py",
+        "if left or not check_feasible(inst, chosen, radius).feasible:",
+        "if left:",
+        "tests/test_fair.py::test_greedy_probes_against_the_oracle",
+    ),
+    # once every target is covered, each pick left serves the unmet demands
+    Mutant(
+        "spare picks go to ball 0",
+        "fair.py",
+        "        chosen.append(gains.index(max(gains)))\n",
+        "        chosen.append(0)\n",
+        "tests/test_fair.py::test_spare_picks_aim_at_the_demands",
     ),
     # the counting bound's skip and the greedy point mass share one pick
     # order, most uncovered points first, ties to the lowest index

@@ -379,8 +379,11 @@ def _scaled_record(rec, f):
 def _scaling_pool():
     """Full-demand gen_random instances on both metrics, colorful with
     gamma below k (the LP path) and at or above it (enumeration), fair
-    with p density 2/3 likewise, and clumps, on which a cut fires."""
-    pool = [gen_clumps(2, 2), gen_clumps(3, 2), gen_clumps(4, 3)]
+    with p density 2/3 likewise, and clumps, on which a cut fires; and
+    one half-demand fair instance whose last probe rounds a column at 4r
+    (the greedy point mass answers most full-demand fair probes)."""
+    pool = [gen_clumps(2, 2), gen_clumps(3, 2), gen_clumps(4, 3),
+            gen_random(4, 12, 3, 1, "line", Fraction(1, 2), Fraction(1, 2))]
     for metric in ("line", "grid-l1"):
         for seed in range(1, 5):
             for n, k, gamma in ((12, 4, 2), (14, 3, 2), (16, 5, 3), (10, 2, 3)):
@@ -413,4 +416,5 @@ def test_scaling_every_distance_scales_every_radius_and_nothing_else():
         outcomes.update("cut" for p in sol.trace.records for r in (p, *p.separations) if r.cuts)
     # the pool reaches every branch of both solvers
     assert outcomes == {"rounded-4r", "solved-2r", "infeasible", "enumerated", "cut", "empty",
-                        "certified", "distribution", "exact", "column-4r", "column-2r"}
+                        "certified", "distribution", "greedy-4r", "exact", "column-4r",
+                        "column-2r"}

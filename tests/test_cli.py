@@ -642,7 +642,7 @@ ROW_KEYS = {"radius", "outcome", "cuts", "lp_solves", "dp_calls", "restricted_so
 FULL_KEYS = ROW_KEYS | {"cut_details", "separation_details"}
 
 
-def test_trace_file_and_json_logs(tmp_path, capsys):
+def test_trace_file_and_json_logs(tmp_path, capsys, no_greedy):
     for command, argv in [
         ("solve", ["--seed", "23", "--n", "8", "--k", "2", "--gamma", "1",
                    "--demand-density", "1"]),

@@ -201,7 +201,7 @@ def test_dp_solve_matches_the_reference(prog):
 SOLVER_PROGRAMS_FLOOR = 150
 
 
-def test_dp_solve_matches_the_reference_on_the_solvers_programs(monkeypatch):
+def test_dp_solve_matches_the_reference_on_the_solvers_programs(monkeypatch, no_greedy):
     # the benchmark's fair and colorful shapes reach 16 items and demands
     # of 10, past the strategy above, and give weighted programs too
     programs = []

@@ -446,7 +446,7 @@ def test_sweep_against_oracle():
     assert ratios and max(ratios) <= 4
 
 
-def test_trace_bookkeeping():
+def test_trace_bookkeeping(no_greedy):
     rng = random.Random(52)
     fast = 0
     tried = collections.Counter()
@@ -520,7 +520,7 @@ def test_trace_bookkeeping():
 
 
 @pytest.mark.parametrize("gamma", [2, 1], ids=["enumerated", "probed"])
-def test_restricted_solves_count_every_solve(monkeypatch, gamma):
+def test_restricted_solves_count_every_solve(monkeypatch, no_greedy, gamma):
     """A probe's restricted_solves is the number of restricted-dual
     solves it ran, whether enumeration or separation priced its
     columns.  Each radius is probed once, at r when enumerating and at
@@ -552,7 +552,7 @@ def test_restricted_solves_count_every_solve(monkeypatch, gamma):
     ]
 
 
-def test_pool_columns_were_priced_at_lower_radii(monkeypatch):
+def test_pool_columns_were_priced_at_lower_radii(monkeypatch, no_greedy):
     """Every column a probe inherits from the pool was priced by a
     separation of an earlier probe at a lower radius, and enumeration,
     which bisects, never receives a pool."""
@@ -585,7 +585,7 @@ def test_pool_columns_were_priced_at_lower_radii(monkeypatch):
     assert inherited[True] >= 5 and inherited[False] >= 5
 
 
-def test_pooled_probes_against_the_oracle():
+def test_pooled_probes_against_the_oracle(no_greedy):
     """On a small-n sweep in which later probes inherit the pool, the
     radius stays within four times the oracle's optimum, every support
     set meets the demands at the distribution's radius and every target
@@ -611,12 +611,14 @@ def test_pooled_probes_against_the_oracle():
     assert from_pool >= 5
 
 
-def test_a_probe_accepts_from_the_pool_alone():
-    """On this instance the fair relaxation at 4r rejects radius 0 with
-    no separation; the probe at radius 1 prices 2 columns, each followed
-    by a restricted solve, before its third separation certifies it; the
-    probe at radius 2 solves the restricted dual over those alone, once,
-    and accepts with no separation."""
+def test_a_probe_accepts_from_the_pool_alone(no_greedy):
+    """With the greedy point mass off (it answers radius 1 here, and no
+    scanned gen_random family still has a probe the pool accepts
+    alone), the fair relaxation at 4r rejects radius 0 with no
+    separation on this instance; the probe at radius 1 prices 2
+    columns, each followed by a restricted solve, before its third
+    separation certifies it; the probe at radius 2 solves the restricted
+    dual over those alone, once, and accepts with no separation."""
     finst = gen_random(6, 12, 4, 2, demand_density=Fraction(1), p_density=Fraction(2, 3))
     records = solve_fair(finst).trace.records
     assert [(rec.radius, rec.outcome, len(rec.separations), rec.restricted_solves)
@@ -625,12 +627,13 @@ def test_a_probe_accepts_from_the_pool_alone():
     ]
 
 
-def test_the_pool_joins_after_the_probes_first_column():
-    """On this instance the pool alone does not accept radius 2.  From
-    the column-free dual point the probe prices one column, the pool
-    joins it, and the next restricted solve accepts, at 8.  Merged
-    before that first column, the pool steers the probe to a dual point
-    that certifies radius 2, and the radius rises to 12."""
+def test_the_pool_joins_after_the_probes_first_column(no_greedy):
+    """With the greedy point mass off (it answers radius 1 here), the
+    pool alone does not accept radius 2 on this instance.  From the
+    column-free dual point the probe prices one column, the pool joins
+    it, and the next restricted solve accepts, at 8.  Merged before that
+    first column, the pool steers the probe to a dual point that
+    certifies radius 2, and the radius rises to 12."""
     finst = gen_random(109, 12, 4, 2, demand_density=Fraction(1), p_density=Fraction(2, 3))
     sol = solve_fair(finst)
     assert sol.distribution.radius == 8
@@ -669,7 +672,7 @@ def test_empty_fair_relaxations_lie_below_the_optimum():
     assert empty >= 20
 
 
-def test_empty_probes_reject_under_column_generation():
+def test_empty_probes_reject_under_column_generation(no_greedy):
     """Column generation at a probe rejected as "empty", run with a fresh
     LiveRelaxation and an empty pool, ends certified too: every column
     it could price meets the demands at 4r, where no distribution
@@ -697,24 +700,33 @@ def test_empty_probes_reject_under_column_generation():
 
 
 def test_the_greedy_point_mass_is_a_distribution(monkeypatch):
-    """Whenever the greedy centers stop the emptiness tests of a solve
-    with no LP, the point mass on them meets every demand and every
-    target at the tested radius."""
+    """Every greedy point mass, whether a probe of solve_fair built it
+    at 4r or it is built at any candidate radius, meets every demand
+    and every target at its radius, and a probe that builds one returns
+    that point mass as its answer."""
     greedy = fair._greedy_point_mass
     found = []
+    built = []  # (instance, its point mass) at each probe that had one
 
     def spy(finst, radius):
         got = greedy(finst, radius)
         if got is not None:
-            found.append((finst, Distribution(((got, 1),), radius)))
+            built.append(Distribution(((got, 1),), radius))
+            found.append((finst, built[-1]))
         return got
 
     monkeypatch.setattr(fair, "_greedy_point_mass", spy)
+    accepted = 0
     for seed in range(1, 41):
-        solve_fair(gen_random(
-            seed, 10, 3, 2, demand_density=Fraction(1), p_density=Fraction(1, 2)
-        ))
-    assert len(found) >= 20
+        finst = gen_random(seed, 10, 3, 2, demand_density=Fraction(1), p_density=Fraction(1, 2))
+        built.clear()
+        sol = solve_fair(finst)
+        if sol.trace.records[-1].outcome == "greedy-4r":
+            assert sol.distribution == built[-1]
+            accepted += 1
+        for r in candidate_radii(finst.base):
+            spy(finst, r)
+    assert accepted >= 20 and len(found) >= 200
     for finst, dist in found:
         ((centers, _),) = dist.support
         assert check_feasible(finst.base, centers, dist.radius).feasible
@@ -722,7 +734,53 @@ def test_the_greedy_point_mass_is_a_distribution(monkeypatch):
             assert coverage_probability(finst.base, dist, u) >= target
 
 
-def test_separations_do_not_depend_on_earlier_ones(monkeypatch):
+def test_greedy_probes_against_the_oracle():
+    """A probe whose greedy point mass at 4r is a distribution accepts
+    it as the answer, "greedy-4r", with no LP, separation or restricted
+    solve, ending the scan; every radius stays within OPT and 4 OPT of
+    the oracle's optimum, each support set meets the demands at it and
+    every target is met."""
+    greedy = 0
+    for seed in range(1, 61):
+        finst = gen_random(
+            seed, 8, 3, 2, metric="grid-l1" if seed % 2 else "line",
+            demand_density=Fraction(1) if seed % 3 else Fraction(1, 2),
+            p_density=Fraction(1, 2) if seed % 4 else Fraction(2, 3),
+        )
+        opt = brute_force_fair(finst).radius
+        sol = solve_fair(finst)
+        dist = sol.distribution
+        assert opt <= dist.radius <= 4 * opt
+        for cs, _ in dist.support:
+            assert check_feasible(finst.base, cs, dist.radius).feasible
+        for u, target in enumerate(finst.p):
+            assert coverage_probability(finst.base, dist, u) >= target
+        for i, rec in enumerate(sol.trace.records):
+            if rec.outcome == "greedy-4r":
+                assert i == len(sol.trace.records) - 1
+                assert (rec.lp_solves, rec.separations, rec.restricted_solves) == (0, [], 0)
+                assert dist.radius == 4 * rec.radius and len(dist.support) == 1
+                greedy += 1
+    assert greedy >= 30
+
+
+def test_spare_picks_aim_at_the_demands():
+    """Point 0, the only target, is covered by the first pick; the one
+    pick left must serve color {2, 3}, both of whose points a ball holds
+    only from radius 1 on.  The fair relaxation rejects radius 0.  At
+    radius 1 the greedy picks ball 2 at 4r = 4; spent on ball 0 (a gain
+    of 0, ties to the lowest index), that pick would miss the demand and
+    the probe would run column generation."""
+    finst = fair_line([0, 100, 200, 201], 2, [((2, 3), 2)], [1, 0, 0, 0])
+    assert fair._greedy_point_mass(finst, 4) == frozenset({0, 2})
+    sol = solve_fair(finst)
+    assert [(rec.radius, rec.outcome) for rec in sol.trace.records] == [
+        (0, "empty"), (1, "greedy-4r")
+    ]
+    assert sol.distribution == Distribution(((frozenset({0, 2}), 1),), 4)
+
+
+def test_separations_do_not_depend_on_earlier_ones(monkeypatch, no_greedy):
     """On the golden fair-* cases and forty random ones with gamma = 2,
     each separation of a probe gives the answer, outcome and cuts of the
     same separation run on a fresh LiveRelaxation; the cold solve of the

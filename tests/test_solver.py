@@ -412,7 +412,7 @@ def _fields(program):
     )
 
 
-def test_extended_programs_equal_fresh_builds(monkeypatch):
+def test_extended_programs_equal_fresh_builds(monkeypatch, no_greedy):
     """On the golden fair-* and clumps-* cases, and on 120 random fair
     ones, eight of which cut, every program that
     round_or_cut or solve_restricted re-solves warm, or whose optimum lp
