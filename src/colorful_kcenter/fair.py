@@ -26,13 +26,13 @@ demand at its own 4r' or 2r' <= 4r, and a certified dual point proves
 r below the optimum whichever columns produced it, so 4r <= 4 OPT
 still holds.  Enumeration bisects, and takes no pool.
 
-A probe at r first builds a greedy point mass at 4r (see
-_greedy_point_mass) and, when it is a distribution, accepts it as
-"greedy-4r" with no LP, separation or restricted solve, and leaves the
-pool alone.  This is exact: the probes scan the radii up and every
-rejection is certified, so OPT >= r, and a point mass covering every
-targeted point meets every target, so it is a distribution at 4r <= 4
-OPT.  The greedy only accepts; it never rejects a radius.
+A probe at r first asks model.greedy_centers for centers at 4r that
+cover every targeted point and meet every demand, and, when it finds
+them, accepts their point mass as "greedy-4r" with no LP, separation or
+restricted solve, and leaves the pool alone.  This is exact: the probes
+scan the radii up and every rejection is certified, so OPT >= r, and a
+point mass covering every targeted point meets every target, so it is a
+distribution at 4r <= 4 OPT.  The greedy only accepts; it never rejects a radius.
 
 Otherwise, until one has a point, the probe tests the fair relaxation
 at 4r, solver.build_relaxation's polytope with x_u >= p(u) on the
@@ -70,9 +70,8 @@ from .model import (
     FairInstance,
     Instance,
     ball_masks,
-    check_feasible,
     feasible_sets,
-    greedy_balls,
+    greedy_centers,
     mask_weight,
     rational_from,
     union_mask,
@@ -85,7 +84,7 @@ from .solver import (
 # Not called in this module, but benchmarks/tracing.py patches each of
 # these names here, so they stay importable from it.
 from .dp import find_few_outside  # noqa: F401
-from .model import candidate_radii  # noqa: F401
+from .model import candidate_radii, check_feasible  # noqa: F401
 from .partition import good_partition, opening_mass, verify_partition  # noqa: F401
 from .rounding import build_cluster_system, sparse_round  # noqa: F401
 
@@ -231,33 +230,6 @@ def solve_restricted(finst: FairInstance, radius, columns, start=None):
     return dist, out
 
 
-def _greedy_point_mass(finst: FairInstance, radius):
-    """Centers picked greedily at radius whose point mass is a
-    distribution there, or None.  model.greedy_balls picks until every
-    targeted point is covered; each pick left then takes the ball with
-    the most still-needed demand, sum over colors c of min(need_c, new
-    members of c), ties to the lowest index, until every demand is met.
-    check_feasible decides: the picks must cover every targeted point
-    and meet every demand."""
-    inst = finst.base
-    masks = ball_masks(inst, radius)
-    left, chosen = greedy_balls(masks, sum(1 << u for u in finst.targeted), inst.k, 0)
-    covered = union_mask(inst, chosen, radius)
-    for _ in range(inst.k - len(chosen)):
-        needs = [(members & ~covered, demand - (members & covered).bit_count())
-                 for members, demand in inst.color_masks]
-        needs = [(fresh, need) for fresh, need in needs if need > 0]
-        if not needs:
-            break
-        gains = [sum(min(need, (fresh & m).bit_count()) for fresh, need in needs)
-                 for m in masks]
-        chosen.append(gains.index(max(gains)))
-        covered |= masks[chosen[-1]]
-    if left or not check_feasible(inst, chosen, radius).feasible:
-        return None
-    return frozenset(chosen)
-
-
 def _relaxation_empty(finst: FairInstance, radius, rec: ProbeRecord) -> bool:
     """Whether the fair relaxation at radius is empty: the polytope of
     solver.build_relaxation(inst, radius) with x_u >= p(u) for every
@@ -328,9 +300,9 @@ def solve_fair(finst: FairInstance) -> FairSolution:
     decides each radius; a probe's columns cover at 4r.  Enumeration
     prices exactly, so its restricted dual holds the columns priced in,
     not every feasible set.  A probe accepts its greedy point mass at
-    4r before any column generation when it is a distribution.  The
-    probes share one column pool (see _generate); enumeration, which
-    bisects, takes none.
+    4r (model.greedy_centers over the targeted points) before any column
+    generation when it is a distribution.  The probes share one column
+    pool (see _generate); enumeration, which bisects, takes none.
     """
     def exact(r, rec):
         # equal coverage gives equal rows: keep the first set of each
@@ -351,10 +323,11 @@ def solve_fair(finst: FairInstance) -> FairSolution:
 
     pool = []  # every column a probe priced, kept up the radius scan
     nonempty = False  # a lower probe's fair relaxation at 4r had a point
+    targets = sum(1 << u for u in finst.targeted)
 
     def probe(r, rec):
         nonlocal nonempty
-        mass = _greedy_point_mass(finst, 4 * r)
+        mass = greedy_centers(finst.base, 4 * r, targets)
         if mass is not None:
             rec.outcome = "greedy-4r"
             return Distribution(((mass, 1),), 4 * r)

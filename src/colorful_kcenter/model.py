@@ -481,6 +481,51 @@ def greedy_balls(masks, left, k, spare=-1):
     return left, chosen
 
 
+def greedy_centers(inst: Instance, radius, targets=0):
+    """Up to k centers picked greedily at radius that cover every point
+    of the mask targets and meet every demand there, or None.
+    greedy_balls picks until targets is covered; each pick left then
+    takes the ball with the most still-needed demand, the sum over
+    colors c of min(need_c, new members of c), ties to the lowest index,
+    until every demand is met.  check_feasible decides.  Never more than
+    k picks, so a None says nothing about the radius."""
+    masks = inst._balls(radius)
+    left, chosen = greedy_balls(masks, targets, inst.k, 0)
+    covered = union_mask(inst, chosen, radius)
+    for _ in range(inst.k - len(chosen)):
+        gains = None
+        for members, demand in inst.color_masks:
+            need = demand - (members & covered).bit_count()
+            if need > 0:
+                fresh = map(int.bit_count, map((members & ~covered).__and__, masks))
+                got = map(min, fresh, itertools.repeat(need))
+                gains = list(got) if gains is None else list(map(operator.add, gains, got))
+        if gains is None:
+            break
+        pick = gains.index(max(gains))
+        chosen.append(pick)
+        covered |= masks[pick]
+    if left or not check_feasible(inst, chosen, radius).feasible:
+        return None
+    return frozenset(chosen)
+
+
+def service_radius(inst: Instance, centers):
+    """Smallest radius at which centers meets every color demand, or None
+    when some demand is unreachable (only possible with no centers): the
+    largest over colors of the demand-th smallest distance from a member
+    to its nearest center, read from the int rows."""
+    near = list(map(min, zip(*(inst.rows[s] for s in centers))))
+    worst = 0
+    for c in inst.colors:
+        if c.demand == 0:
+            continue
+        if not near:
+            return None
+        worst = max(worst, sorted(near[u] for u in c.members)[c.demand - 1])
+    return Fraction(worst, inst.scale)
+
+
 def _color_bound(masks, members, demand, k, color):
     """Greedy search for U: start from U = members and drop the kept
     point lying in the most of the k currently largest balls (by a_v,

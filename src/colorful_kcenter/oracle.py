@@ -2,14 +2,17 @@
 machinery than the main pipeline.
 
 Both walk every center set of at most k points with the smallest
-radius at which it meets all demands (a per-color order statistic of
-distances).  brute_force_colorful takes the first set of least radius;
-brute_force_fair walks candidate radii upward and decides, by exact LP
-feasibility over the sets that meet every demand there, whether some
-distribution over them meets every point's coverage target.
+radius at which it meets all demands (model.service_radius, a per-color
+order statistic of distances over the int rows, which the solver also
+uses to report a greedy probe's radius).  brute_force_colorful takes
+the first set of least radius; brute_force_fair walks candidate radii
+upward and decides, by exact LP feasibility over the sets that meet
+every demand there, whether some distribution over them meets every
+point's coverage target.
 
-Both read `Instance.dist`, a view of the int rows the ball tests read;
-test_instances_are_int_rows_with_an_exact_view pins it to the input.
+brute_force_fair's LP reads `Instance.dist`, a view of the int rows the
+ball tests read; test_instances_are_int_rows_with_an_exact_view pins it
+to the input.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from fractions import Fraction
 
 from . import lp
 from .fair import Distribution
-from .model import CenterSet, FairInstance, Instance, candidate_radii, subset_count
+from .model import (
+    CenterSet, FairInstance, Instance, candidate_radii, service_radius, subset_count,
+)
 
 
 class OracleCapExceeded(RuntimeError):
@@ -32,32 +37,13 @@ def _check_cap(inst: Instance, cap: int):
         raise OracleCapExceeded(f"{count} subsets exceed cap {cap}")
 
 
-def _min_radius_of(inst: Instance, centers) -> Fraction:
-    """Smallest r at which `centers` meets every color demand, or None
-    when some demand is unreachable (only possible for empty centers).
-    """
-    worst = Fraction(0)
-    for c in inst.colors:
-        if c.demand == 0:
-            continue
-        if not centers:
-            return None
-        dists = sorted(
-            min(inst.dist[u][s] for s in centers) for u in c.members
-        )
-        need = dists[c.demand - 1]
-        if need > worst:
-            worst = need
-    return worst
-
-
 def _center_sets(inst: Instance):
     """Each center set (size <= k) that meets every demand at some
     radius, with the smallest such radius, in (size, lex) order.
     """
     for size in range(inst.k + 1):
         for combo in itertools.combinations(range(inst.n), size):
-            mr = _min_radius_of(inst, combo)
+            mr = service_radius(inst, combo)
             if mr is not None:
                 yield frozenset(combo), mr
 
@@ -68,7 +54,7 @@ def brute_force_colorful(inst: Instance, cap: int = 10**7) -> CenterSet:
     """
     _check_cap(inst, cap)
     centers, radius = min(_center_sets(inst), key=lambda pair: pair[1])
-    return CenterSet(centers, Fraction(radius))
+    return CenterSet(centers, radius)
 
 
 def enumerate_feasible(inst: Instance, r):

@@ -25,6 +25,14 @@ solution is never declared infeasible.  Probing radii from below then
 stops at one at most the integral optimum, giving the factor of 4 (or,
 with no more centers than colors, enumerates the exact optimum).
 
+So a solve_colorful probe at r needs no LP when some center set meets
+every demand at 4r: every lower probe was rejected with a certificate,
+so OPT >= r, and such a set is within 4r <= 4 OPT.  Each probe first
+asks model.greedy_centers for one and, when it finds it, accepts it as
+"greedy-4r", reported at its service radius (model.service_radius), the
+smallest radius at which it meets every demand, which is at most 4r.
+The greedy only accepts; a probe it does not answer runs round_or_cut.
+
 Before the first LP, model.counting_bound tries to show the polytope
 empty from one color c alone: for U inside c and a_v the number of
 points of U in ball(v, r), every point has
@@ -65,6 +73,8 @@ from .model import (
     check_feasible,
     counting_bound,
     feasible_sets,
+    greedy_centers,
+    service_radius,
     subset_count,
     union_mask,
     weighted_coverage,
@@ -91,11 +101,13 @@ class ProbeRecord:
     """What happened while probing one radius, or while answering one
     dual point of a solve_fair probe (one of its separations).
 
-    outcome: "rounded-4r", "solved-2r", "infeasible" or "enumerated"
-    for a solve_colorful probe; "greedy-4r", "distribution",
-    "certified", "empty", "exact" or "infeasible" for a solve_fair
-    probe ("greedy-4r": its greedy point mass at 4r, with no LP,
-    separation or restricted solve); "column-4r", "column-2r" or
+    outcome: "greedy-4r", "rounded-4r", "solved-2r", "infeasible" or
+    "enumerated" for a solve_colorful probe ("greedy-4r": its greedy
+    centers at 4r, reported at their service radius, with no counting
+    bound, LP or DP); "greedy-4r", "distribution", "certified",
+    "empty", "exact" or "infeasible" for a solve_fair probe
+    ("greedy-4r": its greedy point mass at 4r, with no LP, separation
+    or restricted solve); "column-4r", "column-2r" or
     "certified" for a separation.  round_or_cut counts its cuts, LP
     solves and DP calls on the record it is given; a solve_fair probe
     keeps its separations and its restricted-dual solves.
@@ -386,7 +398,9 @@ class ColorfulSolution:
 def solve_colorful(inst: Instance) -> ColorfulSolution:
     """Minimize the radius guarantee over candidate radii (see
     radius_search): exact when enumeration is affordable, otherwise at
-    most four times the optimum.
+    most four times the optimum.  A probe at r accepts
+    model.greedy_centers at 4r, at its service radius, before any LP
+    when they meet every demand there.
     """
 
     def exact(r, rec):
@@ -395,7 +409,11 @@ def solve_colorful(inst: Instance) -> ColorfulSolution:
         return None if found is None else CenterSet(found, r)
 
     def probe(r, rec):
-        return solve_fixed_radius(inst, r, rec).centers
+        found = greedy_centers(inst, 4 * r)
+        if found is None:
+            return solve_fixed_radius(inst, r, rec).centers
+        rec.outcome = "greedy-4r"
+        return CenterSet(found, service_radius(inst, found))
 
     return ColorfulSolution(*radius_search(inst, exact, probe))
 

@@ -419,29 +419,47 @@ MUTANTS = [
         "_relaxation_empty(finst, r, rec)",
         "tests/test_fair.py::test_empty_probes_reject_under_column_generation",
     ),
-    # a greedy point mass answers a probe only when it is a
-    # distribution, demands included
+    # greedy centers answer a probe only when they meet every demand at
+    # its 4r: a point mass of both solvers, and a fair one covering every
+    # target too
     Mutant(
         "greedy point mass without the demand check",
-        "fair.py",
+        "model.py",
         "if left or not check_feasible(inst, chosen, radius).feasible:",
         "if left:",
         "tests/test_fair.py::test_the_greedy_point_mass_is_a_distribution",
     ),
     Mutant(
         "greedy-4r accepted without check_feasible",
-        "fair.py",
+        "model.py",
         "if left or not check_feasible(inst, chosen, radius).feasible:",
         "if left:",
         "tests/test_fair.py::test_greedy_probes_against_the_oracle",
     ),
+    Mutant(
+        "colorful greedy-4r accepted without check_feasible",
+        "model.py",
+        "if left or not check_feasible(inst, chosen, radius).feasible:",
+        "if left:",
+        "tests/test_solver.py::test_colorful_greedy_probes_against_the_oracle",
+    ),
     # once every target is covered, each pick left serves the unmet demands
     Mutant(
         "spare picks go to ball 0",
-        "fair.py",
-        "        chosen.append(gains.index(max(gains)))\n",
-        "        chosen.append(0)\n",
+        "model.py",
+        "        pick = gains.index(max(gains))\n",
+        "        pick = 0\n",
         "tests/test_fair.py::test_spare_picks_aim_at_the_demands",
+    ),
+    # a greedy-4r answer and the oracle's sets are reported at the
+    # demand-th smallest distance from a member to the centers
+    Mutant(
+        "service radius takes the (demand+1)-th nearest member",
+        "model.py",
+        "sorted(near[u] for u in c.members)[c.demand - 1]",
+        "sorted(near[u] for u in c.members)[min(c.demand, len(c.members) - 1)]",
+        "tests/test_model.py::"
+        "test_service_radius_is_the_least_candidate_radius_meeting_every_demand",
     ),
     # the counting bound's skip and the greedy point mass share one pick
     # order, most uncovered points first, ties to the lowest index

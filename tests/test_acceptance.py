@@ -76,29 +76,38 @@ def _colorful_pool():
     return pool
 
 
-def test_colorful_radius_within_four_times_optimum():
+def _rounding_spy(inst, r, part, system, pt):
+    """sparse_round, noting on ROUNDING_FIRINGS whether its centers keep
+    the budget and meet every demand at 4r."""
+    chosen = real_sparse_round(inst, r, part, system, pt)
+    report = check_feasible(inst, chosen, 4 * Fraction(r))
+    ROUNDING_FIRINGS.append((len(set(chosen)) <= inst.k, report.feasible))
+    return chosen
+
+
+def _no_greedy(inst, radius, targets=0):
+    """greedy_centers that never answers: every probe takes the LP path."""
+    return None
+
+
+def test_colorful_radius_within_four_times_optimum(monkeypatch):
+    """Each instance is solved as shipped, then with greedy centers that
+    never answer, so that the paper's LP path, which the greedy-4r
+    probes answer before on most of the pool, is swept as well."""
     start = time.monotonic()
-    observed = ROUNDING_FIRINGS
-
-    def spy(inst, r, part, system, pt):
-        chosen = real_sparse_round(inst, r, part, system, pt)
-        report = check_feasible(inst, chosen, 4 * Fraction(r))
-        observed.append((len(set(chosen)) <= inst.k, report.feasible))
-        return chosen
-
     pool = _colorful_pool()
-    solver.sparse_round = spy
-    try:
-        for inst in pool:
-            opt = brute_force_colorful(inst)
+    monkeypatch.setattr(solver, "sparse_round", _rounding_spy)
+    shipped = solver.greedy_centers
+    for inst in pool:
+        opt = brute_force_colorful(inst)
+        for greedy in (shipped, _no_greedy):
+            monkeypatch.setattr(solver, "greedy_centers", greedy)
             sol = solve_colorful(inst)
             assert check_feasible(inst, sol.centers.centers, sol.centers.radius).feasible
             assert opt.radius <= sol.centers.radius <= 4 * opt.radius
             for rec in sol.trace.records:
                 for cut in rec.cuts:
                     COLORFUL_CUTS.append((inst, rec.radius, cut))
-    finally:
-        solver.sparse_round = real_sparse_round
     assert len(pool) >= 200
     assert time.monotonic() - start < 300
 
@@ -266,9 +275,14 @@ def test_dp_agrees_with_exhaustive_enumeration():
     assert infeasible_seen > 50 and feasible_seen > 500
 
 
-def test_rounding_stays_sparse_and_feasible():
+def test_rounding_stays_sparse_and_feasible(monkeypatch, no_greedy):
     # every rounding call observed by the colorful sweep kept the budget
-    # and covered all demands
+    # and covered all demands; run alone, the sweep's instances are
+    # solved here, with the greedy off, so that their probes round
+    if not ROUNDING_FIRINGS:
+        monkeypatch.setattr(solver, "sparse_round", _rounding_spy)
+        for inst in _colorful_pool():
+            solve_colorful(inst)
     assert ROUNDING_FIRINGS
     assert all(budget and covered for budget, covered in ROUNDING_FIRINGS)
 
@@ -381,9 +395,11 @@ def _scaling_pool():
     gamma below k (the LP path) and at or above it (enumeration), fair
     with p density 2/3 likewise, and clumps, on which a cut fires; and
     one half-demand fair instance whose last probe rounds a column at 4r
-    (the greedy point mass answers most full-demand fair probes)."""
+    (the greedy point mass answers most full-demand fair probes), and one
+    colorful instance solved at 2r after its greedy centers miss at 4r."""
     pool = [gen_clumps(2, 2), gen_clumps(3, 2), gen_clumps(4, 3),
-            gen_random(4, 12, 3, 1, "line", Fraction(1, 2), Fraction(1, 2))]
+            gen_random(4, 12, 3, 1, "line", Fraction(1, 2), Fraction(1, 2)),
+            gen_random(10, 12, 4, 2, "line", Fraction(1))]
     for metric in ("line", "grid-l1"):
         for seed in range(1, 5):
             for n, k, gamma in ((12, 4, 2), (14, 3, 2), (16, 5, 3), (10, 2, 3)):
@@ -393,27 +409,33 @@ def _scaling_pool():
     return pool
 
 
-def test_scaling_every_distance_scales_every_radius_and_nothing_else():
+def test_scaling_every_distance_scales_every_radius_and_nothing_else(monkeypatch):
     """Metamorphic: times 3, and times 2/7, which makes the instance's
     scale 7 and its radius levels sevenths, every radius of the solution
     and its trace scales by the factor, and centers, distributions,
     optimality and every probe and separation record are otherwise
-    equal: outcomes, cuts, duals and counts."""
+    equal: outcomes, cuts, duals and counts.  Colorful instances are
+    solved as shipped and again with greedy centers that never answer,
+    on which the pool still rounds, solves at 2r and fires a cut."""
     outcomes = set()
+    shipped = solver.greedy_centers
     for inst in _scaling_pool():
         fair = isinstance(inst, FairInstance)
         solve = solve_fair if fair else solve_colorful
-        sol = solve(inst)
-        for f in (3, Fraction(2, 7)):
-            got = solve(_scaled(inst, f))
-            answer, want = ((got.distribution, sol.distribution) if fair
-                            else (got.centers, sol.centers))
-            assert answer == replace(want, radius=want.radius * f)
-            assert got.probe_radius == sol.probe_radius * f
-            assert got.optimal == sol.optimal
-            assert got.trace.records == [_scaled_record(rec, f) for rec in sol.trace.records]
-        outcomes.update(r.outcome for p in sol.trace.records for r in (p, *p.separations))
-        outcomes.update("cut" for p in sol.trace.records for r in (p, *p.separations) if r.cuts)
+        for greedy in (shipped,) if fair else (shipped, _no_greedy):
+            monkeypatch.setattr(solver, "greedy_centers", greedy)
+            sol = solve(inst)
+            for f in (3, Fraction(2, 7)):
+                got = solve(_scaled(inst, f))
+                answer, want = ((got.distribution, sol.distribution) if fair
+                                else (got.centers, sol.centers))
+                assert answer == replace(want, radius=want.radius * f)
+                assert got.probe_radius == sol.probe_radius * f
+                assert got.optimal == sol.optimal
+                assert got.trace.records == [_scaled_record(rec, f) for rec in sol.trace.records]
+            outcomes.update(r.outcome for p in sol.trace.records for r in (p, *p.separations))
+            outcomes.update("cut" for p in sol.trace.records for r in (p, *p.separations)
+                            if r.cuts)
     # the pool reaches every branch of both solvers
     assert outcomes == {"rounded-4r", "solved-2r", "infeasible", "enumerated", "cut", "empty",
                         "certified", "distribution", "greedy-4r", "exact", "column-4r",

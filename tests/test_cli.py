@@ -331,13 +331,23 @@ def test_exit_codes_for_bad_inputs(tmp_path, capsys):
         (None, ["fixture", "adversarial", "--m", "3"]),
     ]
     # numbers of more than 4,300 digits, which Python does not write out:
-    # 4 * r over 4,300-digit distances, generated distances, and the
+    # 2 * r over a 4,300-digit distance, generated distances, and the
     # weights of a distribution whose targets have coprime denominators
     long = LONG_NUMBERS[0]
     three = tmp_path / "long.json"
+    # clusters 100 apart, each of diameter near = long / (10**4299 + 3),
+    # about 10: 4 red, 4 red, 4 blue, and 3 red + 3 blue, which the
+    # greedy picks first at 4 * near, so its centers miss a demand there;
+    # the probe at near is solved at 2 * near, by the packing DP, and a
+    # service radius (any distance) would be written
+    near = f"{long}/{10**4299 + 3}"
+    groups = [0] * 4 + [1] * 4 + [2] * 4 + [3] * 6
     three.write_text(json.dumps({
-        "n": 3, "k": 2, "dist": [[long if i != j else "0" for j in range(3)] for i in range(3)],
-        "colors": [{"members": [0, 1, 2], "demand": 3}],
+        "n": 18, "k": 3,
+        "dist": [["0" if i == j else near if a == b else "100" for j, b in enumerate(groups)]
+                 for i, a in enumerate(groups)],
+        "colors": [{"members": [*range(8), 12, 13, 14], "demand": 8},
+                   {"members": [8, 9, 10, 11, 15, 16, 17], "demand": 4}],
     }))
     four = tmp_path / "long-fair.json"
     four.write_text(json.dumps({

@@ -29,6 +29,7 @@ from colorful_kcenter.model import (
     candidate_radii,
     check_feasible,
     feasible_sets,
+    greedy_centers,
     mask_points,
     mask_weight,
     union_mask,
@@ -704,18 +705,18 @@ def test_the_greedy_point_mass_is_a_distribution(monkeypatch):
     at 4r or it is built at any candidate radius, meets every demand
     and every target at its radius, and a probe that builds one returns
     that point mass as its answer."""
-    greedy = fair._greedy_point_mass
+    greedy = fair.greedy_centers
     found = []
     built = []  # (instance, its point mass) at each probe that had one
 
-    def spy(finst, radius):
-        got = greedy(finst, radius)
+    def spy(inst, radius, targets=0):
+        got = greedy(inst, radius, targets)
         if got is not None:
             built.append(Distribution(((got, 1),), radius))
             found.append((finst, built[-1]))
         return got
 
-    monkeypatch.setattr(fair, "_greedy_point_mass", spy)
+    monkeypatch.setattr(fair, "greedy_centers", spy)
     accepted = 0
     for seed in range(1, 41):
         finst = gen_random(seed, 10, 3, 2, demand_density=Fraction(1), p_density=Fraction(1, 2))
@@ -725,7 +726,7 @@ def test_the_greedy_point_mass_is_a_distribution(monkeypatch):
             assert sol.distribution == built[-1]
             accepted += 1
         for r in candidate_radii(finst.base):
-            spy(finst, r)
+            spy(finst.base, r, sum(1 << u for u in finst.targeted))
     assert accepted >= 20 and len(found) >= 200
     for finst, dist in found:
         ((centers, _),) = dist.support
@@ -772,7 +773,7 @@ def test_spare_picks_aim_at_the_demands():
     of 0, ties to the lowest index), that pick would miss the demand and
     the probe would run column generation."""
     finst = fair_line([0, 100, 200, 201], 2, [((2, 3), 2)], [1, 0, 0, 0])
-    assert fair._greedy_point_mass(finst, 4) == frozenset({0, 2})
+    assert greedy_centers(finst.base, 4, 0b1) == frozenset({0, 2})
     sol = solve_fair(finst)
     assert [(rec.radius, rec.outcome) for rec in sol.trace.records] == [
         (0, "empty"), (1, "greedy-4r")

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from colorful_kcenter import model
 from colorful_kcenter.fair import solve_fair
+from colorful_kcenter.generators import gen_random
 from colorful_kcenter.model import (
     CenterSet,
     ColorClass,
@@ -36,6 +37,7 @@ from colorful_kcenter.model import (
     mask_points,
     rational_from,
     rational_str,
+    service_radius,
     union_mask,
     validate_metric,
 )
@@ -238,6 +240,32 @@ def test_greedy_balls_pick_the_most_uncovered_points_ties_to_the_lowest_index():
             left &= ~masks[v]
             chosen.append(v)
         assert greedy_balls(masks, start, k, spare) == (left, chosen)
+
+
+def test_service_radius_is_the_least_candidate_radius_meeting_every_demand():
+    """service_radius against a brute-force minimum over the candidate
+    radii of the radius at which check_feasible's counts meet every
+    demand (the budget aside), on integer and on sevenths metrics, with
+    None when no radius does (no centers and a positive demand)."""
+    inst = line_instance([0, 1, 3, 7], 1, [((0, 1, 2, 3), 3), ((3,), 0)])
+    assert service_radius(inst, [0]) == 3  # the third nearest member
+    assert service_radius(inst, []) is None
+    assert service_radius(line_instance([0, 5], 1, [((0, 1), 0)]), []) == 0
+    rng = random.Random(11)
+    checked = 0
+    for seed in range(1, 41):
+        base = gen_random(seed, 3 + seed % 6, 1 + seed % 3, 1 + seed % 3,
+                          metric="line" if seed % 2 else "grid-l1")
+        for inst in (base, Instance([[d * Fraction(2, 7) for d in row] for row in base.dist],
+                                    base.k, base.colors)):
+            for _ in range(5):
+                centers = rng.sample(range(inst.n), rng.randint(0, inst.n))
+                meets = [r for r in candidate_radii(inst) if all(
+                    got >= c.demand
+                    for got, c in zip(check_feasible(inst, centers, r).counts, inst.colors))]
+                assert service_radius(inst, centers) == (meets[0] if meets else None)
+                checked += 1
+    assert checked == 400
 
 
 def test_check_feasible_counts():

@@ -17,6 +17,7 @@ from colorful_kcenter.model import (
     check_feasible,
     counting_bound,
     mask_points,
+    service_radius,
     union_mask,
 )
 from colorful_kcenter.oracle import (
@@ -219,7 +220,7 @@ def test_never_infeasible_when_solution_exists():
     assert checked > 50
 
 
-def test_trace_bookkeeping():
+def test_trace_bookkeeping(no_greedy):
     rng = random.Random(20)
     fast = 0
     for trial in range(60):
@@ -251,6 +252,32 @@ def test_trace_bookkeeping():
         else:
             assert sol.optimal and sol.centers.radius == sol.probe_radius
     assert fast >= 10
+
+
+def test_colorful_greedy_probes_against_the_oracle():
+    """A probe whose greedy centers meet every demand at 4r accepts them
+    as "greedy-4r", at their service radius, with no LP, DP call or cut,
+    ending the scan; every radius stays within OPT and 4 OPT of the
+    oracle's optimum."""
+    greedy = above_zero = 0
+    for seed in range(1, 81):
+        k = 2 + seed % 2
+        inst = gen_random(seed, 8 + seed % 4, k, 1 + seed % (k - 1),
+                          metric="grid-l1" if seed % 2 else "line", demand_density=Fraction(1))
+        opt = brute_force_colorful(inst).radius
+        sol = solve_colorful(inst)
+        got = sol.centers
+        assert not sol.optimal
+        assert check_feasible(inst, got.centers, got.radius).feasible
+        assert opt <= got.radius <= 4 * opt
+        for i, rec in enumerate(sol.trace.records):
+            if rec.outcome == "greedy-4r":
+                assert i == len(sol.trace.records) - 1
+                assert (rec.lp_solves, rec.dp_calls, rec.cuts) == (0, 0, [])
+                assert got.radius == service_radius(inst, got.centers) <= 4 * rec.radius
+                greedy += 1
+                above_zero += rec.radius > 0
+    assert greedy >= 60 and above_zero >= 30
 
 
 def test_trace_totals_walk_each_probe_and_its_separations():
