@@ -36,11 +36,16 @@ distribution at 4r <= 4 OPT.  The greedy only accepts; it never rejects a radius
 
 Otherwise, until one has a point, the probe tests the fair relaxation
 at 4r, solver.build_relaxation's polytope with x_u >= p(u) on the
-targeted points (see _relaxation_empty).  While it is empty no
-distribution exists at 4r, where every column the probe could price
-lies, so its column generation could only end certified: it is
-rejected as "empty" with no separation.  Balls grow with the radius,
-so once the test finds a point no later probe runs it.
+targeted points.  While it is empty no distribution exists at 4r,
+where every column the probe could price lies, so its column
+generation could only end certified: it is rejected as "empty" with no
+separation.  The test is model.counting_bound given the targets first,
+whose Farkas certificate solver.counting_certificate verifies exactly,
+with no LP (see _counting_empty); only when that bound does not fire,
+one cold LP (see _relaxation_empty).  The bound fires only where the LP
+finds the relaxation empty, so it changes no outcome, only the probe's
+LP count.  Balls grow with the radius, so once the test finds a point
+no later probe runs it.
 
 The restricted dual is a covering LP over the points with a target:
 least p.alpha over alpha >= 0, with (p - cov_c).alpha >= 1 for every
@@ -70,6 +75,7 @@ from .model import (
     FairInstance,
     Instance,
     ball_masks,
+    counting_bound,
     feasible_sets,
     greedy_centers,
     mask_weight,
@@ -77,8 +83,8 @@ from .model import (
     union_mask,
 )
 from .solver import (
-    InternalError, LiveRelaxation, ProbeRecord, SolveTrace, build_relaxation, radius_search,
-    round_or_cut,
+    InternalError, LiveRelaxation, ProbeRecord, SolveTrace, build_relaxation, counting_certificate,
+    radius_search, round_or_cut, target_rows,
 )
 
 # Not called in this module, but benchmarks/tracing.py patches each of
@@ -230,18 +236,28 @@ def solve_restricted(finst: FairInstance, radius, columns, start=None):
     return dist, out
 
 
+def _counting_empty(finst: FairInstance, radius) -> bool:
+    """Whether model.counting_bound, given the targets, shows the fair
+    relaxation at radius empty, with no LP; its Farkas certificate
+    (solver.counting_certificate) is verified exactly first, and an
+    InternalError raised if it fails."""
+    found = counting_bound(finst.base, radius, finst.p)
+    if found is None:
+        return False
+    counting_certificate(finst.base, radius, found, targets=finst.p)
+    return True
+
+
 def _relaxation_empty(finst: FairInstance, radius, rec: ProbeRecord) -> bool:
     """Whether the fair relaxation at radius is empty: the polytope of
     solver.build_relaxation(inst, radius) with x_u >= p(u) for every
-    targeted point.  A distribution at radius gives a point of it, y_v =
-    Pr[v opened] and x_u = Pr[u covered], so an infeasible outcome,
-    whose Farkas certificate lp has verified, proves that none exists.
-    The LP, cold, counts on rec."""
-    n, p = finst.base.n, finst.p
-    rows = [([0] * u + [p[u].denominator] + [0] * (2 * n - u - 1), lp.GE, p[u].numerator)
-            for u in finst.targeted]
+    targeted point (solver.target_rows).  A distribution at radius gives
+    a point of it, y_v = Pr[v opened] and x_u = Pr[u covered], so an
+    infeasible outcome, whose Farkas certificate lp has verified, proves
+    that none exists.  The LP, cold, counts on rec."""
     rec.lp_solves += 1
-    return lp.solve(build_relaxation(finst.base, radius).extended(rows)).status == "infeasible"
+    program = build_relaxation(finst.base, radius).extended(target_rows(finst.p))
+    return lp.solve(program).status == "infeasible"
 
 
 @dataclass(frozen=True)
@@ -331,7 +347,8 @@ def solve_fair(finst: FairInstance) -> FairSolution:
         if mass is not None:
             rec.outcome = "greedy-4r"
             return Distribution(((mass, 1),), 4 * r)
-        if not nonempty and _relaxation_empty(finst, 4 * r, rec):
+        if not nonempty and (_counting_empty(finst, 4 * r)
+                             or _relaxation_empty(finst, 4 * r, rec)):
             rec.outcome = "empty"
             return None
         nonempty = True

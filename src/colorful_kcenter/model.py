@@ -427,42 +427,64 @@ def check_feasible(inst: Instance, centers, r) -> CoverageReport:
 
 @dataclass(frozen=True)
 class CountingBound:
-    """One color's demand is out of reach of the relaxation at a radius.
+    """A color's demand, or the coverage targets, are out of reach of the
+    relaxation at a radius.
 
-    With U the points of `kept`, a subset of the color c, and a_v the
-    number of points of U in ball(v, r) (`counts`), every point of the
-    relaxation has
+    With U the points of `kept` and a_v the number of points of U in
+    ball(v, r) (`counts`), every point of the relaxation has
 
         x(c) <= |c - U| + sum_{u in U} y(ball(u, r))
              = |c - U| + sum_v a_v y_v
              <= |c - U| + (sum of the k largest a_v) = bound,
 
-    from x <= 1 outside U, the coverage rows of U, y in [0, 1] and the
-    budget sum_v y_v <= k; bound < demand.  kth is the k-th largest a_v.
+    for U a subset of the color c, from x <= 1 outside U, the coverage
+    rows of U, y in [0, 1] and the budget sum_v y_v <= k; bound <
+    demand.  kth is the k-th largest a_v.
+
+    On the fair relaxation, which also has x_u >= p(u), U may hold
+    targeted points outside c, and c may be no color at all (color
+    None: no members, demand 0).  Then every point has
+
+        d_c + sum_{u in U - c} p(u) <= x(c & U) + |c - U| + sum_{u in U - c} x_u
+                                   <= |c - U| + sum_v a_v y_v <= bound,
+
+    and the left side exceeds bound.
     """
 
-    color: int
+    color: int  # or None
     kept: int
     counts: tuple
     kth: int
     bound: int
 
 
-def counting_bound(inst: Instance, r):
+def counting_bound(inst: Instance, r, targets=None):
     """A CountingBound for the first color whose demand the relaxation
     at radius r cannot meet by counting (see _color_bound), or None.
     Cached per radius level, so it depends only on the instance and r.
+
+    targets, per-point coverage targets p(u) (a FairInstance's p), asks
+    for a bound on the fair relaxation instead: no color first, then
+    each color in turn, with U starting from the color's members and
+    every targeted point.  Not cached.
     """
     level = inst._level(r)
-    if level not in inst._bounds:
-        masks = inst._balls(r)
-        found = None
-        for color, (members, demand) in enumerate(inst.color_masks):
-            found = _color_bound(masks, members, demand, inst.k, color)
-            if found is not None:
-                break
+    if targets is None and level in inst._bounds:
+        return inst._bounds[level]
+    masks = inst._balls(r)
+    found, scale, weights = None, 1, None
+    choices = list(enumerate(inst.color_masks))
+    if targets is not None:
+        scale = math.lcm(*(t.denominator for t in targets))
+        weights = [t.numerator * scale // t.denominator for t in targets]
+        choices.insert(0, (None, (0, 0)))
+    for color, (members, demand) in choices:
+        found = _color_bound(masks, members, demand, inst.k, color, weights, scale)
+        if found is not None:
+            break
+    if targets is None:
         inst._bounds[level] = found
-    return inst._bounds[level]
+    return found
 
 
 def greedy_balls(masks, left, k, spare=-1):
@@ -526,37 +548,50 @@ def service_radius(inst: Instance, centers):
     return Fraction(worst, inst.scale)
 
 
-def _color_bound(masks, members, demand, k, color):
-    """Greedy search for U: start from U = members and drop the kept
-    point lying in the most of the k currently largest balls (by a_v,
-    ties to the lowest index) while it lies in at least two; each drop
-    adds one to |c - U| and takes one from each a_v of a ball holding
-    it.  Returns the smallest bound seen if it is below demand.
+def _color_bound(masks, members, demand, k, color, weights=None, scale=1):
+    """Greedy search for U: start from U = members, plus the points of
+    positive weight when weights are given, and drop the kept point u of
+    largest scale * h_u - w_u while that is positive (ties to the lowest
+    index), h_u the number of the k currently largest balls (by a_v,
+    ties to the lowest index) holding u, and w_u = scale for a member,
+    weights[u] otherwise; its drop takes w_u / scale from the left side
+    and one from each a_v of a ball holding it.  With no weights, w_u = 1
+    and scale 1: drop while some kept point lies in two of those balls.
+    Returns the bound of largest left - bound seen if that is positive.
 
-    Skipped when k balls picked greedily already reach the demand: that
-    is an integral point of the rows the bound uses, so no U can give a
-    bound below demand.
+    With no weights, skipped when k balls picked greedily already reach
+    the demand: that is an integral point of the rows the bound uses, so
+    no U can give a bound below demand.
     """
     spare = members.bit_count() - demand  # members that may stay uncovered
-    left, _ = greedy_balls(masks, members, k, spare)
-    if left.bit_count() <= spare:
-        return None
+    if weights is None:
+        left, _ = greedy_balls(masks, members, k, spare)
+        if left.bit_count() <= spare:
+            return None
     n = len(masks)
-    kept = [u for u in range(n) if members >> u & 1]
-    counts = list(map(int.bit_count, map(members.__and__, masks)))
-    best = None
+    w = [scale if members >> u & 1 else weights[u] if weights else 0 for u in range(n)]
+    kept = [u for u in range(n) if w[u]]
+    kept_mask = sum(1 << u for u in kept)
+    counts = list(map(int.bit_count, map(kept_mask.__and__, masks)))
+    total = sum(w)  # w summed over U
+    best, best_gap = None, 0
     while True:
         top = sorted(range(n), key=counts.__getitem__, reverse=True)[:k]
-        bound = members.bit_count() - len(kept) + sum(map(counts.__getitem__, top))
-        if bound < demand and (best is None or bound < best.bound):
+        largest = sum(map(counts.__getitem__, top))
+        gap = total - scale * (spare + largest)  # scale times left - bound
+        if gap > best_gap:
             kept_mask = sum(1 << u for u in kept)
+            bound = members.bit_count() - (members & kept_mask).bit_count() + largest
             best = CountingBound(color, kept_mask, tuple(counts), counts[top[-1]], bound)
+            best_gap = gap
         chosen = sum(1 << v for v in top)
-        hits = [(masks[u] & chosen).bit_count() for u in kept]
-        most = max(hits, default=0)
-        if most < 2:
+        gains = [scale * (masks[u] & chosen).bit_count() - w[u] for u in kept]
+        most = max(gains, default=0)
+        if most <= 0:
             return best
-        for v in mask_points(masks[kept.pop(hits.index(most))]):
+        u = kept.pop(gains.index(most))
+        total -= w[u]
+        for v in mask_points(masks[u]):
             counts[v] -= 1
 
 

@@ -46,6 +46,16 @@ the k-th largest a_v, and bound multipliers for the rest), checked
 exactly by lp.verify_certificate, against just the rows it uses,
 before it is returned.
 
+The fair relaxation adds the target rows x_u >= p(u) (target_rows).
+Given the targets, the same bound lets U hold targeted points outside
+c, and c be no color at all (d_c = 0, c empty):
+
+    d_c + sum_{u in U - c} p(u) <= |c - U| + (sum of the k largest a_v).
+
+When the left side is larger the relaxation is empty, and the
+certificate adds 1 / den(p_u) on the target row of each u in U - c.
+solve_fair's probes try it before their emptiness LP.
+
 A probe builds and solves its cut-free relaxation once, cold (once per
 LiveRelaxation when one is shared).  The extra row and each cut extend
 the last program (lp.LinearProgram.extended), and lp.solve(program,
@@ -107,7 +117,9 @@ class ProbeRecord:
     bound, LP or DP); "greedy-4r", "distribution", "certified",
     "empty", "exact" or "infeasible" for a solve_fair probe
     ("greedy-4r": its greedy point mass at 4r, with no LP, separation
-    or restricted solve); "column-4r", "column-2r" or
+    or restricted solve; "empty": its fair relaxation at 4r is empty,
+    shown by a verified counting certificate with no LP, or else by one
+    LP); "column-4r", "column-2r" or
     "certified" for a separation.  round_or_cut counts its cuts, LP
     solves and DP calls on the record it is given; a solve_fair probe
     keeps its separations and its restricted-dual solves.
@@ -208,38 +220,65 @@ def _cut_row(inst: Instance, r, cut: Cut):
     return _y_row(inst.n, union_mask(inst, cut.centers, r)), lp.LE, cut.bound
 
 
-def counting_certificate(inst: Instance, r, found, extra=None) -> lp.FarkasCertificate:
+def _target_row(n, u, target):
+    """x_u >= p(u), as den(p_u) x_u >= num(p_u)."""
+    row = [0] * (2 * n)
+    row[u] = target.denominator
+    return row, lp.GE, target.numerator
+
+
+def target_rows(targets):
+    """The fair relaxation's rows x_u >= p(u) over build_relaxation's
+    variables, one per targeted point in ascending order."""
+    return [_target_row(len(targets), u, t) for u, t in enumerate(targets) if t]
+
+
+def counting_certificate(
+    inst: Instance, r, found, extra=None, targets=None
+) -> lp.FarkasCertificate:
     """The Farkas certificate of a model.CountingBound on the relaxation
     at radius r with no cuts, with one multiplier per row of
-    build_relaxation(inst, r, extra_row=extra).
+    build_relaxation(inst, r, extra_row=extra) and, when targets are
+    given (the bound is model.counting_bound(inst, r, targets)), of
+    target_rows(targets) after them.
 
-    Row multipliers: +1 on the color's demand row and on the coverage
-    row of each kept point u, -A on the budget row, A the k-th largest
-    a_v.  Bound multipliers: upper 1 on x_u for u in the color but not
-    kept, upper (a_v - A)+ and lower (A - a_v)+ on y_v.  They sum to the
-    zero vector, and the gap is demand - bound > 0.  The certificate is
-    checked exactly, against a program of just the rows it uses (built
-    by build_relaxation's row code), before it is returned; every other
+    Row multipliers: +1 on the coverage row of each kept point and on
+    the color's demand row (when found has a color), 1 / den(p_u) on the
+    target row of each kept point u outside the color, -A on the budget
+    row, A the k-th largest a_v.  Bound multipliers: upper 1 on x_u for
+    u in the color but not kept, upper (a_v - A)+ and lower (A - a_v)+
+    on y_v.  They sum to the zero vector, and the gap is the bound's
+    left side minus bound, > 0.  The certificate is checked exactly,
+    against a program of just the rows it uses (built by
+    build_relaxation's row code), before it is returned; every other
     row has multiplier zero.
     """
     n = inst.n
-    color = inst.colors[found.color]
+    color = None if found.color is None else inst.colors[found.color]
+    members = frozenset() if color is None else color.members
     masks = ball_masks(inst, Fraction(r))
     kept = [u for u in range(n) if found.kept >> u & 1]
     used = _relaxation_frame(inst)
     for u in kept:
         used.add(*_coverage_row(n, u, masks[u]))
-    used.add(*_demand_row(n, color))
+    if color is not None:
+        used.add(*_demand_row(n, color))
+    by_target = {}  # kept points outside the color: their target row multipliers
+    for u in kept:
+        if u not in members and targets is not None and targets[u]:
+            by_target[u] = Fraction(1, targets[u].denominator)
+            used.add(*_target_row(n, u, targets[u]))
     lower = [0] * (2 * n)
     upper = [0] * (2 * n)
-    for u in color.members:
+    for u in members:
         upper[u] = 1 - (found.kept >> u & 1)
     for v, a in enumerate(found.counts):
         upper[n + v] = max(a - found.kth, 0)
         lower[n + v] = max(found.kth - a, 0)
+    left = sum((targets[u] for u in by_target), Fraction(0 if color is None else color.demand))
     cert = lp.FarkasCertificate(
-        (-found.kth,) + (1,) * len(kept) + (1,),
-        tuple(lower), tuple(upper), Fraction(color.demand - found.bound),
+        (-found.kth,) + (1,) * (len(kept) + (color is not None)) + tuple(by_target.values()),
+        tuple(lower), tuple(upper), left - found.bound,
     )
     if not lp.verify_certificate(used, cert):
         raise InternalError("counting certificate fails verification")
@@ -247,7 +286,10 @@ def counting_certificate(inst: Instance, r, found, extra=None) -> lp.FarkasCerti
     rows[0] = -found.kth
     for u in kept:
         rows[1 + u] = 1
-    rows[1 + n + found.color] = 1
+    if color is not None:
+        rows[1 + n + found.color] = 1
+    if targets is not None:
+        rows += [by_target.get(u, 0) for u, t in enumerate(targets) if t]
     return replace(cert, row_mults=tuple(rows))
 
 

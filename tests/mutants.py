@@ -419,6 +419,26 @@ MUTANTS = [
         "_relaxation_empty(finst, r, rec)",
         "tests/test_fair.py::test_empty_probes_reject_under_column_generation",
     ),
+    # so is its counting test; at r it rejects radii whose column
+    # generation at 4r accepts, and the outcomes move
+    Mutant(
+        "the probe's counting test run at r",
+        "fair.py",
+        "_counting_empty(finst, 4 * r)",
+        "_counting_empty(finst, r)",
+        "tests/test_fair.py::test_the_counting_emptiness_test_changes_only_lp_solves",
+    ),
+    # the target rows bound x_u only outside the color; inside it, the
+    # demand row already counts x_u, so its p(u) counts twice and the
+    # bound fires where the certificate's gap is not positive
+    Mutant(
+        "target bound also sums p(u) over kept points inside the color",
+        "model.py",
+        "w = [scale if members >> u & 1 else weights[u] if weights else 0 for u in range(n)]",
+        "w = [scale + (weights[u] if weights else 0) if members >> u & 1"
+        " else weights[u] if weights else 0 for u in range(n)]",
+        "tests/test_fair.py::test_target_counting_certificates_verify",
+    ),
     # greedy centers answer a probe only when they meet every demand at
     # its 4r: a point mass of both solvers, and a fair one covering every
     # target too

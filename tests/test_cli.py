@@ -653,12 +653,16 @@ FULL_KEYS = ROW_KEYS | {"cut_details", "separation_details"}
 
 
 def test_trace_file_and_json_logs(tmp_path, capsys, no_greedy):
-    for command, argv in [
+    fair_shape = ["--n", "12", "--k", "4", "--gamma", "2", "--demand-density", "1",
+                  "--p-density", "2/3"]
+    for command, argv, empty_lps in [
         ("solve", ["--seed", "23", "--n", "8", "--k", "2", "--gamma", "1",
-                   "--demand-density", "1"]),
-        # the fair relaxation at 4r rejects the first probe, radius 0, by one LP
-        ("solve-fair", ["--seed", "1", "--n", "12", "--k", "4", "--gamma", "2",
-                        "--demand-density", "1", "--p-density", "2/3"]),
+                   "--demand-density", "1"], None),
+        # the fair relaxation at 4r rejects the first probe, radius 0: at
+        # seed 1 by its verified counting certificate, with no LP, and at
+        # seed 11, which the counting bound misses, by one LP
+        ("solve-fair", ["--seed", "1", *fair_shape], 0),
+        ("solve-fair", ["--seed", "11", *fair_shape], 1),
     ]:
         inst = write_instance(tmp_path, "inst.json", ["gen", "random", *argv])
         trace = tmp_path / "trace.json"
@@ -686,7 +690,7 @@ def test_trace_file_and_json_logs(tmp_path, capsys, no_greedy):
             )
             assert doc["total_columns"] == sum(s["outcome"].startswith("column-") for s in seps)
         if command == "solve-fair":
-            assert rows[0]["outcome"] == "empty" and rows[0]["lp_solves"] == 1
+            assert rows[0]["outcome"] == "empty" and rows[0]["lp_solves"] == empty_lps
 
 
 def test_linear_scan_flag(tmp_path, capsys):

@@ -28,6 +28,7 @@ from colorful_kcenter.model import (
     Instance,
     candidate_radii,
     check_feasible,
+    counting_bound,
     feasible_sets,
     greedy_centers,
     mask_points,
@@ -36,7 +37,9 @@ from colorful_kcenter.model import (
     weighted_coverage,
 )
 from colorful_kcenter.oracle import _coverage_lp, brute_force_fair, enumerate_feasible
-from colorful_kcenter.solver import LiveRelaxation, ProbeRecord, build_relaxation
+from colorful_kcenter.solver import (
+    LiveRelaxation, ProbeRecord, build_relaxation, counting_certificate, target_rows,
+)
 
 
 def fair_line(coords, k, colors, p):
@@ -483,11 +486,14 @@ def test_trace_bookkeeping(no_greedy):
         for rec in trace.records:
             assert rec.outcome in ("distribution", "certified", "empty", "exact", "infeasible")
             # the fair relaxation at 4r is tested until it has a point: an
-            # "empty" probe solved its LP and nothing else, and a later
-            # probe solves none
+            # "empty" probe solved its LP, or none when the counting
+            # certificate rejected it, and nothing else, and a later probe
+            # solves none
             if rec.outcome == "empty":
                 assert not tested
-                assert (rec.lp_solves, rec.separations, rec.restricted_solves) == (1, [], 0)
+                counted = fair._counting_empty(finst, 4 * rec.radius)
+                assert (rec.lp_solves, rec.separations, rec.restricted_solves) == (
+                    1 - counted, [], 0)
             else:
                 assert rec.lp_solves <= 1 - tested
                 tested = True
@@ -698,6 +704,104 @@ def test_empty_probes_reject_under_column_generation(no_greedy):
             assert fair._generate(finst, 4 * rec.radius, separate, fresh, []) is None
             rejected += 1
     assert rejected >= 20
+
+
+def _probe_rows(sol):
+    """Everything a solve reports but the probes' own LP counts."""
+    rows = [
+        (rec.radius, rec.outcome, rec.restricted_solves,
+         [(sep.outcome, sep.cuts, sep.lp_solves, sep.dp_calls, sep.dual)
+          for sep in rec.separations])
+        for rec in sol.trace.records
+    ]
+    return sol.distribution, sol.probe_radius, sol.optimal, rows
+
+
+def test_the_counting_emptiness_test_changes_only_lp_solves(monkeypatch):
+    """Solved as shipped and with the counting emptiness test off, 80
+    instances of the benchmark's fair shape, with the greedy point mass
+    on and off, give the same distributions, probe radii, outcomes,
+    separations and restricted solves.  A probe's LP count differs by
+    exactly one on each "empty" probe the counting certificate decided,
+    and nowhere else."""
+    cases = [gen_random(seed, 12, 4, 2, demand_density=Fraction(1), p_density=Fraction(2, 3))
+             for seed in range(1, 81)]
+    greedy = fair.greedy_centers
+    counted = fell_back = 0
+    for greedy_on in (True, False):
+        monkeypatch.setattr(fair, "greedy_centers", greedy if greedy_on else (
+            lambda inst, radius, targets=0: None))
+        shipped = [solve_fair(finst) for finst in cases]
+        with monkeypatch.context() as off:
+            off.setattr(fair, "_counting_empty", lambda finst, radius: False)
+            without = [solve_fair(finst) for finst in cases]
+        for got, want in zip(shipped, without):
+            assert _probe_rows(got) == _probe_rows(want)
+            for rec, ref in zip(got.trace.records, want.trace.records):
+                decided = rec.outcome == "empty" and rec.lp_solves == 0
+                assert ref.lp_solves - rec.lp_solves == decided
+                counted += decided
+                fell_back += rec.outcome == "empty" and rec.lp_solves == 1
+            assert want.trace.total_lp_solves() - got.trace.total_lp_solves() == sum(
+                rec.outcome == "empty" and rec.lp_solves == 0 for rec in got.trace.records)
+    assert counted >= 100 and fell_back >= 2
+
+
+def test_target_counting_certificates_verify():
+    """Wherever the counting bound on the fair relaxation fires, on 200
+    small instances at every candidate radius R, its certificate, padded with
+    zero multipliers, verifies against the whole fair relaxation program
+    (build_relaxation plus the target rows) with gap left - bound; the
+    emptiness LP agrees; and the oracle's optimum lies above R.  The
+    target rows decide some radii that the colorful bound alone does
+    not, with no color and with one."""
+    rng = random.Random(46)
+    fired = collections.Counter()
+    for trial in range(200):
+        n = rng.randint(4, 9)
+        k = rng.randint(2, 3)
+        finst = gen_random(
+            seed=46_000 + trial, n=n, k=k, gamma=rng.randint(1, k - 1),
+            metric=rng.choice(["line", "grid-l1"]),
+            demand_density=rng.choice([Fraction(1, 2), Fraction(1)]),
+            p_density=rng.choice([Fraction(1, 2), Fraction(2, 3)]),
+        )
+        inst = finst.base
+        opt = brute_force_fair(finst).radius
+        for r in candidate_radii(inst):
+            found = counting_bound(inst, r, finst.p)
+            if found is None:
+                continue
+            program = build_relaxation(inst, r).extended(target_rows(finst.p))
+            cert = counting_certificate(inst, r, found, targets=finst.p)
+            assert lp.verify_certificate(program, cert)
+            members = () if found.color is None else inst.colors[found.color].members
+            left = sum((finst.p[u] for u in mask_points(found.kept) if u not in members),
+                       Fraction(0 if found.color is None else inst.colors[found.color].demand))
+            assert cert.gap == left - found.bound > 0
+            assert fair._relaxation_empty(finst, r, ProbeRecord(radius=r))
+            assert r < opt
+            fired[found.color is None, counting_bound(inst, r) is None] += 1
+    assert sum(fired.values()) >= 100
+    assert fired[True, True] >= 50 and fired[False, True] >= 10
+
+
+def test_an_empty_probe_the_counting_bound_misses_runs_its_lp():
+    """On the benchmark's fair shape the counting certificate rejects
+    radius 0 at seed 1 with no LP, misses it at seed 11, where the
+    emptiness LP rejects it, and at seed 354 decides radius 0 and misses
+    radius 1."""
+    shape = dict(demand_density=Fraction(1), p_density=Fraction(2, 3))
+    for seed, want in [
+        (1, [("empty", 0), ("greedy-4r", 0)]),
+        (11, [("empty", 1), ("greedy-4r", 0)]),
+        (354, [("empty", 0), ("empty", 1), ("greedy-4r", 0)]),
+    ]:
+        finst = gen_random(seed, 12, 4, 2, **shape)
+        records = solve_fair(finst).trace.records
+        assert [(rec.outcome, rec.lp_solves) for rec in records] == want
+        assert [fair._counting_empty(finst, 4 * rec.radius) for rec in records[:-1]] == [
+            lps == 0 for _, lps in want[:-1]]
 
 
 def test_the_greedy_point_mass_is_a_distribution(monkeypatch):
