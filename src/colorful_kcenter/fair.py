@@ -15,21 +15,10 @@ radius search and its trace are the solver's: a probe's
 solver.ProbeRecord counts its restricted-dual solves and keeps one
 ProbeRecord per separation, on which round_or_cut counts.
 
-The probes of one solve_fair share a column pool, every column any of
-them priced.  A probe first solves the restricted dual over the pool
-alone and accepts, with no separation, when that gives a distribution;
-otherwise it generates from the column-free dual point and adds the
-pool right after its own first column (merged before it, the pool
-steers the probe's first dual points, and more radii rise).  This is
-exact: the probes scan the radii up, so a pool column meets every
-demand at its own 4r' or 2r' <= 4r, and a certified dual point proves
-r below the optimum whichever columns produced it, so 4r <= 4 OPT
-still holds.  Enumeration bisects, and takes no pool.
-
 A probe at r first asks model.greedy_centers for centers at 4r that
 cover every targeted point and meet every demand, and, when it finds
 them, accepts their point mass as "greedy-4r" with no LP, separation or
-restricted solve, and leaves the pool alone.  This is exact: the probes
+restricted solve.  This is exact: the probes
 scan the radii up and every rejection is certified, so OPT >= r, and a
 point mass covering every targeted point meets every target, so it is a
 distribution at 4r <= 4 OPT.  The greedy only accepts; it never rejects a radius.
@@ -54,7 +43,7 @@ columns exists exactly when it is infeasible (Farkas), and then lp's
 verified certificate is that distribution (see solve_restricted).
 With no column its optimum is alpha = 0, mu = -1, priced with no solve.
 
-Every LP but the first over some columns (the pool's too) re-solves
+Every LP but the first over some columns re-solves
 warm, by lp.solve(program, start) from an earlier outcome: the
 restricted dual gains its new columns' rows, from its last outcome,
 and each separation adds its weighted row to the probe's cut-free
@@ -268,26 +257,14 @@ class FairSolution:
     trace: SolveTrace
 
 
-def _generate(finst: FairInstance, radius, price, rec: ProbeRecord, pool=None):
+def _generate(finst: FairInstance, radius, price, rec: ProbeRecord):
     """Column generation at one radius: alternate best dual responses
     with price(dual), a new column beating it or None, until a
     distribution emerges or a dual point survives, rejecting the radius
     (None).  The column-free dual point alpha = 0, mu = -1 is priced
-    first, with no solve; each restricted solve counts on rec.
-
-    pool, a list of columns that meet every demand at radius, is tried
-    alone first, and accepted when it gives a distribution.  Otherwise
-    generation starts from the column-free dual point as without a
-    pool, adds every pool column right after the first column it
-    prices (before it, the pool would steer the first dual points, and
-    some radii rise), and appends each new column to the pool.  A
-    priced column beats mu, and every column in the restricted dual,
-    pool included, covers at most mu, so pricing never repeats one."""
-    if pool:
-        got, _ = solve_restricted(finst, radius, pool)
-        rec.restricted_solves += 1
-        if isinstance(got, Distribution):
-            return got
+    first, with no solve; each restricted solve counts on rec.  A
+    priced column beats mu, and every column in the restricted dual
+    covers at most mu, so pricing never repeats one."""
     columns, out = [], None
     got = DualPoint(alpha=(0,) * finst.base.n, mu=-1, den=1)
     while True:
@@ -297,11 +274,6 @@ def _generate(finst: FairInstance, radius, price, rec: ProbeRecord, pool=None):
         if col in columns:
             raise InternalError("pricing repeated a known column")
         columns.append(col)
-        if pool is not None:
-            if len(columns) == 1:
-                columns += [c for c in pool if c != col]
-            if col not in pool:
-                pool.append(col)
         got, out = solve_restricted(finst, radius, columns, out)
         rec.restricted_solves += 1
         if isinstance(got, Distribution):
@@ -317,8 +289,7 @@ def solve_fair(finst: FairInstance) -> FairSolution:
     prices exactly, so its restricted dual holds the columns priced in,
     not every feasible set.  A probe accepts its greedy point mass at
     4r (model.greedy_centers over the targeted points) before any column
-    generation when it is a distribution.  The probes share one column
-    pool (see _generate); enumeration, which bisects, takes none.
+    generation when it is a distribution.
     """
     def exact(r, rec):
         # equal coverage gives equal rows: keep the first set of each
@@ -337,7 +308,6 @@ def solve_fair(finst: FairInstance) -> FairSolution:
         rec.outcome = "infeasible" if dist is None else "exact"
         return dist
 
-    pool = []  # every column a probe priced, kept up the radius scan
     nonempty = False  # a lower probe's fair relaxation at 4r had a point
     targets = sum(1 << u for u in finst.targeted)
 
@@ -360,7 +330,7 @@ def solve_fair(finst: FairInstance) -> FairSolution:
             got = separate_or_certify(finst, r, dual, sep, relaxation)
             return None if got is None else frozenset(got.centers)
 
-        dist = _generate(finst, 4 * r, separate, rec, pool)
+        dist = _generate(finst, 4 * r, separate, rec)
         rec.outcome = "certified" if dist is None else "distribution"
         return dist
 

@@ -389,27 +389,6 @@ MUTANTS = [
         "        rec.restricted_solves += 1\n",
         "tests/test_fair.py::test_restricted_solves_count_every_solve[enumerated]",
     ),
-    # one column pool per solve_fair: enumeration bisects, so a pool
-    # could hold columns priced above its radius
-    Mutant(
-        "enumeration seeded from the pool",
-        "fair.py",
-        "dist = _generate(finst, r, price, rec)",
-        "dist = _generate(finst, r, price, rec, pool)",
-        "tests/test_fair.py::test_pool_columns_were_priced_at_lower_radii",
-    ),
-    # the pool steers the probe's first dual point, which may survive
-    # a separation that the column-free one does not
-    Mutant(
-        "pool merged before the probe's first column",
-        "fair.py",
-        "    columns, out = [], None\n"
-        "    got = DualPoint(alpha=(0,) * finst.base.n, mu=-1, den=1)\n",
-        "    columns = list(pool or ())\n"
-        "    got, out = solve_restricted(finst, radius, columns) if pool else (\n"
-        "        DualPoint(alpha=(0,) * finst.base.n, mu=-1, den=1), None)\n",
-        "tests/test_fair.py::test_the_pool_joins_after_the_probes_first_column",
-    ),
     # a probe is rejected by its fair relaxation at 4r, where every column
     # it could price lies; emptiness at r rejects radii that accept
     Mutant(

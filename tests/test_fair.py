@@ -466,8 +466,6 @@ def test_trace_bookkeeping(no_greedy):
             seed=11_000 + trial, n=n, k=k, gamma=gamma, demand_density=density,
             p_density=Fraction(1, 2),
         ))
-    # later probes of some of these inherit a pool, which accepts alone
-    # or not; seeds 40 and 46 each have a probe certified despite its pool
     cases += [
         gen_random(seed, 14, 4, 2, demand_density=Fraction(1), p_density=Fraction(2, 3))
         for seed in range(1, 47)
@@ -481,7 +479,6 @@ def test_trace_bookkeeping(no_greedy):
             for sep in rec.separations
             if sep.outcome.startswith("column")
         )
-        pooled = False  # whether an earlier probe priced a column
         tested = False  # whether an earlier probe found the fair relaxation non-empty
         for rec in trace.records:
             assert rec.outcome in ("distribution", "certified", "empty", "exact", "infeasible")
@@ -497,16 +494,14 @@ def test_trace_bookkeeping(no_greedy):
             else:
                 assert rec.lp_solves <= 1 - tested
                 tested = True
-            # a solve after each separation that priced a column, after
-            # a solve of the pool alone, which accepts when no separation
-            # follows; the column-free dual point is priced with no solve
+            # a solve after each separation that priced a column; the
+            # column-free dual point is priced with no solve
             if rec.outcome == "distribution":
-                assert rec.restricted_solves == len(rec.separations) + pooled
+                assert rec.restricted_solves == len(rec.separations)
             elif rec.outcome == "certified":
-                assert rec.restricted_solves == len(rec.separations) - 1 + pooled
+                assert rec.restricted_solves == len(rec.separations) - 1
                 assert rec.separations[-1].outcome == "certified"
-            tried[pooled, rec.outcome, bool(rec.separations)] += 1
-            pooled = pooled or any(sep.outcome.startswith("column") for sep in rec.separations)
+            tried[rec.outcome] += 1
             for sep in rec.separations:
                 assert sep.outcome in ("column-4r", "column-2r", "certified")
                 if sep.lp_solves == 0:
@@ -520,10 +515,7 @@ def test_trace_bookkeeping(no_greedy):
         final = [r for r in trace.records if r.radius == sol.probe_radius]
         assert any(r.outcome in ("distribution", "exact") for r in final)
     assert fast >= 3
-    # (pool tried, outcome, any separation): every kind of pooled probe
-    assert tried[True, "distribution", False] >= 5
-    assert tried[True, "distribution", True] >= 1
-    assert tried[True, "certified", True] >= 2
+    assert tried["distribution"] >= 40 and tried["certified"] >= 30
 
 
 @pytest.mark.parametrize("gamma", [2, 1], ids=["enumerated", "probed"])
@@ -559,97 +551,6 @@ def test_restricted_solves_count_every_solve(monkeypatch, no_greedy, gamma):
     ]
 
 
-def test_pool_columns_were_priced_at_lower_radii(monkeypatch, no_greedy):
-    """Every column a probe inherits from the pool was priced by a
-    separation of an earlier probe at a lower radius, and enumeration,
-    which bisects, never receives a pool."""
-    separate, generate = fair.separate_or_certify, fair._generate
-    priced = {}  # column: the radius of the separation that first priced it
-    inherited = collections.Counter()
-
-    def spy_separate(finst, r, dual, record=None, relaxation=None):
-        got = separate(finst, r, dual, record, relaxation)
-        if got is not None:
-            priced.setdefault(frozenset(got.centers), Fraction(r))
-        return got
-
-    def spy_generate(finst, radius, price, rec, pool=None):
-        if finst.base.num_colors >= finst.base.k:
-            assert pool is None
-        else:
-            assert all(priced[c] < rec.radius for c in pool)
-            inherited[bool(pool)] += 1
-        return generate(finst, radius, price, rec, pool)
-
-    monkeypatch.setattr(fair, "separate_or_certify", spy_separate)
-    monkeypatch.setattr(fair, "_generate", spy_generate)
-    for seed in range(1, 31):
-        for gamma in (2, 4):  # k = 4: gamma = 2 probes, gamma = 4 enumerates
-            priced.clear()
-            solve_fair(gen_random(
-                seed, 14, 4, gamma, demand_density=Fraction(1), p_density=Fraction(2, 3)
-            ))
-    assert inherited[True] >= 5 and inherited[False] >= 5
-
-
-def test_pooled_probes_against_the_oracle(no_greedy):
-    """On a small-n sweep in which later probes inherit the pool, the
-    radius stays within four times the oracle's optimum, every support
-    set meets the demands at the distribution's radius and every target
-    is met; some probes accept from the pool alone."""
-    from_pool = 0
-    for seed in range(1, 121):
-        finst = gen_random(
-            seed, 8, 3, 2, metric="grid-l1" if seed % 2 else "line",
-            demand_density=Fraction(1) if seed % 3 else Fraction(1, 2),
-            p_density=Fraction(2, 3),
-        )
-        opt = brute_force_fair(finst)
-        sol = solve_fair(finst)
-        dist = sol.distribution
-        assert dist.radius <= 4 * opt.radius
-        for cs, _ in dist.support:
-            assert check_feasible(finst.base, cs, dist.radius).feasible
-        for u, target in enumerate(finst.p):
-            assert coverage_probability(finst.base, dist, u) >= target
-        from_pool += sum(
-            rec.outcome == "distribution" and not rec.separations for rec in sol.trace.records
-        )
-    assert from_pool >= 5
-
-
-def test_a_probe_accepts_from_the_pool_alone(no_greedy):
-    """With the greedy point mass off (it answers radius 1 here, and no
-    scanned gen_random family still has a probe the pool accepts
-    alone), the fair relaxation at 4r rejects radius 0 with no
-    separation on this instance; the probe at radius 1 prices 2
-    columns, each followed by a restricted solve, before its third
-    separation certifies it; the probe at radius 2 solves the restricted
-    dual over those alone, once, and accepts with no separation."""
-    finst = gen_random(6, 12, 4, 2, demand_density=Fraction(1), p_density=Fraction(2, 3))
-    records = solve_fair(finst).trace.records
-    assert [(rec.radius, rec.outcome, len(rec.separations), rec.restricted_solves)
-            for rec in records] == [
-        (0, "empty", 0, 0), (1, "certified", 3, 2), (2, "distribution", 0, 1)
-    ]
-
-
-def test_the_pool_joins_after_the_probes_first_column(no_greedy):
-    """With the greedy point mass off (it answers radius 1 here), the
-    pool alone does not accept radius 2 on this instance.  From the
-    column-free dual point the probe prices one column, the pool joins
-    it, and the next restricted solve accepts, at 8.  Merged before that
-    first column, the pool steers the probe to a dual point that
-    certifies radius 2, and the radius rises to 12."""
-    finst = gen_random(109, 12, 4, 2, demand_density=Fraction(1), p_density=Fraction(2, 3))
-    sol = solve_fair(finst)
-    assert sol.distribution.radius == 8
-    assert [(rec.outcome, len(rec.separations), rec.restricted_solves)
-            for rec in sol.trace.records] == [
-        ("empty", 0, 0), ("certified", 2, 1), ("distribution", 1, 2)
-    ]
-
-
 def test_empty_fair_relaxations_lie_below_the_optimum():
     """Wherever the fair relaxation is called empty there is no
     distribution, so on small instances every such radius lies below the
@@ -681,7 +582,7 @@ def test_empty_fair_relaxations_lie_below_the_optimum():
 
 def test_empty_probes_reject_under_column_generation(no_greedy):
     """Column generation at a probe rejected as "empty", run with a fresh
-    LiveRelaxation and an empty pool, ends certified too: every column
+    LiveRelaxation, ends certified too: every column
     it could price meets the demands at 4r, where no distribution
     exists.  On the n = 12 shape the first probe is one of them."""
     rejected = 0
@@ -701,7 +602,7 @@ def test_empty_probes_reject_under_column_generation(no_greedy):
                 return None if got is None else frozenset(got.centers)
 
             fresh = ProbeRecord(radius=rec.radius)
-            assert fair._generate(finst, 4 * rec.radius, separate, fresh, []) is None
+            assert fair._generate(finst, 4 * rec.radius, separate, fresh) is None
             rejected += 1
     assert rejected >= 20
 

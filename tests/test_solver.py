@@ -522,7 +522,6 @@ def test_extended_programs_equal_fresh_builds(monkeypatch, no_greedy):
     monkeypatch.setattr(lp, "_first_violation", spy_first_violation)
     monkeypatch.setattr(solver, "build_relaxation", counted("builds", build))
     monkeypatch.setattr(fair, "_restricted_program", counted("restricted builds", restricted))
-    # the pool spares many separations, and with them cuts
     cases = {**CASES, **_random_fair_cases()}
     for name, inst in sorted(cases.items()):
         before = seen.copy()
