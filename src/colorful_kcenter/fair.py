@@ -15,26 +15,24 @@ radius search and its trace are the solver's: a probe's
 solver.ProbeRecord counts its restricted-dual solves and keeps one
 ProbeRecord per separation, on which round_or_cut counts.
 
-A probe at r first asks model.greedy_centers for centers at 4r that
-cover every targeted point and meet every demand, and, when it finds
-them, accepts their point mass as "greedy-4r" with no LP, separation or
-restricted solve.  This is exact: the probes
-scan the radii up and every rejection is certified, so OPT >= r, and a
-point mass covering every targeted point meets every target, so it is a
-distribution at 4r <= 4 OPT.  The greedy only accepts; it never rejects a radius.
+A probe at r takes the colorful probe's steps in its order.  When
+model.greedy_centers finds centers at 4r that cover every targeted
+point and meet every demand, it accepts their point mass as
+"greedy-4r", with no LP, separation or restricted solve, at the radius
+_mass_radius gives, at most 4r.  This is exact: the probes scan the
+radii up and every rejection is certified, so OPT >= r, and a point
+mass covering every targeted point meets every target.  The greedy
+never rejects a radius.
 
-Otherwise, until one has a point, the probe tests the fair relaxation
-at 4r, solver.build_relaxation's polytope with x_u >= p(u) on the
-targeted points.  While it is empty no distribution exists at 4r,
-where every column the probe could price lies, so its column
-generation could only end certified: it is rejected as "empty" with no
-separation.  The test is model.counting_bound given the targets first,
-whose Farkas certificate solver.counting_certificate verifies exactly,
-with no LP (see _counting_empty); only when that bound does not fire,
-one cold LP (see _relaxation_empty).  The bound fires only where the LP
-finds the relaxation empty, so it changes no outcome, only the probe's
-LP count.  Balls grow with the radius, so once the test finds a point
-no later probe runs it.
+Otherwise the probe rejects r as "empty" when the fair relaxation at r,
+solver.build_relaxation's polytope with x_u >= p(u) on the targeted
+points, is empty: a distribution at r gives it a point (y_v = Pr[v
+opened], x_u = Pr[u covered]), so OPT > r.  model.counting_bound given
+the targets tests it first, with no LP (see _counting_empty); then the
+probe's cut-free relaxation, the start of its separations, re-solved
+warm with the target rows (see _relaxation_empty).  Only a probe whose
+relaxation has a point runs column generation, though at some rejected
+radii that would have found a distribution at 4r.
 
 The restricted dual is a covering LP over the points with a target:
 least p.alpha over alpha >= 0, with (p - cov_c).alpha >= 1 for every
@@ -43,11 +41,12 @@ columns exists exactly when it is infeasible (Farkas), and then lp's
 verified certificate is that distribution (see solve_restricted).
 With no column its optimum is alpha = 0, mu = -1, priced with no solve.
 
-Every LP but the first over some columns re-solves
-warm, by lp.solve(program, start) from an earlier outcome: the
-restricted dual gains its new columns' rows, from its last outcome,
-and each separation adds its weighted row to the probe's cut-free
-relaxation, from that relaxation's outcome.  Each program is built once
+Every LP but the first over some columns and the cut-free relaxation
+re-solves warm, by lp.solve(program, start) from an earlier outcome:
+the restricted dual gains its new columns' rows, from its last
+outcome, and the emptiness test adds the target rows, and each
+separation its weighted row, to the probe's cut-free relaxation, from
+that relaxation's outcome.  Each program is built once
 and extended by its new rows; lp checks every optimum against its full
 program and verifies every certificate against it.
 """
@@ -69,6 +68,7 @@ from .model import (
     greedy_centers,
     mask_weight,
     rational_from,
+    service_radius,
     union_mask,
 )
 from .solver import (
@@ -237,16 +237,27 @@ def _counting_empty(finst: FairInstance, radius) -> bool:
     return True
 
 
-def _relaxation_empty(finst: FairInstance, radius, rec: ProbeRecord) -> bool:
-    """Whether the fair relaxation at radius is empty: the polytope of
-    solver.build_relaxation(inst, radius) with x_u >= p(u) for every
-    targeted point (solver.target_rows).  A distribution at radius gives
-    a point of it, y_v = Pr[v opened] and x_u = Pr[u covered], so an
-    infeasible outcome, whose Farkas certificate lp has verified, proves
-    that none exists.  The LP, cold, counts on rec."""
-    rec.lp_solves += 1
-    program = build_relaxation(finst.base, radius).extended(target_rows(finst.p))
-    return lp.solve(program).status == "infeasible"
+def _relaxation_empty(finst: FairInstance, radius, relaxation: LiveRelaxation,
+                      rec: ProbeRecord) -> bool:
+    """Whether the fair relaxation at radius (solver.build_relaxation
+    plus solver.target_rows) is empty, by a Farkas certificate lp has
+    verified.  Solves the cut-free relaxation cold into relaxation.base,
+    where the probe's separations start, and re-solves it warm with the
+    target rows; each LP counts on rec (from an empty cut-free
+    relaxation the re-solve only pads its certificate)."""
+    relaxation.base = base = lp.solve(build_relaxation(finst.base, radius))
+    rec.lp_solves += 1 + (base.status == "optimal")
+    return lp.solve(base.program.extended(target_rows(finst.p)), base).status == "infeasible"
+
+
+def _mass_radius(finst: FairInstance, centers) -> Fraction:
+    """The smallest radius at which the point mass on centers meets
+    every demand (model.service_radius) and covers every targeted point,
+    read from the int rows."""
+    inst = finst.base
+    near = list(map(min, zip(*(inst.rows[s] for s in centers))))
+    far = max((near[u] for u in finst.targeted), default=0)
+    return max(service_radius(inst, centers), Fraction(far, inst.scale))
 
 
 @dataclass(frozen=True)
@@ -284,12 +295,11 @@ def solve_fair(finst: FairInstance) -> FairSolution:
     """Minimize the radius at which some distribution over feasible
     center sets meets every coverage target (see solver.radius_search):
     exact when enumeration is affordable, otherwise at most four times
-    the optimum.  Column generation from the column-free dual point
-    decides each radius; a probe's columns cover at 4r.  Enumeration
-    prices exactly, so its restricted dual holds the columns priced in,
-    not every feasible set.  A probe accepts its greedy point mass at
-    4r (model.greedy_centers over the targeted points) before any column
-    generation when it is a distribution.
+    the optimum.  Enumeration prices exactly, so its restricted dual
+    holds the columns priced in, not every feasible set.  A probe at r
+    accepts its greedy point mass, else rejects r when the fair
+    relaxation at r is empty, else runs column generation from the
+    column-free dual point, its columns covering at 4r.
     """
     def exact(r, rec):
         # equal coverage gives equal rows: keep the first set of each
@@ -308,21 +318,17 @@ def solve_fair(finst: FairInstance) -> FairSolution:
         rec.outcome = "infeasible" if dist is None else "exact"
         return dist
 
-    nonempty = False  # a lower probe's fair relaxation at 4r had a point
     targets = sum(1 << u for u in finst.targeted)
 
     def probe(r, rec):
-        nonlocal nonempty
         mass = greedy_centers(finst.base, 4 * r, targets)
         if mass is not None:
             rec.outcome = "greedy-4r"
-            return Distribution(((mass, 1),), 4 * r)
-        if not nonempty and (_counting_empty(finst, 4 * r)
-                             or _relaxation_empty(finst, 4 * r, rec)):
+            return Distribution(((mass, 1),), _mass_radius(finst, mass))
+        relaxation = LiveRelaxation()  # every separation starts from it
+        if _counting_empty(finst, r) or _relaxation_empty(finst, r, relaxation, rec):
             rec.outcome = "empty"
             return None
-        nonempty = True
-        relaxation = LiveRelaxation()  # every separation starts from it
 
         def separate(dual):
             sep = ProbeRecord(radius=r)

@@ -54,7 +54,7 @@ c, and c be no color at all (d_c = 0, c empty):
 
 When the left side is larger the relaxation is empty, and the
 certificate adds 1 / den(p_u) on the target row of each u in U - c.
-solve_fair's probes try it before their emptiness LP.
+solve_fair's probes try it at r before their emptiness LP.
 
 A probe builds and solves its cut-free relaxation once, cold (once per
 LiveRelaxation when one is shared).  The extra row and each cut extend
@@ -116,10 +116,12 @@ class ProbeRecord:
     centers at 4r, reported at their service radius, with no counting
     bound, LP or DP); "greedy-4r", "distribution", "certified",
     "empty", "exact" or "infeasible" for a solve_fair probe
-    ("greedy-4r": its greedy point mass at 4r, with no LP, separation
-    or restricted solve; "empty": its fair relaxation at 4r is empty,
-    shown by a verified counting certificate with no LP, or else by one
-    LP); "column-4r", "column-2r" or
+    ("greedy-4r": its greedy point mass at 4r, reported at the radius
+    at which it meets every demand and covers every targeted point,
+    with no LP, separation or restricted solve; "empty": its fair
+    relaxation at r is empty, shown by a verified counting certificate
+    with no LP, or else by the cut-free relaxation's LP and its warm
+    re-solve with the target rows); "column-4r", "column-2r" or
     "certified" for a separation.  round_or_cut counts its cuts, LP
     solves and DP calls on the record it is given; a solve_fair probe
     keeps its separations and its restricted-dual solves.
@@ -296,8 +298,9 @@ def counting_certificate(
 @dataclass
 class LiveRelaxation:
     """The lp outcome of the cut-free relaxation of one probe radius with
-    no extra row, shared by the probe's round_or_cut calls; None before
-    the first call that needs it."""
+    no extra row, shared by the probe's round_or_cut calls (and a
+    solve_fair probe's emptiness test); None before the first call that
+    needs it."""
 
     base: lp.LpOutcome = None
 

@@ -15,3 +15,15 @@ def no_greedy(monkeypatch):
     decide at 4r."""
     for module in (fair, solver):
         monkeypatch.setattr(module, "greedy_centers", lambda inst, radius, targets=0: None)
+
+
+@pytest.fixture
+def generation_only(monkeypatch, no_greedy):
+    """solve_fair with no greedy point mass and no emptiness test at r,
+    so every probe runs column generation from its first radius: the
+    tests that pin separations (round-or-cut's LP and its counting
+    certificate, rounding at 4r, the DP at 2r and its cuts) keep
+    reaching them on probes the fair relaxation would reject."""
+    monkeypatch.setattr(fair, "_counting_empty", lambda finst, radius: False)
+    monkeypatch.setattr(fair, "_relaxation_empty",
+                        lambda finst, radius, relaxation, rec: False)

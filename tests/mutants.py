@@ -389,23 +389,34 @@ MUTANTS = [
         "        rec.restricted_solves += 1\n",
         "tests/test_fair.py::test_restricted_solves_count_every_solve[enumerated]",
     ),
-    # a probe is rejected by its fair relaxation at 4r, where every column
-    # it could price lies; emptiness at r rejects radii that accept
+    # a probe is rejected while its fair relaxation at r is empty; the
+    # relaxation at 4r holds a point on many of those radii, and the
+    # certificate the probe was rejected by is then one at 4r
     Mutant(
-        "fair relaxation tested at r",
+        "emptiness tested at 4r instead of r",
         "fair.py",
-        "_relaxation_empty(finst, 4 * r, rec)",
-        "_relaxation_empty(finst, r, rec)",
-        "tests/test_fair.py::test_empty_probes_reject_under_column_generation",
+        "if _counting_empty(finst, r) or _relaxation_empty(finst, r, relaxation, rec):",
+        "if _counting_empty(finst, 4 * r) or _relaxation_empty(\n"
+        "                finst, 4 * r, LiveRelaxation(), rec):",
+        "tests/test_fair.py::test_empty_probes_against_the_oracle",
     ),
-    # so is its counting test; at r it rejects radii whose column
-    # generation at 4r accepts, and the outcomes move
+    # the LP test re-solves the cut-free relaxation with the target rows;
+    # without them it misses every radius the targets alone make empty
     Mutant(
-        "the probe's counting test run at r",
+        "LP emptiness test without the target rows",
         "fair.py",
-        "_counting_empty(finst, 4 * r)",
-        "_counting_empty(finst, r)",
-        "tests/test_fair.py::test_the_counting_emptiness_test_changes_only_lp_solves",
+        "return lp.solve(base.program.extended(target_rows(finst.p)), base).status",
+        "return base.status",
+        "tests/test_fair.py::test_an_empty_probe_the_counting_bound_misses_runs_its_lp",
+    ),
+    # a greedy point mass is reported where it also covers every targeted
+    # point, not just where it meets the demands
+    Mutant(
+        "point-mass radius ignores the targeted points",
+        "fair.py",
+        "return max(service_radius(inst, centers), Fraction(far, inst.scale))",
+        "return service_radius(inst, centers)",
+        "tests/test_fair.py::test_greedy_point_masses_cover_every_target_at_their_radius",
     ),
     # the target rows bound x_u only outside the color; inside it, the
     # demand row already counts x_u, so its p(u) counts twice and the

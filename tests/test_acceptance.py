@@ -12,7 +12,7 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
-from colorful_kcenter import lp, solver
+from colorful_kcenter import fair, lp, solver
 from colorful_kcenter.cli import main as cli_main
 from colorful_kcenter.dp import DpProgram, dp_solve
 from colorful_kcenter.fair import DualPoint, solve_fair, weighted_goal
@@ -393,12 +393,15 @@ def _scaled_record(rec, f):
 def _scaling_pool():
     """Full-demand gen_random instances on both metrics, colorful with
     gamma below k (the LP path) and at or above it (enumeration), fair
-    with p density 2/3 likewise, and clumps, on which a cut fires; and
-    one half-demand fair instance whose last probe rounds a column at 4r
-    (the greedy point mass answers most full-demand fair probes), and one
-    colorful instance solved at 2r after its greedy centers miss at 4r."""
+    with p density 2/3 likewise, and clumps, on which a cut fires; one
+    half-demand fair instance whose last probe rounds a column at 4r
+    (the greedy point mass answers most full-demand fair probes), one
+    full-demand fair instance that certifies radius 0 by column
+    generation, and one colorful instance solved at 2r after its greedy
+    centers miss at 4r."""
     pool = [gen_clumps(2, 2), gen_clumps(3, 2), gen_clumps(4, 3),
             gen_random(4, 12, 3, 1, "line", Fraction(1, 2), Fraction(1, 2)),
+            gen_random(201, 12, 4, 2, "line", Fraction(1), Fraction(2, 3)),
             gen_random(10, 12, 4, 2, "line", Fraction(1))]
     for metric in ("line", "grid-l1"):
         for seed in range(1, 5):
@@ -414,20 +417,21 @@ def test_scaling_every_distance_scales_every_radius_and_nothing_else(monkeypatch
     scale 7 and its radius levels sevenths, every radius of the solution
     and its trace scales by the factor, and centers, distributions,
     optimality and every probe and separation record are otherwise
-    equal: outcomes, cuts, duals and counts.  Colorful instances are
-    solved as shipped and again with greedy centers that never answer,
-    on which the pool still rounds, solves at 2r and fires a cut."""
+    equal: outcomes, cuts, duals and counts.  Every instance is solved
+    as shipped and again with greedy centers that never answer, on
+    which the pool still rounds, solves at 2r, fires a cut and prices
+    fair columns at 4r."""
     outcomes = set()
     shipped = solver.greedy_centers
     for inst in _scaling_pool():
-        fair = isinstance(inst, FairInstance)
-        solve = solve_fair if fair else solve_colorful
-        for greedy in (shipped,) if fair else (shipped, _no_greedy):
-            monkeypatch.setattr(solver, "greedy_centers", greedy)
+        is_fair = isinstance(inst, FairInstance)
+        solve = solve_fair if is_fair else solve_colorful
+        for greedy in (shipped, _no_greedy):
+            monkeypatch.setattr(fair if is_fair else solver, "greedy_centers", greedy)
             sol = solve(inst)
             for f in (3, Fraction(2, 7)):
                 got = solve(_scaled(inst, f))
-                answer, want = ((got.distribution, sol.distribution) if fair
+                answer, want = ((got.distribution, sol.distribution) if is_fair
                                 else (got.centers, sol.centers))
                 assert answer == replace(want, radius=want.radius * f)
                 assert got.probe_radius == sol.probe_radius * f

@@ -658,11 +658,12 @@ def test_trace_file_and_json_logs(tmp_path, capsys, no_greedy):
     for command, argv, empty_lps in [
         ("solve", ["--seed", "23", "--n", "8", "--k", "2", "--gamma", "1",
                    "--demand-density", "1"], None),
-        # the fair relaxation at 4r rejects the first probe, radius 0: at
+        # the fair relaxation at r rejects the first probe, radius 0: at
         # seed 1 by its verified counting certificate, with no LP, and at
-        # seed 11, which the counting bound misses, by one LP
+        # seed 11, which the counting bound misses, by two LPs, the
+        # cut-free relaxation cold and its re-solve with the target rows
         ("solve-fair", ["--seed", "1", *fair_shape], 0),
-        ("solve-fair", ["--seed", "11", *fair_shape], 1),
+        ("solve-fair", ["--seed", "11", *fair_shape], 2),
     ]:
         inst = write_instance(tmp_path, "inst.json", ["gen", "random", *argv])
         trace = tmp_path / "trace.json"

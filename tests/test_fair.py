@@ -33,6 +33,7 @@ from colorful_kcenter.model import (
     greedy_centers,
     mask_points,
     mask_weight,
+    service_radius,
     union_mask,
     weighted_coverage,
 )
@@ -450,27 +451,31 @@ def test_sweep_against_oracle():
     assert ratios and max(ratios) <= 4
 
 
-def test_trace_bookkeeping(no_greedy):
+def _bookkeeping_cases():
+    """24 small gen_random instances, the second half demanding whole
+    colors, then 46 of 14 points."""
     rng = random.Random(52)
-    fast = 0
-    tried = collections.Counter()
     cases = []
     for trial in range(24):
         n = rng.randint(4, 8)
         k = rng.randint(2, 3)
-        gamma = 1
-        # the second half demands whole colors, where the counting
-        # certificate decides some separations without an LP
         density = Fraction(1, 2) if trial < 12 else Fraction(1)
         cases.append(gen_random(
-            seed=11_000 + trial, n=n, k=k, gamma=gamma, demand_density=density,
+            seed=11_000 + trial, n=n, k=k, gamma=1, demand_density=density,
             p_density=Fraction(1, 2),
         ))
-    cases += [
+    return cases + [
         gen_random(seed, 14, 4, 2, demand_density=Fraction(1), p_density=Fraction(2, 3))
         for seed in range(1, 47)
     ]
-    for finst in cases:
+
+
+def test_trace_bookkeeping(no_greedy):
+    tried = collections.Counter()
+    # seeds 201 and 396 of the benchmark's fair shape certify radius 0
+    certify = [gen_random(seed, 12, 4, 2, demand_density=Fraction(1), p_density=Fraction(2, 3))
+               for seed in (201, 396)]
+    for finst in _bookkeeping_cases() + certify:
         sol = solve_fair(finst)
         trace = sol.trace
         assert trace.total_columns() == sum(
@@ -479,21 +484,22 @@ def test_trace_bookkeeping(no_greedy):
             for sep in rec.separations
             if sep.outcome.startswith("column")
         )
-        tested = False  # whether an earlier probe found the fair relaxation non-empty
         for rec in trace.records:
             assert rec.outcome in ("distribution", "certified", "empty", "exact", "infeasible")
-            # the fair relaxation at 4r is tested until it has a point: an
-            # "empty" probe solved its LP, or none when the counting
-            # certificate rejected it, and nothing else, and a later probe
-            # solves none
+            # each probe tests the fair relaxation at r: an "empty" probe
+            # solved no LP when the counting certificate rejected it, else
+            # the cut-free relaxation, cold, and its re-solve with the
+            # target rows unless the cut-free one was empty, and nothing
+            # else; a probe with a point solved both itself
             if rec.outcome == "empty":
-                assert not tested
-                counted = fair._counting_empty(finst, 4 * rec.radius)
-                assert (rec.lp_solves, rec.separations, rec.restricted_solves) == (
-                    1 - counted, [], 0)
+                if fair._counting_empty(finst, rec.radius):
+                    lps = 0
+                else:
+                    cut_free = lp.solve(build_relaxation(finst.base, rec.radius))
+                    lps = 1 + (cut_free.status == "optimal")
+                assert (rec.lp_solves, rec.separations, rec.restricted_solves) == (lps, [], 0)
             else:
-                assert rec.lp_solves <= 1 - tested
-                tested = True
+                assert rec.lp_solves == 2
             # a solve after each separation that priced a column; the
             # column-free dual point is priced with no solve
             if rec.outcome == "distribution":
@@ -504,18 +510,29 @@ def test_trace_bookkeeping(no_greedy):
             tried[rec.outcome] += 1
             for sep in rec.separations:
                 assert sep.outcome in ("column-4r", "column-2r", "certified")
+        final = [r for r in trace.records if r.radius == sol.probe_radius]
+        assert any(r.outcome in ("distribution", "exact") for r in final)
+    assert tried["empty"] >= 30 and tried["distribution"] >= 20 and tried["certified"] >= 2
+
+
+def test_the_counting_certificate_decides_some_separations(generation_only):
+    """With the emptiness test at r off, the whole-color cases of the
+    bookkeeping sweep have separations the counting certificate decides
+    with no LP: each is certified, and its relaxation with the weighted
+    row is infeasible.  (With the test on, a probe whose cut-free
+    relaxation is empty is rejected as "empty" before any separation.)"""
+    fast = 0
+    for finst in _bookkeeping_cases():
+        for rec in solve_fair(finst).trace.records:
+            for sep in rec.separations:
                 if sep.lp_solves == 0:
-                    # decided by the counting certificate alone
                     fast += 1
                     assert sep.outcome == "certified"
                     # alpha over den exceeds mu over den: ints reaching mu + 1
                     extra = (sep.dual.alpha, max(0, sep.dual.mu + 1))
                     program = build_relaxation(finst.base, rec.radius, extra_row=extra)
                     assert lp.solve(program).status == "infeasible"
-        final = [r for r in trace.records if r.radius == sol.probe_radius]
-        assert any(r.outcome in ("distribution", "exact") for r in final)
     assert fast >= 3
-    assert tried["distribution"] >= 40 and tried["certified"] >= 30
 
 
 @pytest.mark.parametrize("gamma", [2, 1], ids=["enumerated", "probed"])
@@ -545,18 +562,22 @@ def test_restricted_solves_count_every_solve(monkeypatch, no_greedy, gamma):
     assert sum(calls.values()) == sol.trace.total_lp_solves() - sum(
         rec.lp_solves + sum(sep.lp_solves for sep in rec.separations) for rec in records
     )
-    # a probe rejected by its fair relaxation at 4r runs no column generation
+    # a probe rejected by its fair relaxation at r runs no column generation
     assert [rec.restricted_solves >= 1 for rec in records] == [
         rec.outcome != "empty" for rec in records
     ]
+
+
+def _fair_relaxation_empty(finst, r) -> bool:
+    """fair._relaxation_empty on a fresh LiveRelaxation."""
+    return fair._relaxation_empty(finst, r, LiveRelaxation(), ProbeRecord(radius=r))
 
 
 def test_empty_fair_relaxations_lie_below_the_optimum():
     """Wherever the fair relaxation is called empty there is no
     distribution, so on small instances every such radius lies below the
     oracle's optimum, and emptiness holds on an initial run of the
-    candidate radii; each probe solve_fair rejects as "empty" tested
-    4r."""
+    candidate radii; each probe solve_fair rejects as "empty" tested r."""
     rng = random.Random(36)
     empty = 0
     for trial in range(40):
@@ -571,20 +592,22 @@ def test_empty_fair_relaxations_lie_below_the_optimum():
         opt = brute_force_fair(finst).radius
         flags = []
         for r in candidate_radii(finst.base):
-            flags.append(fair._relaxation_empty(finst, r, ProbeRecord(radius=r)))
+            flags.append(_fair_relaxation_empty(finst, r))
             assert not flags[-1] or r < opt
         assert flags == sorted(flags, reverse=True)
         empty += sum(flags)
         for rec in solve_fair(finst).trace.records:
-            assert rec.outcome != "empty" or 4 * rec.radius < opt
+            assert rec.outcome != "empty" or rec.radius < opt
     assert empty >= 20
 
 
 def test_empty_probes_reject_under_column_generation(no_greedy):
-    """Column generation at a probe rejected as "empty", run with a fresh
-    LiveRelaxation, ends certified too: every column
-    it could price meets the demands at 4r, where no distribution
-    exists.  On the n = 12 shape the first probe is one of them."""
+    """Every probe rejected as "empty" on the n = 12 shape has a fair
+    relaxation at r that a cold LP finds empty, by a Farkas certificate
+    that verifies against the whole program, and the oracle's optimum
+    lies above r.  (Column generation at such a probe need not end
+    certified: its columns cover at 4r, where a distribution may
+    exist.)  On this shape the first probe is one of them."""
     rejected = 0
     for seed in range(1, 31):
         finst = gen_random(seed, 12, 4, 2, demand_density=Fraction(1), p_density=Fraction(2, 3))
@@ -592,17 +615,15 @@ def test_empty_probes_reject_under_column_generation(no_greedy):
         if seed == 1:
             assert (records[0].outcome, len(records[0].separations),
                     records[0].restricted_solves) == ("empty", 0, 0)
+        opt = brute_force_fair(finst).radius
         for rec in records:
             if rec.outcome != "empty":
                 continue
-            relaxation = LiveRelaxation()
-
-            def separate(dual):
-                got = separate_or_certify(finst, rec.radius, dual, None, relaxation)
-                return None if got is None else frozenset(got.centers)
-
-            fresh = ProbeRecord(radius=rec.radius)
-            assert fair._generate(finst, 4 * rec.radius, separate, fresh) is None
+            program = build_relaxation(finst.base, rec.radius).extended(target_rows(finst.p))
+            out = lp.solve(program)
+            assert out.status == "infeasible"
+            assert lp.verify_certificate(program, out.certificate)
+            assert rec.radius < opt
             rejected += 1
     assert rejected >= 20
 
@@ -622,9 +643,10 @@ def test_the_counting_emptiness_test_changes_only_lp_solves(monkeypatch):
     """Solved as shipped and with the counting emptiness test off, 80
     instances of the benchmark's fair shape, with the greedy point mass
     on and off, give the same distributions, probe radii, outcomes,
-    separations and restricted solves.  A probe's LP count differs by
-    exactly one on each "empty" probe the counting certificate decided,
-    and nowhere else."""
+    separations and restricted solves.  A probe's LP count differs only
+    on each "empty" probe the counting certificate decided, which
+    otherwise solves the cut-free relaxation and, when that has a
+    point, re-solves it with the target rows."""
     cases = [gen_random(seed, 12, 4, 2, demand_density=Fraction(1), p_density=Fraction(2, 3))
              for seed in range(1, 81)]
     greedy = fair.greedy_centers
@@ -636,15 +658,17 @@ def test_the_counting_emptiness_test_changes_only_lp_solves(monkeypatch):
         with monkeypatch.context() as off:
             off.setattr(fair, "_counting_empty", lambda finst, radius: False)
             without = [solve_fair(finst) for finst in cases]
-        for got, want in zip(shipped, without):
+        for finst, got, want in zip(cases, shipped, without):
             assert _probe_rows(got) == _probe_rows(want)
             for rec, ref in zip(got.trace.records, want.trace.records):
                 decided = rec.outcome == "empty" and rec.lp_solves == 0
-                assert ref.lp_solves - rec.lp_solves == decided
+                if decided:
+                    cut_free = lp.solve(build_relaxation(finst.base, rec.radius))
+                    assert ref.lp_solves == 1 + (cut_free.status == "optimal")
+                else:
+                    assert ref.lp_solves == rec.lp_solves
                 counted += decided
-                fell_back += rec.outcome == "empty" and rec.lp_solves == 1
-            assert want.trace.total_lp_solves() - got.trace.total_lp_solves() == sum(
-                rec.outcome == "empty" and rec.lp_solves == 0 for rec in got.trace.records)
+                fell_back += rec.outcome == "empty" and rec.lp_solves > 0
     assert counted >= 100 and fell_back >= 2
 
 
@@ -680,7 +704,7 @@ def test_target_counting_certificates_verify():
             left = sum((finst.p[u] for u in mask_points(found.kept) if u not in members),
                        Fraction(0 if found.color is None else inst.colors[found.color].demand))
             assert cert.gap == left - found.bound > 0
-            assert fair._relaxation_empty(finst, r, ProbeRecord(radius=r))
+            assert _fair_relaxation_empty(finst, r)
             assert r < opt
             fired[found.color is None, counting_bound(inst, r) is None] += 1
     assert sum(fired.values()) >= 100
@@ -690,26 +714,124 @@ def test_target_counting_certificates_verify():
 def test_an_empty_probe_the_counting_bound_misses_runs_its_lp():
     """On the benchmark's fair shape the counting certificate rejects
     radius 0 at seed 1 with no LP, misses it at seed 11, where the
-    emptiness LP rejects it, and at seed 354 decides radius 0 and misses
-    radius 1."""
+    emptiness test's two LPs (the cut-free relaxation, then its re-solve
+    with the target rows) reject it, and at seed 135 decides radius 0
+    and misses radius 1."""
     shape = dict(demand_density=Fraction(1), p_density=Fraction(2, 3))
     for seed, want in [
         (1, [("empty", 0), ("greedy-4r", 0)]),
-        (11, [("empty", 1), ("greedy-4r", 0)]),
-        (354, [("empty", 0), ("empty", 1), ("greedy-4r", 0)]),
+        (11, [("empty", 2), ("greedy-4r", 0)]),
+        (135, [("empty", 0), ("empty", 2), ("greedy-4r", 0)]),
     ]:
         finst = gen_random(seed, 12, 4, 2, **shape)
         records = solve_fair(finst).trace.records
         assert [(rec.outcome, rec.lp_solves) for rec in records] == want
-        assert [fair._counting_empty(finst, 4 * rec.radius) for rec in records[:-1]] == [
+        assert [fair._counting_empty(finst, rec.radius) for rec in records[:-1]] == [
             lps == 0 for _, lps in want[:-1]]
+
+
+def test_empty_probes_against_the_oracle(monkeypatch):
+    """On 400 small instances (n <= 9), with the greedy point mass on and
+    off, every probe rejected as "empty" lies below the oracle's
+    optimum, and the certificate that rejected it, the counting one or
+    the emptiness LP's Farkas certificate, verifies against the whole
+    fair relaxation at its radius r (build_relaxation plus the target
+    rows).  Both kinds decide some probes, and some of those probes have
+    a fair relaxation with a point at 4r."""
+    counting, relaxation_empty, solve = (
+        fair.counting_certificate, fair._relaxation_empty, lp.solve)
+    fired = []  # (kind, radius, certificate) of each emptiness test that fired
+    last = []  # the latest LP outcome inside each running emptiness test
+
+    def spy_counting(inst, r, found, extra=None, targets=None):
+        cert = counting(inst, r, found, extra, targets)
+        fired.append(("counting", r, cert))
+        return cert
+
+    def spy_solve(program, start=None):
+        out = solve(program, start)
+        if last:
+            last[-1] = out
+        return out
+
+    def spy_relaxation_empty(finst, r, relaxation, rec):
+        last.append(None)
+        try:
+            empty = relaxation_empty(finst, r, relaxation, rec)
+        finally:
+            out = last.pop()
+        if empty:
+            fired.append(("lp", r, out.certificate))
+        return empty
+
+    monkeypatch.setattr(fair, "counting_certificate", spy_counting)
+    monkeypatch.setattr(fair, "_relaxation_empty", spy_relaxation_empty)
+    monkeypatch.setattr(lp, "solve", spy_solve)
+    rng = random.Random(47)
+    kinds = collections.Counter()
+    for trial in range(400):
+        n = rng.randint(5, 9)
+        k = rng.randint(2, 3)
+        finst = gen_random(
+            seed=47_000 + trial, n=n, k=k, gamma=rng.randint(1, k - 1),
+            metric=rng.choice(["line", "grid-l1"]),
+            demand_density=rng.choice([Fraction(1, 2), Fraction(1)]),
+            p_density=rng.choice([Fraction(1, 2), Fraction(2, 3)]),
+        )
+        opt = brute_force_fair(finst).radius
+        for greedy in (greedy_centers, lambda inst, radius, targets=0: None):
+            monkeypatch.setattr(fair, "greedy_centers", greedy)
+            fired.clear()
+            empty = [rec for rec in solve_fair(finst).trace.records if rec.outcome == "empty"]
+            assert len(fired) == len(empty)
+            for rec, (kind, r, cert) in zip(empty, fired):
+                assert r == rec.radius < opt
+                program = build_relaxation(finst.base, r).extended(target_rows(finst.p))
+                assert lp.verify_certificate(program, cert)
+                kinds[kind] += 1
+                kinds["point at 4r"] += not relaxation_empty(
+                    finst, 4 * r, LiveRelaxation(), ProbeRecord(radius=4 * r))
+    assert kinds["counting"] >= 400 and kinds["lp"] >= 10 and kinds["point at 4r"] >= 100
+
+
+def test_greedy_point_masses_cover_every_target_at_their_radius():
+    """Every "greedy-4r" answer, on 120 small instances with sparse
+    targets, is a point mass at a radius of at most 4r that covers each
+    targeted point and meets every demand; one candidate radius lower,
+    it misses a target or a demand.  On some the farthest targeted point
+    sets the radius, above the centers' service radius."""
+    above = accepted = 0
+    for seed in range(1, 121):
+        finst = gen_random(
+            seed, 9, 3, 2, metric="grid-l1" if seed % 2 else "line",
+            demand_density=Fraction(1, 2), p_density=Fraction(1, 3),
+        )
+        sol = solve_fair(finst)
+        last = sol.trace.records[-1]
+        if last.outcome != "greedy-4r":
+            continue
+        accepted += 1
+        dist = sol.distribution
+        ((centers, weight),) = dist.support
+        assert weight == 1 and dist.radius <= 4 * last.radius
+
+        def serves(radius):
+            point_mass = Distribution(((centers, 1),), radius)
+            return check_feasible(finst.base, centers, radius).feasible and all(
+                coverage_probability(finst.base, point_mass, u) == 1 for u in finst.targeted)
+
+        assert serves(dist.radius)
+        lower = [r for r in candidate_radii(finst.base) if r < dist.radius]
+        assert not lower or not serves(lower[-1])
+        above += dist.radius > service_radius(finst.base, centers)
+    assert accepted >= 60 and above >= 10
 
 
 def test_the_greedy_point_mass_is_a_distribution(monkeypatch):
     """Every greedy point mass, whether a probe of solve_fair built it
     at 4r or it is built at any candidate radius, meets every demand
-    and every target at its radius, and a probe that builds one returns
-    that point mass as its answer."""
+    and every target at that radius, and a probe that builds one
+    returns that point mass as its answer, at a radius no larger."""
     greedy = fair.greedy_centers
     found = []
     built = []  # (instance, its point mass) at each probe that had one
@@ -728,7 +850,8 @@ def test_the_greedy_point_mass_is_a_distribution(monkeypatch):
         built.clear()
         sol = solve_fair(finst)
         if sol.trace.records[-1].outcome == "greedy-4r":
-            assert sol.distribution == built[-1]
+            assert sol.distribution.support == built[-1].support
+            assert sol.distribution.radius <= built[-1].radius
             accepted += 1
         for r in candidate_radii(finst.base):
             spy(finst.base, r, sum(1 << u for u in finst.targeted))
@@ -742,10 +865,10 @@ def test_the_greedy_point_mass_is_a_distribution(monkeypatch):
 
 def test_greedy_probes_against_the_oracle():
     """A probe whose greedy point mass at 4r is a distribution accepts
-    it as the answer, "greedy-4r", with no LP, separation or restricted
-    solve, ending the scan; every radius stays within OPT and 4 OPT of
-    the oracle's optimum, each support set meets the demands at it and
-    every target is met."""
+    it as the answer, "greedy-4r", at a radius of at most 4r, with no
+    LP, separation or restricted solve, ending the scan; every radius
+    stays within OPT and 4 OPT of the oracle's optimum, each support set
+    meets the demands at it and every target is met."""
     greedy = 0
     for seed in range(1, 61):
         finst = gen_random(
@@ -765,7 +888,7 @@ def test_greedy_probes_against_the_oracle():
             if rec.outcome == "greedy-4r":
                 assert i == len(sol.trace.records) - 1
                 assert (rec.lp_solves, rec.separations, rec.restricted_solves) == (0, [], 0)
-                assert dist.radius == 4 * rec.radius and len(dist.support) == 1
+                assert dist.radius <= 4 * rec.radius and len(dist.support) == 1
                 greedy += 1
     assert greedy >= 30
 
@@ -774,24 +897,27 @@ def test_spare_picks_aim_at_the_demands():
     """Point 0, the only target, is covered by the first pick; the one
     pick left must serve color {2, 3}, both of whose points a ball holds
     only from radius 1 on.  The fair relaxation rejects radius 0.  At
-    radius 1 the greedy picks ball 2 at 4r = 4; spent on ball 0 (a gain
-    of 0, ties to the lowest index), that pick would miss the demand and
-    the probe would run column generation."""
+    radius 1 the greedy picks ball 2 at 4r = 4, and the point mass is
+    reported at radius 1, where ball 2 first holds point 3; spent on
+    ball 0 (a gain of 0, ties to the lowest index), that pick would miss
+    the demand and the probe would run column generation."""
     finst = fair_line([0, 100, 200, 201], 2, [((2, 3), 2)], [1, 0, 0, 0])
     assert greedy_centers(finst.base, 4, 0b1) == frozenset({0, 2})
     sol = solve_fair(finst)
     assert [(rec.radius, rec.outcome) for rec in sol.trace.records] == [
         (0, "empty"), (1, "greedy-4r")
     ]
-    assert sol.distribution == Distribution(((frozenset({0, 2}), 1),), 4)
+    assert sol.distribution == Distribution(((frozenset({0, 2}), 1),), 1)
 
 
 def test_separations_do_not_depend_on_earlier_ones(monkeypatch, no_greedy):
     """On the golden fair-* cases and forty random ones with gamma = 2,
     each separation of a probe gives the answer, outcome and cuts of the
-    same separation run on a fresh LiveRelaxation; the cold solve of the
-    cut-free relaxation is counted once per probe, on the first
-    separation that reaches an LP."""
+    same separation run on a fresh LiveRelaxation.  The probe's
+    emptiness test solved the cut-free relaxation cold, and counts that
+    solve and its re-solve with the target rows on the probe, so each
+    separation counts only its re-solve with the weighted row and one
+    per cut."""
     from test_golden_outputs import CASES
 
     cases = [
@@ -818,11 +944,9 @@ def test_separations_do_not_depend_on_earlier_ones(monkeypatch, no_greedy):
     assert compared >= 150
     for trace in traces:
         for rec in trace.records:
-            solved = [sep for sep in rec.separations if sep.lp_solves]
-            for i, sep in enumerate(solved):
-                # one solve only when the cut-free relaxation was empty
-                cold = i == 0 and (sep.outcome != "certified" or sep.lp_solves > 1)
-                assert sep.lp_solves == 1 + len(sep.cuts) + cold
+            assert not rec.separations or rec.lp_solves == 2
+            for sep in rec.separations:
+                assert sep.lp_solves == 1 + len(sep.cuts)
 
 
 def test_sample_deterministic_and_supported():

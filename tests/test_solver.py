@@ -33,6 +33,7 @@ from colorful_kcenter.solver import (
     counting_certificate,
     solve_colorful,
     solve_fixed_radius,
+    target_rows,
 )
 
 
@@ -440,19 +441,22 @@ def _fields(program):
 
 
 def test_extended_programs_equal_fresh_builds(monkeypatch, no_greedy):
-    """On the golden fair-* and clumps-* cases, and on 120 random fair
-    ones, eight of which cut, every program that
-    round_or_cut or solve_restricted re-solves warm, or whose optimum lp
-    checks, equals, row for row, what build_relaxation(inst, r, cuts,
-    extra_row) builds from scratch, or the column-free
-    fair._restricted_program(finst) extended by every column's row at
-    once, L (p - cov_c) >= L with L the lcm of the targets'
-    denominators; rounding's covering LPs are not compared.  The
-    cut-free relaxation is built once per probe that reaches an LP, and
-    the column-free restricted dual once per cold restricted solve."""
+    """On the golden fair-* and clumps-* cases, seven of which cut, and
+    on 120 random fair ones, every program that round_or_cut,
+    solve_restricted or the fair probe's emptiness test re-solves warm,
+    or whose optimum lp checks, equals, row for row, what
+    build_relaxation(inst, r, cuts, extra_row) builds from scratch (with
+    the target rows after it, for the emptiness test), or the
+    column-free fair._restricted_program(finst) extended by every
+    column's row at once, L (p - cov_c) >= L with L the lcm of the
+    targets' denominators; rounding's covering LPs are not compared.
+    The cut-free relaxation is built once per probe that reaches an LP,
+    and the column-free restricted dual once per cold restricted
+    solve."""
     from test_golden_outputs import CASES
 
     build, restricted = solver.build_relaxation, fair._restricted_program
+    relaxation_empty = fair._relaxation_empty
     round_or_cut, solve_restricted = solver.round_or_cut, fair.solve_restricted
     solve, first_violation = lp.solve, lp._first_violation
     seen = collections.Counter()
@@ -462,6 +466,10 @@ def test_extended_programs_equal_fresh_builds(monkeypatch, no_greedy):
         kind, *args = context[-1]
         if kind == "relaxation":
             want = build(*args)
+        elif kind == "fair relaxation":
+            finst, r = args
+            want = build(finst.base, r).extended(target_rows(finst.p))
+            args.append(True)
         else:
             finst, r, _, columns = args
             scale = math.lcm(*(t.denominator for t in finst.p))
@@ -490,13 +498,20 @@ def test_extended_programs_equal_fresh_builds(monkeypatch, no_greedy):
         finally:
             context.pop()
 
+    def spy_relaxation_empty(finst, r, relaxation, rec):
+        context.append(("fair relaxation", finst, r))
+        try:
+            return relaxation_empty(finst, r, relaxation, rec)
+        finally:
+            context.pop()
+
     def spy_solve(program, start=None):
         if start is not None:
             compare(program)
-        elif context and context[-1][0] == "relaxation":
+        elif context and context[-1][0] in ("relaxation", "fair relaxation"):
             # a cold solve here is of the cut-free relaxation with no extra row
-            kind, inst, r, _, _ = context[-1]
-            context.append((kind, inst, r, (), None))
+            kind, inst, r = context[-1][:3]
+            context.append(("relaxation", getattr(inst, "base", inst), r, (), None))
             try:
                 return solve(program)
             finally:
@@ -520,7 +535,9 @@ def test_extended_programs_equal_fresh_builds(monkeypatch, no_greedy):
     monkeypatch.setattr(fair, "solve_restricted", spy_solve_restricted)
     monkeypatch.setattr(lp, "solve", spy_solve)
     monkeypatch.setattr(lp, "_first_violation", spy_first_violation)
+    monkeypatch.setattr(fair, "_relaxation_empty", spy_relaxation_empty)
     monkeypatch.setattr(solver, "build_relaxation", counted("builds", build))
+    monkeypatch.setattr(fair, "build_relaxation", counted("builds", build))
     monkeypatch.setattr(fair, "_restricted_program", counted("restricted builds", restricted))
     cases = {**CASES, **_random_fair_cases()}
     for name, inst in sorted(cases.items()):
@@ -530,12 +547,15 @@ def test_extended_programs_equal_fresh_builds(monkeypatch, no_greedy):
             reached = sum(rec.lp_solves > 0 for rec in records)
         elif name.startswith("fair-") and not name.startswith("fair-enum-"):
             records = solve_fair(inst).trace.records
-            reached = sum(any(sep.lp_solves for sep in rec.separations) for rec in records)
+            reached = sum(rec.lp_solves > 0 or any(sep.lp_solves for sep in rec.separations)
+                          for rec in records)
             assert seen["restricted builds"] - before["restricted builds"] == (
                 seen["cold restricted solves"] - before["cold restricted solves"])
         else:
             continue
         assert seen["builds"] - before["builds"] == reached
-    # programs with cuts, and restricted duals solved warm and cold, were compared
-    assert seen["relaxation", True] >= 10 and seen["relaxation", False] >= 150
+    # programs with cuts, fair relaxations and restricted duals solved warm
+    # and cold were compared
+    assert seen["relaxation", True] >= 7 and seen["relaxation", False] >= 150
+    assert seen["fair relaxation", True] >= 100
     assert seen["restricted", True] >= 100 and seen["restricted", False] >= 50
