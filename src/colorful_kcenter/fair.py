@@ -41,12 +41,12 @@ columns exists exactly when it is infeasible (Farkas), and then lp's
 verified certificate is that distribution (see solve_restricted).
 With no column its optimum is alpha = 0, mu = -1, priced with no solve.
 
-Every LP but the first over some columns and the cut-free relaxation
-re-solves warm, by lp.solve(program, start) from an earlier outcome:
-the restricted dual gains its new columns' rows, from its last
-outcome, and the emptiness test adds the target rows, and each
-separation its weighted row, to the probe's cut-free relaxation, from
-that relaxation's outcome.  Each program is built once
+Apart from the cut-free relaxation and the first restricted dual over
+some columns, every LP re-solves warm, by lp.solve(program, start) from
+an earlier outcome: the restricted dual gains its new columns' rows,
+from its last outcome, and the emptiness test's target rows and each
+separation's weighted row extend the probe's cut-free relaxation, from
+its outcome.  Each program is built once
 and extended by its new rows; lp checks every optimum against its full
 program and verifies every certificate against it.
 """
