@@ -64,12 +64,8 @@ class CliError(Exception):
         self.code = code
 
 
-def _emit_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def _write_output(payload: dict, out_path):
-    text = _emit_text(payload)
+    text = model.dumps_json(payload)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -7,13 +7,19 @@ runs in the dual: a candidate (alpha, mu) claiming no such
 distribution exists is either refuted by a new center set whose
 alpha-weighted coverage beats mu (a new column for the distribution),
 or it survives and rejects the radius.  Enumeration prices exactly,
-by the feasible set of largest weighted coverage; a probe asks the
-solver's round-or-cut engine, run with t = gamma + 1 rows, the extra
-one (weighted_goal: the restricted dual's own ints) asking for that
-weighted coverage, to find a set at 4r or prove r too small.  The
-radius search and its trace are the solver's: a probe's
-solver.ProbeRecord counts its restricted-dual solves and keeps one
-ProbeRecord per separation, on which round_or_cut counts.
+by the feasible set of largest weighted coverage.  A probe prices in
+two steps.  First model.greedy_centers, its ties and spare picks
+weighted by alpha, looks for a set at 4r that meets every demand and
+whose weight reaches the goal (see _greedy_column): a column, traced
+"column-greedy", with no LP or DP call.  Only when it finds none does
+separate_or_certify run: the solver's round-or-cut engine, with t =
+gamma + 1 rows, the extra one (weighted_goal: the restricted dual's
+own ints) asking for that weighted coverage, finds a set at 4r (or 2r)
+or proves r too small.  It is the only step that certifies, so a
+greedy miss rejects nothing.  The radius search and its trace are the
+solver's: a probe's solver.ProbeRecord counts its restricted-dual
+solves and keeps one ProbeRecord per separation, on which round_or_cut
+counts.
 
 A probe at r takes the colorful probe's steps in its order.  When
 model.greedy_centers finds centers at 4r that cover every targeted
@@ -70,6 +76,7 @@ from .model import (
     rational_from,
     service_radius,
     union_mask,
+    weighted_coverage,
 )
 from .solver import (
     InternalError, LiveRelaxation, ProbeRecord, SolveTrace, build_relaxation, counting_certificate,
@@ -250,6 +257,18 @@ def _relaxation_empty(finst: FairInstance, radius, relaxation: LiveRelaxation,
     return lp.solve(base.program.extended(target_rows(finst.p)), base).status == "infeasible"
 
 
+def _greedy_column(finst: FairInstance, radius, dual: DualPoint):
+    """The centers model.greedy_centers picks at radius with alpha as
+    its weights when they meet every demand there and their weight
+    reaches weighted_goal(dual)'s goal, a column beating mu; else None,
+    which says nothing about the radius."""
+    weights, goal = weighted_goal(dual)
+    centers = greedy_centers(finst.base, radius, weights=weights)
+    if centers is None or weighted_coverage(finst.base, weights, centers, radius) < goal:
+        return None
+    return centers
+
+
 def _mass_radius(finst: FairInstance, centers) -> Fraction:
     """The smallest radius at which the point mass on centers meets
     every demand (model.service_radius) and covers every targeted point,
@@ -299,7 +318,8 @@ def solve_fair(finst: FairInstance) -> FairSolution:
     holds the columns priced in, not every feasible set.  A probe at r
     accepts its greedy point mass, else rejects r when the fair
     relaxation at r is empty, else runs column generation from the
-    column-free dual point, its columns covering at 4r.
+    column-free dual point, its columns covering at 4r, each dual point
+    priced by the weighted greedy before separate_or_certify.
     """
     def exact(r, rec):
         # equal coverage gives equal rows: keep the first set of each
@@ -331,8 +351,12 @@ def solve_fair(finst: FairInstance) -> FairSolution:
             return None
 
         def separate(dual):
-            sep = ProbeRecord(radius=r)
+            sep = ProbeRecord(radius=r, dual=dual)
             rec.separations.append(sep)
+            got = _greedy_column(finst, 4 * r, dual)
+            if got is not None:
+                sep.outcome = "column-greedy"
+                return got
             got = separate_or_certify(finst, r, dual, sep, relaxation)
             return None if got is None else frozenset(got.centers)
 

@@ -503,14 +503,20 @@ def greedy_balls(masks, left, k, spare=-1):
     return left, chosen
 
 
-def greedy_centers(inst: Instance, radius, targets=0):
+def greedy_centers(inst: Instance, radius, targets=0, weights=None):
     """Up to k centers picked greedily at radius that cover every point
     of the mask targets and meet every demand there, or None.
     greedy_balls picks until targets is covered; each pick left then
     takes the ball with the most still-needed demand, the sum over
     colors c of min(need_c, new members of c), ties to the lowest index,
     until every demand is met.  check_feasible decides.  Never more than
-    k picks, so a None says nothing about the radius."""
+    k picks, so a None says nothing about the radius.
+
+    weights, one int per point, break those ties to the ball of most
+    new weight (the weights of the points it adds), and after every
+    demand is met the picks left each take the ball of most new weight
+    while one adds any.  With no weights the picks stop once every
+    demand is met."""
     masks = inst._balls(radius)
     left, chosen = greedy_balls(masks, targets, inst.k, 0)
     covered = union_mask(inst, chosen, radius)
@@ -522,6 +528,12 @@ def greedy_centers(inst: Instance, radius, targets=0):
                 fresh = map(int.bit_count, map((members & ~covered).__and__, masks))
                 got = map(min, fresh, itertools.repeat(need))
                 gains = list(got) if gains is None else list(map(operator.add, gains, got))
+        if weights is not None:
+            new = [mask_weight(weights, m & ~covered) for m in masks]
+            if gains is not None:
+                gains = list(zip(gains, new))
+            elif any(new):
+                gains = new
         if gains is None:
             break
         pick = gains.index(max(gains))
@@ -718,9 +730,41 @@ def instance_from_dict(d: dict):
     return inst
 
 
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def dumps_json(doc) -> str:
+    """The text json.dumps(doc, indent=2) writes, and a newline, for
+    dicts with str keys, lists, tuples, str, int, bool and None; built
+    on json's C string encoder, without its pure-Python indenting
+    encoder."""
+    return _json_text(doc, "\n") + "\n"
+
+
+def _json_text(value, newline) -> str:
+    if isinstance(value, str):
+        return _json_str(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [f"{_json_str(key)}: {_json_text(item, inner)}" for key, item in value.items()]
+        ends = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_json_text(item, inner) for item in value]
+        ends = "[]"
+    elif value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    elif isinstance(value, int):
+        return int.__repr__(value)
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} as JSON")
+    if not items:
+        return ends
+    return f"{ends[0]}{inner}{f',{inner}'.join(items)}{newline}{ends[1]}"
+
+
 def dumps_instance(inst) -> str:
     """Canonical JSON text; byte-stable for equal instances."""
-    return json.dumps(instance_to_dict(inst), indent=2) + "\n"
+    return dumps_json(instance_to_dict(inst))
 
 
 def loads_instance(text: str):

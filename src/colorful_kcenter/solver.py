@@ -121,10 +121,12 @@ class ProbeRecord:
     with no LP, separation or restricted solve; "empty": its fair
     relaxation at r is empty, shown by a verified counting certificate
     with no LP, or else by the cut-free relaxation's LP and its warm
-    re-solve with the target rows); "column-4r", "column-2r" or
-    "certified" for a separation.  round_or_cut counts its cuts, LP
-    solves and DP calls on the record it is given; a solve_fair probe
-    keeps its separations and its restricted-dual solves.
+    re-solve with the target rows); "column-greedy", "column-4r",
+    "column-2r" or "certified" for a separation ("column-greedy": the
+    weighted greedy's column at 4r, with no LP or DP call).
+    round_or_cut counts its cuts, LP solves and DP calls on the record
+    it is given; a solve_fair probe keeps its separations and its
+    restricted-dual solves.
     """
 
     radius: Fraction

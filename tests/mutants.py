@@ -359,12 +359,20 @@ MUTANTS = [
         "if count > MAX_POINTS + 1:",
         "tests/test_cli.py::test_exit_codes_for_bad_inputs",
     ),
+    # the JSON writer writes json.dumps's indent=2 bytes
+    Mutant(
+        "JSON writer indents by one space",
+        "model.py",
+        'inner = newline + "  "',
+        'inner = newline + " "',
+        "tests/test_golden_outputs.py::test_the_json_writer_matches_json_dumps",
+    ),
     # byte-identical reruns: the output carries a per-run value
     Mutant(
         "solution file differs from run to run",
         "cli.py",
-        "return json.dumps(payload, indent=2)",
-        'return json.dumps({**payload, "run": id(payload)}, indent=2)',
+        "text = model.dumps_json(payload)",
+        'text = model.dumps_json({**payload, "run": id(payload)})',
         "tests/test_golden_outputs.py::test_output_bytes_unchanged[random-1]",
     ),
     # one trace type: a solve_fair probe's columns and cuts sit on its
@@ -452,6 +460,47 @@ MUTANTS = [
         "if left or not check_feasible(inst, chosen, radius).feasible:",
         "if left:",
         "tests/test_solver.py::test_colorful_greedy_probes_against_the_oracle",
+    ),
+    # a separation the weighted greedy answers prices a feasible set at
+    # 4r whose weight beats mu, and a greedy miss decides nothing: only
+    # separate_or_certify certifies
+    Mutant(
+        "a greedy column accepted without check_feasible",
+        "model.py",
+        "if left or not check_feasible(inst, chosen, radius).feasible:",
+        "if left or weights is None and not check_feasible(inst, chosen, radius).feasible:",
+        "tests/test_fair.py::test_greedy_priced_columns_against_the_oracle",
+    ),
+    Mutant(
+        "a greedy column accepted with weight below the goal",
+        "fair.py",
+        "if centers is None or weighted_coverage(finst.base, weights, centers, radius) < goal:",
+        "if centers is None:",
+        "tests/test_fair.py::test_greedy_priced_columns_against_the_oracle",
+    ),
+    Mutant(
+        "a greedy miss treated as a certification",
+        "fair.py",
+        "got = separate_or_certify(finst, r, dual, sep, relaxation)",
+        'sep.outcome, got = "certified", None',
+        "tests/test_fair.py::test_greedy_pricing_keeps_every_radius",
+    ),
+    # weights break the demand's ties and spend the spare picks
+    Mutant(
+        "weighted greedy ignores the weights in demand ties",
+        "model.py",
+        "                gains = list(zip(gains, new))\n",
+        "                pass\n",
+        "tests/test_model.py::"
+        "test_weighted_greedy_breaks_demand_ties_and_spends_spare_picks_by_new_weight",
+    ),
+    Mutant(
+        "weighted greedy leaves its spare picks unspent",
+        "model.py",
+        "elif any(new):",
+        "elif False:",
+        "tests/test_model.py::"
+        "test_weighted_greedy_breaks_demand_ties_and_spends_spare_picks_by_new_weight",
     ),
     # once every target is covered, each pick left serves the unmet demands
     Mutant(

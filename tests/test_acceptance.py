@@ -85,8 +85,9 @@ def _rounding_spy(inst, r, part, system, pt):
     return chosen
 
 
-def _no_greedy(inst, radius, targets=0):
-    """greedy_centers that never answers: every probe takes the LP path."""
+def _no_greedy(inst, radius, targets=0, weights=None):
+    """greedy_centers that never answers: every probe takes the LP path,
+    and every fair separation separate_or_certify."""
     return None
 
 
@@ -443,4 +444,4 @@ def test_scaling_every_distance_scales_every_radius_and_nothing_else(monkeypatch
     # the pool reaches every branch of both solvers
     assert outcomes == {"rounded-4r", "solved-2r", "infeasible", "enumerated", "cut", "empty",
                         "certified", "distribution", "greedy-4r", "exact", "column-4r",
-                        "column-2r"}
+                        "column-2r", "column-greedy"}

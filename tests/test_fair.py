@@ -411,22 +411,34 @@ def fair_cut_is_valid(finst, sep, cut):
     return True
 
 
-def test_sweep_against_oracle():
+def test_sweep_against_oracle(monkeypatch):
+    """30 random instances and the golden fair-* cases, each solved as
+    shipped and with the greedy off, against the oracle: within 4 OPT,
+    exact when enumerated, feasible support sets, every target met, and
+    every fair cut valid.  Only greedy-off runs cut (golden fair-3)."""
+    from test_golden_outputs import CASES
+
     rng = random.Random(50)
-    ratios = []
-    cut_checked = 0
+    cases = []
     for trial in range(30):
         n = rng.randint(3, 8)
         k = rng.randint(1, min(3, n))
         gamma = rng.randint(1, 2)
-        finst = gen_random(
+        cases.append(gen_random(
             seed=10_000 + trial,
             n=n,
             k=k,
             gamma=gamma,
             metric=rng.choice(["line", "grid-l1"]),
             p_density=Fraction(2, 3),
-        )
+        ))
+    cases += [f for name, f in sorted(CASES.items())
+              if name.startswith("fair-") and not name.startswith("fair-enum-")]
+    ratios = []
+    cut_checked = 0
+    for finst, greedy in itertools.product(
+            cases, (greedy_centers, lambda inst, radius, targets=0, weights=None: None)):
+        monkeypatch.setattr(fair, "greedy_centers", greedy)
         opt = brute_force_fair(finst)
         sol = solve_fair(finst)
         dist = sol.distribution
@@ -449,6 +461,20 @@ def test_sweep_against_oracle():
                     assert fair_cut_is_valid(finst, sep, cut)
                     cut_checked += 1
     assert ratios and max(ratios) <= 4
+    assert cut_checked >= 1
+
+
+def _pricing_only(inst, radius, targets=0, weights=None):
+    """greedy_centers for the priced columns only: no greedy point mass,
+    so every probe the fair relaxation does not reject runs column
+    generation, and the weighted greedy prices its dual points."""
+    return None if weights is None else greedy_centers(inst, radius, targets, weights)
+
+
+def _no_pricing(inst, radius, targets=0, weights=None):
+    """greedy_centers for the point mass only: every separation runs
+    separate_or_certify."""
+    return None if weights is not None else greedy_centers(inst, radius, targets)
 
 
 def _bookkeeping_cases():
@@ -470,13 +496,21 @@ def _bookkeeping_cases():
     ]
 
 
-def test_trace_bookkeeping(no_greedy):
+def test_trace_bookkeeping(monkeypatch, no_greedy):
+    """Each sweep runs twice: with the greedy off, every separation is
+    separate_or_certify's; with only the greedy pricing on (no point
+    mass), it answers most of them as "column-greedy", with no LP, DP
+    call or cut, and keeps its dual point.  The floors count the first."""
     tried = collections.Counter()
+    priced = 0
     # seeds 201 and 396 of the benchmark's fair shape certify radius 0
     certify = [gen_random(seed, 12, 4, 2, demand_density=Fraction(1), p_density=Fraction(2, 3))
                for seed in (201, 396)]
-    for finst in _bookkeeping_cases() + certify:
-        sol = solve_fair(finst)
+    for finst, pricing in itertools.product(_bookkeeping_cases() + certify, (False, True)):
+        with monkeypatch.context() as m:
+            if pricing:
+                m.setattr(fair, "greedy_centers", _pricing_only)
+            sol = solve_fair(finst)
         trace = sol.trace
         assert trace.total_columns() == sum(
             1
@@ -507,12 +541,18 @@ def test_trace_bookkeeping(no_greedy):
             elif rec.outcome == "certified":
                 assert rec.restricted_solves == len(rec.separations) - 1
                 assert rec.separations[-1].outcome == "certified"
-            tried[rec.outcome] += 1
+            tried[rec.outcome] += not pricing
             for sep in rec.separations:
-                assert sep.outcome in ("column-4r", "column-2r", "certified")
+                if sep.outcome == "column-greedy":
+                    assert pricing and sep.dual is not None
+                    assert (sep.lp_solves, sep.dp_calls, sep.cuts) == (0, 0, [])
+                    priced += 1
+                else:
+                    assert sep.outcome in ("column-4r", "column-2r", "certified")
         final = [r for r in trace.records if r.radius == sol.probe_radius]
         assert any(r.outcome in ("distribution", "exact") for r in final)
     assert tried["empty"] >= 30 and tried["distribution"] >= 20 and tried["certified"] >= 2
+    assert priced >= 100
 
 
 def test_the_counting_certificate_decides_some_separations(generation_only):
@@ -653,7 +693,7 @@ def test_the_counting_emptiness_test_changes_only_lp_solves(monkeypatch):
     counted = fell_back = 0
     for greedy_on in (True, False):
         monkeypatch.setattr(fair, "greedy_centers", greedy if greedy_on else (
-            lambda inst, radius, targets=0: None))
+            lambda inst, radius, targets=0, weights=None: None))
         shipped = [solve_fair(finst) for finst in cases]
         with monkeypatch.context() as off:
             off.setattr(fair, "_counting_empty", lambda finst, radius: False)
@@ -779,7 +819,7 @@ def test_empty_probes_against_the_oracle(monkeypatch):
             p_density=rng.choice([Fraction(1, 2), Fraction(2, 3)]),
         )
         opt = brute_force_fair(finst).radius
-        for greedy in (greedy_centers, lambda inst, radius, targets=0: None):
+        for greedy in (greedy_centers, lambda inst, radius, targets=0, weights=None: None):
             monkeypatch.setattr(fair, "greedy_centers", greedy)
             fired.clear()
             empty = [rec for rec in solve_fair(finst).trace.records if rec.outcome == "empty"]
@@ -836,9 +876,9 @@ def test_the_greedy_point_mass_is_a_distribution(monkeypatch):
     found = []
     built = []  # (instance, its point mass) at each probe that had one
 
-    def spy(inst, radius, targets=0):
-        got = greedy(inst, radius, targets)
-        if got is not None:
+    def spy(inst, radius, targets=0, weights=None):
+        got = greedy(inst, radius, targets, weights)
+        if got is not None and weights is None:  # not a priced column
             built.append(Distribution(((got, 1),), radius))
             found.append((finst, built[-1]))
         return got
@@ -947,6 +987,90 @@ def test_separations_do_not_depend_on_earlier_ones(monkeypatch, no_greedy):
             assert not rec.separations or rec.lp_solves == 2
             for sep in rec.separations:
                 assert sep.lp_solves == 1 + len(sep.cuts)
+
+
+def test_greedy_priced_columns_against_the_oracle(monkeypatch):
+    """On 240 small instances, solved as shipped, with the greedy point
+    mass off, and with the emptiness test off as well, every
+    distribution is one: each support set meets the demands at its
+    radius, every target is met, and OPT <= radius <= 4 OPT.  Every
+    "column-greedy" separation priced a column at 4r that meets the
+    demands there and beats its dual point's mu, with no LP, DP call or
+    cut; every "certified" probe and separation lies below OPT, and only
+    separate_or_certify certifies."""
+    priced = []
+    real = fair._greedy_column
+
+    def spy(finst, radius, dual):
+        got = real(finst, radius, dual)
+        if got is not None:
+            priced.append((finst, radius, dual, got))
+        return got
+
+    monkeypatch.setattr(fair, "_greedy_column", spy)
+    rng = random.Random(48)
+    seen = collections.Counter()
+    for trial in range(240):
+        n = rng.randint(5, 9)
+        k = rng.randint(2, 3)
+        finst = gen_random(
+            seed=48_000 + trial, n=n, k=k, gamma=rng.randint(1, k - 1),
+            metric=rng.choice(["line", "grid-l1"]),
+            demand_density=rng.choice([Fraction(1, 2), Fraction(1)]),
+            p_density=rng.choice([Fraction(1, 2), Fraction(2, 3)]),
+        )
+        opt = brute_force_fair(finst).radius
+        for mode in ("shipped", "pricing only", "generation only"):
+            with monkeypatch.context() as m:
+                if mode != "shipped":
+                    m.setattr(fair, "greedy_centers", _pricing_only)
+                if mode == "generation only":
+                    m.setattr(fair, "_counting_empty", lambda finst, radius: False)
+                    m.setattr(fair, "_relaxation_empty",
+                              lambda finst, radius, relaxation, rec: False)
+                priced.clear()
+                sol = solve_fair(finst)
+            dist = sol.distribution
+            assert opt <= dist.radius <= 4 * opt
+            for cs, _ in dist.support:
+                assert check_feasible(finst.base, cs, dist.radius).feasible
+            for u, target in enumerate(finst.p):
+                assert coverage_probability(finst.base, dist, u) >= target
+            for rec in sol.trace.records:
+                if rec.outcome == "certified":
+                    assert rec.radius < opt and rec.separations[-1].outcome == "certified"
+                    seen["certified"] += 1
+                for sep in rec.separations:
+                    assert sep.outcome != "certified" or sep.radius < opt
+                    if sep.outcome == "column-greedy":
+                        assert (sep.lp_solves, sep.dp_calls, sep.cuts) == (0, 0, [])
+                        seen["column-greedy"] += 1
+            greedy_seps = [sep for rec in sol.trace.records for sep in rec.separations
+                           if sep.outcome == "column-greedy"]
+            assert [sep.dual for sep in greedy_seps] == [dual for _, _, dual, _ in priced]
+            for (_, radius, dual, centers), sep in zip(priced, greedy_seps):
+                assert radius == 4 * sep.radius
+                assert check_feasible(finst.base, centers, radius).feasible
+                assert weighted_coverage(finst.base, dual.alpha, centers, radius) > dual.mu
+    assert seen["column-greedy"] >= 1500 and seen["certified"] >= 80
+
+
+def test_greedy_pricing_keeps_every_radius(monkeypatch):
+    """400 instances of the benchmark's fair shape, solved with the
+    greedy pricing on and off, give the same radius; with it on, the
+    greedy prices most separations (451 of 464)."""
+    cases = [gen_random(seed, 12, 4, 2, demand_density=Fraction(1), p_density=Fraction(2, 3))
+             for seed in range(1, 401)]
+    priced = collections.Counter()
+    radii = {}
+    for greedy in (greedy_centers, _no_pricing):
+        monkeypatch.setattr(fair, "greedy_centers", greedy)
+        sols = [solve_fair(finst) for finst in cases]
+        radii[greedy] = [sol.distribution.radius for sol in sols]
+        priced[greedy] = sum(sep.outcome == "column-greedy" for sol in sols
+                             for rec in sol.trace.records for sep in rec.separations)
+    assert radii[greedy_centers] == radii[_no_pricing]
+    assert priced[greedy_centers] >= 400 and priced[_no_pricing] == 0
 
 
 def test_sample_deterministic_and_supported():

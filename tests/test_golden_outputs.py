@@ -36,7 +36,7 @@ from colorful_kcenter.generators import (
     gen_from_vc3,
     gen_random,
 )
-from colorful_kcenter.model import FairInstance, dumps_instance
+from colorful_kcenter.model import FairInstance, dumps_instance, dumps_json, instance_to_dict
 from cover_families import gen_random_graph, gen_random_setcover
 
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
@@ -130,6 +130,17 @@ def test_golden_covers_every_case(golden):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_bytes_unchanged(name, golden, tmp_path):
     assert digests(CASES[name], tmp_path) == golden[name]
+
+
+def test_the_json_writer_matches_json_dumps(tmp_path):
+    """model.dumps_json writes what json.dumps(doc, indent=2) writes, and
+    a newline, for every golden case's instance, solution and trace."""
+    for name, inst in sorted(CASES.items()):
+        digests(inst, tmp_path)
+        docs = [instance_to_dict(inst)]
+        docs += [json.loads((tmp_path / f).read_text()) for f in ("out.json", "trace.json")]
+        for doc in docs:
+            assert dumps_json(doc) == json.dumps(doc, indent=2) + "\n", name
 
 
 if __name__ == "__main__":

@@ -242,6 +242,20 @@ def test_greedy_balls_pick_the_most_uncovered_points_ties_to_the_lowest_index():
         assert greedy_balls(masks, start, k, spare) == (left, chosen)
 
 
+def test_weighted_greedy_breaks_demand_ties_and_spends_spare_picks_by_new_weight():
+    """Color {0, 2} of demand 1 at radius 1, k = 2: balls 0 to 3 each
+    hold one member.  With no weights (or all zero) the demand's
+    tie goes to ball 0 and its spare pick is not spent; weight on point 3
+    sends the tie to ball 2, and weight on point 4 spends the spare pick
+    on ball 4."""
+    inst = line_instance([0, 1, 10, 11, 20], 2, [((0, 2), 1)])
+    assert model.greedy_centers(inst, 1) == frozenset({0})
+    assert model.greedy_centers(inst, 1, weights=[0] * 5) == frozenset({0})
+    assert model.greedy_centers(inst, 1, weights=[0, 0, 0, 5, 0]) == frozenset({2})
+    assert model.greedy_centers(inst, 1, weights=[0, 0, 0, 5, 1]) == frozenset({2, 4})
+    assert model.greedy_centers(inst, 1, weights=[3, 0, 0, 0, 1]) == frozenset({0, 4})
+
+
 def test_service_radius_is_the_least_candidate_radius_meeting_every_demand():
     """service_radius against a brute-force minimum over the candidate
     radii of the radius at which check_feasible's counts meet every
@@ -293,6 +307,26 @@ def test_serialization_round_trip_byte_stable():
         again = loads_instance(text)
         assert again == inst
         assert dumps_instance(again) == text  # byte-stable round trip
+
+
+_json_docs = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_docs)
+def test_dumps_json_writes_what_json_dumps_writes(doc):
+    """Empty and nested containers, escapes, non-ASCII text, bools,
+    None and ints all come out as json.dumps(doc, indent=2) writes them."""
+    assert model.dumps_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_dumps_json_refuses_what_it_cannot_write():
+    with pytest.raises(TypeError):
+        model.dumps_json({"x": [1.5]})
 
 
 def test_serialization_fair_round_trip():

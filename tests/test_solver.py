@@ -399,11 +399,12 @@ def _random_fair_cases():
     }
 
 
-def test_warm_resolves_match_cold_solves(monkeypatch):
+def test_warm_resolves_match_cold_solves(monkeypatch, no_greedy):
     """On the golden fair-* and clumps-* cases and 120 random fair ones,
     every warm re-solve of a probe's LP (lp.solve from an earlier outcome, the latest one or one
     that starts several re-solves) reports the status and optimal value
-    of a cold solve of the same program."""
+    of a cold solve of the same program.  The greedy is off, so every
+    separation re-solves the probe's cut-free relaxation."""
     from test_golden_outputs import CASES
 
     seen = collections.Counter()
